@@ -4,11 +4,9 @@ verification."""
 
 from .amice import (
     AmiceSeries,
-    CosetDecomposition,
     amice_in_basis,
     amice_transform,
     binom_pow,
-    coset_reps,
     is_measure_amice,
     is_measure_vh,
     moments,

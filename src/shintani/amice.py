@@ -6,9 +6,9 @@ multi-index k is the binomial moment of the measure. Pseudo-measures built
 by the cone pairing have denominator factors aligned with basis rays, whose
 transform is T_i times a unit series, so the fraction is an honest power
 series exactly when the numerator vanishes at every T_i = 0. That
-divisibility test is the series-side measure criterion; the exact
-vanishing-hypothesis test on slices is the authoritative one, and the two
-must agree on single-coset inputs.
+divisibility test is the series-side measure criterion. It is decided
+exactly, on sums of numerator coefficients, and must agree with the
+vanishing-hypothesis test on slices on single-coset inputs.
 
 When the denominator lattice has p-power index in Z^n, the numerator is
 split along cosets: each coset contributes a Dirac prefactor times a
@@ -213,50 +213,6 @@ def _invert_unit_series(s: AmiceSeries) -> AmiceSeries:
     return acc.scale(inv_const)
 
 
-@dataclass(frozen=True)
-class CosetDecomposition:
-    """Representatives of Z_p^n modulo the p-completion of a sublattice."""
-
-    basis: tuple[IntVec, ...]
-    representatives: tuple[IntVec, ...]
-
-
-def coset_reps(basis: Sequence[Sequence[int]], p: int) -> CosetDecomposition:
-    """Coset representatives of Z_p^n modulo the Z_p-span of the basis.
-
-    The count is the p-part of |det(basis)|, enumerated through Smith
-    coordinates of the matrix with the basis vectors as columns.
-    """
-    cols = linalg.transpose([linalg.int_vec(b) for b in basis])
-    d = linalg.det(cols)
-    if d == 0:
-        raise SingularMatrix("coset representatives need a nonsingular basis")
-    res = linalg.snf(cols)
-    left_inv = linalg.int_mat_inv(res.left)
-    ranges = []
-    for di in res.d:
-        pk = 1
-        while di % (pk * p) == 0:
-            pk *= p
-        ranges.append(range(pk))
-    reps = []
-    for digits in product(*ranges):
-        reps.append(tuple(int(x) for x in linalg.mat_vec(left_inv, digits)))
-    return CosetDecomposition(
-        basis=tuple(tuple(int(x) for x in b) for b in basis),
-        representatives=tuple(sorted(reps)),
-    )
-
-
-def _p_part(n: int, p: int) -> int:
-    n = abs(n)
-    out = 1
-    while n % p == 0:
-        n //= p
-        out *= p
-    return out
-
-
 def extend_denominator_basis(a: PseudoMeasure, n: int) -> list[IntVec]:
     """Basis of Q^n starting with the denominator vectors of a, completed
     by a complement of the saturation of their span."""
@@ -278,19 +234,11 @@ def _coset_split(
     original lattice point minus the representative, guaranteed p-integral
     in basis coordinates.
     """
-    cols = linalg.int_mat(linalg.transpose(basis))
-    res = linalg.snf(cols)
-    left_inv = linalg.int_mat_inv(res.left)
-    pk = [_p_part(d, p) for d in res.d]
+    left, moduli, reps = linalg.cosets(linalg.transpose(basis), p)
 
     def coset_key(v: Sequence[int]) -> tuple[int, ...]:
-        y = linalg.mat_vec(res.left, v)
-        return tuple(int(y[i]) % pk[i] for i in range(len(pk)))
+        return tuple(y % m for y, m in zip(linalg.mat_vec(left, v), moduli))
 
-    reps = [
-        tuple(int(x) for x in linalg.mat_vec(left_inv, digits))
-        for digits in product(*(range(k) for k in pk))
-    ]
     rep_by_key = {coset_key(rep): rep for rep in reps}
     buckets: dict[IntVec, dict[IntVec, Fraction]] = {rep: {} for rep in reps}
     for v, c in a.num.terms.items():
@@ -301,9 +249,9 @@ def _coset_split(
 
 
 def _basis_coordinates(
-    v: Sequence[int], cols, p: int
+    v: Sequence[int], cols_inv, p: int
 ) -> tuple[Fraction, ...]:
-    coords = linalg.solve(cols, linalg.vec(v))
+    coords = linalg.mat_vec(cols_inv, v)
     for x in coords:
         if x.denominator % p == 0:
             raise NotPIntegral(f"coordinate {x} is not p-integral")
@@ -341,19 +289,20 @@ def amice_in_basis(
     """
     basis = [linalg.int_vec(b) for b in basis]
     n = len(basis)
-    cols = linalg.transpose([linalg.vec(b) for b in basis])
-    if linalg.det(cols) == 0:
-        raise SingularMatrix("transform basis is singular")
+    try:
+        cols_inv = linalg.mat_inv(linalg.transpose(basis))
+    except SingularMatrix as exc:
+        raise SingularMatrix("transform basis is singular") from exc
     num = AmiceSeries.zero(p, n, degree)
     for v, c in a.num.terms.items():
-        coords = _basis_coordinates(v, cols, p)
+        coords = _basis_coordinates(v, cols_inv, p)
         term = _dirac_series(coords, p, prec, degree).scale(
             PadicScalar.from_rational(c, p, prec)
         )
         num = num + term
     out = num
     for u in a.den:
-        y = _basis_coordinates(u, cols, p)
+        y = _basis_coordinates(u, cols_inv, p)
         i, alpha = _aligned_axis(y, p)
         # 1 - (1+T_i)^alpha = -T_i * E with E a unit series in T_i
         e_coeffs = {}
@@ -406,52 +355,31 @@ def is_measure_vh(c: OpenCone, f: TestFunction) -> bool:
     return all(check_vh(f, g) for g in c.generators)
 
 
-def is_measure_amice(
-    a: PseudoMeasure,
-    p: int,
-    prec: int = DEFAULT_PRECISION,
-    degree: int = DEFAULT_DEGREE,
-) -> bool:
+def is_measure_amice(a: PseudoMeasure, p: int) -> bool:
     """Series-side measure criterion, per coset of the denominator lattice.
 
     True iff for every coset and every denominator ray, the coset numerator
-    vanishes at T_i = 0 to working precision. Cross-validates the exact
-    vanishing-hypothesis test; on single-coset inputs the two agree by the
+    vanishes at T_i = 0. Setting T_i = 0 leaves the transform of the Diracs
+    obtained by dropping the i-th basis coordinate, and that transform is
+    injective, so the series vanishes exactly when every fibre sum of the
+    coefficients is zero; the test is exact and needs no precision. On
+    single-coset inputs it agrees with the vanishing-hypothesis test by the
     divisibility criterion.
     """
     if not a.num:
         return True
     n = a.dim
     basis = extend_denominator_basis(a, n)
-    cols = linalg.transpose([linalg.vec(b) for b in basis])
-    cols_inv = linalg.mat_inv(cols)
-    axes = [_aligned_axis(_basis_coordinates(u, cols, p), p)[0] for u in a.den]
+    cols_inv = linalg.mat_inv(linalg.transpose(basis))
+    axes = [_aligned_axis(_basis_coordinates(u, cols_inv, p), p)[0] for u in a.den]
     for _rep, terms in _coset_split(a, basis, p):
-        coords_of = {}
-        for v in terms:
-            coords = tuple(Fraction(x) for x in linalg.mat_vec(cols_inv, v))
-            for x in coords:
-                if x.denominator % p == 0:
-                    raise NotPIntegral(f"coordinate {x} is not p-integral")
-            coords_of[v] = coords
+        coords_of = {v: _basis_coordinates(v, cols_inv, p) for v in terms}
         for i in axes:
-            # setting T_i = 0 drops the i-th factor of every Dirac series,
-            # so points sharing the other coordinates can be summed first
             groups: dict[tuple[Fraction, ...], Fraction] = {}
             for v, c in terms.items():
-                key = tuple(
-                    x if k != i else Fraction(0)
-                    for k, x in enumerate(coords_of[v])
-                )
+                key = coords_of[v][:i] + coords_of[v][i + 1:]
                 groups[key] = groups.get(key, Fraction(0)) + c
-            series = AmiceSeries.zero(p, n, degree)
-            for key, c in groups.items():
-                if c == 0:
-                    continue
-                series = series + _dirac_series(key, p, prec, degree).scale(
-                    _cached_scalar(c, p, prec)
-                )
-            if not series.is_zero_at_precision():
+            if any(groups.values()):
                 return False
     return True
 

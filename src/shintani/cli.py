@@ -31,7 +31,6 @@ from . import amice, cocycle, linalg, solomon_hu, testfunctions
 from .cones import ConeFunction, OpenCone
 from .errors import (
     DependentInput,
-    NonGenericDeformation,
     NotAMeasure,
     PrecisionExhausted,
     SchemaError,
@@ -56,12 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("pair", "vh", "moments", "cocycle"))
     parser.add_argument("--input", help="path to the input JSON file")
     parser.add_argument("--p", type=int, default=3)
-    parser.add_argument("--M", type=int, default=4)
     parser.add_argument("--n", type=int, default=2)
     parser.add_argument("--precision", type=int, default=amice.DEFAULT_PRECISION)
     parser.add_argument("--degree", type=int, default=amice.DEFAULT_DEGREE)
-    parser.add_argument("--bound", type=int, default=12,
-                        help="q-expansion bound (recorded in reports)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trials", type=int, default=10)
     parser.add_argument("--max-order", type=int, default=3,
@@ -148,7 +144,7 @@ def cmd_moments(args) -> tuple[dict, int]:
     elif "numerator" in data:
         pm = solomon_hu.pm_from_json(data)
         p = args.p
-        if not amice.is_measure_amice(pm, p, args.precision, args.degree):
+        if not amice.is_measure_amice(pm, p):
             raise NotAMeasure("series-side divisibility test fails")
     else:
         raise SchemaError("expected test_function+cone or a pseudo-measure")
@@ -188,17 +184,6 @@ def _moment_orders(n: int, max_total: int) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda e: (sum(e), e))
 
 
-def _with_generic_q(fn, n: int, rng: random.Random, attempts: int = 32):
-    """Call fn(q) with sampled deformation vectors until one is generic."""
-    for _ in range(attempts):
-        q = cocycle.sample_deformation(n, rng)
-        try:
-            return q, fn(q)
-        except NonGenericDeformation:
-            continue
-    raise NonGenericDeformation("no generic deformation vector found")
-
-
 def cmd_cocycle(args) -> tuple[dict, int]:
     data = _load_input(args.input)
     if "test_function" not in data:
@@ -222,7 +207,7 @@ def cmd_cocycle(args) -> tuple[dict, int]:
             )
             return ok_c, ok_e
 
-        q, (ok_cocycle, ok_equiv) = _with_generic_q(one_trial, ctx.n, rng)
+        q, (ok_cocycle, ok_equiv) = cocycle.with_generic_q(one_trial, ctx.n, rng)
         record = {
             "index": t,
             "seed": trial_seed,
@@ -238,7 +223,7 @@ def cmd_cocycle(args) -> tuple[dict, int]:
         trials.append(record)
     e1 = tuple(1 if i == 0 else 0 for i in range(ctx.n))
     vh_e1 = testfunctions.check_vh(f, e1)
-    _q, measure_ok = _with_generic_q(
+    _q, measure_ok = cocycle.with_generic_q(
         lambda q: cocycle.verify_measure_valued(
             f, max(1, args.trials // 4), q, seed=args.seed, require_vh=False
         ),
@@ -257,7 +242,6 @@ def cmd_cocycle(args) -> tuple[dict, int]:
             "trials": args.trials,
             "precision": args.precision,
             "degree": args.degree,
-            "bound": args.bound,
             "corrupt_sign": bool(args.corrupt_sign),
         },
         "trials": trials,

@@ -143,21 +143,28 @@ def verify_cocycle(
     while len(qs) < trials:
         qs.append(sample_deformation(n, rng))
     for qv in qs:
-        total = _retry_generic(
-            lambda qq: _alternating_sum(f, matrices, qq, corrupt_sign), qv, rng, n
+        _q, total = with_generic_q(
+            lambda qq: _alternating_sum(f, matrices, qq, corrupt_sign), n, rng, qv
         )
         if pm_is_integer_constant(total) is None:
             return False
     return True
 
 
-def _retry_generic(fn: Callable, q: Vec, rng: random.Random, n: int, attempts: int = 32):
-    """Run fn(q), re-sampling the deformation vector on degeneracy."""
-    for _ in range(attempts):
-        try:
-            return fn(q)
-        except NonGenericDeformation:
+def with_generic_q(fn: Callable, n: int, rng: random.Random, q: Vec | None = None):
+    """Return (q, fn(q)) for the first deformation vector q on which fn
+    raises no NonGenericDeformation.
+
+    The first vector tried is q when given, else one sampled from rng; each
+    further one is sampled from rng, for at most 32 vectors.
+    """
+    for _ in range(32):
+        if q is None:
             q = sample_deformation(n, rng)
+        try:
+            return q, fn(q)
+        except NonGenericDeformation:
+            q = None
     raise NonGenericDeformation("no generic deformation vector found")
 
 
@@ -206,7 +213,6 @@ def verify_measure_valued(
     q: Sequence,
     seed: int = 0,
     require_vh: bool = True,
-    amice_degree: int = 8,
 ) -> bool:
     """Sample congruence tuples and check that every paired cocycle value
     is a measure.
@@ -229,18 +235,14 @@ def verify_measure_valued(
             for j in range(ctx.n)
         )
 
-        def run(qq):
-            inp = CocycleInput(mats, qq)
-            return psi_cdg(inp)
-
-        psi = _retry_generic(run, qv, rng, ctx.n)
+        _q, psi = with_generic_q(lambda qq: psi_cdg(CocycleInput(mats, qq)), ctx.n, rng, qv)
         if not _support_ok(psi, _first_columns([linalg.mat(m) for m in mats])):
             return False
         for _coeff, cone in psi.terms:
             if not is_measure_vh(cone, f):
                 return False
             pm = pair_open_cone(cone, f)
-            if pm.num and not is_measure_amice(pm, ctx.p, degree=amice_degree):
+            if pm.num and not is_measure_amice(pm, ctx.p):
                 return False
     return True
 

@@ -16,9 +16,8 @@ NonGenericDeformation rather than silently resolved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import linalg
 from .errors import DependentInput, NonGenericDeformation, SingularMatrix
@@ -42,36 +41,12 @@ class OpenCone:
                 raise ValueError("generators of mixed dimensions")
             if len(gens) > n:
                 raise DependentInput("more generators than the ambient dimension")
-            rows = [[g[i] for g in gens] for i in range(n)]
-            if _rank(rows) != len(gens):
+            if linalg.rank(gens) != len(gens):
                 raise DependentInput("cone generators are linearly dependent")
 
     @property
     def rank(self) -> int:
         return len(self.generators)
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    a = [row[:] for row in rows]
-    rank = 0
-    ncols = len(a[0]) if a else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
-
-
-def open_cone(*gens: Iterable) -> OpenCone:
-    return OpenCone(tuple(linalg.vec(g) for g in gens))
 
 
 @dataclass(frozen=True)

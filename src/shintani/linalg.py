@@ -2,14 +2,16 @@
 
 Vectors are tuples of Fractions (or ints for lattice vectors), matrices are
 tuples of row tuples. Everything is immutable and pure; no floating point
-anywhere. Dimensions are desk scale (n <= 6), so plain Gaussian elimination
-and textbook Smith reduction are the right tools.
+anywhere. Dimensions are desk scale (n <= 6), so one plain Gauss-Jordan
+kernel (`_reduce`) and textbook Smith reduction are the right tools; cosets
+of Z^n modulo a lattice are read off the Smith form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -65,28 +67,55 @@ def transpose(m: Sequence[Sequence]) -> tuple:
     return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
 
 
+def _reduce(rows: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:
+    """Gauss-Jordan elimination on the first ncols columns of rows, in place.
+
+    Each pivot is scaled to 1 and cleared from every other row; columns
+    past ncols ride along as augmented right-hand sides. Returns the pivot
+    columns, in row order, and the determinant of the leading square block:
+    the product of the pivots times the sign of the row swaps, and 0 as
+    soon as a column has no pivot.
+    """
+    pivots: list[int] = []
+    d = Fraction(1)
+    for col in range(ncols):
+        top = len(pivots)
+        pivot = next((i for i in range(top, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            d = Fraction(0)
+            continue
+        if pivot != top:
+            rows[top], rows[pivot] = rows[pivot], rows[top]
+            d = -d
+        lead = rows[top][col]
+        d *= lead
+        if lead != 1:
+            rows[top][col:] = [x / lead for x in rows[top][col:]]
+        # the pivot row is zero left of col, so row operations start there
+        head = rows[top][col:]
+        for i, row in enumerate(rows):
+            if i != top and row[col] != 0:
+                factor = row[col]
+                row[col:] = [x - factor * y for x, y in zip(row[col:], head)]
+        pivots.append(col)
+    return pivots, d
+
+
+def _fractions(m: Sequence[Sequence]) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in m]
+
+
 def det(m: Sequence[Sequence]) -> Fraction:
     """Exact determinant by fraction-preserving Gaussian elimination."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    a = [[Fraction(x) for x in row] for row in m]
-    d = Fraction(1)
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            d = -d
-        d *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                factor = a[i][k] * inv
-                for j in range(k, n):
-                    a[i][j] -= factor * a[k][j]
-    return d
+    return _reduce(_fractions(m), n)[1]
+
+
+def rank(m: Sequence[Sequence]) -> int:
+    """Rank of a rational matrix."""
+    return len(_reduce(_fractions(m), len(m[0]) if m else 0)[0])
 
 
 def solve(m: Sequence[Sequence], b: Sequence) -> Vec:
@@ -95,25 +124,19 @@ def solve(m: Sequence[Sequence], b: Sequence) -> Vec:
     Raises SingularMatrix when det(m) = 0.
     """
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(m)]
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot is None:
-            raise SingularMatrix("system matrix is singular")
-        a[k], a[pivot] = a[pivot], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                factor = a[i][k]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
-    return tuple(a[i][n] for i in range(n))
+    a = [row + [Fraction(b[i])] for i, row in enumerate(_fractions(m))]
+    if len(_reduce(a, n)[0]) < n:
+        raise SingularMatrix("system matrix is singular")
+    return tuple(row[n] for row in a)
 
 
 def mat_inv(m: Sequence[Sequence]) -> Mat:
+    """Exact inverse, by one elimination of m augmented with the identity."""
     n = len(m)
-    cols = [solve(m, tuple(Fraction(1 if i == j else 0) for i in range(n))) for j in range(n)]
-    return transpose(cols)
+    a = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(_fractions(m))]
+    if len(_reduce(a, n)[0]) < n:
+        raise SingularMatrix("system matrix is singular")
+    return tuple(tuple(row[n:]) for row in a)
 
 
 def int_mat_inv(m: Sequence[Sequence[int]]) -> IntMat:
@@ -132,28 +155,13 @@ def solve_in_span(basis: Sequence[Vec], w: Sequence) -> Vec | None:
     r = len(basis)
     if r == 0:
         return () if all(Fraction(x) == 0 for x in w) else None
-    n = len(basis[0])
-    a = [[Fraction(basis[j][i]) for j in range(r)] + [Fraction(w[i])] for i in range(n)]
-    pivots: list[int] = []
-    row = 0
-    for col in range(r):
-        pivot = next((i for i in range(row, n) if a[i][col] != 0), None)
-        if pivot is None:
-            raise DependentInput("span basis is linearly dependent")
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for i in range(n):
-            if i != row and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[row])]
-        pivots.append(row)
-        row += 1
+    a = [row + [Fraction(x)] for row, x in zip(_fractions(transpose(basis)), w, strict=True)]
+    if len(_reduce(a, r)[0]) < r:
+        raise DependentInput("span basis is linearly dependent")
     # consistency: rows below the pivots must have zero right-hand side
-    for i in range(row, n):
-        if a[i][r] != 0:
-            return None
-    return tuple(a[pivots[col]][r] for col in range(r))
+    if any(row[r] != 0 for row in a[r:]):
+        return None
+    return tuple(row[r] for row in a[:r])
 
 
 def content(v: Sequence[int]) -> int:
@@ -280,6 +288,22 @@ def snf(m: Sequence[Sequence[int]]) -> SnfResult:
     left, d, right = _smith(mi)
     diag = tuple(d[i][i] for i in range(n))
     return SnfResult(d=diag, left=int_mat(left), right=int_mat(right))
+
+
+def cosets(cols: Sequence[Sequence[int]], p: int | None = None) -> tuple[IntMat, IntVec, list[IntVec]]:
+    """Z^n modulo the lattice spanned by the columns of a nonsingular
+    integer matrix, or Z_p^n modulo its p-adic completion when p is given.
+
+    Returns (left, moduli, reps): v and w lie in one class exactly when
+    left*v and left*w agree modulo moduli coordinatewise, and reps holds
+    one integer vector per class, |det| of them (its p-part when p is
+    given). Classes are read off the Smith form left * cols * right = diag(d).
+    """
+    res = snf(cols)
+    moduli = res.d if p is None else tuple(gcd(d, p ** d.bit_length()) for d in res.d)
+    left_inv = int_mat_inv(res.left)
+    reps = [mat_vec(left_inv, digits) for digits in product(*(range(m) for m in moduli))]
+    return res.left, moduli, reps
 
 
 def saturation_and_complement(vs: Sequence[Sequence]) -> tuple[list[IntVec], list[IntVec]]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, isqrt
 
 from .errors import PrecisionExhausted
 
@@ -166,7 +166,7 @@ def rational_reconstruct(s: PadicScalar) -> Fraction | None:
         return Fraction(0)
     m = s.p ** s.prec
     r = s.unit % m
-    bound = int((m // 2) ** 0.5)
+    bound = isqrt(m // 2)
     r0, r1 = m, r
     t0, t1 = 0, 1
     while r1 > bound:

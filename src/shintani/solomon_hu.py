@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import ceil
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -273,26 +274,22 @@ def enumerate_fundamental_domain(ws: Sequence[Sequence[int]], n: int) -> list[In
 def _cell_points_full(ws: list[IntVec]) -> list[IntVec]:
     r = len(ws)
     cols = linalg.transpose(ws)
-    if linalg.det(cols) == 0:
+    d = int(abs(linalg.det(cols)))
+    if d == 0:
         raise DependentInput("cell generators are linearly dependent")
-    # one cell point per coset of the column lattice, via Smith coordinates
-    sres = linalg.snf(cols)
-    left_inv = linalg.int_mat_inv(sres.left)
-    cols_inv = linalg.mat_inv(cols)
+    # one cell point per coset of the column lattice: with the integer
+    # matrix adj = d * cols^-1 (the adjugate up to sign), a representative
+    # has cell coordinates x = adj * rep / d and moves into (0, 1]^r by
+    # ceil(x) - 1 = (adj * rep - 1) // d periods
+    adj = [[int(d * x) for x in row] for row in linalg.mat_inv(cols)]
+    _left, _moduli, reps = linalg.cosets(cols)
     out = []
-    for digits in product(*(range(d) for d in sres.d)):
-        rep = linalg.mat_vec(left_inv, digits)
-        x = linalg.mat_vec(cols_inv, rep)
-        shift = tuple(_ceil_fraction(xi) - 1 for xi in x)
-        pt = tuple(
-            rep[i] - sum(cols[i][k] * shift[k] for k in range(r)) for i in range(r)
+    for rep in reps:
+        shift = [(sum(a * y for a, y in zip(row, rep)) - 1) // d for row in adj]
+        out.append(
+            tuple(rep[i] - sum(cols[i][k] * shift[k] for k in range(r)) for i in range(r))
         )
-        out.append(tuple(int(v) for v in pt))
     return sorted(out)
-
-
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def pair_open_cone(c: OpenCone, f: TestFunction) -> PseudoMeasure:
@@ -438,50 +435,19 @@ def slice_identity_check(
 def _positive_functional(vectors: tuple[IntVec, ...]) -> tuple[Fraction, ...]:
     """A rational functional taking the value 1 on each given vector.
 
-    The vectors must be linearly independent; the functional is produced
-    from a left inverse supported on independent coordinate rows.
+    The vectors must be linearly independent; the functional solves
+    phi . v = 1 for every v and is supported on the pivot coordinates of
+    that system, the first coordinates whose columns are independent.
     """
     m = len(vectors[0])
-    cols = [linalg.vec(v) for v in vectors]
-    # find len(vectors) independent rows of the column matrix
-    a = [[Fraction(cols[k][row]) for k in range(len(cols))] for row in range(m)]
-    chosen: list[int] = []
-    work: list[list[Fraction]] = []
-    for row in range(m):
-        trial = work + [a[row]]
-        if _rank_rows(trial) == len(trial):
-            chosen.append(row)
-            work = trial
-        if len(chosen) == len(cols):
-            break
-    if len(chosen) < len(cols):
+    a = [[Fraction(x) for x in v] + [Fraction(1)] for v in vectors]
+    pivots, _det = linalg._reduce(a, m)
+    if len(pivots) < len(vectors):
         raise DependentInput("projected face directions are dependent")
-    sub = [[cols[k][row] for k in range(len(cols))] for row in chosen]
-    ones = tuple(Fraction(1) for _ in cols)
-    sol = linalg.solve(linalg.transpose(sub), ones)
     phi = [Fraction(0)] * m
-    for idx, row in enumerate(chosen):
-        phi[row] = sol[idx]
+    for row, col in zip(a, pivots):
+        phi[col] = row[m]
     return tuple(phi)
-
-
-def _rank_rows(rows: list[list[Fraction]]) -> int:
-    a = [row[:] for row in rows]
-    rank = 0
-    ncols = len(a[0]) if a else 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for r2 in range(len(a)):
-            if r2 != rank and a[r2][col] != 0:
-                fct = a[r2][col]
-                a[r2] = [x - fct * y for x, y in zip(a[r2], a[rank])]
-        rank += 1
-    return rank
 
 
 def _face_points(face_periods: list[IntVec], bound: Fraction, n: int) -> list[IntVec]:
@@ -497,7 +463,7 @@ def _face_points(face_periods: list[IntVec], bound: Fraction, n: int) -> list[In
     for k in range(r):
         lo = sum(min(0, coords[j][k]) * bound for j in range(r))
         hi = sum(max(0, coords[j][k]) * bound for j in range(r))
-        lows.append(_ceil_fraction(lo))
+        lows.append(ceil(lo))
         highs.append(int(hi))
     cmat = linalg.transpose(coords)
     out = []

@@ -7,7 +7,7 @@ textbook recurrences) and shares no code with the library paths it checks.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb, lcm
 
 
@@ -161,3 +161,15 @@ def rational_slice_haar(f, v, w) -> Fraction:
         pt = [Fraction(w[i]) + (t0 + j) * v[i] for i in range(n)]
         total += value_at_rational(f, pt)
     return Fraction(total, M)
+
+
+def rank_by_minors(m) -> int:
+    """Rank as the size of the largest square minor with a nonzero
+    cofactor determinant."""
+    rows, cols = len(m), len(m[0]) if m else 0
+    for k in range(min(rows, cols), 0, -1):
+        for ri in combinations(range(rows), k):
+            for ci in combinations(range(cols), k):
+                if det_cofactor([[m[i][j] for j in ci] for i in ri]) != 0:
+                    return k
+    return 0

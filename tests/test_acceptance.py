@@ -138,7 +138,7 @@ def test_criterion_2_measure_equivalence():
         f = TestFunction(ctx, table)
         vh = is_measure_vh(cone, f)
         pm = pair_open_cone(cone, f)
-        amice_verdict = is_measure_amice(pm, p, degree=8) if pm.num else True
+        amice_verdict = is_measure_amice(pm, p) if pm.num else True
         assert vh == amice_verdict, (gens, table, p, M)
         true_count += vh
         false_count += not vh

@@ -9,7 +9,6 @@ from shintani.amice import (
     amice_in_basis,
     amice_transform,
     binom_pow,
-    coset_reps,
     extend_denominator_basis,
     is_measure_amice,
     is_measure_vh,
@@ -90,15 +89,20 @@ def test_amice_in_basis_errors():
         amice_in_basis(PM(GA.delta((1,)), ()), [(3,)], 3)
 
 
+def sorted_cosets(basis, p):
+    """Sorted coset representatives of Z_p^n modulo the span of basis."""
+    return tuple(sorted(linalg.cosets(linalg.transpose(basis), p)[2]))
+
+
 def test_coset_reps_examples():
-    reps3 = coset_reps([(1, 0), (0, 3)], 3)
-    assert reps3.representatives == ((0, 0), (0, 1), (0, 2))
-    reps2 = coset_reps([(1, 0), (0, 3)], 2)
-    assert reps2.representatives == ((0, 0),)
-    reps4 = coset_reps([(2, 0), (0, 2)], 2)
-    assert len(reps4.representatives) == 4
+    reps3 = sorted_cosets([(1, 0), (0, 3)], 3)
+    assert reps3 == ((0, 0), (0, 1), (0, 2))
+    reps2 = sorted_cosets([(1, 0), (0, 3)], 2)
+    assert reps2 == ((0, 0),)
+    reps4 = sorted_cosets([(2, 0), (0, 2)], 2)
+    assert len(reps4) == 4
     with pytest.raises(SingularMatrix):
-        coset_reps([(1, 0), (2, 0)], 2)
+        sorted_cosets([(1, 0), (2, 0)], 2)
 
 
 def test_coset_reps_counts_match_p_part():
@@ -116,7 +120,7 @@ def test_coset_reps_counts_match_p_part():
             while d % p == 0:
                 d //= p
                 expected *= p
-            assert len(coset_reps(basis, p).representatives) == expected
+            assert len(sorted_cosets(basis, p)) == expected
         done += 1
 
 
@@ -262,7 +266,7 @@ def test_criterion_equivalence_spot_checks():
         pm = pair_open_cone(cone, f)
         vh = is_measure_vh(cone, f)
         if pm.num:
-            assert is_measure_amice(pm, p, degree=8) == vh
+            assert is_measure_amice(pm, p) == vh
         agreements += 1
 
 
@@ -284,5 +288,5 @@ def test_low_rank_cones_keep_the_forward_direction():
             continue
         pm = pair_open_cone(cone, f)
         if pm.num:
-            assert is_measure_amice(pm, 3, degree=8)
+            assert is_measure_amice(pm, 3)
         checked += 1

@@ -1,5 +1,11 @@
+import hashlib
 import json
+from itertools import product
+from math import comb
 
+import pytest
+
+from shintani.amice import is_measure_amice
 from shintani.cli import main
 from shintani.solomon_hu import pm_eq, pm_from_json
 
@@ -158,3 +164,102 @@ def test_cocycle_vacuous_and_corrupted(tmp_path, capsys):
     report = json.loads((tmp_path / "c.json").read_text())
     assert not report["all_pass"]
     assert "offending" in report["trials"][0]
+
+
+def test_moments_rejects_a_pole_beyond_the_series_degree(tmp_path, capsys):
+    # sum_t (-1)^t C(13, t) delta_(0,t) over 1 - delta_(1,0) at p = 3: every
+    # coefficient of the T_1 = 0 series up to degree 12 cancels, yet the
+    # fibre sums do not, so the pole is genuine
+    pm_json = {
+        "numerator": [{"vector": [0, t], "coeff": str((-1) ** t * comb(13, t))}
+                      for t in range(14)],
+        "denominator": [[1, 0]],
+    }
+    assert not is_measure_amice(pm_from_json(pm_json), 3)
+    path = write(tmp_path, "pole.json", pm_json)
+    assert main(["--command", "moments", "--input", path, "--p", "3"]) == 4
+
+
+def test_moments_at_high_precision(tmp_path, capsys):
+    path = write(tmp_path, "in.json", {
+        "numerator": [{"vector": [1], "coeff": "1"}, {"vector": [3], "coeff": "-1"}],
+        "denominator": [[4]],
+    })
+    tables = {}
+    for precision in ("20", "700"):
+        code, out = run(capsys, "--command", "moments", "--input", path,
+                        "--p", "3", "--precision", precision)
+        assert code == 0
+        tables[precision] = [r["rational"] for r in json.loads(out)["moments"]]
+    assert tables["700"] == tables["20"] == ["1/2", "0", "-1/2", "0"]
+
+
+def _table(n, M, values):
+    return {"n": n, "p": 3, "M": M, "terms": [
+        {"residue": list(r), "weight": w} for r, w in sorted(values.items()) if w]}
+
+
+def _difference(values, M, s):
+    out = dict(values)
+    for r, w in values.items():
+        t = tuple((a + b) % M for a, b in zip(r, s))
+        out[t] = out.get(t, 0) - w
+    return out
+
+
+_T2 = {(a, b): (3 * a + b * b) % 5 - 2 for a, b in product(range(4), repeat=2)}
+_T3 = {r: (2 * sum(r) + r[0]) % 3 - 1 for r in product(range(2), repeat=3)}
+_F3 = {(x, a, b): 1 if x else -1 for x, a, b in product(range(2), repeat=3)}
+# (d1 - d3)(x) * (d1 - d4 + 2 d2 - 2 d8)(y) over (1 - d(4,0))(1 - d(0,12)):
+# a product of two measures whose denominator lattice has index 48 in Z^2,
+# so at p = 3 the moments run per coset, two of the three carrying mass
+_PM_P_COSETS = {
+    "numerator": [{"vector": [x, y], "coeff": str(a * b)}
+                  for x, a in ((1, 1), (3, -1)) for y, b in ((1, 1), (4, -1), (2, 2), (8, -2))],
+    "denominator": [[4, 0], [0, 12]],
+}
+GOLDEN = {
+    "pair_cone_function": ({"test_function": _table(2, 4, _T2), "cone_function": [
+        {"coefficient": 1, "generators": [["1", "2"], ["3", "-1"]]},
+        {"coefficient": -2, "generators": [["-1", "-2"], ["3", "-1"]]},
+        {"coefficient": 1, "generators": [["2", "2"]]},
+    ]}, ["--command", "pair"]),
+    "pair_n3": ({"test_function": _table(3, 2, _T3), "cone": {
+        "generators": [["1", "1", "0"], ["0", "1", "2"], ["1", "0", "1/2"]]}},
+        ["--command", "pair"]),
+    "vh": ({"test_function": TF_BALANCED_2D, "rays": [
+        {"name": "e1", "v": [1, 0]}, [0, 1], ["1", "1"], {"v": [2, -1]}]},
+        ["--command", "vh"]),
+    "moments_cone": ({"test_function": _table(2, 4, _difference(_difference(_T2, 4, (1, 0)), 4, (1, 2))),
+                      "cone": {"generators": [["1", "0"], ["1", "2"]]}},
+                     ["--command", "moments", "--max-order", "3"]),
+    "moments_pseudo_measure": (_PM_P_COSETS, ["--command", "moments", "--p", "3", "--max-order", "2"]),
+    "cocycle_n2": ({"test_function": TF_BALANCED_2D},
+                   ["--command", "cocycle", "--trials", "3", "--seed", "7"]),
+    "cocycle_n3": ({"test_function": _table(3, 2, _F3)},
+                   ["--command", "cocycle", "--trials", "3", "--seed", "5"]),
+}
+# sha256 of each report, recorded before elimination, coset enumeration and
+# the deformation retry were each folded into one kernel; the retired
+# "bound" key is dropped from cocycle configs before hashing
+GOLDEN_SHA256 = {
+    "cocycle_n2": "e2ff825631f8f0839eb3278fb5d86e5610ccafa603c2a0311f0b0f863044e8ed",
+    "cocycle_n3": "fbf8ecfb29ad7b0c0bf27f3b2e0b2f4ff564ee7fd40e240e301bead3e3a3bc69",
+    "moments_cone": "a90b146ff0becd16a480a90d2a0b6184c07b860702432958bc77749a4ca00a2f",
+    "moments_pseudo_measure": "95cb44b50d4b9cde349ff52a1653addfb614f52afc47004980e5d102de8be454",
+    "pair_cone_function": "3b23a09b41ded43407308d2340711bddba2cac75175f1e271310d86df1f29a10",
+    "pair_n3": "5a2a50e84462a73e9f4fe223b8536b11abc9414f5462585f2eba8823b614347b",
+    "vh": "4e289d27d0b8c6946cb6bd2ebf56ca3d93ca45c9eb38aa0f16952a1533000a0b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_reports_match_golden_hashes(tmp_path, capsys, name):
+    payload, argv = GOLDEN[name]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--input", write(tmp_path, "in.json", payload), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    if "config" in report:
+        report["config"].pop("bound", None)
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]

@@ -14,9 +14,10 @@ from shintani.cocycle import (
     verify_cocycle,
     verify_equivariance,
     verify_measure_valued,
+    with_generic_q,
 )
 from shintani.cones import eval_cone_function
-from shintani.errors import NotStabilizer, VHFailsForE1
+from shintani.errors import NonGenericDeformation, NotStabilizer, VHFailsForE1
 from shintani.solomon_hu import (
     GroupAlgebraElement as GA,
     PseudoMeasure as PM,
@@ -198,3 +199,34 @@ def test_psi_pointwise_against_deformed_eval():
         except NonGenericDeformation:
             continue
         done += 1
+
+
+def test_with_generic_q_draw_order():
+    def degenerate_until(k):
+        tried = []
+
+        def fn(q):
+            tried.append(q)
+            if len(tried) <= k:
+                raise NonGenericDeformation("on a face")
+            return len(tried)
+
+        return fn, tried
+
+    for k in (0, 1, 3):
+        # without a starting vector every attempt draws a fresh one
+        fn, tried = degenerate_until(k)
+        draws = random.Random(9)
+        expected = [sample_deformation(3, draws) for _ in range(k + 1)]
+        assert with_generic_q(fn, 3, random.Random(9)) == (expected[-1], k + 1)
+        assert tried == expected
+        # a starting vector is tried first and costs no draw
+        fn, tried = degenerate_until(k)
+        draws = random.Random(9)
+        expected = [Q_GOOD] + [sample_deformation(2, draws) for _ in range(k)]
+        assert with_generic_q(fn, 2, random.Random(9), Q_GOOD) == (expected[-1], k + 1)
+        assert tried == expected
+    fn, tried = degenerate_until(100)
+    with pytest.raises(NonGenericDeformation):
+        with_generic_q(fn, 2, random.Random(9))
+    assert len(tried) == 32

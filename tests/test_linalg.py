@@ -5,8 +5,9 @@ import pytest
 
 from shintani import linalg
 from shintani.errors import DependentInput, SingularMatrix, ZeroDirection
+from shintani.solomon_hu import enumerate_fundamental_domain
 
-from oracles import det_cofactor
+from oracles import brute_cell_points, det_cofactor, rank_by_minors
 
 
 def test_det_examples():
@@ -124,3 +125,129 @@ def test_primitive_vector():
     assert linalg.primitive_vector((6, -9)) == (2, -3)
     with pytest.raises(ZeroDirection):
         linalg.primitive_vector((0, 0))
+
+
+def random_matrix(rng, rows, cols, rank, rational):
+    """Seeded rows x cols matrix of the given rank (with overwhelming
+    probability), as a product of random rows x rank and rank x cols
+    factors; integer entries unless rational."""
+    def entry():
+        return F(rng.randint(-3, 3), rng.randint(1, 3) if rational else 1)
+
+    if rank == 0:
+        return [[F(0)] * cols for _ in range(rows)]
+    a = [[entry() for _ in range(rank)] for _ in range(rows)]
+    b = [[entry() for _ in range(cols)] for _ in range(rank)]
+    return [list(row) for row in linalg.mat_mul(a, b)]
+
+
+def kernel_cases(seed, count, square=True):
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randint(1, 4)
+        cols = n if square else rng.randint(1, 4)
+        rank = rng.randint(0, min(n, cols)) if t % 3 == 0 else min(n, cols)
+        yield rng, random_matrix(rng, n, cols, rank, rational=t % 2 == 1)
+
+
+def test_det_and_rank_against_oracles():
+    singular = 0
+    for _rng, m in kernel_cases(51, 120):
+        assert linalg.det(m) == det_cofactor(m)
+        singular += linalg.det(m) == 0
+    for _rng, m in kernel_cases(52, 120, square=False):
+        assert linalg.rank(m) == rank_by_minors(m)
+    assert singular >= 20
+    assert linalg.rank([[0, 0], [0, 0]]) == 0
+    assert linalg.rank([]) == 0
+
+
+def test_solve_and_inverse_identities():
+    for rng, m in kernel_cases(53, 120):
+        n = len(m)
+        b = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n))
+        if det_cofactor(m) == 0:
+            with pytest.raises(SingularMatrix):
+                linalg.solve(m, b)
+            with pytest.raises(SingularMatrix):
+                linalg.mat_inv(m)
+            continue
+        assert linalg.mat_vec(m, linalg.solve(m, b)) == b
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        inv = linalg.mat_inv(m)
+        assert [list(r) for r in linalg.mat_mul(m, inv)] == identity
+        assert [list(r) for r in linalg.mat_mul(inv, m)] == identity
+
+
+def test_solve_in_span_identities():
+    rng = random.Random(54)
+    dependent = outside = 0
+    for t in range(150):
+        n = rng.randint(1, 4)
+        r = rng.randint(1, n)
+        basis = random_matrix(rng, r, n, rng.randint(0, r) if t % 4 == 0 else r, t % 2 == 1)
+        a = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(r))
+        w = tuple(sum(a[k] * basis[k][i] for k in range(r)) for i in range(n))
+        if rng.random() < 0.4:
+            w = tuple(x + rng.randint(-1, 1) for x in w)
+        if rank_by_minors(basis) < r:
+            with pytest.raises(DependentInput):
+                linalg.solve_in_span(basis, w)
+            dependent += 1
+            continue
+        coords = linalg.solve_in_span(basis, w)
+        if rank_by_minors(basis + [list(w)]) > r:
+            assert coords is None
+            outside += 1
+        else:
+            assert tuple(sum(coords[k] * basis[k][i] for k in range(r)) for i in range(n)) == w
+    assert dependent and outside
+    assert linalg.solve_in_span([], (0, 0)) == ()
+    assert linalg.solve_in_span([], (0, 1)) is None
+
+
+def test_cosets_count_and_key():
+    rng = random.Random(55)
+    done = 0
+    while done < 40:
+        n = rng.randint(1, 4)
+        cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        d = abs(int(det_cofactor(cols)))
+        if d == 0:
+            with pytest.raises(SingularMatrix):
+                linalg.cosets(cols)
+            continue
+        for p in (None, 2, 3):
+            left, moduli, reps = linalg.cosets(cols, p)
+
+            def key(v):
+                return tuple(y % m for y, m in zip(linalg.mat_vec(left, v), moduli))
+
+            expected = d
+            if p is not None:
+                expected = 1
+                while d % (expected * p) == 0:
+                    expected *= p
+            assert len(reps) == expected
+            assert all(isinstance(x, int) for rep in reps for x in rep)
+            assert len({key(rep) for rep in reps}) == expected
+            # the key is constant on cosets of the column lattice
+            for rep in reps[:5]:
+                z = [rng.randint(-3, 3) for _ in range(n)]
+                moved = tuple(x + y for x, y in zip(rep, linalg.mat_vec(cols, z)))
+                assert key(moved) == key(rep)
+        done += 1
+
+
+def test_enumerate_fundamental_domain_against_box_scan():
+    rng = random.Random(56)
+    done = 0
+    while done < 40:
+        n = rng.randint(1, 4)
+        r = rng.randint(1, n)
+        bound = 1 if n == 4 else 2
+        ws = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(r)]
+        if rank_by_minors(ws) < r:
+            continue
+        assert enumerate_fundamental_domain(ws, n) == brute_cell_points(ws, n)
+        done += 1
