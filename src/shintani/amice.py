@@ -20,9 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
-from math import comb, prod
+from math import comb, gcd, prod
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -127,17 +126,12 @@ class AmiceSeries:
         return True
 
 
-@lru_cache(maxsize=None)
-def binom_fraction(x: Fraction, j: int) -> Fraction:
-    out = Fraction(1)
-    for t in range(j):
-        out *= (x - t) / (t + 1)
+def _binomials(x: Fraction, count: int) -> list[Fraction]:
+    """binom(x, j) for j < count."""
+    out = [Fraction(1)]
+    for t in range(count - 1):
+        out.append(out[-1] * (x - t) / (t + 1))
     return out
-
-
-@lru_cache(maxsize=None)
-def _cached_scalar(x: Fraction, p: int, prec: int) -> PadicScalar:
-    return PadicScalar.from_rational(x, p, prec)
 
 
 def binom_pow(x, p: int, prec: int = DEFAULT_PRECISION, degree: int = DEFAULT_DEGREE) -> AmiceSeries:
@@ -150,42 +144,10 @@ def binom_pow(x, p: int, prec: int = DEFAULT_PRECISION, degree: int = DEFAULT_DE
     if x.denominator % p == 0:
         raise NotPIntegral(f"{x} has p in its denominator")
     coeffs = {}
-    for j in range(degree + 1):
-        c = binom_fraction(x, j)
+    for j, c in enumerate(_binomials(x, degree + 1)):
         if c != 0:
-            coeffs[(j,)] = _cached_scalar(c, p, prec)
+            coeffs[(j,)] = PadicScalar.from_rational(c, p, prec)
     return AmiceSeries(p, 1, degree, coeffs)
-
-
-def _dirac_series(
-    coords: Sequence[Fraction], p: int, prec: int, degree: int
-) -> AmiceSeries:
-    """Transform of a Dirac at the point with the given basis coordinates."""
-    coords = tuple(Fraction(x) for x in coords)
-    return _dirac_series_cached(coords, p, prec, degree)
-
-
-@lru_cache(maxsize=65536)
-def _dirac_series_cached(
-    coords: tuple[Fraction, ...], p: int, prec: int, degree: int
-) -> AmiceSeries:
-    n = len(coords)
-    out = AmiceSeries.constant(p, n, degree, _cached_scalar(Fraction(1), p, prec))
-    for i, x in enumerate(coords):
-        if x == 0:
-            continue
-        one_var = binom_pow(x, p, prec, degree)
-        lifted = AmiceSeries(
-            p,
-            n,
-            degree,
-            {
-                tuple(j[0] if k == i else 0 for k in range(n)): c
-                for j, c in one_var.coeffs.items()
-            },
-        )
-        out = out * lifted
-    return out
 
 
 def _invert_unit_series(s: AmiceSeries) -> AmiceSeries:
@@ -244,7 +206,7 @@ def _coset_split(
     for v, c in a.num.terms.items():
         rep = rep_by_key[coset_key(v)]
         shifted = tuple(x - y for x, y in zip(v, rep))
-        buckets[rep][shifted] = buckets[rep].get(shifted, Fraction(0)) + c
+        buckets[rep][shifted] = buckets[rep].get(shifted, 0) + c
     return [(rep, terms) for rep, terms in buckets.items() if terms]
 
 
@@ -293,22 +255,27 @@ def amice_in_basis(
         cols_inv = linalg.mat_inv(linalg.transpose(basis))
     except SingularMatrix as exc:
         raise SingularMatrix("transform basis is singular") from exc
-    num = AmiceSeries.zero(p, n, degree)
+    one = AmiceSeries.constant(p, n, degree, PadicScalar.from_rational(1, p, prec))
+    axis_series: dict[tuple[int, Fraction], AmiceSeries] = {}  # (1 + T_i)^x, for this call
+    out = AmiceSeries.zero(p, n, degree)
     for v, c in a.num.terms.items():
-        coords = _basis_coordinates(v, cols_inv, p)
-        term = _dirac_series(coords, p, prec, degree).scale(
-            PadicScalar.from_rational(c, p, prec)
-        )
-        num = num + term
-    out = num
+        dirac = one
+        for i, x in enumerate(_basis_coordinates(v, cols_inv, p)):
+            if x != 0:
+                if (i, x) not in axis_series:
+                    axis_series[i, x] = AmiceSeries(p, n, degree, {
+                        tuple(j[0] if k == i else 0 for k in range(n)): cj
+                        for j, cj in binom_pow(x, p, prec, degree).coeffs.items()
+                    })
+                dirac = dirac * axis_series[i, x]
+        out = out + dirac.scale(PadicScalar.from_rational(c, p, prec))
     for u in a.den:
         y = _basis_coordinates(u, cols_inv, p)
         i, alpha = _aligned_axis(y, p)
         # 1 - (1+T_i)^alpha = -T_i * E with E a unit series in T_i
         e_coeffs = {}
-        for j in range(1, degree + 2):
-            cj = binom_fraction(alpha, j)
-            if cj != 0 and j - 1 <= degree:
+        for j, cj in enumerate(_binomials(alpha, degree + 2)):
+            if j >= 1 and cj != 0:
                 e_coeffs[tuple(j - 1 if k == i else 0 for k in range(n))] = (
                     PadicScalar.from_rational(-cj, p, prec)
                 )
@@ -370,15 +337,27 @@ def is_measure_amice(a: PseudoMeasure, p: int) -> bool:
         return True
     n = a.dim
     basis = extend_denominator_basis(a, n)
-    cols_inv = linalg.mat_inv(linalg.transpose(basis))
-    axes = [_aligned_axis(_basis_coordinates(u, cols_inv, p), p)[0] for u in a.den]
+    # basis coordinates are adj * v / d; p-integral iff p^v_p(d) divides adj * v
+    adj, d = linalg.adjugate(linalg.transpose(basis))
+    p_part = gcd(d, p ** d.bit_length())
+
+    def scaled_coordinates(v: IntVec) -> IntVec:
+        y = linalg.mat_vec(adj, v)
+        for x in y:
+            if x % p_part:
+                raise NotPIntegral(f"coordinate {Fraction(x, d)} is not p-integral")
+        return y
+
+    axes = [
+        _aligned_axis([Fraction(x, d) for x in scaled_coordinates(u)], p)[0] for u in a.den
+    ]
     for _rep, terms in _coset_split(a, basis, p):
-        coords_of = {v: _basis_coordinates(v, cols_inv, p) for v in terms}
+        coords_of = {v: scaled_coordinates(v) for v in terms}
         for i in axes:
-            groups: dict[tuple[Fraction, ...], Fraction] = {}
+            groups: dict[IntVec, int | Fraction] = {}
             for v, c in terms.items():
                 key = coords_of[v][:i] + coords_of[v][i + 1:]
-                groups[key] = groups.get(key, Fraction(0)) + c
+                groups[key] = groups.get(key, 0) + c
             if any(groups.values()):
                 return False
     return True
@@ -426,17 +405,31 @@ def power_moments(
     degree: int = DEFAULT_DEGREE,
 ) -> PadicScalar:
     """Moment int x^kk dmu of a pseudo-measure that is a measure, in the
-    standard coordinates of the ambient lattice.
+    standard coordinates of the ambient lattice."""
+    return moment_table(a, p, [kk], prec, degree)[0]
 
-    Each coset contributes int (rep + B c)^kk dmu_rep(c) where B is the
+
+def moment_table(
+    a: PseudoMeasure,
+    p: int,
+    orders: Sequence[Sequence[int]],
+    prec: int = DEFAULT_PRECISION,
+    degree: int = DEFAULT_DEGREE,
+) -> list[PadicScalar]:
+    """The moment power_moments gives for each order in orders, all read
+    off one transform of a."""
+    basis = extend_denominator_basis(a, a.dim)
+    transform = amice_transform(a, p, prec, degree)
+    return [_moment(transform, basis, tuple(int(k) for k in kk), p, prec) for kk in orders]
+
+
+def _moment(transform, basis: list[IntVec], kk: tuple[int, ...], p: int, prec: int) -> PadicScalar:
+    """Each coset contributes int (rep + B c)^kk dmu_rep(c) where B is the
     denominator basis; the integrand expands into basis-coordinate
-    monomials whose moments come from the coset series.
-    """
-    kk = tuple(int(k) for k in kk)
-    n = a.dim
-    basis = extend_denominator_basis(a, n)
+    monomials whose moments come from the coset series."""
+    n = len(basis)
     total = PadicScalar.exact_zero(p)
-    for rep, series in amice_transform(a, p, prec, degree):
+    for rep, series in transform:
         # expand prod_j (rep_j + sum_i B_{ji} c_i)^{kk_j} into c-monomials
         poly: dict[tuple[int, ...], Fraction] = {(0,) * n: Fraction(1)}
         for j in range(n):

@@ -26,6 +26,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 
 from . import amice, cocycle, linalg, solomon_hu, testfunctions
 from .cones import ConeFunction, OpenCone
@@ -152,12 +153,13 @@ def cmd_moments(args) -> tuple[dict, int]:
         n = args.n
     else:
         n = pm.dim
+    orders = _moment_orders(n, args.max_order)
+    if pm.num:
+        values = amice.moment_table(pm, p, orders, args.precision, args.degree)
+    else:
+        values = [None] * len(orders)
     table = []
-    for kk in _moment_orders(n, args.max_order):
-        if not pm.num:
-            value = None
-        else:
-            value = amice.power_moments(pm, p, kk, args.precision, args.degree)
+    for kk, value in zip(orders, values):
         if value is None:
             padic_str, rational = "0", "0"
         else:
@@ -169,19 +171,8 @@ def cmd_moments(args) -> tuple[dict, int]:
 
 
 def _moment_orders(n: int, max_total: int) -> list[tuple[int, ...]]:
-    if n == 1:
-        return [(k,) for k in range(max_total + 1)]
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k)
-
-    rec([], max_total)
-    return sorted(out, key=lambda e: (sum(e), e))
+    orders = [e for e in product(range(max_total + 1), repeat=n) if sum(e) <= max_total]
+    return sorted(orders, key=lambda e: (sum(e), e))
 
 
 def cmd_cocycle(args) -> tuple[dict, int]:

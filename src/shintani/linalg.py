@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DependentInput, SingularMatrix, ZeroDirection
@@ -53,7 +54,7 @@ def identity(n: int) -> IntMat:
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
@@ -130,13 +131,29 @@ def solve(m: Sequence[Sequence], b: Sequence) -> Vec:
     return tuple(row[n] for row in a)
 
 
-def mat_inv(m: Sequence[Sequence]) -> Mat:
-    """Exact inverse, by one elimination of m augmented with the identity."""
+def _inverse(m: Sequence[Sequence]) -> tuple[Mat, Fraction]:
+    """Exact inverse and determinant, by one elimination of m augmented
+    with the identity."""
     n = len(m)
     a = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(_fractions(m))]
-    if len(_reduce(a, n)[0]) < n:
+    pivots, d = _reduce(a, n)
+    if len(pivots) < n:
         raise SingularMatrix("system matrix is singular")
-    return tuple(tuple(row[n:]) for row in a)
+    return tuple(tuple(row[n:]) for row in a), d
+
+
+def mat_inv(m: Sequence[Sequence]) -> Mat:
+    """Exact inverse."""
+    return _inverse(m)[0]
+
+
+def adjugate(m: Sequence[Sequence[int]]) -> tuple[IntMat, int]:
+    """(adj, d) for a nonsingular integer matrix: d = |det m| and the
+    integer matrix adj = d * m^-1 (the classical adjugate up to sign), so
+    m^-1 v = adj v / d stays in integer arithmetic."""
+    inv, d = _inverse(m)
+    d = abs(int(d))
+    return tuple(tuple(int(d * x) for x in row) for row in inv), d
 
 
 def int_mat_inv(m: Sequence[Sequence[int]]) -> IntMat:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import ceil
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -32,24 +33,41 @@ from .errors import (
     NonPositiveDenominator,
     NotUnimodular,
     SchemaError,
+    SingularMatrix,
 )
 from .linalg import IntVec
 from .testfunctions import TestFunction, haar, line_slice
 
 
 class GroupAlgebraElement:
-    """Finite rational combination of lattice Dirac symbols."""
+    """Finite rational combination of lattice Dirac symbols.
+
+    Integral coefficients are stored as int, the others as Fraction; the
+    operations build cleaned term dicts directly, so only the public
+    constructor pays for normalizing arbitrary input.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[IntVec, Fraction] | None = None):
-        cleaned: dict[IntVec, Fraction] = {}
-        if terms:
-            for v, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    cleaned[tuple(int(x) for x in v)] = c
+        cleaned: dict[IntVec, int | Fraction] = {}
+        for v, c in (terms or {}).items():
+            c = Fraction(c)
+            if c != 0:
+                cleaned[tuple(int(x) for x in v)] = c.numerator if c.denominator == 1 else c
         self.terms = cleaned
+
+    @staticmethod
+    def _of(terms: dict) -> "GroupAlgebraElement":
+        """Wrap a dict with integer-tuple keys and int or Fraction values,
+        dropping zeros and turning integral Fractions into int."""
+        out = GroupAlgebraElement.__new__(GroupAlgebraElement)
+        out.terms = {
+            v: c if type(c) is int or c.denominator != 1 else c.numerator
+            for v, c in terms.items()
+            if c
+        }
+        return out
 
     @staticmethod
     def zero() -> "GroupAlgebraElement":
@@ -57,7 +75,7 @@ class GroupAlgebraElement:
 
     @staticmethod
     def delta(v: Sequence[int], coeff=1) -> "GroupAlgebraElement":
-        return GroupAlgebraElement({tuple(int(x) for x in v): Fraction(coeff)})
+        return GroupAlgebraElement({tuple(int(x) for x in v): coeff})
 
     @staticmethod
     def one(n: int) -> "GroupAlgebraElement":
@@ -75,33 +93,34 @@ class GroupAlgebraElement:
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         out = dict(self.terms)
         for v, c in other.terms.items():
-            out[v] = out.get(v, Fraction(0)) + c
-        return GroupAlgebraElement(out)
+            out[v] = out.get(v, 0) + c
+        return GroupAlgebraElement._of(out)
 
     def __neg__(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement({v: -c for v, c in self.terms.items()})
+        return GroupAlgebraElement._of({v: -c for v, c in self.terms.items()})
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
         return self + (-other)
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        out: dict[IntVec, Fraction] = {}
+        out: dict[IntVec, int | Fraction] = {}
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
-                key = tuple(a + b for a, b in zip(u, v))
-                out[key] = out.get(key, Fraction(0)) + cu * cv
-        return GroupAlgebraElement(out)
+                key = tuple(map(add, u, v))
+                out[key] = out.get(key, 0) + cu * cv
+        return GroupAlgebraElement._of(out)
 
     def scale(self, c) -> "GroupAlgebraElement":
         c = Fraction(c)
-        return GroupAlgebraElement({v: c * x for v, x in self.terms.items()})
+        c = c.numerator if c.denominator == 1 else c
+        return GroupAlgebraElement._of({v: c * x for v, x in self.terms.items()})
 
     def map_exponents(self, fn) -> "GroupAlgebraElement":
-        out: dict[IntVec, Fraction] = {}
+        out: dict[IntVec, int | Fraction] = {}
         for v, c in self.terms.items():
             key = tuple(int(x) for x in fn(v))
-            out[key] = out.get(key, Fraction(0)) + c
-        return GroupAlgebraElement(out)
+            out[key] = out.get(key, 0) + c
+        return GroupAlgebraElement._of(out)
 
     def __repr__(self):
         if not self.terms:
@@ -110,15 +129,15 @@ class GroupAlgebraElement:
         return f"GA({body})"
 
 
-def _one_minus_delta(u: IntVec) -> GroupAlgebraElement:
-    n = len(u)
-    return GroupAlgebraElement.one(n) - GroupAlgebraElement.delta(u)
-
-
 def denominator_product(den: Sequence[IntVec], n: int) -> GroupAlgebraElement:
     out = GroupAlgebraElement.one(n)
     for u in den:
-        out = out * _one_minus_delta(u)
+        # out * (1 - delta_u) = out minus out shifted by u
+        terms = dict(out.terms)
+        for v, c in out.terms.items():
+            key = tuple(map(add, v, u))
+            terms[key] = terms.get(key, 0) - c
+        out = GroupAlgebraElement._of(terms)
     return out
 
 
@@ -206,13 +225,16 @@ def pm_scale(a: PseudoMeasure, c) -> PseudoMeasure:
 
 
 def pm_eq(a: PseudoMeasure, b: PseudoMeasure) -> bool:
-    """Equality in the localization, by cross-multiplication."""
+    """Equality in the localization, by cross-multiplication with the
+    factors the denominators do not share (cancelling the shared ones is
+    sound in an integral domain)."""
     if not a.num and not b.num:
         return True
     if not a.num or not b.num:
         return False
     n = a.dim
-    return a.num * denominator_product(b.den, n) == b.num * denominator_product(a.den, n)
+    _union, extra_a, extra_b = _lcm_denominator(a.den, b.den)
+    return a.num * denominator_product(extra_a, n) == b.num * denominator_product(extra_b, n)
 
 
 def pm_is_integer_constant(a: PseudoMeasure) -> int | None:
@@ -225,10 +247,10 @@ def pm_is_integer_constant(a: PseudoMeasure) -> int | None:
     coeff = a.num.terms.get(anchor)
     if coeff is None:
         return None
-    m = coeff / dprod.terms[anchor]
+    m = Fraction(coeff, dprod.terms[anchor])
     if m.denominator != 1:
         return None
-    return int(m) if a.num == dprod.scale(m) else None
+    return m.numerator if a.num == dprod.scale(m.numerator) else None
 
 
 def act_pm(g: Sequence[Sequence[int]], a: PseudoMeasure) -> PseudoMeasure:
@@ -272,23 +294,19 @@ def enumerate_fundamental_domain(ws: Sequence[Sequence[int]], n: int) -> list[In
 
 
 def _cell_points_full(ws: list[IntVec]) -> list[IntVec]:
-    r = len(ws)
     cols = linalg.transpose(ws)
-    d = int(abs(linalg.det(cols)))
-    if d == 0:
-        raise DependentInput("cell generators are linearly dependent")
-    # one cell point per coset of the column lattice: with the integer
-    # matrix adj = d * cols^-1 (the adjugate up to sign), a representative
-    # has cell coordinates x = adj * rep / d and moves into (0, 1]^r by
+    try:
+        adj, d = linalg.adjugate(cols)
+    except SingularMatrix as exc:
+        raise DependentInput("cell generators are linearly dependent") from exc
+    # one cell point per coset of the column lattice: a representative has
+    # cell coordinates x = adj * rep / d and moves into (0, 1]^r by
     # ceil(x) - 1 = (adj * rep - 1) // d periods
-    adj = [[int(d * x) for x in row] for row in linalg.mat_inv(cols)]
     _left, _moduli, reps = linalg.cosets(cols)
     out = []
     for rep in reps:
-        shift = [(sum(a * y for a, y in zip(row, rep)) - 1) // d for row in adj]
-        out.append(
-            tuple(rep[i] - sum(cols[i][k] * shift[k] for k in range(r)) for i in range(r))
-        )
+        shift = [(sum(map(mul, row, rep)) - 1) // d for row in adj]
+        out.append(tuple(x - sum(map(mul, row, shift)) for x, row in zip(rep, cols)))
     return sorted(out)
 
 
@@ -298,26 +316,31 @@ def pair_open_cone(c: OpenCone, f: TestFunction) -> PseudoMeasure:
     Generators are positively rescaled to primitive vectors and multiplied
     by the level M so they become periods of f; the result is
 
-        sum_{v in cell} f(v) delta_v / prod_i (1 - delta_{M v_i}).
+        sum_{v in cell} f(v) delta_v / prod_i (1 - delta_{M v_i}),
 
-    The rank-0 cone contributes f(0) * delta_0.
+    with integer coefficients. The rank-0 cone contributes f(0) * delta_0.
+    The result depends only on the set of primitive generators, so it is
+    memoised on f under that set (`TestFunction.pairings`).
     """
-    n = f.ctx.n
-    if c.rank == 0:
-        val = f.value_at((0,) * n)
-        return PseudoMeasure(GroupAlgebraElement.delta((0,) * n, val), ()) if val else pm_zero()
-    periods = [
-        tuple(f.ctx.M * x for x in linalg.primitive_vector(g)) for g in c.generators
-    ]
+    prims = frozenset(linalg.primitive_vector(g) for g in c.generators)
+    hit = f.pairings.get(prims)
+    if hit is None:
+        hit = f.pairings[prims] = _pair_cell(prims, f)
+    return hit
+
+
+def _pair_cell(prims: frozenset[IntVec], f: TestFunction) -> PseudoMeasure:
+    n, M = f.ctx.n, f.ctx.M
+    periods = [tuple(M * x for x in s) for s in sorted(prims)]
     pts = enumerate_fundamental_domain(periods, n)
     terms = {}
     for v in pts:
         val = f.value_at(v)
         if val:
-            terms[v] = Fraction(val)
+            terms[v] = val
     if not terms:
         return pm_zero()
-    return PseudoMeasure(GroupAlgebraElement(terms), tuple(periods))
+    return PseudoMeasure(GroupAlgebraElement._of(terms), tuple(periods))
 
 
 def pair_cone_function(k: ConeFunction, f: TestFunction) -> PseudoMeasure:

@@ -69,6 +69,9 @@ class TestFunction:
 
     ctx: LatticeContext
     values: Mapping[IntVec, int] = field(default_factory=dict)
+    # solomon_hu.pair_open_cone results by primitive generator set; the CLI
+    # parses f once per command, so the memo lives for one command
+    pairings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = self.ctx.M
@@ -142,15 +145,24 @@ def haar(s: SliceFunction) -> Fraction:
 def check_vh(f: TestFunction, v: Sequence) -> bool:
     """Vanishing hypothesis for the ray through v.
 
-    v is normalized to the primitive integer vector on its ray (positive
-    rescaling reparametrizes the slice without changing vanishing). The
-    base point runs over {0,...,M-1}^n, which suffices by the reduction
-    lemma in the module docstring.
+    v is normalized to the primitive integer vector s on its ray (positive
+    rescaling reparametrizes the slice without changing vanishing). By the
+    reduction lemma in the module docstring the base point may run over
+    (Z/M)^n, where the slice through w covers the orbit of w under
+    translation by s, each point M / (orbit size) times. So the hypothesis
+    holds iff f sums to zero over every orbit; only orbits meeting the
+    support of f are walked, at most M^n points in all.
     """
     s = linalg.primitive_vector(v)
     M = f.ctx.M
-    for w in product(range(M), repeat=f.ctx.n):
-        if haar(line_slice(f, s, w)) != 0:
+    seen: set[IntVec] = set()
+    for w in f.values:
+        total = 0
+        while w not in seen:
+            seen.add(w)
+            total += f.values.get(w, 0)
+            w = tuple((a + b) % M for a, b in zip(w, s))
+        if total:
             return False
     return True
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 
 def det_cofactor(m) -> Fraction:
@@ -173,3 +173,19 @@ def rank_by_minors(m) -> int:
                 if det_cofactor([[m[i][j] for j in ci] for i in ri]) != 0:
                     return k
     return 0
+
+
+def vh_by_slices(f, v) -> bool:
+    """Vanishing hypothesis by the slice loop: for every base point w in
+    {0,...,M-1}^n the slice t -> f(w + t s), t = 0..M-1, sums to zero,
+    where s is the primitive integer vector on the ray of v."""
+    fracs = [Fraction(x) for x in v]
+    ints = [int(x * lcm(*(y.denominator for y in fracs))) for x in fracs]
+    g = gcd(*ints)
+    s = [x // g for x in ints]
+    M, n = f.ctx.M, f.ctx.n
+    for w in product(range(M), repeat=n):
+        line = [tuple((w[j] + t * s[j]) % M for j in range(n)) for t in range(M)]
+        if sum(f.values.get(x, 0) for x in line) != 0:
+            return False
+    return True

@@ -19,6 +19,7 @@ from shintani.amice import is_measure_amice, is_measure_vh, power_moments
 from shintani.cli import main as cli_main
 from shintani.cocycle import (
     CocycleInput,
+    phi,
     psi_cdg,
     sample_congruence_tuple,
     sample_deformation,
@@ -90,6 +91,19 @@ def balanced_f(ctx):
     for rest in product(range(ctx.M), repeat=ctx.n - 1):
         table[(1,) + rest] = 1
         table[(3 % ctx.M,) + rest] = table.get((3 % ctx.M,) + rest, 0) - 1
+    f = TestFunction(ctx, table)
+    if not f:
+        raise ValueError(f"balanced_f vanishes identically at M = {ctx.M}")
+    return f
+
+
+def halves_f(ctx):
+    """1 where the first residue is 1 and -1 where it is 0: nonzero at
+    every level, with slices along e_1 summing to zero at M = 2."""
+    table = {}
+    for rest in product(range(ctx.M), repeat=ctx.n - 1):
+        table[(1,) + rest] = 1
+        table[(0,) + rest] = -1
     return TestFunction(ctx, table)
 
 
@@ -205,7 +219,7 @@ def test_criterion_5_cocycle_identity():
         q = sample_deformation(2, rng)
         assert verify_cocycle(f2, mats, q, seed=t), (t, mats)
     ctx3 = LatticeContext(3, 3, 2)
-    f3 = balanced_f(ctx3)
+    f3 = halves_f(ctx3)
     for t in range(100):
         mats = sample_congruence_tuple(ctx3, 4, 60000 + t)
         q = sample_deformation(3, rng)
@@ -216,6 +230,19 @@ def test_criterion_5_cocycle_identity():
     ident = ((1, 0), (0, 1))
     assert not verify_cocycle(f2, (ident, rot, ts), (F(-1, 2), F(1, 3)),
                               corrupt_sign=True)
+    # and at n = 3, on every tuple whose flipped term is nonzero
+    flipped = 0
+    for t in range(20):
+        mats = sample_congruence_tuple(ctx3, 4, 60000 + t)
+        q = sample_deformation(3, rng)
+        try:
+            term = phi(f3, CocycleInput(mats[1:], q))
+        except NonGenericDeformation:
+            continue
+        if term.num:
+            flipped += 1
+            assert not verify_cocycle(f3, mats, q, seed=t, corrupt_sign=True), (t, mats)
+    assert flipped > 0
 
 
 @_report(6, "equivariance under congruence stabilizers")
@@ -225,7 +252,7 @@ def test_criterion_6_equivariance():
     ctx2 = LatticeContext(2, 3, 4)
     f2 = balanced_f(ctx2)
     ctx3 = LatticeContext(3, 3, 2)
-    f3 = balanced_f(ctx3)
+    f3 = halves_f(ctx3)
     while checked < 100:
         use3 = checked % 4 == 3
         ctx, f = (ctx3, f3) if use3 else (ctx2, f2)

@@ -179,6 +179,28 @@ def test_solve_and_inverse_identities():
         assert [list(r) for r in linalg.mat_mul(inv, m)] == identity
 
 
+def test_adjugate_against_cofactors():
+    checked = 0
+    for _rng, m in kernel_cases(54, 120):
+        m = [[int(x) for x in row] for row in m] if all(
+            F(x).denominator == 1 for row in m for x in row) else None
+        if m is None:
+            continue
+        n = len(m)
+        if det_cofactor(m) == 0:
+            with pytest.raises(SingularMatrix):
+                linalg.adjugate(m)
+            continue
+        adj, d = linalg.adjugate(m)
+        assert d == abs(det_cofactor(m)) and type(d) is int
+        assert all(type(x) is int for row in adj for x in row)
+        scaled = [[d * int(i == j) for j in range(n)] for i in range(n)]
+        assert [list(r) for r in linalg.mat_mul(m, adj)] == scaled
+        assert [list(r) for r in linalg.mat_mul(adj, m)] == scaled
+        checked += 1
+    assert checked >= 30
+
+
 def test_solve_in_span_identities():
     rng = random.Random(54)
     dependent = outside = 0

@@ -70,6 +70,49 @@ def test_pm_is_integer_constant():
     assert pm_is_integer_constant(PM(GA.one(1).scale(F(1, 2)), ())) is None
 
 
+def test_integer_coefficients():
+    assert type(pm_is_integer_constant(pm_constant(1, F(4, 2)))) is int
+    for num in (d(0).scale(F(1, 2)) + d(1), d(0).scale(3) + d(1).scale(F(1, 2))):
+        # the anchor ratio is not an integer, and no float may leak out
+        assert pm_is_integer_constant(PM(num, ((1,),))) is None
+    assert pm_is_integer_constant(PM(d(0).scale(6) - d(1).scale(6), ((1,),))) == 6
+    b = pm_from_json({"numerator": [{"vector": [0], "coeff": "1/2"},
+                                    {"vector": [1], "coeff": "4/2"}], "denominator": []})
+    assert b.num.terms == {(0,): F(1, 2), (1,): 2}
+    assert type(b.num.terms[(0,)]) is F and type(b.num.terms[(1,)]) is int
+    half = d(0).scale(F(1, 2))
+    assert all(type(c) is int for c in (half + half).terms.values())
+    assert all(type(c) is int for c in (half * d(1).scale(4) - d(2)).terms.values())
+
+
+def test_pairing_memo():
+    rng = random.Random(77)
+    checked = 0
+    for n, M in ((2, 4), (3, 2), (3, 4)):
+        ctx = LatticeContext(n, 3, M)
+        table = {r: rng.randint(-2, 2) for r in product(range(M), repeat=n)}
+        f = TestFunction(ctx, table)
+        other = TestFunction(ctx, {r: w + 1 for r, w in table.items()})
+        for _ in range(10):
+            rank = rng.randint(0, n)
+            gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rank)]
+            if linalg.rank(gens or [[0] * n]) != rank:
+                continue
+            first = pair_open_cone(OpenCone(tuple(gens)), f)
+            assert all(type(c) is int for c in first.num.terms.values())
+            shuffled = [tuple(scale * x for x in g) for g, scale in zip(
+                rng.sample(gens, rank), (F(rng.randint(1, 3), rng.randint(1, 3)) for _ in gens))]
+            hit = pair_open_cone(OpenCone(tuple(shuffled)), f)
+            assert hit is first
+            fresh = pair_open_cone(OpenCone(tuple(shuffled)), TestFunction(ctx, table))
+            assert fresh is not first and fresh == first
+            mine = pair_open_cone(OpenCone(tuple(gens)), other)
+            fresh_other = pair_open_cone(OpenCone(tuple(gens)), TestFunction(ctx, other.values))
+            assert mine is not first and mine == fresh_other
+            checked += 1
+    assert checked >= 20
+
+
 def test_act_pm():
     a = PM(d(1, 0), ((0, 1),))
     ident = [[1, 0], [0, 1]]

@@ -20,7 +20,7 @@ from shintani.testfunctions import (
     to_json,
 )
 
-from oracles import rational_slice_haar
+from oracles import rational_slice_haar, vh_by_slices
 
 
 def ctx1(M=4, p=3):
@@ -95,6 +95,35 @@ def test_check_vh_examples():
     assert not check_vh(f2, (0, 1))
     # positive rescaling of the ray does not change the verdict
     assert check_vh(f2, (F(1, 2), F(0)))
+
+
+def test_check_vh_matches_the_slice_loop():
+    rng = random.Random(4242)
+    verdicts = {True: 0, False: 0}
+    for n, M in product((1, 2, 3), (2, 3, 4, 5)):
+        ctx = LatticeContext(n, 7, M)
+        for _ in range(12):
+            table = {r: rng.randint(-2, 2) for r in product(range(M), repeat=n)
+                     if rng.random() < 0.5}
+            ray = tuple(rng.randint(-3, 3) for _ in range(n))
+            if not any(ray):
+                ray = (1,) + ray[1:]
+            if rng.random() < 0.5:
+                # difference along the ray, so that its slices telescope
+                prim = linalg.primitive_vector(ray)
+                diff = {}
+                for r, w in table.items():
+                    diff[r] = diff.get(r, 0) + w
+                    shifted = tuple((a + b) % M for a, b in zip(r, prim))
+                    diff[shifted] = diff.get(shifted, 0) - w
+                table = diff
+            f = TestFunction(ctx, table)
+            for scale in (1, 2, F(3, 2), -1, -2):
+                v = tuple(scale * x for x in ray)
+                expected = vh_by_slices(f, v)
+                assert check_vh(f, v) == expected, (n, M, table, v)
+                verdicts[expected] += 1
+    assert min(verdicts.values()) > 100, verdicts
 
 
 def test_vh_brute_force_over_rational_base_points():
