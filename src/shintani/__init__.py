@@ -32,7 +32,7 @@ from .cones import (
     eval_cone_function,
     wedge_decompose,
 )
-from .linalg import SnfResult, det, saturate_span, snf, solve
+from .linalg import det, solve
 from .padic import PadicScalar, rational_reconstruct
 from .solomon_hu import (
     GroupAlgebraElement,

@@ -183,7 +183,7 @@ def extend_denominator_basis(a: PseudoMeasure, n: int) -> list[IntVec]:
         raise NonUnitDenominator("repeated denominator factors are not aligned")
     if not dens:
         return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    _sat, comp = linalg.saturation_and_complement(dens)
+    _sat, comp, _coords = linalg.saturation_and_complement(dens)
     return dens + comp
 
 
@@ -194,36 +194,40 @@ def _coset_split(
 
     Returns (representative, terms) pairs where each term key is the
     original lattice point minus the representative, guaranteed p-integral
-    in basis coordinates.
+    in basis coordinates. A term's representative is its reduction into
+    the Hermite box.
     """
-    left, moduli, reps = linalg.cosets(linalg.transpose(basis), p)
-
-    def coset_key(v: Sequence[int]) -> tuple[int, ...]:
-        return tuple(y % m for y, m in zip(linalg.mat_vec(left, v), moduli))
-
-    rep_by_key = {coset_key(rep): rep for rep in reps}
+    h, reps = linalg.cosets(linalg.transpose(basis), p)
     buckets: dict[IntVec, dict[IntVec, Fraction]] = {rep: {} for rep in reps}
     for v, c in a.num.terms.items():
-        rep = rep_by_key[coset_key(v)]
+        rep = linalg._coset_rep(h, v)
         shifted = tuple(x - y for x, y in zip(v, rep))
         buckets[rep][shifted] = buckets[rep].get(shifted, 0) + c
     return [(rep, terms) for rep, terms in buckets.items() if terms]
 
 
-def _basis_coordinates(
-    v: Sequence[int], cols_inv, p: int
-) -> tuple[Fraction, ...]:
-    coords = linalg.mat_vec(cols_inv, v)
-    for x in coords:
-        if x.denominator % p == 0:
-            raise NotPIntegral(f"coordinate {x} is not p-integral")
-    return coords
+def _coordinate_map(basis: Sequence[IntVec], p: int):
+    """(coords, d) for a nonsingular integer basis: d = |det| and coords(v)
+    is d times the basis coordinates of v, an integer vector, after checking
+    that those coordinates are p-integral (p^v_p(d) divides each)."""
+    adj, d = linalg.adjugate(linalg.transpose(basis))
+    p_part = gcd(d, p ** d.bit_length())
+
+    def coords(v: Sequence[int]) -> IntVec:
+        y = linalg.mat_vec(adj, v)
+        for x in y:
+            if x % p_part:
+                raise NotPIntegral(f"coordinate {Fraction(x, d)} is not p-integral")
+        return y
+
+    return coords, d
 
 
-def _aligned_axis(y: Sequence[Fraction], p: int) -> tuple[int, Fraction]:
-    """Axis index and scalar for a denominator coordinate vector that is a
-    p-unit multiple of a basis vector."""
-    nonzero = [(i, x) for i, x in enumerate(y) if x != 0]
+def _aligned_axis(y: Sequence[int], d: int, p: int) -> tuple[int, Fraction]:
+    """Axis index and scalar for a denominator vector with scaled basis
+    coordinates y (see _coordinate_map) that is a p-unit multiple of a
+    basis vector."""
+    nonzero = [(i, Fraction(x, d)) for i, x in enumerate(y) if x != 0]
     if len(nonzero) != 1:
         raise NonUnitDenominator(
             "denominator vector is not aligned with a single basis direction"
@@ -252,26 +256,25 @@ def amice_in_basis(
     basis = [linalg.int_vec(b) for b in basis]
     n = len(basis)
     try:
-        cols_inv = linalg.mat_inv(linalg.transpose(basis))
+        coords, d = _coordinate_map(basis, p)
     except SingularMatrix as exc:
         raise SingularMatrix("transform basis is singular") from exc
     one = AmiceSeries.constant(p, n, degree, PadicScalar.from_rational(1, p, prec))
-    axis_series: dict[tuple[int, Fraction], AmiceSeries] = {}  # (1 + T_i)^x, for this call
+    axis_series: dict[tuple[int, int], AmiceSeries] = {}  # (1 + T_i)^(y/d), for this call
     out = AmiceSeries.zero(p, n, degree)
     for v, c in a.num.terms.items():
         dirac = one
-        for i, x in enumerate(_basis_coordinates(v, cols_inv, p)):
-            if x != 0:
-                if (i, x) not in axis_series:
-                    axis_series[i, x] = AmiceSeries(p, n, degree, {
+        for i, y in enumerate(coords(v)):
+            if y != 0:
+                if (i, y) not in axis_series:
+                    axis_series[i, y] = AmiceSeries(p, n, degree, {
                         tuple(j[0] if k == i else 0 for k in range(n)): cj
-                        for j, cj in binom_pow(x, p, prec, degree).coeffs.items()
+                        for j, cj in binom_pow(Fraction(y, d), p, prec, degree).coeffs.items()
                     })
-                dirac = dirac * axis_series[i, x]
+                dirac = dirac * axis_series[i, y]
         out = out + dirac.scale(PadicScalar.from_rational(c, p, prec))
     for u in a.den:
-        y = _basis_coordinates(u, cols_inv, p)
-        i, alpha = _aligned_axis(y, p)
+        i, alpha = _aligned_axis(coords(u), d, p)
         # 1 - (1+T_i)^alpha = -T_i * E with E a unit series in T_i
         e_coeffs = {}
         for j, cj in enumerate(_binomials(alpha, degree + 2)):
@@ -337,22 +340,10 @@ def is_measure_amice(a: PseudoMeasure, p: int) -> bool:
         return True
     n = a.dim
     basis = extend_denominator_basis(a, n)
-    # basis coordinates are adj * v / d; p-integral iff p^v_p(d) divides adj * v
-    adj, d = linalg.adjugate(linalg.transpose(basis))
-    p_part = gcd(d, p ** d.bit_length())
-
-    def scaled_coordinates(v: IntVec) -> IntVec:
-        y = linalg.mat_vec(adj, v)
-        for x in y:
-            if x % p_part:
-                raise NotPIntegral(f"coordinate {Fraction(x, d)} is not p-integral")
-        return y
-
-    axes = [
-        _aligned_axis([Fraction(x, d) for x in scaled_coordinates(u)], p)[0] for u in a.den
-    ]
+    coords, d = _coordinate_map(basis, p)
+    axes = [_aligned_axis(coords(u), d, p)[0] for u in a.den]
     for _rep, terms in _coset_split(a, basis, p):
-        coords_of = {v: scaled_coordinates(v) for v in terms}
+        coords_of = {v: coords(v) for v in terms}
         for i in axes:
             groups: dict[IntVec, int | Fraction] = {}
             for v, c in terms.items():
@@ -458,13 +449,3 @@ def _poly_mul(
             out[key] = out.get(key, Fraction(0)) + c1 * c2
     return {k: v for k, v in out.items() if v != 0}
 
-
-def series_to_json(s: AmiceSeries, prec: int | None = None) -> dict:
-    return {
-        "p": s.p,
-        "precision": prec if prec is not None else DEFAULT_PRECISION,
-        "degree": s.degree,
-        "coeffs": [
-            {"exp": list(exp), "val": str(c)} for exp, c in sorted(s.coeffs.items())
-        ],
-    }

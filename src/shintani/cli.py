@@ -190,9 +190,7 @@ def cmd_cocycle(args) -> tuple[dict, int]:
         g = testfunctions.random_congruence_element(ctx, trial_seed ^ 0x5EED)
 
         def one_trial(q):
-            ok_c = cocycle.verify_cocycle(
-                f, mats, q, trials=1, seed=trial_seed, corrupt_sign=args.corrupt_sign
-            )
+            ok_c = cocycle.verify_cocycle(f, mats, q, corrupt_sign=args.corrupt_sign)
             ok_e = cocycle.verify_equivariance(
                 f, g, cocycle.CocycleInput(mats[: ctx.n], q)
             )

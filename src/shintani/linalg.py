@@ -2,17 +2,19 @@
 
 Vectors are tuples of Fractions (or ints for lattice vectors), matrices are
 tuples of row tuples. Everything is immutable and pure; no floating point
-anywhere. Dimensions are desk scale (n <= 6), so one plain Gauss-Jordan
-kernel (`_reduce`) and textbook Smith reduction are the right tools; cosets
-of Z^n modulo a lattice are read off the Smith form.
+anywhere. Dimensions are desk scale (n <= 6), so two plain kernels are the
+right tools: Gauss-Jordan elimination over Q (`_reduce`) behind det, rank,
+solve and inverses, and the integer column Hermite form (`hermite`) behind
+every lattice job. Cosets of Z^n modulo a lattice are a box read off the
+Hermite diagonal, and a saturation with its complement is read off the
+unimodular transform, so neither needs an inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -156,12 +158,6 @@ def adjugate(m: Sequence[Sequence[int]]) -> tuple[IntMat, int]:
     return tuple(tuple(int(d * x) for x in row) for row in inv), d
 
 
-def int_mat_inv(m: Sequence[Sequence[int]]) -> IntMat:
-    """Inverse of a unimodular integer matrix, as an integer matrix."""
-    inv = mat_inv(m)
-    return int_mat(inv)
-
-
 def solve_in_span(basis: Sequence[Vec], w: Sequence) -> Vec | None:
     """Exact coordinates of w in the span of `basis` (as columns), or None.
 
@@ -200,154 +196,87 @@ def primitive_vector(v: Sequence) -> IntVec:
     return tuple(x // g for x in ints)
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """Smith normal form data: left * input * right = diag(d).
+def hermite(rows: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
+    """Column Hermite form of an integer matrix with r independent rows of
+    length m >= r.
 
-    d satisfies the divisibility chain d_1 | d_2 | ... ; left and right are
-    unimodular, so coset representatives computed in diagonal coordinates
-    can be mapped back to the original basis.
+    Returns (h, u, u_inv) with rows * u = [h | 0]: h is r x r, lower
+    triangular with a positive diagonal (entries left of the diagonal are
+    not reduced), u is unimodular and u_inv is its integer inverse. So the columns of h span the lattice in Z^r spanned by
+    the columns of rows, and row i of rows is sum_j h_ij * u_inv_j. Only
+    integer column operations run; each is mirrored on u and, inverted, on
+    the rows of u_inv, so no inverse is ever computed. Raises DependentInput
+    when the rows are dependent or r > m.
     """
-
-    d: IntVec
-    left: IntMat
-    right: IntMat
-
-
-def _smith(a_in: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Reduce a rectangular integer matrix to Smith form.
-
-    Returns (left, d, right) with left * a_in * right = d, d diagonal with
-    the divisibility chain, left/right unimodular.
-    """
-    rows = len(a_in)
-    cols = len(a_in[0])
-    a = [[int(x) for x in row] for row in a_in]
-    left = [list(r) for r in identity(rows)]
-    right = [list(r) for r in identity(cols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        left[dst] = [x + c * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(dst, src, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in right:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
-
-    k = 0
-    limit = min(rows, cols)
-    while k < limit:
-        # move a minimal nonzero entry of the trailing block to (k, k)
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(k, best[0])
-        swap_cols(k, best[1])
-        dirty = False
-        for i in range(k + 1, rows):
-            if a[i][k] != 0:
-                q = a[i][k] // a[k][k]
-                add_row(i, k, -q)
-                if a[i][k] != 0:
-                    dirty = True
-        for j in range(k + 1, cols):
-            if a[k][j] != 0:
-                q = a[k][j] // a[k][k]
-                add_col(j, k, -q)
-                if a[k][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # the pivot must divide the whole trailing block for the chain to hold
-        witness = None
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if a[i][j] % a[k][k] != 0:
-                    witness = i
-                    break
-            if witness is not None:
-                break
-        if witness is not None:
-            add_row(k, witness, 1)
-            continue
-        if a[k][k] < 0:
-            negate_row(k)
-        k += 1
-    return left, a, right
+    m = len(rows[0]) if rows else 0
+    r = len(rows)
+    if not 0 < r <= m:
+        raise DependentInput("vectors are linearly dependent")
+    cols = [list(c) for c in zip(*rows)]  # column j of rows
+    ut = [list(e) for e in identity(m)]  # column j of u
+    ui = [list(e) for e in identity(m)]  # row j of u_inv
+    for i in range(r):
+        for j in range(i + 1, m):
+            # Euclid on columns i and j until row i has a zero in column j
+            while cols[j][i]:
+                q = cols[i][i] // cols[j][i]
+                cols[i] = [x - q * y for x, y in zip(cols[i], cols[j])]
+                ut[i] = [x - q * y for x, y in zip(ut[i], ut[j])]
+                ui[j] = [x + q * y for x, y in zip(ui[j], ui[i])]
+                for t in (cols, ut, ui):
+                    t[i], t[j] = t[j], t[i]
+        if cols[i][i] == 0:
+            raise DependentInput("vectors are linearly dependent")
+        if cols[i][i] < 0:
+            for t in (cols, ut, ui):
+                t[i] = [-x for x in t[i]]
+    h = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
+    return h, transpose(ut), tuple(map(tuple, ui))
 
 
-def snf(m: Sequence[Sequence[int]]) -> SnfResult:
-    """Smith normal form of a nonsingular square integer matrix."""
-    n = len(m)
-    mi = int_mat(m)
-    if det(mi) == 0:
-        raise SingularMatrix("Smith form requested for a singular matrix")
-    left, d, right = _smith(mi)
-    diag = tuple(d[i][i] for i in range(n))
-    return SnfResult(d=diag, left=int_mat(left), right=int_mat(right))
-
-
-def cosets(cols: Sequence[Sequence[int]], p: int | None = None) -> tuple[IntMat, IntVec, list[IntVec]]:
-    """Z^n modulo the lattice spanned by the columns of a nonsingular
+def cosets(cols: Sequence[Sequence[int]], p: int | None = None) -> tuple[IntMat, list[IntVec]]:
+    """Z^n modulo the lattice L spanned by the columns of a nonsingular
     integer matrix, or Z_p^n modulo its p-adic completion when p is given.
 
-    Returns (left, moduli, reps): v and w lie in one class exactly when
-    left*v and left*w agree modulo moduli coordinatewise, and reps holds
-    one integer vector per class, |det| of them (its p-part when p is
-    given). Classes are read off the Smith form left * cols * right = diag(d).
+    Returns (h, reps): the columns of the lower-triangular h span L, and
+    reps is the box 0 <= x_i < h_ii, one vector per class; `_coset_rep(h,
+    v)` is the box vector in the class of v. At p the lattice is widened to
+    L + p^k Z^n, with p^k the p-part of |det|; that lattice has the same
+    classes in Z^n as the completion.
     """
-    res = snf(cols)
-    moduli = res.d if p is None else tuple(gcd(d, p ** d.bit_length()) for d in res.d)
-    left_inv = int_mat_inv(res.left)
-    reps = [mat_vec(left_inv, digits) for digits in product(*(range(m) for m in moduli))]
-    return res.left, moduli, reps
+    try:
+        h = hermite(cols)[0]
+    except DependentInput as exc:
+        raise SingularMatrix("coset lattice is singular") from exc
+    n = len(h)
+    if p is not None:
+        d = prod(h[i][i] for i in range(n))
+        pk = gcd(d, p ** d.bit_length())
+        h = hermite([row + tuple(pk * x for x in e) for row, e in zip(h, identity(n))])[0]
+    return h, list(product(*(range(h[i][i]) for i in range(n))))
 
 
-def saturation_and_complement(vs: Sequence[Sequence]) -> tuple[list[IntVec], list[IntVec]]:
+def _coset_rep(h: IntMat, v: Sequence[int]) -> IntVec:
+    """The box vector 0 <= x_i < h_ii in the class of v modulo the columns
+    of the lower-triangular h, reduced column by column."""
+    x = list(v)
+    for i, row in enumerate(h):
+        q = x[i] // row[i]
+        if q:
+            for k in range(i, len(x)):
+                x[k] -= q * h[k][i]
+    return tuple(x)
+
+
+def saturation_and_complement(vs: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[IntVec], IntMat]:
     """Split Z^n into the saturation of span(vs) and a complement.
 
-    Returns (sat, comp): sat is an integer basis of span_Q(vs) n Z^n, and
-    sat + comp together form a basis of Z^n. Input vectors may be rational;
-    they must be linearly independent.
+    Returns (sat, comp, coords): sat is an integer basis of span_Q(vs) n
+    Z^n, sat + comp together form a basis of Z^n, and vs[i] = sum_j
+    coords[i][j] * sat[j]. The integer vectors vs must be linearly
+    independent. All three are read off hermite(vs): the rows of u_inv form
+    a basis of Z^n, and vs = [h | 0] * u_inv.
     """
-    r = len(vs)
-    if r == 0:
-        raise DependentInput("need at least one vector")
-    n = len(vs[0])
-    rows = []
-    for v in vs:
-        fracs = [Fraction(x) for x in v]
-        mult = lcm(*(f.denominator for f in fracs))
-        rows.append([int(f * mult) for f in fracs])
-    left, d, right = _smith(rows)
-    if any(d[i][i] == 0 for i in range(min(r, n))) or r > n:
-        raise DependentInput("vectors are linearly dependent")
-    right_inv = int_mat_inv(right)
-    # rows of right_inv form a Z^n basis; the first r span the saturation
-    return [tuple(right_inv[i]) for i in range(r)], [tuple(right_inv[i]) for i in range(r, n)]
-
-
-def saturate_span(vs: Sequence[Sequence]) -> list[IntVec]:
-    """Integer basis of span_Q(vs) n Z^n for linearly independent vs."""
-    sat, _ = saturation_and_complement(vs)
-    return sat
+    h, _u, u_inv = hermite(vs)
+    r = len(h)
+    return list(u_inv[:r]), list(u_inv[r:]), h

@@ -268,9 +268,9 @@ def enumerate_fundamental_domain(ws: Sequence[Sequence[int]], n: int) -> list[In
 
     For r = n the count is |det|; every residue class mod the lattice
     spanned by ws has exactly one representative in the cell, so the points
-    are enumerated through Smith-form coset representatives and shifted
+    are enumerated through Hermite-form coset representatives and shifted
     into the cell, with no box scanning. For r < n the enumeration runs
-    inside the saturation of the span.
+    inside the saturation of the span, on the coordinates of ws there.
     """
     ws_int = [linalg.int_vec(w) for w in ws]
     r = len(ws_int)
@@ -278,13 +278,7 @@ def enumerate_fundamental_domain(ws: Sequence[Sequence[int]], n: int) -> list[In
         return [(0,) * n]
     if r == n:
         return _cell_points_full(ws_int)
-    sat, _comp = linalg.saturation_and_complement(ws_int)
-    coords = []
-    for w in ws_int:
-        c = linalg.solve_in_span([linalg.vec(s) for s in sat], linalg.vec(w))
-        if c is None:
-            raise DependentInput("vector escapes its own span")
-        coords.append(linalg.int_vec(c))
+    sat, _comp, coords = linalg.saturation_and_complement(ws_int)
     inner = _cell_points_full(coords)
     out = []
     for y in inner:
@@ -293,7 +287,7 @@ def enumerate_fundamental_domain(ws: Sequence[Sequence[int]], n: int) -> list[In
     return sorted(out)
 
 
-def _cell_points_full(ws: list[IntVec]) -> list[IntVec]:
+def _cell_points_full(ws: Sequence[IntVec]) -> list[IntVec]:
     cols = linalg.transpose(ws)
     try:
         adj, d = linalg.adjugate(cols)
@@ -302,7 +296,7 @@ def _cell_points_full(ws: list[IntVec]) -> list[IntVec]:
     # one cell point per coset of the column lattice: a representative has
     # cell coordinates x = adj * rep / d and moves into (0, 1]^r by
     # ceil(x) - 1 = (adj * rep - 1) // d periods
-    _left, _moduli, reps = linalg.cosets(cols)
+    _h, reps = linalg.cosets(cols)
     out = []
     for rep in reps:
         shift = [(sum(map(mul, row, rep)) - 1) // d for row in adj]
@@ -390,16 +384,13 @@ def truncated_q_expansion(
 def _line_projection(direction: IntVec) -> tuple:
     """Integer projection Z^n -> Z^{n-1} with kernel exactly Q*direction.
 
-    Realized by completing the primitive vector on the line to a basis of
-    Z^n and dropping the coordinate along it.
+    With s the primitive vector on the line, hermite([s]) gives s * u =
+    (1, 0, ..., 0) for a unimodular u. The columns 1..n-1 of u are
+    orthogonal to s, and taken as rows they are n-1 rows of the unimodular
+    u^T: they map Z^n onto Z^{n-1} with kernel exactly the line.
     """
-    s = linalg.primitive_vector(direction)
-    n = len(s)
-    sat, comp = linalg.saturation_and_complement([s])
-    basis_rows = sat + comp  # rows form a Z^n basis, first row = +-s
-    cols = linalg.transpose(basis_rows)
-    inv = linalg.mat_inv(cols)
-    return tuple(tuple(int(x) for x in inv[i]) for i in range(1, n))
+    _h, u, _u_inv = linalg.hermite([linalg.primitive_vector(direction)])
+    return linalg.transpose(u)[1:]
 
 
 def slice_identity_check(
@@ -475,12 +466,8 @@ def _positive_functional(vectors: tuple[IntVec, ...]) -> tuple[Fraction, ...]:
 
 def _face_points(face_periods: list[IntVec], bound: Fraction, n: int) -> list[IntVec]:
     """Integer points w = sum t_j u_j with t_j > 0 and sum t_j <= bound."""
-    sat, _ = linalg.saturation_and_complement(face_periods)
+    sat, _comp, coords = linalg.saturation_and_complement(face_periods)
     r = len(face_periods)
-    coords = []
-    for u in face_periods:
-        cc = linalg.solve_in_span([linalg.vec(s) for s in sat], linalg.vec(u))
-        coords.append(linalg.int_vec(cc))
     # box for y = C t with t in (0, bound]^r, in saturation coordinates
     lows, highs = [], []
     for k in range(r):

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from fractions import Fraction
 from itertools import product
 from math import comb
 
@@ -7,7 +9,9 @@ import pytest
 
 from shintani.amice import is_measure_amice
 from shintani.cli import main
+from shintani.cocycle import CocycleInput, phi, sample_deformation
 from shintani.solomon_hu import pm_eq, pm_from_json
+from shintani.testfunctions import from_json
 
 
 def run(capsys, *args):
@@ -164,6 +168,33 @@ def test_cocycle_vacuous_and_corrupted(tmp_path, capsys):
     report = json.loads((tmp_path / "c.json").read_text())
     assert not report["all_pass"]
     assert "offending" in report["trials"][0]
+
+
+def test_cocycle_reports_the_verified_q(tmp_path, capsys):
+    # at seed 9705 the first deformation vector lies on a face hyperplane;
+    # the CLI re-samples it and verifies the corrupted trial at the new one,
+    # so the trial fails (exit 6, not 2) and the report records that q
+    tf = {"n": 3, "p": 3, "M": 4, "terms": [
+        {"residue": [x, a, b], "weight": 1 if x == 1 else -1}
+        for x in (1, 3) for a in range(4) for b in range(4)]}
+    path = write(tmp_path, "f.json", {"test_function": tf})
+    out = tmp_path / "r.json"
+    assert main(["--command", "cocycle", "--input", path, "--trials", "1", "--corrupt-sign",
+                 "--seed", "9705", "--out", str(out)]) == 6
+    trial = json.loads(out.read_text())["trials"][0]
+    q = tuple(Fraction(x) for x in trial["q"])
+    assert q != sample_deformation(3, random.Random(9705))
+    f = from_json(tf)
+    for i in range(4):
+        phi(f, CocycleInput(tuple(m for j, m in enumerate(trial["matrices"]) if j != i), q))
+
+
+def test_moments_rejects_more_denominator_vectors_than_the_dimension(tmp_path, capsys):
+    path = write(tmp_path, "in.json", {
+        "numerator": [{"vector": [0, 0], "coeff": "1"}],
+        "denominator": [[1, 0], [0, 1], [1, 1]],
+    })
+    assert main(["--command", "moments", "--input", path, "--p", "3"]) == 3
 
 
 def test_moments_rejects_a_pole_beyond_the_series_degree(tmp_path, capsys):

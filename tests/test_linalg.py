@@ -50,45 +50,19 @@ def test_solve_roundtrip():
         done += 1
 
 
-def test_snf_examples():
-    assert linalg.snf([[2, 0], [0, 4]]).d == (2, 4)
-    assert linalg.snf([[2, 0], [0, 3]]).d == (1, 6)
-    assert linalg.snf([[1, 0], [0, 1]]).d == (1, 1)
-    with pytest.raises(SingularMatrix):
-        linalg.snf([[1, 1], [1, 1]])
-
-
-def test_snf_reassembly_and_chain():
-    rng = random.Random(3)
-    done = 0
-    while done < 40:
-        n = rng.randint(1, 4)
-        m = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        if linalg.det(m) == 0:
-            continue
-        res = linalg.snf(m)
-        assert abs(linalg.det(res.left)) == 1
-        assert abs(linalg.det(res.right)) == 1
-        for i in range(n - 1):
-            assert res.d[i + 1] % res.d[i] == 0
-        prod = 1
-        for d in res.d:
-            prod *= d
-        assert prod == abs(linalg.det(m))
-        # left * m * right = diag(d), so m = left^-1 * diag(d) * right^-1
-        diag = [[res.d[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        rebuilt = linalg.mat_mul(
-            linalg.mat_mul(linalg.int_mat_inv(res.left), diag),
-            linalg.int_mat_inv(res.right),
-        )
-        assert [list(r) for r in rebuilt] == [list(r) for r in m]
-        done += 1
+def saturate_span(vs):
+    """Integer basis of span_Q(vs) n Z^n, after checking that the
+    coordinates saturation_and_complement returns rebuild vs."""
+    sat, _comp, coords = linalg.saturation_and_complement(vs)
+    assert [tuple(sum(c * s[i] for c, s in zip(row, sat)) for i in range(len(vs[0])))
+            for row in coords] == [tuple(v) for v in vs]
+    return sat
 
 
 def test_saturate_span_examples():
-    assert linalg.saturate_span([(2, 0)]) == [(1, 0)]
-    assert linalg.saturate_span([(2, 2)]) == [(1, 1)]
-    sat = linalg.saturate_span([(1, 0), (0, 1)])
+    assert saturate_span([(2, 0)]) == [(1, 0)]
+    assert saturate_span([(2, 2)]) == [(1, 1)]
+    sat = saturate_span([(1, 0), (0, 1)])
     assert abs(linalg.det(sat)) == 1  # a basis of Z^2, up to unimodular change
 
 
@@ -100,7 +74,7 @@ def test_saturate_span_is_saturated():
         r = rng.randint(1, n)
         vs = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(r)]
         try:
-            sat = linalg.saturate_span(vs)
+            sat = saturate_span(vs)
         except DependentInput:
             continue
         # every original vector lies in the saturated lattice with
@@ -110,14 +84,14 @@ def test_saturate_span_is_saturated():
             assert coords is not None
             assert all(c.denominator == 1 for c in coords)
         # and the saturation together with its complement is unimodular
-        satc, comp = linalg.saturation_and_complement(vs)
+        satc, comp, _coords = linalg.saturation_and_complement(vs)
         assert abs(linalg.det(satc + comp)) == 1
         done += 1
 
 
 def test_saturate_span_rejects_dependent():
     with pytest.raises(DependentInput):
-        linalg.saturate_span([(1, 1), (2, 2)])
+        saturate_span([(1, 1), (2, 2)])
 
 
 def test_primitive_vector():
@@ -240,10 +214,10 @@ def test_cosets_count_and_key():
                 linalg.cosets(cols)
             continue
         for p in (None, 2, 3):
-            left, moduli, reps = linalg.cosets(cols, p)
+            h, reps = linalg.cosets(cols, p)
 
             def key(v):
-                return tuple(y % m for y, m in zip(linalg.mat_vec(left, v), moduli))
+                return linalg._coset_rep(h, v)
 
             expected = d
             if p is not None:
@@ -253,12 +227,47 @@ def test_cosets_count_and_key():
             assert len(reps) == expected
             assert all(isinstance(x, int) for rep in reps for x in rep)
             assert len({key(rep) for rep in reps}) == expected
+            assert all(key(rep) == rep for rep in reps)
             # the key is constant on cosets of the column lattice
             for rep in reps[:5]:
                 z = [rng.randint(-3, 3) for _ in range(n)]
                 moved = tuple(x + y for x, y in zip(rep, linalg.mat_vec(cols, z)))
                 assert key(moved) == key(rep)
         done += 1
+
+
+def test_hermite_identities():
+    rng = random.Random(57)
+    square = rectangular = dependent = 0
+    for t in range(160):
+        m = rng.randint(1, 4)
+        r = rng.randint(1, m)
+        rank = rng.randint(0, r - 1) if t % 4 == 0 else r
+        rows = [[int(x) for x in row] for row in random_matrix(rng, r, m, rank, rational=False)]
+        if rank_by_minors(rows) < r:
+            with pytest.raises(DependentInput):
+                linalg.hermite(rows)
+            dependent += 1
+            continue
+        h, u, u_inv = linalg.hermite(rows)
+        assert all(type(x) is int for mat in (h, u, u_inv) for row in mat for x in row)
+        # rows * u = [h | 0]
+        assert [list(x) for x in linalg.mat_mul(rows, u)] == [list(x) + [0] * (m - r) for x in h]
+        assert all(h[i][j] == 0 for i in range(r) for j in range(i + 1, r))
+        assert all(h[i][i] > 0 for i in range(r))
+        assert [list(x) for x in linalg.mat_mul(u, u_inv)] == [list(e) for e in linalg.identity(m)]
+        if r == m:
+            diag = 1
+            for i in range(r):
+                diag *= h[i][i]
+            assert diag == abs(det_cofactor(rows))
+            square += 1
+        else:
+            rectangular += 1
+    assert square >= 20 and rectangular >= 20 and dependent >= 20
+    for rows in ([[1, 2], [3, 4], [5, 6]], [[1], [0]], []):
+        with pytest.raises(DependentInput):
+            linalg.hermite(rows)
 
 
 def test_enumerate_fundamental_domain_against_box_scan():
