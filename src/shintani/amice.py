@@ -2,13 +2,13 @@
 
 A measure on Z_p^n corresponds to a power series in n variables through
 delta_{b_i} -> 1 + T_i for a basis b_1,...,b_n; the coefficient at a
-multi-index k is the binomial moment of the measure. Pseudo-measures built
-by the cone pairing have denominator factors aligned with basis rays, whose
-transform is T_i times a unit series, so the fraction is an honest power
-series exactly when the numerator vanishes at every T_i = 0. That
-divisibility test is the series-side measure criterion. It is decided
-exactly, on sums of numerator coefficients, and must agree with the
-vanishing-hypothesis test on slices on single-coset inputs.
+multi-index k is the binomial moment of the measure. The transform runs in
+the pseudo-measure's own basis, which starts with its denominator vectors,
+so each denominator factor 1 - delta_{b_i} is exactly -T_i and the fraction
+is an honest power series exactly when the numerator vanishes at every
+T_i = 0. That divisibility test is the series-side measure criterion. Poles
+are decided exactly, on sums of numerator coefficients, and the test must
+agree with the vanishing-hypothesis test on slices on single-coset inputs.
 
 When the denominator lattice has p-power index in Z^n, the numerator is
 split along cosets: each coset contributes a Dirac prefactor times a
@@ -30,7 +30,6 @@ from .errors import (
     NonUnitDenominator,
     NotAMeasure,
     NotPIntegral,
-    PrecisionExhausted,
     SingularMatrix,
     TruncationTooSmall,
 )
@@ -60,14 +59,6 @@ class AmiceSeries:
         }
         object.__setattr__(self, "coeffs", cleaned)
 
-    @staticmethod
-    def zero(p: int, nvars: int, degree: int) -> "AmiceSeries":
-        return AmiceSeries(p, nvars, degree, {})
-
-    @staticmethod
-    def constant(p: int, nvars: int, degree: int, c: PadicScalar) -> "AmiceSeries":
-        return AmiceSeries(p, nvars, degree, {(0,) * nvars: c})
-
     def coefficient(self, exp: Sequence[int]) -> PadicScalar:
         return self.coeffs.get(tuple(exp), PadicScalar.exact_zero(self.p))
 
@@ -77,14 +68,6 @@ class AmiceSeries:
         for exp, c in other.coeffs.items():
             out[exp] = out[exp] + c if exp in out else c
         return AmiceSeries(self.p, self.nvars, degree, out)
-
-    def __neg__(self) -> "AmiceSeries":
-        return AmiceSeries(
-            self.p, self.nvars, self.degree, {e: -c for e, c in self.coeffs.items()}
-        )
-
-    def __sub__(self, other: "AmiceSeries") -> "AmiceSeries":
-        return self + (-other)
 
     def __mul__(self, other: "AmiceSeries") -> "AmiceSeries":
         degree = min(self.degree, other.degree)
@@ -104,35 +87,6 @@ class AmiceSeries:
             self.p, self.nvars, self.degree, {e: c * x for e, x in self.coeffs.items()}
         )
 
-    def at_zero(self, i: int) -> "AmiceSeries":
-        """Set T_i = 0: keep only terms with zero exponent in slot i."""
-        return AmiceSeries(
-            self.p,
-            self.nvars,
-            self.degree,
-            {e: c for e, c in self.coeffs.items() if e[i] == 0},
-        )
-
-    def is_zero_at_precision(self) -> bool:
-        """Every coefficient is indistinguishable from zero, with at least
-        one surviving digit of absolute precision each."""
-        for c in self.coeffs.values():
-            if not c.is_zero:
-                return False
-            if c.abs_prec < 1:
-                raise PrecisionExhausted(
-                    "coefficient known to fewer than one digit; raise the precision"
-                )
-        return True
-
-
-def _binomials(x: Fraction, count: int) -> list[Fraction]:
-    """binom(x, j) for j < count."""
-    out = [Fraction(1)]
-    for t in range(count - 1):
-        out.append(out[-1] * (x - t) / (t + 1))
-    return out
-
 
 def binom_pow(x, p: int, prec: int = DEFAULT_PRECISION, degree: int = DEFAULT_DEGREE) -> AmiceSeries:
     """(1 + T)^x as a one-variable truncated series, for p-integral x.
@@ -143,36 +97,12 @@ def binom_pow(x, p: int, prec: int = DEFAULT_PRECISION, degree: int = DEFAULT_DE
     x = Fraction(x)
     if x.denominator % p == 0:
         raise NotPIntegral(f"{x} has p in its denominator")
-    coeffs = {}
-    for j, c in enumerate(_binomials(x, degree + 1)):
+    coeffs, c = {}, Fraction(1)
+    for j in range(degree + 1):
         if c != 0:
             coeffs[(j,)] = PadicScalar.from_rational(c, p, prec)
+        c = c * (x - j) / (j + 1)
     return AmiceSeries(p, 1, degree, coeffs)
-
-
-def _invert_unit_series(s: AmiceSeries) -> AmiceSeries:
-    """Reciprocal of a series with unit constant term, by the usual
-    triangular recursion on total degree."""
-    const = s.coefficient((0,) * s.nvars)
-    if const.is_zero or const.val != 0:
-        raise NonUnitDenominator("series has no unit constant term")
-    one = PadicScalar.from_rational(1, s.p, const.prec)
-    inv_const = one / const
-    # split s = const * (1 - t) with t of positive order, invert by geometric sum
-    t = AmiceSeries(
-        s.p,
-        s.nvars,
-        s.degree,
-        {e: -(c / const) for e, c in s.coeffs.items() if sum(e) > 0},
-    )
-    acc = AmiceSeries.constant(s.p, s.nvars, s.degree, one)
-    power = AmiceSeries.constant(s.p, s.nvars, s.degree, one)
-    for _ in range(s.degree):
-        power = power * t
-        if not power.coeffs:
-            break
-        acc = acc + power
-    return acc.scale(inv_const)
 
 
 def extend_denominator_basis(a: PseudoMeasure, n: int) -> list[IntVec]:
@@ -223,19 +153,24 @@ def _coordinate_map(basis: Sequence[IntVec], p: int):
     return coords, d
 
 
-def _aligned_axis(y: Sequence[int], d: int, p: int) -> tuple[int, Fraction]:
-    """Axis index and scalar for a denominator vector with scaled basis
-    coordinates y (see _coordinate_map) that is a p-unit multiple of a
-    basis vector."""
-    nonzero = [(i, Fraction(x, d)) for i, x in enumerate(y) if x != 0]
-    if len(nonzero) != 1:
-        raise NonUnitDenominator(
-            "denominator vector is not aligned with a single basis direction"
-        )
-    i, alpha = nonzero[0]
-    if alpha.numerator % p == 0 or alpha.denominator % p == 0:
-        raise NonUnitDenominator(f"denominator coordinate {alpha} is not a p-unit")
-    return i, alpha
+def _pole_axis(terms: Mapping[IntVec, int | Fraction], r: int) -> int | None:
+    """The first i < r at which the numerator with these terms, keyed by
+    scaled basis coordinates (see _coordinate_map), does not vanish at
+    T_i = 0; None when it vanishes at all of them.
+
+    Setting T_i = 0 leaves the transform of the Diracs obtained by dropping
+    the i-th basis coordinate, and that transform is injective, so the
+    series vanishes exactly when every fibre sum of the coefficients is
+    zero: the test is exact and needs no precision or degree.
+    """
+    for i in range(r):
+        groups: dict[IntVec, int | Fraction] = {}
+        for y, c in terms.items():
+            key = y[:i] + y[i + 1:]
+            groups[key] = groups.get(key, 0) + c
+        if any(groups.values()):
+            return i
+    return None
 
 
 def amice_in_basis(
@@ -245,57 +180,53 @@ def amice_in_basis(
     prec: int = DEFAULT_PRECISION,
     degree: int = DEFAULT_DEGREE,
 ) -> AmiceSeries:
-    """Truncated transform of a pseudo-measure in the given basis.
+    """Transform of a pseudo-measure, correct to total degree `degree`, in a
+    basis that starts with its r denominator vectors in order, as
+    extend_denominator_basis builds it; any other basis raises
+    NonUnitDenominator.
 
-    Every numerator point and denominator vector must have p-integral basis
-    coordinates, each denominator vector must be a p-unit multiple of a
-    basis vector (so its transform is T_i times a unit series), and the
-    numerator must be divisible by the corresponding T_i's; otherwise the
-    fraction has a pole and NotAMeasure is raised.
+    Every numerator point must have p-integral basis coordinates. Each
+    factor 1 - delta_{b_i}, i < r, transforms to exactly -T_i, so the
+    fraction is a power series iff the numerator vanishes at every such
+    T_i = 0. That is decided exactly (NotAMeasure otherwise), and the
+    division is a sign flip and an exponent shift of the numerator series
+    built to degree + r.
     """
     basis = [linalg.int_vec(b) for b in basis]
-    n = len(basis)
+    n, r = len(basis), len(a.den)
+    if tuple(basis[:r]) != a.den:
+        raise NonUnitDenominator("transform basis does not start with the denominator vectors")
     try:
         coords, d = _coordinate_map(basis, p)
     except SingularMatrix as exc:
         raise SingularMatrix("transform basis is singular") from exc
-    one = AmiceSeries.constant(p, n, degree, PadicScalar.from_rational(1, p, prec))
+    terms = {coords(v): c for v, c in a.num.terms.items()}
+    pole = _pole_axis(terms, r)
+    if pole is not None:
+        raise NotAMeasure(
+            f"numerator does not vanish at T_{pole} = 0; genuine pole at delta_{basis[pole]}"
+        )
+    top = degree + r
+    one = AmiceSeries(p, n, top, {(0,) * n: PadicScalar.from_rational(1, p, prec)})
     axis_series: dict[tuple[int, int], AmiceSeries] = {}  # (1 + T_i)^(y/d), for this call
-    out = AmiceSeries.zero(p, n, degree)
-    for v, c in a.num.terms.items():
+    num = AmiceSeries(p, n, top, {})
+    for coords_v, c in terms.items():
         dirac = one
-        for i, y in enumerate(coords(v)):
+        for i, y in enumerate(coords_v):
             if y != 0:
                 if (i, y) not in axis_series:
-                    axis_series[i, y] = AmiceSeries(p, n, degree, {
+                    axis_series[i, y] = AmiceSeries(p, n, top, {
                         tuple(j[0] if k == i else 0 for k in range(n)): cj
-                        for j, cj in binom_pow(Fraction(y, d), p, prec, degree).coeffs.items()
+                        for j, cj in binom_pow(Fraction(y, d), p, prec, top).coeffs.items()
                     })
                 dirac = dirac * axis_series[i, y]
-        out = out + dirac.scale(PadicScalar.from_rational(c, p, prec))
-    for u in a.den:
-        i, alpha = _aligned_axis(coords(u), d, p)
-        # 1 - (1+T_i)^alpha = -T_i * E with E a unit series in T_i
-        e_coeffs = {}
-        for j, cj in enumerate(_binomials(alpha, degree + 2)):
-            if j >= 1 and cj != 0:
-                e_coeffs[tuple(j - 1 if k == i else 0 for k in range(n))] = (
-                    PadicScalar.from_rational(-cj, p, prec)
-                )
-        unit_series = AmiceSeries(p, n, degree, e_coeffs)
-        # divide by T_i: every surviving term must carry T_i
-        blocked = out.at_zero(i)
-        if not blocked.is_zero_at_precision():
-            raise NotAMeasure(
-                f"numerator does not vanish at T_{i} = 0; genuine pole at delta_{u}"
-            )
-        shifted = {
-            tuple(x - 1 if k == i else x for k, x in enumerate(exp)): c
-            for exp, c in out.coeffs.items()
-            if exp[i] >= 1
-        }
-        out = AmiceSeries(p, n, degree, shifted) * _invert_unit_series(unit_series)
-    return out
+        num = num + dirac.scale(PadicScalar.from_rational(c, p, prec))
+    # divide by prod_{i < r} (-T_i): every surviving term carries each T_i
+    return AmiceSeries(p, n, degree, {
+        tuple(x - 1 if k < r else x for k, x in enumerate(exp)): -c if r % 2 else c
+        for exp, c in num.coeffs.items()
+        if all(exp[:r])
+    })
 
 
 def amice_transform(
@@ -310,8 +241,7 @@ def amice_transform(
     over pairs of delta_rep convolved with the measure of the series, read
     in basis coordinates.
     """
-    n = a.dim
-    basis = extend_denominator_basis(a, n)
+    basis = extend_denominator_basis(a, a.dim)
     out = []
     for rep, terms in _coset_split(a, basis, p):
         shifted = PseudoMeasure(GroupAlgebraElement(terms), a.den)
@@ -329,29 +259,18 @@ def is_measure_amice(a: PseudoMeasure, p: int) -> bool:
     """Series-side measure criterion, per coset of the denominator lattice.
 
     True iff for every coset and every denominator ray, the coset numerator
-    vanishes at T_i = 0. Setting T_i = 0 leaves the transform of the Diracs
-    obtained by dropping the i-th basis coordinate, and that transform is
-    injective, so the series vanishes exactly when every fibre sum of the
-    coefficients is zero; the test is exact and needs no precision. On
+    vanishes at T_i = 0, decided exactly on fibre sums (see _pole_axis). On
     single-coset inputs it agrees with the vanishing-hypothesis test by the
     divisibility criterion.
     """
     if not a.num:
         return True
-    n = a.dim
-    basis = extend_denominator_basis(a, n)
-    coords, d = _coordinate_map(basis, p)
-    axes = [_aligned_axis(coords(u), d, p)[0] for u in a.den]
-    for _rep, terms in _coset_split(a, basis, p):
-        coords_of = {v: coords(v) for v in terms}
-        for i in axes:
-            groups: dict[IntVec, int | Fraction] = {}
-            for v, c in terms.items():
-                key = coords_of[v][:i] + coords_of[v][i + 1:]
-                groups[key] = groups.get(key, 0) + c
-            if any(groups.values()):
-                return False
-    return True
+    basis = extend_denominator_basis(a, a.dim)
+    coords, _d = _coordinate_map(basis, p)
+    return all(
+        _pole_axis({coords(v): c for v, c in terms.items()}, len(a.den)) is None
+        for _rep, terms in _coset_split(a, basis, p)
+    )
 
 
 def _stirling2(k: int, j: int) -> int:
@@ -389,29 +308,22 @@ def moments(s: AmiceSeries, kk: Sequence[int]) -> PadicScalar:
 
 
 def power_moments(
-    a: PseudoMeasure,
-    p: int,
-    kk: Sequence[int],
-    prec: int = DEFAULT_PRECISION,
-    degree: int = DEFAULT_DEGREE,
+    a: PseudoMeasure, p: int, kk: Sequence[int], prec: int = DEFAULT_PRECISION
 ) -> PadicScalar:
     """Moment int x^kk dmu of a pseudo-measure that is a measure, in the
     standard coordinates of the ambient lattice."""
-    return moment_table(a, p, [kk], prec, degree)[0]
+    return moment_table(a, p, [kk], prec)[0]
 
 
 def moment_table(
-    a: PseudoMeasure,
-    p: int,
-    orders: Sequence[Sequence[int]],
-    prec: int = DEFAULT_PRECISION,
-    degree: int = DEFAULT_DEGREE,
+    a: PseudoMeasure, p: int, orders: Sequence[Sequence[int]], prec: int = DEFAULT_PRECISION
 ) -> list[PadicScalar]:
     """The moment power_moments gives for each order in orders, all read
-    off one transform of a."""
+    off one transform of a, to the largest total order requested."""
+    orders = [tuple(int(k) for k in kk) for kk in orders]
     basis = extend_denominator_basis(a, a.dim)
-    transform = amice_transform(a, p, prec, degree)
-    return [_moment(transform, basis, tuple(int(k) for k in kk), p, prec) for kk in orders]
+    transform = amice_transform(a, p, prec, max((sum(kk) for kk in orders), default=0))
+    return [_moment(transform, basis, kk, p, prec) for kk in orders]
 
 
 def _moment(transform, basis: list[IntVec], kk: tuple[int, ...], p: int, prec: int) -> PadicScalar:

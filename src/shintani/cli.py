@@ -6,14 +6,15 @@ Commands (selected with --command):
             pseudo-measure
   vh        vanishing-hypothesis verdict per ray
   moments   power moments of a paired measure, as p-adic strings plus the
-            reconstructed small rational where one exists
+            reconstructed small rational where one exists; poles are
+            decided exactly before any series is built
   cocycle   run the cocycle / equivariance / measure-valuedness trials and
             emit a verification report
 
 All randomness flows from --seed; reports are byte-identical across runs
-with the same configuration. Exit codes: 0 ok, 2 malformed input, 3
-dependent input vectors, 4 not a measure, 5 precision exhausted, 6 a
-verification trial failed.
+with the same configuration. Exit codes: 0 ok, 2 malformed input or a bad
+flag value, 3 dependent input vectors, 4 not a measure, 6 a verification
+trial failed.
 
 Rationals are serialized as decimal strings ("3/4"); p-adic scalars as
 "p^v*u" with valuation v and unit u.
@@ -33,7 +34,6 @@ from .cones import ConeFunction, OpenCone
 from .errors import (
     DependentInput,
     NotAMeasure,
-    PrecisionExhausted,
     SchemaError,
     ShintaniError,
 )
@@ -43,7 +43,6 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_DEPENDENT = 3
 EXIT_NOT_A_MEASURE = 4
-EXIT_PRECISION = 5
 EXIT_TRIAL_FAILED = 6
 
 
@@ -58,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--p", type=int, default=3)
     parser.add_argument("--n", type=int, default=2)
     parser.add_argument("--precision", type=int, default=amice.DEFAULT_PRECISION)
-    parser.add_argument("--degree", type=int, default=amice.DEFAULT_DEGREE)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--trials", type=int, default=10)
     parser.add_argument("--max-order", type=int, default=3,
@@ -131,6 +129,8 @@ def cmd_vh(args) -> tuple[dict, int]:
 
 
 def cmd_moments(args) -> tuple[dict, int]:
+    if args.precision < 1:
+        raise SchemaError(f"--precision must be at least 1, got {args.precision}")
     data = _load_input(args.input)
     if "test_function" in data:
         f = testfunctions.from_json(data["test_function"])
@@ -143,21 +143,16 @@ def cmd_moments(args) -> tuple[dict, int]:
         pm = solomon_hu.pair_open_cone(cone, f)
         p = f.ctx.p
     elif "numerator" in data:
+        if not testfunctions._is_prime(args.p):
+            raise SchemaError(f"--p must be a prime, got {args.p}")
         pm = solomon_hu.pm_from_json(data)
         p = args.p
         if not amice.is_measure_amice(pm, p):
             raise NotAMeasure("series-side divisibility test fails")
     else:
         raise SchemaError("expected test_function+cone or a pseudo-measure")
-    if not pm.num:
-        n = args.n
-    else:
-        n = pm.dim
-    orders = _moment_orders(n, args.max_order)
-    if pm.num:
-        values = amice.moment_table(pm, p, orders, args.precision, args.degree)
-    else:
-        values = [None] * len(orders)
+    orders = _moment_orders(pm.dim if pm.num else args.n, args.max_order)
+    values = amice.moment_table(pm, p, orders, args.precision) if pm.num else [None] * len(orders)
     table = []
     for kk, value in zip(orders, values):
         if value is None:
@@ -229,8 +224,6 @@ def cmd_cocycle(args) -> tuple[dict, int]:
             "M": ctx.M,
             "seed": args.seed,
             "trials": args.trials,
-            "precision": args.precision,
-            "degree": args.degree,
             "corrupt_sign": bool(args.corrupt_sign),
         },
         "trials": trials,
@@ -261,9 +254,6 @@ def main(argv=None) -> int:
     except NotAMeasure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_A_MEASURE
-    except PrecisionExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
     except ShintaniError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

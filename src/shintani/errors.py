@@ -48,17 +48,13 @@ class NotPIntegral(ShintaniError):
 
 
 class NonUnitDenominator(ShintaniError):
-    """A denominator vector is not a p-unit multiple of a basis vector,
-    so its transform has no invertible leading structure."""
+    """Denominator vectors repeat, or a transform basis does not start
+    with them, so a factor 1 - delta_u is not exactly -T_i."""
 
 
 class NotAMeasure(ShintaniError):
-    """Division in the power-series ring failed: the pseudo-measure has
-    a genuine pole and is not a measure."""
-
-
-class PrecisionExhausted(ShintaniError):
-    """The p-adic working precision is insufficient to decide a verdict."""
+    """The numerator does not vanish on a pole T_i = 0: the pseudo-measure
+    has a genuine pole and is not a measure."""
 
 
 class TruncationTooSmall(ShintaniError):

@@ -3,8 +3,8 @@
 A scalar is unit * p^val with the unit known modulo p^prec (prec relative
 digits). unit == 0 encodes a value known only to be in p^val * Z_p: the
 "zero at precision" element produced by cancellation. Exact zero carries
-infinite valuation. Arithmetic tracks the surviving precision, so a measure
-test can distinguish "vanishes to working precision" from "undetermined".
+infinite valuation. Addition and multiplication track the surviving
+precision, so a moment that cancels prints as O(p^a), not as a guess.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt
-
-from .errors import PrecisionExhausted
 
 _INF = inf
 
@@ -127,19 +125,6 @@ class PadicScalar:
         prec = min(self.prec, other.prec)
         unit = (self.unit * other.unit) % self.p ** prec
         return PadicScalar(self.p, self.val + other.val, unit, prec)
-
-    def __truediv__(self, other: "PadicScalar") -> "PadicScalar":
-        self._check(other)
-        if other.unit == 0:
-            raise PrecisionExhausted("division by a scalar indistinguishable from zero")
-        if self.is_exact_zero:
-            return self
-        if self.unit == 0:
-            return PadicScalar.zero_at(self.p, int(self.val - other.val))
-        prec = min(self.prec, other.prec)
-        mod = self.p ** prec
-        unit = (self.unit * pow(other.unit, -1, mod)) % mod
-        return PadicScalar(self.p, self.val - other.val, unit, prec)
 
     def eq_at_precision(self, other: "PadicScalar") -> bool:
         """Agreement modulo p^(common absolute precision)."""

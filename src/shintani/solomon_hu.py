@@ -475,11 +475,13 @@ def _face_points(face_periods: list[IntVec], bound: Fraction, n: int) -> list[In
         hi = sum(max(0, coords[j][k]) * bound for j in range(r))
         lows.append(ceil(lo))
         highs.append(int(hi))
-    cmat = linalg.transpose(coords)
+    # t = C^-1 y = adj y / d with d > 0: test adj y, with no solve per point
+    adj, d = linalg.adjugate(linalg.transpose(coords))
+    limit = bound * d
     out = []
     for y in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        t = linalg.solve(cmat, y)
-        if all(tj > 0 for tj in t) and sum(t) <= bound:
+        ty = linalg.mat_vec(adj, y)
+        if all(x > 0 for x in ty) and sum(ty) <= limit:
             w = tuple(sum(y[k] * sat[k][j] for k in range(r)) for j in range(n))
             out.append(w)
     return sorted(out)
@@ -502,6 +504,8 @@ def pm_from_json(data: dict) -> PseudoMeasure:
             v = tuple(int(x) for x in term["vector"])
             num[v] = num.get(v, Fraction(0)) + Fraction(term["coeff"])
         den = tuple(tuple(int(x) for x in u) for u in data["denominator"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad pseudo-measure JSON: {exc}") from exc
+    if len({len(v) for v in num} | {len(u) for u in den}) > 1:
+        raise SchemaError("bad pseudo-measure JSON: vectors of different lengths")
     return PseudoMeasure(GroupAlgebraElement(num), den)

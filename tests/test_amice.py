@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from shintani import linalg
+from shintani import amice, linalg
 from shintani.amice import (
     amice_in_basis,
     amice_transform,
@@ -12,6 +12,7 @@ from shintani.amice import (
     extend_denominator_basis,
     is_measure_amice,
     is_measure_vh,
+    moment_table,
     moments,
     power_moments,
 )
@@ -27,6 +28,7 @@ from shintani.padic import PadicScalar, rational_reconstruct
 from shintani.solomon_hu import (
     GroupAlgebraElement as GA,
     PseudoMeasure as PM,
+    denominator_product,
     pair_open_cone,
     pm_zero,
 )
@@ -69,19 +71,24 @@ def test_amice_in_basis_examples():
     assert ser.coefficient((1, 0)).eq_at_precision(scalar(1))
     assert ser.coefficient((0, 1)).is_exact_zero
 
-    # (d1 - d3)/(1 - d4) over basis {1}: constant term 1/2
+    # (d1 - d3)/(1 - d4) over the basis {4} of its denominator: constant
+    # term 1/2
     b = PM(GA.delta((1,)) - GA.delta((3,)), ((4,),))
-    ser2 = amice_in_basis(b, [(1,)], 3)
+    ser2 = amice_in_basis(b, [(4,)], 3)
     assert rational_reconstruct(ser2.coefficient((0,))) == F(1, 2)
 
     assert amice_in_basis(pm_zero(), [(1,)], 3).coeffs == {}
 
 
 def test_amice_in_basis_errors():
-    with pytest.raises(NotAMeasure):
-        amice_in_basis(PM(GA.delta((1,)), ((4,),)), [(1,)], 3)
+    with pytest.raises(NotAMeasure, match=r"^numerator does not vanish at T_0 = 0; "
+                                          r"genuine pole at delta_\(4,\)$"):
+        amice_in_basis(PM(GA.delta((1,)), ((4,),)), [(4,)], 3)
+    # the basis must start with the denominator vectors, in order
     with pytest.raises(NonUnitDenominator):
         amice_in_basis(PM(GA.delta((1, 1)), ((1, 1),)), [(1, 0), (0, 1)], 3)
+    with pytest.raises(NonUnitDenominator):
+        amice_in_basis(PM(GA.delta((1, 1)), ((0, 1), (1, 0))), [(1, 0), (0, 1)], 3)
     with pytest.raises(NonUnitDenominator):
         amice_in_basis(PM(GA.delta((3,)), ((3,),)), [(1,)], 3)
     with pytest.raises(NotPIntegral, match=r"^coordinate 1/3 is not p-integral$"):
@@ -282,3 +289,79 @@ def test_low_rank_cones_keep_the_forward_direction():
         if pm.num:
             assert is_measure_amice(pm, 3)
         checked += 1
+
+
+def test_transform_is_correct_to_its_degree():
+    # (d1 - d3)/(1 - d4) in its own basis {4}: dividing by -T takes the
+    # numerator to degree 4 for a series correct to degree 3. The moments
+    # int c^k are the Taylor values k! [t^k] (e^(t/4) - e^(3t/4))/(1 - e^t)
+    # = zeta(-k, 1/4) - zeta(-k, 3/4); the function is even in t, so the
+    # third moment is 0. A numerator cut at degree 3 before the division
+    # loses the top coefficient: int c^3 then reads -3/32 and int x^3
+    # (x = 4c) reads -6
+    pm = PM(GA.delta((1,)) - GA.delta((3,)), ((4,),))
+    transform = amice_transform(pm, 3, 20, 3)
+    [(rep, s)] = transform
+    assert rep == (0,) and s.degree == 3
+    for k in range(4):
+        expected = hurwitz_zeta_neg(k, F(1, 4)) - hurwitz_zeta_neg(k, F(3, 4))
+        assert rational_reconstruct(moments(s, (k,))) == expected
+        x_moment = amice._moment(transform, [(4,)], (k,), 3, 20)
+        assert rational_reconstruct(x_moment) == 4**k * expected
+    assert rational_reconstruct(moments(s, (3,))) == 0
+    with pytest.raises(TruncationTooSmall):
+        moments(s, (4,))
+
+
+def _vh_pairing(rng, n, k, M, p):
+    """A cone with k generators in dimension n paired with a step function
+    that is a difference along each primitive generator, so the vanishing
+    hypothesis holds and the pairing is a measure."""
+    while True:
+        gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(k)]
+        if linalg.rank(gens) == k and all(linalg.primitive_vector(g) == g for g in gens):
+            break
+    table = {r: rng.randint(-2, 2) for r in product(range(M), repeat=n)}
+    for g in gens:
+        table = {r: w - table[tuple((x - s) % M for x, s in zip(r, g))] for r, w in table.items()}
+    cone = OpenCone(tuple(tuple(F(x) for x in g) for g in gens))
+    f = TestFunction(LatticeContext(n, p, M), table)
+    assert is_measure_vh(cone, f)
+    return pair_open_cone(cone, f)
+
+
+def _unreduced_measure(rng, n, p):
+    """sum of Diracs times prod (1 - delta_u) over prod (1 - delta_u), with
+    denominator vectors whose lattice has p-power index, so the moments run
+    per coset."""
+    while True:
+        den = [tuple(rng.choice((0, 0, 1, p, -p)) for _ in range(n)) for _ in range(rng.randint(1, n))]
+        if linalg.rank(den) == len(den) and len(set(den)) == len(den):
+            break
+    g = GA({tuple(rng.randint(-3, 3) for _ in range(n)): rng.randint(-2, 2) for _ in range(3)})
+    return PM(g * denominator_product(den, n), tuple(den))
+
+
+def test_moment_tables_match_a_degree_12_transform():
+    rng = random.Random(53)
+    cases = 0
+    for n in (1, 2, 3):
+        for _ in range(4):
+            p = rng.choice((3, 5))
+            measures = [
+                _vh_pairing(rng, n, n, 2 if n == 3 else 4, p),
+                _vh_pairing(rng, n, rng.randint(1, n), 2, p),
+                _unreduced_measure(rng, n, p),
+            ]
+            for pm in measures:
+                if not pm.num:
+                    continue
+                max_order = 2 if n == 3 else 3
+                orders = sorted((e for e in product(range(max_order + 1), repeat=n)
+                                 if sum(e) <= max_order), key=lambda e: (sum(e), e))
+                basis = extend_denominator_basis(pm, n)
+                deep = amice_transform(pm, p, 20, 12)
+                want = [str(amice._moment(deep, basis, kk, p, 20)) for kk in orders]
+                assert [str(m) for m in moment_table(pm, p, orders)] == want
+                cases += 1
+    assert cases >= 30

@@ -272,7 +272,9 @@ GOLDEN = {
 }
 # sha256 of each report, recorded before elimination, coset enumeration and
 # the deformation retry were each folded into one kernel; the retired
-# "bound" key is dropped from cocycle configs before hashing
+# "bound" key is dropped from cocycle configs before hashing, and the
+# retired "precision" and "degree" keys, which no cocycle check reads, are
+# restored at the values those reports echoed
 GOLDEN_SHA256 = {
     "cocycle_n2": "e2ff825631f8f0839eb3278fb5d86e5610ccafa603c2a0311f0b0f863044e8ed",
     "cocycle_n3": "fbf8ecfb29ad7b0c0bf27f3b2e0b2f4ff564ee7fd40e240e301bead3e3a3bc69",
@@ -291,6 +293,88 @@ def test_reports_match_golden_hashes(tmp_path, capsys, name):
     assert main(argv + ["--input", write(tmp_path, "in.json", payload), "--out", str(out)]) == 0
     report = json.loads(out.read_text(encoding="utf-8"))
     if "config" in report:
-        report["config"].pop("bound", None)
+        assert not {"bound", "precision", "degree"} & set(report["config"])
+        report["config"].update(precision=20, degree=12)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("flag, value, args", [
+    ("--p", "0", ()), ("--p", "1", ()), ("--p", "4", ()), ("--p", "-3", ()),
+    ("--precision", "0", ()), ("--precision", "-2", ()), ("--precision", "0", ("cone",)),
+])
+def test_moments_rejects_bad_flag_values(tmp_path, capsys, flag, value, args):
+    # a raw pseudo-measure needs a prime --p, and every moment needs at
+    # least one p-adic digit; a bad value is exit 2 naming the flag, before
+    # any series is built
+    payload = {"test_function": TF_DIFF, "cone": {"generators": [["1"]]}} if args else {
+        "numerator": [{"vector": [1], "coeff": "1"}, {"vector": [3], "coeff": "-1"}],
+        "denominator": [[4]],
+    }
+    path = write(tmp_path, "in.json", payload)
+    assert main(["--command", "moments", "--input", path, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flag} must be ")
+
+
+def test_moments_rejects_malformed_pseudo_measures(tmp_path, capsys):
+    for payload in (
+        {"numerator": [{"vector": [1], "coeff": "1/0"}], "denominator": [[4]]},
+        {"numerator": [{"vector": [1], "coeff": "1"}, {"vector": [], "coeff": "1"}],
+         "denominator": [[4]]},
+        {"numerator": [{"vector": [1], "coeff": "1"}], "denominator": [[4, 0]]},
+    ):
+        path = write(tmp_path, "in.json", payload)
+        assert main(["--command", "moments", "--input", path, "--p", "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad pseudo-measure JSON: ")
+
+
+def test_moments_with_a_negative_max_order_print_an_empty_table(tmp_path, capsys):
+    path = write(tmp_path, "in.json", _PM_P_COSETS)
+    code, out = run(capsys, "--command", "moments", "--input", path, "--max-order", "-1")
+    assert code == 0
+    assert json.loads(out) == {"p": 3, "precision": 20, "moments": []}
+
+
+def _mutate(rng, value, depth=0):
+    """value with one random node replaced, dropped or retyped."""
+    junk = [None, True, 0, -1, 3, 2.5, "", "x", "1/0", "1/3", "-7", [], {}, [[]], ["1"], [0, 0],
+            {"vector": [1], "coeff": "1"}, 40]
+    if depth > 3 or not isinstance(value, (dict, list)) or not value or rng.random() < 0.25:
+        return rng.choice(junk)
+    out = dict(value) if isinstance(value, dict) else list(value)
+    key = rng.choice(list(out)) if isinstance(out, dict) else rng.randrange(len(out))
+    if rng.random() < 0.2:
+        del out[key]
+    else:
+        out[key] = _mutate(rng, out[key], depth + 1)
+    return out
+
+
+def test_moments_fuzz_sees_only_documented_exit_codes(tmp_path, capsys):
+    # seeded mutations of the moments flags and of both input schemas:
+    # every run ends in a documented exit code and nothing escapes main
+    rng = random.Random(59)
+    bases = [
+        _PM_P_COSETS,
+        {"numerator": [{"vector": [1], "coeff": "1"}, {"vector": [3], "coeff": "-1"}],
+         "denominator": [[4]]},
+        {"test_function": TF_DIFF, "cone": {"generators": [["1"]]}},
+        {"test_function": TF_BALANCED_2D, "cone": {"generators": [["1", "0"], ["1", "2"]]}},
+    ]
+    codes = set()
+    for i in range(300):
+        payload = rng.choice(bases)
+        for _ in range(rng.randint(0, 2)):
+            payload = _mutate(rng, payload)
+        argv = ["--command", "moments", "--input", write(tmp_path, f"in{i}.json", payload),
+                "--p", str(rng.choice((-3, 0, 1, 2, 3, 4, 5, 9))),
+                "--precision", str(rng.choice((-1, 0, 1, 2, 20))),
+                "--max-order", str(rng.choice((-1, 0, 1, 2))),
+                "--n", str(rng.choice((0, 1, 2)))]
+        code = main(argv)
+        capsys.readouterr()
+        assert code in {0, 2, 3, 4}, (argv, payload)
+        codes.add(code)
+    assert {0, 2, 4} <= codes

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from shintani import linalg
+from shintani import linalg, solomon_hu
 from shintani.cones import ConeFunction, OpenCone, Wedge, act_on_cone_function, wedge_decompose
 from shintani.errors import NonPositiveDenominator
 from shintani.solomon_hu import (
@@ -28,7 +28,7 @@ from shintani.solomon_hu import (
 )
 from shintani.testfunctions import LatticeContext, TestFunction, act, random_congruence_element
 
-from oracles import brute_cell_points, brute_cone_lattice_points
+from oracles import _solve_coords, brute_cell_points, brute_cone_lattice_points
 
 
 def d(*v):
@@ -309,3 +309,25 @@ def test_pm_json_round_trip():
     b = pm_from_json(pm_to_json(a))
     assert pm_eq(a, b)
     assert b.num == a.num and b.den == a.den
+
+
+def test_face_points_match_a_box_scan():
+    # the points sum t_j u_j with t_j > 0 and sum t_j <= bound, for face
+    # periods of index > 1 in their saturation, some of lower rank
+    rng = random.Random(61)
+    checked = 0
+    while checked < 12:
+        n = rng.randint(1, 3)
+        r = rng.randint(1, n)
+        periods = [tuple(2 * rng.randint(-2, 2) for _ in range(n)) for _ in range(r)]
+        if linalg.rank(periods) < r:
+            continue
+        bound = F(rng.randint(2, 4), 2)
+        radius = int(bound * max(abs(x) for u in periods for x in u))
+        expected = []
+        for pt in product(range(-radius, radius + 1), repeat=n):
+            t = _solve_coords(periods, pt)
+            if t is not None and all(x > 0 for x in t) and sum(t) <= bound:
+                expected.append(pt)
+        assert solomon_hu._face_points(periods, bound, n) == expected
+        checked += 1
