@@ -2,16 +2,7 @@
 into p-adic pseudo-measures, with measure criteria, moments, and cocycle
 verification."""
 
-from .amice import (
-    AmiceSeries,
-    amice_in_basis,
-    amice_transform,
-    binom_pow,
-    is_measure_amice,
-    is_measure_vh,
-    moments,
-    power_moments,
-)
+from .amice import is_measure_amice, is_measure_vh, moment_table
 from .cocycle import (
     CocycleInput,
     phi,
@@ -33,7 +24,7 @@ from .cones import (
     wedge_decompose,
 )
 from .linalg import det, solve
-from .padic import PadicScalar, rational_reconstruct
+from .padic import PadicScalar
 from .solomon_hu import (
     GroupAlgebraElement,
     PseudoMeasure,

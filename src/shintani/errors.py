@@ -42,23 +42,14 @@ class NonPositiveDenominator(ShintaniError):
     would not be graded-finite."""
 
 
-class NotPIntegral(ShintaniError):
-    """A rational number has p in its denominator where a p-integral
-    value is required."""
-
-
 class NonUnitDenominator(ShintaniError):
-    """Denominator vectors repeat, or a transform basis does not start
-    with them, so a factor 1 - delta_u is not exactly -T_i."""
+    """Denominator vectors repeat, so they cannot start a basis in which
+    each factor 1 - delta_u is exactly -T_i."""
 
 
 class NotAMeasure(ShintaniError):
     """The numerator does not vanish on a pole T_i = 0: the pseudo-measure
     has a genuine pole and is not a measure."""
-
-
-class TruncationTooSmall(ShintaniError):
-    """The series truncation degree is too small for the requested moment."""
 
 
 class SchemaError(ShintaniError):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 
 
 def det_cofactor(m) -> Fraction:
@@ -189,3 +189,49 @@ def vh_by_slices(f, v) -> bool:
         if sum(f.values.get(x, 0) for x in line) != 0:
             return False
     return True
+
+
+def bernoulli_moments(num, den, orders) -> list[Fraction]:
+    """Moments int x^k dmu of the measure num / prod_{u in den} (1 - delta_u)
+    for each order k, by the Bernoulli-polynomial formula.
+
+    num maps integer vectors to coefficients and den lists independent
+    integer vectors. In a basis b that starts with den and is completed by
+    standard unit vectors, a numerator point v has coordinates c_v from a
+    Fraction solve, and
+        int c^g dmu = sum_v coeff_v prod_{i<r} -B_{g_i+1}(c_{v,i})/(g_i+1)
+                                    prod_{i>=r} c_{v,i}^{g_i},
+    since sum_{t>=0} (c + t)^g regularizes to zeta(-g, c). x^k is expanded
+    over x_j = sum_i b_{i,j} c_i by choosing a basis index for each factor.
+    """
+    den = [tuple(u) for u in den]
+    n = len(den[0]) if den else len(next(iter(num)))
+    basis = list(den)
+    for j in range(n):
+        e = tuple(int(i == j) for i in range(n))
+        if rank_by_minors(basis + [e]) > len(basis):
+            basis.append(e)
+    r = len(den)
+    coords = {v: _solve_coords(basis, v) for v in num}
+    memo = {}
+
+    def basis_moment(g):
+        g = tuple(g)
+        if g not in memo:
+            memo[g] = sum(
+                Fraction(coeff) * prod(
+                    -bernoulli_polynomial(gi + 1, x) / (gi + 1) if i < r else x ** gi
+                    for i, (gi, x) in enumerate(zip(g, coords[v])))
+                for v, coeff in num.items())
+        return memo[g]
+
+    out = []
+    for k in orders:
+        factors = [j for j, kj in enumerate(k) for _ in range(kj)]
+        total = Fraction(0)
+        for choice in product(range(n), repeat=len(factors)):
+            w = prod(basis[i][j] for i, j in zip(choice, factors))
+            if w:
+                total += w * basis_moment([choice.count(i) for i in range(n)])
+        out.append(total)
+    return out

@@ -1,30 +1,19 @@
 import random
 from fractions import Fraction as F
 from itertools import product
+from math import comb
 
 import pytest
 
-from shintani import amice, linalg
+from shintani import linalg
 from shintani.amice import (
-    amice_in_basis,
-    amice_transform,
-    binom_pow,
     extend_denominator_basis,
     is_measure_amice,
     is_measure_vh,
     moment_table,
-    moments,
-    power_moments,
 )
 from shintani.cones import OpenCone
-from shintani.errors import (
-    NonUnitDenominator,
-    NotAMeasure,
-    NotPIntegral,
-    SingularMatrix,
-    TruncationTooSmall,
-)
-from shintani.padic import PadicScalar, rational_reconstruct
+from shintani.errors import DependentInput, NonUnitDenominator, NotAMeasure, SingularMatrix
 from shintani.solomon_hu import (
     GroupAlgebraElement as GA,
     PseudoMeasure as PM,
@@ -34,67 +23,24 @@ from shintani.solomon_hu import (
 )
 from shintani.testfunctions import LatticeContext, TestFunction
 
-from oracles import hurwitz_zeta_neg
+from oracles import bernoulli_moments, hurwitz_zeta_neg
 
 
-def scalar(x, p=3, prec=20):
-    return PadicScalar.from_rational(F(x), p, prec)
+def moment(pm, p, kk):
+    return moment_table(pm, p, [kk])[0]
 
 
-def test_binom_pow_examples():
-    one = binom_pow(0, 3, 20, 4)
-    assert one.coeffs == {(0,): scalar(1)}
-    lin = binom_pow(1, 3, 20, 4)
-    assert lin.coefficient((0,)).eq_at_precision(scalar(1))
-    assert lin.coefficient((1,)).eq_at_precision(scalar(1))
-    assert lin.coefficient((2,)).is_exact_zero
-    half = binom_pow(F(1, 2), 3, 20, 2)
-    assert half.coefficient((1,)).eq_at_precision(scalar(F(1, 2)))
-    assert half.coefficient((2,)).eq_at_precision(scalar(F(-1, 8)))
-    with pytest.raises(NotPIntegral):
-        binom_pow(F(1, 3), 3)
-
-
-def test_binom_pow_additivity():
-    x, y = F(2, 5), F(-7, 4)
-    lhs = binom_pow(x + y, 3, 20, 6)
-    rhs = binom_pow(x, 3, 20, 6) * binom_pow(y, 3, 20, 6)
-    for j in range(7):
-        assert lhs.coefficient((j,)).eq_at_precision(rhs.coefficient((j,)))
-
-
-def test_amice_in_basis_examples():
-    # a Dirac along the first basis vector transforms to 1 + T_1
-    a = PM(GA.delta((1, 0)), ())
-    ser = amice_in_basis(a, [(1, 0), (0, 1)], 3)
-    assert ser.coefficient((0, 0)).eq_at_precision(scalar(1))
-    assert ser.coefficient((1, 0)).eq_at_precision(scalar(1))
-    assert ser.coefficient((0, 1)).is_exact_zero
-
-    # (d1 - d3)/(1 - d4) over the basis {4} of its denominator: constant
-    # term 1/2
-    b = PM(GA.delta((1,)) - GA.delta((3,)), ((4,),))
-    ser2 = amice_in_basis(b, [(4,)], 3)
-    assert rational_reconstruct(ser2.coefficient((0,))) == F(1, 2)
-
-    assert amice_in_basis(pm_zero(), [(1,)], 3).coeffs == {}
-
-
-def test_amice_in_basis_errors():
-    with pytest.raises(NotAMeasure, match=r"^numerator does not vanish at T_0 = 0; "
-                                          r"genuine pole at delta_\(4,\)$"):
-        amice_in_basis(PM(GA.delta((1,)), ((4,),)), [(4,)], 3)
-    # the basis must start with the denominator vectors, in order
+def test_moment_table_errors():
+    with pytest.raises(NotAMeasure, match=r"^series-side divisibility test fails$"):
+        moment_table(PM(GA.delta((1,)), ((4,),)), 3, [(0,)])
+    # the decision comes first, even for an empty table
+    with pytest.raises(NotAMeasure):
+        moment_table(PM(GA.delta((1,)), ((4,),)), 3, [])
     with pytest.raises(NonUnitDenominator):
-        amice_in_basis(PM(GA.delta((1, 1)), ((1, 1),)), [(1, 0), (0, 1)], 3)
-    with pytest.raises(NonUnitDenominator):
-        amice_in_basis(PM(GA.delta((1, 1)), ((0, 1), (1, 0))), [(1, 0), (0, 1)], 3)
-    with pytest.raises(NonUnitDenominator):
-        amice_in_basis(PM(GA.delta((3,)), ((3,),)), [(1,)], 3)
-    with pytest.raises(NotPIntegral, match=r"^coordinate 1/3 is not p-integral$"):
-        amice_in_basis(PM(GA.delta((1,)), ()), [(3,)], 3)
-    with pytest.raises(SingularMatrix, match=r"^transform basis is singular$"):
-        amice_in_basis(PM(GA.delta((1, 0)), ()), [(1, 0), (2, 0)], 3)
+        moment_table(PM(GA.delta((1,)) - GA.delta((5,)), ((4,), (4,))), 3, [(0,)])
+    with pytest.raises(DependentInput):
+        moment_table(PM(GA.delta((1, 0)), ((1, 0), (2, 0))), 3, [(0, 0)])
+    assert moment_table(pm_zero(), 3, [(0,), (2,)]) == [0, 0]
 
 
 def sorted_cosets(basis, p):
@@ -164,19 +110,37 @@ def test_is_measure_amice_handles_p_cosets():
         GA.delta((1,)) - GA.delta((4,)), ((3,),)
     )  # both points in the same coset of 3Z
     assert is_measure_amice(diff, 3)
+    # d1 - d2 sums to zero, but on two different cosets of 3Z_3: each coset
+    # carries an unbounded mass, so only away from 3 is it a measure
+    split = PM(GA.delta((1,)) - GA.delta((2,)), ((3,),))
+    assert not is_measure_amice(split, 3)
+    assert is_measure_amice(split, 2)
+    with pytest.raises(NotAMeasure):
+        moment_table(split, 3, [(0,)])
+    assert moment_table(split, 2, [(0,), (1,)]) == [F(1, 3), 0]
 
 
 def test_moments_identities():
-    # moments are read straight off the series: m0 = c0, m1 = c1, m2 = c1 + 2 c2
-    coeffs = {(0,): scalar(7), (1,): scalar(F(1, 2)), (2,): scalar(-3)}
-    from shintani.amice import AmiceSeries
-
-    s = AmiceSeries(3, 1, 4, coeffs)
-    assert moments(s, (0,)).eq_at_precision(scalar(7))
-    assert moments(s, (1,)).eq_at_precision(scalar(F(1, 2)))
-    assert moments(s, (2,)).eq_at_precision(scalar(F(1, 2)) + scalar(-6))
-    with pytest.raises(TruncationTooSmall):
-        moments(s, (5,))
+    # moments are linear in the measure, and convolving with delta_t moves
+    # x to x + t: int x^k d(delta_t * mu) = sum_j C(k, j) t^(k-j) int x^j dmu
+    mu = PM(GA.delta((1,)) - GA.delta((3,)), ((4,),))
+    nu = PM(GA.delta((2,)).scale(5) - GA.delta((6,)).scale(5), ((4,),))
+    both = PM(mu.num + nu.num, ((4,),))
+    orders = [(k,) for k in range(5)]
+    m, n_, s = (moment_table(a, 3, orders) for a in (mu, nu, both))
+    assert s == [x + y for x, y in zip(m, n_)]
+    shifted = moment_table(PM(mu.num * GA.delta((7,)), ((4,),)), 3, orders)
+    for k in range(5):
+        assert shifted[k] == sum(comb(k, j) * 7 ** (k - j) * m[j] for j in range(k + 1))
+    # in two dimensions the shift acts coordinatewise
+    mu2 = PM(GA.delta((1, 0)) - GA.delta((3, 0)) - GA.delta((1, 1)) + GA.delta((3, 1)),
+             ((0, 5), (4, 0)))
+    orders2 = [(j, k) for j in range(3) for k in range(3)]
+    m2 = dict(zip(orders2, moment_table(mu2, 3, orders2)))
+    moved = dict(zip(orders2, moment_table(PM(mu2.num * GA.delta((2, -1)), mu2.den), 3, orders2)))
+    for (j, k), value in moved.items():
+        assert value == sum(comb(j, a) * comb(k, b) * 2 ** (j - a) * (-1) ** (k - b) * m2[a, b]
+                            for a in range(j + 1) for b in range(k + 1))
 
 
 def test_power_moments_match_hurwitz_values():
@@ -185,9 +149,7 @@ def test_power_moments_match_hurwitz_values():
     pm = pair_open_cone(OpenCone(((F(1),),)), f)
     for k in range(4):
         expected = M**k * (hurwitz_zeta_neg(k, F(a, M)) - hurwitz_zeta_neg(k, F(b, M)))
-        got = power_moments(pm, p, (k,))
-        assert got.eq_at_precision(scalar(expected, p))
-        assert rational_reconstruct(got) == expected
+        assert moment(pm, p, (k,)) == expected
 
 
 def test_extend_denominator_basis():
@@ -202,20 +164,23 @@ def test_power_moments_of_dirac_combinations():
     pm = PM(GA.delta((2,)) + GA.delta((5,)).scale(-3), ())
     for k in range(4):
         expected = F(2**k - 3 * 5**k)
-        assert rational_reconstruct(power_moments(pm, 3, (k,))) == expected
+        assert moment(pm, 3, (k,)) == expected
     pm2 = PM(GA.delta((1, 2)).scale(2), ())
-    assert rational_reconstruct(power_moments(pm2, 3, (2, 1))) == 2 * 1 * 2
+    assert moment(pm2, 3, (2, 1)) == 2 * 1 * 2
+    # a non-integral coefficient, as pm_from_json keeps "1/2"
+    half = PM(GA({(3,): F(1, 2)}), ())
+    assert moment_table(half, 3, [(k,) for k in range(4)]) == [F(3**k, 2) for k in range(4)]
 
 
 def test_power_moments_through_p_cosets():
     # (d1 - d4)/(1 - d3) is just d1; the denominator lattice 3Z has index
-    # p = 3, so the computation runs per coset and reassembles exactly
+    # p = 3, so the measure test runs per coset; the point 1 has basis
+    # coordinate 1/3, which is not p-integral, yet the moments are exact
     pm = PM(GA.delta((1,)) - GA.delta((4,)), ((3,),))
-    for k in range(4):
-        got = power_moments(pm, 3, (k,))
-        assert rational_reconstruct(got) == 1
-    parts = amice_transform(pm, 3)
-    assert len(parts) == 1  # only one coset carries numerator mass
+    assert moment_table(pm, 3, [(k,) for k in range(6)]) == [1] * 6
+    # (d1 - d4 + d2 - d5)/(1 - d3) is d1 + d2, with mass on two cosets
+    pm2 = PM(GA.delta((1,)) - GA.delta((4,)) + GA.delta((2,)) - GA.delta((5,)), ((3,),))
+    assert moment_table(pm2, 3, [(k,) for k in range(6)]) == [1 + 2**k for k in range(6)]
 
 
 def test_power_moments_two_dimensional_product():
@@ -233,11 +198,10 @@ def test_power_moments_two_dimensional_product():
     f1 = TestFunction(LatticeContext(1, 3, 4), {(1,): 1, (3,): -1})
     pm1 = pair_open_cone(OpenCone(((F(1),),)), f1)
     for k in range(3):
-        one_dim[k] = rational_reconstruct(power_moments(pm1, 3, (k,)))
+        one_dim[k] = moment(pm1, 3, (k,))
     for j in range(3):
         for k in range(3 - j):
-            got = rational_reconstruct(power_moments(pm, 3, (j, k)))
-            assert got == one_dim[j] * one_dim[k], (j, k)
+            assert moment(pm, 3, (j, k)) == one_dim[j] * one_dim[k], (j, k)
 
 
 def test_criterion_equivalence_spot_checks():
@@ -292,25 +256,17 @@ def test_low_rank_cones_keep_the_forward_direction():
 
 
 def test_transform_is_correct_to_its_degree():
-    # (d1 - d3)/(1 - d4) in its own basis {4}: dividing by -T takes the
-    # numerator to degree 4 for a series correct to degree 3. The moments
-    # int c^k are the Taylor values k! [t^k] (e^(t/4) - e^(3t/4))/(1 - e^t)
-    # = zeta(-k, 1/4) - zeta(-k, 3/4); the function is even in t, so the
-    # third moment is 0. A numerator cut at degree 3 before the division
-    # loses the top coefficient: int c^3 then reads -3/32 and int x^3
-    # (x = 4c) reads -6
+    # (d1 - d3)/(1 - d4) in its own basis {4}: the moments int c^k are the
+    # Taylor values k! [t^k] (e^(t/4) - e^(3t/4))/(1 - e^t) = zeta(-k, 1/4)
+    # - zeta(-k, 3/4), and int x^k = 4^k int c^k. The function is even in t,
+    # so every odd moment is 0, up to orders well past the one denominator
+    # factor: the division by it must not cost the top degree
     pm = PM(GA.delta((1,)) - GA.delta((3,)), ((4,),))
-    transform = amice_transform(pm, 3, 20, 3)
-    [(rep, s)] = transform
-    assert rep == (0,) and s.degree == 3
-    for k in range(4):
+    table = moment_table(pm, 3, [(k,) for k in range(8)])
+    for k in range(8):
         expected = hurwitz_zeta_neg(k, F(1, 4)) - hurwitz_zeta_neg(k, F(3, 4))
-        assert rational_reconstruct(moments(s, (k,))) == expected
-        x_moment = amice._moment(transform, [(4,)], (k,), 3, 20)
-        assert rational_reconstruct(x_moment) == 4**k * expected
-    assert rational_reconstruct(moments(s, (3,))) == 0
-    with pytest.raises(TruncationTooSmall):
-        moments(s, (4,))
+        assert table[k] == 4**k * expected
+    assert table[3] == table[5] == table[7] == 0 != table[2]
 
 
 def _vh_pairing(rng, n, k, M, p):
@@ -342,26 +298,67 @@ def _unreduced_measure(rng, n, p):
     return PM(g * denominator_product(den, n), tuple(den))
 
 
-def test_moment_tables_match_a_degree_12_transform():
+def _unimodular(rng, n):
+    """A random product of elementary integer matrices, as rows."""
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        t = rng.choice((-1, 1))
+        g[i] = [x + t * y for x, y in zip(g[i], g[j])]
+    return g
+
+
+def _p_split_measure(rng, n, p, rank):
+    """A product of 1-D measures (sum_j a_j delta_(x_j)) / (1 - delta_m) on
+    the first rank axes, with p | m and the coefficients in each class mod p
+    summing to zero, and of Dirac combinations on the other axes, moved by
+    a unimodular map. p divides the index of the denominator lattice, so
+    the measure test runs on several cosets."""
+    num, den = GA.delta((0,) * n), []
+    for axis in range(n):
+        e = [int(i == axis) for i in range(n)]
+        terms = {}
+        if axis < rank:
+            den.append(tuple(p * rng.choice((1, 2, -4)) * x for x in e))
+            for residue in rng.sample(range(p), rng.randint(1, 2)):
+                ts = rng.sample(range(-3, 4), rng.randint(2, 3))
+                ws = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in ts[1:]]
+                for t, w in zip(ts, [-sum(ws)] + ws):
+                    terms[tuple((residue + p * t) * x for x in e)] = w
+        else:
+            for t in rng.sample(range(-3, 4), 2):
+                terms[tuple(t * x for x in e)] = rng.randint(-2, 2) or 1
+        num = num * GA(terms)
+    g = _unimodular(rng, n)
+    move = lambda v: tuple(linalg.mat_vec(g, v))
+    return PM(num.map_exponents(move), tuple(move(u) for u in den))
+
+
+def test_moment_table_matches_the_bernoulli_oracle():
+    # full-rank and lower-rank cone pairings, unreduced measures, and
+    # p-split products, for n = 1..3 and p in {3, 5}: every moment equals
+    # the Bernoulli-polynomial formula, which shares no code with amice
     rng = random.Random(53)
-    cases = 0
+    kinds = {"full": 0, "lower": 0, "unreduced": 0, "p-split": 0}
     for n in (1, 2, 3):
+        max_order = 2 if n == 3 else 3
+        orders = sorted((e for e in product(range(max_order + 1), repeat=n)
+                         if sum(e) <= max_order), key=lambda e: (sum(e), e))
         for _ in range(4):
-            p = rng.choice((3, 5))
-            measures = [
-                _vh_pairing(rng, n, n, 2 if n == 3 else 4, p),
-                _vh_pairing(rng, n, rng.randint(1, n), 2, p),
-                _unreduced_measure(rng, n, p),
-            ]
-            for pm in measures:
-                if not pm.num:
-                    continue
-                max_order = 2 if n == 3 else 3
-                orders = sorted((e for e in product(range(max_order + 1), repeat=n)
-                                 if sum(e) <= max_order), key=lambda e: (sum(e), e))
-                basis = extend_denominator_basis(pm, n)
-                deep = amice_transform(pm, p, 20, 12)
-                want = [str(amice._moment(deep, basis, kk, p, 20)) for kk in orders]
-                assert [str(m) for m in moment_table(pm, p, orders)] == want
-                cases += 1
-    assert cases >= 30
+            for p in (3, 5):
+                measures = [
+                    ("full", _vh_pairing(rng, n, n, 2 if n == 3 else 4, p)),
+                    ("lower", _vh_pairing(rng, n, rng.randint(1, n), 2, p)),
+                    ("unreduced", _unreduced_measure(rng, n, p)),
+                    ("p-split", _p_split_measure(rng, n, p, rng.randint(1, n))),
+                ]
+                for kind, pm in measures:
+                    if not pm.num:
+                        continue
+                    if kind == "p-split":
+                        basis = extend_denominator_basis(pm, n)
+                        assert len(linalg.cosets(linalg.transpose(basis), p)[1]) > 1
+                    want = bernoulli_moments(pm.num.terms, pm.den, orders)
+                    assert moment_table(pm, p, orders) == want, (kind, pm)
+                    kinds[kind] += 1
+    assert all(count >= 12 for count in kinds.values()), kinds

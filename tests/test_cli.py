@@ -13,6 +13,8 @@ from shintani.cocycle import CocycleInput, phi, sample_deformation
 from shintani.solomon_hu import pm_eq, pm_from_json
 from shintani.testfunctions import from_json
 
+from oracles import hurwitz_zeta_neg
+
 
 def run(capsys, *args):
     code = main(list(args))
@@ -274,12 +276,13 @@ GOLDEN = {
 # the deformation retry were each folded into one kernel; the retired
 # "bound" key is dropped from cocycle configs before hashing, and the
 # retired "precision" and "degree" keys, which no cocycle check reads, are
-# restored at the values those reports echoed
+# restored at the values those reports echoed. The two moments reports were
+# re-recorded when moments became exact: see SERIES_MOMENTS
 GOLDEN_SHA256 = {
     "cocycle_n2": "e2ff825631f8f0839eb3278fb5d86e5610ccafa603c2a0311f0b0f863044e8ed",
     "cocycle_n3": "fbf8ecfb29ad7b0c0bf27f3b2e0b2f4ff564ee7fd40e240e301bead3e3a3bc69",
-    "moments_cone": "a90b146ff0becd16a480a90d2a0b6184c07b860702432958bc77749a4ca00a2f",
-    "moments_pseudo_measure": "95cb44b50d4b9cde349ff52a1653addfb614f52afc47004980e5d102de8be454",
+    "moments_cone": "1c58a8a188a8760fbfc7362e3473e84badbf6a80e8604e83a23a21fb22fe8109",
+    "moments_pseudo_measure": "27c4e85b916ec0b8b006fec173f20688ee2de980b628f014d30b40cff16cd1ec",
     "pair_cone_function": "3b23a09b41ded43407308d2340711bddba2cac75175f1e271310d86df1f29a10",
     "pair_n3": "5a2a50e84462a73e9f4fe223b8536b11abc9414f5462585f2eba8823b614347b",
     "vh": "4e289d27d0b8c6946cb6bd2ebf56ca3d93ca45c9eb38aa0f16952a1533000a0b",
@@ -299,14 +302,111 @@ def test_reports_match_golden_hashes(tmp_path, capsys, name):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
 
 
+# the moments the two golden moments reports printed when they were read off
+# a p-adic series at 20 digits: (order, padic, absolute precision of that
+# string, rational). The series lost digits to cancellation, so some strings
+# were short or read O(3^21); the exact moments must print every rational
+# unchanged and agree with each old string modulo 3^(its precision)
+SERIES_MOMENTS = {
+    "moments_cone": [
+        ((0, 0), "3^0*2179240250", 20, "-5/8"), ((0, 1), "3^0*1307544148", 20, "-19/8"),
+        ((1, 0), "3^2*48427561", 20, "-9/8"), ((0, 2), "3^0*2615088299", 20, "-7/4"),
+        ((1, 1), "3^1*72641341", 20, "-33/16"), ((2, 0), "3^1*72641341", 20, "-33/16"),
+        ((0, 3), "3^0*2615088316", 20, "61/4"), ((1, 2), "3^0*3050936354", 20, "25/8"),
+        ((2, 1), "3^0*217924024", 20, "-17/16"), ((3, 0), "3^1*653772074", 20, "-57/16"),
+    ],
+    "moments_pseudo_measure": [
+        ((0, 0), "3^0*1307544151", 20, "5/8"), ((0, 1), "3^1*1089620125", 20, "-15/16"),
+        ((1, 0), "O(3^21)", 21, "0"), ((0, 2), "3^0*3050936347", 20, "-31/8"),
+        ((1, 1), "O(3^21)", 21, "0"), ((2, 0), "3^0*2179240250", 20, "-5/8"),
+    ],
+}
+
+
+def _padic_value(text, p):
+    if text == "0" or text.startswith("O("):
+        return Fraction(0)
+    power, unit = text.split("*")
+    base, val = power.split("^")
+    assert int(base) == p
+    return Fraction(p) ** int(val) * int(unit)
+
+
+def _p_valuation(x, p):
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_MOMENTS))
+def test_exact_moments_agree_with_the_series_strings(tmp_path, capsys, name):
+    payload, argv = GOLDEN[name]
+    code, out = run(capsys, *argv, "--input", write(tmp_path, "in.json", payload))
+    assert code == 0
+    rows = json.loads(out)["moments"]
+    assert [tuple(r["order"]) for r in rows] == [row[0] for row in SERIES_MOMENTS[name]]
+    changed = 0
+    for r, (_order, old, abs_prec, rational) in zip(rows, SERIES_MOMENTS[name]):
+        assert r["rational"] == rational
+        new = _padic_value(r["padic"], 3)
+        for reference, digits in ((_padic_value(old, 3), abs_prec), (Fraction(rational), 20)):
+            assert new == reference or _p_valuation(new - reference, 3) >= digits, (r, old)
+        changed += r["padic"] != old
+    assert changed == {"moments_cone": 3, "moments_pseudo_measure": 2}[name]
+
+
+def test_moments_of_a_zero_measure_have_its_dimension(tmp_path, capsys):
+    # a zero numerator still has the dimension of its denominator vectors;
+    # --n is read only when the pseudo-measure gives no vector at all
+    cases = [
+        ({"test_function": {"n": 1, "p": 3, "M": 4, "terms": []}, "cone": {"generators": [["1"]]}},
+         1),
+        ({"numerator": [], "denominator": [[4, 0, 0]]}, 3),
+        ({"numerator": [], "denominator": []}, 2),
+    ]
+    for payload, dim in cases:
+        code, out = run(capsys, "--command", "moments", "--input", write(tmp_path, "in.json", payload),
+                        "--max-order", "1")
+        assert code == 0
+        rows = json.loads(out)["moments"]
+        assert [r["order"] for r in rows] == [[0] * dim] + [
+            [int(i == j) for i in range(dim)] for j in reversed(range(dim))]
+        assert all(r["padic"] == r["rational"] == "0" for r in rows)
+
+
+def test_moments_of_a_p_split_measure_are_exact(tmp_path, capsys):
+    # p = 3 divides the index 12 of the denominator lattice and the
+    # numerator's sums on the classes 1 and 2 mod 3 vanish, so the measure
+    # test runs on two cosets. The order-k moment is the sum of
+    # coeff * zeta(-k, x/-12) * (-12)^k over the numerator points x; at
+    # order 3 it is -111955/8, too large to be read back from 20 p-adic
+    # digits as a small fraction
+    num = {-8: 3, 5: 2, 7: 2, 11: -1, 13: -5, 14: -1}
+    payload = {"numerator": [{"vector": [x], "coeff": str(c)} for x, c in num.items()],
+               "denominator": [[-12]]}
+    code, out = run(capsys, "--command", "moments", "--input", write(tmp_path, "in.json", payload),
+                    "--p", "3")
+    assert code == 0
+    rows = json.loads(out)["moments"]
+    want = [sum(c * hurwitz_zeta_neg(k, Fraction(x, -12)) * (-12) ** k for x, c in num.items())
+            for k in range(4)]
+    assert [Fraction(r["rational"]) for r in rows] == want
+    assert rows[3]["rational"] == "-111955/8"
+
+
 @pytest.mark.parametrize("flag, value, args", [
     ("--p", "0", ()), ("--p", "1", ()), ("--p", "4", ()), ("--p", "-3", ()),
     ("--precision", "0", ()), ("--precision", "-2", ()), ("--precision", "0", ("cone",)),
 ])
 def test_moments_rejects_bad_flag_values(tmp_path, capsys, flag, value, args):
-    # a raw pseudo-measure needs a prime --p, and every moment needs at
+    # a raw pseudo-measure needs a prime --p, and every moment prints at
     # least one p-adic digit; a bad value is exit 2 naming the flag, before
-    # any series is built
+    # any moment is computed
     payload = {"test_function": TF_DIFF, "cone": {"generators": [["1"]]}} if args else {
         "numerator": [{"vector": [1], "coeff": "1"}, {"vector": [3], "coeff": "-1"}],
         "denominator": [[4]],
