@@ -16,14 +16,10 @@ from .cones import (
     DeformationVector,
     OpenCone,
     Wedge,
-    act_on_cone_function,
-    cone_contains,
     deformed_cone_decompose,
-    deformed_cone_eval,
-    eval_cone_function,
     wedge_decompose,
 )
-from .linalg import det, solve
+from .linalg import det
 from .padic import PadicScalar
 from .solomon_hu import (
     GroupAlgebraElement,
@@ -35,19 +31,12 @@ from .solomon_hu import (
     pm_add,
     pm_eq,
     pm_is_integer_constant,
-    pm_mul,
-    pm_neg,
-    slice_identity_check,
-    truncated_q_expansion,
 )
 from .testfunctions import (
     LatticeContext,
-    SliceFunction,
     TestFunction,
     act,
     check_vh,
-    haar,
-    line_slice,
     random_congruence_element,
     stabilizes,
 )

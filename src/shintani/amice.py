@@ -63,7 +63,7 @@ def is_measure_amice(a: PseudoMeasure, p: int) -> bool:
     if not a.num:
         return True
     cols = linalg.transpose(extend_denominator_basis(a, a.dim))
-    h, _reps = linalg.cosets(cols, p)
+    h = linalg.coset_lattice(cols, p)
     adj, _d = linalg.adjugate(cols)
     keyed = [(linalg._coset_rep(h, v), linalg.mat_vec(adj, v), c) for v, c in a.num.terms.items()]
     for i in range(len(a.den)):

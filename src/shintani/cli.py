@@ -29,7 +29,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from . import amice, cocycle, linalg, solomon_hu, testfunctions
+from . import amice, cocycle, solomon_hu, testfunctions
 from .cones import ConeFunction, OpenCone
 from .errors import (
     DependentInput,
@@ -81,21 +81,26 @@ def _load_input(path: str | None) -> dict:
     return data
 
 
-def _parse_vector(raw) -> tuple:
+def _parse_vector(raw, what: str, n: int) -> tuple:
+    """A rational vector of the step function's dimension n."""
     try:
-        return tuple(Fraction(str(x)) for x in raw)
+        v = tuple(Fraction(str(x)) for x in raw)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad vector {raw!r}") from exc
+    if len(v) != n:
+        raise SchemaError(f"{what} {raw!r} has {len(v)} coordinates, "
+                          f"but the step function has n = {n}")
+    return v
 
 
-def _parse_cone_function(data: dict) -> ConeFunction:
+def _parse_cone_function(data: dict, n: int) -> ConeFunction:
     try:
         if "cone" in data:
-            gens = [_parse_vector(g) for g in data["cone"]["generators"]]
+            gens = [_parse_vector(g, "generator", n) for g in data["cone"]["generators"]]
             return ConeFunction.of(OpenCone(tuple(gens)))
         terms = []
         for term in data["cone_function"]:
-            gens = [_parse_vector(g) for g in term["generators"]]
+            gens = [_parse_vector(g, "generator", n) for g in term["generators"]]
             terms.append((int(term.get("coefficient", 1)), OpenCone(tuple(gens))))
         return ConeFunction(tuple(terms))
     except (KeyError, TypeError, ValueError) as exc:
@@ -107,7 +112,7 @@ def cmd_pair(args) -> tuple[dict, int]:
     if "test_function" not in data:
         raise SchemaError("missing test_function")
     f = testfunctions.from_json(data["test_function"])
-    k = _parse_cone_function(data)
+    k = _parse_cone_function(data, f.ctx.n)
     pm = solomon_hu.pair_cone_function(k, f)
     return solomon_hu.pm_to_json(pm), EXIT_OK
 
@@ -120,10 +125,10 @@ def cmd_vh(args) -> tuple[dict, int]:
     out = {}
     for entry in data.get("rays", []):
         if isinstance(entry, dict):
-            ray = _parse_vector(entry["v"])
+            ray = _parse_vector(entry["v"], "ray", f.ctx.n)
             name = str(entry.get("name") or ",".join(str(x) for x in ray))
         else:
-            ray = _parse_vector(entry)
+            ray = _parse_vector(entry, "ray", f.ctx.n)
             name = ",".join(str(x) for x in ray)
         out[name] = testfunctions.check_vh(f, ray)
     return out, EXIT_OK
@@ -135,7 +140,7 @@ def cmd_moments(args) -> tuple[dict, int]:
     data = _load_input(args.input)
     if "test_function" in data:
         f = testfunctions.from_json(data["test_function"])
-        k = _parse_cone_function(data)
+        k = _parse_cone_function(data, f.ctx.n)
         if len(k.terms) != 1 or k.terms[0][0] != 1:
             raise SchemaError("moments need a single open cone with coefficient 1")
         cone = k.terms[0][1]
@@ -196,7 +201,7 @@ def cmd_cocycle(args) -> tuple[dict, int]:
             "equivariance": ok_equiv,
         }
         if not (ok_cocycle and ok_equiv):
-            bad = cocycle._alternating_sum(f, mats, linalg.vec(q), args.corrupt_sign)
+            bad = cocycle._alternating_sum(f, mats, q, args.corrupt_sign)
             record["offending"] = solomon_hu.pm_to_json(bad)
             all_pass = False
         trials.append(record)

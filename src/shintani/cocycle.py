@@ -12,7 +12,8 @@ harnesses check, in exact arithmetic after pairing:
     hypothesis holds for e_1.
 
 Values-as-functions-of-q are never materialized; every operation takes an
-explicit rational q and degeneracy surfaces as NonGenericDeformation.
+explicit rational q and degeneracy surfaces as NonGenericDeformation. The
+matrices are integer congruence elements, so q is the only rational value.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     NotStabilizer,
     VHFailsForE1,
 )
-from .linalg import Mat, Vec
+from .linalg import IntMat, IntVec
 from .solomon_hu import (
     PseudoMeasure,
     act_pm,
@@ -57,24 +58,23 @@ from .testfunctions import (
 
 @dataclass(frozen=True)
 class CocycleInput:
-    """An n-tuple of invertible rational matrices plus a deformation vector."""
+    """An n-tuple of invertible integer matrices plus a rational
+    deformation vector; a non-integral matrix entry raises ValueError."""
 
-    matrices: tuple[Mat, ...]
+    matrices: tuple[IntMat, ...]
     q: DeformationVector
 
     def __post_init__(self):
-        mats = tuple(linalg.mat(m) for m in self.matrices)
+        mats = tuple(linalg.int_mat(m) for m in self.matrices)
         object.__setattr__(self, "matrices", mats)
-        object.__setattr__(self, "q", linalg.vec(self.q))
+        object.__setattr__(self, "q", tuple(Fraction(x) for x in self.q))
         for m in mats:
             if linalg.det(m) == 0:
                 raise ValueError("cocycle arguments must be invertible")
 
 
-def _first_columns(matrices: Sequence[Mat]) -> list[Vec]:
-    n = len(matrices[0])
-    e1 = tuple(Fraction(1 if i == 0 else 0) for i in range(n))
-    return [linalg.vec(linalg.mat_vec(m, e1)) for m in matrices]
+def _first_columns(matrices: Sequence[IntMat]) -> list[IntVec]:
+    return [tuple(row[0] for row in m) for m in matrices]
 
 
 def psi_cdg(inp: CocycleInput) -> ConeFunction:
@@ -94,22 +94,12 @@ def psi_cdg(inp: CocycleInput) -> ConeFunction:
 
 
 def phi(f: TestFunction, inp: CocycleInput) -> PseudoMeasure:
-    """Pair the cocycle value with a step function.
-
-    Restricted to integer matrices: the pairing pipeline is only specified
-    for cones whose prim-scaled generators are lattice vectors coming from
-    integral tuples, and the stabilizer subgroups live in SL_n(Z) anyway.
-    """
-    for m in inp.matrices:
-        for row in m:
-            for x in row:
-                if Fraction(x).denominator != 1:
-                    raise ValueError("phi requires integer matrices")
+    """Pair the cocycle value with a step function."""
     return pair_cone_function(psi_cdg(inp), f)
 
 
 def _alternating_sum(
-    f: TestFunction, matrices: Sequence, q: Vec, corrupt_sign: bool = False
+    f: TestFunction, matrices: Sequence, q: Sequence, corrupt_sign: bool = False
 ) -> PseudoMeasure:
     total = pm_zero()
     for i in range(len(matrices)):
@@ -134,11 +124,13 @@ def verify_cocycle(
     delta_0; `corrupt_sign` flips one term as a negative control. A
     non-generic q raises NonGenericDeformation, for the caller to retry.
     """
-    total = _alternating_sum(f, matrices, linalg.vec(q), corrupt_sign)
+    total = _alternating_sum(f, matrices, q, corrupt_sign)
     return pm_is_integer_constant(total) is not None
 
 
-def with_generic_q(fn: Callable, n: int, rng: random.Random, q: Vec | None = None):
+def with_generic_q(
+    fn: Callable, n: int, rng: random.Random, q: DeformationVector | None = None
+):
     """Return (q, fn(q)) for the first deformation vector q on which fn
     raises no NonGenericDeformation.
 
@@ -155,7 +147,7 @@ def with_generic_q(fn: Callable, n: int, rng: random.Random, q: Vec | None = Non
     raise NonGenericDeformation("no generic deformation vector found")
 
 
-def sample_deformation(n: int, rng: random.Random) -> Vec:
+def sample_deformation(n: int, rng: random.Random) -> DeformationVector:
     """Random rational vector with spread denominators, unlikely to meet
     any of the finitely many face hyperplanes of a given computation."""
     primes = (7, 11, 13, 17, 19, 23)
@@ -179,19 +171,16 @@ def verify_equivariance(
             inp.q,
         ),
     )
-    g_inv = linalg.mat_inv(gm)
-    pulled_q = linalg.vec(linalg.mat_vec(g_inv, inp.q))
+    # g^-1 q = adj q / d with d > 0
+    adj, d = linalg.adjugate(gm)
+    pulled_q = tuple(Fraction(x, d) for x in linalg.mat_vec(adj, inp.q))
     right = act_pm(gm, phi(f, CocycleInput(inp.matrices, pulled_q)))
     return pm_eq(left, right)
 
 
-def _support_ok(k: ConeFunction, columns: list[Vec]) -> bool:
+def _support_ok(k: ConeFunction, columns: list[IntVec]) -> bool:
     prims = {linalg.primitive_vector(c) for c in columns}
-    for _coeff, cone in k.terms:
-        for g in cone.generators:
-            if linalg.primitive_vector(g) not in prims:
-                return False
-    return True
+    return all(g in prims for _coeff, cone in k.terms for g in cone.generators)
 
 
 def verify_measure_valued(
@@ -215,14 +204,13 @@ def verify_measure_valued(
     e1 = tuple(1 if i == 0 else 0 for i in range(ctx.n))
     if require_vh and not check_vh(f, e1):
         raise VHFailsForE1("the vanishing hypothesis fails for e_1")
-    qv = linalg.vec(q)
     for trial in range(samples):
         mats = tuple(
             random_congruence_element(ctx, seed * 1009 + trial * 31 + j)
             for j in range(ctx.n)
         )
-        psi = psi_cdg(CocycleInput(mats, qv))
-        if not _support_ok(psi, _first_columns([linalg.mat(m) for m in mats])):
+        psi = psi_cdg(CocycleInput(mats, q))
+        if not _support_ok(psi, _first_columns(mats)):
             return False
         for _coeff, cone in psi.terms:
             if not is_measure_vh(cone, f):

@@ -7,6 +7,9 @@ integer combinations of cone indicators, with the sign-twisted GL action
 
     (g . k)(v) = sign(det g) * k(g^{-1} v).
 
+A cone is unchanged by a positive rescaling of a generator, so a cone
+stores primitive integer generators.
+
 Deformed cones nudge a full-dimensional cone by an auxiliary direction q and
 pick out a specific pattern of closed faces; q is a rational stand-in for an
 irrational vector, so degeneracy is detected per query and reported as
@@ -16,33 +19,36 @@ NonGenericDeformation rather than silently resolved.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from . import linalg
-from .errors import DependentInput, NonGenericDeformation, SingularMatrix
-from .linalg import Vec
+from .errors import DependentInput, NonGenericDeformation, ZeroDirection
+from .linalg import IntVec
 
-DeformationVector = Vec
+DeformationVector = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
 class OpenCone:
-    """Open simplicial cone given by its tuple of generators."""
+    """Open simplicial cone given by its tuple of generators, each stored as
+    the primitive integer vector on its ray."""
 
-    generators: tuple[Vec, ...]
+    generators: tuple[IntVec, ...]
 
     def __post_init__(self):
-        gens = tuple(linalg.vec(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
+        gens = self.generators
         if gens:
             n = len(gens[0])
             if any(len(g) != n for g in gens):
                 raise ValueError("generators of mixed dimensions")
-            if len(gens) > n:
-                raise DependentInput("more generators than the ambient dimension")
-            if linalg.rank(gens) != len(gens):
-                raise DependentInput("cone generators are linearly dependent")
+            try:
+                gens = tuple(linalg.primitive_vector(g) for g in gens)
+                linalg.hermite(gens)
+            except (ZeroDirection, DependentInput) as exc:
+                raise DependentInput("cone generators are linearly dependent") from exc
+        object.__setattr__(self, "generators", tuple(gens))
 
     @property
     def rank(self) -> int:
@@ -93,89 +99,32 @@ class Wedge:
     """Cone with the first generator's ray doubled to a full line:
     R*v_1 + R_+*v_2 + ... + R_+*v_n."""
 
-    generators: tuple[Vec, ...]
+    generators: tuple[IntVec, ...]
 
     def __post_init__(self):
-        gens = tuple(linalg.vec(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
+        gens = self.generators
         if not gens or len(gens) != len(gens[0]):
             raise DependentInput("a wedge needs n independent generators")
-        OpenCone(gens)  # reuse the independence check
-
-
-def cone_contains(c: OpenCone, w: Sequence) -> bool:
-    """Membership of w in the open cone: strictly positive coordinates in
-    the generator basis (and, for r < n, lying in the span at all)."""
-    wv = linalg.vec(w)
-    if c.rank == 0:
-        return all(x == 0 for x in wv)
-    coords = linalg.solve_in_span(c.generators, wv)
-    if coords is None:
-        return False
-    return all(a > 0 for a in coords)
-
-
-def eval_cone_function(k: ConeFunction, w: Sequence) -> int:
-    wv = linalg.vec(w)
-    return sum(c for c, cone in k.terms if cone_contains(cone, wv))
-
-
-def act_on_cone_function(g: Sequence[Sequence], k: ConeFunction) -> ConeFunction:
-    """Sign-twisted pushforward: generators map through g, coefficients pick
-    up sign(det g). Satisfies (g.k)(v) = sign(det g) * k(g^{-1} v)."""
-    d = linalg.det(g)
-    if d == 0:
-        raise SingularMatrix("group action by a singular matrix")
-    sign = 1 if d > 0 else -1
-    terms = []
-    for coeff, cone in k.terms:
-        new_gens = tuple(linalg.vec(linalg.mat_vec(g, v)) for v in cone.generators)
-        terms.append((sign * coeff, OpenCone(new_gens)))
-    return ConeFunction(tuple(terms))
-
-
-def deformed_cone_eval(gens: Sequence[Sequence], q: Sequence, w: Sequence) -> int:
-    """Indicator of the q-deformed full-dimensional cone at w.
-
-    With a = coords of w and b = coords of q in the generator basis, the
-    nudged point w + eps*q lies in the open cone for all small eps > 0 iff
-    every coordinate has a_i > 0, or a_i = 0 and b_i > 0.
-    """
-    gl = [linalg.vec(g) for g in gens]
-    n = len(gl[0])
-    if len(gl) != n:
-        raise DependentInput("deformed cones require n generators")
-    cols = linalg.transpose(gl)
-    try:
-        a = linalg.solve(cols, linalg.vec(w))
-        b = linalg.solve(cols, linalg.vec(q))
-    except SingularMatrix as exc:
-        raise DependentInput("deformed cone generators are dependent") from exc
-    for ai, bi in zip(a, b):
-        if ai == 0 and bi == 0:
-            raise NonGenericDeformation(
-                "deformation vector lies on a face hyperplane; re-sample q"
-            )
-    return 1 if all(ai > 0 or (ai == 0 and bi > 0) for ai, bi in zip(a, b)) else 0
+        object.__setattr__(self, "generators", OpenCone(tuple(gens)).generators)
 
 
 def deformed_cone_decompose(gens: Sequence[Sequence], q: Sequence) -> ConeFunction:
-    """Write the q-deformed cone as a sum of open faces.
+    """Write the q-deformed full-dimensional cone as a sum of open faces.
 
-    A face C(v_i : i in S) is included exactly when every omitted index j
-    has b_j > 0, where b = coords of q in the generator basis. The result
-    evaluates pointwise identically to deformed_cone_eval.
+    The nudged point w + eps*q lies in the open cone for all small eps > 0
+    iff every coordinate of w in the generator basis has a_i > 0, or a_i = 0
+    and b_i > 0, where b = coords of q. So a face C(v_i : i in S) is
+    included exactly when every omitted index j has b_j > 0. Only the signs
+    of b matter, and they are those of adj * (s q) for the primitive
+    generators and the integer multiple s q of q.
     """
-    gl = [linalg.vec(g) for g in gens]
-    n = len(gl[0])
-    if len(gl) != n:
+    prims = OpenCone(tuple(gens)).generators
+    n = len(prims[0])
+    if len(prims) != n:
         raise DependentInput("deformed cones require n generators")
-    cols = linalg.transpose(gl)
-    try:
-        b = linalg.solve(cols, linalg.vec(q))
-    except SingularMatrix as exc:
-        raise DependentInput("deformed cone generators are dependent") from exc
-    if any(bi == 0 for bi in b):
+    adj, _d = linalg.adjugate(linalg.transpose(prims))
+    b = linalg.mat_vec(adj, linalg.clear_denominators(q)[0])
+    if 0 in b:
         raise NonGenericDeformation(
             "deformation vector lies on a face hyperplane; re-sample q"
         )
@@ -185,7 +134,7 @@ def deformed_cone_decompose(gens: Sequence[Sequence], q: Sequence) -> ConeFuncti
     for k in range(len(positive) + 1):
         for extra in combinations(positive, k):
             idx = sorted(required + extra)
-            terms.append((1, OpenCone(tuple(gl[i] for i in idx))))
+            terms.append((1, OpenCone(tuple(prims[i] for i in idx))))
     return ConeFunction(tuple(terms))
 
 

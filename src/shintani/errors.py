@@ -37,11 +37,6 @@ class VHFailsForE1(ShintaniError):
     """The vanishing hypothesis for e_1 does not hold."""
 
 
-class NonPositiveDenominator(ShintaniError):
-    """A denominator vector has nonpositive weight; geometric expansion
-    would not be graded-finite."""
-
-
 class NonUnitDenominator(ShintaniError):
     """Denominator vectors repeat, so they cannot start a basis in which
     each factor 1 - delta_u is exactly -T_i."""

@@ -22,21 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import ceil
 from operator import add, mul
 from typing import Mapping, Sequence
 
 from . import linalg
 from .cones import ConeFunction, OpenCone
-from .errors import (
-    DependentInput,
-    NonPositiveDenominator,
-    NotUnimodular,
-    SchemaError,
-    SingularMatrix,
-)
+from .errors import DependentInput, NotUnimodular, SchemaError, SingularMatrix
 from .linalg import IntVec
-from .testfunctions import TestFunction, haar, line_slice
+from .testfunctions import TestFunction
 
 
 class GroupAlgebraElement:
@@ -168,10 +161,6 @@ def pm_zero() -> PseudoMeasure:
     return PseudoMeasure(GroupAlgebraElement.zero(), ())
 
 
-def pm_constant(n: int, c) -> PseudoMeasure:
-    return PseudoMeasure(GroupAlgebraElement.one(n).scale(c), ())
-
-
 def _lcm_denominator(
     a: tuple[IntVec, ...], b: tuple[IntVec, ...]
 ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tuple[IntVec, ...]]:
@@ -208,16 +197,6 @@ def pm_add(a: PseudoMeasure, b: PseudoMeasure) -> PseudoMeasure:
     union, extra_a, extra_b = _lcm_denominator(a.den, b.den)
     num = a.num * denominator_product(extra_a, n) + b.num * denominator_product(extra_b, n)
     return PseudoMeasure(num, union)
-
-
-def pm_neg(a: PseudoMeasure) -> PseudoMeasure:
-    return PseudoMeasure(-a.num, a.den)
-
-
-def pm_mul(a: PseudoMeasure, b: PseudoMeasure) -> PseudoMeasure:
-    if not a.num or not b.num:
-        return pm_zero()
-    return PseudoMeasure(a.num * b.num, a.den + b.den)
 
 
 def pm_scale(a: PseudoMeasure, c) -> PseudoMeasure:
@@ -293,12 +272,12 @@ def _cell_points_full(ws: Sequence[IntVec]) -> list[IntVec]:
         adj, d = linalg.adjugate(cols)
     except SingularMatrix as exc:
         raise DependentInput("cell generators are linearly dependent") from exc
-    # one cell point per coset of the column lattice: a representative has
-    # cell coordinates x = adj * rep / d and moves into (0, 1]^r by
-    # ceil(x) - 1 = (adj * rep - 1) // d periods
-    _h, reps = linalg.cosets(cols)
+    # one cell point per coset of the column lattice: a representative in
+    # the Hermite box has cell coordinates x = adj * rep / d and moves into
+    # (0, 1]^r by ceil(x) - 1 = (adj * rep - 1) // d periods
+    h = linalg.coset_lattice(cols)
     out = []
-    for rep in reps:
+    for rep in product(*(range(h[i][i]) for i in range(len(h)))):
         shift = [(sum(map(mul, row, rep)) - 1) // d for row in adj]
         out.append(tuple(x - sum(map(mul, row, shift)) for x, row in zip(rep, cols)))
     return sorted(out)
@@ -313,10 +292,11 @@ def pair_open_cone(c: OpenCone, f: TestFunction) -> PseudoMeasure:
         sum_{v in cell} f(v) delta_v / prod_i (1 - delta_{M v_i}),
 
     with integer coefficients. The rank-0 cone contributes f(0) * delta_0.
-    The result depends only on the set of primitive generators, so it is
-    memoised on f under that set (`TestFunction.pairings`).
+    The result depends only on the set of primitive generators, which the
+    cone stores, so it is memoised on f under that set
+    (`TestFunction.pairings`).
     """
-    prims = frozenset(linalg.primitive_vector(g) for g in c.generators)
+    prims = frozenset(c.generators)
     hit = f.pairings.get(prims)
     if hit is None:
         hit = f.pairings[prims] = _pair_cell(prims, f)
@@ -342,149 +322,6 @@ def pair_cone_function(k: ConeFunction, f: TestFunction) -> PseudoMeasure:
     for coeff, cone in k.terms:
         out = pm_add(out, pm_scale(pair_open_cone(cone, f), coeff))
     return out
-
-
-def truncated_q_expansion(
-    a: PseudoMeasure, bound, weights: Sequence
-) -> GroupAlgebraElement:
-    """Geometric-series expansion of a pseudo-measure, graded by a positive
-    linear functional.
-
-    `weights` defines the functional; it must be strictly positive on every
-    denominator vector, so each factor 1/(1 - delta_u) expands as a
-    geometric series with finitely many terms of weight <= bound. The
-    result agrees with the full expansion on all terms of weight <= bound.
-    """
-    wv = linalg.vec(weights)
-    bound = Fraction(bound)
-
-    def weight(v: IntVec) -> Fraction:
-        return sum(Fraction(x) * w for x, w in zip(v, wv))
-
-    for u in a.den:
-        if weight(u) <= 0:
-            raise NonPositiveDenominator(
-                f"denominator vector {u} has nonpositive weight"
-            )
-    current = {v: c for v, c in a.num.terms.items() if weight(v) <= bound}
-    for u in a.den:
-        wu = weight(u)
-        expanded: dict[IntVec, Fraction] = {}
-        for v, c in current.items():
-            k = 0
-            wv_val = weight(v)
-            while wv_val + k * wu <= bound:
-                key = tuple(x + k * y for x, y in zip(v, u))
-                expanded[key] = expanded.get(key, Fraction(0)) + c
-                k += 1
-        current = {v: c for v, c in expanded.items() if c != 0}
-    return GroupAlgebraElement(current)
-
-
-def _line_projection(direction: IntVec) -> tuple:
-    """Integer projection Z^n -> Z^{n-1} with kernel exactly Q*direction.
-
-    With s the primitive vector on the line, hermite([s]) gives s * u =
-    (1, 0, ..., 0) for a unimodular u. The columns 1..n-1 of u are
-    orthogonal to s, and taken as rows they are n-1 rows of the unimodular
-    u^T: they map Z^n onto Z^{n-1} with kernel exactly the line.
-    """
-    _h, u, _u_inv = linalg.hermite([linalg.primitive_vector(direction)])
-    return linalg.transpose(u)[1:]
-
-
-def slice_identity_check(
-    f: TestFunction, c: OpenCone, i: int, bound
-) -> bool:
-    """Verify that clearing one pole and specializing along its ray turns
-    the pairing into the generating series of slice averages.
-
-    Concretely: with periods u_j = M * prim(v_j), the coefficient of the
-    projected point of w in (1 - delta_{u_i}) * <C, f>, specialized along
-    v_i and renormalized by 1/M, must equal haar(slice(f, prim(v_i), w))
-    for every integer w in the open face cone spanned by the other
-    generators, up to the expansion bound.
-    """
-    n = f.ctx.n
-    M = f.ctx.M
-    pm = pair_open_cone(c, f)
-    prims = [linalg.primitive_vector(g) for g in c.generators]
-    periods = [tuple(M * x for x in s) for s in prims]
-    u_i = periods[i]
-    remaining = list(pm.den)
-    if pm.num:
-        remaining.remove(u_i)
-        cleared = PseudoMeasure(pm.num, tuple(remaining))
-    else:
-        cleared = pm
-    proj = _line_projection(prims[i])
-
-    def project(v: Sequence[int]) -> IntVec:
-        return tuple(sum(row[j] * v[j] for j in range(n)) for row in proj)
-
-    face_periods = [periods[j] for j in range(len(periods)) if j != i]
-    num_proj = cleared.num.map_exponents(project)
-    den_proj = tuple(project(u) for u in face_periods)
-
-    if not face_periods:
-        # 0-dimensional face: the only face point is the origin
-        coeff = num_proj.terms.get((0,) * (n - 1), Fraction(0))
-        target = M * haar(line_slice(f, prims[i], (0,) * n))
-        return coeff == target
-
-    phi = _positive_functional(den_proj)
-    expansion = truncated_q_expansion(
-        PseudoMeasure(num_proj, den_proj), Fraction(bound), phi
-    )
-    ok = True
-    for w in _face_points(face_periods, Fraction(bound), n):
-        coeff = expansion.terms.get(project(w), Fraction(0))
-        target = M * haar(line_slice(f, prims[i], w))
-        if coeff != target:
-            ok = False
-            break
-    return ok
-
-
-def _positive_functional(vectors: tuple[IntVec, ...]) -> tuple[Fraction, ...]:
-    """A rational functional taking the value 1 on each given vector.
-
-    The vectors must be linearly independent; the functional solves
-    phi . v = 1 for every v and is supported on the pivot coordinates of
-    that system, the first coordinates whose columns are independent.
-    """
-    m = len(vectors[0])
-    a = [[Fraction(x) for x in v] + [Fraction(1)] for v in vectors]
-    pivots, _det = linalg._reduce(a, m)
-    if len(pivots) < len(vectors):
-        raise DependentInput("projected face directions are dependent")
-    phi = [Fraction(0)] * m
-    for row, col in zip(a, pivots):
-        phi[col] = row[m]
-    return tuple(phi)
-
-
-def _face_points(face_periods: list[IntVec], bound: Fraction, n: int) -> list[IntVec]:
-    """Integer points w = sum t_j u_j with t_j > 0 and sum t_j <= bound."""
-    sat, _comp, coords = linalg.saturation_and_complement(face_periods)
-    r = len(face_periods)
-    # box for y = C t with t in (0, bound]^r, in saturation coordinates
-    lows, highs = [], []
-    for k in range(r):
-        lo = sum(min(0, coords[j][k]) * bound for j in range(r))
-        hi = sum(max(0, coords[j][k]) * bound for j in range(r))
-        lows.append(ceil(lo))
-        highs.append(int(hi))
-    # t = C^-1 y = adj y / d with d > 0: test adj y, with no solve per point
-    adj, d = linalg.adjugate(linalg.transpose(coords))
-    limit = bound * d
-    out = []
-    for y in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
-        ty = linalg.mat_vec(adj, y)
-        if all(x > 0 for x in ty) and sum(ty) <= limit:
-            w = tuple(sum(y[k] * sat[k][j] for k in range(r)) for j in range(n))
-            out.append(w)
-    return sorted(out)
 
 
 def pm_to_json(a: PseudoMeasure) -> dict:

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from math import gcd
 from typing import Mapping, Sequence
 
 from . import linalg
-from .errors import NotUnimodular, SchemaError, ZeroDirection
+from .errors import NotUnimodular, SchemaError
 from .linalg import IntMat, IntVec
 
 
@@ -93,14 +92,6 @@ class TestFunction:
         return bool(self.values)
 
 
-@dataclass(frozen=True)
-class SliceFunction:
-    """One-dimensional restriction f(w + t v) as a table on Z/level."""
-
-    level: int
-    values: tuple[int, ...]
-
-
 def act(f: TestFunction, g: Sequence[Sequence[int]]) -> TestFunction:
     """Right action (f|g)(v) = f(g v) for g in SL_n(Z).
 
@@ -121,25 +112,6 @@ def act(f: TestFunction, g: Sequence[Sequence[int]]) -> TestFunction:
 
 def stabilizes(f: TestFunction, g: Sequence[Sequence[int]]) -> bool:
     return act(f, g).values == f.values
-
-
-def line_slice(f: TestFunction, v: Sequence[int], w: Sequence[int]) -> SliceFunction:
-    """The slice t -> f(w + t v) for integer v != 0 and integer w."""
-    vi = linalg.int_vec(v)
-    if all(x == 0 for x in vi):
-        raise ZeroDirection("slice direction must be nonzero")
-    wi = linalg.int_vec(w)
-    M = f.ctx.M
-    vals = tuple(
-        f.value_at(tuple(wi[j] + t * vi[j] for j in range(f.ctx.n)))
-        for t in range(M)
-    )
-    return SliceFunction(level=M, values=vals)
-
-
-def haar(s: SliceFunction) -> Fraction:
-    """Average over one period, normalized so the full line has mass 1."""
-    return Fraction(sum(s.values), s.level)
 
 
 def check_vh(f: TestFunction, v: Sequence) -> bool:
@@ -192,18 +164,6 @@ def random_congruence_element(
         elem[i][j] = c * ctx.M
         result = linalg.int_mat(linalg.mat_mul(result, elem))
     return result
-
-
-def to_json(f: TestFunction) -> dict:
-    return {
-        "n": f.ctx.n,
-        "p": f.ctx.p,
-        "M": f.ctx.M,
-        "terms": [
-            {"residue": list(residue), "weight": weight}
-            for residue, weight in f.values.items()
-        ],
-    }
 
 
 def from_json(data: dict) -> TestFunction:

@@ -1,14 +1,32 @@
-"""Independent oracles for the test suite.
+"""Independent oracles and test-only helpers for the test suite.
 
-Everything here is deliberately naive (cofactor expansion, box scans,
-textbook recurrences) and shares no code with the library paths it checks.
+The oracles are deliberately naive (cofactor expansion, box scans, a
+Fraction solve, textbook recurrences) and share no code with the library
+paths they check. The helpers at the end were library code that only the
+tests called: cone membership and evaluation, the sign-twisted action on
+cone functions, the deformed-cone limit rule, small pseudo-measure and
+slice constructors, and the slice identity with its truncated
+q-expansion. They evaluate through the oracles' Fraction solve and call the
+library only for the objects they check.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, gcd, lcm, prod
+from math import ceil, comb, gcd, lcm, prod
+
+from shintani import linalg
+from shintani.cones import ConeFunction, OpenCone
+from shintani.errors import (
+    DependentInput,
+    NonGenericDeformation,
+    ShintaniError,
+    SingularMatrix,
+    ZeroDirection,
+)
+from shintani.solomon_hu import GroupAlgebraElement, PseudoMeasure, pair_open_cone, pm_zero
 
 
 def det_cofactor(m) -> Fraction:
@@ -235,3 +253,273 @@ def bernoulli_moments(num, den, orders) -> list[Fraction]:
                 total += w * basis_moment([choice.count(i) for i in range(n)])
         out.append(total)
     return out
+
+
+def hermite_box(h) -> list[tuple[int, ...]]:
+    """The box 0 <= x_i < h_ii of a lower-triangular Hermite basis h, one
+    vector per coset of its column lattice."""
+    return list(product(*(range(h[i][i]) for i in range(len(h)))))
+
+
+def inverse(m) -> list[list[Fraction]]:
+    """m^-1 for a nonsingular square matrix, column by column through the
+    Fraction solve."""
+    n = len(m)
+    cols = list(zip(*m))
+    inv_cols = [_solve_coords(cols, [int(i == j) for i in range(n)]) for j in range(n)]
+    if None in inv_cols:
+        raise SingularMatrix("matrix is singular")
+    return [[inv_cols[j][i] for j in range(n)] for i in range(n)]
+
+
+# -- cone functions ---------------------------------------------------------
+
+
+def cone_contains(c: OpenCone, w) -> bool:
+    """Membership of w in the open cone: strictly positive coordinates in
+    the generator basis (and, for r < n, lying in the span at all)."""
+    if c.rank == 0:
+        return all(x == 0 for x in w)
+    coords = _solve_coords(c.generators, w)
+    return coords is not None and all(a > 0 for a in coords)
+
+
+def eval_cone_function(k: ConeFunction, w) -> int:
+    return sum(c for c, cone in k.terms if cone_contains(cone, w))
+
+
+def act_on_cone_function(g, k: ConeFunction) -> ConeFunction:
+    """Sign-twisted pushforward: generators map through g, coefficients pick
+    up sign(det g). Satisfies (g.k)(v) = sign(det g) * k(g^{-1} v)."""
+    d = det_cofactor(g)
+    if d == 0:
+        raise SingularMatrix("group action by a singular matrix")
+    sign = 1 if d > 0 else -1
+    terms = []
+    for coeff, cone in k.terms:
+        new_gens = tuple(tuple(sum(a * x for a, x in zip(row, v)) for row in g)
+                         for v in cone.generators)
+        terms.append((sign * coeff, OpenCone(new_gens)))
+    return ConeFunction(tuple(terms))
+
+
+def deformed_cone_eval(gens, q, w) -> int:
+    """Indicator of the q-deformed full-dimensional cone at w.
+
+    With a = coords of w and b = coords of q in the generator basis, the
+    nudged point w + eps*q lies in the open cone for all small eps > 0
+    iff every coordinate has a_i > 0, or a_i = 0 and b_i > 0.
+    """
+    if len(gens) != len(gens[0]):
+        raise DependentInput("deformed cones require n generators")
+    a, b = _solve_coords(gens, w), _solve_coords(gens, q)
+    if a is None or b is None:
+        raise DependentInput("deformed cone generators are dependent")
+    for ai, bi in zip(a, b):
+        if ai == 0 and bi == 0:
+            raise NonGenericDeformation(
+                "deformation vector lies on a face hyperplane; re-sample q"
+            )
+    return 1 if all(ai > 0 or (ai == 0 and bi > 0) for ai, bi in zip(a, b)) else 0
+
+
+# -- pseudo-measures and slices ---------------------------------------------
+
+
+def pm_constant(n: int, c) -> PseudoMeasure:
+    return PseudoMeasure(GroupAlgebraElement.one(n).scale(c), ())
+
+
+def pm_neg(a: PseudoMeasure) -> PseudoMeasure:
+    return PseudoMeasure(-a.num, a.den)
+
+
+def pm_mul(a: PseudoMeasure, b: PseudoMeasure) -> PseudoMeasure:
+    if not a.num or not b.num:
+        return pm_zero()
+    return PseudoMeasure(a.num * b.num, a.den + b.den)
+
+
+@dataclass(frozen=True)
+class SliceFunction:
+    """One-dimensional restriction f(w + t v) as a table on Z/level."""
+
+    level: int
+    values: tuple[int, ...]
+
+
+def line_slice(f, v, w) -> SliceFunction:
+    """The slice t -> f(w + t v) for integer v != 0 and integer w."""
+    if all(x == 0 for x in v):
+        raise ZeroDirection("slice direction must be nonzero")
+    M = f.ctx.M
+    vals = tuple(
+        f.value_at(tuple(int(w[j]) + t * int(v[j]) for j in range(f.ctx.n)))
+        for t in range(M)
+    )
+    return SliceFunction(level=M, values=vals)
+
+
+def haar(s: SliceFunction) -> Fraction:
+    """Average over one period, normalized so the full line has mass 1."""
+    return Fraction(sum(s.values), s.level)
+
+
+def to_json(f) -> dict:
+    return {
+        "n": f.ctx.n,
+        "p": f.ctx.p,
+        "M": f.ctx.M,
+        "terms": [
+            {"residue": list(residue), "weight": weight}
+            for residue, weight in f.values.items()
+        ],
+    }
+
+
+# -- the slice identity -----------------------------------------------------
+
+
+class NonPositiveDenominator(ShintaniError):
+    """A denominator vector has nonpositive weight; geometric expansion
+    would not be graded-finite."""
+
+
+def truncated_q_expansion(a: PseudoMeasure, bound, weights) -> GroupAlgebraElement:
+    """Geometric-series expansion of a pseudo-measure, graded by a positive
+    linear functional.
+
+    `weights` defines the functional; it must be strictly positive on every
+    denominator vector, so each factor 1/(1 - delta_u) expands as a
+    geometric series with finitely many terms of weight <= bound. The
+    result agrees with the full expansion on all terms of weight <= bound.
+    """
+    wv = tuple(Fraction(x) for x in weights)
+    bound = Fraction(bound)
+
+    def weight(v) -> Fraction:
+        return sum(Fraction(x) * w for x, w in zip(v, wv))
+
+    for u in a.den:
+        if weight(u) <= 0:
+            raise NonPositiveDenominator(
+                f"denominator vector {u} has nonpositive weight"
+            )
+    current = {v: c for v, c in a.num.terms.items() if weight(v) <= bound}
+    for u in a.den:
+        wu = weight(u)
+        expanded: dict = {}
+        for v, c in current.items():
+            k = 0
+            wv_val = weight(v)
+            while wv_val + k * wu <= bound:
+                key = tuple(x + k * y for x, y in zip(v, u))
+                expanded[key] = expanded.get(key, Fraction(0)) + c
+                k += 1
+        current = {v: c for v, c in expanded.items() if c != 0}
+    return GroupAlgebraElement(current)
+
+
+def _line_projection(direction) -> tuple:
+    """Integer projection Z^n -> Z^{n-1} with kernel exactly Q*direction.
+
+    With s the primitive vector on the line, hermite([s]) gives s * u =
+    (1, 0, ..., 0) for a unimodular u. The columns 1..n-1 of u are
+    orthogonal to s, and taken as rows they are n-1 rows of the unimodular
+    u^T: they map Z^n onto Z^{n-1} with kernel exactly the line.
+    """
+    u = linalg.hermite([linalg.primitive_vector(direction)])[1]
+    return linalg.transpose(u)[1:]
+
+
+def slice_identity_check(f, c: OpenCone, i: int, bound) -> bool:
+    """Verify that clearing one pole and specializing along its ray turns
+    the pairing into the generating series of slice averages.
+
+    Concretely: with periods u_j = M * v_j for the primitive generators
+    v_j, the coefficient of the projected point of w in (1 - delta_{u_i}) *
+    <C, f>, specialized along v_i and renormalized by 1/M, must equal
+    haar(slice(f, v_i, w)) for every integer w in the open face cone
+    spanned by the other generators, up to the expansion bound.
+    """
+    n = f.ctx.n
+    M = f.ctx.M
+    pm = pair_open_cone(c, f)
+    prims = c.generators
+    periods = [tuple(M * x for x in s) for s in prims]
+    u_i = periods[i]
+    remaining = list(pm.den)
+    if pm.num:
+        remaining.remove(u_i)
+        cleared = PseudoMeasure(pm.num, tuple(remaining))
+    else:
+        cleared = pm
+    proj = _line_projection(prims[i])
+
+    def project(v):
+        return tuple(sum(row[j] * v[j] for j in range(n)) for row in proj)
+
+    face_periods = [periods[j] for j in range(len(periods)) if j != i]
+    num_proj = cleared.num.map_exponents(project)
+    den_proj = tuple(project(u) for u in face_periods)
+
+    if not face_periods:
+        # 0-dimensional face: the only face point is the origin
+        coeff = num_proj.terms.get((0,) * (n - 1), Fraction(0))
+        target = M * haar(line_slice(f, prims[i], (0,) * n))
+        return coeff == target
+
+    phi = _positive_functional(den_proj)
+    expansion = truncated_q_expansion(
+        PseudoMeasure(num_proj, den_proj), Fraction(bound), phi
+    )
+    for w in _face_points(face_periods, Fraction(bound), n):
+        coeff = expansion.terms.get(project(w), Fraction(0))
+        if coeff != M * haar(line_slice(f, prims[i], w)):
+            return False
+    return True
+
+
+def _positive_functional(vectors) -> tuple[Fraction, ...]:
+    """A rational functional taking the value 1 on each given vector.
+
+    The vectors must be linearly independent; the functional solves
+    phi . v = 1 for every v and is supported on the first coordinates whose
+    columns are independent.
+    """
+    m = len(vectors[0])
+    columns = [tuple(v[j] for v in vectors) for j in range(m)]
+    support: list[int] = []
+    for j in range(m):
+        if rank_by_minors([columns[k] for k in support + [j]]) > len(support):
+            support.append(j)
+    coords = _solve_coords([columns[j] for j in support], (1,) * len(vectors))
+    if coords is None:
+        raise DependentInput("projected face directions are dependent")
+    phi = [Fraction(0)] * m
+    for j, x in zip(support, coords):
+        phi[j] = x
+    return tuple(phi)
+
+
+def _face_points(face_periods, bound: Fraction, n: int) -> list[tuple[int, ...]]:
+    """Integer points w = sum t_j u_j with t_j > 0 and sum t_j <= bound."""
+    sat, _comp, coords = linalg.saturation_and_complement(face_periods)
+    r = len(face_periods)
+    # box for y = C t with t in (0, bound]^r, in saturation coordinates
+    lows, highs = [], []
+    for k in range(r):
+        lo = sum(min(0, coords[j][k]) * bound for j in range(r))
+        hi = sum(max(0, coords[j][k]) * bound for j in range(r))
+        lows.append(ceil(lo))
+        highs.append(int(hi))
+    # t = C^-1 y = adj y / d with d > 0: test adj y, with no solve per point
+    adj, d = linalg.adjugate(linalg.transpose(coords))
+    limit = bound * d
+    out = []
+    for y in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
+        ty = linalg.mat_vec(adj, y)
+        if all(x > 0 for x in ty) and sum(ty) <= limit:
+            w = tuple(sum(y[k] * sat[k][j] for k in range(r)) for j in range(n))
+            out.append(w)
+    return sorted(out)

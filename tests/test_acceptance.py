@@ -26,23 +26,14 @@ from shintani.cocycle import (
     verify_equivariance,
     verify_measure_valued,
 )
-from shintani.cones import (
-    OpenCone,
-    Wedge,
-    deformed_cone_decompose,
-    deformed_cone_eval,
-    eval_cone_function,
-    wedge_decompose,
-)
+from shintani.cones import OpenCone, Wedge, deformed_cone_decompose, wedge_decompose
 from shintani.errors import NonGenericDeformation, VHFailsForE1
 from shintani.solomon_hu import (
     pair_cone_function,
     pair_open_cone,
     pm_add,
-    pm_constant,
     pm_eq,
     pm_is_integer_constant,
-    slice_identity_check,
     PseudoMeasure,
     GroupAlgebraElement,
 )
@@ -52,7 +43,13 @@ from shintani.testfunctions import (
     random_congruence_element,
 )
 
-from oracles import hurwitz_zeta_neg
+from oracles import (
+    deformed_cone_eval,
+    eval_cone_function,
+    hurwitz_zeta_neg,
+    pm_constant,
+    slice_identity_check,
+)
 
 
 def _report(index, description):

@@ -84,6 +84,51 @@ def test_pair_dependent_generators(tmp_path, capsys):
     assert main(["--command", "pair", "--input", path]) == 3
 
 
+def test_pair_zero_generator_is_dependent(tmp_path, capsys):
+    path = write(tmp_path, "in.json", {
+        "test_function": TF_BALANCED_2D, "cone": {"generators": [["0", "0"], ["1", "0"]]},
+    })
+    assert main(["--command", "pair", "--input", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cone generators are linearly dependent\n"
+
+
+def test_pair_is_unchanged_by_rescaled_generators(tmp_path, capsys):
+    # a cone stores the primitive vector on each ray, so positive rescaling
+    # of any generator leaves the report byte for byte
+    outs = []
+    for gens in ([["1", "2"], ["3", "-1"]], [["1/2", "1"], ["6", "-2"]], [["5", "10"], ["3/7", "-1/7"]]):
+        path = write(tmp_path, "in.json", {
+            "test_function": _table(2, 4, _T2),
+            "cone_function": [{"coefficient": 1, "generators": gens},
+                              {"coefficient": -2, "generators": [gens[1]]}],
+        })
+        code, out = run(capsys, "--command", "pair", "--input", path)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("command, payload, what", [
+    ("pair", {"cone": {"generators": [["1"]]}}, "generator ['1'] has 1 coordinates"),
+    ("pair", {"cone": {"generators": [["1", "0", "0"]]}}, "generator ['1', '0', '0'] has 3 coordinates"),
+    ("pair", {"cone": {"generators": [["1", "0", "0"], ["0", "1", "0"]]}},
+     "generator ['1', '0', '0'] has 3 coordinates"),
+    ("moments", {"cone": {"generators": [["0", "1", "0"]]}}, "generator ['0', '1', '0'] has 3 coordinates"),
+    ("vh", {"rays": [[1]]}, "ray [1] has 1 coordinates"),
+    ("vh", {"rays": [{"name": "long", "v": [0, 1, 5]}]}, "ray [0, 1, 5] has 3 coordinates"),
+])
+def test_vectors_of_the_wrong_dimension_are_malformed(tmp_path, capsys, command, payload, what):
+    # against an n = 2 step function every generator and ray needs two
+    # coordinates; any other length is exit 2 naming the vector and n
+    path = write(tmp_path, "in.json", {"test_function": TF_BALANCED_2D, **payload})
+    assert main(["--command", command, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {what}, but the step function has n = 2\n"
+
+
 def test_pair_round_trip(tmp_path, capsys):
     path = write(tmp_path, "in.json", {
         "test_function": TF_DIFF, "cone": {"generators": [["1"]]},

@@ -16,16 +16,11 @@ from shintani.cocycle import (
     verify_measure_valued,
     with_generic_q,
 )
-from shintani.cones import eval_cone_function
 from shintani.errors import NonGenericDeformation, NotStabilizer, VHFailsForE1
-from shintani.solomon_hu import (
-    GroupAlgebraElement as GA,
-    PseudoMeasure as PM,
-    pm_eq,
-    pm_neg,
-    pm_zero,
-)
+from shintani.solomon_hu import GroupAlgebraElement as GA, PseudoMeasure as PM, pm_eq, pm_zero
 from shintani.testfunctions import LatticeContext, TestFunction, random_congruence_element
+
+from oracles import deformed_cone_eval, eval_cone_function, pm_neg
 
 I2 = ((1, 0), (0, 1))
 ROT = ((0, -1), (1, 0))
@@ -203,9 +198,6 @@ def test_psi_pointwise_against_deformed_eval():
         if linalg.det(cols) == 0:
             continue
         q = sample_deformation(2, rng)
-        from shintani.cones import deformed_cone_eval
-        from shintani.errors import NonGenericDeformation
-
         try:
             k = psi_cdg(CocycleInput(tuple(mats), q))
             sign = 1 if linalg.det(linalg.transpose(cols)) > 0 else -1

@@ -1,21 +1,21 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 from shintani import linalg
-from shintani.cones import (
-    ConeFunction,
-    OpenCone,
-    Wedge,
+from shintani.cones import ConeFunction, OpenCone, Wedge, deformed_cone_decompose, wedge_decompose
+from shintani.errors import DependentInput, NonGenericDeformation
+
+from oracles import (
     act_on_cone_function,
     cone_contains,
-    deformed_cone_decompose,
     deformed_cone_eval,
     eval_cone_function,
-    wedge_decompose,
+    inverse,
+    rank_by_minors,
 )
-from shintani.errors import DependentInput, NonGenericDeformation
 
 E1 = (F(1), F(0))
 E2 = (F(0), F(1))
@@ -34,8 +34,31 @@ def test_cone_contains_examples():
 
 
 def test_cone_rejects_dependent_generators():
-    with pytest.raises(DependentInput):
-        OpenCone(((F(1), F(0)), (F(2), F(0))))
+    for gens in (((F(1), F(0)), (F(2), F(0))), ((0, 0),), ((1, 0), (0, 0)),
+                 ((1, 0), (0, 1), (1, 1))):
+        with pytest.raises(DependentInput, match="^cone generators are linearly dependent$"):
+            OpenCone(gens)
+
+
+def test_cone_stores_primitive_generators():
+    # positive rescaling changes no cone: a cone of rescaled generators is
+    # the cone of their primitive vectors, in the given order
+    rng = random.Random(13)
+    done = 0
+    while done < 40:
+        n = rng.randint(1, 3)
+        r = rng.randint(1, n)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(r)]
+        if rank_by_minors(gens) < r:
+            continue
+        scales = [F(rng.randint(1, 5), rng.randint(1, 4)) for _ in gens]
+        cone = OpenCone(tuple(tuple(s * x for x in g) for g, s in zip(gens, scales)))
+        assert cone == OpenCone(tuple(linalg.primitive_vector(g) for g in gens))
+        assert [tuple(x // gcd(*g) for x in g) for g in gens] == list(cone.generators)
+        assert all(type(x) is int for g in cone.generators for x in g)
+        if r == n:
+            assert Wedge(cone.generators).generators == cone.generators
+        done += 1
 
 
 def test_eval_cone_function():
@@ -71,7 +94,7 @@ def test_act_eval_contract_and_composition():
         gk = act_on_cone_function(g, k)
         # eval(act(g, k), w) = sign(det g) * eval(k, g^-1 w)
         sign = 1 if linalg.det(g) > 0 else -1
-        g_inv = linalg.mat_inv(g)
+        g_inv = inverse(g)
         for _ in range(5):
             w = (F(rng.randint(-5, 5)), F(rng.randint(-5, 5)))
             assert eval_cone_function(gk, w) == sign * eval_cone_function(
@@ -129,9 +152,10 @@ def test_deformed_decompose_matches_eval_pointwise():
             except NonGenericDeformation:
                 continue
             assert eval_cone_function(k, w) == expected
-        # support: every face uses a subset of the input generators
+        # support: every face uses a subset of the input rays, stored as
+        # primitive generators
         for _c, cone in k.terms:
-            assert set(cone.generators) <= set(tuple(g) for g in gens)
+            assert set(cone.generators) <= {linalg.primitive_vector(g) for g in gens}
         done += 1
 
 

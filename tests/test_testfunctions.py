@@ -8,19 +8,15 @@ from shintani import linalg
 from shintani.errors import NotUnimodular, SchemaError, ZeroDirection
 from shintani.testfunctions import (
     LatticeContext,
-    SliceFunction,
     TestFunction,
     act,
     check_vh,
     from_json,
-    haar,
-    line_slice,
     random_congruence_element,
     stabilizes,
-    to_json,
 )
 
-from oracles import rational_slice_haar, vh_by_slices
+from oracles import SliceFunction, haar, line_slice, rational_slice_haar, to_json, vh_by_slices
 
 
 def ctx1(M=4, p=3):
