@@ -32,14 +32,14 @@ from .testfunctions import TestFunction, check_vh
 
 def extend_denominator_basis(a: PseudoMeasure, n: int) -> list[IntVec]:
     """Basis of Q^n starting with the denominator vectors of a, completed
-    by a complement of the saturation of their span."""
+    by a complement of the saturation of their span: the trailing rows of
+    u_inv in hermite(dens), whose leading rows saturate the span."""
     dens = list(dict.fromkeys(a.den))
     if len(dens) != len(a.den):
         raise NonUnitDenominator("repeated denominator factors are not aligned")
     if not dens:
         return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    _sat, comp, _coords = linalg.saturation_and_complement(dens)
-    return dens + comp
+    return dens + list(linalg.hermite(dens)[2][len(dens):])
 
 
 def is_measure_vh(c: OpenCone, f: TestFunction) -> bool:

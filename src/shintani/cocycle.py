@@ -128,22 +128,16 @@ def verify_cocycle(
     return pm_is_integer_constant(total) is not None
 
 
-def with_generic_q(
-    fn: Callable, n: int, rng: random.Random, q: DeformationVector | None = None
-):
-    """Return (q, fn(q)) for the first deformation vector q on which fn
-    raises no NonGenericDeformation.
-
-    The first vector tried is q when given, else one sampled from rng; each
-    further one is sampled from rng, for at most 32 vectors.
-    """
+def with_generic_q(fn: Callable, n: int, rng: random.Random):
+    """Return (q, fn(q)) for the first deformation vector q, sampled from
+    rng, on which fn raises no NonGenericDeformation; at most 32 vectors
+    are tried."""
     for _ in range(32):
-        if q is None:
-            q = sample_deformation(n, rng)
+        q = sample_deformation(n, rng)
         try:
             return q, fn(q)
         except NonGenericDeformation:
-            q = None
+            pass
     raise NonGenericDeformation("no generic deformation vector found")
 
 

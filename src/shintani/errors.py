@@ -13,6 +13,10 @@ class DependentInput(ShintaniError):
     """Vectors required to be linearly independent are not."""
 
 
+class CellTooLarge(ShintaniError):
+    """A pairing cell has more than solomon_hu.CELL_POINT_BUDGET points."""
+
+
 class ZeroDirection(ShintaniError):
     """A nonzero direction vector is required."""
 

@@ -6,10 +6,12 @@ are desk scale (n <= 6), so one plain kernel is the right tool: the integer
 column Hermite form (`hermite`), m * u = [h | 0] with u unimodular. The
 determinant is the product of the Hermite diagonal times det u, and the
 adjugate is u times the adjugate of the triangular h, which forward
-substitution gives with exact divisions. Cosets of Z^n modulo a lattice are
-a box read off the Hermite diagonal, and a saturation with its complement
-is read off the unimodular transform, so no job needs an inverse. A
-rational row is scaled to integers first (`clear_denominators`): every
+substitution gives with exact divisions. The rows of u_inv are a basis of
+Z^n whose first r rows saturate the span of the r input rows, and the
+cosets of Z^n modulo a lattice are a box read off the Hermite diagonal,
+so no job needs an inverse: one Hermite pass gives a pairing cell its
+basis, its box and its shifts (`solomon_hu.enumerate_fundamental_domain`).
+A rational row is scaled to integers first (`clear_denominators`): every
 decision made here is unchanged by a positive rescaling of a row.
 """
 
@@ -110,21 +112,27 @@ def adjugate(m: Sequence[Sequence[int]]) -> tuple[IntMat, int]:
     m^-1 v = adj v / d stays in integer arithmetic.
 
     With m * u = h, adj = u * x for x = d * h^-1, the adjugate of the
-    lower-triangular h; x is integral, so each division of the forward
-    substitution that computes it is exact.
+    lower-triangular h.
     """
     try:
         h, u, _u_inv, _sign = hermite(m)
     except DependentInput as exc:
         raise SingularMatrix("matrix is singular") from exc
+    d = prod(h[i][i] for i in range(len(h)))
+    return mat_mul(u, _triangular_adjugate(h, d)), d
+
+
+def _triangular_adjugate(h: IntMat, d: int) -> list[list[int]]:
+    """x = d * h^-1 for a lower-triangular h with a positive diagonal and
+    d = prod h_ii, by forward substitution; x is integral, so each division
+    is exact."""
     n = len(h)
-    d = prod(h[i][i] for i in range(n))
     x = [[0] * n for _ in range(n)]
     for j in range(n):
         for i in range(j, n):
             s = d if i == j else -sum(h[i][k] * x[k][j] for k in range(j, i))
             x[i][j] = s // h[i][i]
-    return mat_mul(u, x), d
+    return x
 
 
 def hermite(rows: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat, int]:
@@ -170,11 +178,11 @@ def hermite(rows: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat, int]
     return h, transpose(ut), tuple(map(tuple, ui)), sign
 
 
-def coset_lattice(cols: Sequence[Sequence[int]], p: int | None = None) -> IntMat:
-    """Hermite basis of the lattice L spanned by the columns of a
-    nonsingular integer matrix, or, when p is given, of L + p^k Z^n with
-    p^k the p-part of |det|: that lattice has the same classes in Z^n as the
-    p-adic completion of L in Z_p^n.
+def coset_lattice(cols: Sequence[Sequence[int]], p: int) -> IntMat:
+    """Hermite basis of L + p^k Z^n, for L the lattice spanned by the
+    columns of a nonsingular integer matrix and p^k the p-part of |det|:
+    that lattice has the same classes in Z^n as the p-adic completion of L
+    in Z_p^n.
 
     The columns of the returned lower-triangular h span the lattice; its
     classes in Z^n are the box 0 <= x_i < h_ii, and `_coset_rep(h, v)` is
@@ -184,12 +192,10 @@ def coset_lattice(cols: Sequence[Sequence[int]], p: int | None = None) -> IntMat
         h = hermite(cols)[0]
     except DependentInput as exc:
         raise SingularMatrix("coset lattice is singular") from exc
-    if p is not None:
-        n = len(h)
-        d = prod(h[i][i] for i in range(n))
-        pk = gcd(d, p ** d.bit_length())
-        h = hermite([row + tuple(pk * x for x in e) for row, e in zip(h, identity(n))])[0]
-    return h
+    n = len(h)
+    d = prod(h[i][i] for i in range(n))
+    pk = gcd(d, p ** d.bit_length())
+    return hermite([row + tuple(pk * x for x in e) for row, e in zip(h, identity(n))])[0]
 
 
 def _coset_rep(h: IntMat, v: Sequence[int]) -> IntVec:
@@ -203,16 +209,3 @@ def _coset_rep(h: IntMat, v: Sequence[int]) -> IntVec:
                 x[k] -= q * h[k][i]
     return tuple(x)
 
-
-def saturation_and_complement(vs: Sequence[Sequence[int]]) -> tuple[list[IntVec], list[IntVec], IntMat]:
-    """Split Z^n into the saturation of span(vs) and a complement.
-
-    Returns (sat, comp, coords): sat is an integer basis of span_Q(vs) n
-    Z^n, sat + comp together form a basis of Z^n, and vs[i] = sum_j
-    coords[i][j] * sat[j]. The integer vectors vs must be linearly
-    independent. All three are read off hermite(vs): the rows of u_inv form
-    a basis of Z^n, and vs = [h | 0] * u_inv.
-    """
-    h, _u, u_inv, _sign = hermite(vs)
-    r = len(h)
-    return list(u_inv[:r]), list(u_inv[r:]), h

@@ -13,7 +13,8 @@ which is sound in an integral domain, so no canonical form is ever computed.
 
 Pairing an open cone with a step function of level M scales the generators
 positively to primitive vectors, multiplies by M to obtain periods, and sums
-the function over the half-open fundamental cell of those periods; the
+the function over the half-open fundamental cell of those periods, which is
+the cell of the primitive vectors lifted by their multiples below M; the
 periods become the denominator factors.
 """
 
@@ -22,12 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd, prod
 from operator import add, mul
 from typing import Mapping, Sequence
 
 from . import linalg
 from .cones import ConeFunction, OpenCone
-from .errors import DependentInput, NotUnimodular, SchemaError, SingularMatrix
+from .errors import CellTooLarge, DependentInput, NotUnimodular, SchemaError
 from .linalg import IntVec
 from .testfunctions import TestFunction
 
@@ -242,45 +244,47 @@ def act_pm(g: Sequence[Sequence[int]], a: PseudoMeasure) -> PseudoMeasure:
     return PseudoMeasure(num, den)
 
 
+CELL_POINT_BUDGET = 10**6  # most integer points a pairing cell may have
+
+
 def enumerate_fundamental_domain(ws: Sequence[Sequence[int]], n: int) -> list[IntVec]:
-    """Integer points of the half-open cell { sum x_i w_i : x_i in (0, 1] }.
+    """Sorted integer points of the half-open cell { sum x_i w_i : x_i in
+    (0, 1] }, by one Hermite pass for every rank r.
 
-    For r = n the count is |det|; every residue class mod the lattice
-    spanned by ws has exactly one representative in the cell, so the points
-    are enumerated through Hermite-form coset representatives and shifted
-    into the cell, with no box scanning. For r < n the enumeration runs
-    inside the saturation of the span, on the coordinates of ws there.
+    With w_i = g_i s_i, s_i primitive, and s * u = [h | 0], the first r rows
+    b_j of u_inv are a basis of the saturated span and s_i = sum_j h_ij b_j.
+    The box 0 <= y_j < h_jj holds one point y.b of each class modulo the
+    s_i, at cell coordinates x = adj(h)^T y / d with d = prod h_jj, and
+    ceil(x) - 1 = (adj(h)^T y - 1) // d generators move it into the cell of
+    the s_i. The periodic lift adds every sum k.s with 0 <= k_i < g_i, so
+    the cell has d * prod g_i points, a count checked against
+    CELL_POINT_BUDGET (CellTooLarge) before any point is made.
     """
-    ws_int = [linalg.int_vec(w) for w in ws]
-    r = len(ws_int)
-    if r == 0:
-        return [(0,) * n]
-    if r == n:
-        return _cell_points_full(ws_int)
-    sat, _comp, coords = linalg.saturation_and_complement(ws_int)
-    inner = _cell_points_full(coords)
-    out = []
-    for y in inner:
-        v = tuple(sum(y[k] * sat[k][j] for k in range(r)) for j in range(n))
-        out.append(v)
-    return sorted(out)
-
-
-def _cell_points_full(ws: Sequence[IntVec]) -> list[IntVec]:
-    cols = linalg.transpose(ws)
+    ws = [linalg.int_vec(w) for w in ws]
+    gs = [gcd(*w) for w in ws]
+    s = [tuple(a // (g or 1) for a in w) for w, g in zip(ws, gs)]  # hermite refuses a zero w
+    r = len(s)
     try:
-        adj, d = linalg.adjugate(cols)
-    except SingularMatrix as exc:
+        h, _u, u_inv, _sign = linalg.hermite(s) if r else ((), (), linalg.identity(n), 1)
+    except DependentInput as exc:
         raise DependentInput("cell generators are linearly dependent") from exc
-    # one cell point per coset of the column lattice: a representative in
-    # the Hermite box has cell coordinates x = adj * rep / d and moves into
-    # (0, 1]^r by ceil(x) - 1 = (adj * rep - 1) // d periods
-    h = linalg.coset_lattice(cols)
-    out = []
-    for rep in product(*(range(h[i][i]) for i in range(len(h)))):
-        shift = [(sum(map(mul, row, rep)) - 1) // d for row in adj]
-        out.append(tuple(x - sum(map(mul, row, shift)) for x, row in zip(rep, cols)))
-    return sorted(out)
+    d = prod(h[j][j] for j in range(r))
+    count = d * prod(gs)
+    if count > CELL_POINT_BUDGET:
+        raise CellTooLarge(f"the cell of the generators {[list(w) for w in ws]} has "
+                           f"{count} integer points, more than {CELL_POINT_BUDGET}")
+    xt, ht = list(zip(*linalg._triangular_adjugate(h, d))), list(zip(*h))  # adj(h)^T, h^T
+    basis = [row[:r] for row in linalg.transpose(u_inv)]  # coordinate t of each b_j
+    pts = []
+    for y in product(*(range(h[j][j]) for j in range(r))):
+        k = [(sum(map(mul, y, row)) - 1) // d for row in xt]
+        z = [a - sum(map(mul, row, k)) for a, row in zip(y, ht)]
+        pts.append(tuple(sum(map(mul, z, b)) for b in basis))
+    for si, g in zip(s, gs):
+        steps = [tuple(k * a for a in si) for k in range(g)]
+        pts = [tuple(map(add, v, step)) for v in pts for step in steps]
+    pts.sort()
+    return pts
 
 
 def pair_open_cone(c: OpenCone, f: TestFunction) -> PseudoMeasure:
@@ -306,10 +310,10 @@ def pair_open_cone(c: OpenCone, f: TestFunction) -> PseudoMeasure:
 def _pair_cell(prims: frozenset[IntVec], f: TestFunction) -> PseudoMeasure:
     n, M = f.ctx.n, f.ctx.M
     periods = [tuple(M * x for x in s) for s in sorted(prims)]
-    pts = enumerate_fundamental_domain(periods, n)
+    values = f.values  # nonzero values by residue mod M
     terms = {}
-    for v in pts:
-        val = f.value_at(v)
+    for v in enumerate_fundamental_domain(periods, n):
+        val = values.get(tuple([x % M for x in v]))
         if val:
             terms[v] = val
     if not terms:

@@ -139,18 +139,16 @@ def check_vh(f: TestFunction, v: Sequence) -> bool:
     return True
 
 
-def random_congruence_element(
-    ctx: LatticeContext, seed: int, factors: int | None = None
-) -> IntMat:
+def random_congruence_element(ctx: LatticeContext, seed: int) -> IntMat:
     """Sample an element of the principal congruence subgroup of level M.
 
     Returns a product of elementary matrices I + c*M*E_ij (i != j), hence
     a determinant-1 matrix congruent to the identity mod M. Deterministic
-    for a fixed seed; `factors` pins the number of elementary factors.
+    for a fixed seed.
     """
     rng = random.Random(seed)
     n = ctx.n
-    count = rng.randint(1, 2) if factors is None else factors
+    count = rng.randint(1, 2)
     result = linalg.identity(n)
     if n == 1:
         return result

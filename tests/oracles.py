@@ -504,8 +504,11 @@ def _positive_functional(vectors) -> tuple[Fraction, ...]:
 
 def _face_points(face_periods, bound: Fraction, n: int) -> list[tuple[int, ...]]:
     """Integer points w = sum t_j u_j with t_j > 0 and sum t_j <= bound."""
-    sat, _comp, coords = linalg.saturation_and_complement(face_periods)
+    # face_periods = coords * sat, with sat the leading rows of u_inv: a
+    # basis of the saturation of the span
+    coords, _u, u_inv, _sign = linalg.hermite(face_periods)
     r = len(face_periods)
+    sat = u_inv[:r]
     # box for y = C t with t in (0, bound]^r, in saturation coordinates
     lows, highs = [], []
     for k in range(r):

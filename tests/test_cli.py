@@ -110,6 +110,32 @@ def test_pair_is_unchanged_by_rescaled_generators(tmp_path, capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
+BIG = 10**30
+
+
+@pytest.mark.parametrize("M, generators, periods, count", [
+    (4, [["1", BIG], ["1", "0"]], [[4, 0], [4, 4 * BIG]], 16 * BIG),
+    (BIG, [["1", "0"], ["0", "1"]], [[0, BIG], [BIG, 0]], BIG**2),
+], ids=["huge-generator", "huge-level"])
+def test_pair_refuses_a_cell_over_the_point_budget(tmp_path, capsys, M, generators, periods, count):
+    # the cell's point count, |det| of the primitive generators times M^r,
+    # is known before any point is made; past the budget it is exit 2
+    # naming the periods, not an OverflowError traceback
+    tf = {"n": 2, "p": 3, "M": M, "terms": [{"residue": [1, 0], "weight": 1}]}
+    path = write(tmp_path, "in.json", {"test_function": tf, "cone": {"generators": generators}})
+    assert main(["--command", "pair", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: the cell of the generators {periods} has {count} "
+                            f"integer points, more than 1000000\n")
+    # a huge primitive ray alone is a cell of M points
+    path = write(tmp_path, "in.json", {"test_function": TF_BALANCED_2D,
+                                       "cone": {"generators": [["1", BIG]]}})
+    code, out = run(capsys, "--command", "pair", "--input", path)
+    assert code == 0
+    assert [t["vector"] for t in json.loads(out)["numerator"]] == [[1, BIG], [3, 3 * BIG]]
+
+
 @pytest.mark.parametrize("command, payload, what", [
     ("pair", {"cone": {"generators": [["1"]]}}, "generator ['1'] has 1 coordinates"),
     ("pair", {"cone": {"generators": [["1", "0", "0"]]}}, "generator ['1', '0', '0'] has 3 coordinates"),

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 
@@ -31,11 +32,13 @@ def test_det_multiplicative():
 
 
 def saturate_span(vs):
-    """Integer basis of span_Q(vs) n Z^n, after checking that the
-    coordinates saturation_and_complement returns rebuild vs."""
-    sat, _comp, coords = linalg.saturation_and_complement(vs)
+    """Integer basis of span_Q(vs) n Z^n: the leading rows of u_inv from
+    hermite(vs), after checking that h gives the coordinates of vs in
+    them."""
+    h, _u, u_inv, _sign = linalg.hermite(vs)
+    sat = list(u_inv[:len(vs)])
     assert [tuple(sum(c * s[i] for c, s in zip(row, sat)) for i in range(len(vs[0])))
-            for row in coords] == [tuple(v) for v in vs]
+            for row in h] == [tuple(v) for v in vs]
     return sat
 
 
@@ -63,9 +66,10 @@ def test_saturate_span_is_saturated():
             coords = _solve_coords(sat, v)
             assert coords is not None
             assert all(c.denominator == 1 for c in coords)
-        # and the saturation together with its complement is unimodular
-        satc, comp, _coords = linalg.saturation_and_complement(vs)
-        assert abs(linalg.det(satc + comp)) == 1
+        # and the saturation together with its complement, the trailing
+        # rows of u_inv, is unimodular
+        comp = list(linalg.hermite(vs)[2][r:])
+        assert abs(linalg.det(sat + comp)) == 1
         done += 1
 
 
@@ -192,10 +196,10 @@ def test_cosets_count_and_key():
         d = abs(int(det_cofactor(cols)))
         if d == 0:
             with pytest.raises(SingularMatrix):
-                linalg.coset_lattice(cols)
+                linalg.coset_lattice(cols, 2)
             continue
         for p in (None, 2, 3):
-            h = linalg.coset_lattice(cols, p)
+            h = linalg.hermite(cols)[0] if p is None else linalg.coset_lattice(cols, p)
             reps = hermite_box(h)
 
             def key(v):
@@ -254,14 +258,20 @@ def test_hermite_identities():
 
 
 def test_enumerate_fundamental_domain_against_box_scan():
+    # two cells for each rank r = 0..n and each g = 1..4, with generators
+    # w_i = g_i * s_i, g_0 = g and g_i <= g, so the periodic lift of the
+    # cell of the s_i is checked on nontrivial Hermite boxes
     rng = random.Random(56)
-    done = 0
-    while done < 40:
-        n = rng.randint(1, 4)
-        r = rng.randint(1, n)
+    for n in range(1, 5):
         bound = 1 if n == 4 else 2
-        ws = [tuple(rng.randint(-bound, bound) for _ in range(n)) for _ in range(r)]
-        if rank_by_minors(ws) < r:
-            continue
-        assert enumerate_fundamental_domain(ws, n) == brute_cell_points(ws, n)
-        done += 1
+        for r in range(n + 1):
+            for g in range(1, 5) if r else (1,):
+                for _ in range(2):
+                    while True:
+                        ss = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(r)]
+                        gs = [g] + [rng.randint(1, g) for _ in range(r - 1)]
+                        ws = [tuple(gi * x for x in v) for gi, v in zip(gs, ss)]
+                        box = prod(1 + sum(abs(w[j]) for w in ws) for j in range(n))
+                        if box <= 400 and rank_by_minors(ws) == r:
+                            break
+                    assert enumerate_fundamental_domain(ws, n) == brute_cell_points(ws, n)

@@ -178,8 +178,11 @@ def test_act_is_right_action_and_preserves_mean():
     f = TestFunction(ctx, table)
     total = sum(f.values.values())
     for seed in range(8):
-        g = random_congruence_element(ctx, seed, factors=2)
-        h = random_congruence_element(ctx, seed + 100, factors=1)
+        g = random_congruence_element(ctx, seed)
+        h = random_congruence_element(ctx, seed + 100)
+        for m in (g, h):
+            assert linalg.det(m) == 1
+            assert all((m[i][j] - (i == j)) % ctx.M == 0 for i in range(2) for j in range(2))
         lhs = act(act(f, g), h)
         rhs = act(f, linalg.int_mat(linalg.mat_mul(g, h)))
         assert lhs.values == rhs.values
@@ -188,11 +191,7 @@ def test_act_is_right_action_and_preserves_mean():
 
 def test_random_congruence_element_contract():
     ctx = LatticeContext(2, 3, 4)
-    assert random_congruence_element(ctx, 5, factors=0) == ((1, 0), (0, 1))
-    one = random_congruence_element(ctx, 5, factors=1)
-    offdiag = [one[i][j] for i in range(2) for j in range(2) if i != j]
-    assert sum(1 for x in offdiag if x != 0) == 1
-    assert all(x % ctx.M == 0 for x in offdiag)
+    moved = 0
     for seed in range(12):
         g = random_congruence_element(ctx, seed)
         assert g == random_congruence_element(ctx, seed)
@@ -200,6 +199,9 @@ def test_random_congruence_element_contract():
         for i in range(2):
             for j in range(2):
                 assert (g[i][j] - (1 if i == j else 0)) % ctx.M == 0
+        moved += g != ((1, 0), (0, 1))
+    # the draws are not all the identity, so the congruence check can fail
+    assert moved >= 6
 
 
 def test_json_round_trip():
