@@ -28,9 +28,9 @@ from .solomon_hu import (
     enumerate_fundamental_domain,
     pair_cone_function,
     pair_open_cone,
-    pm_add,
     pm_eq,
     pm_is_integer_constant,
+    pm_sum,
 )
 from .testfunctions import (
     LatticeContext,

@@ -13,8 +13,8 @@ Commands (selected with --command):
 
 All randomness flows from --seed; reports are byte-identical across runs
 with the same configuration. Exit codes: 0 ok, 2 malformed input, a bad
-flag value or a pairing cell over its point budget, 3 dependent input
-vectors, 4 not a measure, 6 a verification trial failed.
+flag value or a cell or residue walk over the point budget, 3 dependent
+input vectors, 4 not a measure, 6 a verification trial failed.
 
 Rationals are serialized as decimal strings ("3/4"); p-adic scalars as
 "p^v*u" with valuation v and unit u, or "0".

@@ -41,11 +41,9 @@ from .solomon_hu import (
     act_pm,
     pair_cone_function,
     pair_open_cone,
-    pm_add,
     pm_eq,
     pm_is_integer_constant,
-    pm_scale,
-    pm_zero,
+    pm_sum,
 )
 from .testfunctions import (
     LatticeContext,
@@ -65,12 +63,16 @@ class CocycleInput:
     q: DeformationVector
 
     def __post_init__(self):
-        mats = tuple(linalg.int_mat(m) for m in self.matrices)
-        object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "matrices", _invertible(self.matrices))
         object.__setattr__(self, "q", tuple(Fraction(x) for x in self.q))
-        for m in mats:
-            if linalg.det(m) == 0:
-                raise ValueError("cocycle arguments must be invertible")
+
+
+def _invertible(matrices: Sequence) -> tuple[IntMat, ...]:
+    mats = tuple(linalg.int_mat(m) for m in matrices)
+    for m in mats:
+        if linalg.det(m) == 0:
+            raise ValueError("cocycle arguments must be invertible")
+    return mats
 
 
 def _first_columns(matrices: Sequence[IntMat]) -> list[IntVec]:
@@ -84,13 +86,17 @@ def psi_cdg(inp: CocycleInput) -> ConeFunction:
     (in particular on tuples from the mirabolic subgroup in dimension
     at least 2, where all the columns equal e_1).
     """
-    cols = _first_columns(inp.matrices)
+    return _psi(_first_columns(inp.matrices), inp.q)
+
+
+def _psi(cols: Sequence[IntVec], q: DeformationVector) -> ConeFunction:
+    """psi_cdg on the first columns of matrices already known invertible."""
     colmat = linalg.transpose(cols)
     d = linalg.det(colmat)
     if d == 0:
         return ConeFunction.zero()
     sign = 1 if d > 0 else -1
-    return deformed_cone_decompose(cols, inp.q).scale(sign)
+    return deformed_cone_decompose(cols, q).scale(sign)
 
 
 def phi(f: TestFunction, inp: CocycleInput) -> PseudoMeasure:
@@ -101,15 +107,17 @@ def phi(f: TestFunction, inp: CocycleInput) -> PseudoMeasure:
 def _alternating_sum(
     f: TestFunction, matrices: Sequence, q: Sequence, corrupt_sign: bool = False
 ) -> PseudoMeasure:
-    total = pm_zero()
-    for i in range(len(matrices)):
-        sub = tuple(matrices[j] for j in range(len(matrices)) if j != i)
-        term = phi(f, CocycleInput(sub, q))
+    # each matrix is checked once; phi of every n-subset then runs on columns
+    cols = _first_columns(_invertible(matrices))
+    q = tuple(Fraction(x) for x in q)
+    terms = []
+    for i in range(len(cols)):
         coeff = (-1) ** i
         if corrupt_sign and i == 0:
             coeff = -coeff
-        total = pm_add(total, pm_scale(term, coeff))
-    return total
+        terms.append((coeff, pair_cone_function(_psi(cols[:i] + cols[i + 1:], q), f)))
+    # pm_sum of pm_sums: a zero phi's own denominator stays out of the total
+    return pm_sum(terms)
 
 
 def verify_cocycle(
@@ -157,18 +165,15 @@ def verify_equivariance(
     for a stabilizing g."""
     if not stabilizes(f, g):
         raise NotStabilizer("g does not stabilize the step function")
+    # inp's matrices are invertible and stabilizes checked det g = 1, so
+    # the first columns of the g a_i are the g-images of those of the a_i
     gm = linalg.int_mat(g)
-    left = phi(
-        f,
-        CocycleInput(
-            tuple(linalg.mat_mul(gm, m) for m in inp.matrices),
-            inp.q,
-        ),
-    )
+    cols = _first_columns(inp.matrices)
+    left = pair_cone_function(_psi([linalg.mat_vec(gm, c) for c in cols], inp.q), f)
     # g^-1 q = adj q / d with d > 0
     adj, d = linalg.adjugate(gm)
     pulled_q = tuple(Fraction(x, d) for x in linalg.mat_vec(adj, inp.q))
-    right = act_pm(gm, phi(f, CocycleInput(inp.matrices, pulled_q)))
+    right = act_pm(gm, pair_cone_function(_psi(cols, pulled_q), f))
     return pm_eq(left, right)
 
 

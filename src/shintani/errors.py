@@ -14,7 +14,8 @@ class DependentInput(ShintaniError):
 
 
 class CellTooLarge(ShintaniError):
-    """A pairing cell has more than solomon_hu.CELL_POINT_BUDGET points."""
+    """A pairing cell, or the residue walk of check_vh or of the step
+    function action, would visit more than CELL_POINT_BUDGET points."""
 
 
 class ZeroDirection(ShintaniError):

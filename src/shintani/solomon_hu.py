@@ -8,8 +8,9 @@ integral domain. A pseudo-measure is an unreduced fraction
 
     numerator / prod_u (1 - delta_u)
 
-with nonzero lattice vectors u; equality is decided by cross-multiplication,
-which is sound in an integral domain, so no canonical form is ever computed.
+with nonzero lattice vectors u; sums are taken over the least common
+denominator, and equality is a zero difference, which is sound in an
+integral domain, so no canonical form is ever computed.
 
 Pairing an open cone with a step function of level M scales the generators
 positively to primitive vectors, multiplies by M to obtain periods, and sums
@@ -25,13 +26,13 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, prod
 from operator import add, mul
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .cones import ConeFunction, OpenCone
 from .errors import CellTooLarge, DependentInput, NotUnimodular, SchemaError
 from .linalg import IntVec
-from .testfunctions import TestFunction
+from .testfunctions import CELL_POINT_BUDGET, TestFunction
 
 
 class GroupAlgebraElement:
@@ -163,59 +164,59 @@ def pm_zero() -> PseudoMeasure:
     return PseudoMeasure(GroupAlgebraElement.zero(), ())
 
 
-def _lcm_denominator(
-    a: tuple[IntVec, ...], b: tuple[IntVec, ...]
-) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tuple[IntVec, ...]]:
-    """Least common multiset of denominator factors.
+def _accumulate(terms: list) -> tuple[dict, tuple[IntVec, ...], int]:
+    """The numerator of sum c * a over the least common denominator of the
+    nonzero summands, that denominator, and the length of the last proper
+    prefix of the terms that sums to zero."""
+    live = [(c, a) for c, a in terms if c and a.num]
+    most: dict[IntVec, int] = {}
+    for _c, a in live:
+        for u in set(a.den):
+            most[u] = max(most.get(u, 0), a.den.count(u))
+    union = tuple(u for u in sorted(most) for _ in range(most[u]))
+    out: dict[IntVec, int | Fraction] = {}
+    start, zero = 0, True
+    for i, (c, a) in enumerate(terms):
+        if c and a.num:
+            missing = [u for u, m in most.items() for _ in range(m - a.den.count(u))]
+            if missing:  # shift-subtract once by the factors a lacks
+                n = len(next(iter(a.num.terms)))
+                shifts = [(w, c * x) for w, x in denominator_product(missing, n).terms.items()]
+                for v, x in a.num.terms.items():
+                    for w, cw in shifts:
+                        key = tuple(map(add, v, w))
+                        out[key] = out.get(key, 0) + cw * x
+            else:
+                for v, x in a.num.terms.items():
+                    out[v] = out.get(v, 0) + c * x
+            zero = not any(out.values())
+        if zero and i + 1 < len(terms):
+            start = i + 1
+    return out, union, start
 
-    Returns (union, extra_for_a, extra_for_b). Sharing factors keeps the
-    cross-multiplied numerators small when many summands use the same
-    periods, which is the normal case for pairings of faces of one cone.
+
+def pm_sum(terms: Iterable[tuple[int | Fraction, PseudoMeasure]]) -> PseudoMeasure:
+    """Sum of c * a over the pairs (c, a), each numerator shifted once by
+    the denominator factors it lacks. As in the left fold of pairwise sums
+    from zero, which takes over the next summand whenever the running sum
+    is zero and skips a zero summand otherwise, the denominator is the union
+    (largest multiplicity per factor) of the nonzero summands after the last
+    proper prefix that sums to zero; a zero summand alone after it is the sum.
     """
-    count_a: dict[IntVec, int] = {}
-    count_b: dict[IntVec, int] = {}
-    for u in a:
-        count_a[u] = count_a.get(u, 0) + 1
-    for u in b:
-        count_b[u] = count_b.get(u, 0) + 1
-    union: list[IntVec] = []
-    extra_a: list[IntVec] = []
-    extra_b: list[IntVec] = []
-    for u in sorted(set(count_a) | set(count_b)):
-        ca, cb = count_a.get(u, 0), count_b.get(u, 0)
-        m = max(ca, cb)
-        union.extend([u] * m)
-        extra_a.extend([u] * (m - ca))
-        extra_b.extend([u] * (m - cb))
-    return tuple(union), tuple(extra_a), tuple(extra_b)
-
-
-def pm_add(a: PseudoMeasure, b: PseudoMeasure) -> PseudoMeasure:
-    if not a.num:
-        return b
-    if not b.num:
-        return a
-    n = a.dim
-    union, extra_a, extra_b = _lcm_denominator(a.den, b.den)
-    num = a.num * denominator_product(extra_a, n) + b.num * denominator_product(extra_b, n)
-    return PseudoMeasure(num, union)
-
-
-def pm_scale(a: PseudoMeasure, c) -> PseudoMeasure:
-    return PseudoMeasure(a.num.scale(c), a.den)
+    terms = list(terms) or [(1, pm_zero())]  # the empty sum is zero
+    out, union, start = _accumulate(terms)
+    c, a = terms[start]
+    if not (c and a.num):
+        return PseudoMeasure(GroupAlgebraElement.zero(), a.den)
+    if start:
+        out, union, _start = _accumulate(terms[start:])
+    return PseudoMeasure(GroupAlgebraElement._of(out), union)
 
 
 def pm_eq(a: PseudoMeasure, b: PseudoMeasure) -> bool:
-    """Equality in the localization, by cross-multiplication with the
-    factors the denominators do not share (cancelling the shared ones is
-    sound in an integral domain)."""
-    if not a.num and not b.num:
-        return True
-    if not a.num or not b.num:
-        return False
-    n = a.dim
-    _union, extra_a, extra_b = _lcm_denominator(a.den, b.den)
-    return a.num * denominator_product(extra_a, n) == b.num * denominator_product(extra_b, n)
+    """Equality in the localization: a - b has a zero numerator, which is
+    sound since the denominators are nonzero in an integral domain."""
+    return not pm_sum(((1, a), (-1, b))).num
 
 
 def pm_is_integer_constant(a: PseudoMeasure) -> int | None:
@@ -242,9 +243,6 @@ def act_pm(g: Sequence[Sequence[int]], a: PseudoMeasure) -> PseudoMeasure:
     num = a.num.map_exponents(lambda v: linalg.mat_vec(gm, v))
     den = tuple(tuple(int(x) for x in linalg.mat_vec(gm, u)) for u in a.den)
     return PseudoMeasure(num, den)
-
-
-CELL_POINT_BUDGET = 10**6  # most integer points a pairing cell may have
 
 
 def enumerate_fundamental_domain(ws: Sequence[Sequence[int]], n: int) -> list[IntVec]:
@@ -322,10 +320,7 @@ def _pair_cell(prims: frozenset[IntVec], f: TestFunction) -> PseudoMeasure:
 
 
 def pair_cone_function(k: ConeFunction, f: TestFunction) -> PseudoMeasure:
-    out = pm_zero()
-    for coeff, cone in k.terms:
-        out = pm_add(out, pm_scale(pair_open_cone(cone, f), coeff))
-    return out
+    return pm_sum([(coeff, pair_open_cone(cone, f)) for coeff, cone in k.terms])
 
 
 def pm_to_json(a: PseudoMeasure) -> dict:

@@ -28,8 +28,11 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from . import linalg
-from .errors import NotUnimodular, SchemaError
+from .errors import CellTooLarge, NotUnimodular, SchemaError
 from .linalg import IntMat, IntVec
+
+# most integer points a pairing cell, or residues a walk over (Z/M)^n, may have
+CELL_POINT_BUDGET = 10**6
 
 
 def _is_prime(p: int) -> bool:
@@ -98,10 +101,13 @@ def act(f: TestFunction, g: Sequence[Sequence[int]]) -> TestFunction:
     The action factors through reduction mod M, so the new table is a
     permutation-with-multiplicity pullback of the old one.
     """
+    ctx = f.ctx
+    if ctx.M ** ctx.n > CELL_POINT_BUDGET:
+        raise CellTooLarge(f"the action on a step function of level {ctx.M} in dimension "
+                           f"{ctx.n} reads {ctx.M ** ctx.n} residues, more than {CELL_POINT_BUDGET}")
     gm = linalg.int_mat(g)
     if linalg.det(gm) != 1:
         raise NotUnimodular("action requires determinant 1")
-    ctx = f.ctx
     table = {}
     for x in product(range(ctx.M), repeat=ctx.n):
         val = f.value_at(linalg.mat_vec(gm, x))
@@ -123,10 +129,15 @@ def check_vh(f: TestFunction, v: Sequence) -> bool:
     (Z/M)^n, where the slice through w covers the orbit of w under
     translation by s, each point M / (orbit size) times. So the hypothesis
     holds iff f sums to zero over every orbit; only orbits meeting the
-    support of f are walked, at most M^n points in all.
+    support of f are walked, each of M points, at most M^n points in all;
+    past CELL_POINT_BUDGET that count is refused (CellTooLarge) unwalked.
     """
-    s = linalg.primitive_vector(v)
     M = f.ctx.M
+    count = min(M ** f.ctx.n, len(f.values) * M)
+    if count > CELL_POINT_BUDGET:
+        raise CellTooLarge(f"the vanishing-hypothesis walk of a step function of level {M} "
+                           f"visits {count} residues, more than {CELL_POINT_BUDGET}")
+    s = linalg.primitive_vector(v)
     seen: set[IntVec] = set()
     for w in f.values:
         total = 0

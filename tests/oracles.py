@@ -26,6 +26,7 @@ from shintani.errors import (
     SingularMatrix,
     ZeroDirection,
 )
+from shintani.linalg import IntVec
 from shintani.solomon_hu import GroupAlgebraElement, PseudoMeasure, pair_open_cone, pm_zero
 
 
@@ -338,6 +339,78 @@ def pm_mul(a: PseudoMeasure, b: PseudoMeasure) -> PseudoMeasure:
     if not a.num or not b.num:
         return pm_zero()
     return PseudoMeasure(a.num * b.num, a.den + b.den)
+
+
+# -- the pairwise pseudo-measure sum, the reference for solomon_hu.pm_sum ----
+# _lcm_denominator, pm_add and pm_eq are the library's code before pm_sum
+# replaced them (pm_eq renamed pm_eq_cross); denominator_product is rebuilt
+# here by group-algebra products, so the reference shares no shift code.
+
+
+def denominator_product(den, n: int) -> GroupAlgebraElement:
+    out = GroupAlgebraElement.one(n)
+    for u in den:
+        out = out * (GroupAlgebraElement.one(n) - GroupAlgebraElement.delta(u))
+    return out
+
+
+def _lcm_denominator(
+    a: tuple[IntVec, ...], b: tuple[IntVec, ...]
+) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """Least common multiset of denominator factors.
+
+    Returns (union, extra_for_a, extra_for_b). Sharing factors keeps the
+    cross-multiplied numerators small when many summands use the same
+    periods, which is the normal case for pairings of faces of one cone.
+    """
+    count_a: dict[IntVec, int] = {}
+    count_b: dict[IntVec, int] = {}
+    for u in a:
+        count_a[u] = count_a.get(u, 0) + 1
+    for u in b:
+        count_b[u] = count_b.get(u, 0) + 1
+    union: list[IntVec] = []
+    extra_a: list[IntVec] = []
+    extra_b: list[IntVec] = []
+    for u in sorted(set(count_a) | set(count_b)):
+        ca, cb = count_a.get(u, 0), count_b.get(u, 0)
+        m = max(ca, cb)
+        union.extend([u] * m)
+        extra_a.extend([u] * (m - ca))
+        extra_b.extend([u] * (m - cb))
+    return tuple(union), tuple(extra_a), tuple(extra_b)
+
+
+def pm_add(a: PseudoMeasure, b: PseudoMeasure) -> PseudoMeasure:
+    if not a.num:
+        return b
+    if not b.num:
+        return a
+    n = a.dim
+    union, extra_a, extra_b = _lcm_denominator(a.den, b.den)
+    num = a.num * denominator_product(extra_a, n) + b.num * denominator_product(extra_b, n)
+    return PseudoMeasure(num, union)
+
+
+def pm_eq_cross(a: PseudoMeasure, b: PseudoMeasure) -> bool:
+    """Equality in the localization, by cross-multiplication with the
+    factors the denominators do not share (cancelling the shared ones is
+    sound in an integral domain)."""
+    if not a.num and not b.num:
+        return True
+    if not a.num or not b.num:
+        return False
+    n = a.dim
+    _union, extra_a, extra_b = _lcm_denominator(a.den, b.den)
+    return a.num * denominator_product(extra_a, n) == b.num * denominator_product(extra_b, n)
+
+
+def pm_fold(terms) -> PseudoMeasure:
+    """pm_add(...pm_add(pm_zero(), c_1 a_1)..., c_k a_k) over the (c, a) pairs."""
+    out = pm_zero()
+    for c, a in terms:
+        out = pm_add(out, PseudoMeasure(a.num.scale(c), a.den))
+    return out
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,9 @@ from shintani.errors import NonGenericDeformation, VHFailsForE1
 from shintani.solomon_hu import (
     pair_cone_function,
     pair_open_cone,
-    pm_add,
     pm_eq,
     pm_is_integer_constant,
+    pm_sum,
     PseudoMeasure,
     GroupAlgebraElement,
 )
@@ -183,10 +183,10 @@ def test_criterion_3_slice_identity():
 @_report(4, "wedge annihilation: pairings of wedges are integer constants")
 def test_criterion_4_wedge_annihilation():
     # the exact rank-one identity first
-    two_rays = pm_add(
-        PseudoMeasure(GroupAlgebraElement.one(1), ((3,),)),
-        PseudoMeasure(GroupAlgebraElement.one(1), ((-3,),)),
-    )
+    two_rays = pm_sum([
+        (1, PseudoMeasure(GroupAlgebraElement.one(1), ((3,),))),
+        (1, PseudoMeasure(GroupAlgebraElement.one(1), ((-3,),))),
+    ])
     assert pm_eq(two_rays, pm_constant(1, 1))
     rng = random.Random(404)
     instances = 0

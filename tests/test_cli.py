@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +138,26 @@ def test_pair_refuses_a_cell_over_the_point_budget(tmp_path, capsys, M, generato
     code, out = run(capsys, "--command", "pair", "--input", path)
     assert code == 0
     assert [t["vector"] for t in json.loads(out)["numerator"]] == [[1, BIG], [3, 3 * BIG]]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("vh", {"rays": [["1", "0"]]}),
+    ("moments", {"cone": {"generators": [["1", "0"], ["0", "1"]]}}),
+])
+def test_a_huge_level_is_refused_before_the_vh_walk(tmp_path, command, extra):
+    # the vanishing-hypothesis walk would visit M residues per support
+    # residue; over the budget both commands exit 2 at once, with a one-line
+    # error naming the predicted count (a separate process, so a walk that
+    # did start is caught by the timeout instead of holding the suite)
+    tf = {"n": 2, "p": 3, "M": BIG, "terms": [{"residue": [1, 0], "weight": 1}]}
+    path = write(tmp_path, "in.json", {"test_function": tf, **extra})
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "shintani.cli", "--command", command,
+                           "--input", path], capture_output=True, text=True, timeout=20, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: the vanishing-hypothesis walk of a step function of "
+                           f"level {BIG} visits {BIG} residues, more than 1000000\n")
 
 
 @pytest.mark.parametrize("command, payload, what", [

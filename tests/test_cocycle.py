@@ -99,6 +99,19 @@ def test_phi_zero_and_sign():
         phi(f, CocycleInput((((F(1, 2), F(0)), (F(0), F(2))), I2), Q_GOOD))
 
 
+def test_singular_matrices_are_refused():
+    singular = ((1, 2), (2, 4))
+    with pytest.raises(ValueError, match="must be invertible"):
+        CocycleInput((singular, I2), Q_GOOD)
+    # the cocycle harness checks each matrix of its tuple once, up front
+    f = balanced_f(LatticeContext(2, 3, 4))
+    for i in range(3):
+        mats = [I2, ROT, I2]
+        mats[i] = singular
+        with pytest.raises(ValueError, match="must be invertible"):
+            verify_cocycle(f, tuple(mats), Q_GOOD)
+
+
 def test_verify_cocycle_explicit():
     ctx = LatticeContext(2, 3, 4)
     f = balanced_f(ctx)

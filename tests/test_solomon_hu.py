@@ -13,9 +13,9 @@ from shintani.solomon_hu import (
     enumerate_fundamental_domain,
     pair_cone_function,
     pair_open_cone,
-    pm_add,
     pm_eq,
     pm_is_integer_constant,
+    pm_sum,
     pm_to_json,
     pm_from_json,
     pm_zero,
@@ -52,10 +52,10 @@ def test_group_algebra_ring_axioms():
 
 def test_pm_add_examples():
     a = PM(d(1), ((2,),))
-    assert pm_eq(pm_add(a, pm_zero()), a)
+    assert pm_eq(pm_sum([(1, a), (1, pm_zero())]), a)
     prod = pm_mul(a, PM(GA.one(1) - d(2), ()))
     assert pm_eq(prod, PM(d(1), ()))
-    two_rays = pm_add(PM(GA.one(1), ((2,),)), PM(GA.one(1), ((-2,),)))
+    two_rays = pm_sum([(1, PM(GA.one(1), ((2,),))), (1, PM(GA.one(1), ((-2,),)))])
     assert pm_eq(two_rays, pm_constant(1, 1))
 
 
@@ -66,11 +66,62 @@ def test_pm_eq_examples():
     assert pm_eq(a, a)
 
 
+def _random_pm(rng, n, pool):
+    """A pseudo-measure over factors drawn with repetition from pool, with a
+    zero numerator now and then."""
+    den = tuple(rng.choice(pool) for _ in range(rng.randint(0, 3)))
+    if rng.random() < 0.15:
+        return pm_zero() if rng.random() < 0.5 else PM(GA.zero(), den or (pool[0],))
+    num = GA({tuple(rng.randint(-2, 2) for _ in range(n)): rng.choice((1, -1, 2, F(1, 2)))
+              for _ in range(rng.randint(1, 4))})
+    return PM(num, den)
+
+
+def _same_value(rng, a, pool):
+    """a written over one more denominator factor."""
+    if not a.num:
+        return a
+    u = rng.choice(pool)
+    return PM(a.num * (GA.one(len(u)) - GA.delta(u)), a.den + (u,))
+
+
+def test_pm_sum_matches_the_pairwise_fold():
+    # pm_sum must print exactly what the left fold of pm_add prints, down to
+    # the fold's denominator after a prefix that sums to zero
+    rng = random.Random(2027)
+    coeffs = (1, -1, 2, -3, 0, F(1, 2), F(-3, 4))
+    cases = 0
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        pool = [v for v in (tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(3)) if any(v)]
+        pool = pool or [(1,) * n]
+        pms = [_random_pm(rng, n, pool) for _ in range(rng.randint(1, 5))]
+        a, b = pms[0], pms[-1]
+        lists = [
+            [(rng.choice(coeffs), x) for x in pms],
+            [(1, a), (-1, a), (1, b)],
+            [(1, a), (-1, _same_value(rng, a, pool)), (1, b)],
+            [(1, a), (-1, a)],
+            [(F(1, 2), a), (F(-1, 2), a), (2, b), (-2, b)],
+            [(1, a), (-1, a), (1, pm_zero())],
+            [(1, a), (-1, a), (1, PM(GA.zero(), (pool[-1],)))],
+            [(1, pm_zero()), (3, b), (0, a)],
+            [(0, a)],
+            [],
+        ]
+        for terms in lists:
+            assert pm_to_json(pm_sum(terms)) == pm_to_json(oracles.pm_fold(terms)), terms
+            cases += 1
+        for x, y in ((a, b), (a, a), (a, _same_value(rng, a, pool)), (a, pm_zero())):
+            assert pm_eq(x, y) == oracles.pm_eq_cross(x, y) == (not oracles.pm_fold([(1, x), (-1, y)]).num)
+    assert cases == 3000
+
+
 def test_pm_is_integer_constant():
     assert pm_is_integer_constant(pm_zero()) == 0
     assert pm_is_integer_constant(pm_constant(1, 2)) == 2
-    ray_sum = pm_add(
-        pm_add(PM(d(1), ((1,),)), PM(d(-1), ((-1,),))), pm_constant(1, 1)
+    ray_sum = pm_sum(
+        [(1, PM(d(1), ((1,),))), (1, PM(d(-1), ((-1,),))), (1, pm_constant(1, 1))]
     )
     assert pm_is_integer_constant(ray_sum) == 0
     assert pm_is_integer_constant(PM(d(1), ((2,),))) is None
@@ -204,7 +255,7 @@ def test_pair_cone_function_linearity_and_wedges():
         k1 = ConeFunction.of(OpenCone(((F(1), F(0)), (F(0), F(1)))))
         k2 = ConeFunction.of(OpenCone(((F(1), F(1)),)), rng.randint(-2, 2))
         lhs = pair_cone_function(k1 + k2, f)
-        rhs = pm_add(pair_cone_function(k1, f), pair_cone_function(k2, f))
+        rhs = pm_sum([(1, pair_cone_function(k1, f)), (1, pair_cone_function(k2, f))])
         assert pm_eq(lhs, rhs)
 
 

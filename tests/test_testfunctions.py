@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from shintani import linalg
-from shintani.errors import NotUnimodular, SchemaError, ZeroDirection
+from shintani.errors import CellTooLarge, NotUnimodular, SchemaError, ZeroDirection
 from shintani.testfunctions import (
     LatticeContext,
     TestFunction,
@@ -91,6 +91,21 @@ def test_check_vh_examples():
     assert not check_vh(f2, (0, 1))
     # positive rescaling of the ray does not change the verdict
     assert check_vh(f2, (F(1, 2), F(0)))
+
+
+def test_walks_over_the_budget_are_refused_before_they_start():
+    # check_vh visits at most min(M^n, |support| * M) residues and act reads
+    # M^n; past CELL_POINT_BUDGET = 10**6 both refuse, naming the count
+    big = TestFunction(LatticeContext(1, 3, 10**6 + 1), {(1,): 1})
+    with pytest.raises(CellTooLarge, match="visits 1000001 residues, more than 1000000"):
+        check_vh(big, (1,))
+    # two support residues at M = 2000, n = 2: 4000 points, not M^n = 4 * 10**6
+    sparse = TestFunction(LatticeContext(2, 3, 2000), {(1, 0): 1, (2, 0): -1})
+    assert check_vh(sparse, (1, 0)) and not check_vh(sparse, (0, 1))
+    with pytest.raises(CellTooLarge, match="reads 4000000 residues, more than 1000000"):
+        act(sparse, linalg.identity(2))
+    with pytest.raises(CellTooLarge, match="reads 1002001 residues"):
+        act(TestFunction(LatticeContext(2, 3, 1001), {}), linalg.identity(2))
 
 
 def test_check_vh_matches_the_slice_loop():
