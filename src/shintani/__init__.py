@@ -35,7 +35,6 @@ from .solomon_hu import (
 from .testfunctions import (
     LatticeContext,
     TestFunction,
-    act,
     check_vh,
     random_congruence_element,
     stabilizes,

@@ -27,7 +27,7 @@ from .cones import OpenCone
 from .errors import NonUnitDenominator, NotAMeasure
 from .linalg import IntVec
 from .solomon_hu import PseudoMeasure
-from .testfunctions import TestFunction, check_vh
+from .testfunctions import TestFunction, _fibres_vanish, check_vh
 
 
 def extend_denominator_basis(a: PseudoMeasure, n: int) -> list[IntVec]:
@@ -66,14 +66,8 @@ def is_measure_amice(a: PseudoMeasure, p: int) -> bool:
     h = linalg.coset_lattice(cols, p)
     adj, _d = linalg.adjugate(cols)
     keyed = [(linalg._coset_rep(h, v), linalg.mat_vec(adj, v), c) for v, c in a.num.terms.items()]
-    for i in range(len(a.den)):
-        sums: dict[tuple, int | Fraction] = {}
-        for rep, y, c in keyed:
-            key = rep, y[:i] + y[i + 1:]
-            sums[key] = sums.get(key, 0) + c
-        if any(sums.values()):
-            return False
-    return True
+    return all(_fibres_vanish(((rep, y[:i] + y[i + 1:]), c) for rep, y, c in keyed)
+               for i in range(len(a.den)))
 
 
 def _bernoulli(k: int) -> list[Fraction]:

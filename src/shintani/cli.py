@@ -13,8 +13,8 @@ Commands (selected with --command):
 
 All randomness flows from --seed; reports are byte-identical across runs
 with the same configuration. Exit codes: 0 ok, 2 malformed input, a bad
-flag value or a cell or residue walk over the point budget, 3 dependent
-input vectors, 4 not a measure, 6 a verification trial failed.
+flag value or a pairing cell over the point budget, 3 dependent input
+vectors, 4 not a measure, 6 a verification trial failed.
 
 Rationals are serialized as decimal strings ("3/4"); p-adic scalars as
 "p^v*u" with valuation v and unit u, or "0".
@@ -101,7 +101,7 @@ def _parse_cone_function(data: dict, n: int) -> ConeFunction:
         terms = []
         for term in data["cone_function"]:
             gens = [_parse_vector(g, "generator", n) for g in term["generators"]]
-            terms.append((int(term.get("coefficient", 1)), OpenCone(tuple(gens))))
+            terms.append((testfunctions._as_int(term.get("coefficient", 1)), OpenCone(tuple(gens))))
         return ConeFunction(tuple(terms))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad cone JSON: {exc}") from exc

@@ -14,8 +14,7 @@ class DependentInput(ShintaniError):
 
 
 class CellTooLarge(ShintaniError):
-    """A pairing cell, or the residue walk of check_vh or of the step
-    function action, would visit more than CELL_POINT_BUDGET points."""
+    """A pairing cell would have more than CELL_POINT_BUDGET points."""
 
 
 class ZeroDirection(ShintaniError):

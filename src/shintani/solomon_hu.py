@@ -32,7 +32,10 @@ from . import linalg
 from .cones import ConeFunction, OpenCone
 from .errors import CellTooLarge, DependentInput, NotUnimodular, SchemaError
 from .linalg import IntVec
-from .testfunctions import CELL_POINT_BUDGET, TestFunction
+from .testfunctions import TestFunction, _as_int
+
+# most integer points a pairing cell may have
+CELL_POINT_BUDGET = 10**6
 
 
 class GroupAlgebraElement:
@@ -337,9 +340,9 @@ def pm_from_json(data: dict) -> PseudoMeasure:
     try:
         num: dict[IntVec, Fraction] = {}
         for term in data["numerator"]:
-            v = tuple(int(x) for x in term["vector"])
+            v = tuple(_as_int(x) for x in term["vector"])
             num[v] = num.get(v, Fraction(0)) + Fraction(term["coeff"])
-        den = tuple(tuple(int(x) for x in u) for u in data["denominator"])
+        den = tuple(tuple(_as_int(x) for x in u) for u in data["denominator"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad pseudo-measure JSON: {exc}") from exc
     if len({len(v) for v in num} | {len(u) for u in den}) > 1:

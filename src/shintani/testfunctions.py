@@ -23,16 +23,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from fractions import Fraction
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import linalg
-from .errors import CellTooLarge, NotUnimodular, SchemaError
+from .errors import NotUnimodular, SchemaError
 from .linalg import IntMat, IntVec
-
-# most integer points a pairing cell, or residues a walk over (Z/M)^n, may have
-CELL_POINT_BUDGET = 10**6
 
 
 def _is_prime(p: int) -> bool:
@@ -87,37 +84,31 @@ class TestFunction:
             self, "values", {k: v for k, v in sorted(table.items()) if v != 0}
         )
 
-    def value_at(self, v: Sequence[int]) -> int:
-        M = self.ctx.M
-        return self.values.get(tuple(int(x) % M for x in v), 0)
-
     def __bool__(self) -> bool:
         return bool(self.values)
 
 
-def act(f: TestFunction, g: Sequence[Sequence[int]]) -> TestFunction:
-    """Right action (f|g)(v) = f(g v) for g in SL_n(Z).
-
-    The action factors through reduction mod M, so the new table is a
-    permutation-with-multiplicity pullback of the old one.
-    """
-    ctx = f.ctx
-    if ctx.M ** ctx.n > CELL_POINT_BUDGET:
-        raise CellTooLarge(f"the action on a step function of level {ctx.M} in dimension "
-                           f"{ctx.n} reads {ctx.M ** ctx.n} residues, more than {CELL_POINT_BUDGET}")
-    gm = linalg.int_mat(g)
-    if linalg.det(gm) != 1:
-        raise NotUnimodular("action requires determinant 1")
-    table = {}
-    for x in product(range(ctx.M), repeat=ctx.n):
-        val = f.value_at(linalg.mat_vec(gm, x))
-        if val:
-            table[x] = val
-    return TestFunction(ctx, table)
+def _fibres_vanish(keyed: Iterable[tuple[Hashable, int | Fraction]]) -> bool:
+    """Whether the coefficients c of the (key, c) pairs sum to 0 per key."""
+    sums: dict = {}
+    for key, c in keyed:
+        sums[key] = sums.get(key, 0) + c
+    return not any(sums.values())
 
 
 def stabilizes(f: TestFunction, g: Sequence[Sequence[int]]) -> bool:
-    return act(f, g).values == f.values
+    """Whether f(g w) = f(w) for every w, for g in SL_n(Z).
+
+    g is a bijection mod M, so once f(g w) = f(w) on the support of f, g
+    maps the support onto itself and nothing else into it: only the
+    support is read.
+    """
+    gm = linalg.int_mat(g)
+    if linalg.det(gm) != 1:
+        raise NotUnimodular("action requires determinant 1")
+    M = f.ctx.M
+    return all(f.values.get(tuple(x % M for x in linalg.mat_vec(gm, w))) == c
+               for w, c in f.values.items())
 
 
 def check_vh(f: TestFunction, v: Sequence) -> bool:
@@ -128,26 +119,18 @@ def check_vh(f: TestFunction, v: Sequence) -> bool:
     reduction lemma in the module docstring the base point may run over
     (Z/M)^n, where the slice through w covers the orbit of w under
     translation by s, each point M / (orbit size) times. So the hypothesis
-    holds iff f sums to zero over every orbit; only orbits meeting the
-    support of f are walked, each of M points, at most M^n points in all;
-    past CELL_POINT_BUDGET that count is refused (CellTooLarge) unwalked.
+    holds iff f sums to zero over every orbit. Two residues share an orbit
+    iff w - w' lies in Zs + MZ^n, i.e. iff their 2x2 minors
+    w_i s_j - w_j s_i agree mod M: s is primitive, so for a complement b of
+    s the b ^ s are part of a basis of the second exterior power. The
+    support residues are grouped by their minors, and for n = 1 there are
+    none, so the test is the total sum.
     """
     M = f.ctx.M
-    count = min(M ** f.ctx.n, len(f.values) * M)
-    if count > CELL_POINT_BUDGET:
-        raise CellTooLarge(f"the vanishing-hypothesis walk of a step function of level {M} "
-                           f"visits {count} residues, more than {CELL_POINT_BUDGET}")
     s = linalg.primitive_vector(v)
-    seen: set[IntVec] = set()
-    for w in f.values:
-        total = 0
-        while w not in seen:
-            seen.add(w)
-            total += f.values.get(w, 0)
-            w = tuple((a + b) % M for a, b in zip(w, s))
-        if total:
-            return False
-    return True
+    pairs = [(i, j) for j in range(len(s)) for i in range(j)]
+    return _fibres_vanish((tuple((w[i] * s[j] - w[j] * s[i]) % M for i, j in pairs), c)
+                          for w, c in f.values.items())
 
 
 def random_congruence_element(ctx: LatticeContext, seed: int) -> IntMat:
@@ -175,18 +158,20 @@ def random_congruence_element(ctx: LatticeContext, seed: int) -> IntMat:
     return result
 
 
-def from_json(data: dict) -> TestFunction:
-    def as_int(x) -> int:
-        if isinstance(x, bool) or not isinstance(x, (int, str)):
-            raise ValueError(f"expected an integer, got {x!r}")
-        return int(x)
+def _as_int(x) -> int:
+    """A JSON integer or integer string; ValueError for a bool or a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
 
+
+def from_json(data: dict) -> TestFunction:
     try:
-        ctx = LatticeContext(n=as_int(data["n"]), p=as_int(data["p"]), M=as_int(data["M"]))
+        ctx = LatticeContext(n=_as_int(data["n"]), p=_as_int(data["p"]), M=_as_int(data["M"]))
         table: dict[IntVec, int] = {}
         for term in data.get("terms", []):
-            residue = tuple(as_int(x) for x in term["residue"])
-            table[residue] = table.get(residue, 0) + as_int(term["weight"])
+            residue = tuple(_as_int(x) for x in term["residue"])
+            table[residue] = table.get(residue, 0) + _as_int(term["weight"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad test-function JSON: {exc}") from exc
     return TestFunction(ctx, table)

@@ -3,11 +3,12 @@
 The oracles are deliberately naive (cofactor expansion, box scans, a
 Fraction solve, textbook recurrences) and share no code with the library
 paths they check. The helpers at the end were library code that only the
-tests called: cone membership and evaluation, the sign-twisted action on
-cone functions, the deformed-cone limit rule, small pseudo-measure and
-slice constructors, and the slice identity with its truncated
-q-expansion. They evaluate through the oracles' Fraction solve and call the
-library only for the objects they check.
+tests called: evaluation and the action of SL_n(Z) on step functions by
+full walks over (Z/M)^n, cone membership and evaluation, the sign-twisted
+action on cone functions, the deformed-cone limit rule, small
+pseudo-measure and slice constructors, and the slice identity with its
+truncated q-expansion. They evaluate through the oracles' Fraction solve
+and call the library only for the objects they check.
 """
 
 from __future__ import annotations
@@ -22,12 +23,14 @@ from shintani.cones import ConeFunction, OpenCone
 from shintani.errors import (
     DependentInput,
     NonGenericDeformation,
+    NotUnimodular,
     ShintaniError,
     SingularMatrix,
     ZeroDirection,
 )
 from shintani.linalg import IntVec
 from shintani.solomon_hu import GroupAlgebraElement, PseudoMeasure, pair_open_cone, pm_zero
+from shintani.testfunctions import TestFunction
 
 
 def det_cofactor(m) -> Fraction:
@@ -273,6 +276,28 @@ def inverse(m) -> list[list[Fraction]]:
     return [[inv_cols[j][i] for j in range(n)] for i in range(n)]
 
 
+# -- step functions, by full walks over (Z/M)^n -----------------------------
+
+
+def value_at(f, v) -> int:
+    """f at an integer vector, by reduction mod M."""
+    return f.values.get(tuple(int(x) % f.ctx.M for x in v), 0)
+
+
+def act(f, g) -> TestFunction:
+    """Right action (f|g)(v) = f(g v) for g in SL_n(Z): the pullback read
+    off every residue of (Z/M)^n, the reference for
+    testfunctions.stabilizes."""
+    if det_cofactor(g) != 1:
+        raise NotUnimodular("action requires determinant 1")
+    table = {}
+    for x in product(range(f.ctx.M), repeat=f.ctx.n):
+        val = value_at(f, [sum(a * b for a, b in zip(row, x)) for row in g])
+        if val:
+            table[x] = val
+    return TestFunction(f.ctx, table)
+
+
 # -- cone functions ---------------------------------------------------------
 
 
@@ -427,7 +452,7 @@ def line_slice(f, v, w) -> SliceFunction:
         raise ZeroDirection("slice direction must be nonzero")
     M = f.ctx.M
     vals = tuple(
-        f.value_at(tuple(int(w[j]) + t * int(v[j]) for j in range(f.ctx.n)))
+        value_at(f, tuple(int(w[j]) + t * int(v[j]) for j in range(f.ctx.n)))
         for t in range(M)
     )
     return SliceFunction(level=M, values=vals)

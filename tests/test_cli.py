@@ -140,24 +140,55 @@ def test_pair_refuses_a_cell_over_the_point_budget(tmp_path, capsys, M, generato
     assert [t["vector"] for t in json.loads(out)["numerator"]] == [[1, BIG], [3, 3 * BIG]]
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("vh", {"rays": [["1", "0"]]}),
-    ("moments", {"cone": {"generators": [["1", "0"], ["0", "1"]]}}),
-])
-def test_a_huge_level_is_refused_before_the_vh_walk(tmp_path, command, extra):
-    # the vanishing-hypothesis walk would visit M residues per support
-    # residue; over the budget both commands exit 2 at once, with a one-line
-    # error naming the predicted count (a separate process, so a walk that
-    # did start is caught by the timeout instead of holding the suite)
-    tf = {"n": 2, "p": 3, "M": BIG, "terms": [{"residue": [1, 0], "weight": 1}]}
-    path = write(tmp_path, "in.json", {"test_function": tf, **extra})
+TF_BIG_UNBALANCED = {"n": 2, "p": 3, "M": BIG, "terms": [{"residue": [1, 0], "weight": 1}]}
+TF_BIG_BALANCED = {"n": 2, "p": 3, "M": BIG, "terms": [
+    {"residue": r, "weight": w} for r, w in (([0, 0], 1), ([1, 0], -1), ([0, 1], -1), ([1, 1], 1))
+]}
+QUADRANT = {"cone": {"generators": [["1", "0"], ["0", "1"]]}}
+
+
+@pytest.mark.parametrize("command, payload, code, stdout, stderr", [
+    ("vh", {"test_function": TF_BIG_UNBALANCED, "rays": [["1", "0"]]}, 0,
+     '{\n  "1,0": false\n}\n', ""),
+    ("moments", {"test_function": TF_BIG_UNBALANCED, **QUADRANT}, 4,
+     "", "error: vanishing hypothesis fails on an extremal ray\n"),
+    ("moments", {"test_function": TF_BIG_BALANCED, **QUADRANT}, 2,
+     "", f"error: the cell of the generators [[0, {BIG}], [{BIG}, 0]] has {BIG**2} "
+         f"integer points, more than 1000000\n"),
+], ids=["vh", "moments-unbalanced", "moments-balanced"])
+def test_a_huge_level_is_decided_from_the_support(tmp_path, command, payload, code, stdout,
+                                                  stderr):
+    # the vanishing hypothesis reads only the support of f, so M = 10**30
+    # gets exact verdicts at once; only a pairing cell of M^2 points is
+    # refused (a separate process, so a walk that did start is caught by
+    # the timeout instead of holding the suite)
+    path = write(tmp_path, "in.json", payload)
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-m", "shintani.cli", "--command", command,
                            "--input", path], capture_output=True, text=True, timeout=20, env=env)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == (f"error: the vanishing-hypothesis walk of a step function of "
-                           f"level {BIG} visits {BIG} residues, more than 1000000\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
+
+
+@pytest.mark.parametrize("command, payload, bad", [
+    ("pair", {"test_function": TF_DIFF, "cone_function": [
+        {"coefficient": 2.5, "generators": [["1"]]}]},
+     "bad cone JSON: expected an integer, got 2.5"),
+    ("pair", {"test_function": TF_DIFF, "cone_function": [
+        {"coefficient": True, "generators": [["1"]]}]},
+     "bad cone JSON: expected an integer, got True"),
+    ("moments", {"numerator": [{"vector": [1.5], "coeff": "1"}], "denominator": [[4]]},
+     "bad pseudo-measure JSON: expected an integer, got 1.5"),
+    ("moments", {"numerator": [{"vector": [1], "coeff": "1"}], "denominator": [[4.0]]},
+     "bad pseudo-measure JSON: expected an integer, got 4.0"),
+], ids=["coefficient-float", "coefficient-bool", "vector", "denominator"])
+def test_non_integer_json_entries_are_malformed(tmp_path, capsys, command, payload, bad):
+    # integer fields take JSON integers or integer strings; a float or a
+    # bool is exit 2 naming it, not truncated or read as 1
+    path = write(tmp_path, "in.json", payload)
+    assert main(["--command", command, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}\n"
 
 
 @pytest.mark.parametrize("command, payload, what", [
@@ -535,7 +566,7 @@ def test_moments_with_a_negative_max_order_print_an_empty_table(tmp_path, capsys
 def _mutate(rng, value, depth=0):
     """value with one random node replaced, dropped or retyped."""
     junk = [None, True, 0, -1, 3, 2.5, "", "x", "1/0", "1/3", "-7", [], {}, [[]], ["1"], [0, 0],
-            {"vector": [1], "coeff": "1"}, 40]
+            {"vector": [1], "coeff": "1"}, 10**30]
     if depth > 3 or not isinstance(value, (dict, list)) or not value or rng.random() < 0.25:
         return rng.choice(junk)
     out = dict(value) if isinstance(value, dict) else list(value)
@@ -573,3 +604,35 @@ def test_moments_fuzz_sees_only_documented_exit_codes(tmp_path, capsys):
         assert code in {0, 2, 3, 4}, (argv, payload)
         codes.add(code)
     assert {0, 2, 4} <= codes
+
+
+@pytest.mark.parametrize("command, bases, extra, seen", [
+    ("vh", [{"test_function": TF_DIFF, "rays": [["1"], {"name": "back", "v": ["-2"]}]},
+            {"test_function": TF_BALANCED_2D, "rays": [["1", "0"], ["0", "1"], ["1", "1"]]}],
+     [], {0, 2}),
+    ("pair", [{"test_function": TF_DIFF, "cone": {"generators": [["1"]]}},
+              {"test_function": TF_BALANCED_2D, "cone_function": [
+                  {"coefficient": 1, "generators": [["1", "0"], ["1", "2"]]},
+                  {"coefficient": -1, "generators": [["1", "0"]]}]}],
+     [], {0, 2, 3}),
+    ("cocycle", [{"test_function": TF_DIFF},
+                 {"test_function": {"n": 2, "p": 3, "M": 2, "terms": [
+                     {"residue": [1, 0], "weight": 1}, {"residue": [0, 1], "weight": -1}]}}],
+     ["--trials", "1"], {0, 2}),
+], ids=["vh", "pair", "cocycle"])
+def test_fuzz_sees_only_documented_exit_codes(tmp_path, capsys, command, bases, extra, seen):
+    # seeded mutations of each command's input, as for moments: every run
+    # ends in a documented exit code and nothing escapes main
+    rng = random.Random(61)
+    codes = set()
+    for i in range(500):
+        payload = rng.choice(bases)
+        for _ in range(rng.randint(0, 2)):
+            payload = _mutate(rng, payload)
+        argv = ["--command", command, "--input", write(tmp_path, f"in{i}.json", payload),
+                "--seed", str(rng.randrange(100)), *extra]
+        code = main(argv)
+        capsys.readouterr()
+        assert code in {0, 2, 3, 4, 6}, (argv, payload)
+        codes.add(code)
+    assert seen <= codes, codes

@@ -5,18 +5,26 @@ from itertools import product
 import pytest
 
 from shintani import linalg
-from shintani.errors import CellTooLarge, NotUnimodular, SchemaError, ZeroDirection
+from shintani.errors import NotUnimodular, SchemaError, ZeroDirection
 from shintani.testfunctions import (
     LatticeContext,
     TestFunction,
-    act,
     check_vh,
     from_json,
     random_congruence_element,
     stabilizes,
 )
 
-from oracles import SliceFunction, haar, line_slice, rational_slice_haar, to_json, vh_by_slices
+from oracles import (
+    SliceFunction,
+    act,
+    haar,
+    line_slice,
+    rational_slice_haar,
+    to_json,
+    value_at,
+    vh_by_slices,
+)
 
 
 def ctx1(M=4, p=3):
@@ -35,8 +43,8 @@ def test_context_validation():
 def test_table_normalization():
     f = TestFunction(ctx1(), {(5,): 2, (1,): -2, (3,): 1})
     assert f.values == {(3,): 1}  # 5 = 1 mod 4 cancels
-    assert f.value_at((7,)) == 1
-    assert f.value_at((-1,)) == 1
+    assert value_at(f, (7,)) == 1
+    assert value_at(f, (-1,)) == 1
 
 
 def test_act_examples():
@@ -57,6 +65,46 @@ def test_stabilizes():
     rot = [[0, -1], [1, 0]]  # moves the support to (0, 1) mod 2
     assert not stabilizes(f, rot)
     assert act(f, rot).values == {(0, 1): 1}
+
+
+def test_stabilizes_matches_the_full_pullback():
+    # g is a congruence element, which fixes every f, or a random element
+    # of SL_n(Z); f is random, or a sum of indicator functions of orbits of
+    # g mod M, which g fixes
+    rng = random.Random(1307)
+    verdicts = {True: 0, False: 0}
+    for n, M in product((2, 3), (2, 3, 4, 5)):
+        ctx = LatticeContext(n, 7, M)
+        for trial in range(12):
+            if trial % 3 == 0:
+                g = random_congruence_element(ctx, rng.randrange(10**6))
+            else:
+                g = linalg.identity(n)
+                for _ in range(rng.randint(1, 4)):
+                    i, j = rng.sample(range(n), 2)
+                    elem = [list(row) for row in linalg.identity(n)]
+                    elem[i][j] = rng.randint(-3, 3)
+                    g = linalg.int_mat(linalg.mat_mul(g, elem))
+            seeds = {tuple(rng.randrange(M) for _ in range(n)): rng.choice((-2, -1, 1, 2))
+                     for _ in range(rng.randint(1, 3))}
+            table = {}
+            for r, c in seeds.items():
+                if trial % 2:
+                    table[r] = table.get(r, 0) + c
+                    continue
+                x = r
+                while True:
+                    table[x] = table.get(x, 0) + c
+                    x = tuple(a % M for a in linalg.mat_vec(g, x))
+                    if x == r:
+                        break
+            f = TestFunction(ctx, table)
+            expected = act(f, g).values == f.values
+            assert stabilizes(f, g) == expected, (n, M, g, table)
+            verdicts[expected] += 1
+    assert min(verdicts.values()) > 20, verdicts
+    with pytest.raises(NotUnimodular):
+        stabilizes(TestFunction(LatticeContext(2, 3, 4), {(1, 0): 1}), [[0, 1], [1, 0]])
 
 
 def test_line_slice_examples():
@@ -93,19 +141,45 @@ def test_check_vh_examples():
     assert check_vh(f2, (F(1, 2), F(0)))
 
 
-def test_walks_over_the_budget_are_refused_before_they_start():
-    # check_vh visits at most min(M^n, |support| * M) residues and act reads
-    # M^n; past CELL_POINT_BUDGET = 10**6 both refuse, naming the count
-    big = TestFunction(LatticeContext(1, 3, 10**6 + 1), {(1,): 1})
-    with pytest.raises(CellTooLarge, match="visits 1000001 residues, more than 1000000"):
-        check_vh(big, (1,))
-    # two support residues at M = 2000, n = 2: 4000 points, not M^n = 4 * 10**6
+def test_levels_past_the_old_walk_budget_get_exact_verdicts():
+    # both tests read only the support, so levels whose residue walks were
+    # once refused (over 10**6 residues) are decided exactly
+    big = LatticeContext(1, 3, 10**6 + 1)
+    assert not check_vh(TestFunction(big, {(1,): 1}), (1,))
+    assert check_vh(TestFunction(big, {(1,): 1, (10**6,): -1}), (1,))
+    # two support residues at M = 2000, n = 2, where M^n = 4 * 10**6
     sparse = TestFunction(LatticeContext(2, 3, 2000), {(1, 0): 1, (2, 0): -1})
     assert check_vh(sparse, (1, 0)) and not check_vh(sparse, (0, 1))
-    with pytest.raises(CellTooLarge, match="reads 4000000 residues, more than 1000000"):
-        act(sparse, linalg.identity(2))
-    with pytest.raises(CellTooLarge, match="reads 1002001 residues"):
-        act(TestFunction(LatticeContext(2, 3, 1001), {}), linalg.identity(2))
+    assert stabilizes(sparse, linalg.identity(2))
+    assert stabilizes(sparse, [[1, 2000], [0, 1]])
+    assert not stabilizes(sparse, [[0, -1], [1, 0]])
+    assert stabilizes(TestFunction(LatticeContext(2, 3, 1001), {}), linalg.identity(2))
+
+
+@pytest.mark.parametrize("M", [10**6 + 1, 10**30])
+def test_check_vh_at_huge_sparse_levels(M):
+    # f = delta_w - delta_{w + k s} telescopes along s, so the hypothesis
+    # holds on the ray of s; a ray t off that line, with every 2x2 minor of
+    # k s and t below M, puts the two residues on different slices, where
+    # f sums to 1 and -1; delta_w alone fails on every ray
+    rng = random.Random(M % 997)
+    checked = 0
+    for n in (1, 2, 3):
+        ctx = LatticeContext(n, 3, M)
+        while checked < 25 * n:
+            s, t = ([rng.randint(-3, 3) for _ in range(n)] for _ in range(2))
+            if not any(s) or not any(t):
+                continue
+            s = linalg.primitive_vector(s)
+            w = tuple(rng.randrange(M) for _ in range(n))
+            k = rng.randint(1, 5)
+            f = TestFunction(ctx, {w: 1, tuple(a + k * b for a, b in zip(w, s)): -1})
+            assert check_vh(f, s) and check_vh(f, [F(x, 2) for x in s])
+            assert check_vh(f, [-x for x in s])
+            assert not check_vh(TestFunction(ctx, {w: 1}), t)
+            if any(s[i] * t[j] != s[j] * t[i] for i in range(n) for j in range(i)):
+                assert not check_vh(f, t)
+            checked += 1
 
 
 def test_check_vh_matches_the_slice_loop():
