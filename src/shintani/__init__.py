@@ -5,7 +5,6 @@ verification."""
 from .amice import is_measure_amice, is_measure_vh, moment_table
 from .cocycle import (
     CocycleInput,
-    phi,
     psi_cdg,
     verify_cocycle,
     verify_equivariance,
@@ -15,9 +14,7 @@ from .cones import (
     ConeFunction,
     DeformationVector,
     OpenCone,
-    Wedge,
     deformed_cone_decompose,
-    wedge_decompose,
 )
 from .linalg import det
 from .padic import PadicScalar

@@ -183,15 +183,9 @@ def cmd_cocycle(args) -> tuple[dict, int]:
         trial_seed = args.seed * 65537 + t
         mats = cocycle.sample_congruence_tuple(ctx, ctx.n + 1, trial_seed)
         g = testfunctions.random_congruence_element(ctx, trial_seed ^ 0x5EED)
-
-        def one_trial(q):
-            ok_c = cocycle.verify_cocycle(f, mats, q, corrupt_sign=args.corrupt_sign)
-            ok_e = cocycle.verify_equivariance(
-                f, g, cocycle.CocycleInput(mats[: ctx.n], q)
-            )
-            return ok_c, ok_e
-
-        q, (ok_cocycle, ok_equiv) = cocycle.with_generic_q(one_trial, ctx.n, rng)
+        q = cocycle.sample_deformation(ctx.n, rng)
+        ok_cocycle = cocycle.verify_cocycle(f, mats, q, corrupt_sign=args.corrupt_sign)
+        ok_equiv = cocycle.verify_equivariance(f, g, cocycle.CocycleInput(mats[: ctx.n], q))
         record = {
             "index": t,
             "seed": trial_seed,
@@ -207,12 +201,9 @@ def cmd_cocycle(args) -> tuple[dict, int]:
         trials.append(record)
     e1 = tuple(1 if i == 0 else 0 for i in range(ctx.n))
     vh_e1 = testfunctions.check_vh(f, e1)
-    _q, measure_ok = cocycle.with_generic_q(
-        lambda q: cocycle.verify_measure_valued(
-            f, max(1, args.trials // 4), q, seed=args.seed, require_vh=False
-        ),
-        ctx.n,
-        rng,
+    measure_ok = cocycle.verify_measure_valued(
+        f, max(1, args.trials // 4), cocycle.sample_deformation(ctx.n, rng),
+        seed=args.seed, require_vh=False,
     )
     if vh_e1 and not measure_ok:
         all_pass = False

@@ -10,10 +10,14 @@ integer combinations of cone indicators, with the sign-twisted GL action
 A cone is unchanged by a positive rescaling of a generator, so a cone
 stores primitive integer generators.
 
-Deformed cones nudge a full-dimensional cone by an auxiliary direction q and
-pick out a specific pattern of closed faces; q is a rational stand-in for an
-irrational vector, so degeneracy is detected per query and reported as
-NonGenericDeformation rather than silently resolved.
+Deformed cones nudge a full-dimensional cone by an auxiliary direction and
+pick out a specific pattern of closed faces. The direction is
+q_eps = q + eps p_1 + eps^2 p_2 + ... + eps^n p_n for a rational q, an
+invertible integer frame P = [p_1 ... p_n] (the identity by default) and an
+infinitesimal eps > 0: no nonzero rational linear form vanishes on q_eps,
+so it stands in exactly for an irrational vector and every q gets a verdict
+(symbolic perturbation, Edelsbrunner and Muecke's "simulation of
+simplicity"). A q off every face hyperplane never reads the frame.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import linalg
-from .errors import DependentInput, NonGenericDeformation, ZeroDirection
+from .errors import DependentInput, SingularMatrix, ZeroDirection
 from .linalg import IntVec
 
 DeformationVector = tuple[Fraction, ...]
@@ -73,15 +77,6 @@ class ConeFunction:
         cleaned = tuple((c, cone) for cone, c in merged.items() if c != 0)
         object.__setattr__(self, "terms", cleaned)
 
-    def __add__(self, other: "ConeFunction") -> "ConeFunction":
-        return ConeFunction(self.terms + other.terms)
-
-    def __neg__(self) -> "ConeFunction":
-        return ConeFunction(tuple((-c, cone) for c, cone in self.terms))
-
-    def __sub__(self, other: "ConeFunction") -> "ConeFunction":
-        return self + (-other)
-
     def scale(self, c: int) -> "ConeFunction":
         return ConeFunction(tuple((c * coeff, cone) for coeff, cone in self.terms))
 
@@ -94,29 +89,21 @@ class ConeFunction:
         return ConeFunction(((coeff, cone),))
 
 
-@dataclass(frozen=True)
-class Wedge:
-    """Cone with the first generator's ray doubled to a full line:
-    R*v_1 + R_+*v_2 + ... + R_+*v_n."""
+def deformed_cone_decompose(
+    gens: Sequence[Sequence], q: Sequence, frame: Sequence[Sequence[int]] | None = None
+) -> ConeFunction:
+    """Write the q_eps-deformed full-dimensional cone as a sum of open faces,
+    with q_eps = q + eps p_1 + ... + eps^n p_n for the columns p_k of the
+    invertible integer frame (the identity when None).
 
-    generators: tuple[IntVec, ...]
-
-    def __post_init__(self):
-        gens = self.generators
-        if not gens or len(gens) != len(gens[0]):
-            raise DependentInput("a wedge needs n independent generators")
-        object.__setattr__(self, "generators", OpenCone(tuple(gens)).generators)
-
-
-def deformed_cone_decompose(gens: Sequence[Sequence], q: Sequence) -> ConeFunction:
-    """Write the q-deformed full-dimensional cone as a sum of open faces.
-
-    The nudged point w + eps*q lies in the open cone for all small eps > 0
-    iff every coordinate of w in the generator basis has a_i > 0, or a_i = 0
-    and b_i > 0, where b = coords of q. So a face C(v_i : i in S) is
-    included exactly when every omitted index j has b_j > 0. Only the signs
-    of b matter, and they are those of adj * (s q) for the primitive
-    generators and the integer multiple s q of q.
+    The nudged point w + delta*q_eps lies in the open cone for all small
+    delta > 0 iff every coordinate of w in the generator basis has a_i > 0,
+    or a_i = 0 and b_i > 0, where b = coords of q_eps. So a face
+    C(v_i : i in S) is included exactly when every omitted index j has
+    b_j > 0. The sign b_j is that of the first nonzero entry of row j of
+    adj * [s q | P], for the primitive generators and the integer multiple
+    s q of q; adj * P is nonsingular, so that entry exists, and the frame
+    is read only when adj * (s q) has a zero entry.
     """
     prims = OpenCone(tuple(gens)).generators
     n = len(prims[0])
@@ -124,10 +111,11 @@ def deformed_cone_decompose(gens: Sequence[Sequence], q: Sequence) -> ConeFuncti
         raise DependentInput("deformed cones require n generators")
     adj, _d = linalg.adjugate(linalg.transpose(prims))
     b = linalg.mat_vec(adj, linalg.clear_denominators(q)[0])
-    if 0 in b:
-        raise NonGenericDeformation(
-            "deformation vector lies on a face hyperplane; re-sample q"
-        )
+    if 0 in b:  # q lies on a face hyperplane: the frame breaks the tie
+        tie = adj if frame is None else linalg.mat_mul(adj, frame)
+        b = [x or next((y for y in row if y), 0) for x, row in zip(b, tie)]
+        if 0 in b:
+            raise SingularMatrix("the deformation frame is singular")
     positive = [i for i in range(n) if b[i] > 0]
     required = tuple(i for i in range(n) if b[i] < 0)
     terms = []
@@ -136,17 +124,3 @@ def deformed_cone_decompose(gens: Sequence[Sequence], q: Sequence) -> ConeFuncti
             idx = sorted(required + extra)
             terms.append((1, OpenCone(tuple(prims[i] for i in idx))))
     return ConeFunction(tuple(terms))
-
-
-def wedge_decompose(w: Wedge) -> ConeFunction:
-    """Indicator of a wedge as a sum of three open cones, split by the sign
-    of the coordinate along the doubled first generator."""
-    gens = w.generators
-    v1 = gens[0]
-    return ConeFunction(
-        (
-            (1, OpenCone(gens)),
-            (1, OpenCone((tuple(-x for x in v1),) + gens[1:])),
-            (1, OpenCone(gens[1:])),
-        )
-    )

@@ -21,14 +21,6 @@ class ZeroDirection(ShintaniError):
     """A nonzero direction vector is required."""
 
 
-class NonGenericDeformation(ShintaniError):
-    """The rational deformation vector landed on a face hyperplane.
-
-    A truly irrational deformation vector never does; the caller should
-    re-sample and retry.
-    """
-
-
 class NotUnimodular(ShintaniError):
     """Integer matrix is not in SL_n(Z) where the action requires it."""
 

@@ -89,26 +89,6 @@ class GroupAlgebraElement:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        out = dict(self.terms)
-        for v, c in other.terms.items():
-            out[v] = out.get(v, 0) + c
-        return GroupAlgebraElement._of(out)
-
-    def __neg__(self) -> "GroupAlgebraElement":
-        return GroupAlgebraElement._of({v: -c for v, c in self.terms.items()})
-
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + (-other)
-
-    def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        out: dict[IntVec, int | Fraction] = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                key = tuple(map(add, u, v))
-                out[key] = out.get(key, 0) + cu * cv
-        return GroupAlgebraElement._of(out)
-
     def scale(self, c) -> "GroupAlgebraElement":
         c = Fraction(c)
         c = c.numerator if c.denominator == 1 else c
@@ -341,7 +321,10 @@ def pm_from_json(data: dict) -> PseudoMeasure:
         num: dict[IntVec, Fraction] = {}
         for term in data["numerator"]:
             v = tuple(_as_int(x) for x in term["vector"])
-            num[v] = num.get(v, Fraction(0)) + Fraction(term["coeff"])
+            c = term["coeff"]
+            if type(c) is not int and type(c) is not str:  # a bool or a float
+                raise ValueError(f"coefficient {c!r} is not an integer or a rational string")
+            num[v] = num.get(v, Fraction(0)) + Fraction(c)
         den = tuple(tuple(_as_int(x) for x in u) for u in data["denominator"])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad pseudo-measure JSON: {exc}") from exc

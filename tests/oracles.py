@@ -4,11 +4,13 @@ The oracles are deliberately naive (cofactor expansion, box scans, a
 Fraction solve, textbook recurrences) and share no code with the library
 paths they check. The helpers at the end were library code that only the
 tests called: evaluation and the action of SL_n(Z) on step functions by
-full walks over (Z/M)^n, cone membership and evaluation, the sign-twisted
-action on cone functions, the deformed-cone limit rule, small
-pseudo-measure and slice constructors, and the slice identity with its
-truncated q-expansion. They evaluate through the oracles' Fraction solve
-and call the library only for the objects they check.
+full walks over (Z/M)^n, the additive group of cone functions, wedges,
+cone membership and evaluation, the sign-twisted action on cone functions,
+the deformed-cone limit rule, the ring operations of the group algebra,
+the paired cocycle value, small pseudo-measure and slice constructors, and
+the slice identity with its truncated q-expansion. They evaluate through
+the oracles' Fraction solve and call the library only for the objects they
+check.
 """
 
 from __future__ import annotations
@@ -19,17 +21,23 @@ from itertools import combinations, product
 from math import ceil, comb, gcd, lcm, prod
 
 from shintani import linalg
+from shintani.cocycle import CocycleInput, psi_cdg
 from shintani.cones import ConeFunction, OpenCone
 from shintani.errors import (
     DependentInput,
-    NonGenericDeformation,
     NotUnimodular,
     ShintaniError,
     SingularMatrix,
     ZeroDirection,
 )
 from shintani.linalg import IntVec
-from shintani.solomon_hu import GroupAlgebraElement, PseudoMeasure, pair_open_cone, pm_zero
+from shintani.solomon_hu import (
+    GroupAlgebraElement,
+    PseudoMeasure,
+    pair_cone_function,
+    pair_open_cone,
+    pm_zero,
+)
 from shintani.testfunctions import TestFunction
 
 
@@ -301,6 +309,51 @@ def act(f, g) -> TestFunction:
 # -- cone functions ---------------------------------------------------------
 
 
+class CF(ConeFunction):
+    """ConeFunction with its additive group operations."""
+
+    @staticmethod
+    def of(cone: OpenCone, coeff: int = 1) -> "CF":
+        return CF(((coeff, cone),))
+
+    def __add__(self, other: ConeFunction) -> "CF":
+        return CF(self.terms + other.terms)
+
+    def __neg__(self) -> "CF":
+        return CF(tuple((-c, cone) for c, cone in self.terms))
+
+    def __sub__(self, other: ConeFunction) -> "CF":
+        return self + (-CF(other.terms))
+
+
+@dataclass(frozen=True)
+class Wedge:
+    """Cone with the first generator's ray doubled to a full line:
+    R*v_1 + R_+*v_2 + ... + R_+*v_n."""
+
+    generators: tuple[IntVec, ...]
+
+    def __post_init__(self):
+        gens = self.generators
+        if not gens or len(gens) != len(gens[0]):
+            raise DependentInput("a wedge needs n independent generators")
+        object.__setattr__(self, "generators", OpenCone(tuple(gens)).generators)
+
+
+def wedge_decompose(w: Wedge) -> ConeFunction:
+    """Indicator of a wedge as a sum of three open cones, split by the sign
+    of the coordinate along the doubled first generator."""
+    gens = w.generators
+    v1 = gens[0]
+    return ConeFunction(
+        (
+            (1, OpenCone(gens)),
+            (1, OpenCone((tuple(-x for x in v1),) + gens[1:])),
+            (1, OpenCone(gens[1:])),
+        )
+    )
+
+
 def cone_contains(c: OpenCone, w) -> bool:
     """Membership of w in the open cone: strictly positive coordinates in
     the generator basis (and, for r < n, lying in the span at all)."""
@@ -329,6 +382,11 @@ def act_on_cone_function(g, k: ConeFunction) -> ConeFunction:
     return ConeFunction(tuple(terms))
 
 
+class NonGenericDeformation(ShintaniError):
+    """The deformation vector and the point both lie on a face hyperplane,
+    so the limit rule has no verdict at that rational vector."""
+
+
 def deformed_cone_eval(gens, q, w) -> int:
     """Indicator of the q-deformed full-dimensional cone at w.
 
@@ -349,7 +407,89 @@ def deformed_cone_eval(gens, q, w) -> int:
     return 1 if all(ai > 0 or (ai == 0 and bi > 0) for ai, bi in zip(a, b)) else 0
 
 
+def frame_point(gens, q, frame) -> tuple[Fraction, ...]:
+    """The rational vector q + eps p_1 + ... + eps^n p_n, for the columns
+    p_k of frame, at an eps small enough that each coordinate of it in the
+    basis gens has the sign of the first nonzero entry of its row in
+    A [s q | s P], with A = |det G| G^-1 for the columns G of gens and s q
+    integral.
+
+    Each row is an integer polynomial c_0 + c_1 eps + ... + c_n eps^n; with
+    H the largest |c_k| and c_m the first nonzero one, the tail after it is
+    below H eps^(m+1) / (1 - eps) < eps^m <= |c_m eps^m| once eps < 1/(1+H),
+    so eps = 1/(H+2) is taken.
+    """
+    n = len(q)
+    g = [[Fraction(v[i]) for v in gens] for i in range(n)]
+    d = det_cofactor(g)
+    a = [[abs(d) * x for x in row] for row in inverse(g)]
+    s = lcm(*(Fraction(x).denominator for x in q))
+    cols = [[s * Fraction(x) for x in q]] + [[s * frame[i][k] for i in range(n)]
+                                              for k in range(n)]
+    h = max(abs(sum(r * c for r, c in zip(row, col))) for row in a for col in cols)
+    eps = Fraction(1, int(h) + 2)
+    return tuple(Fraction(q[i]) + sum(eps ** (k + 1) * frame[i][k] for k in range(n))
+                 for i in range(n))
+
+
+def phi(f, inp: CocycleInput) -> PseudoMeasure:
+    """The cocycle value psi_cdg(inp) paired with the step function f."""
+    return pair_cone_function(psi_cdg(inp), f)
+
+
 # -- pseudo-measures and slices ---------------------------------------------
+
+
+class GA(GroupAlgebraElement):
+    """GroupAlgebraElement with its ring operations: sum, negation,
+    difference and the convolution product delta_u * delta_v =
+    delta_{u+v}. A library element may stand on the right of each
+    operation, and on either side of a product; results are GA."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def lift(a: GroupAlgebraElement) -> "GA":
+        out = GA.__new__(GA)
+        out.terms = dict(a.terms)
+        return out
+
+    @staticmethod
+    def zero() -> "GA":
+        return GA()
+
+    @staticmethod
+    def delta(v, coeff=1) -> "GA":
+        return GA({tuple(int(x) for x in v): coeff})
+
+    @staticmethod
+    def one(n: int) -> "GA":
+        return GA.delta((0,) * n)
+
+    def scale(self, c) -> "GA":
+        return GA.lift(GroupAlgebraElement.scale(self, c))
+
+    def __add__(self, other: GroupAlgebraElement) -> "GA":
+        out = dict(self.terms)
+        for v, c in other.terms.items():
+            out[v] = out.get(v, 0) + c
+        return GA.lift(GroupAlgebraElement._of(out))
+
+    def __neg__(self) -> "GA":
+        return GA.lift(GroupAlgebraElement._of({v: -c for v, c in self.terms.items()}))
+
+    def __sub__(self, other: GroupAlgebraElement) -> "GA":
+        return self + (-GA.lift(other))
+
+    def __mul__(self, other: GroupAlgebraElement) -> "GA":
+        out: dict = {}
+        for u, cu in self.terms.items():
+            for v, cv in other.terms.items():
+                key = tuple(a + b for a, b in zip(u, v))
+                out[key] = out.get(key, 0) + cu * cv
+        return GA.lift(GroupAlgebraElement._of(out))
+
+    __rmul__ = __mul__  # the group algebra is commutative
 
 
 def pm_constant(n: int, c) -> PseudoMeasure:
@@ -357,13 +497,13 @@ def pm_constant(n: int, c) -> PseudoMeasure:
 
 
 def pm_neg(a: PseudoMeasure) -> PseudoMeasure:
-    return PseudoMeasure(-a.num, a.den)
+    return PseudoMeasure(-GA.lift(a.num), a.den)
 
 
 def pm_mul(a: PseudoMeasure, b: PseudoMeasure) -> PseudoMeasure:
     if not a.num or not b.num:
         return pm_zero()
-    return PseudoMeasure(a.num * b.num, a.den + b.den)
+    return PseudoMeasure(GA.lift(a.num) * b.num, a.den + b.den)
 
 
 # -- the pairwise pseudo-measure sum, the reference for solomon_hu.pm_sum ----
@@ -372,10 +512,10 @@ def pm_mul(a: PseudoMeasure, b: PseudoMeasure) -> PseudoMeasure:
 # here by group-algebra products, so the reference shares no shift code.
 
 
-def denominator_product(den, n: int) -> GroupAlgebraElement:
-    out = GroupAlgebraElement.one(n)
+def denominator_product(den, n: int) -> GA:
+    out = GA.one(n)
     for u in den:
-        out = out * (GroupAlgebraElement.one(n) - GroupAlgebraElement.delta(u))
+        out = out * (GA.one(n) - GA.delta(u))
     return out
 
 
@@ -413,7 +553,7 @@ def pm_add(a: PseudoMeasure, b: PseudoMeasure) -> PseudoMeasure:
         return a
     n = a.dim
     union, extra_a, extra_b = _lcm_denominator(a.den, b.den)
-    num = a.num * denominator_product(extra_a, n) + b.num * denominator_product(extra_b, n)
+    num = denominator_product(extra_a, n) * a.num + denominator_product(extra_b, n) * b.num
     return PseudoMeasure(num, union)
 
 
@@ -427,7 +567,7 @@ def pm_eq_cross(a: PseudoMeasure, b: PseudoMeasure) -> bool:
         return False
     n = a.dim
     _union, extra_a, extra_b = _lcm_denominator(a.den, b.den)
-    return a.num * denominator_product(extra_a, n) == b.num * denominator_product(extra_b, n)
+    return denominator_product(extra_a, n) * a.num == denominator_product(extra_b, n) * b.num
 
 
 def pm_fold(terms) -> PseudoMeasure:
@@ -483,7 +623,7 @@ class NonPositiveDenominator(ShintaniError):
     would not be graded-finite."""
 
 
-def truncated_q_expansion(a: PseudoMeasure, bound, weights) -> GroupAlgebraElement:
+def truncated_q_expansion(a: PseudoMeasure, bound, weights) -> GA:
     """Geometric-series expansion of a pseudo-measure, graded by a positive
     linear functional.
 
@@ -515,7 +655,7 @@ def truncated_q_expansion(a: PseudoMeasure, bound, weights) -> GroupAlgebraEleme
                 expanded[key] = expanded.get(key, Fraction(0)) + c
                 k += 1
         current = {v: c for v, c in expanded.items() if c != 0}
-    return GroupAlgebraElement(current)
+    return GA(current)
 
 
 def _line_projection(direction) -> tuple:

@@ -16,7 +16,6 @@ from shintani.amice import (
 from shintani.cones import OpenCone
 from shintani.errors import DependentInput, NonUnitDenominator, NotAMeasure, SingularMatrix
 from shintani.solomon_hu import (
-    GroupAlgebraElement as GA,
     PseudoMeasure as PM,
     denominator_product,
     pair_open_cone,
@@ -24,7 +23,7 @@ from shintani.solomon_hu import (
 )
 from shintani.testfunctions import LatticeContext, TestFunction
 
-from oracles import bernoulli_moments, hermite_box, hurwitz_zeta_neg, rank_by_minors
+from oracles import GA, bernoulli_moments, hermite_box, hurwitz_zeta_neg, rank_by_minors
 
 
 def moment(pm, p, kk):

@@ -11,13 +11,14 @@ from pathlib import Path
 
 import pytest
 
+from shintani import linalg
 from shintani.amice import is_measure_amice
 from shintani.cli import main
-from shintani.cocycle import CocycleInput, phi, sample_deformation
+from shintani.cocycle import CocycleInput, psi_cdg, sample_deformation, verify_cocycle
 from shintani.solomon_hu import pm_eq, pm_from_json
 from shintani.testfunctions import from_json
 
-from oracles import hurwitz_zeta_neg
+from oracles import _solve_coords, hurwitz_zeta_neg
 
 
 def run(capsys, *args):
@@ -180,7 +181,13 @@ def test_a_huge_level_is_decided_from_the_support(tmp_path, command, payload, co
      "bad pseudo-measure JSON: expected an integer, got 1.5"),
     ("moments", {"numerator": [{"vector": [1], "coeff": "1"}], "denominator": [[4.0]]},
      "bad pseudo-measure JSON: expected an integer, got 4.0"),
-], ids=["coefficient-float", "coefficient-bool", "vector", "denominator"])
+    ("moments", {"numerator": [{"vector": [1], "coeff": True}], "denominator": []},
+     "bad pseudo-measure JSON: coefficient True is not an integer or a rational string"),
+    ("moments", {"numerator": [{"vector": [1], "coeff": "1"}, {"vector": [3], "coeff": 0.1}],
+                 "denominator": []},
+     "bad pseudo-measure JSON: coefficient 0.1 is not an integer or a rational string"),
+], ids=["coefficient-float", "coefficient-bool", "vector", "denominator", "coeff-bool",
+        "coeff-float"])
 def test_non_integer_json_entries_are_malformed(tmp_path, capsys, command, payload, bad):
     # integer fields take JSON integers or integer strings; a float or a
     # bool is exit 2 naming it, not truncated or read as 1
@@ -189,6 +196,17 @@ def test_non_integer_json_entries_are_malformed(tmp_path, capsys, command, paylo
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {bad}\n"
+
+
+def test_pseudo_measure_coefficients_are_integers_or_rational_strings(tmp_path, capsys):
+    path = write(tmp_path, "in.json", {
+        "numerator": [{"vector": [1], "coeff": 3}, {"vector": [3], "coeff": "-1/2"},
+                      {"vector": [5], "coeff": "2"}],
+        "denominator": [],
+    })
+    code, out = run(capsys, "--command", "moments", "--input", path, "--max-order", "0")
+    assert code == 0
+    assert json.loads(out)["moments"][0]["rational"] == "9/2"
 
 
 @pytest.mark.parametrize("command, payload, what", [
@@ -299,9 +317,10 @@ def test_cocycle_vacuous_and_corrupted(tmp_path, capsys):
 
 
 def test_cocycle_reports_the_verified_q(tmp_path, capsys):
-    # at seed 9705 the first deformation vector lies on a face hyperplane;
-    # the CLI re-samples it and verifies the corrupted trial at the new one,
-    # so the trial fails (exit 6, not 2) and the report records that q
+    # at seed 9705 the first deformation vector lies on a face hyperplane of
+    # the trial; the CLI verifies the trial at that very vector (the
+    # infinitesimal frame breaks the tie), so the corrupted trial fails with
+    # exit 6, the plain one passes, and the report records the drawn q
     tf = {"n": 3, "p": 3, "M": 4, "terms": [
         {"residue": [x, a, b], "weight": 1 if x == 1 else -1}
         for x in (1, 3) for a in range(4) for b in range(4)]}
@@ -310,11 +329,25 @@ def test_cocycle_reports_the_verified_q(tmp_path, capsys):
     assert main(["--command", "cocycle", "--input", path, "--trials", "1", "--corrupt-sign",
                  "--seed", "9705", "--out", str(out)]) == 6
     trial = json.loads(out.read_text())["trials"][0]
+    assert trial["q"] == ["-1", "-27/13", "-25/13"]
     q = tuple(Fraction(x) for x in trial["q"])
-    assert q != sample_deformation(3, random.Random(9705))
+    assert q == sample_deformation(3, random.Random(9705))
+    assert not trial["cocycle"] and trial["equivariance"]
     f = from_json(tf)
+    mats = tuple(trial["matrices"])
+    assert verify_cocycle(f, mats, q)
+    # q lies on a face hyperplane of at least one nonzero term
+    on_face = 0
     for i in range(4):
-        phi(f, CocycleInput(tuple(m for j, m in enumerate(trial["matrices"]) if j != i), q))
+        cols = [tuple(row[0] for row in m) for j, m in enumerate(mats) if j != i]
+        if linalg.det(cols) and 0 in _solve_coords(cols, q):
+            on_face += 1
+            assert psi_cdg(CocycleInput(tuple(m for j, m in enumerate(mats) if j != i), q)).terms
+    assert on_face
+    plain = tmp_path / "p.json"
+    assert main(["--command", "cocycle", "--input", path, "--trials", "1",
+                 "--seed", "9705", "--out", str(plain)]) == 0
+    assert json.loads(plain.read_text())["trials"][0]["q"] == trial["q"]
 
 
 def test_moments_rejects_more_denominator_vectors_than_the_dimension(tmp_path, capsys):

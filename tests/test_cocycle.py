@@ -7,20 +7,25 @@ import pytest
 from shintani import linalg
 from shintani.cocycle import (
     CocycleInput,
-    phi,
     psi_cdg,
     sample_congruence_tuple,
     sample_deformation,
     verify_cocycle,
     verify_equivariance,
     verify_measure_valued,
-    with_generic_q,
 )
-from shintani.errors import NonGenericDeformation, NotStabilizer, VHFailsForE1
-from shintani.solomon_hu import GroupAlgebraElement as GA, PseudoMeasure as PM, pm_eq, pm_zero
+from shintani.errors import NotStabilizer, VHFailsForE1
+from shintani.solomon_hu import PseudoMeasure as PM, act_pm, pm_eq, pm_zero
 from shintani.testfunctions import LatticeContext, TestFunction, random_congruence_element
 
-from oracles import deformed_cone_eval, eval_cone_function, pm_neg
+from oracles import (
+    GA,
+    NonGenericDeformation,
+    deformed_cone_eval,
+    eval_cone_function,
+    phi,
+    pm_neg,
+)
 
 I2 = ((1, 0), (0, 1))
 ROT = ((0, -1), (1, 0))
@@ -137,23 +142,24 @@ def test_verify_cocycle_multiple_deformations():
     f = balanced_f(ctx)
     mats = sample_congruence_tuple(ctx, 3, 77)
     rng = random.Random(123)
-    drawn = [with_generic_q(lambda q: verify_cocycle(f, mats, q), 2, rng) for _ in range(3)]
-    for q, ok in [(Q_GOOD, verify_cocycle(f, mats, Q_GOOD))] + drawn:
-        assert ok, q
-    assert len({Q_GOOD} | {q for q, _ok in drawn}) == 4
+    drawn = [sample_deformation(2, rng) for _ in range(3)]
+    for q in [Q_GOOD] + drawn:
+        assert verify_cocycle(f, mats, q), q
+    assert len({Q_GOOD, *drawn}) == 4
 
 
 def test_harnesses_verify_at_the_given_q():
-    # a vector on a face hyperplane is for the caller's retry loop
-    # (with_generic_q) to replace; the harnesses never re-sample it
+    # a vector on a face hyperplane gets an exact verdict at that vector:
+    # the infinitesimal frame breaks the tie, and nothing is re-sampled
     ctx = LatticeContext(2, 3, 4)
     f = balanced_f(ctx)
     ts = linalg.int_mat(linalg.mat_mul(((1, 1), (0, 1)), ROT))
-    on_face = (F(1), F(0))
-    with pytest.raises(NonGenericDeformation):
-        verify_cocycle(f, (I2, ROT, ts), on_face)
-    with pytest.raises(NonGenericDeformation):
-        verify_measure_valued(f, 3, on_face)
+    for on_face in ((F(1), F(0)), (F(0), F(0)), (F(0), F(-2, 7))):
+        assert verify_cocycle(f, (I2, ROT, ts), on_face), on_face
+        assert not verify_cocycle(f, (I2, ROT, ts), on_face, corrupt_sign=True), on_face
+        assert verify_measure_valued(f, 3, on_face, seed=2), on_face
+    control = TestFunction(ctx, {(1, 0): 1})
+    assert not verify_measure_valued(control, 3, (F(1), F(0)), seed=2, require_vh=False)
 
 
 def test_deformation_robustness():
@@ -223,26 +229,67 @@ def test_psi_pointwise_against_deformed_eval():
         done += 1
 
 
-def test_with_generic_q_draw_order():
-    def degenerate_until(k):
-        tried = []
+def _degenerate_qs(mats, n):
+    """q = 0, which lies on every face hyperplane, the first column of the
+    first matrix, which lies on those of every n-subset of columns holding
+    it, and e_n."""
+    first = tuple(F(row[0]) for row in mats[0])
+    return [(F(0),) * n, first, tuple(F(int(i == n - 1)) for i in range(n))]
 
-        def fn(q):
-            tried.append(q)
-            if len(tried) <= k:
-                raise NonGenericDeformation("on a face")
-            return len(tried)
 
-        return fn, tried
+def _live_tuples(ctx, count, seed):
+    """The first count seeded (n+1)-tuples with at least two n-subsets of
+    independent first columns, so that the alternating sums add up
+    nonzero terms."""
+    n = ctx.n
+    out = []
+    while len(out) < count:
+        mats = sample_congruence_tuple(ctx, n + 1, seed)
+        cols = [tuple(row[0] for row in m) for m in mats]
+        if sum(linalg.det(cols[:i] + cols[i + 1:]) != 0 for i in range(n + 1)) >= 2:
+            out.append(mats)
+        seed += 1
+    return out
 
-    for k in (0, 1, 3):
-        # every attempt draws a fresh vector
-        fn, tried = degenerate_until(k)
-        draws = random.Random(9)
-        expected = [sample_deformation(3, draws) for _ in range(k + 1)]
-        assert with_generic_q(fn, 3, random.Random(9)) == (expected[-1], k + 1)
-        assert tried == expected
-    fn, tried = degenerate_until(100)
-    with pytest.raises(NonGenericDeformation):
-        with_generic_q(fn, 2, random.Random(9))
-    assert len(tried) == 32
+
+def _random_f(rng, ctx):
+    return TestFunction(ctx, {r: rng.randint(-2, 2) for r in product(range(ctx.M), repeat=ctx.n)})
+
+
+@pytest.mark.parametrize("n, M, tuples", [(2, 4, 20), (3, 2, 12), (3, 4, 8)])
+def test_cocycle_identity_at_degenerate_q(n, M, tuples):
+    rng = random.Random(1000 * n + M)
+    ctx = LatticeContext(n, 3, M)
+    for t, mats in enumerate(_live_tuples(ctx, tuples, 5000 + 97 * n + 13 * M)):
+        f = _random_f(rng, ctx)
+        for q in _degenerate_qs(mats, n):
+            assert verify_cocycle(f, mats, q), (t, q)
+            if phi(f, CocycleInput(mats[1:], q)).num:  # the term corrupt_sign flips
+                assert not verify_cocycle(f, mats, q, corrupt_sign=True), (t, q)
+
+
+def test_equivariance_carries_the_frame_at_degenerate_q():
+    # g^-1 q_eps = g^-1 q + eps g^-1 e_1 + ...: the right-hand side is
+    # deformed along the frame adj(g) = g^-1. The identity frame on both
+    # sides is a negative control: it must break the identity somewhere.
+    rng = random.Random(4242)
+    identity_frame_failures = 0
+    for n, M in ((2, 4), (3, 2), (3, 4)):
+        ctx = LatticeContext(n, 3, M)
+        seed = 7000 + 31 * n + M
+        for t in range(8):
+            while True:  # n matrices with independent first columns
+                mats = sample_congruence_tuple(ctx, n, seed)
+                seed += 1
+                if linalg.det([tuple(row[0] for row in m) for m in mats]):
+                    break
+            f = _random_f(rng, ctx)
+            g = random_congruence_element(ctx, 9000 + 31 * n + M + t)
+            adj, _d = linalg.adjugate(g)
+            gmats = tuple(linalg.mat_mul(g, m) for m in mats)
+            for q in _degenerate_qs(mats, n)[:2]:
+                assert verify_equivariance(f, g, CocycleInput(mats, q)), (n, M, t, q)
+                left = phi(f, CocycleInput(gmats, q))
+                right = act_pm(g, phi(f, CocycleInput(mats, linalg.mat_vec(adj, q))))
+                identity_frame_failures += not pm_eq(left, right)
+    assert identity_frame_failures > 0

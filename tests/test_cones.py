@@ -5,16 +5,20 @@ from math import gcd
 import pytest
 
 from shintani import linalg
-from shintani.cones import ConeFunction, OpenCone, Wedge, deformed_cone_decompose, wedge_decompose
-from shintani.errors import DependentInput, NonGenericDeformation
+from shintani.cones import ConeFunction, OpenCone, deformed_cone_decompose
+from shintani.errors import DependentInput, SingularMatrix
 
 from oracles import (
+    CF,
+    NonGenericDeformation,
+    Wedge,
     act_on_cone_function,
     cone_contains,
     deformed_cone_eval,
     eval_cone_function,
     inverse,
     rank_by_minors,
+    wedge_decompose,
 )
 
 E1 = (F(1), F(0))
@@ -63,9 +67,9 @@ def test_cone_stores_primitive_generators():
 
 def test_eval_cone_function():
     assert eval_cone_function(ConeFunction.zero(), (1, 0)) == 0
-    k = ConeFunction.of(QUADRANT) + ConeFunction.of(OpenCone((E1,)))
+    k = CF.of(QUADRANT) + CF.of(OpenCone((E1,)))
     assert eval_cone_function(k, (1, 0)) == 1
-    cancel = ConeFunction.of(OpenCone((E1,))) - ConeFunction.of(OpenCone((E1,)))
+    cancel = CF.of(OpenCone((E1,))) - ConeFunction.of(OpenCone((E1,)))
     assert eval_cone_function(cancel, (1, 0)) == 0
     assert cancel.terms == ()
 
@@ -84,7 +88,7 @@ def test_act_examples():
 
 def test_act_eval_contract_and_composition():
     rng = random.Random(7)
-    k = ConeFunction.of(QUADRANT) + ConeFunction.of(OpenCone((E1,)))
+    k = CF.of(QUADRANT) + CF.of(OpenCone((E1,)))
     done = 0
     while done < 25:
         g = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
@@ -128,8 +132,22 @@ def test_deformed_decompose_examples():
     assert len(k2.terms) == 4  # all four faces, including the origin
     k3 = deformed_cone_decompose(gens, (F(-1, 2), F(-1, 3)))
     assert [cone.generators for _c, cone in k3.terms] == [(E1, E2)]
-    with pytest.raises(NonGenericDeformation):
-        deformed_cone_decompose(gens, (F(0), F(1)))
+    # q on a face hyperplane: the frame breaks the tie. With the identity
+    # frame, (0, 1) + eps e_1 has both coordinates positive, so all four
+    # faces; with the frame columns (-1, 0), (0, 1), only the faces that
+    # contain e_1; q = 0 reads the frame alone
+    k4 = deformed_cone_decompose(gens, (F(0), F(1)))
+    assert sorted(cone.generators for _c, cone in k4.terms) == sorted(
+        cone.generators for _c, cone in k2.terms)
+    flip = ((-1, 0), (0, 1))
+    k5 = deformed_cone_decompose(gens, (F(0), F(1)), flip)
+    assert sorted(cone.generators for _c, cone in k5.terms) == [(E1,), (E1, E2)]
+    k6 = deformed_cone_decompose(gens, (0, 0), flip)
+    assert sorted(cone.generators for _c, cone in k6.terms) == [(E1,), (E1, E2)]
+    assert deformed_cone_decompose(gens, (0, 0)).terms == k4.terms
+    # a frame that does not break the tie is refused, not guessed
+    with pytest.raises(SingularMatrix, match="frame is singular"):
+        deformed_cone_decompose(gens, (0, 0), ((1, 0), (0, 0)))
 
 
 def test_deformed_decompose_matches_eval_pointwise():
@@ -141,10 +159,7 @@ def test_deformed_decompose_matches_eval_pointwise():
         if linalg.det(gens) == 0:
             continue
         q = tuple(F(rng.randint(-20, 20) * 2 + 1, rng.choice((7, 11, 13))) for _ in range(n))
-        try:
-            k = deformed_cone_decompose(gens, q)
-        except NonGenericDeformation:
-            continue
+        k = deformed_cone_decompose(gens, q)
         for _ in range(10):
             w = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
             try:

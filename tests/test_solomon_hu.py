@@ -5,9 +5,8 @@ from itertools import product
 import pytest
 
 from shintani import linalg
-from shintani.cones import ConeFunction, OpenCone, Wedge, wedge_decompose
+from shintani.cones import ConeFunction, OpenCone
 from shintani.solomon_hu import (
-    GroupAlgebraElement as GA,
     PseudoMeasure as PM,
     act_pm,
     enumerate_fundamental_domain,
@@ -24,7 +23,10 @@ from shintani.testfunctions import LatticeContext, TestFunction, random_congruen
 
 import oracles
 from oracles import (
+    CF,
+    GA,
     NonPositiveDenominator,
+    Wedge,
     _solve_coords,
     act,
     act_on_cone_function,
@@ -37,6 +39,7 @@ from oracles import (
     slice_identity_check,
     truncated_q_expansion,
     value_at,
+    wedge_decompose,
 )
 
 
@@ -254,8 +257,8 @@ def test_pair_cone_function_linearity_and_wedges():
     for trial in range(10):
         table = {r: rng.randint(-2, 2) for r in product(range(2), repeat=2)}
         f = TestFunction(ctx, table)
-        k1 = ConeFunction.of(OpenCone(((F(1), F(0)), (F(0), F(1)))))
-        k2 = ConeFunction.of(OpenCone(((F(1), F(1)),)), rng.randint(-2, 2))
+        k1 = CF.of(OpenCone(((F(1), F(0)), (F(0), F(1)))))
+        k2 = CF.of(OpenCone(((F(1), F(1)),)), rng.randint(-2, 2))
         lhs = pair_cone_function(k1 + k2, f)
         rhs = pm_sum([(1, pair_cone_function(k1, f)), (1, pair_cone_function(k2, f))])
         assert pm_eq(lhs, rhs)
@@ -291,9 +294,7 @@ def test_equivariance_of_pairing():
             cand = tuple(F(rng.randint(-2, 2)) for _ in range(2))
             if any(cand) and (not gens or linalg.det(gens + [cand]) != 0):
                 gens.append(cand)
-        k = ConeFunction.of(OpenCone(tuple(gens))) + ConeFunction.of(
-            OpenCone((gens[0],)), -1
-        )
+        k = CF.of(OpenCone(tuple(gens))) + CF.of(OpenCone((gens[0],)), -1)
         lhs = pair_cone_function(act_on_cone_function(g, k), act(f, g_inv))
         rhs = act_pm(g, pair_cone_function(k, f))
         assert pm_eq(lhs, rhs)
