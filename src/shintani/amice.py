@@ -60,13 +60,22 @@ def is_measure_amice(a: PseudoMeasure, p: int) -> bool:
     agrees with the vanishing-hypothesis test by the divisibility
     criterion.
     """
-    if not a.num:
-        return True
-    cols = linalg.transpose(extend_denominator_basis(a, a.dim))
-    h = linalg.coset_lattice(cols, p)
-    adj, _d = linalg.adjugate(cols)
-    keyed = [(linalg._coset_rep(h, v), linalg.mat_vec(adj, v), c) for v, c in a.num.terms.items()]
-    return all(_fibres_vanish(((rep, y[:i] + y[i + 1:]), c) for rep, y, c in keyed)
+    return not a.num or _poles_vanish(a, p, *_coordinates(a))
+
+
+def _coordinates(a: PseudoMeasure) -> tuple:
+    """(basis, adj, d, [(adj v, c)]) over the terms c delta_v of a's
+    numerator, for a's own basis: adj v / d are v's basis coordinates."""
+    basis = extend_denominator_basis(a, a.dim)
+    adj, d = linalg.adjugate(linalg.transpose(basis))
+    return basis, adj, d, [(linalg.mat_vec(adj, v), c) for v, c in a.num.terms.items()]
+
+
+def _poles_vanish(a: PseudoMeasure, p: int, basis, _adj, _d, terms: list) -> bool:
+    h = linalg.coset_lattice(linalg.transpose(basis), p)
+    one = prod(h[i][i] for i in range(len(h))) == 1  # p does not divide the index
+    reps = [()] * len(terms) if one else [linalg._coset_rep(h, v) for v in a.num.terms]
+    return all(_fibres_vanish(((rep, y[:i] + y[i + 1:]), c) for rep, (y, c) in zip(reps, terms))
                for i in range(len(a.den)))
 
 
@@ -95,14 +104,12 @@ def moment_table(a: PseudoMeasure, p: int, orders: Sequence[Sequence[int]]) -> l
     in each s_i. The basis moment int c^gamma dmu is gamma! [s^gamma] F,
     and x = sum_i c_i b_i expands x^kk into basis monomials.
     """
-    if not is_measure_amice(a, p):
-        raise NotAMeasure("series-side divisibility test fails")
     if not a.num:
         return [Fraction(0)] * len(orders)
-    basis = extend_denominator_basis(a, a.dim)
+    basis, _adj, d, terms = coords = _coordinates(a)
+    if not _poles_vanish(a, p, *coords):
+        raise NotAMeasure("series-side divisibility test fails")
     n, r = len(basis), len(a.den)
-    adj, d = linalg.adjugate(linalg.transpose(basis))
-    terms = [(linalg.mat_vec(adj, v), c) for v, c in a.num.terms.items()]
     bernoulli = _bernoulli(max((sum(kk) for kk in orders), default=0))
     shifted: dict[tuple[int, ...], Fraction] = {}  # [s^beta] N(s) / prod_{i<r} s_i
     basis_moments: dict[tuple[int, ...], Fraction] = {}

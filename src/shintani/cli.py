@@ -27,7 +27,8 @@ import json
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement
+from math import comb
 
 from . import amice, cocycle, solomon_hu, testfunctions
 from .cones import ConeFunction, OpenCone
@@ -44,6 +45,8 @@ EXIT_SCHEMA = 2
 EXIT_DEPENDENT = 3
 EXIT_NOT_A_MEASURE = 4
 EXIT_TRIAL_FAILED = 6
+
+MOMENT_BUDGET = 2000  # most moment orders plus Bernoulli steps in one table
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,13 +127,10 @@ def cmd_vh(args) -> tuple[dict, int]:
     f = testfunctions.from_json(data["test_function"])
     out = {}
     for entry in data.get("rays", []):
-        if isinstance(entry, dict):
-            ray = _parse_vector(entry["v"], "ray", f.ctx.n)
-            name = str(entry.get("name") or ",".join(str(x) for x in ray))
-        else:
-            ray = _parse_vector(entry, "ray", f.ctx.n)
-            name = ",".join(str(x) for x in ray)
-        out[name] = testfunctions.check_vh(f, ray)
+        named = isinstance(entry, dict)
+        ray = _parse_vector(entry["v"] if named else entry, "ray", f.ctx.n)
+        name = entry.get("name") if named else None
+        out[str(name or ",".join(str(x) for x in ray))] = testfunctions.check_vh(f, ray)
     return out, EXIT_OK
 
 
@@ -156,7 +156,12 @@ def cmd_moments(args) -> tuple[dict, int]:
     else:
         raise SchemaError("expected test_function+cone or a pseudo-measure")
     # with no vector at all, the dimension is the step function's, or --n
-    orders = _moment_orders(pm.dim if pm.num or pm.den else n, args.max_order)
+    dim, top = pm.dim if pm.num or pm.den else n, max(args.max_order, 0)
+    work = top ** 2 + (comb(top + dim, dim) if top ** 2 <= MOMENT_BUDGET else 0)
+    if work > MOMENT_BUDGET:
+        raise SchemaError(f"--max-order {top} asks for at least {work} moment orders and "
+                          f"Bernoulli steps in {dim} dimensions, more than {MOMENT_BUDGET}")
+    orders = _moment_orders(dim, args.max_order)
     table = [
         {"order": list(kk), "padic": str(PadicScalar.from_rational(value, p, args.precision)),
          "rational": str(value)}
@@ -166,7 +171,8 @@ def cmd_moments(args) -> tuple[dict, int]:
 
 
 def _moment_orders(n: int, max_total: int) -> list[tuple[int, ...]]:
-    orders = [e for e in product(range(max_total + 1), repeat=n) if sum(e) <= max_total]
+    orders = [tuple(c.count(i) for i in range(n)) for total in range(max_total + 1)
+              for c in combinations_with_replacement(range(n), total)]  # c: a multiset of axes
     return sorted(orders, key=lambda e: (sum(e), e))
 
 
@@ -236,18 +242,10 @@ def main(argv=None) -> int:
     }
     try:
         report, code = handlers[args.command](args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except DependentInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEPENDENT
-    except NotAMeasure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_A_MEASURE
     except ShintaniError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        return {DependentInput: EXIT_DEPENDENT, NotAMeasure: EXIT_NOT_A_MEASURE}.get(
+            type(exc), EXIT_SCHEMA)
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: malformed input: {exc!r}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -10,7 +10,7 @@ substitution gives with exact divisions. The rows of u_inv are a basis of
 Z^n whose first r rows saturate the span of the r input rows, and the
 cosets of Z^n modulo a lattice are a box read off the Hermite diagonal,
 so no job needs an inverse: one Hermite pass gives a pairing cell its
-basis, its box and its shifts (`solomon_hu.enumerate_fundamental_domain`).
+basis, its box of base points and its lifts (`solomon_hu._cell`).
 A rational row is scaled to integers first (`clear_denominators`): every
 decision made here is unchanged by a positive rescaling of a row.
 """

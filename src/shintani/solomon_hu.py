@@ -12,20 +12,30 @@ with nonzero lattice vectors u; sums are taken over the least common
 denominator, and equality is a zero difference, which is sound in an
 integral domain, so no canonical form is ever computed.
 
+Exponents are packed (Kronecker substitution): v is the int sum_i v_i
+2^(W(n-1-i)) with |v_i| < 2^(W-1), so a shift is one int addition and the
+ints sort as the tuples do. W is the least multiple of 64 above the bound
+each element carries: for a cell the base-point plus the lift bound, for a
+sum the largest summand bound plus its denominator's max-norms.
+
 Pairing an open cone with a step function of level M scales the generators
 positively to primitive vectors, multiplies by M to obtain periods, and sums
 the function over the half-open fundamental cell of those periods, which is
 the cell of the primitive vectors lifted by their multiples below M; the
-periods become the denominator factors.
+periods become the denominator factors. A base point's residue key plus a
+lift's has the digits rho + M eps, eps in {0, 1}^n, of their residues' sum,
+so f is read through one dict holding each support residue rho under all
+2^n such keys, and no cell point is reduced mod M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd, prod
 from operator import add, mul
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -38,15 +48,34 @@ from .testfunctions import TestFunction, _as_int
 CELL_POINT_BUDGET = 10**6
 
 
+def _width(bound: int) -> int:  # the least multiple W of 64 with bound < 2^(W-1)
+    return 64 * (bound.bit_length() // 64 + 1)
+
+
+def _pack(v: Iterable[int], W: int) -> int:
+    """sum_i v_i 2^(W(n-1-i)); OverflowError unless every |v_i| < 2^(W-1)."""
+    half, key = 1 << (W - 1), 0
+    for x in v:
+        if not -half < x < half:
+            raise OverflowError(f"coordinate {x} does not fit a {W}-bit digit")
+        key = (key << W) + x
+    return key
+
+
+def _unpack(key: int, n: int, W: int) -> IntVec:
+    half, mask, out = 1 << (W - 1), (1 << W) - 1, [0] * n
+    for i in range(n - 1, -1, -1):
+        out[i] = x = ((key + half) & mask) - half
+        key = (key - x) >> W
+    return tuple(out)
+
+
 class GroupAlgebraElement:
-    """Finite rational combination of lattice Dirac symbols.
+    """Finite rational combination of lattice Dirac symbols: `packed` maps
+    exponents packed at width W, all |v_i| <= bound, to int or Fraction
+    coefficients; only the public constructor normalizes arbitrary input."""
 
-    Integral coefficients are stored as int, the others as Fraction; the
-    operations build cleaned term dicts directly, so only the public
-    constructor pays for normalizing arbitrary input.
-    """
-
-    __slots__ = ("terms",)
+    __slots__ = ("packed", "n", "W", "bound")
 
     def __init__(self, terms: Mapping[IntVec, Fraction] | None = None):
         cleaned: dict[IntVec, int | Fraction] = {}
@@ -54,19 +83,26 @@ class GroupAlgebraElement:
             c = Fraction(c)
             if c != 0:
                 cleaned[tuple(int(x) for x in v)] = c.numerator if c.denominator == 1 else c
-        self.terms = cleaned
+        self.bound = max((abs(x) for v in cleaned for x in v), default=0)
+        self.n, self.W = len(next(iter(cleaned), ())), _width(self.bound)
+        self.packed = {_pack(v, self.W): c for v, c in cleaned.items()}
 
     @staticmethod
-    def _of(terms: dict) -> "GroupAlgebraElement":
-        """Wrap a dict with integer-tuple keys and int or Fraction values,
-        dropping zeros and turning integral Fractions into int."""
+    def _of(packed: dict, n: int, W: int, bound: int) -> "GroupAlgebraElement":
+        """Wrap a packed dict, dropping zeros and making integral Fractions int."""
         out = GroupAlgebraElement.__new__(GroupAlgebraElement)
-        out.terms = {
-            v: c if type(c) is int or c.denominator != 1 else c.numerator
-            for v, c in terms.items()
-            if c
-        }
+        out.packed = {k: c if type(c) is int or c.denominator != 1 else c.numerator
+                      for k, c in packed.items() if c}
+        out.n, out.W, out.bound = n, W, bound
         return out
+
+    def _at(self, W: int) -> dict:  # the packed dict at a width W >= self.W
+        return self.packed if W == self.W else {
+            _pack(_unpack(k, self.n, self.W), W): c for k, c in self.packed.items()}
+
+    @property
+    def terms(self) -> Mapping[IntVec, int | Fraction]:  # a read-only tuple-keyed view
+        return MappingProxyType({_unpack(k, self.n, self.W): c for k, c in self.packed.items()})
 
     @staticmethod
     def zero() -> "GroupAlgebraElement":
@@ -81,7 +117,7 @@ class GroupAlgebraElement:
         return GroupAlgebraElement.delta((0,) * n)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.packed)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupAlgebraElement) and self.terms == other.terms
@@ -92,32 +128,25 @@ class GroupAlgebraElement:
     def scale(self, c) -> "GroupAlgebraElement":
         c = Fraction(c)
         c = c.numerator if c.denominator == 1 else c
-        return GroupAlgebraElement._of({v: c * x for v, x in self.terms.items()})
-
-    def map_exponents(self, fn) -> "GroupAlgebraElement":
-        out: dict[IntVec, int | Fraction] = {}
-        for v, c in self.terms.items():
-            key = tuple(int(x) for x in fn(v))
-            out[key] = out.get(key, 0) + c
-        return GroupAlgebraElement._of(out)
+        return GroupAlgebraElement._of({k: c * x for k, x in self.packed.items()},
+                                       self.n, self.W, self.bound)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.packed:
             return "GA(0)"
         body = " + ".join(f"{c}*d{list(v)}" for v, c in sorted(self.terms.items()))
         return f"GA({body})"
 
 
 def denominator_product(den: Sequence[IntVec], n: int) -> GroupAlgebraElement:
-    out = GroupAlgebraElement.one(n)
-    for u in den:
-        # out * (1 - delta_u) = out minus out shifted by u
-        terms = dict(out.terms)
-        for v, c in out.terms.items():
-            key = tuple(map(add, v, u))
-            terms[key] = terms.get(key, 0) - c
-        out = GroupAlgebraElement._of(terms)
-    return out
+    bound = sum(max(map(abs, u)) for u in den)
+    W, out = _width(bound), {0: 1}
+    for u in den:  # out * (1 - delta_u) = out minus out shifted by u
+        s, terms = _pack(u, W), dict(out)
+        for k, c in out.items():
+            terms[k + s] = terms.get(k + s, 0) - c
+        out = terms
+    return GroupAlgebraElement._of(out, n, W, bound)
 
 
 @dataclass(frozen=True)
@@ -138,8 +167,8 @@ class PseudoMeasure:
     def dim(self) -> int:
         if self.den:
             return len(self.den[0])
-        for v in self.num.terms:
-            return len(v)
+        if self.num:
+            return self.num.n
         raise ValueError("dimension of the zero pseudo-measure is ambiguous")
 
 
@@ -147,7 +176,7 @@ def pm_zero() -> PseudoMeasure:
     return PseudoMeasure(GroupAlgebraElement.zero(), ())
 
 
-def _accumulate(terms: list) -> tuple[dict, tuple[IntVec, ...], int]:
+def _accumulate(terms: list) -> tuple[GroupAlgebraElement, tuple[IntVec, ...], int]:
     """The numerator of sum c * a over the least common denominator of the
     nonzero summands, that denominator, and the length of the last proper
     prefix of the terms that sums to zero."""
@@ -157,25 +186,25 @@ def _accumulate(terms: list) -> tuple[dict, tuple[IntVec, ...], int]:
         for u in set(a.den):
             most[u] = max(most.get(u, 0), a.den.count(u))
     union = tuple(u for u in sorted(most) for _ in range(most[u]))
-    out: dict[IntVec, int | Fraction] = {}
+    bound = max((a.num.bound for _c, a in live), default=0) + sum(max(map(abs, u)) for u in union)
+    n, W = max((a.num.n for _c, a in live), default=0), _width(bound)
+    out: dict[int, int | Fraction] = {}
     start, zero = 0, True
     for i, (c, a) in enumerate(terms):
         if c and a.num:
             missing = [u for u, m in most.items() for _ in range(m - a.den.count(u))]
             if missing:  # shift-subtract once by the factors a lacks
-                n = len(next(iter(a.num.terms)))
-                shifts = [(w, c * x) for w, x in denominator_product(missing, n).terms.items()]
-                for v, x in a.num.terms.items():
+                shifts = [(w, c * x) for w, x in denominator_product(missing, n)._at(W).items()]
+                for v, x in a.num._at(W).items():
                     for w, cw in shifts:
-                        key = tuple(map(add, v, w))
-                        out[key] = out.get(key, 0) + cw * x
+                        out[v + w] = out.get(v + w, 0) + cw * x
             else:
-                for v, x in a.num.terms.items():
+                for v, x in a.num._at(W).items():
                     out[v] = out.get(v, 0) + c * x
             zero = not any(out.values())
         if zero and i + 1 < len(terms):
             start = i + 1
-    return out, union, start
+    return GroupAlgebraElement._of(out, n, W, bound), union, start
 
 
 def pm_sum(terms: Iterable[tuple[int | Fraction, PseudoMeasure]]) -> PseudoMeasure:
@@ -193,7 +222,7 @@ def pm_sum(terms: Iterable[tuple[int | Fraction, PseudoMeasure]]) -> PseudoMeasu
         return PseudoMeasure(GroupAlgebraElement.zero(), a.den)
     if start:
         out, union, _start = _accumulate(terms[start:])
-    return PseudoMeasure(GroupAlgebraElement._of(out), union)
+    return PseudoMeasure(out, union)
 
 
 def pm_eq(a: PseudoMeasure, b: PseudoMeasure) -> bool:
@@ -206,16 +235,12 @@ def pm_is_integer_constant(a: PseudoMeasure) -> int | None:
     """Return m when a equals m * delta_0 with m an integer, else None."""
     if not a.num:
         return 0
-    n = a.dim
-    dprod = denominator_product(a.den, n)
-    anchor = min(dprod.terms)
-    coeff = a.num.terms.get(anchor)
-    if coeff is None:
-        return None
-    m = Fraction(coeff, dprod.terms[anchor])
-    if m.denominator != 1:
-        return None
-    return m.numerator if a.num == dprod.scale(m.numerator) else None
+    dprod = denominator_product(a.den, a.dim)
+    W = max(a.num.W, dprod.W)
+    dprod, num = dprod._at(W), a.num._at(W)
+    m = Fraction(num[min(num)], dprod[min(dprod)])  # the ratio at the lowest exponents
+    ok = m.denominator == 1 and num == {k: m * c for k, c in dprod.items()}
+    return m.numerator if ok else None
 
 
 def act_pm(g: Sequence[Sequence[int]], a: PseudoMeasure) -> PseudoMeasure:
@@ -223,22 +248,26 @@ def act_pm(g: Sequence[Sequence[int]], a: PseudoMeasure) -> PseudoMeasure:
     gm = linalg.int_mat(g)
     if linalg.det(gm) != 1:
         raise NotUnimodular("pseudo-measure action requires determinant 1")
-    num = a.num.map_exponents(lambda v: linalg.mat_vec(gm, v))
+    old, bound = a.num, max(sum(map(abs, row)) for row in gm) * a.num.bound  # g's row norm
+    W = _width(bound)  # g is a bijection, so no two images of the terms meet
+    num = {_pack(linalg.mat_vec(gm, _unpack(k, old.n, old.W)), W): c
+           for k, c in old.packed.items()}
     den = tuple(tuple(int(x) for x in linalg.mat_vec(gm, u)) for u in a.den)
-    return PseudoMeasure(num, den)
+    return PseudoMeasure(GroupAlgebraElement._of(num, old.n, W, bound), den)
 
 
-def enumerate_fundamental_domain(ws: Sequence[Sequence[int]], n: int) -> list[IntVec]:
-    """Sorted integer points of the half-open cell { sum x_i w_i : x_i in
-    (0, 1] }, by one Hermite pass for every rank r.
+def _cell(ws: Sequence[Sequence[int]], n: int) -> tuple[list[IntVec], list[IntVec]]:
+    """Base points and lifts of the half-open cell { sum x_i w_i : x_i in
+    (0, 1] }, whose integer points are the sums of one of each, by one
+    Hermite pass for every rank r.
 
     With w_i = g_i s_i, s_i primitive, and s * u = [h | 0], the first r rows
     b_j of u_inv are a basis of the saturated span and s_i = sum_j h_ij b_j.
     The box 0 <= y_j < h_jj holds one point y.b of each class modulo the
     s_i, at cell coordinates x = adj(h)^T y / d with d = prod h_jj, and
     ceil(x) - 1 = (adj(h)^T y - 1) // d generators move it into the cell of
-    the s_i. The periodic lift adds every sum k.s with 0 <= k_i < g_i, so
-    the cell has d * prod g_i points, a count checked against
+    the s_i: that is a base point. The lifts are the sums k.s with 0 <= k_i
+    < g_i, so the cell has d * prod g_i points, a count checked against
     CELL_POINT_BUDGET (CellTooLarge) before any point is made.
     """
     ws = [linalg.int_vec(w) for w in ws]
@@ -256,16 +285,21 @@ def enumerate_fundamental_domain(ws: Sequence[Sequence[int]], n: int) -> list[In
                            f"{count} integer points, more than {CELL_POINT_BUDGET}")
     xt, ht = list(zip(*linalg._triangular_adjugate(h, d))), list(zip(*h))  # adj(h)^T, h^T
     basis = [row[:r] for row in linalg.transpose(u_inv)]  # coordinate t of each b_j
-    pts = []
+    base = []
     for y in product(*(range(h[j][j]) for j in range(r))):
         k = [(sum(map(mul, y, row)) - 1) // d for row in xt]
         z = [a - sum(map(mul, row, k)) for a, row in zip(y, ht)]
-        pts.append(tuple(sum(map(mul, z, b)) for b in basis))
+        base.append(tuple(sum(map(mul, z, b)) for b in basis))
+    lifts = [(0,) * n]
     for si, g in zip(s, gs):
-        steps = [tuple(k * a for a in si) for k in range(g)]
-        pts = [tuple(map(add, v, step)) for v in pts for step in steps]
-    pts.sort()
-    return pts
+        lifts = [tuple(a + k * b for a, b in zip(v, si)) for v in lifts for k in range(g)]
+    return base, lifts
+
+
+def enumerate_fundamental_domain(ws: Sequence[Sequence[int]], n: int) -> list[IntVec]:
+    """Sorted integer points of the half-open cell of the ws (`_cell`)."""
+    base, lifts = _cell(ws, n)
+    return sorted(tuple(map(add, y, v)) for y in base for v in lifts)
 
 
 def pair_open_cone(c: OpenCone, f: TestFunction) -> PseudoMeasure:
@@ -291,15 +325,18 @@ def pair_open_cone(c: OpenCone, f: TestFunction) -> PseudoMeasure:
 def _pair_cell(prims: frozenset[IntVec], f: TestFunction) -> PseudoMeasure:
     n, M = f.ctx.n, f.ctx.M
     periods = [tuple(M * x for x in s) for s in sorted(prims)]
-    values = f.values  # nonzero values by residue mod M
-    terms = {}
-    for v in enumerate_fundamental_domain(periods, n):
-        val = values.get(tuple([x % M for x in v]))
-        if val:
-            terms[v] = val
+    base, lifts = _cell(periods, n)
+    bound = max(map(abs, chain(*base))) + max(map(abs, chain(*lifts)))
+    W, R = _width(bound), (2 * M).bit_length() + 1  # R-bit residue digits hold 0..2M-1
+    eps = [_pack(e, R) for e in product((0, M), repeat=n)]  # M eps, eps in {0, 1}^n
+    support = [(_pack(rho, R), c) for rho, c in f.values.items()]
+    values = {r + e: c for r, c in support for e in eps}
+    ys = [(_pack(y, W), _pack([x % M for x in y], R)) for y in base]
+    ls = [(_pack(v, W), _pack([x % M for x in v], R)) for v in lifts]
+    terms = {py + pl: c for py, ry in ys for pl, rl in ls if (c := values.get(ry + rl))}
     if not terms:
         return pm_zero()
-    return PseudoMeasure(GroupAlgebraElement._of(terms), tuple(periods))
+    return PseudoMeasure(GroupAlgebraElement._of(terms, n, W, bound), tuple(periods))
 
 
 def pair_cone_function(k: ConeFunction, f: TestFunction) -> PseudoMeasure:
@@ -309,8 +346,8 @@ def pair_cone_function(k: ConeFunction, f: TestFunction) -> PseudoMeasure:
 def pm_to_json(a: PseudoMeasure) -> dict:
     return {
         "numerator": [
-            {"vector": list(v), "coeff": str(c)}
-            for v, c in sorted(a.num.terms.items())
+            {"vector": list(_unpack(k, a.num.n, a.num.W)), "coeff": str(c)}
+            for k, c in sorted(a.num.packed.items())
         ],
         "denominator": [list(u) for u in a.den],
     }

@@ -450,9 +450,7 @@ class GA(GroupAlgebraElement):
 
     @staticmethod
     def lift(a: GroupAlgebraElement) -> "GA":
-        out = GA.__new__(GA)
-        out.terms = dict(a.terms)
-        return out
+        return GA(a.terms)
 
     @staticmethod
     def zero() -> "GA":
@@ -473,10 +471,10 @@ class GA(GroupAlgebraElement):
         out = dict(self.terms)
         for v, c in other.terms.items():
             out[v] = out.get(v, 0) + c
-        return GA.lift(GroupAlgebraElement._of(out))
+        return GA(out)
 
     def __neg__(self) -> "GA":
-        return GA.lift(GroupAlgebraElement._of({v: -c for v, c in self.terms.items()}))
+        return GA({v: -c for v, c in self.terms.items()})
 
     def __sub__(self, other: GroupAlgebraElement) -> "GA":
         return self + (-GA.lift(other))
@@ -487,9 +485,17 @@ class GA(GroupAlgebraElement):
             for v, cv in other.terms.items():
                 key = tuple(a + b for a, b in zip(u, v))
                 out[key] = out.get(key, 0) + cu * cv
-        return GA.lift(GroupAlgebraElement._of(out))
+        return GA(out)
 
     __rmul__ = __mul__  # the group algebra is commutative
+
+    def map_exponents(self, fn) -> "GA":
+        """The sum of c * delta_{fn(v)} over the terms c * delta_v."""
+        out: dict = {}
+        for v, c in self.terms.items():
+            key = tuple(int(x) for x in fn(v))
+            out[key] = out.get(key, 0) + c
+        return GA(out)
 
 
 def pm_constant(n: int, c) -> PseudoMeasure:
@@ -698,7 +704,7 @@ def slice_identity_check(f, c: OpenCone, i: int, bound) -> bool:
         return tuple(sum(row[j] * v[j] for j in range(n)) for row in proj)
 
     face_periods = [periods[j] for j in range(len(periods)) if j != i]
-    num_proj = cleared.num.map_exponents(project)
+    num_proj = GA.lift(cleared.num).map_exponents(project)
     den_proj = tuple(project(u) for u in face_periods)
 
     if not face_periods:

@@ -13,7 +13,7 @@ import pytest
 
 from shintani import linalg
 from shintani.amice import is_measure_amice
-from shintani.cli import main
+from shintani.cli import MOMENT_BUDGET, _moment_orders, main
 from shintani.cocycle import CocycleInput, psi_cdg, sample_deformation, verify_cocycle
 from shintani.solomon_hu import pm_eq, pm_from_json
 from shintani.testfunctions import from_json
@@ -594,6 +594,38 @@ def test_moments_with_a_negative_max_order_print_an_empty_table(tmp_path, capsys
     code, out = run(capsys, "--command", "moments", "--input", path, "--max-order", "-1")
     assert code == 0
     assert json.loads(out) == {"p": 3, "precision": 20, "moments": []}
+
+
+def test_moment_orders_are_the_orders_of_bounded_total():
+    for n in range(4):
+        for top in range(-1, 5):
+            want = sorted((e for e in product(range(top + 1), repeat=n) if sum(e) <= top),
+                          key=lambda e: (sum(e), e))
+            assert _moment_orders(n, top) == want
+
+
+def test_moments_refuse_a_table_over_the_budget(tmp_path, capsys):
+    # the table's work, C(max + n, n) orders and max^2 Bernoulli steps, is
+    # predicted before any moment is computed: past the budget it is exit 2
+    # naming --max-order (a separate process, so a table that did start is
+    # caught by the timeout instead of holding the suite)
+    pm3 = {"numerator": [{"vector": [1, 0, 0], "coeff": "1"}, {"vector": [3, 0, 0], "coeff": "-1"}],
+           "denominator": [[4, 0, 0]]}
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "shintani.cli", "--command", "moments",
+                           "--input", write(tmp_path, "in.json", pm3), "--max-order", "1000000"],
+                          capture_output=True, text=True, timeout=20, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: --max-order 1000000 asks for at least ")
+    # in one dimension the work is max^2 + max + 1: 44 fits 2000, 45 does not
+    assert 44**2 + 45 <= MOMENT_BUDGET < 45**2 + 46
+    path = write(tmp_path, "in1.json", {"numerator": [{"vector": [1], "coeff": "1"},
+                                                      {"vector": [3], "coeff": "-1"}],
+                                        "denominator": [[4]]})
+    code, out = run(capsys, "--command", "moments", "--input", path, "--max-order", "44")
+    assert code == 0 and len(json.loads(out)["moments"]) == 45
+    assert main(["--command", "moments", "--input", path, "--max-order", "45"]) == 2
+    assert "--max-order 45" in capsys.readouterr().err
 
 
 def _mutate(rng, value, depth=0):

@@ -7,7 +7,11 @@ import pytest
 from shintani import linalg
 from shintani.cones import ConeFunction, OpenCone
 from shintani.solomon_hu import (
+    GroupAlgebraElement,
     PseudoMeasure as PM,
+    _pack,
+    _unpack,
+    _width,
     act_pm,
     enumerate_fundamental_domain,
     pair_cone_function,
@@ -120,6 +124,74 @@ def test_pm_sum_matches_the_pairwise_fold():
         for x, y in ((a, b), (a, a), (a, _same_value(rng, a, pool)), (a, pm_zero())):
             assert pm_eq(x, y) == oracles.pm_eq_cross(x, y) == (not oracles.pm_fold([(1, x), (-1, y)]).num)
     assert cases == 3000
+
+
+def test_packed_keys_sort_as_tuples_and_round_trip():
+    # signed digits |v_i| < 2^(W-1): the ints sort as the tuples do, and
+    # unpacking inverts packing up to the extreme digits
+    rng = random.Random(2029)
+    for W in (64, 128):
+        top = (1 << (W - 1)) - 1
+        digits = (-top, -top + 1, -1, 0, 1, top - 1, top)
+        for n in (1, 2, 3):
+            vs = list(product((-top, 0, top), repeat=n)) + [
+                tuple(rng.choice(digits) if rng.random() < 0.5 else rng.randint(-top, top)
+                      for _ in range(n)) for _ in range(300)]
+            keys = [_pack(v, W) for v in vs]
+            assert [_unpack(k, n, W) for k in keys] == vs
+            assert [_unpack(k, n, W) for k in sorted(keys)] == sorted(vs)
+            u, v = (tuple(rng.randint(-top // 2, top // 2) for _ in range(n)) for _ in "uv")
+            assert _pack(u, W) + _pack(v, W) == _pack(map(sum, zip(u, v)), W)
+
+
+def test_pack_refuses_a_digit_past_its_width():
+    # the negative control of the bound check: 2^(W-1) does not fit W bits
+    for W in (64, 128):
+        half = 1 << (W - 1)
+        for x in (half, -half):
+            with pytest.raises(OverflowError):
+                _pack((0, x), W)
+        assert _width(half - 1) == W and _width(half) == W + 64
+    wide = GroupAlgebraElement({(1, 1 << 63): 2, (0, -3): 1})
+    assert (wide.W, wide.bound) == (128, 1 << 63)
+    assert dict(wide.terms) == {(1, 1 << 63): 2, (0, -3): 1}
+    with pytest.raises(TypeError):
+        wide.terms[(0, 0)] = 1  # the tuple view is read-only
+
+
+def test_pm_sum_across_widths_matches_the_fold():
+    # summands at W = 64 and W = 128 meet in one sum: each is re-packed to
+    # the sum's width, and the result prints what the pairwise fold prints
+    rng = random.Random(2031)
+    big = 1 << 70
+    widths = set()
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        pool = [v for v in (tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(3)) if any(v)]
+        pool = (pool or [(1,) * n]) + [tuple(rng.choice((-big, big)) for _ in range(n))]
+        pms = []
+        for _ in range(rng.randint(2, 4)):
+            a = _random_pm(rng, n, pool)
+            if a.num and rng.random() < 0.5:
+                a = PM(a.num * GA.delta([rng.choice((-big, big)) for _ in range(n)]), a.den)
+            pms.append(a)
+            widths.add(a.num.W)
+        terms = [(rng.choice((1, -1, 2, F(1, 2))), x) for x in pms]
+        assert pm_to_json(pm_sum(terms)) == pm_to_json(oracles.pm_fold(terms)), terms
+        x, y = pms[0], pms[-1]
+        for a, b in ((x, y), (x, _same_value(rng, x, pool))):
+            assert pm_eq(a, b) == oracles.pm_eq_cross(a, b)
+    assert widths == {64, 128}
+
+
+def test_a_huge_ray_pairs_at_a_wider_digit():
+    big = 10**30
+    f = TestFunction(LatticeContext(2, 3, 4), {(1, j): 1 for j in range(4)}
+                     | {(3, j): -1 for j in range(4)})
+    a = pair_open_cone(OpenCone(((F(1), F(big)),)), f)
+    assert a.num.W == 128 and a.den == ((4, 4 * big),)
+    assert [t["vector"] for t in pm_to_json(a)["numerator"]] == [[1, big], [3, 3 * big]]
+    assert pm_eq(act_pm([[1, 0], [-big, 1]], a), PM(d(1, 0) - d(3, 0), ((4, 0),)))
 
 
 def test_pm_is_integer_constant():
