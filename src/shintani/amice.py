@@ -12,14 +12,14 @@ on slices on single-coset inputs.
 The moments of a measure are rational (Shintani's zeta values at negative
 integers), and moment_table reads them exactly off the Laplace transform
 int e^{s.c} dmu: a finite sum of exponentials over a product of factors
-1 - e^{s_i}, i.e. power sums of the numerator times Bernoulli numbers.
+1 - e^{s_i}, i.e. integer power sums of the numerator times integers L B_k,
+over a denominator known in advance: one exact division per moment.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial, prod
+from math import comb, lcm, prod
 from typing import Sequence
 
 from . import linalg
@@ -27,7 +27,7 @@ from .cones import OpenCone
 from .errors import NonUnitDenominator, NotAMeasure
 from .linalg import IntVec
 from .solomon_hu import PseudoMeasure
-from .testfunctions import TestFunction, _fibres_vanish, check_vh
+from .testfunctions import TestFunction, _fibres_vanish, _is_prime, check_vh
 
 
 def extend_denominator_basis(a: PseudoMeasure, n: int) -> list[IntVec]:
@@ -79,13 +79,15 @@ def _poles_vanish(a: PseudoMeasure, p: int, basis, _adj, _d, terms: list) -> boo
                for i in range(len(a.den)))
 
 
-def _bernoulli(k: int) -> list[Fraction]:
-    """B_0..B_k with B_1 = -1/2, the coefficients of s/(e^s - 1) = sum
-    B_j s^j / j!, from sum_{j<=m} C(m+1, j) B_j = 0."""
-    out = [Fraction(1)]
+def _bernoulli(k: int) -> tuple[int, list[int]]:
+    """(L, [L B_0, ..., L B_k]): B_1 = -1/2, s/(e^s - 1) = sum B_j s^j / j!,
+    and L the lcm of their denominators, by von Staudt-Clausen (D_1 = 2,
+    D_j = prod_{(p-1) | j} p for even j) the primes p <= k + 1. The
+    recurrence sum_{j<=m} C(m+1, j) B_j = 0 divides exactly."""
+    out = [prod(q for q in range(2, k + 2) if _is_prime(q))]  # L B_0 = L
     for m in range(1, k + 1):
-        out.append(-sum(comb(m + 1, j) * out[j] for j in range(m)) / (m + 1))
-    return out
+        out.append(-sum(comb(m + 1, j) * out[j] for j in range(m)) // (m + 1))
+    return out[0], out
 
 
 def moment_table(a: PseudoMeasure, p: int, orders: Sequence[Sequence[int]]) -> list[Fraction]:
@@ -98,11 +100,17 @@ def moment_table(a: PseudoMeasure, p: int, orders: Sequence[Sequence[int]]) -> l
     d = |det b|, and the Laplace transform of the measure is
         F(s) = (-1)^r N(s) / prod_{i<r} s_i * prod_{i<r} s_i / (e^{s_i} - 1)
     with N(s) = sum_v c_v e^{s.y_v/d}. N's coefficient at alpha is the
-    power sum P_alpha = sum_v c_v y_v^alpha over d^|alpha| alpha!; dividing
-    by the s_i shifts the exponent, since N vanishes on every s_i = 0 once
-    the measure test has passed; and the last factor is sum_k B_k s^k / k!
-    in each s_i. The basis moment int c^gamma dmu is gamma! [s^gamma] F,
-    and x = sum_i c_i b_i expands x^kk into basis monomials.
+    integer power sum P_alpha = sum_v c_v y_v^alpha over d^|alpha| alpha!;
+    dividing by the s_i shifts the exponent, since N vanishes on every
+    s_i = 0 once the measure test has passed; and the last factor is
+    sum_k B_k s^k / k! in each s_i. The basis moment int c^gamma dmu is
+    gamma! [s^gamma] F. With alpha = gamma - kappa + 1_r, |gamma| = K, L of
+    _bernoulli and q = lcm(1..max K + 1) it is (-1)^r S(gamma) / (d^(K+r)
+    (L q)^r) for the integer S(gamma) = sum_kappa P_alpha prod_{i<r}
+    c(gamma_i, kappa_i), c(g, k) = C(g+1, k) q/(g+1) d^k L B_k, summed one
+    axis at a time. x = sum_i c_i b_i expands x^kk into basis monomials,
+    x^kk = x^(kk - e_j) x_j, so each order is one Fraction: an integer over
+    cden d^(K+r) (L q)^r, where cden clears the coefficients.
     """
     if not a.num:
         return [Fraction(0)] * len(orders)
@@ -110,37 +118,44 @@ def moment_table(a: PseudoMeasure, p: int, orders: Sequence[Sequence[int]]) -> l
     if not _poles_vanish(a, p, *coords):
         raise NotAMeasure("series-side divisibility test fails")
     n, r = len(basis), len(a.den)
-    bernoulli = _bernoulli(max((sum(kk) for kk in orders), default=0))
-    shifted: dict[tuple[int, ...], Fraction] = {}  # [s^beta] N(s) / prod_{i<r} s_i
-    basis_moments: dict[tuple[int, ...], Fraction] = {}
+    cden = lcm(*(c.denominator for _, c in terms))
+    terms = [(ys, c.numerator * (cden // c.denominator)) for ys, c in terms]
+    top = max((sum(kk) for kk in orders), default=0)
+    big, bern = _bernoulli(top)
+    q = lcm(*range(1, top + 2))
+    coef = [[comb(g + 1, k) * (q // (g + 1)) * d**k * b for k, b in enumerate(bern[:g + 1])]
+            for g in range(top + 1)]  # c(g, k)
+    # sums[j][t]: P_t summed over kappa_i on the axes i < j, where t_i = gamma_i
+    sums: list[dict[tuple[int, ...], int]] = [{} for _ in range(r + 1)]
 
-    def shifted_coeff(beta: tuple[int, ...]) -> Fraction:
-        if beta not in shifted:
-            alpha = tuple(e + 1 if i < r else e for i, e in enumerate(beta))
-            power_sum = sum(c * prod(y**e for y, e in zip(ys, alpha)) for ys, c in terms)
-            shifted[beta] = power_sum / Fraction(d ** sum(alpha) * prod(map(factorial, alpha)))
-        return shifted[beta]
+    def summed(j: int, t: tuple[int, ...]) -> int:
+        if t not in sums[j]:
+            if j == 0:
+                sums[0][t] = sum(c * prod(y**e for y, e in zip(ys, t)) for ys, c in terms)
+            else:
+                g, head, tail = t[j - 1], t[:j - 1], t[j:]
+                sums[j][t] = sum(c * summed(j - 1, head + (g - k + 1,) + tail)
+                                 for k, c in enumerate(coef[g]) if c)
+        return sums[j][t]
 
-    def basis_moment(gamma: tuple[int, ...]) -> Fraction:
-        if gamma not in basis_moments:
-            total = Fraction(0)
-            for kappa in product(*(range(g + 1) for g in gamma[:r])):
-                beta = tuple(g - k for g, k in zip(gamma, kappa)) + gamma[r:]
-                total += shifted_coeff(beta) * prod(bernoulli[k] / factorial(k) for k in kappa)
-            basis_moments[gamma] = (-1) ** r * prod(map(factorial, gamma)) * total
-        return basis_moments[gamma]
-
-    table = []
+    polys = {(0,) * n: {(0,) * n: 1}}  # x^kk in basis monomials, by kk
+    table, layer = [], 1
     for kk in orders:
-        poly = {(0,) * n: 1}  # x^kk in basis monomials
-        for j, k in enumerate(kk):
-            for _ in range(k):
-                step: dict[tuple[int, ...], int] = {}
-                for gamma, w in poly.items():
-                    for i, b in enumerate(basis):
-                        if b[j]:
-                            g = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1:]
-                            step[g] = step.get(g, 0) + w * b[j]
-                poly = step
-        table.append(sum((w * basis_moment(g) for g, w in poly.items() if w), Fraction(0)))
+        if sum(kk) > layer:  # for orders by total, keep x^kk for the totals 0, K - 1, K
+            layer = sum(kk)
+            polys = {g: x for g, x in polys.items() if sum(g) + 1 >= layer or not any(g)}
+        chain, key = [], tuple(kk)  # x^kk = x^(kk - e_j) x_j for the last axis j of kk
+        while key not in polys:
+            j = max(i for i, k in enumerate(key) if k)
+            chain.append((key, j))
+            key = key[:j] + (key[j] - 1,) + key[j + 1:]
+        for key, j in reversed(chain):
+            polys[key] = step = {}
+            for gamma, w in polys[key[:j] + (key[j] - 1,) + key[j + 1:]].items():
+                for i, b in enumerate(basis):
+                    if b[j]:
+                        g = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1:]
+                        step[g] = step.get(g, 0) + w * b[j]
+        num = sum(w * summed(r, g) for g, w in polys[tuple(kk)].items() if w)
+        table.append(Fraction((-1) ** r * num, cden * d ** (sum(kk) + r) * (big * q) ** r))
     return table

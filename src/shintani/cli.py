@@ -13,8 +13,9 @@ Commands (selected with --command):
 
 All randomness flows from --seed; reports are byte-identical across runs
 with the same configuration. Exit codes: 0 ok, 2 malformed input, a bad
-flag value or a pairing cell over the point budget, 3 dependent input
-vectors, 4 not a measure, 6 a verification trial failed.
+flag value, a pairing cell over the point budget, or a p^precision or moment
+past PRINT_BITS bits (too long to print), 3 dependent input vectors, 4 not
+a measure, 6 a verification trial failed.
 
 Rationals are serialized as decimal strings ("3/4"); p-adic scalars as
 "p^v*u" with valuation v and unit u, or "0".
@@ -47,6 +48,7 @@ EXIT_NOT_A_MEASURE = 4
 EXIT_TRIAL_FAILED = 6
 
 MOMENT_BUDGET = 2000  # most moment orders plus Bernoulli steps in one table
+PRINT_BITS = 14284  # 2^14284 < 10^4300, CPython's default limit on int-to-str digits
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,12 +163,15 @@ def cmd_moments(args) -> tuple[dict, int]:
     if work > MOMENT_BUDGET:
         raise SchemaError(f"--max-order {top} asks for at least {work} moment orders and "
                           f"Bernoulli steps in {dim} dimensions, more than {MOMENT_BUDGET}")
+    if args.precision > PRINT_BITS or (p ** args.precision).bit_length() > PRINT_BITS:
+        raise SchemaError(f"--precision {args.precision}: p^precision is past {PRINT_BITS} bits")
     orders = _moment_orders(dim, args.max_order)
-    table = [
-        {"order": list(kk), "padic": str(PadicScalar.from_rational(value, p, args.precision)),
-         "rational": str(value)}
-        for kk, value in zip(orders, amice.moment_table(pm, p, orders))
-    ]
+    table = []
+    for kk, value in zip(orders, amice.moment_table(pm, p, orders)):
+        if max(value.numerator.bit_length(), value.denominator.bit_length()) > PRINT_BITS:
+            raise SchemaError(f"moment {list(kk)} is past {PRINT_BITS} bits, too long to print")
+        table.append({"order": list(kk), "rational": str(value),
+                      "padic": str(PadicScalar.from_rational(value, p, args.precision))})
     return {"p": p, "precision": args.precision, "moments": table}, EXIT_OK
 
 

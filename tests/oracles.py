@@ -2,7 +2,9 @@
 
 The oracles are deliberately naive (cofactor expansion, box scans, a
 Fraction solve, textbook recurrences) and share no code with the library
-paths they check. The helpers at the end were library code that only the
+paths they check; fraction_moment_table, the Fraction moment table the
+integer one replaced, shares the library's measure test and coordinates
+and checks only the arithmetic. The helpers at the end were library code that only the
 tests called: evaluation and the action of SL_n(Z) on step functions by
 full walks over (Z/M)^n, the additive group of cone functions, wedges,
 cone membership and evaluation, the sign-twisted action on cone functions,
@@ -18,13 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, comb, gcd, lcm, prod
+from math import ceil, comb, factorial, gcd, lcm, prod
+from typing import Sequence
 
 from shintani import linalg
+from shintani.amice import _coordinates, _poles_vanish
 from shintani.cocycle import CocycleInput, psi_cdg
 from shintani.cones import ConeFunction, OpenCone
 from shintani.errors import (
     DependentInput,
+    NotAMeasure,
     NotUnimodular,
     ShintaniError,
     SingularMatrix,
@@ -265,6 +270,66 @@ def bernoulli_moments(num, den, orders) -> list[Fraction]:
                 total += w * basis_moment([choice.count(i) for i in range(n)])
         out.append(total)
     return out
+
+
+def fraction_moment_table(a: PseudoMeasure, p: int, orders: Sequence[Sequence[int]]) -> list[Fraction]:
+    """amice.moment_table as it was before its integer rewrite, kept as a
+    differential oracle: every power sum, Bernoulli term and partial sum is
+    a Fraction. The exact moment int x^kk dmu, in the standard coordinates
+    of the ambient lattice, for each order kk; NotAMeasure unless a is a
+    measure at p.
+
+    In the basis b of extend_denominator_basis, r = len(a.den), the basis
+    coordinates of a numerator point v are y_v / d with y_v = adj v and
+    d = |det b|, and the Laplace transform of the measure is
+        F(s) = (-1)^r N(s) / prod_{i<r} s_i * prod_{i<r} s_i / (e^{s_i} - 1)
+    with N(s) = sum_v c_v e^{s.y_v/d}. N's coefficient at alpha is the
+    power sum P_alpha = sum_v c_v y_v^alpha over d^|alpha| alpha!; dividing
+    by the s_i shifts the exponent, since N vanishes on every s_i = 0 once
+    the measure test has passed; and the last factor is sum_k B_k s^k / k!
+    in each s_i. The basis moment int c^gamma dmu is gamma! [s^gamma] F,
+    and x = sum_i c_i b_i expands x^kk into basis monomials.
+    """
+    if not a.num:
+        return [Fraction(0)] * len(orders)
+    basis, _adj, d, terms = coords = _coordinates(a)
+    if not _poles_vanish(a, p, *coords):
+        raise NotAMeasure("series-side divisibility test fails")
+    n, r = len(basis), len(a.den)
+    bernoulli = bernoulli_numbers(max((sum(kk) for kk in orders), default=0))
+    shifted: dict[tuple[int, ...], Fraction] = {}  # [s^beta] N(s) / prod_{i<r} s_i
+    basis_moments: dict[tuple[int, ...], Fraction] = {}
+
+    def shifted_coeff(beta: tuple[int, ...]) -> Fraction:
+        if beta not in shifted:
+            alpha = tuple(e + 1 if i < r else e for i, e in enumerate(beta))
+            power_sum = sum(c * prod(y**e for y, e in zip(ys, alpha)) for ys, c in terms)
+            shifted[beta] = power_sum / Fraction(d ** sum(alpha) * prod(map(factorial, alpha)))
+        return shifted[beta]
+
+    def basis_moment(gamma: tuple[int, ...]) -> Fraction:
+        if gamma not in basis_moments:
+            total = Fraction(0)
+            for kappa in product(*(range(g + 1) for g in gamma[:r])):
+                beta = tuple(g - k for g, k in zip(gamma, kappa)) + gamma[r:]
+                total += shifted_coeff(beta) * prod(bernoulli[k] / factorial(k) for k in kappa)
+            basis_moments[gamma] = (-1) ** r * prod(map(factorial, gamma)) * total
+        return basis_moments[gamma]
+
+    table = []
+    for kk in orders:
+        poly = {(0,) * n: 1}  # x^kk in basis monomials
+        for j, k in enumerate(kk):
+            for _ in range(k):
+                step: dict[tuple[int, ...], int] = {}
+                for gamma, w in poly.items():
+                    for i, b in enumerate(basis):
+                        if b[j]:
+                            g = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1:]
+                            step[g] = step.get(g, 0) + w * b[j]
+                poly = step
+        table.append(sum((w * basis_moment(g) for g, w in poly.items() if w), Fraction(0)))
+    return table
 
 
 def hermite_box(h) -> list[tuple[int, ...]]:

@@ -2,12 +2,13 @@ import random
 import time
 from fractions import Fraction as F
 from itertools import product
-from math import comb
+from math import comb, lcm, prod
 
 import pytest
 
 from shintani import linalg
 from shintani.amice import (
+    _bernoulli,
     extend_denominator_basis,
     is_measure_amice,
     is_measure_vh,
@@ -23,7 +24,15 @@ from shintani.solomon_hu import (
 )
 from shintani.testfunctions import LatticeContext, TestFunction
 
-from oracles import GA, bernoulli_moments, hermite_box, hurwitz_zeta_neg, rank_by_minors
+from oracles import (
+    GA,
+    bernoulli_moments,
+    bernoulli_numbers,
+    fraction_moment_table,
+    hermite_box,
+    hurwitz_zeta_neg,
+    rank_by_minors,
+)
 
 
 def moment(pm, p, kk):
@@ -375,3 +384,101 @@ def test_moment_table_matches_the_bernoulli_oracle():
                     assert moment_table(pm, p, orders) == want, (kind, pm)
                     kinds[kind] += 1
     assert all(count >= 12 for count in kinds.values()), kinds
+
+
+def _orders(n, max_order):
+    return sorted((e for e in product(range(max_order + 1), repeat=n) if sum(e) <= max_order),
+                  key=lambda e: (sum(e), e))
+
+
+def _seeded_measures(seed):
+    """(kind, n, p, pseudo-measure, orders): full-rank and lower-rank cone
+    pairings, unreduced and p-split measures, each also convolved with a
+    Dirac combination of rational coefficients, and non-measures (a measure
+    plus one Dirac); orders up to 8 for n <= 2 and up to 5 for n = 3."""
+    rng = random.Random(seed)
+    for n in (1, 2, 3):
+        orders = _orders(n, 5 if n == 3 else 8)
+        for p in (3, 5):
+            for _ in range(3):
+                measures = [
+                    ("full", _vh_pairing(rng, n, n, 2 if n == 3 else 4, p)),
+                    ("lower", _vh_pairing(rng, n, rng.randint(1, n), 2, p)),
+                    ("unreduced", _unreduced_measure(rng, n, p)),
+                    ("p-split", _p_split_measure(rng, n, p, rng.randint(1, n))),
+                ]
+                for kind, pm in measures:
+                    if not pm.num:
+                        continue
+                    yield kind, n, p, pm, orders
+                    dirac = GA({tuple(rng.randint(-2, 2) for _ in range(n)):
+                                F(rng.choice((-5, -1, 1, 3)), rng.choice((1, 2, 6, 9)))
+                                for _ in range(2)})
+                    yield "rational", n, p, PM(pm.num * dirac, pm.den), orders
+                    yield "non-measure", n, p, PM(GA.delta((1,) * n) + pm.num, pm.den), orders
+
+
+def test_moment_table_matches_the_fraction_oracle():
+    # the integer table against the Fraction table it replaced: equal
+    # values on measures, NotAMeasure on both sides otherwise
+    kinds = {}
+    for kind, n, p, pm, orders in _seeded_measures(59):
+        try:
+            want = fraction_moment_table(pm, p, orders)
+        except NotAMeasure:
+            with pytest.raises(NotAMeasure):
+                moment_table(pm, p, orders)
+            kind = "rejected"
+        else:
+            assert moment_table(pm, p, orders) == want, (kind, pm)
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert all(kinds.get(k, 0) >= 10 for k in
+               ("full", "lower", "unreduced", "p-split", "rational", "rejected")), kinds
+
+
+def test_bernoulli_numerators_are_integers_over_von_staudt_clausen():
+    # D_1 = 2, D_k = prod of the primes p with (p - 1) | k for even k, and
+    # B_k = 0 for odd k > 1; L for order k is the lcm of D_0..D_k
+    bs = bernoulli_numbers(88)
+    primes = [q for q in range(2, 90) if all(q % d for d in range(2, q))]
+    dens = []
+    for k, b in enumerate(bs):
+        if k == 1:
+            dens.append(2)
+        elif k == 0 or k % 2:
+            dens.append(1)  # B_0 = 1, and B_k = 0 for odd k > 1
+        else:
+            dens.append(prod(q for q in primes if k % (q - 1) == 0))
+        assert dens[k] == b.denominator, k
+        big, scaled = _bernoulli(k)
+        assert big == lcm(*dens)
+        assert all(type(x) is int and x == big * y for x, y in zip(scaled, bs)), k
+
+
+def _p_integral(values, p):
+    return all(F(v).denominator % p for v in values)
+
+
+def test_accepted_integral_tables_are_p_integral():
+    # a Z_p-valued measure has p-integral moments: every table accepted at
+    # p whose numerator has integer coefficients
+    accepted = {3: 0, 5: 0, 7: 0}
+    for kind, _n, _p, pm, orders in _seeded_measures(59):
+        if any(isinstance(c, F) for c in pm.num.terms.values()):
+            continue
+        for p in accepted:
+            try:
+                table = moment_table(pm, p, orders)
+            except NotAMeasure:
+                continue
+            assert _p_integral(table, p), (kind, p, pm)
+            accepted[p] += 1
+    assert min(accepted.values()) >= 60, accepted
+    # negative control: (d1 - d2)/(1 - d3) is a measure at 2 but not at 3,
+    # and its formal moments 1/3, 0, -2/9 are not 3-integral
+    pole = PM(GA.delta((1,)) - GA.delta((2,)), ((3,),))
+    formal = bernoulli_moments(pole.num.terms, pole.den, [(0,), (1,), (2,)])
+    assert formal == [F(1, 3), 0, F(-2, 9)]
+    assert not _p_integral(formal, 3)
+    with pytest.raises(NotAMeasure):
+        moment_table(pole, 3, [(0,)])

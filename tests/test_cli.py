@@ -13,7 +13,7 @@ import pytest
 
 from shintani import linalg
 from shintani.amice import is_measure_amice
-from shintani.cli import MOMENT_BUDGET, _moment_orders, main
+from shintani.cli import MOMENT_BUDGET, PRINT_BITS, _moment_orders, main
 from shintani.cocycle import CocycleInput, psi_cdg, sample_deformation, verify_cocycle
 from shintani.solomon_hu import pm_eq, pm_from_json
 from shintani.testfunctions import from_json
@@ -384,6 +384,44 @@ def test_moments_at_high_precision(tmp_path, capsys):
         assert code == 0
         tables[precision] = [r["rational"] for r in json.loads(out)["moments"]]
     assert tables["700"] == tables["20"] == ["1/2", "0", "-1/2", "0"]
+
+
+def test_moments_refuse_what_is_too_long_to_print(tmp_path, capsys):
+    # CPython prints no int of more than 4300 digits. The CLI refuses first,
+    # against its own bound: a --precision whose p^precision is past
+    # PRINT_BITS bits before any moment is computed, and a moment whose
+    # numerator or denominator is past it, naming the moment's order; both
+    # exit 2 without reaching the interpreter's limit
+    assert 2**PRINT_BITS < 10**4300 < 2 ** (PRINT_BITS + 1)
+    split = write(tmp_path, "split.json", {
+        "numerator": [{"vector": [x], "coeff": str(c)}
+                      for x, c in {-8: 3, 5: 2, 7: 2, 11: -1, 13: -5, 14: -1}.items()],
+        "denominator": [[-12]]})
+    # 3^9000 has 4295 digits, 3^9100 has 4342
+    code, out = run(capsys, "--command", "moments", "--input", split, "--p", "3",
+                    "--precision", "9000")
+    assert code == 0
+    assert max(len(r["padic"]) for r in json.loads(out)["moments"]) > 4000
+    for precision in ("9100", "100000"):
+        assert main(["--command", "moments", "--input", split, "--p", "3",
+                     "--precision", precision]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --precision {precision}: p^precision is past ")
+    # (delta_0 - delta_N)/(1 - delta_1) is sum_{0 <= x < N} delta_x: its
+    # order-k moment is about N^(k+1)/(k+1), past the bound at k = 43 for N = 10^100
+    big = write(tmp_path, "big.json", {
+        "numerator": [{"vector": [0], "coeff": "1"}, {"vector": [str(10**100)], "coeff": "-1"}],
+        "denominator": [[1]]})
+    code, out = run(capsys, "--command", "moments", "--input", big, "--n", "1", "--max-order", "42")
+    assert code == 0
+    rows = json.loads(out)["moments"]
+    assert Fraction(rows[1]["rational"]) == Fraction(10**100 * (10**100 - 1), 2)
+    assert len(rows[42]["rational"]) > 4200
+    assert main(["--command", "moments", "--input", big, "--n", "1", "--max-order", "44"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: moment [43] is past {PRINT_BITS} bits")
 
 
 def _table(n, M, values):
