@@ -13,9 +13,10 @@ Commands (selected with --command):
 
 All randomness flows from --seed; reports are byte-identical across runs
 with the same configuration. Exit codes: 0 ok, 2 malformed input, a bad
-flag value, a pairing cell over the point budget, or a p^precision or moment
-past PRINT_BITS bits (too long to print), 3 dependent input vectors, 4 not
-a measure, 6 a verification trial failed.
+flag value, a prime p (in the step function or --p) not below 2^64, where
+primality is decided exactly, a pairing cell over the point budget, or a
+p^precision or moment past PRINT_BITS bits (too long to print), 3 dependent
+input vectors, 4 not a measure, 6 a verification trial failed.
 
 Rationals are serialized as decimal strings ("3/4"); p-adic scalars as
 "p^v*u" with valuation v and unit u, or "0".
@@ -151,7 +152,11 @@ def cmd_moments(args) -> tuple[dict, int]:
         pm = solomon_hu.pair_open_cone(cone, f)
         p, n = f.ctx.p, f.ctx.n
     elif "numerator" in data:
-        if not testfunctions._is_prime(args.p):
+        try:
+            prime = testfunctions._is_prime(args.p)
+        except ValueError as exc:
+            raise SchemaError(f"--p: {exc}") from exc
+        if not prime:
             raise SchemaError(f"--p must be a prime, got {args.p}")
         pm = solomon_hu.pm_from_json(data)
         p, n = args.p, args.n
@@ -213,9 +218,7 @@ def cmd_cocycle(args) -> tuple[dict, int]:
     e1 = tuple(1 if i == 0 else 0 for i in range(ctx.n))
     vh_e1 = testfunctions.check_vh(f, e1)
     measure_ok = cocycle.verify_measure_valued(
-        f, max(1, args.trials // 4), cocycle.sample_deformation(ctx.n, rng),
-        seed=args.seed, require_vh=False,
-    )
+        f, max(1, args.trials // 4), cocycle.sample_deformation(ctx.n, rng), seed=args.seed)
     if vh_e1 and not measure_ok:
         all_pass = False
     report = {

@@ -77,9 +77,6 @@ class ConeFunction:
         cleaned = tuple((c, cone) for cone, c in merged.items() if c != 0)
         object.__setattr__(self, "terms", cleaned)
 
-    def scale(self, c: int) -> "ConeFunction":
-        return ConeFunction(tuple((c * coeff, cone) for coeff, cone in self.terms))
-
     @staticmethod
     def zero() -> "ConeFunction":
         return ConeFunction(())

@@ -29,10 +29,6 @@ class NotStabilizer(ShintaniError):
     """Group element does not stabilize the given step function."""
 
 
-class VHFailsForE1(ShintaniError):
-    """The vanishing hypothesis for e_1 does not hold."""
-
-
 class NonUnitDenominator(ShintaniError):
     """Denominator vectors repeat, so they cannot start a basis in which
     each factor 1 - delta_u is exactly -T_i."""

@@ -11,8 +11,8 @@ Z^n whose first r rows saturate the span of the r input rows, and the
 cosets of Z^n modulo a lattice are a box read off the Hermite diagonal,
 so no job needs an inverse: one Hermite pass gives a pairing cell its
 basis, its box of base points and its lifts (`solomon_hu._cell`).
-A rational row is scaled to integers first (`clear_denominators`): every
-decision made here is unchanged by a positive rescaling of a row.
+A rational vector is scaled to integers first (`clear_denominators`): its
+primitive vector is unchanged by a positive rescaling.
 """
 
 from __future__ import annotations
@@ -82,28 +82,19 @@ def primitive_vector(v: Sequence) -> IntVec:
     return tuple(x // g for x in ints)
 
 
-def det(m: Sequence[Sequence]) -> int | Fraction:
-    """Exact determinant of a rational matrix, 0 when it is singular.
-
-    Each row is scaled to integers, and m * u = h gives det = det(u) *
-    prod h_ii, divided by the row scales.
-    """
+def det(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix, 0 when it is singular:
+    m * u = h gives det = det(u) * prod h_ii."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1  # hermite takes at least one row
-    rows, scale = [], 1
-    for row in m:
-        ints, s = clear_denominators(row)
-        rows.append(ints)
-        scale *= s
     try:
-        h, _u, _u_inv, sign = hermite(rows)
+        h, _u, _u_inv, sign = hermite(m)
     except DependentInput:
         return 0
-    d = sign * prod(h[i][i] for i in range(n))
-    return d if scale == 1 else Fraction(d, scale)
+    return sign * prod(h[i][i] for i in range(n))
 
 
 def adjugate(m: Sequence[Sequence[int]]) -> tuple[IntMat, int]:

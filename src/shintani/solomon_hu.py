@@ -72,8 +72,9 @@ def _unpack(key: int, n: int, W: int) -> IntVec:
 
 class GroupAlgebraElement:
     """Finite rational combination of lattice Dirac symbols: `packed` maps
-    exponents packed at width W, all |v_i| <= bound, to int or Fraction
-    coefficients; only the public constructor normalizes arbitrary input."""
+    exponents packed at width W, all |v_i| <= bound, to nonzero int or
+    non-integral Fraction coefficients. The public constructor normalizes
+    arbitrary input; every internal result is built clean."""
 
     __slots__ = ("packed", "n", "W", "bound")
 
@@ -89,11 +90,9 @@ class GroupAlgebraElement:
 
     @staticmethod
     def _of(packed: dict, n: int, W: int, bound: int) -> "GroupAlgebraElement":
-        """Wrap a packed dict, dropping zeros and making integral Fractions int."""
+        """Wrap a packed dict that holds no zero and no integral Fraction."""
         out = GroupAlgebraElement.__new__(GroupAlgebraElement)
-        out.packed = {k: c if type(c) is int or c.denominator != 1 else c.numerator
-                      for k, c in packed.items() if c}
-        out.n, out.W, out.bound = n, W, bound
+        out.packed, out.n, out.W, out.bound = packed, n, W, bound
         return out
 
     def _at(self, W: int) -> dict:  # the packed dict at a width W >= self.W
@@ -104,32 +103,8 @@ class GroupAlgebraElement:
     def terms(self) -> Mapping[IntVec, int | Fraction]:  # a read-only tuple-keyed view
         return MappingProxyType({_unpack(k, self.n, self.W): c for k, c in self.packed.items()})
 
-    @staticmethod
-    def zero() -> "GroupAlgebraElement":
-        return GroupAlgebraElement()
-
-    @staticmethod
-    def delta(v: Sequence[int], coeff=1) -> "GroupAlgebraElement":
-        return GroupAlgebraElement({tuple(int(x) for x in v): coeff})
-
-    @staticmethod
-    def one(n: int) -> "GroupAlgebraElement":
-        return GroupAlgebraElement.delta((0,) * n)
-
     def __bool__(self) -> bool:
         return bool(self.packed)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupAlgebraElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def scale(self, c) -> "GroupAlgebraElement":
-        c = Fraction(c)
-        c = c.numerator if c.denominator == 1 else c
-        return GroupAlgebraElement._of({k: c * x for k, x in self.packed.items()},
-                                       self.n, self.W, self.bound)
 
     def __repr__(self):
         if not self.packed:
@@ -138,30 +113,25 @@ class GroupAlgebraElement:
         return f"GA({body})"
 
 
-def denominator_product(den: Sequence[IntVec], n: int) -> GroupAlgebraElement:
-    bound = sum(max(map(abs, u)) for u in den)
-    W, out = _width(bound), {0: 1}
+def denominator_product(den: Sequence[IntVec], W: int) -> dict:
+    """prod_u (1 - delta_u), packed at a width W whose digits hold the sum
+    of the max-norms of the u, which bounds every exponent."""
+    out = {0: 1}
     for u in den:  # out * (1 - delta_u) = out minus out shifted by u
         s, terms = _pack(u, W), dict(out)
         for k, c in out.items():
             terms[k + s] = terms.get(k + s, 0) - c
         out = terms
-    return GroupAlgebraElement._of(out, n, W, bound)
+    return {k: c for k, c in out.items() if c}  # the shifts cancel some terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PseudoMeasure:
-    """Unreduced fraction numerator / prod (1 - delta_u)."""
+    """Unreduced fraction numerator / prod (1 - delta_u), with the nonzero
+    vectors u sorted. Equality is pm_eq, a zero difference."""
 
     num: GroupAlgebraElement
     den: tuple[IntVec, ...]
-
-    def __post_init__(self):
-        den = tuple(sorted(tuple(int(x) for x in u) for u in self.den))
-        for u in den:
-            if all(x == 0 for x in u):
-                raise ValueError("denominator vectors must be nonzero")
-        object.__setattr__(self, "den", den)
 
     @property
     def dim(self) -> int:
@@ -173,7 +143,7 @@ class PseudoMeasure:
 
 
 def pm_zero() -> PseudoMeasure:
-    return PseudoMeasure(GroupAlgebraElement.zero(), ())
+    return PseudoMeasure(GroupAlgebraElement._of({}, 0, _width(0), 0), ())
 
 
 def _accumulate(terms: list) -> tuple[GroupAlgebraElement, tuple[IntVec, ...], int]:
@@ -194,7 +164,7 @@ def _accumulate(terms: list) -> tuple[GroupAlgebraElement, tuple[IntVec, ...], i
         if c and a.num:
             missing = [u for u, m in most.items() for _ in range(m - a.den.count(u))]
             if missing:  # shift-subtract once by the factors a lacks
-                shifts = [(w, c * x) for w, x in denominator_product(missing, n)._at(W).items()]
+                shifts = [(w, c * x) for w, x in denominator_product(missing, W).items()]
                 for v, x in a.num._at(W).items():
                     for w, cw in shifts:
                         out[v + w] = out.get(v + w, 0) + cw * x
@@ -204,6 +174,9 @@ def _accumulate(terms: list) -> tuple[GroupAlgebraElement, tuple[IntVec, ...], i
             zero = not any(out.values())
         if zero and i + 1 < len(terms):
             start = i + 1
+    # the sums cancel terms and add Fractions up to integers
+    out = {k: c if type(c) is int or c.denominator != 1 else c.numerator
+           for k, c in out.items() if c}
     return GroupAlgebraElement._of(out, n, W, bound), union, start
 
 
@@ -219,7 +192,7 @@ def pm_sum(terms: Iterable[tuple[int | Fraction, PseudoMeasure]]) -> PseudoMeasu
     out, union, start = _accumulate(terms)
     c, a = terms[start]
     if not (c and a.num):
-        return PseudoMeasure(GroupAlgebraElement.zero(), a.den)
+        return PseudoMeasure(pm_zero().num, a.den)
     if start:
         out, union, _start = _accumulate(terms[start:])
     return PseudoMeasure(out, union)
@@ -235,9 +208,8 @@ def pm_is_integer_constant(a: PseudoMeasure) -> int | None:
     """Return m when a equals m * delta_0 with m an integer, else None."""
     if not a.num:
         return 0
-    dprod = denominator_product(a.den, a.dim)
-    W = max(a.num.W, dprod.W)
-    dprod, num = dprod._at(W), a.num._at(W)
+    W = max(a.num.W, _width(sum(max(map(abs, u)) for u in a.den)))
+    dprod, num = denominator_product(a.den, W), a.num._at(W)
     m = Fraction(num[min(num)], dprod[min(dprod)])  # the ratio at the lowest exponents
     ok = m.denominator == 1 and num == {k: m * c for k, c in dprod.items()}
     return m.numerator if ok else None
@@ -252,7 +224,7 @@ def act_pm(g: Sequence[Sequence[int]], a: PseudoMeasure) -> PseudoMeasure:
     W = _width(bound)  # g is a bijection, so no two images of the terms meet
     num = {_pack(linalg.mat_vec(gm, _unpack(k, old.n, old.W)), W): c
            for k, c in old.packed.items()}
-    den = tuple(tuple(int(x) for x in linalg.mat_vec(gm, u)) for u in a.den)
+    den = tuple(sorted(linalg.mat_vec(gm, u) for u in a.den))
     return PseudoMeasure(GroupAlgebraElement._of(num, old.n, W, bound), den)
 
 
@@ -362,9 +334,11 @@ def pm_from_json(data: dict) -> PseudoMeasure:
             if type(c) is not int and type(c) is not str:  # a bool or a float
                 raise ValueError(f"coefficient {c!r} is not an integer or a rational string")
             num[v] = num.get(v, Fraction(0)) + Fraction(c)
-        den = tuple(tuple(_as_int(x) for x in u) for u in data["denominator"])
+        den = tuple(sorted(tuple(_as_int(x) for x in u) for u in data["denominator"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad pseudo-measure JSON: {exc}") from exc
     if len({len(v) for v in num} | {len(u) for u in den}) > 1:
         raise SchemaError("bad pseudo-measure JSON: vectors of different lengths")
+    if not all(any(u) for u in den):
+        raise SchemaError("bad pseudo-measure JSON: a denominator vector is zero")
     return PseudoMeasure(GroupAlgebraElement(num), den)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import linalg
@@ -32,8 +32,23 @@ from .errors import NotUnimodular, SchemaError
 from .linalg import IntMat, IntVec
 
 
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
+    """Miller-Rabin to the bases PRIME_BASES, exact for p < 2^64: the least
+    odd composite that passes all twelve exceeds 3 * 10^23 (Sorenson and
+    Webster, Math. Comp. 86, 2017). ValueError naming p above 2^64."""
+    if p >= 1 << 64:
+        raise ValueError(f"p = {p} is not below 2^64, where primality is decided exactly")
+    if p < 2 or any(p % b == 0 for b in PRIME_BASES):
+        return p in PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s d with d odd
+    for b in PRIME_BASES:  # b passes when b^d = 1 or b^(2^k d) = -1 for some k < s
+        xs = [pow(b, (p - 1) >> j, p) for j in range(s, 0, -1)]  # k = 0, ..., s - 1
+        if xs[0] != 1 and p - 1 not in xs:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -135,20 +150,18 @@ def random_congruence_element(ctx: LatticeContext, seed: int) -> IntMat:
     """
     rng = random.Random(seed)
     n = ctx.n
-    count = rng.randint(1, 2)
-    result = linalg.identity(n)
     if n == 1:
-        return result
-    for _ in range(count):
+        return linalg.identity(1)
+    result = [list(row) for row in linalg.identity(n)]
+    for _ in range(rng.randint(1, 2)):
         i = rng.randrange(n)
         j = rng.randrange(n - 1)
         if j >= i:
             j += 1
         c = rng.choice((-1, 1))
-        elem = [list(row) for row in linalg.identity(n)]
-        elem[i][j] = c * ctx.M
-        result = linalg.int_mat(linalg.mat_mul(result, elem))
-    return result
+        for row in result:  # right-multiply by I + c*M*E_ij
+            row[j] += c * ctx.M * row[i]
+    return tuple(map(tuple, result))
 
 
 def _as_int(x) -> int:

@@ -530,7 +530,10 @@ class GA(GroupAlgebraElement):
         return GA.delta((0,) * n)
 
     def scale(self, c) -> "GA":
-        return GA.lift(GroupAlgebraElement.scale(self, c))
+        return GA({v: c * x for v, x in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GroupAlgebraElement) and self.terms == other.terms
 
     def __add__(self, other: GroupAlgebraElement) -> "GA":
         out = dict(self.terms)
@@ -564,7 +567,7 @@ class GA(GroupAlgebraElement):
 
 
 def pm_constant(n: int, c) -> PseudoMeasure:
-    return PseudoMeasure(GroupAlgebraElement.one(n).scale(c), ())
+    return PseudoMeasure(GA.one(n).scale(c), ())
 
 
 def pm_neg(a: PseudoMeasure) -> PseudoMeasure:
@@ -574,7 +577,7 @@ def pm_neg(a: PseudoMeasure) -> PseudoMeasure:
 def pm_mul(a: PseudoMeasure, b: PseudoMeasure) -> PseudoMeasure:
     if not a.num or not b.num:
         return pm_zero()
-    return PseudoMeasure(GA.lift(a.num) * b.num, a.den + b.den)
+    return PseudoMeasure(GA.lift(a.num) * b.num, tuple(sorted(a.den + b.den)))
 
 
 # -- the pairwise pseudo-measure sum, the reference for solomon_hu.pm_sum ----
@@ -645,7 +648,7 @@ def pm_fold(terms) -> PseudoMeasure:
     """pm_add(...pm_add(pm_zero(), c_1 a_1)..., c_k a_k) over the (c, a) pairs."""
     out = pm_zero()
     for c, a in terms:
-        out = pm_add(out, PseudoMeasure(a.num.scale(c), a.den))
+        out = pm_add(out, PseudoMeasure(GA.lift(a.num).scale(c), a.den))
     return out
 
 

@@ -170,6 +170,24 @@ def test_a_huge_level_is_decided_from_the_support(tmp_path, command, payload, co
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
 
 
+@pytest.mark.parametrize("command, payload, flags", [
+    ("vh", {"test_function": {**TF_ONE, "p": 10**30 + 57}, "rays": [["1"]]}, []),
+    ("moments", {"numerator": [{"vector": [1], "coeff": "1"}], "denominator": [[4]]},
+     ["--p", str(10**30 + 57)]),
+], ids=["vh", "moments-p"])
+def test_a_prime_past_2_to_the_64_is_refused_naming_it(tmp_path, command, payload, flags):
+    # primality is decided exactly below 2^64 only, so a larger p is exit 2
+    # naming it, at once (a separate process, so a trial division that did
+    # start is caught by the timeout)
+    path = write(tmp_path, "in.json", payload)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "shintani.cli", "--command", command,
+                           "--input", path, *flags], capture_output=True, text=True,
+                          timeout=5, env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"p = {10**30 + 57} is not below 2^64" in proc.stderr
+
+
 @pytest.mark.parametrize("command, payload, bad", [
     ("pair", {"test_function": TF_DIFF, "cone_function": [
         {"coefficient": 2.5, "generators": [["1"]]}]},

@@ -156,7 +156,7 @@ def test_deformed_decompose_matches_eval_pointwise():
     while done < 60:
         n = rng.randint(1, 3)
         gens = [tuple(F(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n)]
-        if linalg.det(gens) == 0:
+        if linalg.det(linalg.int_mat(gens)) == 0:
             continue
         q = tuple(F(rng.randint(-20, 20) * 2 + 1, rng.choice((7, 11, 13))) for _ in range(n))
         k = deformed_cone_decompose(gens, q)

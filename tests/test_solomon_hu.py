@@ -6,6 +6,7 @@ import pytest
 
 from shintani import linalg
 from shintani.cones import ConeFunction, OpenCone
+from shintani.errors import SchemaError
 from shintani.solomon_hu import (
     GroupAlgebraElement,
     PseudoMeasure as PM,
@@ -78,7 +79,7 @@ def test_pm_eq_examples():
 def _random_pm(rng, n, pool):
     """A pseudo-measure over factors drawn with repetition from pool, with a
     zero numerator now and then."""
-    den = tuple(rng.choice(pool) for _ in range(rng.randint(0, 3)))
+    den = tuple(sorted(rng.choice(pool) for _ in range(rng.randint(0, 3))))
     if rng.random() < 0.15:
         return pm_zero() if rng.random() < 0.5 else PM(GA.zero(), den or (pool[0],))
     num = GA({tuple(rng.randint(-2, 2) for _ in range(n)): rng.choice((1, -1, 2, F(1, 2)))
@@ -91,7 +92,7 @@ def _same_value(rng, a, pool):
     if not a.num:
         return a
     u = rng.choice(pool)
-    return PM(a.num * (GA.one(len(u)) - GA.delta(u)), a.den + (u,))
+    return PM(a.num * (GA.one(len(u)) - GA.delta(u)), tuple(sorted(a.den + (u,))))
 
 
 def test_pm_sum_matches_the_pairwise_fold():
@@ -159,6 +160,48 @@ def test_pack_refuses_a_digit_past_its_width():
         wide.terms[(0, 0)] = 1  # the tuple view is read-only
 
 
+def _built_clean(a: PM) -> bool:
+    """Whether a's packed numerator holds no zero and no integral Fraction,
+    and its denominator is sorted with no zero vector."""
+    return (all(c and (type(c) is int or c.denominator != 1) for c in a.num.packed.values())
+            and list(a.den) == sorted(a.den) and all(any(u) for u in a.den))
+
+
+def test_results_are_built_clean():
+    # nothing cleans a result after it is built: every pm_sum, pairing and
+    # act_pm result must already hold its numerator and denominator clean,
+    # on sums that cancel terms and add halves to integers
+    rng = random.Random(2033)
+    coeffs = (1, -1, 2, -3, 0, F(1, 2), F(-3, 4))
+    sums = 0
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        pool = [v for v in (tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(3)) if any(v)]
+        pool = pool or [(1,) * n]
+        pms = [_random_pm(rng, n, pool) for _ in range(rng.randint(1, 5))]
+        a, b = pms[0], pms[-1]
+        for terms in ([(rng.choice(coeffs), x) for x in pms],
+                      [(F(1, 2), a), (F(1, 2), a), (1, b)],
+                      [(1, a), (-1, _same_value(rng, a, pool)), (F(-1, 2), b), (1, a)]):
+            assert _built_clean(pm_sum(terms)), terms
+            sums += 1
+    assert sums == 900
+    pairs = 0
+    for n, M in ((1, 4), (2, 2), (2, 4), (3, 2)):
+        ctx = LatticeContext(n, 3, M)
+        for seed in range(8):
+            f = TestFunction(ctx, {r: rng.randint(-2, 2) for r in product(range(M), repeat=n)})
+            gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
+            if linalg.det(gens) == 0:
+                continue
+            k = CF.of(OpenCone(tuple(gens))) + CF.of(OpenCone((gens[0],)), -1)
+            g = random_congruence_element(ctx, seed)
+            for pm in (pair_open_cone(OpenCone(tuple(gens)), f), pair_cone_function(k, f)):
+                assert _built_clean(pm) and _built_clean(act_pm(g, pm)), (gens, seed)
+                pairs += 1
+    assert pairs >= 40
+
+
 def test_pm_sum_across_widths_matches_the_fold():
     # summands at W = 64 and W = 128 meet in one sum: each is re-packed to
     # the sum's width, and the result prints what the pairwise fold prints
@@ -203,6 +246,10 @@ def test_pm_is_integer_constant():
     assert pm_is_integer_constant(ray_sum) == 0
     assert pm_is_integer_constant(PM(d(1), ((2,),))) is None
     assert pm_is_integer_constant(PM(GA.one(1).scale(F(1, 2)), ())) is None
+    # (1 - delta_1)^2 (1 - delta_2) has no delta_2 term: the two that meet
+    # there cancel, and the denominator product must drop the zero
+    den = ((1,), (1,), (2,))
+    assert pm_is_integer_constant(PM(oracles.denominator_product(den, 1).scale(3), den)) == 3
 
 
 def test_integer_coefficients():
@@ -240,10 +287,10 @@ def test_pairing_memo():
             hit = pair_open_cone(OpenCone(tuple(shuffled)), f)
             assert hit is first
             fresh = pair_open_cone(OpenCone(tuple(shuffled)), TestFunction(ctx, table))
-            assert fresh is not first and fresh == first
+            assert fresh is not first and pm_to_json(fresh) == pm_to_json(first)
             mine = pair_open_cone(OpenCone(tuple(gens)), other)
             fresh_other = pair_open_cone(OpenCone(tuple(gens)), TestFunction(ctx, other.values))
-            assert mine is not first and mine == fresh_other
+            assert mine is not first and pm_to_json(mine) == pm_to_json(fresh_other)
             checked += 1
     assert checked >= 20
 
@@ -344,7 +391,7 @@ def test_wedge_annihilation_random():
         M = rng.choice((1, 2, 4))
         ctx = LatticeContext(n, 3, M)
         gens = [tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(n)]
-        if linalg.det(gens) == 0:
+        if linalg.det(linalg.int_mat(gens)) == 0:
             continue
         table = {r: rng.randint(-1, 1) for r in product(range(M), repeat=n)}
         f = TestFunction(ctx, table)
@@ -364,7 +411,7 @@ def test_equivariance_of_pairing():
         gens = []
         while len(gens) < 2:
             cand = tuple(F(rng.randint(-2, 2)) for _ in range(2))
-            if any(cand) and (not gens or linalg.det(gens + [cand]) != 0):
+            if any(cand) and (not gens or linalg.det(linalg.int_mat(gens + [cand])) != 0):
                 gens.append(cand)
         k = CF.of(OpenCone(tuple(gens))) + CF.of(OpenCone((gens[0],)), -1)
         lhs = pair_cone_function(act_on_cone_function(g, k), act(f, g_inv))
@@ -438,10 +485,16 @@ def test_slice_identity_three_dimensional():
 
 
 def test_pm_json_round_trip():
-    a = PM(d(1, 0) + d(0, 1).scale(F(-3, 2)), ((2, 0), (0, 2)))
+    a = PM(d(1, 0) + d(0, 1).scale(F(-3, 2)), ((0, 2), (2, 0)))
     b = pm_from_json(pm_to_json(a))
     assert pm_eq(a, b)
-    assert b.num == a.num and b.den == a.den
+    assert b.num.terms == a.num.terms and b.den == a.den
+    # outside input is normalised where it enters: the denominator sorted,
+    # a zero vector refused
+    c = pm_from_json({"numerator": [], "denominator": [[2, 0], [0, 2]]})
+    assert c.den == ((0, 2), (2, 0))
+    with pytest.raises(SchemaError, match="denominator vector is zero"):
+        pm_from_json({"numerator": [], "denominator": [[2, 0], [0, 0]]})
 
 
 def test_face_points_match_a_box_scan():

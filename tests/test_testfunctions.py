@@ -9,6 +9,7 @@ from shintani.errors import NotUnimodular, SchemaError, ZeroDirection
 from shintani.testfunctions import (
     LatticeContext,
     TestFunction,
+    _is_prime,
     check_vh,
     from_json,
     random_congruence_element,
@@ -38,6 +39,25 @@ def test_context_validation():
         LatticeContext(1, 4, 3)  # p not prime
     with pytest.raises(ValueError):
         LatticeContext(1, 3, 6)  # p | M
+
+
+def test_is_prime_is_exact_below_2_to_the_64():
+    # Miller-Rabin to the prime bases up to 37 against trial division on
+    # every p below 20000 (the primes _bernoulli multiplies lie far below),
+    # on primes up to 2^64, and on strong pseudoprimes to the bases 2,
+    # 2..7, 2..13 and 2..31, which only the remaining bases reject
+    assert [p for p in range(-3, 20000) if _is_prime(p)] == [
+        p for p in range(2, 20000) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    for p in (2**31 - 1, 2**61 - 1, 10**18 + 9, 2**64 - 59):
+        assert _is_prime(p), p
+    for c in (2047, 3215031751, 3474749660383, 3825123056546413051,
+              2**64 - 1, (2**32 - 5) * (2**32 - 17)):
+        assert not _is_prime(c), c
+    for p in (2**64, 10**30 + 57):
+        with pytest.raises(ValueError, match=f"p = {p} is not below 2"):
+            _is_prime(p)
+    with pytest.raises(ValueError, match=f"p = {10**30 + 57}"):
+        LatticeContext(1, 10**30 + 57, 4)
 
 
 def test_table_normalization():
