@@ -22,7 +22,6 @@ from .solomon_hu import (
     GroupAlgebraElement,
     PseudoMeasure,
     act_pm,
-    enumerate_fundamental_domain,
     pair_cone_function,
     pair_open_cone,
     pm_eq,

@@ -4,10 +4,10 @@ A pseudo-measure is a measure when, in its own basis (which starts with
 its denominator vectors), the numerator vanishes on every pole T_i = 0 of
 the transform delta_{b_i} -> 1 + T_i: that divisibility test is the
 series-side measure criterion. When p divides the index of the
-denominator lattice it runs per coset, and the pseudo-measure is a
-measure when every coset passes. Poles are decided exactly, on sums of numerator
-coefficients, and the test must agree with the vanishing-hypothesis test
-on slices on single-coset inputs.
+denominator lattice it runs per class of the lattice's p-adic closure, and
+the pseudo-measure is a measure when every class passes. Poles are decided
+exactly, on sums of numerator coefficients, and the test must agree with
+the vanishing-hypothesis test on slices on single-class inputs.
 
 The moments of a measure are rational (Shintani's zeta values at negative
 integers), and moment_table reads them exactly off the Laplace transform
@@ -19,7 +19,7 @@ over a denominator known in advance: one exact division per moment.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from typing import Sequence
 
 from . import linalg
@@ -49,33 +49,38 @@ def is_measure_vh(c: OpenCone, f: TestFunction) -> bool:
 
 
 def is_measure_amice(a: PseudoMeasure, p: int) -> bool:
-    """Series-side measure criterion, per coset of the denominator lattice.
+    """Series-side measure criterion, per class of the p-adic closure of
+    the denominator lattice.
 
-    True iff for every coset and every denominator ray b_i, the coset
+    True iff for every class and every denominator ray b_i, the class
     numerator vanishes at T_i = 0. Setting T_i = 0 leaves the transform of
     the Diracs obtained by dropping the i-th basis coordinate, and that
     transform is injective, so the test is that every fibre sum of the
-    coefficients over (coset, basis coordinates other than the i-th) is
-    zero: exact, with no precision or degree. On single-coset inputs it
-    agrees with the vanishing-hypothesis test by the divisibility
-    criterion.
+    coefficients over (class, basis coordinates other than the i-th) is
+    zero: exact, with no precision or degree. The classes are read off the
+    coordinates y = adj v (`_poles_vanish`), so none is ever listed. On
+    single-class inputs it agrees with the vanishing-hypothesis test by the
+    divisibility criterion.
     """
-    return not a.num or _poles_vanish(a, p, *_coordinates(a))
+    return not a.num or _poles_vanish(a, p, *_coordinates(a)[1:])
 
 
 def _coordinates(a: PseudoMeasure) -> tuple:
-    """(basis, adj, d, [(adj v, c)]) over the terms c delta_v of a's
-    numerator, for a's own basis: adj v / d are v's basis coordinates."""
+    """(basis, d, [(adj v, c)]) over the terms c delta_v of a's numerator,
+    for a's own basis: adj v / d are v's basis coordinates."""
     basis = extend_denominator_basis(a, a.dim)
     adj, d = linalg.adjugate(linalg.transpose(basis))
-    return basis, adj, d, [(linalg.mat_vec(adj, v), c) for v, c in a.num.terms.items()]
+    return basis, d, [(linalg.mat_vec(adj, v), c) for v, c in a.num.terms.items()]
 
 
-def _poles_vanish(a: PseudoMeasure, p: int, basis, _adj, _d, terms: list) -> bool:
-    h = linalg.coset_lattice(linalg.transpose(basis), p)
-    one = prod(h[i][i] for i in range(len(h))) == 1  # p does not divide the index
-    reps = [()] * len(terms) if one else [linalg._coset_rep(h, v) for v in a.num.terms]
-    return all(_fibres_vanish(((rep, y[:i] + y[i + 1:]), c) for rep, (y, c) in zip(reps, terms))
+def _poles_vanish(a: PseudoMeasure, p: int, d: int, terms: list) -> bool:
+    """The fibre test of is_measure_amice on the (y, c) pairs of
+    _coordinates. With p^k the p-part of d, v and v' share a class of
+    Z^n / (B Z^n + p^k Z^n), B the basis, exactly when y = y' mod p^k:
+    adj B z = d z, and for d = p^k m, m(v - v') lies in B Z^n with m a unit
+    mod p^k. So the fibre key of pole i is y with y_i taken mod p^k."""
+    pk = gcd(d, p ** d.bit_length())
+    return all(_fibres_vanish((y[:i] + (y[i] % pk,) + y[i + 1:], c) for y, c in terms)
                for i in range(len(a.den)))
 
 
@@ -114,8 +119,8 @@ def moment_table(a: PseudoMeasure, p: int, orders: Sequence[Sequence[int]]) -> l
     """
     if not a.num:
         return [Fraction(0)] * len(orders)
-    basis, _adj, d, terms = coords = _coordinates(a)
-    if not _poles_vanish(a, p, *coords):
+    basis, d, terms = _coordinates(a)
+    if not _poles_vanish(a, p, d, terms):
         raise NotAMeasure("series-side divisibility test fails")
     n, r = len(basis), len(a.den)
     cden = lcm(*(c.denominator for _, c in terms))

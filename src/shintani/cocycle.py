@@ -135,9 +135,7 @@ def sample_deformation(n: int, rng: random.Random) -> DeformationVector:
     """Random rational vector with spread denominators.
 
     Any q gets a verdict, since the frame breaks every tie. The CLI draws
-    one vector per trial and then one for the measure check from one rng:
-    the order of the former retry loop, so same-seed reports are unchanged
-    wherever its first draw was generic."""
+    one vector per trial and then one for the measure check from one rng."""
     primes = (7, 11, 13, 17, 19, 23)
     return tuple(
         Fraction(rng.randint(-30, 30) * 2 + 1, rng.choice(primes)) for _ in range(n)

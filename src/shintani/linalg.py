@@ -10,7 +10,9 @@ substitution gives with exact divisions. The rows of u_inv are a basis of
 Z^n whose first r rows saturate the span of the r input rows, and the
 cosets of Z^n modulo a lattice are a box read off the Hermite diagonal,
 so no job needs an inverse: one Hermite pass gives a pairing cell its
-basis, its box of base points and its lifts (`solomon_hu._cell`).
+basis, its box of base points and its lifts (`solomon_hu._cell`), the only
+code that reduces points by a Hermite form. The measure test reads its
+classes off adjugate coordinates instead (`amice._poles_vanish`).
 A rational vector is scaled to integers first (`clear_denominators`): its
 primitive vector is unchanged by a positive rescaling.
 """
@@ -167,36 +169,3 @@ def hermite(rows: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat, int]
             sign = -sign
     h = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
     return h, transpose(ut), tuple(map(tuple, ui)), sign
-
-
-def coset_lattice(cols: Sequence[Sequence[int]], p: int) -> IntMat:
-    """Hermite basis of L + p^k Z^n, for L the lattice spanned by the
-    columns of a nonsingular integer matrix and p^k the p-part of |det|:
-    that lattice has the same classes in Z^n as the p-adic completion of L
-    in Z_p^n.
-
-    The columns of the returned lower-triangular h span the lattice; its
-    classes in Z^n are the box 0 <= x_i < h_ii, and `_coset_rep(h, v)` is
-    the box vector in the class of v.
-    """
-    try:
-        h = hermite(cols)[0]
-    except DependentInput as exc:
-        raise SingularMatrix("coset lattice is singular") from exc
-    n = len(h)
-    d = prod(h[i][i] for i in range(n))
-    pk = gcd(d, p ** d.bit_length())
-    return hermite([row + tuple(pk * x for x in e) for row, e in zip(h, identity(n))])[0]
-
-
-def _coset_rep(h: IntMat, v: Sequence[int]) -> IntVec:
-    """The box vector 0 <= x_i < h_ii in the class of v modulo the columns
-    of the lower-triangular h, reduced column by column."""
-    x = list(v)
-    for i, row in enumerate(h):
-        q = x[i] // row[i]
-        if q:
-            for k in range(i, len(x)):
-                x[k] -= q * h[k][i]
-    return tuple(x)
-

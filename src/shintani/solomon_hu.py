@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, prod
-from operator import add, mul
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -268,12 +268,6 @@ def _cell(ws: Sequence[Sequence[int]], n: int) -> tuple[list[IntVec], list[IntVe
     return base, lifts
 
 
-def enumerate_fundamental_domain(ws: Sequence[Sequence[int]], n: int) -> list[IntVec]:
-    """Sorted integer points of the half-open cell of the ws (`_cell`)."""
-    base, lifts = _cell(ws, n)
-    return sorted(tuple(map(add, y, v)) for y in base for v in lifts)
-
-
 def pair_open_cone(c: OpenCone, f: TestFunction) -> PseudoMeasure:
     """Pair one open cone with a step function.
 
@@ -337,8 +331,11 @@ def pm_from_json(data: dict) -> PseudoMeasure:
         den = tuple(sorted(tuple(_as_int(x) for x in u) for u in data["denominator"]))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad pseudo-measure JSON: {exc}") from exc
-    if len({len(v) for v in num} | {len(u) for u in den}) > 1:
+    lengths = {len(v) for v in num} | {len(u) for u in den}
+    if len(lengths) > 1:
         raise SchemaError("bad pseudo-measure JSON: vectors of different lengths")
+    if 0 in lengths:
+        raise SchemaError("bad pseudo-measure JSON: a vector has no coordinates")
     if not all(any(u) for u in den):
         raise SchemaError("bad pseudo-measure JSON: a denominator vector is zero")
     return PseudoMeasure(GroupAlgebraElement(num), den)

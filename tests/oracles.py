@@ -4,7 +4,10 @@ The oracles are deliberately naive (cofactor expansion, box scans, a
 Fraction solve, textbook recurrences) and share no code with the library
 paths they check; fraction_moment_table, the Fraction moment table the
 integer one replaced, shares the library's measure test and coordinates
-and checks only the arithmetic. The helpers at the end were library code that only the
+and checks only the arithmetic. coset_lattice and coset_rep, the Hermite
+classes the measure test used before it keyed them by coordinates, are the
+reference for that key, and enumerate_fundamental_domain lists the
+library's pairing cell in order. The helpers at the end were library code that only the
 tests called: evaluation and the action of SL_n(Z) on step functions by
 full walks over (Z/M)^n, the additive group of cone functions, wedges,
 cone membership and evaluation, the sign-twisted action on cone functions,
@@ -39,6 +42,7 @@ from shintani.linalg import IntVec
 from shintani.solomon_hu import (
     GroupAlgebraElement,
     PseudoMeasure,
+    _cell,
     pair_cone_function,
     pair_open_cone,
     pm_zero,
@@ -292,8 +296,8 @@ def fraction_moment_table(a: PseudoMeasure, p: int, orders: Sequence[Sequence[in
     """
     if not a.num:
         return [Fraction(0)] * len(orders)
-    basis, _adj, d, terms = coords = _coordinates(a)
-    if not _poles_vanish(a, p, *coords):
+    basis, d, terms = _coordinates(a)
+    if not _poles_vanish(a, p, d, terms):
         raise NotAMeasure("series-side divisibility test fails")
     n, r = len(basis), len(a.den)
     bernoulli = bernoulli_numbers(max((sum(kk) for kk in orders), default=0))
@@ -336,6 +340,43 @@ def hermite_box(h) -> list[tuple[int, ...]]:
     """The box 0 <= x_i < h_ii of a lower-triangular Hermite basis h, one
     vector per coset of its column lattice."""
     return list(product(*(range(h[i][i]) for i in range(len(h)))))
+
+
+def coset_lattice(cols, p: int) -> tuple:
+    """Hermite basis of L + p^k Z^n, for L the lattice spanned by the
+    columns of a nonsingular integer matrix and p^k the p-part of |det|:
+    that lattice has the same classes in Z^n as the p-adic closure of L in
+    Z_p^n. The columns of the returned lower-triangular h span it; its
+    classes are the box hermite_box(h), and coset_rep(h, v) is the box
+    vector in the class of v."""
+    try:
+        h = linalg.hermite(cols)[0]
+    except DependentInput as exc:
+        raise SingularMatrix("coset lattice is singular") from exc
+    n = len(h)
+    d = prod(h[i][i] for i in range(n))
+    pk = gcd(d, p ** d.bit_length())
+    return linalg.hermite([row + tuple(pk * x for x in e)
+                           for row, e in zip(h, linalg.identity(n))])[0]
+
+
+def coset_rep(h, v) -> tuple[int, ...]:
+    """The box vector 0 <= x_i < h_ii in the class of v modulo the columns
+    of the lower-triangular h, reduced column by column."""
+    x = list(v)
+    for i, row in enumerate(h):
+        q = x[i] // row[i]
+        if q:
+            for k in range(i, len(x)):
+                x[k] -= q * h[k][i]
+    return tuple(x)
+
+
+def enumerate_fundamental_domain(ws, n: int) -> list[tuple[int, ...]]:
+    """Sorted integer points of the half-open cell of the ws, the sums of
+    one base point and one lift of solomon_hu._cell."""
+    base, lifts = _cell(ws, n)
+    return sorted(tuple(a + b for a, b in zip(y, v)) for y in base for v in lifts)
 
 
 def inverse(m) -> list[list[Fraction]]:

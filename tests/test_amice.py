@@ -1,14 +1,15 @@
 import random
 import time
 from fractions import Fraction as F
-from itertools import product
-from math import comb, lcm, prod
+from itertools import combinations, product
+from math import comb, gcd, lcm, prod
 
 import pytest
 
 from shintani import linalg
 from shintani.amice import (
     _bernoulli,
+    _coordinates,
     extend_denominator_basis,
     is_measure_amice,
     is_measure_vh,
@@ -23,6 +24,8 @@ from oracles import (
     GA,
     bernoulli_moments,
     bernoulli_numbers,
+    coset_lattice,
+    coset_rep,
     denominator_product,
     fraction_moment_table,
     hermite_box,
@@ -50,7 +53,7 @@ def test_moment_table_errors():
 
 def sorted_cosets(basis, p):
     """Sorted coset representatives of Z_p^n modulo the span of basis."""
-    return tuple(sorted(hermite_box(linalg.coset_lattice(linalg.transpose(basis), p))))
+    return tuple(sorted(hermite_box(coset_lattice(linalg.transpose(basis), p))))
 
 
 def test_coset_reps_examples():
@@ -65,8 +68,8 @@ def test_coset_reps_examples():
 
 
 def test_measure_test_lists_no_coset_box():
-    # the denominator lattice has index 3^40 at p = 3: the test reads its
-    # Hermite basis and never lists the 3^40 classes
+    # the denominator lattice has index 3^40 at p = 3: the test keys each
+    # point by its coordinates mod 3^40 and never lists the 3^40 classes
     u = ((0, 3**40), (1, 0))
     one = PM(denominator_product(u, 2), u)  # delta_0 over both factors
     pole = PM(GA.delta((0, 1)), u)
@@ -94,6 +97,52 @@ def test_coset_reps_counts_match_p_part():
                 expected *= p
             assert len(sorted_cosets(basis, p)) == expected
         done += 1
+
+
+def test_coordinate_key_matches_the_hermite_cosets():
+    # v and v' share a class of Z^n / (B Z^n + p^k Z^n), p^k the p-part of
+    # d = |det B|, exactly when adj v = adj v' mod p^k: the key the measure
+    # test reads off _coordinates gives the classes of the Hermite oracle,
+    # also when p does not divide d (one class)
+    rng = random.Random(59)
+    cases = split = 0
+    for n in (1, 2, 3, 4):
+        done = 0
+        while done < 12:
+            cols = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n)]
+            if len(set(cols)) < n or linalg.det(cols) == 0:
+                continue
+            done += 1
+            box = rng.randint(1, 3)
+            points = list(product(range(-box, box + 1), repeat=n))
+            if len(points) > 200:
+                points = rng.sample(points, 200)
+            # the coefficient names the point; the basis is the sorted columns
+            a = PM(GA({v: k + 1 for k, v in enumerate(points)}), tuple(sorted(cols)))
+            basis, d, terms = _coordinates(a)
+            adj = linalg.adjugate(linalg.transpose(basis))[0]
+            assert d == abs(linalg.det(basis))
+            for p in (2, 3, 5, 7):
+                pk = gcd(d, p ** d.bit_length())
+                h = coset_lattice(linalg.transpose(basis), p)
+                classes = {(tuple(x % pk for x in y), coset_rep(h, points[c - 1]))
+                           for y, c in terms}
+                keys = {key for key, _rep in classes}
+                assert len(keys) == len({rep for _key, rep in classes}) == len(classes)
+                # the Hermite box holds one point of each of the pk classes
+                assert len({tuple(x % pk for x in linalg.mat_vec(adj, v))
+                            for v in hermite_box(h)}) == pk
+                cases += len(terms)
+                split += pk > 1
+    assert cases > 10000 and split >= 40
+    # at n = 1 the one pole's fibre key is the class itself, so the
+    # library's verdict on d_v - d_w over (1 - d_b) is the oracle's
+    for b in range(-12, 13):
+        for p in (2, 3, 5, 7) if b else ():
+            h = coset_lattice([[b]], p)
+            for v, w in combinations(range(-4, 5), 2):
+                pm = PM(GA({(v,): 1, (w,): -1}), ((b,),))
+                assert is_measure_amice(pm, p) == (coset_rep(h, (v,)) == coset_rep(h, (w,)))
 
 
 def ctx1(M=4, p=3):
@@ -375,7 +424,7 @@ def test_moment_table_matches_the_bernoulli_oracle():
                         continue
                     if kind == "p-split":
                         basis = extend_denominator_basis(pm, n)
-                        assert len(hermite_box(linalg.coset_lattice(linalg.transpose(basis), p))) > 1
+                        assert len(hermite_box(coset_lattice(linalg.transpose(basis), p))) > 1
                     want = bernoulli_moments(pm.num.terms, pm.den, orders)
                     assert moment_table(pm, p, orders) == want, (kind, pm)
                     kinds[kind] += 1

@@ -204,11 +204,14 @@ def test_a_prime_past_2_to_the_64_is_refused_naming_it(tmp_path, command, payloa
     ("moments", {"numerator": [{"vector": [1], "coeff": "1"}, {"vector": [3], "coeff": 0.1}],
                  "denominator": []},
      "bad pseudo-measure JSON: coefficient 0.1 is not an integer or a rational string"),
+    ("moments", {"numerator": [{"vector": [], "coeff": "1"}], "denominator": []},
+     "bad pseudo-measure JSON: a vector has no coordinates"),
 ], ids=["coefficient-float", "coefficient-bool", "vector", "denominator", "coeff-bool",
-        "coeff-float"])
+        "coeff-float", "empty-vector"])
 def test_non_integer_json_entries_are_malformed(tmp_path, capsys, command, payload, bad):
     # integer fields take JSON integers or integer strings; a float or a
-    # bool is exit 2 naming it, not truncated or read as 1
+    # bool is exit 2 naming it, not truncated or read as 1, and so is a
+    # vector with no coordinates
     path = write(tmp_path, "in.json", payload)
     assert main(["--command", command, "--input", path]) == 2
     captured = capsys.readouterr()

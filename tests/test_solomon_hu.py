@@ -14,7 +14,6 @@ from shintani.solomon_hu import (
     _unpack,
     _width,
     act_pm,
-    enumerate_fundamental_domain,
     pair_cone_function,
     pair_open_cone,
     pm_eq,
@@ -37,6 +36,7 @@ from oracles import (
     act_on_cone_function,
     brute_cell_points,
     brute_cone_lattice_points,
+    enumerate_fundamental_domain,
     inverse,
     pm_constant,
     pm_mul,
