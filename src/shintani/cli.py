@@ -12,11 +12,13 @@ Commands (selected with --command):
             emit a verification report
 
 All randomness flows from --seed; reports are byte-identical across runs
-with the same configuration. Exit codes: 0 ok, 2 malformed input, a bad
-flag value, a prime p (in the step function or --p) not below 2^64, where
-primality is decided exactly, a pairing cell over the point budget, or a
-p^precision or moment past PRINT_BITS bits (too long to print), 3 dependent
-input vectors, 4 not a measure, 6 a verification trial failed.
+with the same configuration. Exit codes: 0 ok, 2 malformed input (JSON that
+cannot be read or is nested too deeply, or a field the schema calls an array
+given as anything else), a bad flag value (an --out path that cannot be
+written included), a prime p (in the step function or --p) not below 2^64,
+where primality is decided exactly, a pairing cell over the point budget, or
+a p^precision or moment past PRINT_BITS bits (too long to print), 3
+dependent input vectors, 4 not a measure, 6 a verification trial failed.
 
 Rationals are serialized as decimal strings ("3/4"); p-adic scalars as
 "p^v*u" with valuation v and unit u, or "0".
@@ -80,7 +82,7 @@ def _load_input(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: JSON too deep
         raise SchemaError(f"cannot read input JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError("top-level JSON value must be an object")
@@ -90,7 +92,7 @@ def _load_input(path: str | None) -> dict:
 def _parse_vector(raw, what: str, n: int) -> tuple:
     """A rational vector of the step function's dimension n."""
     try:
-        v = tuple(Fraction(str(x)) for x in raw)
+        v = tuple(Fraction(str(x)) for x in testfunctions._as_list(raw, what))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad vector {raw!r}") from exc
     if len(v) != n:
@@ -102,34 +104,36 @@ def _parse_vector(raw, what: str, n: int) -> tuple:
 def _parse_cone_function(data: dict, n: int) -> ConeFunction:
     try:
         if "cone" in data:
-            gens = [_parse_vector(g, "generator", n) for g in data["cone"]["generators"]]
-            return ConeFunction.of(OpenCone(tuple(gens)))
+            gens = testfunctions._as_list(data["cone"]["generators"], "generators")
+            return ConeFunction.of(OpenCone(tuple(_parse_vector(g, "generator", n) for g in gens)))
         terms = []
-        for term in data["cone_function"]:
-            gens = [_parse_vector(g, "generator", n) for g in term["generators"]]
+        for term in testfunctions._as_list(data["cone_function"], "cone_function"):
+            gens = testfunctions._as_list(term["generators"], "generators")
+            gens = [_parse_vector(g, "generator", n) for g in gens]
             terms.append((testfunctions._as_int(term.get("coefficient", 1)), OpenCone(tuple(gens))))
         return ConeFunction(tuple(terms))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad cone JSON: {exc}") from exc
 
 
-def cmd_pair(args) -> tuple[dict, int]:
+def _load_step_function(args) -> tuple[dict, testfunctions.TestFunction]:
     data = _load_input(args.input)
     if "test_function" not in data:
         raise SchemaError("missing test_function")
-    f = testfunctions.from_json(data["test_function"])
+    return data, testfunctions.from_json(data["test_function"])
+
+
+def cmd_pair(args) -> tuple[dict, int]:
+    data, f = _load_step_function(args)
     k = _parse_cone_function(data, f.ctx.n)
     pm = solomon_hu.pair_cone_function(k, f)
     return solomon_hu.pm_to_json(pm), EXIT_OK
 
 
 def cmd_vh(args) -> tuple[dict, int]:
-    data = _load_input(args.input)
-    if "test_function" not in data:
-        raise SchemaError("missing test_function")
-    f = testfunctions.from_json(data["test_function"])
+    data, f = _load_step_function(args)
     out = {}
-    for entry in data.get("rays", []):
+    for entry in testfunctions._as_list(data.get("rays", []), "rays"):
         named = isinstance(entry, dict)
         ray = _parse_vector(entry["v"] if named else entry, "ray", f.ctx.n)
         name = entry.get("name") if named else None
@@ -187,10 +191,7 @@ def _moment_orders(n: int, max_total: int) -> list[tuple[int, ...]]:
 
 
 def cmd_cocycle(args) -> tuple[dict, int]:
-    data = _load_input(args.input)
-    if "test_function" not in data:
-        raise SchemaError("missing test_function")
-    f = testfunctions.from_json(data["test_function"])
+    _data, f = _load_step_function(args)
     ctx = f.ctx
     rng = random.Random(args.seed)
     trials = []
@@ -242,12 +243,7 @@ def cmd_cocycle(args) -> tuple[dict, int]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "pair": cmd_pair,
-        "vh": cmd_vh,
-        "moments": cmd_moments,
-        "cocycle": cmd_cocycle,
-    }
+    handlers = {"pair": cmd_pair, "vh": cmd_vh, "moments": cmd_moments, "cocycle": cmd_cocycle}
     try:
         report, code = handlers[args.command](args)
     except ShintaniError as exc:
@@ -259,8 +255,12 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: --out {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_SCHEMA
     else:
         sys.stdout.write(text)
     return code

@@ -54,10 +54,6 @@ class OpenCone:
                 raise DependentInput("cone generators are linearly dependent") from exc
         object.__setattr__(self, "generators", tuple(gens))
 
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
-
 
 @dataclass(frozen=True)
 class ConeFunction:

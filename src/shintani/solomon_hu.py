@@ -42,7 +42,7 @@ from . import linalg
 from .cones import ConeFunction, OpenCone
 from .errors import CellTooLarge, DependentInput, NotUnimodular, SchemaError
 from .linalg import IntVec
-from .testfunctions import TestFunction, _as_int
+from .testfunctions import TestFunction, _as_int, _as_list
 
 # most integer points a pairing cell may have
 CELL_POINT_BUDGET = 10**6
@@ -322,13 +322,14 @@ def pm_to_json(a: PseudoMeasure) -> dict:
 def pm_from_json(data: dict) -> PseudoMeasure:
     try:
         num: dict[IntVec, Fraction] = {}
-        for term in data["numerator"]:
-            v = tuple(_as_int(x) for x in term["vector"])
+        for term in _as_list(data["numerator"], "numerator"):
+            v = tuple(_as_int(x) for x in _as_list(term["vector"], "vector"))
             c = term["coeff"]
             if type(c) is not int and type(c) is not str:  # a bool or a float
                 raise ValueError(f"coefficient {c!r} is not an integer or a rational string")
             num[v] = num.get(v, Fraction(0)) + Fraction(c)
-        den = tuple(sorted(tuple(_as_int(x) for x in u) for u in data["denominator"]))
+        den = tuple(sorted(tuple(_as_int(x) for x in _as_list(u, "denominator"))
+                           for u in _as_list(data["denominator"], "denominator")))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad pseudo-measure JSON: {exc}") from exc
     lengths = {len(v) for v in num} | {len(u) for u in den}

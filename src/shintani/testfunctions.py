@@ -92,9 +92,6 @@ class TestFunction:
             self, "values", {k: v for k, v in sorted(table.items()) if v != 0}
         )
 
-    def __bool__(self) -> bool:
-        return bool(self.values)
-
 
 def _fibres_vanish(keyed: Iterable[tuple[Hashable, int | Fraction]]) -> bool:
     """Whether the coefficients c of the (key, c) pairs sum to 0 per key."""
@@ -171,12 +168,19 @@ def _as_int(x) -> int:
     return int(x)
 
 
+def _as_list(x, what: str) -> list:
+    """A JSON array; SchemaError naming the field `what` for any other value."""
+    if not isinstance(x, list):
+        raise SchemaError(f"{what} must be a JSON array, got {x!r}")
+    return x
+
+
 def from_json(data: dict) -> TestFunction:
     try:
         ctx = LatticeContext(n=_as_int(data["n"]), p=_as_int(data["p"]), M=_as_int(data["M"]))
         table: dict[IntVec, int] = {}
-        for term in data.get("terms", []):
-            residue = tuple(_as_int(x) for x in term["residue"])
+        for term in _as_list(data.get("terms", []), "terms"):
+            residue = tuple(_as_int(x) for x in _as_list(term["residue"], "residue"))
             table[residue] = table.get(residue, 0) + _as_int(term["weight"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad test-function JSON: {exc}") from exc

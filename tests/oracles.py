@@ -463,7 +463,7 @@ def wedge_decompose(w: Wedge) -> ConeFunction:
 def cone_contains(c: OpenCone, w) -> bool:
     """Membership of w in the open cone: strictly positive coordinates in
     the generator basis (and, for r < n, lying in the span at all)."""
-    if c.rank == 0:
+    if not c.generators:
         return all(x == 0 for x in w)
     coords = _solve_coords(c.generators, w)
     return coords is not None and all(a > 0 for a in coords)

@@ -88,7 +88,7 @@ def balanced_f(ctx):
         table[(1,) + rest] = 1
         table[(3 % ctx.M,) + rest] = table.get((3 % ctx.M,) + rest, 0) - 1
     f = TestFunction(ctx, table)
-    if not f:
+    if not f.values:
         raise ValueError(f"balanced_f vanishes identically at M = {ctx.M}")
     return f
 
@@ -172,11 +172,11 @@ def test_criterion_3_slice_identity():
             cone = OpenCone(tuple(gens))
         except Exception:
             continue
-        if cone.rank == 0:
+        if not cone.generators:
             continue
         f = TestFunction(ctx, random_table(rng, ctx))
         bound = rng.choice((8, 10, 12))
-        i = rng.randrange(cone.rank)
+        i = rng.randrange(len(cone.generators))
         assert slice_identity_check(f, cone, i, bound), (gens, i, M)
         instances += 1
 

@@ -249,6 +249,59 @@ def test_vectors_of_the_wrong_dimension_are_malformed(tmp_path, capsys, command,
     assert captured.err == f"error: {what}, but the step function has n = 2\n"
 
 
+@pytest.mark.parametrize("command, build, field, bad, good", [
+    ("vh", lambda v: {"test_function": TF_DIFF, "rays": v}, "rays", "12", [["1"], ["2"]]),
+    ("vh", lambda v: {"test_function": TF_BALANCED_2D, "rays": [v]}, "ray", "10", ["1", "0"]),
+    ("vh", lambda v: {"test_function": TF_BALANCED_2D, "rays": [{"name": "x", "v": v}]},
+     "ray", {"1": 0, "0": 0}, ["1", "0"]),
+    ("vh", lambda v: {"test_function": {"n": 2, "p": 3, "M": 4, "terms": [
+        {"residue": v, "weight": 1}]}, "rays": [["1", "0"]]}, "residue", "10", [1, 0]),
+    ("moments", lambda v: {"test_function": TF_DIFF, "cone": {"generators": v}},
+     "generators", "1", [["1"]]),
+    ("pair", lambda v: {"test_function": TF_BALANCED_2D, "cone": {"generators": [v, ["0", "1"]]}},
+     "generator", "10", ["1", "0"]),
+    ("pair", lambda v: {"test_function": TF_BALANCED_2D, "cone_function": v}, "cone_function",
+     {}, [{"coefficient": 1, "generators": [["1", "0"]]}]),
+    ("pair", lambda v: {"test_function": TF_DIFF, "cone_function": [{"generators": v}]},
+     "generators", "1", [["1"]]),
+], ids=["rays", "ray", "named-ray", "residue", "generators", "generator", "cone_function",
+        "term-generators"])
+def test_array_fields_refuse_strings_and_objects(tmp_path, capsys, command, build, field, bad,
+                                                 good):
+    # a field the schema calls an array is read only from a JSON array: a
+    # string or an object is exit 2 naming the field, not read one character
+    # or one key at a time, and the array of the same entries is read
+    assert main(["--command", command, "--input", write(tmp_path, "good.json", build(good))]) == 0
+    capsys.readouterr()
+    assert main(["--command", command, "--input", write(tmp_path, "bad.json", build(bad))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field} must be a JSON array, got {bad!r}\n"
+
+
+def test_too_deeply_nested_input_is_malformed(tmp_path, capsys):
+    # past the decoder's recursion limit the input is refused, exit 2, not
+    # a RecursionError traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert main(["--command", "vh", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read input JSON: maximum recursion depth")
+
+
+def test_an_unwritable_out_path_is_a_bad_flag_value(tmp_path, capsys):
+    path = write(tmp_path, "in.json", {"test_function": TF_DIFF, "rays": [["1"]]})
+    out = tmp_path / "missing" / "report.json"
+    assert main(["--command", "vh", "--input", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --out {out}: ")
+    out.parent.mkdir()
+    assert main(["--command", "vh", "--input", path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8")) == {"1": True}
+
+
 def test_pair_round_trip(tmp_path, capsys):
     path = write(tmp_path, "in.json", {
         "test_function": TF_DIFF, "cone": {"generators": [["1"]]},

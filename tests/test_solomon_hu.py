@@ -497,6 +497,28 @@ def test_pm_json_round_trip():
         pm_from_json({"numerator": [], "denominator": [[2, 0], [0, 0]]})
 
 
+@pytest.mark.parametrize("build, field, bad, good", [
+    (lambda v: {"numerator": v, "denominator": [[4, 0]]}, "numerator", {},
+     [{"vector": [1, 2], "coeff": "1"}]),
+    (lambda v: {"numerator": [{"vector": v, "coeff": "1"}], "denominator": [[4, 0]]}, "vector",
+     "12", [1, 2]),
+    (lambda v: {"numerator": [{"vector": v, "coeff": "1"}], "denominator": [[4, 0]]}, "vector",
+     {"1": 0, "2": 0}, [1, 2]),
+    (lambda v: {"numerator": [{"vector": [1, 2], "coeff": "1"}], "denominator": v},
+     "denominator", {}, [[4, 0]]),
+    (lambda v: {"numerator": [{"vector": [1, 2], "coeff": "1"}], "denominator": [v]},
+     "denominator", "40", [4, 0]),
+], ids=["numerator", "vector-string", "vector-object", "denominator", "denominator-vector"])
+def test_pm_from_json_reads_arrays_only(build, field, bad, good):
+    # a string or an object where the schema has an array is refused naming
+    # the field, not read one character or one key at a time
+    a = pm_from_json(build(good))
+    assert (dict(a.num.terms), a.den) == ({(1, 2): 1}, ((4, 0),))
+    with pytest.raises(SchemaError) as err:
+        pm_from_json(build(bad))
+    assert str(err.value) == f"{field} must be a JSON array, got {bad!r}"
+
+
 def test_face_points_match_a_box_scan():
     # the points sum t_j u_j with t_j > 0 and sum t_j <= bound, for face
     # periods of index > 1 in their saturation, some of lower rank

@@ -320,3 +320,20 @@ def test_json_round_trip():
         from_json({"n": 1, "p": 3})
     with pytest.raises(SchemaError):
         from_json({"n": 1, "p": 3, "M": 4, "terms": [{"residue": ["x"], "weight": 1}]})
+
+
+@pytest.mark.parametrize("build, field, bad, good", [
+    (lambda v: {"n": 2, "p": 3, "M": 4, "terms": v}, "terms", {},
+     [{"residue": [1, 0], "weight": 1}]),
+    (lambda v: {"n": 2, "p": 3, "M": 4, "terms": [{"residue": v, "weight": 1}]}, "residue",
+     "10", [1, 0]),
+    (lambda v: {"n": 2, "p": 3, "M": 4, "terms": [{"residue": v, "weight": 1}]}, "residue",
+     {"1": 0, "0": 0}, [1, 0]),
+], ids=["terms", "residue-string", "residue-object"])
+def test_from_json_reads_arrays_only(build, field, bad, good):
+    # a string or an object where the schema has an array is refused naming
+    # the field, not read one character or one key at a time
+    assert from_json(build(good)).values == {(1, 0): 1}
+    with pytest.raises(SchemaError) as err:
+        from_json(build(bad))
+    assert str(err.value) == f"{field} must be a JSON array, got {bad!r}"
