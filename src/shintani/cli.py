@@ -12,10 +12,14 @@ Commands (selected with --command):
             emit a verification report
 
 All randomness flows from --seed; reports are byte-identical across runs
-with the same configuration. Exit codes: 0 ok, 2 malformed input (JSON that
-cannot be read or is nested too deeply, or a field the schema calls an array
-given as anything else), a bad flag value (an --out path that cannot be
-written included), a prime p (in the step function or --p) not below 2^64,
+with the same configuration. `main` may be called many times in one
+process: it builds its argument parser on the first call and reuses it.
+Exit codes: 0 ok, 2 malformed input (JSON that cannot be read or is nested
+too deeply, a field the schema calls an array given as anything else, or a
+key the command does not read, both cone and cone_function included), a bad
+flag value (an --out path that cannot be written included; one that names a
+directory or whose directory does not exist is refused before the command
+runs), a prime p (in the step function or --p) not below 2^64,
 where primality is decided exactly, a pairing cell over the point budget, or
 a p^precision or moment past PRINT_BITS bits (too long to print), 3
 dependent input vectors, 4 not a measure, 6 a verification trial failed.
@@ -27,7 +31,9 @@ Rationals are serialized as decimal strings ("3/4"); p-adic scalars as
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -52,6 +58,7 @@ EXIT_TRIAL_FAILED = 6
 
 MOMENT_BUDGET = 2000  # most moment orders plus Bernoulli steps in one table
 PRINT_BITS = 14284  # 2^14284 < 10^4300, CPython's default limit on int-to-str digits
+_parser = None  # build_parser(), made by the first main call and reused by the rest
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,6 +96,16 @@ def _load_input(path: str | None) -> dict:
     return data
 
 
+def _unwritable(path: str) -> str | None:
+    """Why --out cannot be opened for writing, as far as that shows without
+    creating it: it names a directory, or its directory does not exist."""
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        return os.strerror(errno.ENOENT)
+    return None
+
+
 def _parse_vector(raw, what: str, n: int) -> tuple:
     """A rational vector of the step function's dimension n."""
     try:
@@ -102,12 +119,16 @@ def _parse_vector(raw, what: str, n: int) -> tuple:
 
 
 def _parse_cone_function(data: dict, n: int) -> ConeFunction:
+    if "cone" in data and "cone_function" in data:
+        raise SchemaError("input: both 'cone' and 'cone_function' (give one of them)")
     try:
         if "cone" in data:
+            testfunctions._only_keys(data["cone"], ("generators",), "cone")
             gens = testfunctions._as_list(data["cone"]["generators"], "generators")
             return ConeFunction.of(OpenCone(tuple(_parse_vector(g, "generator", n) for g in gens)))
         terms = []
         for term in testfunctions._as_list(data["cone_function"], "cone_function"):
+            testfunctions._only_keys(term, ("generators", "coefficient"), "cone_function term")
             gens = testfunctions._as_list(term["generators"], "generators")
             gens = [_parse_vector(g, "generator", n) for g in gens]
             terms.append((testfunctions._as_int(term.get("coefficient", 1)), OpenCone(tuple(gens))))
@@ -116,25 +137,28 @@ def _parse_cone_function(data: dict, n: int) -> ConeFunction:
         raise SchemaError(f"bad cone JSON: {exc}") from exc
 
 
-def _load_step_function(args) -> tuple[dict, testfunctions.TestFunction]:
+def _load_step_function(args, *keys: str) -> tuple[dict, testfunctions.TestFunction]:
+    """The input, holding test_function and no key outside `keys`, and its step function."""
     data = _load_input(args.input)
+    testfunctions._only_keys(data, ("test_function", *keys), "input")
     if "test_function" not in data:
         raise SchemaError("missing test_function")
     return data, testfunctions.from_json(data["test_function"])
 
 
 def cmd_pair(args) -> tuple[dict, int]:
-    data, f = _load_step_function(args)
+    data, f = _load_step_function(args, "cone", "cone_function")
     k = _parse_cone_function(data, f.ctx.n)
     pm = solomon_hu.pair_cone_function(k, f)
     return solomon_hu.pm_to_json(pm), EXIT_OK
 
 
 def cmd_vh(args) -> tuple[dict, int]:
-    data, f = _load_step_function(args)
+    data, f = _load_step_function(args, "rays")
     out = {}
     for entry in testfunctions._as_list(data.get("rays", []), "rays"):
         named = isinstance(entry, dict)
+        testfunctions._only_keys(entry, ("v", "name"), "ray")
         ray = _parse_vector(entry["v"] if named else entry, "ray", f.ctx.n)
         name = entry.get("name") if named else None
         out[str(name or ",".join(str(x) for x in ray))] = testfunctions.check_vh(f, ray)
@@ -146,6 +170,7 @@ def cmd_moments(args) -> tuple[dict, int]:
         raise SchemaError(f"--precision must be at least 1, got {args.precision}")
     data = _load_input(args.input)
     if "test_function" in data:
+        testfunctions._only_keys(data, ("test_function", "cone", "cone_function"), "input")
         f = testfunctions.from_json(data["test_function"])
         k = _parse_cone_function(data, f.ctx.n)
         if len(k.terms) != 1 or k.terms[0][0] != 1:
@@ -241,10 +266,14 @@ def cmd_cocycle(args) -> tuple[dict, int]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     handlers = {"pair": cmd_pair, "vh": cmd_vh, "moments": cmd_moments, "cocycle": cmd_cocycle}
     try:
+        if args.out and (reason := _unwritable(args.out)):  # refused before any work
+            raise SchemaError(f"--out {args.out}: {reason}")
         report, code = handlers[args.command](args)
     except ShintaniError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,7 +42,7 @@ from . import linalg
 from .cones import ConeFunction, OpenCone
 from .errors import CellTooLarge, DependentInput, NotUnimodular, SchemaError
 from .linalg import IntVec
-from .testfunctions import TestFunction, _as_int, _as_list
+from .testfunctions import TestFunction, _as_int, _as_list, _only_keys
 
 # most integer points a pairing cell may have
 CELL_POINT_BUDGET = 10**6
@@ -320,9 +320,11 @@ def pm_to_json(a: PseudoMeasure) -> dict:
 
 
 def pm_from_json(data: dict) -> PseudoMeasure:
+    _only_keys(data, ("numerator", "denominator"), "pseudo-measure")
     try:
         num: dict[IntVec, Fraction] = {}
         for term in _as_list(data["numerator"], "numerator"):
+            _only_keys(term, ("vector", "coeff"), "numerator term")
             v = tuple(_as_int(x) for x in _as_list(term["vector"], "vector"))
             c = term["coeff"]
             if type(c) is not int and type(c) is not str:  # a bool or a float

@@ -175,11 +175,21 @@ def _as_list(x, what: str) -> list:
     return x
 
 
+def _only_keys(x, keys: tuple, what: str) -> None:
+    """SchemaError naming the first key of the JSON object x outside `keys`:
+    a key that nothing reads is a misspelling or a value that would be lost."""
+    extra = [k for k in x if k not in keys] if isinstance(x, dict) else []
+    if extra:
+        raise SchemaError(f"{what}: unknown key {extra[0]!r} (it reads {', '.join(keys)})")
+
+
 def from_json(data: dict) -> TestFunction:
+    _only_keys(data, ("n", "p", "M", "terms"), "test_function")
     try:
         ctx = LatticeContext(n=_as_int(data["n"]), p=_as_int(data["p"]), M=_as_int(data["M"]))
         table: dict[IntVec, int] = {}
         for term in _as_list(data.get("terms", []), "terms"):
+            _only_keys(term, ("residue", "weight"), "term")
             residue = tuple(_as_int(x) for x in _as_list(term["residue"], "residue"))
             table[residue] = table.get(residue, 0) + _as_int(term["weight"])
     except (KeyError, TypeError, ValueError) as exc:

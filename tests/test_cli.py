@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from shintani import linalg
+from shintani import cli, linalg
 from shintani.amice import is_measure_amice
-from shintani.cli import MOMENT_BUDGET, PRINT_BITS, _moment_orders, main
+from shintani.cli import MOMENT_BUDGET, PRINT_BITS, _moment_orders, build_parser, main
 from shintani.cocycle import CocycleInput, psi_cdg, sample_deformation, verify_cocycle
 from shintani.solomon_hu import pm_eq, pm_from_json
 from shintani.testfunctions import from_json
@@ -300,6 +300,147 @@ def test_an_unwritable_out_path_is_a_bad_flag_value(tmp_path, capsys):
     out.parent.mkdir()
     assert main(["--command", "vh", "--input", path, "--out", str(out)]) == 0
     assert json.loads(out.read_text(encoding="utf-8")) == {"1": True}
+
+
+def test_an_unwritable_out_path_is_refused_before_the_command_runs(tmp_path, capsys,
+                                                                   monkeypatch):
+    # the --out check comes first: with an input that cannot be read either,
+    # the error names --out, and the handler is never called
+    missing_input = str(tmp_path / "no-such-input.json")
+    for out, reason in [(tmp_path / "missing" / "x.json", "No such file or directory"),
+                        (tmp_path, "Is a directory")]:
+        assert main(["--command", "vh", "--input", missing_input, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: {reason}\n"
+    calls = []
+
+    def handler(args):
+        calls.append(args)
+        raise AssertionError("the handler ran before --out was checked")
+
+    monkeypatch.setattr(cli, "cmd_cocycle", handler)
+    path = write(tmp_path, "f.json", {"test_function": TF_BALANCED_2D})
+    out = tmp_path / "missing" / "x.json"
+    assert main(["--command", "cocycle", "--input", path, "--out", str(out)]) == 2
+    assert calls == [] and not out.parent.exists()
+
+
+def test_a_failing_command_leaves_the_out_file_alone(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    out.write_text("kept\n", encoding="utf-8")
+    path = write(tmp_path, "in.json", {"test_function": TF_ONE, "rays": [["1", "0"]]})
+    assert main(["--command", "vh", "--input", path, "--out", str(out)]) == 2
+    assert out.read_text(encoding="utf-8") == "kept\n"
+    fresh = tmp_path / "fresh.json"
+    assert main(["--command", "vh", "--input", path, "--out", str(fresh)]) == 2
+    assert not fresh.exists()
+
+
+@pytest.mark.parametrize("command, payload, drop, message", [
+    ("pair", {"test_function": TF_ONE, "cone": {"generators": [["1"]], "coefficient": 2}},
+     ("cone", "coefficient"), "cone: unknown key 'coefficient' (it reads generators)"),
+    ("pair", {"test_function": TF_ONE, "cone": {"generators": [["1"]]},
+              "cone_function": [{"coefficient": 2, "generators": [["1"]]}]},
+     ("cone_function",), "input: both 'cone' and 'cone_function' (give one of them)"),
+    ("vh", {"test_function": TF_DIFF, "rays": [], "ray": [["1"]]},
+     ("ray",), "input: unknown key 'ray' (it reads test_function, rays)"),
+    ("vh", {"test_function": TF_DIFF, "rays": [{"v": ["1"], "nmae": "e1"}]},
+     ("rays", 0, "nmae"), "ray: unknown key 'nmae' (it reads v, name)"),
+    ("pair", {"test_function": TF_ONE, "cone_function": [
+        {"generators": [["1"]], "coefficent": 2}]},
+     ("cone_function", 0, "coefficent"),
+     "cone_function term: unknown key 'coefficent' (it reads generators, coefficient)"),
+    ("cocycle", {"test_function": {**TF_BALANCED_2D, "level": 4}},
+     ("test_function", "level"), "test_function: unknown key 'level' (it reads n, p, M, terms)"),
+    ("pair", {"test_function": {**TF_ONE, "terms": [{"residue": [1], "weight": 1, "w": 2}]},
+              "cone": {"generators": [["1"]]}},
+     ("test_function", "terms", 0, "w"), "term: unknown key 'w' (it reads residue, weight)"),
+    ("cocycle", {"test_function": TF_BALANCED_2D, "trials": 3},
+     ("trials",), "input: unknown key 'trials' (it reads test_function)"),
+    ("moments", {"test_function": TF_DIFF, "cone": {"generators": [["1"]]}, "p": 7},
+     ("p",), "input: unknown key 'p' (it reads test_function, cone, cone_function)"),
+    ("moments", {"numerator": [{"vector": [1], "coeff": "1"}, {"vector": [3], "coeff": "-1"}],
+                 "denominator": [[4]], "p": 7},
+     ("p",), "pseudo-measure: unknown key 'p' (it reads numerator, denominator)"),
+    ("moments", {"numerator": [{"vector": [1], "coeff": "1", "coef": "2"},
+                               {"vector": [3], "coeff": "-1"}], "denominator": [[4]]},
+     ("numerator", 0, "coef"), "numerator term: unknown key 'coef' (it reads vector, coeff)"),
+], ids=["cone-coefficient", "cone-and-cone_function", "ray-for-rays", "named-ray",
+        "cone_function-term", "test_function", "step-term", "cocycle-input", "moments-input",
+        "pseudo-measure", "numerator-term"])
+def test_input_keys_the_command_does_not_read_are_refused(tmp_path, capsys, command, payload,
+                                                          drop, message):
+    # a key that nothing reads is a misspelling or a value that would be
+    # silently lost: exit 2 naming it; the same input without it is read
+    *path, key = drop
+    good = json.loads(json.dumps(payload))
+    node = good
+    for step in path:
+        node = node[step]
+    del node[key]
+    assert main(["--command", command, "--input", write(tmp_path, "good.json", good)]) == 0
+    capsys.readouterr()
+    assert main(["--command", command, "--input", write(tmp_path, "bad.json", payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def _fresh_process(argv):
+    """Exit code, stdout and stderr of `python -m shintani.cli argv`."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "COLUMNS": "80"}
+    proc = subprocess.run([sys.executable, "-m", "shintani.cli", *argv], capture_output=True,
+                          text=True, timeout=60, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def _in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a bad flag: argparse exits
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_called_in_sequence_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    # main builds its parser once and reuses it: no flag value, default or
+    # parse error of one call may leak into the next
+    monkeypatch.setenv("COLUMNS", "80")  # the usage line wraps at the terminal width
+    f = write(tmp_path, "f.json", {"test_function": TF_BALANCED_2D})
+    pm = write(tmp_path, "pm.json", {"numerator": [{"vector": [1], "coeff": "1"},
+                                                   {"vector": [3], "coeff": "-1"}],
+                                     "denominator": [[4]]})
+    cocycle = ["--command", "cocycle", "--input", f, "--trials", "1", "--seed", "7"]
+    moments = ["--command", "moments", "--input", pm]
+    for sequence, codes in [([cocycle + ["--corrupt-sign"], cocycle], [6, 0]),
+                            ([moments + ["--p", "x"], moments], [2, 0]),
+                            ([moments + ["--p", "7"], moments], [0, 0])]:
+        seen = [_in_process(capsys, argv) for argv in sequence]
+        assert seen == [_fresh_process(argv) for argv in sequence]
+        assert [code for code, _out, _err in seen] == codes
+    assert json.loads(seen[0][1])["p"] == 7 and json.loads(seen[1][1])["p"] == 3
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    # not at import, which the benchmark's setup_s times, but on the first
+    # call, and never again in the same process
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    probe = "import shintani.cli as c; print(c._parser)"
+    assert subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=env).stdout == "None\n"
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    path = write(tmp_path, "in.json", {"test_function": TF_DIFF, "rays": [["1"]]})
+    for _ in range(5):
+        assert main(["--command", "vh", "--input", path]) == 0
+    assert len(built) == 1
 
 
 def test_pair_round_trip(tmp_path, capsys):
