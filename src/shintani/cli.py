@@ -19,7 +19,8 @@ too deeply, a field the schema calls an array given as anything else, or a
 key the command does not read, both cone and cone_function included), a bad
 flag value (an --out path that cannot be written included; one that names a
 directory or whose directory does not exist is refused before the command
-runs), a prime p (in the step function or --p) not below 2^64,
+runs; --n below 1 on a raw pseudo-measure; --trials below 0, while 0 is a
+vacuous pass), a prime p (in the step function or --p) not below 2^64,
 where primality is decided exactly, a pairing cell over the point budget, or
 a p^precision or moment past PRINT_BITS bits (too long to print), 3
 dependent input vectors, 4 not a measure, 6 a verification trial failed.
@@ -48,7 +49,6 @@ from .errors import (
     SchemaError,
     ShintaniError,
 )
-from .padic import PadicScalar
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -187,6 +187,8 @@ def cmd_moments(args) -> tuple[dict, int]:
             raise SchemaError(f"--p: {exc}") from exc
         if not prime:
             raise SchemaError(f"--p must be a prime, got {args.p}")
+        if args.n < 1:
+            raise SchemaError(f"--n must be at least 1, got {args.n}")
         pm = solomon_hu.pm_from_json(data)
         p, n = args.p, args.n
     else:
@@ -205,8 +207,22 @@ def cmd_moments(args) -> tuple[dict, int]:
         if max(value.numerator.bit_length(), value.denominator.bit_length()) > PRINT_BITS:
             raise SchemaError(f"moment {list(kk)} is past {PRINT_BITS} bits, too long to print")
         table.append({"order": list(kk), "rational": str(value),
-                      "padic": str(PadicScalar.from_rational(value, p, args.precision))})
+                      "padic": _padic_str(value, p, args.precision)})
     return {"p": p, "precision": args.precision, "moments": table}, EXIT_OK
+
+
+def _padic_str(x: Fraction, p: int, prec: int) -> str:
+    """x = p^v * u with p not dividing u, as "p^v*u" with u taken mod
+    p^prec (prec digits); zero as "0"."""
+    if x == 0:
+        return "0"
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    mod = p ** prec
+    return f"{p}^{v}*{num * pow(den, -1, mod) % mod}"
 
 
 def _moment_orders(n: int, max_total: int) -> list[tuple[int, ...]]:
@@ -216,6 +232,8 @@ def _moment_orders(n: int, max_total: int) -> list[tuple[int, ...]]:
 
 
 def cmd_cocycle(args) -> tuple[dict, int]:
+    if args.trials < 0:
+        raise SchemaError(f"--trials must be at least 0, got {args.trials}")
     _data, f = _load_step_function(args)
     ctx = f.ctx
     rng = random.Random(args.seed)
@@ -227,7 +245,7 @@ def cmd_cocycle(args) -> tuple[dict, int]:
         g = testfunctions.random_congruence_element(ctx, trial_seed ^ 0x5EED)
         q = cocycle.sample_deformation(ctx.n, rng)
         ok_cocycle = cocycle.verify_cocycle(f, mats, q, corrupt_sign=args.corrupt_sign)
-        ok_equiv = cocycle.verify_equivariance(f, g, cocycle.CocycleInput(mats[: ctx.n], q))
+        ok_equiv = cocycle.verify_equivariance(f, g, mats[: ctx.n], q)
         record = {
             "index": t,
             "seed": trial_seed,

@@ -15,13 +15,14 @@ Values-as-functions-of-q are never materialized; every operation takes an
 explicit rational q and deforms along q_eps = q + eps p_1 + ... + eps^n p_n
 (cones.deformed_cone_decompose), so every q, q = 0 included, gets an exact
 verdict. The matrices are integer congruence elements, so q is the only
-rational value.
+rational value. Both are plain arguments: psi_cdg(matrices, q),
+verify_cocycle(f, matrices, q) and verify_equivariance(f, g, matrices, q)
+each check their matrices once and read q through Fraction.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -51,39 +52,25 @@ from .testfunctions import (
 )
 
 
-@dataclass(frozen=True)
-class CocycleInput:
-    """An n-tuple of invertible integer matrices plus a rational
-    deformation vector; a non-integral matrix entry raises ValueError."""
-
-    matrices: tuple[IntMat, ...]
-    q: DeformationVector
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrices", _invertible(self.matrices))
-        object.__setattr__(self, "q", tuple(Fraction(x) for x in self.q))
+def _columns(matrices: Sequence, q: Sequence) -> tuple[list[IntVec], DeformationVector]:
+    """The first columns of the matrices, and q as Fractions; a matrix that
+    is not integral or not invertible raises ValueError."""
+    mats = [linalg.int_mat(m) for m in matrices]
+    if any(linalg.det(m) == 0 for m in mats):
+        raise ValueError("cocycle arguments must be invertible")
+    return [tuple(row[0] for row in m) for m in mats], tuple(Fraction(x) for x in q)
 
 
-def _invertible(matrices: Sequence) -> tuple[IntMat, ...]:
-    mats = tuple(linalg.int_mat(m) for m in matrices)
-    for m in mats:
-        if linalg.det(m) == 0:
-            raise ValueError("cocycle arguments must be invertible")
-    return mats
-
-
-def _first_columns(matrices: Sequence[IntMat]) -> list[IntVec]:
-    return [tuple(row[0] for row in m) for m in matrices]
-
-
-def psi_cdg(inp: CocycleInput) -> ConeFunction:
-    """Sign-weighted deformed-cone decomposition on the first columns.
+def psi_cdg(matrices: Sequence, q: Sequence) -> ConeFunction:
+    """Sign-weighted deformed-cone decomposition on the first columns of
+    the n invertible integer matrices, deformed along q (rationals, or
+    anything Fraction reads).
 
     Returns the zero cone function when the first columns are dependent
     (in particular on tuples from the mirabolic subgroup in dimension
     at least 2, where all the columns equal e_1).
     """
-    return _psi(_first_columns(inp.matrices), inp.q)
+    return _psi(*_columns(matrices, q))
 
 
 def _psi(
@@ -103,8 +90,7 @@ def _alternating_sum(
     f: TestFunction, matrices: Sequence, q: Sequence, corrupt_sign: bool = False
 ) -> PseudoMeasure:
     # each matrix is checked once; the n-subsets then pair on columns
-    cols = _first_columns(_invertible(matrices))
-    q = tuple(Fraction(x) for x in q)
+    cols, q = _columns(matrices, q)
     terms = []
     for i in range(len(cols)):
         coeff = (-1) ** i
@@ -143,23 +129,24 @@ def sample_deformation(n: int, rng: random.Random) -> DeformationVector:
 
 
 def verify_equivariance(
-    f: TestFunction, g: Sequence[Sequence[int]], inp: CocycleInput
+    f: TestFunction, g: Sequence[Sequence[int]], matrices: Sequence, q: Sequence
 ) -> bool:
     """Check phi(g a_1, ..., g a_n)(q_eps) = g . phi(a_1, ..., a_n)(g^{-1} q_eps)
-    for a stabilizing g, where phi pairs psi_cdg with f and q_eps has the
+    for a stabilizing g and the invertible integer matrices a_i of
+    `matrices`, where phi pairs psi_cdg with f and q_eps has the
     identity frame. g^{-1} q_eps = g^{-1} q + eps g^{-1} e_1 + ... has the
     frame g^{-1} = adj(g), as det g = 1; the identity frame there would
     fail at some q on a face hyperplane."""
+    cols, q = _columns(matrices, q)
     if not stabilizes(f, g):
         raise NotStabilizer("g does not stabilize the step function")
-    # inp's matrices are invertible and stabilizes checked det g = 1, so
-    # the first columns of the g a_i are the g-images of those of the a_i
+    # the a_i are invertible and stabilizes checked det g = 1, so the
+    # first columns of the g a_i are the g-images of those of the a_i
     gm = linalg.int_mat(g)
-    cols = _first_columns(inp.matrices)
-    left = pair_cone_function(_psi([linalg.mat_vec(gm, c) for c in cols], inp.q), f)
+    left = pair_cone_function(_psi([linalg.mat_vec(gm, c) for c in cols], q), f)
     # g^-1 = adj(g), since d = det g = 1
     adj, _d = linalg.adjugate(gm)
-    pulled_q = linalg.mat_vec(adj, inp.q)
+    pulled_q = linalg.mat_vec(adj, q)
     right = act_pm(gm, pair_cone_function(_psi(cols, pulled_q, adj), f))
     return pm_eq(left, right)
 
@@ -182,7 +169,7 @@ def verify_measure_valued(f: TestFunction, samples: int, q: Sequence, seed: int 
             random_congruence_element(ctx, seed * 1009 + trial * 31 + j)
             for j in range(ctx.n)
         )
-        for _coeff, cone in psi_cdg(CocycleInput(mats, q)).terms:
+        for _coeff, cone in psi_cdg(mats, q).terms:
             if not is_measure_vh(cone, f):
                 return False
             pm = pair_open_cone(cone, f)

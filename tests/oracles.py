@@ -28,7 +28,7 @@ from typing import Sequence
 
 from shintani import linalg
 from shintani.amice import _coordinates, _poles_vanish
-from shintani.cocycle import CocycleInput, psi_cdg
+from shintani.cocycle import psi_cdg
 from shintani.cones import ConeFunction, OpenCone
 from shintani.errors import (
     DependentInput,
@@ -538,9 +538,9 @@ def frame_point(gens, q, frame) -> tuple[Fraction, ...]:
                  for i in range(n))
 
 
-def phi(f, inp: CocycleInput) -> PseudoMeasure:
-    """The cocycle value psi_cdg(inp) paired with the step function f."""
-    return pair_cone_function(psi_cdg(inp), f)
+def phi(f, matrices, q) -> PseudoMeasure:
+    """The cocycle value psi_cdg(matrices, q) paired with the step function f."""
+    return pair_cone_function(psi_cdg(matrices, q), f)
 
 
 # -- pseudo-measures and slices ---------------------------------------------

@@ -15,7 +15,6 @@ from shintani import linalg
 from shintani.amice import is_measure_amice, is_measure_vh, moment_table
 from shintani.cli import main as cli_main
 from shintani.cocycle import (
-    CocycleInput,
     psi_cdg,
     sample_congruence_tuple,
     sample_deformation,
@@ -230,7 +229,7 @@ def test_criterion_5_cocycle_identity():
     for t in range(20):
         mats = sample_congruence_tuple(ctx3, 4, 60000 + t)
         q = sample_deformation(3, rng)
-        term = phi(f3, CocycleInput(mats[1:], q))
+        term = phi(f3, mats[1:], q)
         if term.num:
             flipped += 1
             assert not verify_cocycle(f3, mats, q, corrupt_sign=True), (t, mats)
@@ -251,7 +250,7 @@ def test_criterion_6_equivariance():
         mats = sample_congruence_tuple(ctx, ctx.n, 70000 + checked)
         g = random_congruence_element(ctx, 80000 + checked)
         q = sample_deformation(ctx.n, rng)
-        assert verify_equivariance(f, g, CocycleInput(mats, q)), (checked, g)
+        assert verify_equivariance(f, g, mats, q), (checked, g)
         checked += 1
 
 
@@ -266,7 +265,7 @@ def test_criterion_7_support_and_mirabolic():
             linalg.primitive_vector(linalg.mat_vec(m, (1,) + (0,) * (n - 1)))
             for m in mats
         }
-        k = psi_cdg(CocycleInput(mats, sample_deformation(n, rng)))
+        k = psi_cdg(mats, sample_deformation(n, rng))
         for _c, cone in k.terms:
             for g in cone.generators:
                 assert linalg.primitive_vector(g) in cols
@@ -283,7 +282,7 @@ def test_criterion_7_support_and_mirabolic():
                 for i2 in range(1, i):
                     m[i][i2] = rng.randint(-2, 2)
             mats.append(tuple(tuple(row) for row in m))
-        k = psi_cdg(CocycleInput(tuple(mats), sample_deformation(n, rng)))
+        k = psi_cdg(mats, sample_deformation(n, rng))
         assert k.terms == ()
         vanished += 1
     assert vanished == 50

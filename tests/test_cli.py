@@ -14,7 +14,7 @@ import pytest
 from shintani import cli, linalg
 from shintani.amice import is_measure_amice
 from shintani.cli import MOMENT_BUDGET, PRINT_BITS, _moment_orders, build_parser, main
-from shintani.cocycle import CocycleInput, psi_cdg, sample_deformation, verify_cocycle
+from shintani.cocycle import psi_cdg, sample_deformation, verify_cocycle
 from shintani.solomon_hu import pm_eq, pm_from_json
 from shintani.testfunctions import from_json
 
@@ -529,6 +529,10 @@ def test_cocycle_vacuous_and_corrupted(tmp_path, capsys):
     report = json.loads((tmp_path / "c.json").read_text())
     assert not report["all_pass"]
     assert "offending" in report["trials"][0]
+    # a negative count is refused by name, not passed vacuously
+    capsys.readouterr()
+    assert main(["--command", "cocycle", "--input", path, "--trials", "-3"]) == 2
+    assert capsys.readouterr() == ("", "error: --trials must be at least 0, got -3\n")
 
 
 def test_cocycle_reports_the_verified_q(tmp_path, capsys):
@@ -557,7 +561,7 @@ def test_cocycle_reports_the_verified_q(tmp_path, capsys):
         cols = [tuple(row[0] for row in m) for j, m in enumerate(mats) if j != i]
         if linalg.det(cols) and 0 in _solve_coords(cols, q):
             on_face += 1
-            assert psi_cdg(CocycleInput(tuple(m for j, m in enumerate(mats) if j != i), q)).terms
+            assert psi_cdg([m for j, m in enumerate(mats) if j != i], q).terms
     assert on_face
     plain = tmp_path / "p.json"
     assert main(["--command", "cocycle", "--input", path, "--trials", "1",
@@ -814,11 +818,12 @@ def test_moments_of_a_p_split_measure_are_exact(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, args", [
     ("--p", "0", ()), ("--p", "1", ()), ("--p", "4", ()), ("--p", "-3", ()),
     ("--precision", "0", ()), ("--precision", "-2", ()), ("--precision", "0", ("cone",)),
+    ("--n", "0", ()), ("--n", "-1", ()),
 ])
 def test_moments_rejects_bad_flag_values(tmp_path, capsys, flag, value, args):
-    # a raw pseudo-measure needs a prime --p, and every moment prints at
-    # least one p-adic digit; a bad value is exit 2 naming the flag, before
-    # any moment is computed
+    # a raw pseudo-measure needs a prime --p and a dimension --n of at least
+    # 1, and every moment prints at least one p-adic digit; a bad value is
+    # exit 2 naming the flag, before any moment is computed
     payload = {"test_function": TF_DIFF, "cone": {"generators": [["1"]]}} if args else {
         "numerator": [{"vector": [1], "coeff": "1"}, {"vector": [3], "coeff": "-1"}],
         "denominator": [[4]],

@@ -6,7 +6,6 @@ import pytest
 
 from shintani import linalg
 from shintani.cocycle import (
-    CocycleInput,
     psi_cdg,
     sample_congruence_tuple,
     sample_deformation,
@@ -43,8 +42,7 @@ def balanced_f(ctx):
 
 
 def test_psi_zero_on_dependent_columns():
-    inp = CocycleInput((I2, I2), Q_GOOD)
-    assert psi_cdg(inp).terms == ()
+    assert psi_cdg((I2, I2), Q_GOOD).terms == ()
 
 
 def test_psi_trivial_on_mirabolic_tuples():
@@ -55,16 +53,24 @@ def test_psi_trivial_on_mirabolic_tuples():
             b = rng.randint(-5, 5)
             d = rng.choice((-3, -2, -1, 1, 2, 3))
             mats.append(((1, b), (0, d)))  # fixes e1
-        inp = CocycleInput(tuple(mats), Q_GOOD)
-        assert psi_cdg(inp).terms == ()
+        assert psi_cdg(mats, Q_GOOD).terms == ()
 
 
 def test_psi_worked_example():
-    inp = CocycleInput((I2, ROT), Q_GOOD)
-    k = psi_cdg(inp)
+    k = psi_cdg((I2, ROT), Q_GOOD)
     gens = sorted(cone.generators for _c, cone in k.terms)
     assert gens == [((F(1), F(0)),), ((F(1), F(0)), (F(0), F(1)))]
     assert all(c == 1 for c, _ in k.terms)
+
+
+def test_q_given_as_strings():
+    # q is read through Fraction, so strings give the same cone function
+    k = psi_cdg((I2, ROT), (F(1, 2), F(-1, 3)))
+    assert k.terms
+    assert psi_cdg((I2, ROT), ("1/2", "-1/3")) == k
+    f = balanced_f(LatticeContext(2, 3, 4))
+    g = random_congruence_element(f.ctx, 1)
+    assert verify_equivariance(f, g, (I2, ROT), ("1/2", "-1/3"))
 
 
 def test_psi_support_on_columns():
@@ -74,7 +80,7 @@ def test_psi_support_on_columns():
         mats = sample_congruence_tuple(ctx, 2, 400 + t)
         q = sample_deformation(2, rng)
         cols = {linalg.primitive_vector(linalg.mat_vec(m, (1, 0))) for m in mats}
-        k = psi_cdg(CocycleInput(mats, q))
+        k = psi_cdg(mats, q)
         for _c, cone in k.terms:
             for g in cone.generators:
                 assert linalg.primitive_vector(g) in cols
@@ -83,7 +89,7 @@ def test_psi_support_on_columns():
 def test_phi_worked_example():
     ctx = LatticeContext(2, 3, 4)
     f = balanced_f(ctx)
-    pm = phi(f, CocycleInput((I2, ROT), (F(-1, 2), F(-1, 3))))
+    pm = phi(f, (I2, ROT), (F(-1, 2), F(-1, 3)))
     exp_num = GA.zero()
     for j in range(1, 5):
         exp_num = exp_num + GA.delta((1, j)) - GA.delta((3, j))
@@ -94,22 +100,32 @@ def test_phi_worked_example():
 def test_phi_zero_and_sign():
     ctx = LatticeContext(2, 3, 4)
     f = balanced_f(ctx)
-    assert pm_eq(phi(f, CocycleInput((I2, I2), Q_GOOD)), pm_zero())
+    assert pm_eq(phi(f, (I2, I2), Q_GOOD), pm_zero())
     # swapping the two arguments flips the column determinant, so the
     # cocycle value changes sign while the underlying cone is unchanged
-    a = phi(f, CocycleInput((I2, ROT), Q_GOOD))
-    b = phi(f, CocycleInput((ROT, I2), Q_GOOD))
+    a = phi(f, (I2, ROT), Q_GOOD)
+    b = phi(f, (ROT, I2), Q_GOOD)
     assert pm_eq(b, pm_neg(a))
     with pytest.raises(ValueError):
-        phi(f, CocycleInput((((F(1, 2), F(0)), (F(0), F(2))), I2), Q_GOOD))
+        phi(f, (((F(1, 2), F(0)), (F(0), F(2))), I2), Q_GOOD)
 
 
 def test_singular_matrices_are_refused():
     singular = ((1, 2), (2, 4))
-    with pytest.raises(ValueError, match="must be invertible"):
-        CocycleInput((singular, I2), Q_GOOD)
-    # the cocycle harness checks each matrix of its tuple once, up front
+    halves = ((F(1, 2), F(0)), (F(0), F(2)))
     f = balanced_f(LatticeContext(2, 3, 4))
+    # each public entry checks its matrices once, up front, before the
+    # stabilizer check
+    for mats in ((singular, I2), (I2, singular)):
+        with pytest.raises(ValueError, match="must be invertible"):
+            psi_cdg(mats, Q_GOOD)
+        with pytest.raises(ValueError, match="must be invertible"):
+            verify_equivariance(f, I2, mats, Q_GOOD)
+    for mats in ((halves, I2), (I2, halves)):
+        with pytest.raises(ValueError, match="not an integer"):
+            psi_cdg(mats, Q_GOOD)
+        with pytest.raises(ValueError, match="not an integer"):
+            verify_equivariance(f, I2, mats, Q_GOOD)
     for i in range(3):
         mats = [I2, ROT, I2]
         mats[i] = singular
@@ -165,8 +181,8 @@ def test_harnesses_verify_at_the_given_q():
 def test_deformation_robustness():
     # same sign pattern gives identical face sets; different patterns
     # still satisfy the identity
-    inp1 = psi_cdg(CocycleInput((I2, ROT), (F(-1, 2), F(1, 3))))
-    inp2 = psi_cdg(CocycleInput((I2, ROT), (F(-1, 5), F(2, 7))))
+    inp1 = psi_cdg((I2, ROT), (F(-1, 2), F(1, 3)))
+    inp2 = psi_cdg((I2, ROT), (F(-1, 5), F(2, 7)))
     assert sorted(c.generators for _x, c in inp1.terms) == sorted(
         c.generators for _x, c in inp2.terms
     )
@@ -180,14 +196,14 @@ def test_deformation_robustness():
 def test_verify_equivariance():
     ctx = LatticeContext(2, 3, 4)
     f = balanced_f(ctx)
-    inp = CocycleInput((I2, ROT), Q_GOOD)
-    assert verify_equivariance(f, I2, inp)
+    mats = (I2, ROT)
+    assert verify_equivariance(f, I2, mats, Q_GOOD)
     for seed in range(8):
         g = random_congruence_element(ctx, seed)
-        assert verify_equivariance(f, g, inp)
+        assert verify_equivariance(f, g, mats, Q_GOOD)
     lopsided = TestFunction(ctx, {(1, 0): 1})
     with pytest.raises(NotStabilizer):
-        verify_equivariance(lopsided, ROT, inp)
+        verify_equivariance(lopsided, ROT, mats, Q_GOOD)
 
 
 def test_verify_measure_valued():
@@ -216,7 +232,7 @@ def test_psi_pointwise_against_deformed_eval():
             continue
         q = sample_deformation(2, rng)
         try:
-            k = psi_cdg(CocycleInput(tuple(mats), q))
+            k = psi_cdg(mats, q)
             sign = 1 if linalg.det(linalg.transpose(cols)) > 0 else -1
             for _ in range(6):
                 w = tuple(F(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(2))
@@ -262,7 +278,7 @@ def test_cocycle_identity_at_degenerate_q(n, M, tuples):
         f = _random_f(rng, ctx)
         for q in _degenerate_qs(mats, n):
             assert verify_cocycle(f, mats, q), (t, q)
-            if phi(f, CocycleInput(mats[1:], q)).num:  # the term corrupt_sign flips
+            if phi(f, mats[1:], q).num:  # the term corrupt_sign flips
                 assert not verify_cocycle(f, mats, q, corrupt_sign=True), (t, q)
 
 
@@ -286,8 +302,8 @@ def test_equivariance_carries_the_frame_at_degenerate_q():
             adj, _d = linalg.adjugate(g)
             gmats = tuple(linalg.mat_mul(g, m) for m in mats)
             for q in _degenerate_qs(mats, n)[:2]:
-                assert verify_equivariance(f, g, CocycleInput(mats, q)), (n, M, t, q)
-                left = phi(f, CocycleInput(gmats, q))
-                right = act_pm(g, phi(f, CocycleInput(mats, linalg.mat_vec(adj, q))))
+                assert verify_equivariance(f, g, mats, q), (n, M, t, q)
+                left = phi(f, gmats, q)
+                right = act_pm(g, phi(f, mats, linalg.mat_vec(adj, q)))
                 identity_frame_failures += not pm_eq(left, right)
     assert identity_frame_failures > 0
