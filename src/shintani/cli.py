@@ -20,9 +20,9 @@ key the command does not read, both cone and cone_function included), a bad
 flag value (an --out path that cannot be written included; one that names a
 directory or whose directory does not exist is refused before the command
 runs; --n below 1 on a raw pseudo-measure; --trials below 0, while 0 is a
-vacuous pass), a prime p (in the step function or --p) not below 2^64,
-where primality is decided exactly, a pairing cell over the point budget, or
-a p^precision or moment past PRINT_BITS bits (too long to print), 3
+vacuous pass), a prime p (in the step function or --p) not below 2^64, where
+primality is decided exactly, a pairing cell over the point budget, a zero
+ray, or a p^precision or moment past PRINT_BITS bits (too long to print), 3
 dependent input vectors, 4 not a measure, 6 a verification trial failed.
 
 Rationals are serialized as decimal strings ("3/4"); p-adic scalars as
@@ -160,8 +160,10 @@ def cmd_vh(args) -> tuple[dict, int]:
         named = isinstance(entry, dict)
         testfunctions._only_keys(entry, ("v", "name"), "ray")
         ray = _parse_vector(entry["v"] if named else entry, "ray", f.ctx.n)
-        name = entry.get("name") if named else None
-        out[str(name or ",".join(str(x) for x in ray))] = testfunctions.check_vh(f, ray)
+        key = str(named and entry.get("name") or ",".join(str(x) for x in ray))
+        if not any(ray):
+            raise SchemaError(f"ray {key!r} is the zero vector")
+        out[key] = testfunctions.check_vh(f, ray)
     return out, EXIT_OK
 
 

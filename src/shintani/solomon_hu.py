@@ -22,10 +22,8 @@ Pairing an open cone with a step function of level M scales the generators
 positively to primitive vectors, multiplies by M to obtain periods, and sums
 the function over the half-open fundamental cell of those periods, which is
 the cell of the primitive vectors lifted by their multiples below M; the
-periods become the denominator factors. A base point's residue key plus a
-lift's has the digits rho + M eps, eps in {0, 1}^n, of their residues' sum,
-so f is read through one dict holding each support residue rho under all
-2^n such keys, and no cell point is reduced mod M.
+periods become the denominator factors. Residues mod M are packed as well,
+and a sum of two is reduced by one carry-free digit-wise step (_pair_cell).
 """
 
 from __future__ import annotations
@@ -228,19 +226,18 @@ def act_pm(g: Sequence[Sequence[int]], a: PseudoMeasure) -> PseudoMeasure:
     return PseudoMeasure(GroupAlgebraElement._of(num, old.n, W, bound), den)
 
 
-def _cell(ws: Sequence[Sequence[int]], n: int) -> tuple[list[IntVec], list[IntVec]]:
-    """Base points and lifts of the half-open cell { sum x_i w_i : x_i in
-    (0, 1] }, whose integer points are the sums of one of each, by one
-    Hermite pass for every rank r.
+def _cell(ws: Sequence[Sequence[int]], n: int) -> tuple[list[IntVec], list[tuple[IntVec, int]]]:
+    """Base points and steps (s_i, g_i) of the half-open cell { sum x_i w_i :
+    x_i in (0, 1] } by one Hermite pass for every rank r: its integer points
+    are the sums of a base point and a lift sum k_i s_i, 0 <= k_i < g_i.
 
     With w_i = g_i s_i, s_i primitive, and s * u = [h | 0], the first r rows
     b_j of u_inv are a basis of the saturated span and s_i = sum_j h_ij b_j.
     The box 0 <= y_j < h_jj holds one point y.b of each class modulo the
     s_i, at cell coordinates x = adj(h)^T y / d with d = prod h_jj, and
     ceil(x) - 1 = (adj(h)^T y - 1) // d generators move it into the cell of
-    the s_i: that is a base point. The lifts are the sums k.s with 0 <= k_i
-    < g_i, so the cell has d * prod g_i points, a count checked against
-    CELL_POINT_BUDGET (CellTooLarge) before any point is made.
+    the s_i: that is a base point. The cell has d * prod g_i points, a count
+    checked against CELL_POINT_BUDGET (CellTooLarge) before any point is made.
     """
     ws = [linalg.int_vec(w) for w in ws]
     gs = [gcd(*w) for w in ws]
@@ -250,8 +247,7 @@ def _cell(ws: Sequence[Sequence[int]], n: int) -> tuple[list[IntVec], list[IntVe
         h, _u, u_inv, _sign = linalg.hermite(s) if r else ((), (), linalg.identity(n), 1)
     except DependentInput as exc:
         raise DependentInput("cell generators are linearly dependent") from exc
-    d = prod(h[j][j] for j in range(r))
-    count = d * prod(gs)
+    count = (d := prod(h[j][j] for j in range(r))) * prod(gs)
     if count > CELL_POINT_BUDGET:
         raise CellTooLarge(f"the cell of the generators {[list(w) for w in ws]} has "
                            f"{count} integer points, more than {CELL_POINT_BUDGET}")
@@ -262,10 +258,7 @@ def _cell(ws: Sequence[Sequence[int]], n: int) -> tuple[list[IntVec], list[IntVe
         k = [(sum(map(mul, y, row)) - 1) // d for row in xt]
         z = [a - sum(map(mul, row, k)) for a, row in zip(y, ht)]
         base.append(tuple(sum(map(mul, z, b)) for b in basis))
-    lifts = [(0,) * n]
-    for si, g in zip(s, gs):
-        lifts = [tuple(a + k * b for a, b in zip(v, si)) for v in lifts for k in range(g)]
-    return base, lifts
+    return base, list(zip(s, gs))
 
 
 def pair_open_cone(c: OpenCone, f: TestFunction) -> PseudoMeasure:
@@ -289,17 +282,31 @@ def pair_open_cone(c: OpenCone, f: TestFunction) -> PseudoMeasure:
 
 
 def _pair_cell(prims: frozenset[IntVec], f: TestFunction) -> PseudoMeasure:
+    """pair_open_cone's cell sum over (exponent key, residue key) pairs. A
+    residue digit is R = (2M).bit_length() + 1 bits wide, so a digit d of a
+    sum t of two reduced keys is at most 2M - 2 < 2^(R-1). K and H hold
+    2^(R-1) - M and 2^(R-1) in each digit: d + 2^(R-1) - M < 2^R carries into
+    no other digit and reaches 2^(R-1) iff d >= M, so t - M(((t + K) & H) >>
+    (R-1)) is t reduced mod M digit-wise. The lifts are int sums, axis by axis."""
     n, M = f.ctx.n, f.ctx.M
     periods = [tuple(M * x for x in s) for s in sorted(prims)]
-    base, lifts = _cell(periods, n)
-    bound = max(map(abs, chain(*base))) + max(map(abs, chain(*lifts)))
-    W, R = _width(bound), (2 * M).bit_length() + 1  # R-bit residue digits hold 0..2M-1
-    eps = [_pack(e, R) for e in product((0, M), repeat=n)]  # M eps, eps in {0, 1}^n
-    support = [(_pack(rho, R), c) for rho, c in f.values.items()]
-    values = {r + e: c for r, c in support for e in eps}
+    base, steps = _cell(periods, n)
+    edges = zip(*([(g - 1) * x for x in s] for s, g in steps))  # the lifts' box, by coordinate
+    bound = max(map(abs, chain(*base))) + max(
+        (max(sum(x for x in e if x > 0), -sum(x for x in e if x < 0)) for e in edges), default=0)
+    W, R = _width(bound), (2 * M).bit_length() + 1
+    H = (1 << R - 1) * (ones := sum(1 << R * i for i in range(n)))  # _pack refuses 2^(R-1)
+    K, top = H - M * ones, R - 1
+    lifts = [(0, 0)]
+    for s, g in steps:  # one axis at a time
+        ks = [(_pack([k * x for x in s], W), _pack([k * x % M for x in s], R)) for k in range(g)]
+        lifts = [(le + ke, (t := lr + kr) - M * (((t + K) & H) >> top))
+                 for le, lr in lifts for ke, kr in ks]
+    if not (values := f.residues):  # f's support residues at R-bit digits, packed once per f
+        values.update((_pack(rho, R), c) for rho, c in f.values.items())
     ys = [(_pack(y, W), _pack([x % M for x in y], R)) for y in base]
-    ls = [(_pack(v, W), _pack([x % M for x in v], R)) for v in lifts]
-    terms = {py + pl: c for py, ry in ys for pl, rl in ls if (c := values.get(ry + rl))}
+    terms = {py + pl: c for py, ry in ys for pl, rl in lifts
+             if (c := values.get((t := ry + rl) - M * (((t + K) & H) >> top)))}
     if not terms:
         return pm_zero()
     return PseudoMeasure(GroupAlgebraElement._of(terms, n, W, bound), tuple(periods))

@@ -76,9 +76,10 @@ class TestFunction:
 
     ctx: LatticeContext
     values: Mapping[IntVec, int] = field(default_factory=dict)
-    # solomon_hu.pair_open_cone results by primitive generator set; the CLI
-    # parses f once per command, so the memo lives for one command
+    # solomon_hu.pair_open_cone results by primitive generator set, and its packed
+    # support residues; the CLI parses f once per command, so both live for one command
     pairings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    residues: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         M = self.ctx.M

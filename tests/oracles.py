@@ -6,8 +6,9 @@ paths they check; fraction_moment_table, the Fraction moment table the
 integer one replaced, shares the library's measure test and coordinates
 and checks only the arithmetic. coset_lattice and coset_rep, the Hermite
 classes the measure test used before it keyed them by coordinates, are the
-reference for that key, and enumerate_fundamental_domain lists the
-library's pairing cell in order. The helpers at the end were library code that only the
+reference for that key, enumerate_fundamental_domain lists the library's
+pairing cell in order, and cell_lifts lists the cell's lifts as tuples, the
+reference for the pairing's lift bound. The helpers at the end were library code that only the
 tests called: evaluation and the action of SL_n(Z) on step functions by
 full walks over (Z/M)^n, the additive group of cone functions, wedges,
 cone membership and evaluation, the sign-twisted action on cone functions,
@@ -372,10 +373,20 @@ def coset_rep(h, v) -> tuple[int, ...]:
     return tuple(x)
 
 
+def cell_lifts(steps, n: int) -> list[tuple[int, ...]]:
+    """The lifts sum k_i s_i, 0 <= k_i < g_i, of the steps (s_i, g_i) that
+    solomon_hu._cell returns, as tuples, one axis at a time."""
+    lifts = [(0,) * n]
+    for s, g in steps:
+        lifts = [tuple(a + k * b for a, b in zip(v, s)) for v in lifts for k in range(g)]
+    return lifts
+
+
 def enumerate_fundamental_domain(ws, n: int) -> list[tuple[int, ...]]:
     """Sorted integer points of the half-open cell of the ws, the sums of
     one base point and one lift of solomon_hu._cell."""
-    base, lifts = _cell(ws, n)
+    base, steps = _cell(ws, n)
+    lifts = cell_lifts(steps, n)
     return sorted(tuple(a + b for a, b in zip(y, v)) for y in base for v in lifts)
 
 

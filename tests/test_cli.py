@@ -470,6 +470,22 @@ def test_vh_command(tmp_path, capsys):
     assert code3 == 0 and json.loads(out3) == {}
 
 
+@pytest.mark.parametrize("ray, key", [
+    (["0", "0"], "0,0"),
+    (["0/3", 0], "0,0"),
+    ({"name": "origin", "v": ["0", "0"]}, "origin"),
+])
+def test_a_zero_ray_is_refused_naming_it(tmp_path, capsys, ray, key):
+    # a zero ray has no primitive vector: exit 2 naming the ray, then no report
+    path = write(tmp_path, "in.json", {"test_function": TF_BALANCED_2D, "rays": [["1", "0"], ray]})
+    assert main(["--command", "vh", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ray {key!r} is the zero vector\n"
+    path = write(tmp_path, "in2.json", {"test_function": TF_BALANCED_2D, "rays": [["0", "1"]]})
+    assert run(capsys, "--command", "vh", "--input", path)[0] == 0
+
+
 def test_moments_command(tmp_path, capsys):
     path = write(tmp_path, "in.json", {
         "test_function": TF_DIFF, "cone": {"generators": [["1"]]},

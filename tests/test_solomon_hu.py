@@ -1,6 +1,8 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
-from itertools import product
+from itertools import chain, product
+from math import prod
 
 import pytest
 
@@ -10,6 +12,7 @@ from shintani.errors import SchemaError
 from shintani.solomon_hu import (
     GroupAlgebraElement,
     PseudoMeasure as PM,
+    _cell,
     _pack,
     _unpack,
     _width,
@@ -235,6 +238,11 @@ def test_a_huge_ray_pairs_at_a_wider_digit():
     assert a.num.W == 128 and a.den == ((4, 4 * big),)
     assert [t["vector"] for t in pm_to_json(a)["numerator"]] == [[1, big], [3, 3 * big]]
     assert pm_eq(act_pm([[1, 0], [-big, 1]], a), PM(d(1, 0) - d(3, 0), ((4, 0),)))
+    # at level 1 the unimodular cell of (1, big) and (-1, 1 - big) is the one
+    # point (0, 1): its digits stay narrow, and no generator is packed at them
+    const = TestFunction(LatticeContext(2, 3, 1), {(0, 0): 2})
+    one = pair_open_cone(OpenCone(((1, big), (-1, 1 - big))), const)
+    assert one.num.W == 64 and dict(one.num.terms) == {(0, 1): 2}
 
 
 def test_pm_is_integer_constant():
@@ -337,6 +345,62 @@ def test_enumerate_fundamental_domain_sublattice():
     pts = enumerate_fundamental_domain([(2, 2)], 2)
     assert pts == [(1, 1), (2, 2)]
     assert pts == brute_cell_points([(2, 2)], 2)
+
+
+def test_pairing_kernel_matches_a_box_scan():
+    # cones of every rank 0..n, n <= 4, with generator entries in [-3, 3],
+    # at levels whose residue digits are R = 3, 4, 5 and 6 bits wide; each
+    # f pairs a cone of each rank through its one table of packed residues.
+    # The numerator is f over a bounding-box scan of the cell, and the bound
+    # is the one the tuple enumeration of the lifts gives
+    rng = random.Random(61)
+    levels, seen = (1, 2, 3, 4, 5, 7, 8, 9), set()
+    for M in levels:
+        for n in range(1, 5):
+            table = {r: rng.choice((-2, -1, 1, 3)) for r in product(range(M), repeat=n)
+                     if rng.random() < 0.6}
+            f = TestFunction(LatticeContext(n, 11, M), table or {(0,) * n: 1})
+            for r in range(n + 1):
+                for _draw in range(40):  # a third of the entries 0, so full-rank cells stay small
+                    gens = [tuple(rng.choice((0, 0, 0, -3, -2, -1, 1, 2, 3)) for _ in range(n))
+                            for _ in range(r)]
+                    periods = sorted(tuple(M * x for x in linalg.primitive_vector(g)) for g in gens
+                                     if any(g))
+                    if len(periods) == r and (not r or rank_by_minors(gens) == r) and prod(
+                            sum(abs(w[j]) for w in periods) + 1 for j in range(n)) <= 1000:
+                        break
+                else:
+                    continue  # no cell of this rank small enough for the scan
+                pm = pair_open_cone(OpenCone(tuple(gens)), f)
+                want = {v: c for v in brute_cell_points(periods, n) if (c := value_at(f, v))}
+                assert dict(pm.num.terms) == want
+                assert pm.den == (tuple(periods) if want else ())
+                if want:
+                    base, steps = _cell(periods, n)
+                    lifts = oracles.cell_lifts(steps, n)
+                    assert pm.num.bound == max(map(abs, chain(*base))) + max(map(abs, chain(*lifts)))
+                    assert pm.num.W == _width(pm.num.bound)
+                seen.add((M, n, r))
+    assert {(n, r) for _M, n, r in seen} == {(n, r) for n in range(1, 5) for r in range(n + 1)}
+    assert all({(n, r) for m, n, r in seen if m == M} >= {(4, 0), (4, 1), (4, 2)} for M in levels)
+
+
+def test_a_dense_step_function_pairs_in_little_memory():
+    # every residue of (Z/2)^10 weighted on the unit cone: the cell of the
+    # periods 2 e_i is {1, 2}^10. The pairing's memory is the cell's, far
+    # below the 84 MB that a table of |support| * 2^n = 2^20 residue keys takes
+    n = 10
+    f = TestFunction(LatticeContext(n, 3, 2), {r: 1 + sum(r) % 3 for r in product(range(2), repeat=n)})
+    units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    tracemalloc.start()
+    try:
+        pm = pair_open_cone(OpenCone(units), f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dict(pm.num.terms) == {v: value_at(f, v) for v in product((1, 2), repeat=n)}
+    assert pm.den == tuple(sorted(tuple(2 * x for x in u) for u in units))
+    assert peak < 8 * 2**20
 
 
 def ctx1(M=4, p=3):
