@@ -21,7 +21,8 @@ flag value (an --out path that cannot be written included; one that names a
 directory or whose directory does not exist is refused before the command
 runs; --n below 1 on a raw pseudo-measure; --trials below 0, while 0 is a
 vacuous pass), a prime p (in the step function or --p) not below 2^64, where
-primality is decided exactly, a pairing cell over the point budget, a zero
+primality is decided exactly, a step function of dimension above
+testfunctions.MAX_DIMENSION, a pairing cell over the point budget, a zero
 ray, or a p^precision or moment past PRINT_BITS bits (too long to print), 3
 dependent input vectors, 4 not a measure, 6 a verification trial failed.
 
@@ -119,15 +120,15 @@ def _parse_vector(raw, what: str, n: int) -> tuple:
 
 
 def _parse_cone_function(data: dict, n: int) -> ConeFunction:
+    """The input's cone_function, a cone read as the one term with coefficient 1."""
     if "cone" in data and "cone_function" in data:
         raise SchemaError("input: both 'cone' and 'cone_function' (give one of them)")
     try:
         if "cone" in data:
             testfunctions._only_keys(data["cone"], ("generators",), "cone")
-            gens = testfunctions._as_list(data["cone"]["generators"], "generators")
-            return ConeFunction.of(OpenCone(tuple(_parse_vector(g, "generator", n) for g in gens)))
         terms = []
-        for term in testfunctions._as_list(data["cone_function"], "cone_function"):
+        for term in testfunctions._as_list(
+                [data["cone"]] if "cone" in data else data["cone_function"], "cone_function"):
             testfunctions._only_keys(term, ("generators", "coefficient"), "cone_function term")
             gens = testfunctions._as_list(term["generators"], "generators")
             gens = [_parse_vector(g, "generator", n) for g in gens]
@@ -148,7 +149,7 @@ def _load_step_function(args, *keys: str) -> tuple[dict, testfunctions.TestFunct
 
 def cmd_pair(args) -> tuple[dict, int]:
     data, f = _load_step_function(args, "cone", "cone_function")
-    k = _parse_cone_function(data, f.ctx.n)
+    k = _parse_cone_function(data, f.n)
     pm = solomon_hu.pair_cone_function(k, f)
     return solomon_hu.pm_to_json(pm), EXIT_OK
 
@@ -159,7 +160,7 @@ def cmd_vh(args) -> tuple[dict, int]:
     for entry in testfunctions._as_list(data.get("rays", []), "rays"):
         named = isinstance(entry, dict)
         testfunctions._only_keys(entry, ("v", "name"), "ray")
-        ray = _parse_vector(entry["v"] if named else entry, "ray", f.ctx.n)
+        ray = _parse_vector(entry["v"] if named else entry, "ray", f.n)
         key = str(named and entry.get("name") or ",".join(str(x) for x in ray))
         if not any(ray):
             raise SchemaError(f"ray {key!r} is the zero vector")
@@ -174,14 +175,14 @@ def cmd_moments(args) -> tuple[dict, int]:
     if "test_function" in data:
         testfunctions._only_keys(data, ("test_function", "cone", "cone_function"), "input")
         f = testfunctions.from_json(data["test_function"])
-        k = _parse_cone_function(data, f.ctx.n)
+        k = _parse_cone_function(data, f.n)
         if len(k.terms) != 1 or k.terms[0][0] != 1:
             raise SchemaError("moments need a single open cone with coefficient 1")
         cone = k.terms[0][1]
         if not amice.is_measure_vh(cone, f):
             raise NotAMeasure("vanishing hypothesis fails on an extremal ray")
         pm = solomon_hu.pair_open_cone(cone, f)
-        p, n = f.ctx.p, f.ctx.n
+        p, n = f.p, f.n
     elif "numerator" in data:
         try:
             prime = testfunctions._is_prime(args.p)
@@ -237,17 +238,16 @@ def cmd_cocycle(args) -> tuple[dict, int]:
     if args.trials < 0:
         raise SchemaError(f"--trials must be at least 0, got {args.trials}")
     _data, f = _load_step_function(args)
-    ctx = f.ctx
     rng = random.Random(args.seed)
     trials = []
     all_pass = True
     for t in range(args.trials):
         trial_seed = args.seed * 65537 + t
-        mats = cocycle.sample_congruence_tuple(ctx, ctx.n + 1, trial_seed)
-        g = testfunctions.random_congruence_element(ctx, trial_seed ^ 0x5EED)
-        q = cocycle.sample_deformation(ctx.n, rng)
+        mats = cocycle.sample_congruence_tuple(f.n, f.M, f.n + 1, trial_seed)
+        g = testfunctions.random_congruence_element(f.n, f.M, trial_seed ^ 0x5EED)
+        q = cocycle.sample_deformation(f.n, rng)
         ok_cocycle = cocycle.verify_cocycle(f, mats, q, corrupt_sign=args.corrupt_sign)
-        ok_equiv = cocycle.verify_equivariance(f, g, mats[: ctx.n], q)
+        ok_equiv = cocycle.verify_equivariance(f, g, mats[: f.n], q)
         record = {
             "index": t,
             "seed": trial_seed,
@@ -261,18 +261,18 @@ def cmd_cocycle(args) -> tuple[dict, int]:
             record["offending"] = solomon_hu.pm_to_json(bad)
             all_pass = False
         trials.append(record)
-    e1 = tuple(1 if i == 0 else 0 for i in range(ctx.n))
+    e1 = tuple(1 if i == 0 else 0 for i in range(f.n))
     vh_e1 = testfunctions.check_vh(f, e1)
     measure_ok = cocycle.verify_measure_valued(
-        f, max(1, args.trials // 4), cocycle.sample_deformation(ctx.n, rng), seed=args.seed)
+        f, max(1, args.trials // 4), cocycle.sample_deformation(f.n, rng), seed=args.seed)
     if vh_e1 and not measure_ok:
         all_pass = False
     report = {
         "config": {
             "command": "cocycle",
-            "n": ctx.n,
-            "p": ctx.p,
-            "M": ctx.M,
+            "n": f.n,
+            "p": f.p,
+            "M": f.M,
             "seed": args.seed,
             "trials": args.trials,
             "corrupt_sign": bool(args.corrupt_sign),

@@ -44,12 +44,7 @@ from .solomon_hu import (
     pm_is_integer_constant,
     pm_sum,
 )
-from .testfunctions import (
-    LatticeContext,
-    TestFunction,
-    random_congruence_element,
-    stabilizes,
-)
+from .testfunctions import TestFunction, random_congruence_element, stabilizes
 
 
 def _columns(matrices: Sequence, q: Sequence) -> tuple[list[IntVec], DeformationVector]:
@@ -163,25 +158,22 @@ def verify_measure_valued(f: TestFunction, samples: int, q: Sequence, seed: int 
     columns, so their support needs no check. Every trial is deformed
     along q with the identity frame.
     """
-    ctx = f.ctx
     for trial in range(samples):
         mats = tuple(
-            random_congruence_element(ctx, seed * 1009 + trial * 31 + j)
-            for j in range(ctx.n)
+            random_congruence_element(f.n, f.M, seed * 1009 + trial * 31 + j)
+            for j in range(f.n)
         )
         for _coeff, cone in psi_cdg(mats, q).terms:
             if not is_measure_vh(cone, f):
                 return False
             pm = pair_open_cone(cone, f)
-            if pm.num and not is_measure_amice(pm, ctx.p):
+            if pm.num and not is_measure_amice(pm, f.p):
                 return False
     return True
 
 
-def sample_congruence_tuple(
-    ctx: LatticeContext, count: int, seed: int
-) -> tuple:
-    """Seeded tuple of congruence-subgroup elements, for harness drivers."""
+def sample_congruence_tuple(n: int, M: int, count: int, seed: int) -> tuple:
+    """Seeded tuple of count level-M congruence elements of SL_n(Z), for harness drivers."""
     return tuple(
-        random_congruence_element(ctx, seed * 7919 + j * 101) for j in range(count)
+        random_congruence_element(n, M, seed * 7919 + j * 101) for j in range(count)
     )

@@ -77,10 +77,6 @@ class ConeFunction:
     def zero() -> "ConeFunction":
         return ConeFunction(())
 
-    @staticmethod
-    def of(cone: OpenCone, coeff: int = 1) -> "ConeFunction":
-        return ConeFunction(((coeff, cone),))
-
 
 def deformed_cone_decompose(
     gens: Sequence[Sequence], q: Sequence, frame: Sequence[Sequence[int]] | None = None

@@ -288,7 +288,7 @@ def _pair_cell(prims: frozenset[IntVec], f: TestFunction) -> PseudoMeasure:
     2^(R-1) - M and 2^(R-1) in each digit: d + 2^(R-1) - M < 2^R carries into
     no other digit and reaches 2^(R-1) iff d >= M, so t - M(((t + K) & H) >>
     (R-1)) is t reduced mod M digit-wise. The lifts are int sums, axis by axis."""
-    n, M = f.ctx.n, f.ctx.M
+    n, M = f.n, f.M
     periods = [tuple(M * x for x in s) for s in sorted(prims)]
     base, steps = _cell(periods, n)
     edges = zip(*([(g - 1) * x for x in s] for s, g in steps))  # the lifts' box, by coordinate

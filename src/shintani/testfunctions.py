@@ -1,10 +1,11 @@
 """Level-M integer step functions on the standard lattice, away from p.
 
-A step function of level M is a table on (Z/M)^n, read as a function on
-integer vectors by reduction mod M and extended by zero off the lattice.
-The prime p never divides M; the p-component is implicitly the full
-characteristic function of Z_p^n, so the pipeline only ever evaluates at
-honest integer points.
+A step function TestFunction(n, p, M, values) of level M is a table on
+(Z/M)^n, read as a function on integer vectors by reduction mod M and
+extended by zero off the lattice. Its dimension n is at least 1 and at most
+MAX_DIMENSION. The prime p never divides M; the p-component is implicitly
+the full characteristic function of Z_p^n, so the pipeline only ever
+evaluates at honest integer points.
 
 The vanishing hypothesis for a direction v asks that every one-dimensional
 slice of the function along v has average zero.
@@ -33,6 +34,10 @@ from .linalg import IntMat, IntVec
 
 
 PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Largest dimension n of a step function: a cocycle trial draws n + 1 matrices
+# of size n x n and runs a Hermite pass on each, a cost that grows with n and
+# not with the size of the input
+MAX_DIMENSION = 32
 
 
 def _is_prime(p: int) -> bool:
@@ -52,42 +57,37 @@ def _is_prime(p: int) -> bool:
 
 
 @dataclass(frozen=True)
-class LatticeContext:
-    """Ambient dimension, working prime, and level (coprime to p)."""
+class TestFunction:
+    """Integer-valued step function of level M on Z^n, away from the prime p
+    (M coprime to p), stored as a residue table on (Z/M)^n."""
+
+    __test__ = False  # domain name, not a pytest case
 
     n: int
     p: int
     M: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.M < 1 or gcd(self.M, self.p) != 1:
-            raise ValueError("level must be positive and coprime to p")
-
-
-@dataclass(frozen=True)
-class TestFunction:
-    """Integer-valued level-M step function, stored as a residue table."""
-
-    __test__ = False  # domain name, not a pytest case
-
-    ctx: LatticeContext
     values: Mapping[IntVec, int] = field(default_factory=dict)
-    # solomon_hu.pair_open_cone results by primitive generator set, and its packed
-    # support residues; the CLI parses f once per command, so both live for one command
+    # solomon_hu.pair_open_cone results by primitive generator set, and its packed support
+    # residues, both for one command (the CLI parses f once per command); packing those per
+    # cell took 110.5k _pack calls, not 71.8k, over the first 600 pair_sweep ops at seed 1,
+    # and about 10% more cumulative _pair_cell time under cProfile
     pairings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     residues: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        M = self.ctx.M
+        if self.n < 1:
+            raise ValueError("dimension must be >= 1")
+        if self.n > MAX_DIMENSION:
+            raise ValueError(f"dimension n = {self.n} is above MAX_DIMENSION = {MAX_DIMENSION}")
+        if not _is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
+        if self.M < 1 or gcd(self.M, self.p) != 1:
+            raise ValueError("level must be positive and coprime to p")
         table: dict[IntVec, int] = {}
         for residue, weight in self.values.items():
-            if len(residue) != self.ctx.n:
+            if len(residue) != self.n:
                 raise ValueError("residue of wrong dimension")
-            key = tuple(int(x) % M for x in residue)
+            key = tuple(int(x) % self.M for x in residue)
             table[key] = table.get(key, 0) + int(weight)
         object.__setattr__(
             self, "values", {k: v for k, v in sorted(table.items()) if v != 0}
@@ -112,7 +112,7 @@ def stabilizes(f: TestFunction, g: Sequence[Sequence[int]]) -> bool:
     gm = linalg.int_mat(g)
     if linalg.det(gm) != 1:
         raise NotUnimodular("action requires determinant 1")
-    M = f.ctx.M
+    M = f.M
     return all(f.values.get(tuple(x % M for x in linalg.mat_vec(gm, w))) == c
                for w, c in f.values.items())
 
@@ -132,14 +132,14 @@ def check_vh(f: TestFunction, v: Sequence) -> bool:
     support residues are grouped by their minors, and for n = 1 there are
     none, so the test is the total sum.
     """
-    M = f.ctx.M
+    M = f.M
     s = linalg.primitive_vector(v)
     pairs = [(i, j) for j in range(len(s)) for i in range(j)]
     return _fibres_vanish((tuple((w[i] * s[j] - w[j] * s[i]) % M for i, j in pairs), c)
                           for w, c in f.values.items())
 
 
-def random_congruence_element(ctx: LatticeContext, seed: int) -> IntMat:
+def random_congruence_element(n: int, M: int, seed: int) -> IntMat:
     """Sample an element of the principal congruence subgroup of level M.
 
     Returns a product of elementary matrices I + c*M*E_ij (i != j), hence
@@ -147,7 +147,6 @@ def random_congruence_element(ctx: LatticeContext, seed: int) -> IntMat:
     for a fixed seed.
     """
     rng = random.Random(seed)
-    n = ctx.n
     if n == 1:
         return linalg.identity(1)
     result = [list(row) for row in linalg.identity(n)]
@@ -158,7 +157,7 @@ def random_congruence_element(ctx: LatticeContext, seed: int) -> IntMat:
             j += 1
         c = rng.choice((-1, 1))
         for row in result:  # right-multiply by I + c*M*E_ij
-            row[j] += c * ctx.M * row[i]
+            row[j] += c * M * row[i]
     return tuple(map(tuple, result))
 
 
@@ -187,12 +186,12 @@ def _only_keys(x, keys: tuple, what: str) -> None:
 def from_json(data: dict) -> TestFunction:
     _only_keys(data, ("n", "p", "M", "terms"), "test_function")
     try:
-        ctx = LatticeContext(n=_as_int(data["n"]), p=_as_int(data["p"]), M=_as_int(data["M"]))
+        n, p, M = (_as_int(data[key]) for key in ("n", "p", "M"))
         table: dict[IntVec, int] = {}
         for term in _as_list(data.get("terms", []), "terms"):
             _only_keys(term, ("residue", "weight"), "term")
             residue = tuple(_as_int(x) for x in _as_list(term["residue"], "residue"))
             table[residue] = table.get(residue, 0) + _as_int(term["weight"])
+        return TestFunction(n, p, M, table)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad test-function JSON: {exc}") from exc
-    return TestFunction(ctx, table)

@@ -152,8 +152,8 @@ def brute_cone_lattice_points(gens, weights, bound) -> list[tuple[int, ...]]:
 def value_at_rational(f, point) -> int:
     """Evaluate a level-M step function at a rational point that is
     integral away from p (denominators are powers of p), else 0."""
-    M = f.ctx.M
-    p = f.ctx.p
+    M = f.M
+    p = f.p
     residues = []
     for x in point:
         x = Fraction(x)
@@ -171,9 +171,9 @@ def rational_slice_haar(f, v, w) -> Fraction:
     directly: find a rational t0 putting the line onto the away-from-p
     lattice, then average one period; if no such t0 exists the slice is
     identically zero."""
-    M = f.ctx.M
-    p = f.ctx.p
-    n = f.ctx.n
+    M = f.M
+    p = f.p
+    n = f.n
     dens = [Fraction(x).denominator for x in w]
     search = lcm(*dens, p, 4)
     t0 = None
@@ -223,7 +223,7 @@ def vh_by_slices(f, v) -> bool:
     ints = [int(x * lcm(*(y.denominator for y in fracs))) for x in fracs]
     g = gcd(*ints)
     s = [x // g for x in ints]
-    M, n = f.ctx.M, f.ctx.n
+    M, n = f.M, f.n
     for w in product(range(M), repeat=n):
         line = [tuple((w[j] + t * s[j]) % M for j in range(n)) for t in range(M)]
         if sum(f.values.get(x, 0) for x in line) != 0:
@@ -406,7 +406,7 @@ def inverse(m) -> list[list[Fraction]]:
 
 def value_at(f, v) -> int:
     """f at an integer vector, by reduction mod M."""
-    return f.values.get(tuple(int(x) % f.ctx.M for x in v), 0)
+    return f.values.get(tuple(int(x) % f.M for x in v), 0)
 
 
 def act(f, g) -> TestFunction:
@@ -416,11 +416,11 @@ def act(f, g) -> TestFunction:
     if det_cofactor(g) != 1:
         raise NotUnimodular("action requires determinant 1")
     table = {}
-    for x in product(range(f.ctx.M), repeat=f.ctx.n):
+    for x in product(range(f.M), repeat=f.n):
         val = value_at(f, [sum(a * b for a, b in zip(row, x)) for row in g])
         if val:
             table[x] = val
-    return TestFunction(f.ctx, table)
+    return TestFunction(f.n, f.p, f.M, table)
 
 
 # -- cone functions ---------------------------------------------------------
@@ -716,9 +716,9 @@ def line_slice(f, v, w) -> SliceFunction:
     """The slice t -> f(w + t v) for integer v != 0 and integer w."""
     if all(x == 0 for x in v):
         raise ZeroDirection("slice direction must be nonzero")
-    M = f.ctx.M
+    M = f.M
     vals = tuple(
-        value_at(f, tuple(int(w[j]) + t * int(v[j]) for j in range(f.ctx.n)))
+        value_at(f, tuple(int(w[j]) + t * int(v[j]) for j in range(f.n)))
         for t in range(M)
     )
     return SliceFunction(level=M, values=vals)
@@ -731,9 +731,9 @@ def haar(s: SliceFunction) -> Fraction:
 
 def to_json(f) -> dict:
     return {
-        "n": f.ctx.n,
-        "p": f.ctx.p,
-        "M": f.ctx.M,
+        "n": f.n,
+        "p": f.p,
+        "M": f.M,
         "terms": [
             {"residue": list(residue), "weight": weight}
             for residue, weight in f.values.items()
@@ -806,8 +806,8 @@ def slice_identity_check(f, c: OpenCone, i: int, bound) -> bool:
     haar(slice(f, v_i, w)) for every integer w in the open face cone
     spanned by the other generators, up to the expansion bound.
     """
-    n = f.ctx.n
-    M = f.ctx.M
+    n = f.n
+    M = f.M
     pm = pair_open_cone(c, f)
     prims = c.generators
     periods = [tuple(M * x for x in s) for s in prims]

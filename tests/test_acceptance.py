@@ -32,7 +32,6 @@ from shintani.solomon_hu import (
     PseudoMeasure,
 )
 from shintani.testfunctions import (
-    LatticeContext,
     TestFunction,
     random_congruence_element,
 )
@@ -66,48 +65,47 @@ def _report(index, description):
     return deco
 
 
-def random_table(rng, ctx, lo=-2, hi=2):
-    return {r: rng.randint(lo, hi) for r in product(range(ctx.M), repeat=ctx.n)}
+def random_table(rng, n, M, lo=-2, hi=2):
+    return {r: rng.randint(lo, hi) for r in product(range(M), repeat=n)}
 
 
-def difference_along(table, ctx, s):
+def difference_along(table, M, s):
     """Apply the forward difference along s; slices along s then telescope
     to zero, granting the vanishing hypothesis for that ray."""
     out = {}
     for r, w in table.items():
         out[r] = out.get(r, 0) + w
-        shifted = tuple((a + b) % ctx.M for a, b in zip(r, s))
+        shifted = tuple((a + b) % M for a, b in zip(r, s))
         out[shifted] = out.get(shifted, 0) - w
     return out
 
 
-def balanced_f(ctx):
+def balanced_f(n, p, M):
     table = {}
-    for rest in product(range(ctx.M), repeat=ctx.n - 1):
+    for rest in product(range(M), repeat=n - 1):
         table[(1,) + rest] = 1
-        table[(3 % ctx.M,) + rest] = table.get((3 % ctx.M,) + rest, 0) - 1
-    f = TestFunction(ctx, table)
+        table[(3 % M,) + rest] = table.get((3 % M,) + rest, 0) - 1
+    f = TestFunction(n, p, M, table)
     if not f.values:
-        raise ValueError(f"balanced_f vanishes identically at M = {ctx.M}")
+        raise ValueError(f"balanced_f vanishes identically at M = {M}")
     return f
 
 
-def halves_f(ctx):
+def halves_f(n, p, M):
     """1 where the first residue is 1 and -1 where it is 0: nonzero at
     every level, with slices along e_1 summing to zero at M = 2."""
     table = {}
-    for rest in product(range(ctx.M), repeat=ctx.n - 1):
+    for rest in product(range(M), repeat=n - 1):
         table[(1,) + rest] = 1
         table[(0,) + rest] = -1
-    return TestFunction(ctx, table)
+    return TestFunction(n, p, M, table)
 
 
 @_report(1, "zeta-moment oracle (n=1), exact")
 def test_criterion_1_zeta_moments():
     cases = [(1, 3, 4, 3), (1, 4, 5, 3), (2, 3, 5, 7)]
     for a, b, M, p in cases:
-        ctx = LatticeContext(1, p, M)
-        f = TestFunction(ctx, {(a,): 1, (b,): -1})
+        f = TestFunction(1, p, M, {(a,): 1, (b,): -1})
         pm = pair_open_cone(OpenCone(((F(1),),)), f)
         for k in range(4):
             expected = M**k * (
@@ -130,7 +128,6 @@ def test_criterion_2_measure_equivalence():
         p = rng.choice((3, 7))
         if M % p == 0:
             continue
-        ctx = LatticeContext(n, p, M)
         gens = [tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(n)]
         if linalg.det(linalg.int_mat(gens)) == 0:
             continue
@@ -138,12 +135,12 @@ def test_criterion_2_measure_equivalence():
         prims = [linalg.primitive_vector(g) for g in cone.generators]
         if int(abs(linalg.det(prims))) % p == 0:
             continue
-        table = random_table(rng, ctx)
+        table = random_table(rng, n, M)
         if instances % 2 == 0:
             for s in prims:
                 table_items = dict(table)
-                table = difference_along(table_items, ctx, s)
-        f = TestFunction(ctx, table)
+                table = difference_along(table_items, M, s)
+        f = TestFunction(n, p, M, table)
         vh = is_measure_vh(cone, f)
         pm = pair_open_cone(cone, f)
         amice_verdict = is_measure_amice(pm, p) if pm.num else True
@@ -164,7 +161,6 @@ def test_criterion_3_slice_identity():
         p = 5 if M in (5, 10) else (5 if M % 3 == 0 else 3)
         if M % p == 0:
             continue
-        ctx = LatticeContext(n, p, M)
         r = rng.randint(1, n)
         gens = [tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(r)]
         try:
@@ -173,7 +169,7 @@ def test_criterion_3_slice_identity():
             continue
         if not cone.generators:
             continue
-        f = TestFunction(ctx, random_table(rng, ctx))
+        f = TestFunction(n, p, M, random_table(rng, n, M))
         bound = rng.choice((8, 10, 12))
         i = rng.randrange(len(cone.generators))
         assert slice_identity_check(f, cone, i, bound), (gens, i, M)
@@ -193,11 +189,10 @@ def test_criterion_4_wedge_annihilation():
     while instances < 100:
         n = rng.randint(1, 2)
         M = rng.choice((1, 2, 4))
-        ctx = LatticeContext(n, 3, M)
         gens = [tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(n)]
         if linalg.det(linalg.int_mat(gens)) == 0:
             continue
-        f = TestFunction(ctx, random_table(rng, ctx))
+        f = TestFunction(n, 3, M, random_table(rng, n, M))
         pm = pair_cone_function(wedge_decompose(Wedge(tuple(gens))), f)
         assert pm_is_integer_constant(pm) is not None, (gens, M)
         instances += 1
@@ -206,16 +201,14 @@ def test_criterion_4_wedge_annihilation():
 @_report(5, "cocycle identity over congruence tuples, n = 2 and n = 3")
 def test_criterion_5_cocycle_identity():
     rng = random.Random(505)
-    ctx2 = LatticeContext(2, 3, 4)
-    f2 = balanced_f(ctx2)
+    f2 = balanced_f(2, 3, 4)
     for t in range(100):
-        mats = sample_congruence_tuple(ctx2, 3, 50000 + t)
+        mats = sample_congruence_tuple(2, 4, 3, 50000 + t)
         q = sample_deformation(2, rng)
         assert verify_cocycle(f2, mats, q), (t, mats)
-    ctx3 = LatticeContext(3, 3, 2)
-    f3 = halves_f(ctx3)
+    f3 = halves_f(3, 3, 2)
     for t in range(100):
-        mats = sample_congruence_tuple(ctx3, 4, 60000 + t)
+        mats = sample_congruence_tuple(3, 2, 4, 60000 + t)
         q = sample_deformation(3, rng)
         assert verify_cocycle(f3, mats, q), (t, mats)
     # negative control: a corrupted sign must break the identity
@@ -227,7 +220,7 @@ def test_criterion_5_cocycle_identity():
     # and at n = 3, on every tuple whose flipped term is nonzero
     flipped = 0
     for t in range(20):
-        mats = sample_congruence_tuple(ctx3, 4, 60000 + t)
+        mats = sample_congruence_tuple(3, 2, 4, 60000 + t)
         q = sample_deformation(3, rng)
         term = phi(f3, mats[1:], q)
         if term.num:
@@ -240,16 +233,13 @@ def test_criterion_5_cocycle_identity():
 def test_criterion_6_equivariance():
     rng = random.Random(606)
     checked = 0
-    ctx2 = LatticeContext(2, 3, 4)
-    f2 = balanced_f(ctx2)
-    ctx3 = LatticeContext(3, 3, 2)
-    f3 = halves_f(ctx3)
+    f2 = balanced_f(2, 3, 4)
+    f3 = halves_f(3, 3, 2)
     while checked < 100:
-        use3 = checked % 4 == 3
-        ctx, f = (ctx3, f3) if use3 else (ctx2, f2)
-        mats = sample_congruence_tuple(ctx, ctx.n, 70000 + checked)
-        g = random_congruence_element(ctx, 80000 + checked)
-        q = sample_deformation(ctx.n, rng)
+        f = f3 if checked % 4 == 3 else f2
+        mats = sample_congruence_tuple(f.n, f.M, f.n, 70000 + checked)
+        g = random_congruence_element(f.n, f.M, 80000 + checked)
+        q = sample_deformation(f.n, rng)
         assert verify_equivariance(f, g, mats, q), (checked, g)
         checked += 1
 
@@ -259,8 +249,7 @@ def test_criterion_7_support_and_mirabolic():
     rng = random.Random(707)
     for t in range(60):
         n = rng.choice((2, 3))
-        ctx = LatticeContext(n, 3, 2)
-        mats = sample_congruence_tuple(ctx, n, 90000 + t)
+        mats = sample_congruence_tuple(n, 2, n, 90000 + t)
         cols = {
             linalg.primitive_vector(linalg.mat_vec(m, (1,) + (0,) * (n - 1)))
             for m in mats
@@ -290,11 +279,10 @@ def test_criterion_7_support_and_mirabolic():
 
 @_report(8, "cocycle values are measures under the e1 vanishing hypothesis")
 def test_criterion_8_measure_valued():
-    ctx = LatticeContext(2, 3, 4)
-    f = balanced_f(ctx)
+    f = balanced_f(2, 3, 4)
     q = (F(-1, 2), F(1, 3))
     assert verify_measure_valued(f, 25, q, seed=808)
-    control = TestFunction(ctx, {(1, 0): 1})
+    control = TestFunction(2, 3, 4, {(1, 0): 1})
     assert not verify_measure_valued(control, 5, q, seed=808)
 
 

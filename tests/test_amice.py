@@ -18,7 +18,7 @@ from shintani.amice import (
 from shintani.cones import OpenCone
 from shintani.errors import DependentInput, NonUnitDenominator, NotAMeasure, SingularMatrix
 from shintani.solomon_hu import PseudoMeasure as PM, pair_open_cone, pm_zero
-from shintani.testfunctions import LatticeContext, TestFunction
+from shintani.testfunctions import TestFunction
 
 from oracles import (
     GA,
@@ -145,16 +145,11 @@ def test_coordinate_key_matches_the_hermite_cosets():
                 assert is_measure_amice(pm, p) == (coset_rep(h, (v,)) == coset_rep(h, (w,)))
 
 
-def ctx1(M=4, p=3):
-    return LatticeContext(1, p, M)
-
-
 def test_is_measure_vh_examples():
     cone = OpenCone(((F(1),),))
-    assert is_measure_vh(cone, TestFunction(ctx1(), {(1,): 1, (3,): -1}))
-    assert not is_measure_vh(cone, TestFunction(ctx1(), {(1,): 1}))
-    ctx = LatticeContext(2, 3, 4)
-    f = TestFunction(ctx, {(1, 0): 1, (3, 0): -1})
+    assert is_measure_vh(cone, TestFunction(1, 3, 4, {(1,): 1, (3,): -1}))
+    assert not is_measure_vh(cone, TestFunction(1, 3, 4, {(1,): 1}))
+    f = TestFunction(2, 3, 4, {(1, 0): 1, (3, 0): -1})
     assert is_measure_vh(OpenCone(((F(1), F(0)),)), f)
     assert not is_measure_vh(OpenCone(((F(1), F(0)), (F(0), F(1)))), f)
 
@@ -212,7 +207,7 @@ def test_moments_identities():
 
 def test_power_moments_match_hurwitz_values():
     a, b, M, p = 1, 3, 4, 3
-    f = TestFunction(LatticeContext(1, p, M), {(a,): 1, (b,): -1})
+    f = TestFunction(1, p, M, {(a,): 1, (b,): -1})
     pm = pair_open_cone(OpenCone(((F(1),),)), f)
     for k in range(4):
         expected = M**k * (hurwitz_zeta_neg(k, F(a, M)) - hurwitz_zeta_neg(k, F(b, M)))
@@ -251,18 +246,17 @@ def test_power_moments_through_p_cosets():
 
 
 def test_power_moments_two_dimensional_product():
-    ctx = LatticeContext(2, 3, 4)
     table = {}
     for a in (1, 3):
         for b in (1, 3):
             table[(a, b)] = (1 if a == 1 else -1) * (1 if b == 1 else -1)
-    f = TestFunction(ctx, table)
+    f = TestFunction(2, 3, 4, table)
     cone = OpenCone(((F(1), F(0)), (F(0), F(1))))
     pm = pair_open_cone(cone, f)
     assert is_measure_vh(cone, f)
     # the measure is a product, so moments factor: m_(j,k) = m_j * m_k
     one_dim = {}
-    f1 = TestFunction(LatticeContext(1, 3, 4), {(1,): 1, (3,): -1})
+    f1 = TestFunction(1, 3, 4, {(1,): 1, (3,): -1})
     pm1 = pair_open_cone(OpenCone(((F(1),),)), f1)
     for k in range(3):
         one_dim[k] = moment(pm1, 3, (k,))
@@ -283,7 +277,6 @@ def test_criterion_equivalence_spot_checks():
         p = rng.choice((3, 7))
         if M % p == 0:
             continue
-        ctx = LatticeContext(n, p, M)
         gens = [tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(n)]
         if linalg.det(linalg.int_mat(gens)) == 0:
             continue
@@ -292,7 +285,7 @@ def test_criterion_equivalence_spot_checks():
         if int(abs(linalg.det(prims))) % p == 0:
             continue
         table = {r: rng.randint(-2, 2) for r in product(range(M), repeat=n)}
-        f = TestFunction(ctx, table)
+        f = TestFunction(n, p, M, table)
         pm = pair_open_cone(cone, f)
         vh = is_measure_vh(cone, f)
         if pm.num:
@@ -305,14 +298,13 @@ def test_low_rank_cones_keep_the_forward_direction():
     rng = random.Random(47)
     checked = 0
     while checked < 10:
-        ctx = LatticeContext(2, 3, 4)
         table = {}
         base = {r: rng.randint(-2, 2) for r in product(range(4), repeat=2)}
         # difference along e1 grants vh for e1
         for (x, y), w in base.items():
             table[(x, y)] = table.get((x, y), 0) + w
             table[((x + 1) % 4, y)] = table.get(((x + 1) % 4, y), 0) - w
-        f = TestFunction(ctx, table)
+        f = TestFunction(2, 3, 4, table)
         cone = OpenCone(((F(1), F(0)),))
         if not is_measure_vh(cone, f):
             continue
@@ -348,7 +340,7 @@ def _vh_pairing(rng, n, k, M, p):
     for g in gens:
         table = {r: w - table[tuple((x - s) % M for x, s in zip(r, g))] for r, w in table.items()}
     cone = OpenCone(tuple(tuple(F(x) for x in g) for g in gens))
-    f = TestFunction(LatticeContext(n, p, M), table)
+    f = TestFunction(n, p, M, table)
     assert is_measure_vh(cone, f)
     return pair_open_cone(cone, f)
 

@@ -279,6 +279,29 @@ def test_array_fields_refuse_strings_and_objects(tmp_path, capsys, command, buil
     assert captured.err == f"error: {field} must be a JSON array, got {bad!r}\n"
 
 
+@pytest.mark.parametrize("command, payload, message", [
+    ("cocycle", {"test_function": {"n": 33, "p": 3, "M": 4, "terms": []}},
+     "bad test-function JSON: dimension n = 33 is above MAX_DIMENSION = 32"),
+    ("vh", {"test_function": {"n": 2, "p": 3, "M": 4, "terms": [
+        {"residue": [1, 0, 0], "weight": 1}]}, "rays": [["1", "0"]]},
+     "bad test-function JSON: residue of wrong dimension"),
+    ("moments", {"test_function": TF_DIFF, "cone_function": [
+        {"coefficient": 1, "generators": [["1"]]}, {"coefficient": 1, "generators": [["-1"]]}]},
+     "moments need a single open cone with coefficient 1"),
+    ("vh", None, "--input is required for this command"),
+], ids=["dimension", "residue", "moments-cone-function", "no-input"])
+def test_step_function_and_input_refusals_name_the_problem(tmp_path, capsys, command, payload,
+                                                           message):
+    # a dimension above the bound is refused before any matrix is drawn, and
+    # a residue of the wrong length is a step-function error like any other
+    argv = ["--command", command]
+    if payload is not None:
+        argv += ["--input", write(tmp_path, "in.json", payload)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_too_deeply_nested_input_is_malformed(tmp_path, capsys):
     # past the decoder's recursion limit the input is refused, exit 2, not
     # a RecursionError traceback

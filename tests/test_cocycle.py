@@ -15,7 +15,7 @@ from shintani.cocycle import (
 )
 from shintani.errors import NotStabilizer
 from shintani.solomon_hu import PseudoMeasure as PM, act_pm, pm_eq, pm_zero
-from shintani.testfunctions import LatticeContext, TestFunction, random_congruence_element
+from shintani.testfunctions import TestFunction, random_congruence_element
 
 from oracles import (
     GA,
@@ -31,14 +31,14 @@ ROT = ((0, -1), (1, 0))
 Q_GOOD = (F(-1, 2), F(1, 3))
 
 
-def balanced_f(ctx):
+def balanced_f(n, p, M):
     """Difference along e1 on every column: vanishing hypothesis holds for
     every primitive ray congruent to e1 mod M."""
     table = {}
-    for rest in product(range(ctx.M), repeat=ctx.n - 1):
+    for rest in product(range(M), repeat=n - 1):
         table[(1,) + rest] = 1
-        table[(3 % ctx.M,) + rest] = table.get((3 % ctx.M,) + rest, 0) - 1
-    return TestFunction(ctx, table)
+        table[(3 % M,) + rest] = table.get((3 % M,) + rest, 0) - 1
+    return TestFunction(n, p, M, table)
 
 
 def test_psi_zero_on_dependent_columns():
@@ -68,16 +68,15 @@ def test_q_given_as_strings():
     k = psi_cdg((I2, ROT), (F(1, 2), F(-1, 3)))
     assert k.terms
     assert psi_cdg((I2, ROT), ("1/2", "-1/3")) == k
-    f = balanced_f(LatticeContext(2, 3, 4))
-    g = random_congruence_element(f.ctx, 1)
+    f = balanced_f(2, 3, 4)
+    g = random_congruence_element(2, 4, 1)
     assert verify_equivariance(f, g, (I2, ROT), ("1/2", "-1/3"))
 
 
 def test_psi_support_on_columns():
     rng = random.Random(5)
-    ctx = LatticeContext(2, 3, 4)
     for t in range(20):
-        mats = sample_congruence_tuple(ctx, 2, 400 + t)
+        mats = sample_congruence_tuple(2, 4, 2, 400 + t)
         q = sample_deformation(2, rng)
         cols = {linalg.primitive_vector(linalg.mat_vec(m, (1, 0))) for m in mats}
         k = psi_cdg(mats, q)
@@ -87,8 +86,7 @@ def test_psi_support_on_columns():
 
 
 def test_phi_worked_example():
-    ctx = LatticeContext(2, 3, 4)
-    f = balanced_f(ctx)
+    f = balanced_f(2, 3, 4)
     pm = phi(f, (I2, ROT), (F(-1, 2), F(-1, 3)))
     exp_num = GA.zero()
     for j in range(1, 5):
@@ -98,8 +96,7 @@ def test_phi_worked_example():
 
 
 def test_phi_zero_and_sign():
-    ctx = LatticeContext(2, 3, 4)
-    f = balanced_f(ctx)
+    f = balanced_f(2, 3, 4)
     assert pm_eq(phi(f, (I2, I2), Q_GOOD), pm_zero())
     # swapping the two arguments flips the column determinant, so the
     # cocycle value changes sign while the underlying cone is unchanged
@@ -113,7 +110,7 @@ def test_phi_zero_and_sign():
 def test_singular_matrices_are_refused():
     singular = ((1, 2), (2, 4))
     halves = ((F(1, 2), F(0)), (F(0), F(2)))
-    f = balanced_f(LatticeContext(2, 3, 4))
+    f = balanced_f(2, 3, 4)
     # each public entry checks its matrices once, up front, before the
     # stabilizer check
     for mats in ((singular, I2), (I2, singular)):
@@ -134,8 +131,7 @@ def test_singular_matrices_are_refused():
 
 
 def test_verify_cocycle_explicit():
-    ctx = LatticeContext(2, 3, 4)
-    f = balanced_f(ctx)
+    f = balanced_f(2, 3, 4)
     same = (I2, I2, I2)
     assert verify_cocycle(f, same, Q_GOOD)
     ts = linalg.int_mat(linalg.mat_mul(((1, 1), (0, 1)), ROT))
@@ -144,19 +140,17 @@ def test_verify_cocycle_explicit():
 
 
 def test_verify_cocycle_congruence_samples():
-    ctx = LatticeContext(2, 3, 4)
-    f = balanced_f(ctx)
+    f = balanced_f(2, 3, 4)
     rng = random.Random(9)
     for t in range(10):
-        mats = sample_congruence_tuple(ctx, 3, 800 + t)
+        mats = sample_congruence_tuple(2, 4, 3, 800 + t)
         q = sample_deformation(2, rng)
         assert verify_cocycle(f, mats, q)
 
 
 def test_verify_cocycle_multiple_deformations():
-    ctx = LatticeContext(2, 3, 4)
-    f = balanced_f(ctx)
-    mats = sample_congruence_tuple(ctx, 3, 77)
+    f = balanced_f(2, 3, 4)
+    mats = sample_congruence_tuple(2, 4, 3, 77)
     rng = random.Random(123)
     drawn = [sample_deformation(2, rng) for _ in range(3)]
     for q in [Q_GOOD] + drawn:
@@ -167,14 +161,13 @@ def test_verify_cocycle_multiple_deformations():
 def test_harnesses_verify_at_the_given_q():
     # a vector on a face hyperplane gets an exact verdict at that vector:
     # the infinitesimal frame breaks the tie, and nothing is re-sampled
-    ctx = LatticeContext(2, 3, 4)
-    f = balanced_f(ctx)
+    f = balanced_f(2, 3, 4)
     ts = linalg.int_mat(linalg.mat_mul(((1, 1), (0, 1)), ROT))
     for on_face in ((F(1), F(0)), (F(0), F(0)), (F(0), F(-2, 7))):
         assert verify_cocycle(f, (I2, ROT, ts), on_face), on_face
         assert not verify_cocycle(f, (I2, ROT, ts), on_face, corrupt_sign=True), on_face
         assert verify_measure_valued(f, 3, on_face, seed=2), on_face
-    control = TestFunction(ctx, {(1, 0): 1})
+    control = TestFunction(2, 3, 4, {(1, 0): 1})
     assert not verify_measure_valued(control, 3, (F(1), F(0)), seed=2)
 
 
@@ -186,31 +179,28 @@ def test_deformation_robustness():
     assert sorted(c.generators for _x, c in inp1.terms) == sorted(
         c.generators for _x, c in inp2.terms
     )
-    ctx = LatticeContext(2, 3, 4)
-    f = balanced_f(ctx)
-    mats = sample_congruence_tuple(ctx, 3, 31)
+    f = balanced_f(2, 3, 4)
+    mats = sample_congruence_tuple(2, 4, 3, 31)
     for q in [(F(-1, 2), F(1, 3)), (F(1, 2), F(1, 3)), (F(-1, 2), F(-1, 3))]:
         assert verify_cocycle(f, mats, q)
 
 
 def test_verify_equivariance():
-    ctx = LatticeContext(2, 3, 4)
-    f = balanced_f(ctx)
+    f = balanced_f(2, 3, 4)
     mats = (I2, ROT)
     assert verify_equivariance(f, I2, mats, Q_GOOD)
     for seed in range(8):
-        g = random_congruence_element(ctx, seed)
+        g = random_congruence_element(2, 4, seed)
         assert verify_equivariance(f, g, mats, Q_GOOD)
-    lopsided = TestFunction(ctx, {(1, 0): 1})
+    lopsided = TestFunction(2, 3, 4, {(1, 0): 1})
     with pytest.raises(NotStabilizer):
         verify_equivariance(lopsided, ROT, mats, Q_GOOD)
 
 
 def test_verify_measure_valued():
-    ctx = LatticeContext(2, 3, 4)
-    f = balanced_f(ctx)
+    f = balanced_f(2, 3, 4)
     assert verify_measure_valued(f, 5, Q_GOOD, seed=2)
-    control = TestFunction(ctx, {(1, 0): 1})
+    control = TestFunction(2, 3, 4, {(1, 0): 1})
     assert not verify_measure_valued(control, 3, Q_GOOD, seed=2)
 
 
@@ -251,14 +241,13 @@ def _degenerate_qs(mats, n):
     return [(F(0),) * n, first, tuple(F(int(i == n - 1)) for i in range(n))]
 
 
-def _live_tuples(ctx, count, seed):
-    """The first count seeded (n+1)-tuples with at least two n-subsets of
-    independent first columns, so that the alternating sums add up
-    nonzero terms."""
-    n = ctx.n
+def _live_tuples(n, M, count, seed):
+    """The first count seeded (n+1)-tuples of level M with at least two
+    n-subsets of independent first columns, so that the alternating sums add
+    up nonzero terms."""
     out = []
     while len(out) < count:
-        mats = sample_congruence_tuple(ctx, n + 1, seed)
+        mats = sample_congruence_tuple(n, M, n + 1, seed)
         cols = [tuple(row[0] for row in m) for m in mats]
         if sum(linalg.det(cols[:i] + cols[i + 1:]) != 0 for i in range(n + 1)) >= 2:
             out.append(mats)
@@ -266,16 +255,15 @@ def _live_tuples(ctx, count, seed):
     return out
 
 
-def _random_f(rng, ctx):
-    return TestFunction(ctx, {r: rng.randint(-2, 2) for r in product(range(ctx.M), repeat=ctx.n)})
+def _random_f(rng, n, M):
+    return TestFunction(n, 3, M, {r: rng.randint(-2, 2) for r in product(range(M), repeat=n)})
 
 
 @pytest.mark.parametrize("n, M, tuples", [(2, 4, 20), (3, 2, 12), (3, 4, 8)])
 def test_cocycle_identity_at_degenerate_q(n, M, tuples):
     rng = random.Random(1000 * n + M)
-    ctx = LatticeContext(n, 3, M)
-    for t, mats in enumerate(_live_tuples(ctx, tuples, 5000 + 97 * n + 13 * M)):
-        f = _random_f(rng, ctx)
+    for t, mats in enumerate(_live_tuples(n, M, tuples, 5000 + 97 * n + 13 * M)):
+        f = _random_f(rng, n, M)
         for q in _degenerate_qs(mats, n):
             assert verify_cocycle(f, mats, q), (t, q)
             if phi(f, mats[1:], q).num:  # the term corrupt_sign flips
@@ -289,16 +277,15 @@ def test_equivariance_carries_the_frame_at_degenerate_q():
     rng = random.Random(4242)
     identity_frame_failures = 0
     for n, M in ((2, 4), (3, 2), (3, 4)):
-        ctx = LatticeContext(n, 3, M)
         seed = 7000 + 31 * n + M
         for t in range(8):
             while True:  # n matrices with independent first columns
-                mats = sample_congruence_tuple(ctx, n, seed)
+                mats = sample_congruence_tuple(n, M, n, seed)
                 seed += 1
                 if linalg.det([tuple(row[0] for row in m) for m in mats]):
                     break
-            f = _random_f(rng, ctx)
-            g = random_congruence_element(ctx, 9000 + 31 * n + M + t)
+            f = _random_f(rng, n, M)
+            g = random_congruence_element(n, M, 9000 + 31 * n + M + t)
             adj, _d = linalg.adjugate(g)
             gmats = tuple(linalg.mat_mul(g, m) for m in mats)
             for q in _degenerate_qs(mats, n)[:2]:

@@ -42,6 +42,8 @@ def test_cone_rejects_dependent_generators():
                  ((1, 0), (0, 1), (1, 1))):
         with pytest.raises(DependentInput, match="^cone generators are linearly dependent$"):
             OpenCone(gens)
+    with pytest.raises(ValueError, match="^generators of mixed dimensions$"):
+        OpenCone(((1, 0), (0, 1, 0)))
 
 
 def test_cone_stores_primitive_generators():
@@ -69,20 +71,20 @@ def test_eval_cone_function():
     assert eval_cone_function(ConeFunction.zero(), (1, 0)) == 0
     k = CF.of(QUADRANT) + CF.of(OpenCone((E1,)))
     assert eval_cone_function(k, (1, 0)) == 1
-    cancel = CF.of(OpenCone((E1,))) - ConeFunction.of(OpenCone((E1,)))
+    cancel = CF.of(OpenCone((E1,))) - ConeFunction(((1, OpenCone((E1,))),))
     assert eval_cone_function(cancel, (1, 0)) == 0
     assert cancel.terms == ()
 
 
 def test_act_examples():
-    k = ConeFunction.of(QUADRANT)
+    k = ConeFunction(((1, QUADRANT),))
     assert act_on_cone_function([[1, 0], [0, 1]], k) == k
     flipped = act_on_cone_function([[1, 0], [0, -1]], k)
     assert flipped.terms == ((-1, OpenCone((E1, (F(0), F(-1))))),)
-    scaled = act_on_cone_function([[2, 0], [0, 2]], ConeFunction.of(OpenCone((E1,))))
+    scaled = act_on_cone_function([[2, 0], [0, 2]], ConeFunction(((1, OpenCone((E1,))),)))
     for w in [(1, 0), (3, 0), (0, 1), (-1, 0)]:
         assert eval_cone_function(scaled, w) == eval_cone_function(
-            ConeFunction.of(OpenCone((E1,))), w
+            ConeFunction(((1, OpenCone((E1,))),)), w
         )
 
 
@@ -148,6 +150,9 @@ def test_deformed_decompose_examples():
     # a frame that does not break the tie is refused, not guessed
     with pytest.raises(SingularMatrix, match="frame is singular"):
         deformed_cone_decompose(gens, (0, 0), ((1, 0), (0, 0)))
+    # a deformed cone is full-dimensional: n - 1 generators are refused
+    with pytest.raises(DependentInput, match="^deformed cones require n generators$"):
+        deformed_cone_decompose([E1], (F(-1, 2), F(1, 3)))
 
 
 def test_deformed_decompose_matches_eval_pointwise():

@@ -26,6 +26,8 @@ def test_det_examples():
     assert det_cofactor(m) == 2
     assert linalg.det(m) == 2
     assert linalg.det([]) == 1
+    with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
+        linalg.det([[1, 0, 2], [0, 1, 3]])
 
 
 def test_det_multiplicative():

@@ -8,7 +8,7 @@ import pytest
 
 from shintani import linalg
 from shintani.cones import ConeFunction, OpenCone
-from shintani.errors import SchemaError
+from shintani.errors import NotUnimodular, SchemaError
 from shintani.solomon_hu import (
     GroupAlgebraElement,
     PseudoMeasure as PM,
@@ -26,7 +26,7 @@ from shintani.solomon_hu import (
     pm_from_json,
     pm_zero,
 )
-from shintani.testfunctions import LatticeContext, TestFunction, random_congruence_element
+from shintani.testfunctions import TestFunction, random_congruence_element
 
 import oracles
 from oracles import (
@@ -191,14 +191,13 @@ def test_results_are_built_clean():
     assert sums == 900
     pairs = 0
     for n, M in ((1, 4), (2, 2), (2, 4), (3, 2)):
-        ctx = LatticeContext(n, 3, M)
         for seed in range(8):
-            f = TestFunction(ctx, {r: rng.randint(-2, 2) for r in product(range(M), repeat=n)})
+            f = TestFunction(n, 3, M, {r: rng.randint(-2, 2) for r in product(range(M), repeat=n)})
             gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
             if linalg.det(gens) == 0:
                 continue
             k = CF.of(OpenCone(tuple(gens))) + CF.of(OpenCone((gens[0],)), -1)
-            g = random_congruence_element(ctx, seed)
+            g = random_congruence_element(n, M, seed)
             for pm in (pair_open_cone(OpenCone(tuple(gens)), f), pair_cone_function(k, f)):
                 assert _built_clean(pm) and _built_clean(act_pm(g, pm)), (gens, seed)
                 pairs += 1
@@ -232,7 +231,7 @@ def test_pm_sum_across_widths_matches_the_fold():
 
 def test_a_huge_ray_pairs_at_a_wider_digit():
     big = 10**30
-    f = TestFunction(LatticeContext(2, 3, 4), {(1, j): 1 for j in range(4)}
+    f = TestFunction(2, 3, 4, {(1, j): 1 for j in range(4)}
                      | {(3, j): -1 for j in range(4)})
     a = pair_open_cone(OpenCone(((F(1), F(big)),)), f)
     assert a.num.W == 128 and a.den == ((4, 4 * big),)
@@ -240,7 +239,7 @@ def test_a_huge_ray_pairs_at_a_wider_digit():
     assert pm_eq(act_pm([[1, 0], [-big, 1]], a), PM(d(1, 0) - d(3, 0), ((4, 0),)))
     # at level 1 the unimodular cell of (1, big) and (-1, 1 - big) is the one
     # point (0, 1): its digits stay narrow, and no generator is packed at them
-    const = TestFunction(LatticeContext(2, 3, 1), {(0, 0): 2})
+    const = TestFunction(2, 3, 1, {(0, 0): 2})
     one = pair_open_cone(OpenCone(((1, big), (-1, 1 - big))), const)
     assert one.num.W == 64 and dict(one.num.terms) == {(0, 1): 2}
 
@@ -279,10 +278,9 @@ def test_pairing_memo():
     rng = random.Random(77)
     checked = 0
     for n, M in ((2, 4), (3, 2), (3, 4)):
-        ctx = LatticeContext(n, 3, M)
         table = {r: rng.randint(-2, 2) for r in product(range(M), repeat=n)}
-        f = TestFunction(ctx, table)
-        other = TestFunction(ctx, {r: w + 1 for r, w in table.items()})
+        f = TestFunction(n, 3, M, table)
+        other = TestFunction(n, 3, M, {r: w + 1 for r, w in table.items()})
         for _ in range(10):
             rank = rng.randint(0, n)
             gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rank)]
@@ -294,10 +292,10 @@ def test_pairing_memo():
                 rng.sample(gens, rank), (F(rng.randint(1, 3), rng.randint(1, 3)) for _ in gens))]
             hit = pair_open_cone(OpenCone(tuple(shuffled)), f)
             assert hit is first
-            fresh = pair_open_cone(OpenCone(tuple(shuffled)), TestFunction(ctx, table))
+            fresh = pair_open_cone(OpenCone(tuple(shuffled)), TestFunction(n, 3, M, table))
             assert fresh is not first and pm_to_json(fresh) == pm_to_json(first)
             mine = pair_open_cone(OpenCone(tuple(gens)), other)
-            fresh_other = pair_open_cone(OpenCone(tuple(gens)), TestFunction(ctx, other.values))
+            fresh_other = pair_open_cone(OpenCone(tuple(gens)), TestFunction(n, 3, M, other.values))
             assert mine is not first and pm_to_json(mine) == pm_to_json(fresh_other)
             checked += 1
     assert checked >= 20
@@ -313,6 +311,13 @@ def test_act_pm():
     assert moved.den == ((1, 1),)
     g_inv = linalg.int_mat(inverse(g))
     assert pm_eq(act_pm(g_inv, moved), a)
+    for bad in ([[0, 1], [1, 0]], [[2, 0], [0, 1]]):  # det -1 and det 2
+        with pytest.raises(NotUnimodular, match="^pseudo-measure action requires determinant 1$"):
+            act_pm(bad, a)
+    # the zero pseudo-measure has no vector to read a dimension off
+    assert a.dim == 2
+    with pytest.raises(ValueError, match="^dimension of the zero pseudo-measure is ambiguous$"):
+        pm_zero().dim
 
 
 def test_enumerate_fundamental_domain_examples():
@@ -359,7 +364,7 @@ def test_pairing_kernel_matches_a_box_scan():
         for n in range(1, 5):
             table = {r: rng.choice((-2, -1, 1, 3)) for r in product(range(M), repeat=n)
                      if rng.random() < 0.6}
-            f = TestFunction(LatticeContext(n, 11, M), table or {(0,) * n: 1})
+            f = TestFunction(n, 11, M, table or {(0,) * n: 1})
             for r in range(n + 1):
                 for _draw in range(40):  # a third of the entries 0, so full-rank cells stay small
                     gens = [tuple(rng.choice((0, 0, 0, -3, -2, -1, 1, 2, 3)) for _ in range(n))
@@ -390,7 +395,7 @@ def test_a_dense_step_function_pairs_in_little_memory():
     # periods 2 e_i is {1, 2}^10. The pairing's memory is the cell's, far
     # below the 84 MB that a table of |support| * 2^n = 2^20 residue keys takes
     n = 10
-    f = TestFunction(LatticeContext(n, 3, 2), {r: 1 + sum(r) % 3 for r in product(range(2), repeat=n)})
+    f = TestFunction(n, 3, 2, {r: 1 + sum(r) % 3 for r in product(range(2), repeat=n)})
     units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     tracemalloc.start()
     try:
@@ -403,27 +408,22 @@ def test_a_dense_step_function_pairs_in_little_memory():
     assert peak < 8 * 2**20
 
 
-def ctx1(M=4, p=3):
-    return LatticeContext(1, p, M)
-
-
 def test_pair_open_cone_examples():
     cone = OpenCone(((F(1),),))
-    const = TestFunction(LatticeContext(1, 3, 1), {(0,): 1})
+    const = TestFunction(1, 3, 1, {(0,): 1})
     assert pm_eq(pair_open_cone(cone, const), PM(d(1), ((1,),)))
-    f = TestFunction(ctx1(), {(1,): 1})
+    f = TestFunction(1, 3, 4, {(1,): 1})
     assert pm_eq(pair_open_cone(cone, f), PM(d(1), ((4,),)))
-    f2 = TestFunction(ctx1(), {(1,): 1, (3,): -1})
+    f2 = TestFunction(1, 3, 4, {(1,): 1, (3,): -1})
     assert pm_eq(pair_open_cone(cone, f2), PM(d(1) - d(3), ((4,),)))
 
 
 def test_pair_scale_invariance():
-    f = TestFunction(ctx1(), {(1,): 1, (2,): 2})
+    f = TestFunction(1, 3, 4, {(1,): 1, (2,): 2})
     a = pair_open_cone(OpenCone(((F(1),),)), f)
     b = pair_open_cone(OpenCone(((F(7, 3),),)), f)
     assert pm_eq(a, b)
-    ctx = LatticeContext(2, 3, 2)
-    g = TestFunction(ctx, {(1, 0): 1, (0, 1): -1})
+    g = TestFunction(2, 3, 2, {(1, 0): 1, (0, 1): -1})
     a2 = pair_open_cone(OpenCone(((F(1), F(0)), (F(1), F(1)))), g)
     b2 = pair_open_cone(OpenCone(((F(3), F(0)), (F(1, 2), F(1, 2)))), g)
     assert pm_eq(a2, b2)
@@ -431,15 +431,14 @@ def test_pair_scale_invariance():
 
 def test_pair_cone_function_linearity_and_wedges():
     assert pm_eq(pair_cone_function(ConeFunction.zero(),
-                                    TestFunction(ctx1(), {(1,): 1})), pm_zero())
-    const = TestFunction(LatticeContext(1, 3, 1), {(0,): 1})
+                                    TestFunction(1, 3, 4, {(1,): 1})), pm_zero())
+    const = TestFunction(1, 3, 1, {(0,): 1})
     wedge_pm = pair_cone_function(wedge_decompose(Wedge(((F(1),),))), const)
     assert pm_is_integer_constant(wedge_pm) == 0
     rng = random.Random(17)
-    ctx = LatticeContext(2, 3, 2)
     for trial in range(10):
         table = {r: rng.randint(-2, 2) for r in product(range(2), repeat=2)}
-        f = TestFunction(ctx, table)
+        f = TestFunction(2, 3, 2, table)
         k1 = CF.of(OpenCone(((F(1), F(0)), (F(0), F(1)))))
         k2 = CF.of(OpenCone(((F(1), F(1)),)), rng.randint(-2, 2))
         lhs = pair_cone_function(k1 + k2, f)
@@ -453,12 +452,11 @@ def test_wedge_annihilation_random():
     while done < 25:
         n = rng.randint(1, 2)
         M = rng.choice((1, 2, 4))
-        ctx = LatticeContext(n, 3, M)
         gens = [tuple(F(rng.randint(-2, 2)) for _ in range(n)) for _ in range(n)]
         if linalg.det(linalg.int_mat(gens)) == 0:
             continue
         table = {r: rng.randint(-1, 1) for r in product(range(M), repeat=n)}
-        f = TestFunction(ctx, table)
+        f = TestFunction(n, 3, M, table)
         pm = pair_cone_function(wedge_decompose(Wedge(tuple(gens))), f)
         assert pm_is_integer_constant(pm) is not None
         done += 1
@@ -466,12 +464,11 @@ def test_wedge_annihilation_random():
 
 def test_equivariance_of_pairing():
     rng = random.Random(29)
-    ctx = LatticeContext(2, 3, 2)
     for seed in range(10):
-        g = random_congruence_element(ctx, seed)
+        g = random_congruence_element(2, 2, seed)
         g_inv = linalg.int_mat(inverse(g))
         table = {r: rng.randint(-2, 2) for r in product(range(2), repeat=2)}
-        f = TestFunction(ctx, table)
+        f = TestFunction(2, 3, 2, table)
         gens = []
         while len(gens) < 2:
             cand = tuple(F(rng.randint(-2, 2)) for _ in range(2))
@@ -493,8 +490,7 @@ def test_truncated_q_expansion_examples():
 
 
 def test_truncated_q_expansion_matches_cone_scan():
-    ctx = LatticeContext(2, 3, 2)
-    f = TestFunction(ctx, {(1, 0): 1, (0, 1): -1, (1, 1): 2})
+    f = TestFunction(2, 3, 2, {(1, 0): 1, (0, 1): -1, (1, 1): 2})
     gens = [(1, 0), (1, 2)]
     cone = OpenCone(tuple(tuple(F(x) for x in g) for g in gens))
     pm = pair_open_cone(cone, f)
@@ -523,22 +519,20 @@ def test_truncated_q_expansion_of_product():
 
 def test_slice_identity_examples():
     cone = OpenCone(((F(1),),))
-    f_diff = TestFunction(ctx1(), {(1,): 1, (3,): -1})
+    f_diff = TestFunction(1, 3, 4, {(1,): 1, (3,): -1})
     assert slice_identity_check(f_diff, cone, 0, 9)
-    f_one = TestFunction(ctx1(), {(1,): 1})
+    f_one = TestFunction(1, 3, 4, {(1,): 1})
     assert slice_identity_check(f_one, cone, 0, 9)
-    ctx = LatticeContext(2, 3, 2)
-    f2 = TestFunction(ctx, {(1, 0): 1})
+    f2 = TestFunction(2, 3, 2, {(1, 0): 1})
     quadrant = OpenCone(((F(1), F(0)), (F(0), F(1))))
     assert slice_identity_check(f2, quadrant, 0, 8)
     assert slice_identity_check(f2, quadrant, 1, 8)
 
 
 def test_slice_identity_three_dimensional():
-    ctx = LatticeContext(3, 3, 2)
     rng = random.Random(53)
     table = {r: rng.randint(-1, 1) for r in product(range(2), repeat=3)}
-    f = TestFunction(ctx, table)
+    f = TestFunction(3, 3, 2, table)
     octant = OpenCone(tuple(tuple(F(1 if i == j else 0) for j in range(3))
                             for i in range(3)))
     for i in range(3):
