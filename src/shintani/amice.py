@@ -102,7 +102,7 @@ def moment_table(a: PseudoMeasure, p: int, orders: Sequence[Sequence[int]]) -> l
 
     In the basis b of extend_denominator_basis, r = len(a.den), the basis
     coordinates of a numerator point v are y_v / d with y_v = adj v and
-    d = |det b|, and the Laplace transform of the measure is
+    d = det b, and the Laplace transform of the measure is
         F(s) = (-1)^r N(s) / prod_{i<r} s_i * prod_{i<r} s_i / (e^{s_i} - 1)
     with N(s) = sum_v c_v e^{s.y_v/d}. N's coefficient at alpha is the
     integer power sum P_alpha = sum_v c_v y_v^alpha over d^|alpha| alpha!;

@@ -24,7 +24,8 @@ vacuous pass), a prime p (in the step function or --p) not below 2^64, where
 primality is decided exactly, a step function of dimension above
 testfunctions.MAX_DIMENSION, a pairing cell over the point budget, a zero
 ray, or a p^precision or moment past PRINT_BITS bits (too long to print), 3
-dependent input vectors, 4 not a measure, 6 a verification trial failed.
+dependent input vectors, 4 not a measure (2, 3 and 4 are the exit_code of
+the error's class), 6 a verification trial failed.
 
 Rationals are serialized as decimal strings ("3/4"); p-adic scalars as
 "p^v*u" with valuation v and unit u, or "0".
@@ -44,17 +45,10 @@ from math import comb
 
 from . import amice, cocycle, solomon_hu, testfunctions
 from .cones import ConeFunction, OpenCone
-from .errors import (
-    DependentInput,
-    NotAMeasure,
-    SchemaError,
-    ShintaniError,
-)
+from .errors import NotAMeasure, SchemaError, ShintaniError
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
-EXIT_DEPENDENT = 3
-EXIT_NOT_A_MEASURE = 4
 EXIT_TRIAL_FAILED = 6
 
 MOMENT_BUDGET = 2000  # most moment orders plus Bernoulli steps in one table
@@ -297,8 +291,7 @@ def main(argv=None) -> int:
         report, code = handlers[args.command](args)
     except ShintaniError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return {DependentInput: EXIT_DEPENDENT, NotAMeasure: EXIT_NOT_A_MEASURE}.get(
-            type(exc), EXIT_SCHEMA)
+        return exc.exit_code
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: malformed input: {exc!r}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -2,7 +2,9 @@
 
 The cocycle sends an n-tuple of invertible matrices and a deformation
 vector q to the sign-weighted face decomposition of the cone on the first
-columns; pairing with a step function turns it into a pseudo-measure. The
+columns, zero when they are dependent (cones.deformed_cone_decompose, one
+Hermite pass per column tuple); pairing with a step function turns it into
+a pseudo-measure. The
 harnesses check, in exact arithmetic after pairing:
 
   * the homogeneous cocycle identity (the alternating sum over an
@@ -28,13 +30,9 @@ from typing import Sequence
 
 from . import linalg
 from .amice import is_measure_amice, is_measure_vh
-from .cones import (
-    ConeFunction,
-    DeformationVector,
-    deformed_cone_decompose,
-)
+from .cones import ConeFunction, DeformationVector, deformed_cone_decompose
 from .errors import NotStabilizer
-from .linalg import IntMat, IntVec
+from .linalg import IntVec
 from .solomon_hu import (
     PseudoMeasure,
     act_pm,
@@ -57,28 +55,15 @@ def _columns(matrices: Sequence, q: Sequence) -> tuple[list[IntVec], Deformation
 
 
 def psi_cdg(matrices: Sequence, q: Sequence) -> ConeFunction:
-    """Sign-weighted deformed-cone decomposition on the first columns of
-    the n invertible integer matrices, deformed along q (rationals, or
-    anything Fraction reads).
+    """deformed_cone_decompose on the first columns of the n invertible
+    integer matrices, deformed along q (rationals, or anything Fraction
+    reads).
 
     Returns the zero cone function when the first columns are dependent
     (in particular on tuples from the mirabolic subgroup in dimension
     at least 2, where all the columns equal e_1).
     """
-    return _psi(*_columns(matrices, q))
-
-
-def _psi(
-    cols: Sequence[IntVec], q: DeformationVector, frame: IntMat | None = None
-) -> ConeFunction:
-    """psi_cdg on the first columns of matrices already known invertible,
-    deformed along q and the frame (the identity when None)."""
-    colmat = linalg.transpose(cols)
-    d = linalg.det(colmat)
-    if d == 0:
-        return ConeFunction.zero()
-    k = deformed_cone_decompose(cols, q, frame)
-    return k if d > 0 else ConeFunction(tuple((-c, cone) for c, cone in k.terms))
+    return deformed_cone_decompose(*_columns(matrices, q))
 
 
 def _alternating_sum(
@@ -91,7 +76,8 @@ def _alternating_sum(
         coeff = (-1) ** i
         if corrupt_sign and i == 0:
             coeff = -coeff
-        terms.append((coeff, pair_cone_function(_psi(cols[:i] + cols[i + 1:], q), f)))
+        psi = deformed_cone_decompose(cols[:i] + cols[i + 1:], q)
+        terms.append((coeff, pair_cone_function(psi, f)))
     # pm_sum of pm_sums: a zero term's own denominator stays out of the total
     return pm_sum(terms)
 
@@ -138,11 +124,11 @@ def verify_equivariance(
     # the a_i are invertible and stabilizes checked det g = 1, so the
     # first columns of the g a_i are the g-images of those of the a_i
     gm = linalg.int_mat(g)
-    left = pair_cone_function(_psi([linalg.mat_vec(gm, c) for c in cols], q), f)
+    left = pair_cone_function(deformed_cone_decompose([linalg.mat_vec(gm, c) for c in cols], q), f)
     # g^-1 = adj(g), since d = det g = 1
     adj, _d = linalg.adjugate(gm)
     pulled_q = linalg.mat_vec(adj, q)
-    right = act_pm(gm, pair_cone_function(_psi(cols, pulled_q, adj), f))
+    right = act_pm(gm, pair_cone_function(deformed_cone_decompose(cols, pulled_q, adj), f))
     return pm_eq(left, right)
 
 

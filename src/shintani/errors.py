@@ -2,23 +2,21 @@
 
 
 class ShintaniError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; exit_code is the CLI's exit code
+    for it."""
 
-
-class SingularMatrix(ShintaniError):
-    """Matrix with zero determinant where an invertible one is required."""
+    exit_code = 2
 
 
 class DependentInput(ShintaniError):
-    """Vectors required to be linearly independent are not."""
+    """Vectors required to be linearly independent are not: a zero vector,
+    or the rows of a singular matrix."""
+
+    exit_code = 3
 
 
 class CellTooLarge(ShintaniError):
     """A pairing cell would have more than CELL_POINT_BUDGET points."""
-
-
-class ZeroDirection(ShintaniError):
-    """A nonzero direction vector is required."""
 
 
 class NotUnimodular(ShintaniError):
@@ -37,6 +35,8 @@ class NonUnitDenominator(ShintaniError):
 class NotAMeasure(ShintaniError):
     """The numerator does not vanish on a pole T_i = 0: the pseudo-measure
     has a genuine pole and is not a measure."""
+
+    exit_code = 4
 
 
 class SchemaError(ShintaniError):

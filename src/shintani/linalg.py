@@ -5,8 +5,10 @@ Everything is immutable and pure; no floating point anywhere. Dimensions
 are desk scale (n <= 6), so one plain kernel is the right tool: the integer
 column Hermite form (`hermite`), m * u = [h | 0] with u unimodular. The
 determinant is the product of the Hermite diagonal times det u, and the
-adjugate is u times the adjugate of the triangular h, which forward
-substitution gives with exact divisions. The rows of u_inv are a basis of
+classical adjugate is u times det u times the adjugate of the triangular
+h, which forward substitution gives with exact divisions: one pass gives
+both (`adjugate`), so a deformed cone reads dependence, orientation and
+face signs off one elimination. The rows of u_inv are a basis of
 Z^n whose first r rows saturate the span of the r input rows, and the
 cosets of Z^n modulo a lattice are a box read off the Hermite diagonal,
 so no job needs an inverse: one Hermite pass gives a pairing cell its
@@ -24,7 +26,7 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DependentInput, SingularMatrix, ZeroDirection
+from .errors import DependentInput
 
 IntVec = tuple[int, ...]
 IntMat = tuple[tuple[int, ...], ...]
@@ -80,7 +82,7 @@ def primitive_vector(v: Sequence) -> IntVec:
     ints, _s = clear_denominators(v)
     g = gcd(*ints)
     if g == 0:
-        raise ZeroDirection("cannot normalize the zero vector")
+        raise DependentInput("cannot normalize the zero vector")
     return tuple(x // g for x in ints)
 
 
@@ -100,25 +102,22 @@ def det(m: Sequence[Sequence[int]]) -> int:
 
 
 def adjugate(m: Sequence[Sequence[int]]) -> tuple[IntMat, int]:
-    """(adj, d) for a nonsingular integer matrix: d = |det m| and the
-    integer matrix adj = d * m^-1 (the classical adjugate up to sign), so
-    m^-1 v = adj v / d stays in integer arithmetic.
+    """(adj, d) for a nonsingular integer matrix: d = det m and the
+    classical adjugate adj = d * m^-1, so adj * m = m * adj = d * I and
+    m^-1 v = adj v / d stays in integer arithmetic. Raises DependentInput
+    when m is singular.
 
-    With m * u = h, adj = u * x for x = d * h^-1, the adjugate of the
-    lower-triangular h.
+    With m * u = h, adj = u * x for x = d * h^-1 and d = det(u) * prod h_ii.
     """
-    try:
-        h, u, _u_inv, _sign = hermite(m)
-    except DependentInput as exc:
-        raise SingularMatrix("matrix is singular") from exc
-    d = prod(h[i][i] for i in range(len(h)))
+    h, u, _u_inv, sign = hermite(m)
+    d = sign * prod(h[i][i] for i in range(len(h)))
     return mat_mul(u, _triangular_adjugate(h, d)), d
 
 
 def _triangular_adjugate(h: IntMat, d: int) -> list[list[int]]:
     """x = d * h^-1 for a lower-triangular h with a positive diagonal and
-    d = prod h_ii, by forward substitution; x is integral, so each division
-    is exact."""
+    d = +-prod h_ii, by forward substitution; x is integral, so each
+    division is exact."""
     n = len(h)
     x = [[0] * n for _ in range(n)]
     for j in range(n):

@@ -104,12 +104,6 @@ class GroupAlgebraElement:
     def __bool__(self) -> bool:
         return bool(self.packed)
 
-    def __repr__(self):
-        if not self.packed:
-            return "GA(0)"
-        body = " + ".join(f"{c}*d{list(v)}" for v, c in sorted(self.terms.items()))
-        return f"GA({body})"
-
 
 def denominator_product(den: Sequence[IntVec], W: int) -> dict:
     """prod_u (1 - delta_u), packed at a width W whose digits hold the sum
@@ -191,7 +185,7 @@ def pm_sum(terms: Iterable[tuple[int | Fraction, PseudoMeasure]]) -> PseudoMeasu
     c, a = terms[start]
     if not (c and a.num):
         return PseudoMeasure(pm_zero().num, a.den)
-    if start:
+    if any(c and a.num for c, a in terms[:start]):  # else the prefix added nothing
         out, union, _start = _accumulate(terms[start:])
     return PseudoMeasure(out, union)
 

@@ -36,8 +36,6 @@ from shintani.errors import (
     NotAMeasure,
     NotUnimodular,
     ShintaniError,
-    SingularMatrix,
-    ZeroDirection,
 )
 from shintani.linalg import IntVec
 from shintani.solomon_hu import (
@@ -350,10 +348,7 @@ def coset_lattice(cols, p: int) -> tuple:
     Z_p^n. The columns of the returned lower-triangular h span it; its
     classes are the box hermite_box(h), and coset_rep(h, v) is the box
     vector in the class of v."""
-    try:
-        h = linalg.hermite(cols)[0]
-    except DependentInput as exc:
-        raise SingularMatrix("coset lattice is singular") from exc
+    h = linalg.hermite(cols)[0]  # DependentInput when singular
     n = len(h)
     d = prod(h[i][i] for i in range(n))
     pk = gcd(d, p ** d.bit_length())
@@ -397,7 +392,7 @@ def inverse(m) -> list[list[Fraction]]:
     cols = list(zip(*m))
     inv_cols = [_solve_coords(cols, [int(i == j) for i in range(n)]) for j in range(n)]
     if None in inv_cols:
-        raise SingularMatrix("matrix is singular")
+        raise DependentInput("matrix is singular")
     return [[inv_cols[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -489,7 +484,7 @@ def act_on_cone_function(g, k: ConeFunction) -> ConeFunction:
     up sign(det g). Satisfies (g.k)(v) = sign(det g) * k(g^{-1} v)."""
     d = det_cofactor(g)
     if d == 0:
-        raise SingularMatrix("group action by a singular matrix")
+        raise DependentInput("group action by a singular matrix")
     sign = 1 if d > 0 else -1
     terms = []
     for coeff, cone in k.terms:
@@ -715,7 +710,7 @@ class SliceFunction:
 def line_slice(f, v, w) -> SliceFunction:
     """The slice t -> f(w + t v) for integer v != 0 and integer w."""
     if all(x == 0 for x in v):
-        raise ZeroDirection("slice direction must be nonzero")
+        raise DependentInput("slice direction must be nonzero")
     M = f.M
     vals = tuple(
         value_at(f, tuple(int(w[j]) + t * int(v[j]) for j in range(f.n)))

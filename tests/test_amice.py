@@ -16,7 +16,7 @@ from shintani.amice import (
     moment_table,
 )
 from shintani.cones import OpenCone
-from shintani.errors import DependentInput, NonUnitDenominator, NotAMeasure, SingularMatrix
+from shintani.errors import DependentInput, NonUnitDenominator, NotAMeasure
 from shintani.solomon_hu import PseudoMeasure as PM, pair_open_cone, pm_zero
 from shintani.testfunctions import TestFunction
 
@@ -63,7 +63,7 @@ def test_coset_reps_examples():
     assert reps2 == ((0, 0),)
     reps4 = sorted_cosets([(2, 0), (0, 2)], 2)
     assert len(reps4) == 4
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(DependentInput):
         sorted_cosets([(1, 0), (2, 0)], 2)
 
 
@@ -121,7 +121,7 @@ def test_coordinate_key_matches_the_hermite_cosets():
             a = PM(GA({v: k + 1 for k, v in enumerate(points)}), tuple(sorted(cols)))
             basis, d, terms = _coordinates(a)
             adj = linalg.adjugate(linalg.transpose(basis))[0]
-            assert d == abs(linalg.det(basis))
+            assert d == linalg.det(basis)
             for p in (2, 3, 5, 7):
                 pk = gcd(d, p ** d.bit_length())
                 h = coset_lattice(linalg.transpose(basis), p)

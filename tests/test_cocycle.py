@@ -13,6 +13,7 @@ from shintani.cocycle import (
     verify_equivariance,
     verify_measure_valued,
 )
+from shintani.cones import deformed_cone_decompose
 from shintani.errors import NotStabilizer
 from shintani.solomon_hu import PseudoMeasure as PM, act_pm, pm_eq, pm_zero
 from shintani.testfunctions import TestFunction, random_congruence_element
@@ -54,6 +55,22 @@ def test_psi_trivial_on_mirabolic_tuples():
             d = rng.choice((-3, -2, -1, 1, 2, 3))
             mats.append(((1, b), (0, d)))  # fixes e1
         assert psi_cdg(mats, Q_GOOD).terms == ()
+
+
+def test_psi_is_the_decomposer_on_first_columns():
+    # one Hermite pass decides the tuple: psi_cdg adds nothing to it, on
+    # either orientation and on dependent columns
+    rng = random.Random(8)
+    signs = set()
+    for _ in range(30):
+        a, b = (random_congruence_element(2, 3, rng.randrange(10**6)) for _ in range(2))
+        mats = [a, rng.choice((a, b, ((0, 1), (1, 0))))]
+        cols = [tuple(row[0] for row in m) for m in mats]
+        q = sample_deformation(2, rng)
+        k = psi_cdg(mats, q)
+        assert k == deformed_cone_decompose(cols, q)
+        signs |= {c for c, _cone in k.terms} or {0}
+    assert signs == {-1, 0, 1}
 
 
 def test_psi_worked_example():

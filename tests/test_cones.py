@@ -6,7 +6,7 @@ import pytest
 
 from shintani import linalg
 from shintani.cones import ConeFunction, OpenCone, deformed_cone_decompose
-from shintani.errors import DependentInput, SingularMatrix
+from shintani.errors import DependentInput
 
 from oracles import (
     CF,
@@ -68,7 +68,7 @@ def test_cone_stores_primitive_generators():
 
 
 def test_eval_cone_function():
-    assert eval_cone_function(ConeFunction.zero(), (1, 0)) == 0
+    assert eval_cone_function(ConeFunction(()), (1, 0)) == 0
     k = CF.of(QUADRANT) + CF.of(OpenCone((E1,)))
     assert eval_cone_function(k, (1, 0)) == 1
     cancel = CF.of(OpenCone((E1,))) - ConeFunction(((1, OpenCone((E1,))),))
@@ -148,7 +148,7 @@ def test_deformed_decompose_examples():
     assert sorted(cone.generators for _c, cone in k6.terms) == [(E1,), (E1, E2)]
     assert deformed_cone_decompose(gens, (0, 0)).terms == k4.terms
     # a frame that does not break the tie is refused, not guessed
-    with pytest.raises(SingularMatrix, match="frame is singular"):
+    with pytest.raises(DependentInput, match="frame is singular"):
         deformed_cone_decompose(gens, (0, 0), ((1, 0), (0, 0)))
     # a deformed cone is full-dimensional: n - 1 generators are refused
     with pytest.raises(DependentInput, match="^deformed cones require n generators$"):
@@ -161,7 +161,8 @@ def test_deformed_decompose_matches_eval_pointwise():
     while done < 60:
         n = rng.randint(1, 3)
         gens = [tuple(F(rng.randint(-3, 3)) for _ in range(n)) for _ in range(n)]
-        if linalg.det(linalg.int_mat(gens)) == 0:
+        d = linalg.det(linalg.int_mat(gens))
+        if d == 0:
             continue
         q = tuple(F(rng.randint(-20, 20) * 2 + 1, rng.choice((7, 11, 13))) for _ in range(n))
         k = deformed_cone_decompose(gens, q)
@@ -171,12 +172,40 @@ def test_deformed_decompose_matches_eval_pointwise():
                 expected = deformed_cone_eval(gens, q, w)
             except NonGenericDeformation:
                 continue
-            assert eval_cone_function(k, w) == expected
+            # the decomposer is the cocycle's value: sign(det) times the cone
+            assert eval_cone_function(k, w) == (1 if d > 0 else -1) * expected
         # support: every face uses a subset of the input rays, stored as
         # primitive generators
         for _c, cone in k.terms:
             assert set(cone.generators) <= {linalg.primitive_vector(g) for g in gens}
         done += 1
+
+
+def test_deformed_decompose_is_the_signed_cocycle_value():
+    q = (F(-1, 2), F(1, 3))
+    # dependent generators give the zero cone function, not a refusal
+    assert deformed_cone_decompose([E1, E1], q) == ConeFunction(())
+    assert deformed_cone_decompose([(1, 2), (-2, -4)], q) == ConeFunction(())
+    rank2 = [(1, 0, 1), (0, 1, 1), (1, 1, 2)]
+    assert deformed_cone_decompose(rank2, (F(1, 7), F(2, 7), F(-3, 7))) == ConeFunction(())
+    # swapping two generators negates every coefficient and keeps the faces
+    rng = random.Random(12)
+    swaps = 0
+    while swaps < 40:
+        n = rng.randint(2, 3)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n)]
+        d = linalg.det(gens)
+        if d == 0:
+            continue
+        q = tuple(F(rng.randint(-20, 20), rng.choice((1, 7, 11))) for _ in range(n))
+        i, j = rng.sample(range(n), 2)
+        swapped = list(gens)
+        swapped[i], swapped[j] = gens[j], gens[i]
+        faces = {frozenset(c.generators): x for x, c in deformed_cone_decompose(gens, q).terms}
+        assert set(faces.values()) == {1 if d > 0 else -1}
+        assert {frozenset(c.generators): -x
+                for x, c in deformed_cone_decompose(swapped, q).terms} == faces
+        swaps += 1
 
 
 def test_wedge_examples():

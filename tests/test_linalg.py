@@ -5,7 +5,7 @@ from math import prod
 import pytest
 
 from shintani import linalg
-from shintani.errors import DependentInput, SingularMatrix, ZeroDirection
+from shintani.errors import DependentInput
 
 from oracles import (
     _solve_coords,
@@ -90,7 +90,7 @@ def test_saturate_span_rejects_dependent():
 def test_primitive_vector():
     assert linalg.primitive_vector((F(2, 3), F(4, 3))) == (1, 2)
     assert linalg.primitive_vector((6, -9)) == (2, -3)
-    with pytest.raises(ZeroDirection):
+    with pytest.raises(DependentInput, match="zero vector"):
         linalg.primitive_vector((0, 0))
 
 
@@ -144,31 +144,43 @@ def test_det_and_rank_against_oracles():
 
 def test_adjugate_against_cofactors():
     # a rational matrix enters with its rows scaled to integers, as every
-    # caller does; adj is sign(det) times the classical adjugate, whose
-    # (i, j) entry is the signed cofactor of m at (j, i)
+    # caller does; adj is the classical adjugate, whose (i, j) entry is the
+    # signed cofactor of m at (j, i), and d is the signed determinant
     checked = 0
     for _rng, m in kernel_cases(54, 120):
         m = [list(linalg.clear_denominators(row)[0]) for row in m]
         n = len(m)
         det = det_cofactor(m)
         if det == 0:
-            with pytest.raises(SingularMatrix):
+            with pytest.raises(DependentInput):
                 linalg.adjugate(m)
             continue
         adj, d = linalg.adjugate(m)
-        assert d == abs(det) and type(d) is int
+        assert d == det and type(d) is int
         assert all(type(x) is int for row in adj for x in row)
-        sign = 1 if det > 0 else -1
         for i in range(n):
             for j in range(n):
                 minor = [[m[a][b] for b in range(n) if b != i] for a in range(n) if a != j]
                 cofactor = (-1) ** (i + j) * (det_cofactor(minor) if minor else 1)
-                assert adj[i][j] == sign * cofactor
+                assert adj[i][j] == cofactor
         scaled = [[d * int(i == j) for j in range(n)] for i in range(n)]
         assert [list(r) for r in linalg.mat_mul(m, adj)] == scaled
         assert [list(r) for r in linalg.mat_mul(adj, m)] == scaled
         checked += 1
     assert checked >= 60
+
+
+def test_adjugate_of_a_negative_determinant():
+    # the orientation survives: d is det m, not |det m|, and adj is the
+    # classical adjugate, so both products are det * I
+    cases = [([[0, 1], [1, 0]], -1), ([[2, 1], [1, -3]], -7),
+             ([[1, 2, 0], [0, 1, 0], [3, 1, -2]], -2), ([[-5]], -5)]
+    for m, det in cases:
+        adj, d = linalg.adjugate(m)
+        assert d == det == linalg.det(m) == det_cofactor(m)
+        scaled = tuple(tuple(det * int(i == j) for j in range(len(m))) for i in range(len(m)))
+        assert linalg.mat_mul(adj, m) == linalg.mat_mul(m, adj) == scaled
+    assert linalg.adjugate([[0, 1], [1, 0]])[0] == ((0, -1), (-1, 0))
 
 
 def test_solve_in_span_identities():
@@ -206,7 +218,7 @@ def test_cosets_count_and_key():
         cols = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         d = abs(int(det_cofactor(cols)))
         if d == 0:
-            with pytest.raises(SingularMatrix):
+            with pytest.raises(DependentInput):
                 coset_lattice(cols, 2)
             continue
         for p in (None, 2, 3):

@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from shintani import linalg
+from shintani import linalg, solomon_hu
 from shintani.cones import ConeFunction, OpenCone
 from shintani.errors import NotUnimodular, SchemaError
 from shintani.solomon_hu import (
@@ -128,6 +128,22 @@ def test_pm_sum_matches_the_pairwise_fold():
         for x, y in ((a, b), (a, a), (a, _same_value(rng, a, pool)), (a, pm_zero())):
             assert pm_eq(x, y) == oracles.pm_eq_cross(x, y) == (not oracles.pm_fold([(1, x), (-1, y)]).num)
     assert cases == 3000
+
+
+def test_pm_sum_adds_a_zero_prefix_once(monkeypatch):
+    # a last zero prefix of zero summands adds nothing, so the first pass
+    # is the sum; a prefix of nonzero summands that cancel needs a second
+    calls = []
+    accumulate = solomon_hu._accumulate
+    monkeypatch.setattr(solomon_hu, "_accumulate", lambda t: calls.append(t) or accumulate(t))
+    a = PM(GA({(1, 0): 1, (0, 2): -3}), ((1, 1),))
+    b = PM(GA({(2, 1): 2}), ((0, 1), (1, 0)))
+    for terms, passes in (([(1, pm_zero()), (1, a)], 1), ([(0, b), (1, a)], 1),
+                          ([(1, a), (-1, a), (1, b)], 2)):
+        calls.clear()
+        total = pm_sum(terms)
+        assert len(calls) == passes, terms
+        assert pm_to_json(total) == pm_to_json(oracles.pm_fold(terms))
 
 
 def test_packed_keys_sort_as_tuples_and_round_trip():
@@ -430,7 +446,7 @@ def test_pair_scale_invariance():
 
 
 def test_pair_cone_function_linearity_and_wedges():
-    assert pm_eq(pair_cone_function(ConeFunction.zero(),
+    assert pm_eq(pair_cone_function(ConeFunction(()),
                                     TestFunction(1, 3, 4, {(1,): 1})), pm_zero())
     const = TestFunction(1, 3, 1, {(0,): 1})
     wedge_pm = pair_cone_function(wedge_decompose(Wedge(((F(1),),))), const)

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from shintani import linalg
-from shintani.errors import NotUnimodular, SchemaError, ZeroDirection
+from shintani.errors import DependentInput, NotUnimodular, SchemaError
 from shintani.testfunctions import (
     MAX_DIMENSION,
     TestFunction,
@@ -140,7 +140,7 @@ def test_line_slice_examples():
     assert const.values == (1, 1, 1, 1)  # period divides 1 after reduction
     zero = TestFunction(1, 3, 4, {})
     assert line_slice(zero, (1,), (0,)).values == (0, 0, 0, 0)
-    with pytest.raises(ZeroDirection):
+    with pytest.raises(DependentInput):
         line_slice(f1, (0,), (0,))
 
 
