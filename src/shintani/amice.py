@@ -66,21 +66,22 @@ def is_measure_amice(a: PseudoMeasure, p: int) -> bool:
 
 
 def _coordinates(a: PseudoMeasure) -> tuple:
-    """(basis, d, [(adj v, c)]) over the terms c delta_v of a's numerator,
-    for a's own basis: adj v / d are v's basis coordinates."""
+    """(basis, d, [(adj v, c)]) over the terms c delta_v of a's numerator in
+    packed order, for a's own basis: adj v / d are v's basis coordinates."""
     basis = extend_denominator_basis(a, a.dim)
     adj, d = linalg.adjugate(linalg.transpose(basis))
-    return basis, d, [(linalg.mat_vec(adj, v), c) for v, c in a.num.terms.items()]
+    return basis, d, list(zip(zip(*a.num.columns(adj)), a.num.packed.values()))
 
 
 def _poles_vanish(a: PseudoMeasure, p: int, d: int, terms: list) -> bool:
-    """The fibre test of is_measure_amice on the (y, c) pairs of
-    _coordinates. With p^k the p-part of d, v and v' share a class of
-    Z^n / (B Z^n + p^k Z^n), B the basis, exactly when y = y' mod p^k:
-    adj B z = d z, and for d = p^k m, m(v - v') lies in B Z^n with m a unit
-    mod p^k. So the fibre key of pole i is y with y_i taken mod p^k."""
-    pk = gcd(d, p ** d.bit_length())
-    return all(_fibres_vanish((y[:i] + (y[i] % pk,) + y[i + 1:], c) for y, c in terms)
+    """The fibre test of is_measure_amice on the (y, c) pairs of _coordinates.
+    With p^k the p-part of d, v and v' share a class of Z^n / (B Z^n + p^k Z^n),
+    B the basis, exactly when y = y' mod p^k: adj B z = d z, and for d = p^k m,
+    m(v - v') lies in B Z^n with m a unit mod p^k. So the fibre key of pole i
+    is y with y_i taken mod p^k: the y's coordinate lists zipped, list i reduced."""
+    pk, (ys, cs) = gcd(d, p ** d.bit_length()), zip(*terms)
+    cols = list(zip(*ys))
+    return all(_fibres_vanish(zip(zip(*cols[:i], [x % pk for x in cols[i]], *cols[i + 1:]), cs))
                for i in range(len(a.den)))
 
 

@@ -109,6 +109,8 @@ def adjugate(m: Sequence[Sequence[int]]) -> tuple[IntMat, int]:
 
     With m * u = h, adj = u * x for x = d * h^-1 and d = det(u) * prod h_ii.
     """
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("adjugate of a non-square matrix")
     h, u, _u_inv, sign = hermite(m)
     d = sign * prod(h[i][i] for i in range(len(h)))
     return mat_mul(u, _triangular_adjugate(h, d)), d

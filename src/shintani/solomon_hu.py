@@ -16,7 +16,11 @@ Exponents are packed (Kronecker substitution): v is the int sum_i v_i
 2^(W(n-1-i)) with |v_i| < 2^(W-1), so a shift is one int addition and the
 ints sort as the tuples do. W is the least multiple of 64 above the bound
 each element carries: for a cell the base-point plus the lift bound, for a
-sum the largest summand bound plus its denominator's max-norms.
+sum the largest summand bound plus its denominator's max-norms. Bulk readers
+take the exponents column by column: adding 2^(W-1) to every digit puts it in
+[0, 2^W) with no borrow, so coordinate i of every key is a shift and a mask
+(_unpack_columns); matrices act on the coordinate lists, and as packing is
+linear, the key of g v is sum_i v_i times the key of column i of g (act_pm).
 
 Pairing an open cone with a step function of level M scales the generators
 positively to primitive vectors, multiplies by M to obtain periods, and sums
@@ -60,12 +64,24 @@ def _pack(v: Iterable[int], W: int) -> int:
     return key
 
 
-def _unpack(key: int, n: int, W: int) -> IntVec:
-    half, mask, out = 1 << (W - 1), (1 << W) - 1, [0] * n
-    for i in range(n - 1, -1, -1):
-        out[i] = x = ((key + half) & mask) - half
-        key = (key - x) >> W
-    return tuple(out)
+def _unpack_columns(keys: list[int], n: int, W: int) -> list[list[int]]:
+    """Coordinate i of every key, for each i < n, digits lifted by 2^(W-1)."""
+    half, mask, lift = 1 << (W - 1), (1 << W) - 1, sum(1 << W * i + W - 1 for i in range(n))
+    keys = [k + lift for k in keys]
+    return [[(k >> W * i & mask) - half for k in keys] for i in range(n - 1, -1, -1)]
+
+
+def _weighted_sum(weights: Iterable[int], cols: Iterable[list[int]], count: int) -> list[int]:
+    """sum_i w_i cols[i], entry by entry, for lists of count entries."""
+    out = [0] * count
+    for w, col in zip(weights, cols):
+        if w:
+            out = [s + w * x for s, x in zip(out, col)]
+    return out
+
+
+def _pack_columns(cols: Sequence[list[int]], W: int, count: int) -> list[int]:
+    return _weighted_sum([1 << W * i for i in range(len(cols) - 1, -1, -1)], cols, count)
 
 
 class GroupAlgebraElement:
@@ -94,12 +110,18 @@ class GroupAlgebraElement:
         return out
 
     def _at(self, W: int) -> dict:  # the packed dict at a width W >= self.W
-        return self.packed if W == self.W else {
-            _pack(_unpack(k, self.n, self.W), W): c for k, c in self.packed.items()}
+        return self.packed if W == self.W else dict(
+            zip(_pack_columns(self.columns(), W, len(self.packed)), self.packed.values()))
 
     @property
-    def terms(self) -> Mapping[IntVec, int | Fraction]:  # a read-only tuple-keyed view
-        return MappingProxyType({_unpack(k, self.n, self.W): c for k, c in self.packed.items()})
+    def terms(self) -> Mapping[IntVec, int | Fraction]:  # a read-only view, in packed order
+        vectors = zip(*self.columns()) if self.n else [()] * len(self.packed)  # () at n = 0
+        return MappingProxyType(dict(zip(vectors, self.packed.values())))
+
+    def columns(self, m: Sequence[Sequence[int]] | None = None) -> list[list[int]]:
+        """The coordinate lists of the exponents v, or of m v, in `packed` order."""
+        cols = _unpack_columns(list(self.packed), self.n, self.W)
+        return cols if m is None else [_weighted_sum(row, cols, len(self.packed)) for row in m]
 
     def __bool__(self) -> bool:
         return bool(self.packed)
@@ -214,10 +236,9 @@ def act_pm(g: Sequence[Sequence[int]], a: PseudoMeasure) -> PseudoMeasure:
         raise NotUnimodular("pseudo-measure action requires determinant 1")
     old, bound = a.num, max(sum(map(abs, row)) for row in gm) * a.num.bound  # g's row norm
     W = _width(bound)  # g is a bijection, so no two images of the terms meet
-    num = {_pack(linalg.mat_vec(gm, _unpack(k, old.n, old.W)), W): c
-           for k, c in old.packed.items()}
-    den = tuple(sorted(linalg.mat_vec(gm, u) for u in a.den))
-    return PseudoMeasure(GroupAlgebraElement._of(num, old.n, W, bound), den)
+    keys = _weighted_sum(_pack_columns(gm, W, len(gm)), old.columns(), len(old.packed))
+    num = GroupAlgebraElement._of(dict(zip(keys, old.packed.values())), old.n, W, bound)
+    return PseudoMeasure(num, tuple(sorted(linalg.mat_vec(gm, u) for u in a.den)))
 
 
 def _cell(ws: Sequence[Sequence[int]], n: int) -> tuple[list[IntVec], list[tuple[IntVec, int]]]:
@@ -311,13 +332,9 @@ def pair_cone_function(k: ConeFunction, f: TestFunction) -> PseudoMeasure:
 
 
 def pm_to_json(a: PseudoMeasure) -> dict:
-    return {
-        "numerator": [
-            {"vector": list(_unpack(k, a.num.n, a.num.W)), "coeff": str(c)}
-            for k, c in sorted(a.num.packed.items())
-        ],
-        "denominator": [list(u) for u in a.den],
-    }
+    terms = sorted(zip(a.num.packed, a.num.terms.items()))  # the keys sort as the vectors do
+    return {"numerator": [{"vector": list(v), "coeff": str(c)} for _k, (v, c) in terms],
+            "denominator": [list(u) for u in a.den]}
 
 
 def pm_from_json(data: dict) -> PseudoMeasure:

@@ -726,6 +726,11 @@ GOLDEN = {
                    ["--command", "cocycle", "--trials", "3", "--seed", "7"]),
     "cocycle_n3": ({"test_function": _table(3, 2, _F3)},
                    ["--command", "cocycle", "--trials", "3", "--seed", "5"]),
+    # the one pinned report that prints a cocycle sum: its "offending"
+    # numerator has 32 terms in n = 3, so it pins the order of the vectors
+    # and of their coordinates
+    "cocycle_n3_corrupt": ({"test_function": _table(3, 2, _F3)},
+                           ["--command", "cocycle", "--trials", "1", "--seed", "7", "--corrupt-sign"]),
 }
 # sha256 of each report, recorded before elimination, coset enumeration and
 # the deformation retry were each folded into one kernel; the retired
@@ -736,6 +741,7 @@ GOLDEN = {
 GOLDEN_SHA256 = {
     "cocycle_n2": "e2ff825631f8f0839eb3278fb5d86e5610ccafa603c2a0311f0b0f863044e8ed",
     "cocycle_n3": "fbf8ecfb29ad7b0c0bf27f3b2e0b2f4ff564ee7fd40e240e301bead3e3a3bc69",
+    "cocycle_n3_corrupt": "c4df6bd129aed6d66a70038bbf391e66616385867c4b22e1bd176b63a572d515",
     "moments_cone": "1c58a8a188a8760fbfc7362e3473e84badbf6a80e8604e83a23a21fb22fe8109",
     "moments_pseudo_measure": "27c4e85b916ec0b8b006fec173f20688ee2de980b628f014d30b40cff16cd1ec",
     "pair_cone_function": "3b23a09b41ded43407308d2340711bddba2cac75175f1e271310d86df1f29a10",
@@ -748,7 +754,8 @@ GOLDEN_SHA256 = {
 def test_reports_match_golden_hashes(tmp_path, capsys, name):
     payload, argv = GOLDEN[name]
     out = tmp_path / "report.json"
-    assert main(argv + ["--input", write(tmp_path, "in.json", payload), "--out", str(out)]) == 0
+    code = cli.EXIT_TRIAL_FAILED if "--corrupt-sign" in argv else cli.EXIT_OK
+    assert main(argv + ["--input", write(tmp_path, "in.json", payload), "--out", str(out)]) == code
     report = json.loads(out.read_text(encoding="utf-8"))
     if "config" in report:
         assert not {"bound", "precision", "degree"} & set(report["config"])

@@ -28,6 +28,10 @@ def test_det_examples():
     assert linalg.det([]) == 1
     with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
         linalg.det([[1, 0, 2], [0, 1, 3]])
+    # adjugate refuses it the same way, not with a 3 x 2 "adjugate" and d = -1
+    for m in ([[1, 2, 3], [4, 5, 7]], [[1, 2], [3, 4], [5, 6]]):
+        with pytest.raises(ValueError, match="^adjugate of a non-square matrix$"):
+            linalg.adjugate(m)
 
 
 def test_det_multiplicative():

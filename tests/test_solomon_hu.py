@@ -7,6 +7,7 @@ from math import prod
 import pytest
 
 from shintani import linalg, solomon_hu
+from shintani.amice import _coordinates
 from shintani.cones import ConeFunction, OpenCone
 from shintani.errors import NotUnimodular, SchemaError
 from shintani.solomon_hu import (
@@ -14,7 +15,8 @@ from shintani.solomon_hu import (
     PseudoMeasure as PM,
     _cell,
     _pack,
-    _unpack,
+    _pack_columns,
+    _unpack_columns,
     _width,
     act_pm,
     pair_cone_function,
@@ -147,21 +149,29 @@ def test_pm_sum_adds_a_zero_prefix_once(monkeypatch):
 
 
 def test_packed_keys_sort_as_tuples_and_round_trip():
-    # signed digits |v_i| < 2^(W-1): the ints sort as the tuples do, and
-    # unpacking inverts packing up to the extreme digits
+    # signed digits |v_i| < 2^(W-1): the ints sort as the tuples do, and the
+    # column reader inverts packing up to the extreme digits, also at n = 0,
+    # where every key is the empty vector
     rng = random.Random(2029)
     for W in (64, 128):
         top = (1 << (W - 1)) - 1
         digits = (-top, -top + 1, -1, 0, 1, top - 1, top)
-        for n in (1, 2, 3):
+        for n in range(5):
             vs = list(product((-top, 0, top), repeat=n)) + [
                 tuple(rng.choice(digits) if rng.random() < 0.5 else rng.randint(-top, top)
                       for _ in range(n)) for _ in range(300)]
             keys = [_pack(v, W) for v in vs]
-            assert [_unpack(k, n, W) for k in keys] == vs
-            assert [_unpack(k, n, W) for k in sorted(keys)] == sorted(vs)
+            cols = _unpack_columns(keys, n, W)
+            assert cols == [list(col) for col in zip(*vs)]
+            assert _pack_columns(cols, W, len(keys)) == keys
+            # terms reads the vectors in packed order, so sorted keys give sorted vectors
+            a = GroupAlgebraElement._of(dict.fromkeys(sorted(keys), 1), n, W, top)
+            assert list(a.terms) == sorted(set(vs)) and a.columns() == [list(c) for c in zip(*a.terms)]
             u, v = (tuple(rng.randint(-top // 2, top // 2) for _ in range(n)) for _ in "uv")
             assert _pack(u, W) + _pack(v, W) == _pack(map(sum, zip(u, v)), W)
+    assert GroupAlgebraElement({(): 3}).terms == {(): 3}
+    assert GroupAlgebraElement({(): 3}).columns() == []
+    assert GroupAlgebraElement().terms == {} and not GroupAlgebraElement()
 
 
 def test_pack_refuses_a_digit_past_its_width():
@@ -334,6 +344,38 @@ def test_act_pm():
     assert a.dim == 2
     with pytest.raises(ValueError, match="^dimension of the zero pseudo-measure is ambiguous$"):
         pm_zero().dim
+
+
+def test_act_pm_and_coordinates_match_per_vector_images():
+    # the column readers against one mat_vec per exponent, in packed order
+    # (the order of the terms given): act_pm moves every exponent v to g v,
+    # and _coordinates reads adj v for the adjugate of a's own basis
+    rng = random.Random(2039)
+    cases = []
+    for n in (1, 2, 3, 4):
+        for trial in range(25):
+            top = (1 << 62) if trial % 5 == 0 else 40
+            spec, count = {}, rng.randint(1, 30)
+            while len(spec) < count:
+                spec[tuple(rng.randint(-top, top) for _ in range(n))] = rng.choice((1, -2, 5, F(1, 3)))
+            while linalg.det(rows := [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]) == 0:
+                pass
+            den = tuple(sorted(tuple(row) for row in rows[:rng.randint(0, n)]))
+            g = random_congruence_element(n, rng.choice((1, 2, 4)), rng.randrange(10**6))
+            cases.append((g, PM(GroupAlgebraElement(spec), den), spec))
+    # a bound near 2^62 at W = 64 whose image under a row norm of 3 needs W = 128
+    big = {(1 << 62, 1 << 62): 1, (-(1 << 62), 7): -1, (0, 1): 2}
+    cases.append(([[1, 2], [0, 1]], PM(GroupAlgebraElement(big), ((0, 1),)), big))
+    for g, a, spec in cases:
+        assert list(a.num.terms.items()) == list(spec.items())
+        moved = act_pm(g, a)
+        assert list(moved.num.terms.items()) == [(linalg.mat_vec(g, v), c) for v, c in spec.items()]
+        assert moved.num.columns() == [list(col) for col in zip(*moved.num.terms)]
+        basis, _d, terms = _coordinates(a)
+        adj = linalg.adjugate(linalg.transpose(basis))[0]
+        assert terms == [(linalg.mat_vec(adj, v), c) for v, c in spec.items()]
+    assert (cases[-1][1].num.W, act_pm(cases[-1][0], cases[-1][1]).num.W) == (64, 128)
+    assert sum(a.num.W == 128 or act_pm(g, a).num.W == 128 for g, a, _spec in cases) > 10
 
 
 def test_enumerate_fundamental_domain_examples():
