@@ -78,7 +78,8 @@ def _alternating_sum(
             coeff = -coeff
         psi = deformed_cone_decompose(cols[:i] + cols[i + 1:], q)
         terms.append((coeff, pair_cone_function(psi, f)))
-    # pm_sum of pm_sums: a zero term's own denominator stays out of the total
+    # the total's denominator is the union of the nonzero terms' denominators,
+    # so a term that pairs to zero adds no factor to it
     return pm_sum(terms)
 
 

@@ -32,6 +32,7 @@ and a sum of two is reduced by one carry-free digit-wise step (_pair_cell).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -160,56 +161,32 @@ def pm_zero() -> PseudoMeasure:
     return PseudoMeasure(GroupAlgebraElement._of({}, 0, _width(0), 0), ())
 
 
-def _accumulate(terms: list) -> tuple[GroupAlgebraElement, tuple[IntVec, ...], int]:
-    """The numerator of sum c * a over the least common denominator of the
-    nonzero summands, that denominator, and the length of the last proper
-    prefix of the terms that sums to zero."""
-    live = [(c, a) for c, a in terms if c and a.num]
-    most: dict[IntVec, int] = {}
-    for _c, a in live:
-        for u in set(a.den):
-            most[u] = max(most.get(u, 0), a.den.count(u))
-    union = tuple(u for u in sorted(most) for _ in range(most[u]))
-    bound = max((a.num.bound for _c, a in live), default=0) + sum(max(map(abs, u)) for u in union)
-    n, W = max((a.num.n for _c, a in live), default=0), _width(bound)
+def pm_sum(terms: Iterable[tuple[int | Fraction, PseudoMeasure]]) -> PseudoMeasure:
+    """Sum of c * a over the pairs (c, a), in one pass. The denominator is
+    the sorted union, with the largest multiplicity of each factor, of the
+    nonzero summands' denominators, and each nonzero numerator is shifted
+    once by the factors its summand lacks, so the printed sum does not
+    depend on the order of the terms. With no nonzero summand it is pm_zero().
+    """
+    live = [(c, a.num, Counter(a.den)) for c, a in terms if c and a.num]
+    most: Counter[IntVec] = Counter()
+    for _c, _x, den in live:
+        most |= den
+    union = tuple(sorted(most.elements()))
+    bound = max((x.bound for _c, x, _d in live), default=0) + sum(max(map(abs, u)) for u in union)
+    n, W = max((x.n for _c, x, _d in live), default=0), _width(bound)
     out: dict[int, int | Fraction] = {}
-    start, zero = 0, True
-    for i, (c, a) in enumerate(terms):
-        if c and a.num:
-            missing = [u for u, m in most.items() for _ in range(m - a.den.count(u))]
-            if missing:  # shift-subtract once by the factors a lacks
-                shifts = [(w, c * x) for w, x in denominator_product(missing, W).items()]
-                for v, x in a.num._at(W).items():
-                    for w, cw in shifts:
-                        out[v + w] = out.get(v + w, 0) + cw * x
-            else:
-                for v, x in a.num._at(W).items():
-                    out[v] = out.get(v, 0) + c * x
-            zero = not any(out.values())
-        if zero and i + 1 < len(terms):
-            start = i + 1
+    for c, x, den in live:  # shift-subtract once by the factors x lacks
+        lacks = denominator_product(list((most - den).elements()), W)
+        num = x._at(W).items()
+        for w, cw in lacks.items():
+            cw *= c
+            for v, cv in num:
+                out[k] = out.get(k := v + w, 0) + cw * cv
     # the sums cancel terms and add Fractions up to integers
     out = {k: c if type(c) is int or c.denominator != 1 else c.numerator
            for k, c in out.items() if c}
-    return GroupAlgebraElement._of(out, n, W, bound), union, start
-
-
-def pm_sum(terms: Iterable[tuple[int | Fraction, PseudoMeasure]]) -> PseudoMeasure:
-    """Sum of c * a over the pairs (c, a), each numerator shifted once by
-    the denominator factors it lacks. As in the left fold of pairwise sums
-    from zero, which takes over the next summand whenever the running sum
-    is zero and skips a zero summand otherwise, the denominator is the union
-    (largest multiplicity per factor) of the nonzero summands after the last
-    proper prefix that sums to zero; a zero summand alone after it is the sum.
-    """
-    terms = list(terms) or [(1, pm_zero())]  # the empty sum is zero
-    out, union, start = _accumulate(terms)
-    c, a = terms[start]
-    if not (c and a.num):
-        return PseudoMeasure(pm_zero().num, a.den)
-    if any(c and a.num for c, a in terms[:start]):  # else the prefix added nothing
-        out, union, _start = _accumulate(terms[start:])
-    return PseudoMeasure(out, union)
+    return PseudoMeasure(GroupAlgebraElement._of(out, n, W, bound), union)
 
 
 def pm_eq(a: PseudoMeasure, b: PseudoMeasure) -> bool:
@@ -234,6 +211,8 @@ def act_pm(g: Sequence[Sequence[int]], a: PseudoMeasure) -> PseudoMeasure:
     gm = linalg.int_mat(g)
     if linalg.det(gm) != 1:
         raise NotUnimodular("pseudo-measure action requires determinant 1")
+    if (a.num or a.den) and len(gm) != a.dim:  # else zip and mat_vec would drop coordinates
+        raise ValueError(f"a {len(gm)}x{len(gm)} matrix cannot act in dimension {a.dim}")
     old, bound = a.num, max(sum(map(abs, row)) for row in gm) * a.num.bound  # g's row norm
     W = _width(bound)  # g is a bijection, so no two images of the terms meet
     keys = _weighted_sum(_pack_columns(gm, W, len(gm)), old.columns(), len(old.packed))

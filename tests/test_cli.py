@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb
 from pathlib import Path
 
@@ -113,6 +113,24 @@ def test_pair_is_unchanged_by_rescaled_generators(tmp_path, capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
+
+
+def test_pair_is_unchanged_by_the_order_of_the_cones(tmp_path, capsys):
+    # the wedge cut by the ray (11, 9) pairs to zero with f = -[x = (0, 1)
+    # mod 2]; every order of its three cones prints one report, whose
+    # denominator is the union of the three cones' periods
+    tf = {"n": 2, "p": 3, "M": 2, "terms": [{"residue": [0, 1], "weight": -1}]}
+    cones = [{"generators": [["1", "0"], ["11", "9"]]},
+             {"generators": [["-1", "0"], ["11", "9"]]},
+             {"generators": [["11", "9"]]}]
+    outs = set()
+    for order in permutations(cones):
+        path = write(tmp_path, "in.json", {"test_function": tf, "cone_function": list(order)})
+        code, out = run(capsys, "--command", "pair", "--input", path)
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 1
+    assert json.loads(outs.pop()) == {"numerator": [], "denominator": [[-2, 0], [2, 0], [22, 18]]}
 
 
 BIG = 10**30

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction as F
-from itertools import chain, product
+from itertools import chain, permutations, product
 from math import prod
 
 import pytest
@@ -100,52 +100,101 @@ def _same_value(rng, a, pool):
     return PM(a.num * (GA.one(len(u)) - GA.delta(u)), tuple(sorted(a.den + (u,))))
 
 
-def test_pm_sum_matches_the_pairwise_fold():
-    # pm_sum must print exactly what the left fold of pm_add prints, down to
-    # the fold's denominator after a prefix that sums to zero
-    rng = random.Random(2027)
+def _union(terms):
+    """The sorted union, with the largest multiplicity of each factor, of the
+    denominators of the nonzero summands c * a."""
+    dens = [a.den for c, a in terms if c and a.num]
+    return tuple(sorted(u for u in {u for den in dens for u in den}
+                        for _ in range(max(den.count(u) for den in dens))))
+
+
+def _assert_sum(terms):
+    """pm_sum equals the left fold of pairwise sums, over the union denominator."""
+    total = pm_sum(terms)
+    assert pm_eq(total, oracles.pm_fold(terms)), terms
+    assert total.den == _union(terms), terms
+    return total
+
+
+def _summand_lists(rng, pool, pms):
+    a, b = pms[0], pms[-1]
     coeffs = (1, -1, 2, -3, 0, F(1, 2), F(-3, 4))
+    return [
+        [(rng.choice(coeffs), x) for x in pms],
+        [(1, a), (-1, a), (1, b)],
+        [(1, a), (-1, _same_value(rng, a, pool)), (1, b)],
+        [(1, a), (-1, a)],
+        [(F(1, 2), a), (F(-1, 2), a), (2, b), (-2, b)],
+        [(1, a), (-1, a), (1, pm_zero())],
+        [(1, a), (-1, a), (1, PM(GA.zero(), (pool[-1],)))],
+        [(1, pm_zero()), (3, b), (0, a)],
+        [(0, a)],
+        [],
+    ]
+
+
+def _pool(rng, n):
+    pool = [v for v in (tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(3)) if any(v)]
+    return pool or [(1,) * n]
+
+
+def test_pm_sum_matches_the_pairwise_fold():
+    # pm_sum has the value of the left fold of pm_add, over the union of the
+    # nonzero summands' denominators, also after a prefix that sums to zero
+    rng = random.Random(2027)
     cases = 0
     for _ in range(300):
         n = rng.randint(1, 3)
-        pool = [v for v in (tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(3)) if any(v)]
-        pool = pool or [(1,) * n]
+        pool = _pool(rng, n)
         pms = [_random_pm(rng, n, pool) for _ in range(rng.randint(1, 5))]
-        a, b = pms[0], pms[-1]
-        lists = [
-            [(rng.choice(coeffs), x) for x in pms],
-            [(1, a), (-1, a), (1, b)],
-            [(1, a), (-1, _same_value(rng, a, pool)), (1, b)],
-            [(1, a), (-1, a)],
-            [(F(1, 2), a), (F(-1, 2), a), (2, b), (-2, b)],
-            [(1, a), (-1, a), (1, pm_zero())],
-            [(1, a), (-1, a), (1, PM(GA.zero(), (pool[-1],)))],
-            [(1, pm_zero()), (3, b), (0, a)],
-            [(0, a)],
-            [],
-        ]
-        for terms in lists:
-            assert pm_to_json(pm_sum(terms)) == pm_to_json(oracles.pm_fold(terms)), terms
+        for terms in _summand_lists(rng, pool, pms):
+            _assert_sum(terms)
             cases += 1
+        a, b = pms[0], pms[-1]
         for x, y in ((a, b), (a, a), (a, _same_value(rng, a, pool)), (a, pm_zero())):
             assert pm_eq(x, y) == oracles.pm_eq_cross(x, y) == (not oracles.pm_fold([(1, x), (-1, y)]).num)
     assert cases == 3000
 
 
 def test_pm_sum_adds_a_zero_prefix_once(monkeypatch):
-    # a last zero prefix of zero summands adds nothing, so the first pass
-    # is the sum; a prefix of nonzero summands that cancel needs a second
+    # a prefix that sums to zero, of zero summands or of nonzero summands
+    # that cancel, is read once like any other summand: one denominator
+    # product per nonzero summand, and the sum's denominator is the union
     calls = []
-    accumulate = solomon_hu._accumulate
-    monkeypatch.setattr(solomon_hu, "_accumulate", lambda t: calls.append(t) or accumulate(t))
+    product_of = solomon_hu.denominator_product
+    monkeypatch.setattr(solomon_hu, "denominator_product",
+                        lambda den, W: calls.append(den) or product_of(den, W))
     a = PM(GA({(1, 0): 1, (0, 2): -3}), ((1, 1),))
     b = PM(GA({(2, 1): 2}), ((0, 1), (1, 0)))
-    for terms, passes in (([(1, pm_zero()), (1, a)], 1), ([(0, b), (1, a)], 1),
-                          ([(1, a), (-1, a), (1, b)], 2)):
+    for terms, live in (([(1, pm_zero()), (1, a)], 1), ([(0, b), (1, a)], 1),
+                        ([(1, a), (-1, a), (1, b)], 3), ([(1, a), (-1, a), (1, pm_zero())], 2),
+                        ([(1, a), (-1, a), (1, PM(GA.zero(), ((0, 3),)))], 2)):
         calls.clear()
-        total = pm_sum(terms)
-        assert len(calls) == passes, terms
-        assert pm_to_json(total) == pm_to_json(oracles.pm_fold(terms))
+        pm_sum(terms)
+        assert len(calls) == live, terms
+        _assert_sum(terms)
+    assert pm_to_json(pm_sum([(1, a), (-1, a), (1, b)])) == {
+        "numerator": [{"vector": [2, 1], "coeff": "2"}, {"vector": [3, 2], "coeff": "-2"}],
+        "denominator": [[0, 1], [1, 0], [1, 1]]}
+    assert pm_to_json(pm_sum([(1, pm_zero()), (0, a), (1, PM(GA.zero(), ((0, 3),)))])) == \
+        pm_to_json(pm_zero())
+
+
+def test_pm_sum_does_not_depend_on_the_order_of_its_terms():
+    # every permutation of a summand list prints the same sum, also where a
+    # proper prefix cancels ([a, -a, b], [a, -a, 0]) and with Fraction
+    # coefficients
+    rng = random.Random(2039)
+    lists = 0
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        pool = _pool(rng, n)
+        pms = [_random_pm(rng, n, pool) for _ in range(rng.randint(1, 4))]
+        for terms in _summand_lists(rng, pool, pms):
+            printed = pm_to_json(pm_sum(terms))
+            assert all(pm_to_json(pm_sum(list(t))) == printed for t in permutations(terms)), terms
+            lists += 1
+    assert lists == 1200
 
 
 def test_packed_keys_sort_as_tuples_and_round_trip():
@@ -205,8 +254,7 @@ def test_results_are_built_clean():
     sums = 0
     for _ in range(300):
         n = rng.randint(1, 3)
-        pool = [v for v in (tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(3)) if any(v)]
-        pool = pool or [(1,) * n]
+        pool = _pool(rng, n)
         pms = [_random_pm(rng, n, pool) for _ in range(rng.randint(1, 5))]
         a, b = pms[0], pms[-1]
         for terms in ([(rng.choice(coeffs), x) for x in pms],
@@ -232,14 +280,14 @@ def test_results_are_built_clean():
 
 def test_pm_sum_across_widths_matches_the_fold():
     # summands at W = 64 and W = 128 meet in one sum: each is re-packed to
-    # the sum's width, and the result prints what the pairwise fold prints
+    # the sum's width, and the result has the pairwise fold's value over
+    # the union denominator
     rng = random.Random(2031)
     big = 1 << 70
     widths = set()
     for _ in range(150):
         n = rng.randint(1, 3)
-        pool = [v for v in (tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(3)) if any(v)]
-        pool = (pool or [(1,) * n]) + [tuple(rng.choice((-big, big)) for _ in range(n))]
+        pool = _pool(rng, n) + [tuple(rng.choice((-big, big)) for _ in range(n))]
         pms = []
         for _ in range(rng.randint(2, 4)):
             a = _random_pm(rng, n, pool)
@@ -248,7 +296,7 @@ def test_pm_sum_across_widths_matches_the_fold():
             pms.append(a)
             widths.add(a.num.W)
         terms = [(rng.choice((1, -1, 2, F(1, 2))), x) for x in pms]
-        assert pm_to_json(pm_sum(terms)) == pm_to_json(oracles.pm_fold(terms)), terms
+        _assert_sum(terms)
         x, y = pms[0], pms[-1]
         for a, b in ((x, y), (x, _same_value(rng, x, pool))):
             assert pm_eq(a, b) == oracles.pm_eq_cross(a, b)
@@ -340,6 +388,15 @@ def test_act_pm():
     for bad in ([[0, 1], [1, 0]], [[2, 0], [0, 1]]):  # det -1 and det 2
         with pytest.raises(NotUnimodular, match="^pseudo-measure action requires determinant 1$"):
             act_pm(bad, a)
+    # g must have the pseudo-measure's size, which a numerator or a
+    # denominator fixes; the zero pseudo-measure with no denominator has none
+    three = PM(GroupAlgebraElement({(1, 2, 3): 1}), ((1, 0, 0),))
+    for b in (three, PM(GA.zero(), ((1, 0, 0),)), PM(GroupAlgebraElement({(1, 2, 3): 1}), ())):
+        with pytest.raises(ValueError, match="^a 2x2 matrix cannot act in dimension 3$"):
+            act_pm(g, b)
+    assert pm_to_json(act_pm([[1, 0, 1], [0, 1, 0], [0, 0, 1]], three)) == {
+        "numerator": [{"vector": [4, 2, 3], "coeff": "1"}], "denominator": [[1, 0, 0]]}
+    assert pm_to_json(act_pm(g, pm_zero())) == pm_to_json(pm_zero())
     # the zero pseudo-measure has no vector to read a dimension off
     assert a.dim == 2
     with pytest.raises(ValueError, match="^dimension of the zero pseudo-measure is ambiguous$"):
