@@ -1,25 +1,22 @@
 """Deformed-cone cocycle evaluation and exact verification harnesses.
 
 The cocycle sends an n-tuple of invertible matrices and a deformation
-vector q to the sign-weighted face decomposition of the cone on the first
-columns, zero when they are dependent (cones.deformed_cone_decompose, one
-Hermite pass per column tuple); pairing with a step function turns it into
-a pseudo-measure. The
-harnesses check, in exact arithmetic after pairing:
+vector q to sign(det) times the q-deformed half-open cone on the first
+columns, zero when they are dependent (cones.deformed_cone, one Hermite
+pass per column tuple). The harnesses pair that cone with a step function
+as one half-open cell (solomon_hu.pair_half_open) and check, exactly:
 
   * the homogeneous cocycle identity (the alternating sum over an
     (n+1)-tuple reduces to an integer multiple of delta_0),
   * equivariance under stabilizing congruence elements,
-  * that every output cone passes the measure criteria when the vanishing
-    hypothesis holds for e_1.
+  * that every open face of the cocycle value (psi_cdg) passes the measure
+    criteria when the vanishing hypothesis holds for e_1.
 
-Values-as-functions-of-q are never materialized; every operation takes an
-explicit rational q and deforms along q_eps = q + eps p_1 + ... + eps^n p_n
-(cones.deformed_cone_decompose), so every q, q = 0 included, gets an exact
-verdict. The matrices are integer congruence elements, so q is the only
-rational value. Both are plain arguments: psi_cdg(matrices, q),
+Every operation takes an explicit rational q, never a function of q, and
+deforms along q_eps = q + eps p_1 + ... + eps^n p_n, so every q, q = 0
+included, gets an exact verdict. psi_cdg(matrices, q),
 verify_cocycle(f, matrices, q) and verify_equivariance(f, g, matrices, q)
-each check their matrices once and read q through Fraction.
+each check their integer matrices once and read q through Fraction.
 """
 
 from __future__ import annotations
@@ -30,17 +27,18 @@ from typing import Sequence
 
 from . import linalg
 from .amice import is_measure_amice, is_measure_vh
-from .cones import ConeFunction, DeformationVector, deformed_cone_decompose
+from .cones import ConeFunction, DeformationVector, deformed_cone, deformed_cone_decompose
 from .errors import NotStabilizer
 from .linalg import IntVec
 from .solomon_hu import (
     PseudoMeasure,
     act_pm,
-    pair_cone_function,
+    pair_half_open,
     pair_open_cone,
     pm_eq,
     pm_is_integer_constant,
     pm_sum,
+    pm_zero,
 )
 from .testfunctions import TestFunction, random_congruence_element, stabilizes
 
@@ -66,18 +64,23 @@ def psi_cdg(matrices: Sequence, q: Sequence) -> ConeFunction:
     return deformed_cone_decompose(*_columns(matrices, q))
 
 
+def _paired(f: TestFunction, gens: Sequence, q: Sequence, frame=None) -> tuple[int, PseudoMeasure]:
+    """(sign, pairing) of cones.deformed_cone with f, zero on dependent gens."""
+    if (cone := deformed_cone(gens, q, frame)) is None:
+        return 1, pm_zero()
+    sign, prims, closed = cone
+    return sign, pair_half_open(frozenset(prims), closed, f)
+
+
 def _alternating_sum(
     f: TestFunction, matrices: Sequence, q: Sequence, corrupt_sign: bool = False
 ) -> PseudoMeasure:
     # each matrix is checked once; the n-subsets then pair on columns
     cols, q = _columns(matrices, q)
     terms = []
-    for i in range(len(cols)):
-        coeff = (-1) ** i
-        if corrupt_sign and i == 0:
-            coeff = -coeff
-        psi = deformed_cone_decompose(cols[:i] + cols[i + 1:], q)
-        terms.append((coeff, pair_cone_function(psi, f)))
+    for i in range(len(cols)):  # corrupt_sign flips the first term
+        sign, pm = _paired(f, cols[:i] + cols[i + 1:], q)
+        terms.append(((-1) ** i * sign * (-1 if corrupt_sign and i == 0 else 1), pm))
     # the total's denominator is the union of the nonzero terms' denominators,
     # so a term that pairs to zero adds no factor to it
     return pm_sum(terms)
@@ -122,15 +125,14 @@ def verify_equivariance(
     cols, q = _columns(matrices, q)
     if not stabilizes(f, g):
         raise NotStabilizer("g does not stabilize the step function")
-    # the a_i are invertible and stabilizes checked det g = 1, so the
-    # first columns of the g a_i are the g-images of those of the a_i
+    # det g = 1 (stabilizes checked it): the first columns of the g a_i are the
+    # g-images of those of the a_i, and both sides carry the sign of det(cols)
     gm = linalg.int_mat(g)
-    left = pair_cone_function(deformed_cone_decompose([linalg.mat_vec(gm, c) for c in cols], q), f)
+    _sign, left = _paired(f, [linalg.mat_vec(gm, c) for c in cols], q)
     # g^-1 = adj(g), since d = det g = 1
     adj, _d = linalg.adjugate(gm)
-    pulled_q = linalg.mat_vec(adj, q)
-    right = act_pm(gm, pair_cone_function(deformed_cone_decompose(cols, pulled_q, adj), f))
-    return pm_eq(left, right)
+    _sign, right = _paired(f, cols, linalg.mat_vec(adj, q), adj)
+    return pm_eq(left, act_pm(gm, right))
 
 
 def verify_measure_valued(f: TestFunction, samples: int, q: Sequence, seed: int = 0) -> bool:

@@ -10,11 +10,12 @@ integer combinations of cone indicators, with the sign-twisted GL action
 A cone is unchanged by a positive rescaling of a generator, so a cone
 stores primitive integer generators.
 
-Deformed cones nudge a full-dimensional cone by an auxiliary direction and
-pick out a specific pattern of closed faces, weighted by the sign of the
-generators' determinant: the cocycle's value on a column tuple, zero when
-the columns are dependent. The direction is
-q_eps = q + eps p_1 + eps^2 p_2 + ... + eps^n p_n for a rational q, an
+A deformed cone nudges a full-dimensional cone by an auxiliary direction:
+it is half-open, closed at the generators the direction points into
+(deformed_cone), and weighted by the sign of the generators' determinant it
+is the cocycle's value on a column tuple, zero when the columns are
+dependent; deformed_cone_decompose expands it into open faces. The direction
+is q_eps = q + eps p_1 + eps^2 p_2 + ... + eps^n p_n for a rational q, an
 invertible integer frame P = [p_1 ... p_n] (the identity by default) and an
 infinitesimal eps > 0: no nonzero rational linear form vanishes on q_eps,
 so it stands in exactly for an irrational vector and every q gets a verdict
@@ -76,34 +77,37 @@ class ConeFunction:
         object.__setattr__(self, "terms", cleaned)
 
 
-def deformed_cone_decompose(
+def deformed_cone(
     gens: Sequence[Sequence], q: Sequence, frame: Sequence[Sequence[int]] | None = None
-) -> ConeFunction:
-    """The cocycle's value on n generators: sign(det) times the q_eps-deformed
-    cone as a sum of open faces, zero on dependent generators, with
-    q_eps = q + eps p_1 + ... + eps^n p_n for the columns p_k of the
-    invertible integer frame (the identity when None).
+) -> tuple[int, list[IntVec], frozenset[IntVec]] | None:
+    """The cocycle's value on n generators as (sign, prims, closed), None on
+    dependent ones: sign(det) times the q_eps-deformed cone on the primitive
+    generators prims, closed at those in `closed` and open at the others,
+    for the frame P (the identity when None). A q or a frame not of the
+    generators' length n raises ValueError.
 
-    The nudged point w + delta*q_eps lies in the open cone for all small
-    delta > 0 iff every coordinate of w in the generator basis has a_i > 0,
-    or a_i = 0 and b_i > 0, where b = coords of q_eps. So a face
-    C(v_i : i in S) is included exactly when every omitted index j has
-    b_j > 0. With (adj, d) = linalg.adjugate of the primitive generators,
-    one Hermite pass, b_j has the sign of d times the first nonzero entry of
-    row j of adj * [s q | P], for the integer multiple s q of q; adj * P is
-    nonsingular, so that entry exists, and the frame is read only when
-    adj * (s q) has a zero entry.
+    w + delta*q_eps lies in the open cone for all small delta > 0 iff each
+    coordinate a_i of w in the generator basis is positive, or zero with
+    b_i > 0 for b = coords of q_eps: generator i is closed iff b_i > 0.
+    With (adj, d) = linalg.adjugate of prims, one Hermite pass, b_i has the
+    sign of d times the first nonzero entry of row i of adj * [s q | P] for
+    the integer multiple s q of q; adj * P is nonsingular, so it exists,
+    and the frame is read only when adj * (s q) has a zero entry.
     """
     n = len(gens[0])
     if any(len(g) != n for g in gens):
         raise ValueError("generators of mixed dimensions")
+    if len(q) != n:
+        raise ValueError(f"a deformation vector of length {len(q)} for generators of length {n}")
+    if frame is not None and (len(frame) != n or any(len(row) != n for row in frame)):
+        raise ValueError(f"a deformation frame that is not {n} x {n}")
     if len(gens) != n:
         raise DependentInput("deformed cones require n generators")
     try:
         prims = [linalg.primitive_vector(g) for g in gens]
         adj, d = linalg.adjugate(linalg.transpose(prims))
     except DependentInput:
-        return ConeFunction(())
+        return None
     b = linalg.mat_vec(adj, linalg.clear_denominators(q)[0])
     if 0 in b:  # q lies on a face hyperplane: the frame breaks the tie
         tie = adj if frame is None else linalg.mat_mul(adj, frame)
@@ -111,11 +115,20 @@ def deformed_cone_decompose(
         if 0 in b:
             raise DependentInput("the deformation frame is singular")
     sign = 1 if d > 0 else -1
-    positive = [i for i in range(n) if sign * b[i] > 0]
-    required = tuple(i for i in range(n) if sign * b[i] < 0)
-    terms = []
-    for k in range(len(positive) + 1):
-        for extra in combinations(positive, k):
-            idx = sorted(required + extra)
-            terms.append((sign, OpenCone(tuple(prims[i] for i in idx))))
-    return ConeFunction(tuple(terms))
+    return sign, prims, frozenset(s for s, x in zip(prims, b) if sign * x > 0)
+
+
+def deformed_cone_decompose(
+    gens: Sequence[Sequence], q: Sequence, frame: Sequence[Sequence[int]] | None = None
+) -> ConeFunction:
+    """deformed_cone as a sum of open faces, zero on dependent generators:
+    a face C(v_i : i in S) is included, with coefficient sign(det), exactly
+    when every omitted generator is closed."""
+    if (cone := deformed_cone(gens, q, frame)) is None:
+        return ConeFunction(())
+    sign, prims, closed = cone
+    positive = [i for i, s in enumerate(prims) if s in closed]
+    required = tuple(i for i, s in enumerate(prims) if s not in closed)
+    return ConeFunction(tuple((sign, OpenCone(tuple(prims[i] for i in sorted(required + extra))))
+                              for k in range(len(positive) + 1)
+                              for extra in combinations(positive, k)))

@@ -22,11 +22,13 @@ take the exponents column by column: adding 2^(W-1) to every digit puts it in
 (_unpack_columns); matrices act on the coordinate lists, and as packing is
 linear, the key of g v is sum_i v_i times the key of column i of g (act_pm).
 
-Pairing an open cone with a step function of level M scales the generators
+Pairing a cone with a step function of level M scales the generators
 positively to primitive vectors, multiplies by M to obtain periods, and sums
 the function over the half-open fundamental cell of those periods, which is
 the cell of the primitive vectors lifted by their multiples below M; the
-periods become the denominator factors. Residues mod M are packed as well,
+periods become the denominator factors. A cell coordinate lies in (0, 1] on
+an open generator and in [0, 1) on a closed one, so a deformed cone pairs
+as one cell. Residues mod M are packed as well,
 and a sum of two is reduced by one carry-free digit-wise step (_pair_cell).
 """
 
@@ -220,18 +222,20 @@ def act_pm(g: Sequence[Sequence[int]], a: PseudoMeasure) -> PseudoMeasure:
     return PseudoMeasure(num, tuple(sorted(linalg.mat_vec(gm, u) for u in a.den)))
 
 
-def _cell(ws: Sequence[Sequence[int]], n: int) -> tuple[list[IntVec], list[tuple[IntVec, int]]]:
-    """Base points and steps (s_i, g_i) of the half-open cell { sum x_i w_i :
-    x_i in (0, 1] } by one Hermite pass for every rank r: its integer points
-    are the sums of a base point and a lift sum k_i s_i, 0 <= k_i < g_i.
+def _cell(ws: Sequence[Sequence[int]], n: int, closed: Sequence[int] = ()
+          ) -> tuple[list[IntVec], list[tuple[IntVec, int]]]:
+    """Base points and steps (s_i, g_i) of the cell { sum x_i w_i : x_i in
+    [0, 1) for i in closed, else (0, 1] } by one Hermite pass for every rank
+    r: its points are the sums of a base point and a lift sum k_i s_i, 0 <= k_i < g_i.
 
     With w_i = g_i s_i, s_i primitive, and s * u = [h | 0], the first r rows
     b_j of u_inv are a basis of the saturated span and s_i = sum_j h_ij b_j.
     The box 0 <= y_j < h_jj holds one point y.b of each class modulo the
     s_i, at cell coordinates x = adj(h)^T y / d with d = prod h_jj, and
-    ceil(x) - 1 = (adj(h)^T y - 1) // d generators move it into the cell of
-    the s_i: that is a base point. The cell has d * prod g_i points, a count
-    checked against CELL_POINT_BUDGET (CellTooLarge) before any point is made.
+    (adj(h)^T y - e_i) // d generators, e_i = 0 on closed i and 1 on the
+    others (floor(x_i), ceil(x_i) - 1), move it into the cell of the s_i:
+    that is a base point. The cell has d * prod g_i points, a count checked
+    against CELL_POINT_BUDGET (CellTooLarge) before any point is made.
     """
     ws = [linalg.int_vec(w) for w in ws]
     gs = [gcd(*w) for w in ws]
@@ -247,36 +251,36 @@ def _cell(ws: Sequence[Sequence[int]], n: int) -> tuple[list[IntVec], list[tuple
                            f"{count} integer points, more than {CELL_POINT_BUDGET}")
     xt, ht = list(zip(*linalg._triangular_adjugate(h, d))), list(zip(*h))  # adj(h)^T, h^T
     basis = [row[:r] for row in linalg.transpose(u_inv)]  # coordinate t of each b_j
-    base = []
+    base, es = [], [int(i not in closed) for i in range(r)]
     for y in product(*(range(h[j][j]) for j in range(r))):
-        k = [(sum(map(mul, y, row)) - 1) // d for row in xt]
+        k = [(sum(map(mul, y, row)) - e) // d for row, e in zip(xt, es)]
         z = [a - sum(map(mul, row, k)) for a, row in zip(y, ht)]
         base.append(tuple(sum(map(mul, z, b)) for b in basis))
     return base, list(zip(s, gs))
 
 
 def pair_open_cone(c: OpenCone, f: TestFunction) -> PseudoMeasure:
-    """Pair one open cone with a step function.
+    """pair_half_open on the cone's primitive generators, none of them closed."""
+    return pair_half_open(frozenset(c.generators), frozenset(), f)
 
-    Generators are positively rescaled to primitive vectors and multiplied
-    by the level M so they become periods of f; the result is
 
-        sum_{v in cell} f(v) delta_v / prod_i (1 - delta_{M v_i}),
+def pair_half_open(prims: frozenset[IntVec], closed: frozenset, f: TestFunction) -> PseudoMeasure:
+    """Pair f with the cone on the independent primitive vectors prims,
+    closed at those in `closed` and open at the others, memoised on f under
+    (prims, closed) (`TestFunction.pairings`): the integer coefficients
 
-    with integer coefficients. The rank-0 cone contributes f(0) * delta_0.
-    The result depends only on the set of primitive generators, which the
-    cone stores, so it is memoised on f under that set
-    (`TestFunction.pairings`).
-    """
-    prims = frozenset(c.generators)
-    hit = f.pairings.get(prims)
+        sum_{v in cell} f(v) delta_v / prod_{s in prims} (1 - delta_{M s})
+
+    over the half-open cell of the periods M s, with coordinates in [0, 1) on
+    closed s and (0, 1] on the others; the rank-0 cone gives f(0) delta_0."""
+    hit = f.pairings.get(key := (prims, closed))
     if hit is None:
-        hit = f.pairings[prims] = _pair_cell(prims, f)
+        hit = f.pairings[key] = _pair_cell(prims, closed, f)
     return hit
 
 
-def _pair_cell(prims: frozenset[IntVec], f: TestFunction) -> PseudoMeasure:
-    """pair_open_cone's cell sum over (exponent key, residue key) pairs. A
+def _pair_cell(prims: frozenset[IntVec], closed: frozenset, f: TestFunction) -> PseudoMeasure:
+    """pair_half_open's cell sum over (exponent key, residue key) pairs. A
     residue digit is R = (2M).bit_length() + 1 bits wide, so a digit d of a
     sum t of two reduced keys is at most 2M - 2 < 2^(R-1). K and H hold
     2^(R-1) - M and 2^(R-1) in each digit: d + 2^(R-1) - M < 2^R carries into
@@ -284,7 +288,7 @@ def _pair_cell(prims: frozenset[IntVec], f: TestFunction) -> PseudoMeasure:
     (R-1)) is t reduced mod M digit-wise. The lifts are int sums, axis by axis."""
     n, M = f.n, f.M
     periods = [tuple(M * x for x in s) for s in sorted(prims)]
-    base, steps = _cell(periods, n)
+    base, steps = _cell(periods, n, [i for i, s in enumerate(sorted(prims)) if s in closed])
     edges = zip(*([(g - 1) * x for x in s] for s, g in steps))  # the lifts' box, by coordinate
     bound = max(map(abs, chain(*base))) + max(
         (max(sum(x for x in e if x > 0), -sum(x for x in e if x < 0)) for e in edges), default=0)

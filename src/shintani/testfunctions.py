@@ -67,10 +67,11 @@ class TestFunction:
     p: int
     M: int
     values: Mapping[IntVec, int] = field(default_factory=dict)
-    # solomon_hu.pair_open_cone results by primitive generator set, and its packed support
-    # residues, both for one command (the CLI parses f once per command); packing those per
-    # cell took 110.5k _pack calls, not 71.8k, over the first 600 pair_sweep ops at seed 1,
-    # and about 10% more cumulative _pair_cell time under cProfile
+    # solomon_hu.pair_half_open results by (primitive generator set, closed subset), the
+    # empty subset for an open cone, and its packed support residues, both for one command
+    # (the CLI parses f once per command); packing those per cell took 110.5k _pack calls,
+    # not 71.8k, over the first 600 pair_sweep ops at seed 1, and about 10% more cumulative
+    # _pair_cell time under cProfile
     pairings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     residues: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

@@ -87,16 +87,17 @@ def hurwitz_zeta_neg(k: int, x) -> Fraction:
     return -bernoulli_polynomial(k + 1, x) / (k + 1)
 
 
-def brute_cell_points(ws, n: int) -> list[tuple[int, ...]]:
-    """Integer points of the half-open cell by bounding-box scan plus an
-    exact coordinate check."""
-    r = len(ws)
+def brute_cell_points(ws, n: int, closed=()) -> list[tuple[int, ...]]:
+    """Integer points of the half-open cell, with coordinates in [0, 1) at
+    the indices in closed and in (0, 1] at the others, by bounding-box scan
+    plus an exact coordinate check."""
     lows = [sum(min(0, w[j]) for w in ws) for j in range(n)]
     highs = [sum(max(0, w[j]) for w in ws) for j in range(n)]
     out = []
     for pt in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
         coords = _solve_coords(ws, pt)
-        if coords is not None and all(0 < c <= 1 for c in coords):
+        if coords is not None and all(0 <= c < 1 if i in closed else 0 < c <= 1
+                                      for i, c in enumerate(coords)):
             out.append(pt)
     return sorted(out)
 

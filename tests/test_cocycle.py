@@ -6,6 +6,7 @@ import pytest
 
 from shintani import linalg
 from shintani.cocycle import (
+    _alternating_sum,
     psi_cdg,
     sample_congruence_tuple,
     sample_deformation,
@@ -13,9 +14,18 @@ from shintani.cocycle import (
     verify_equivariance,
     verify_measure_valued,
 )
-from shintani.cones import deformed_cone_decompose
+from shintani.cones import deformed_cone, deformed_cone_decompose
 from shintani.errors import NotStabilizer
-from shintani.solomon_hu import PseudoMeasure as PM, act_pm, pm_eq, pm_zero
+from shintani.solomon_hu import (
+    PseudoMeasure as PM,
+    act_pm,
+    pair_cone_function,
+    pair_half_open,
+    pm_eq,
+    pm_sum,
+    pm_to_json,
+    pm_zero,
+)
 from shintani.testfunctions import TestFunction, random_congruence_element
 
 from oracles import (
@@ -311,3 +321,87 @@ def test_equivariance_carries_the_frame_at_degenerate_q():
                 right = act_pm(g, phi(f, mats, linalg.mat_vec(adj, q)))
                 identity_frame_failures += not pm_eq(left, right)
     assert identity_frame_failures > 0
+
+
+def _with_first_column(c):
+    """An invertible integer matrix with first column c: the other columns
+    are the unit vectors but e_k, for the first k with c_k != 0."""
+    k = next(i for i, x in enumerate(c) if x)
+    units = [tuple(int(i == j) for i in range(len(c))) for j in range(len(c)) if j != k]
+    return tuple(zip(c, *units))
+
+
+def _face_sum(f, gens, q, frame=None):
+    """The face path: the deformed cone as open faces, each paired and summed."""
+    return pair_cone_function(deformed_cone_decompose(gens, q, frame), f)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_half_open_pairing_matches_the_face_sum(n):
+    # the harnesses pair each deformed cone as one half-open cell; its printed
+    # pseudo-measure, the signed alternating sum and the equivariance verdict
+    # are those of the open faces paired and summed, for a random q, q = 0 and
+    # q on face hyperplanes, under the identity frame and the frame adj(g),
+    # f = 0 included
+    rng = random.Random(2400 + n)
+    cases, closed_seen = 0, set()
+    for M in range(2, 6):
+        for t in range(3):
+            while True:  # two independent n-subsets, and cells that stay small at this level
+                cols = [tuple(rng.choice((0, 0, -2, -1, 1, 2)) for _ in range(n))
+                        for _ in range(n + 1)]
+                dets = [abs(linalg.det(cols[:i] + cols[i + 1:])) for i in range(n + 1)]
+                if all(any(c) for c in cols) and sum(map(bool, dets)) >= 2 and sum(
+                        dets) * M ** n <= 6000:
+                    break
+            mats = [_with_first_column(c) for c in cols]
+            g = random_congruence_element(n, M, 100 * M + t)
+            adj, _d = linalg.adjugate(g)
+            for q in [sample_deformation(n, rng)] + _degenerate_qs(mats, n)[:2]:
+                table = {r: rng.randint(-2, 2) for r in product(range(M), repeat=n)}
+                for f in (TestFunction(n, 7, M, table), TestFunction(n, 7, M, {})):
+                    for i in range(n + 1):
+                        sub = cols[:i] + cols[i + 1:]
+                        for qq, frame in ((q, None), (linalg.mat_vec(adj, q), adj)):
+                            cone = deformed_cone(sub, qq, frame)
+                            half = pm_zero() if cone is None else pm_sum(
+                                [(cone[0], pair_half_open(frozenset(cone[1]), cone[2], f))])
+                            assert pm_to_json(half) == pm_to_json(_face_sum(f, sub, qq, frame))
+                            if cone is not None:
+                                closed_seen.add(len(cone[2]))
+                    for corrupt in (False, True):
+                        want = pm_sum([((-1) ** i * (-1 if corrupt and i == 0 else 1),
+                                        phi(f, mats[:i] + mats[i + 1:], q)) for i in range(n + 1)])
+                        total = _alternating_sum(f, mats, q, corrupt)
+                        assert pm_to_json(total) == pm_to_json(want)
+                    right = act_pm(g, _face_sum(f, cols[:n], linalg.mat_vec(adj, q), adj))
+                    left = phi(f, [linalg.mat_mul(g, m) for m in mats[:n]], q)
+                    assert verify_equivariance(f, g, mats[:n], q) == pm_eq(left, right)
+                    cases += 1
+    assert cases == 4 * 3 * 3 * 2
+    # cells with a closed generator and cells with an open one both ran
+    assert closed_seen == set(range(n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_deformation_vector_of_the_wrong_length_is_refused(n):
+    # q and the frame must have the generators' length n: mat_vec would
+    # otherwise zip q against adj and drop or ignore coordinates
+    f = balanced_f(n, 3, 4) if n > 1 else TestFunction(1, 3, 4, {(1,): 1, (3,): -1})
+    mats = sample_congruence_tuple(n, 4, n + 1, 11)
+    ident = linalg.identity(n)
+    for m in (n - 1, n + 1):
+        q = tuple(F(j + 1, 7) for j in range(m))
+        msg = f"^a deformation vector of length {m} for generators of length {n}$"
+        for call in (lambda: deformed_cone(ident, q), lambda: deformed_cone_decompose(ident, q),
+                     lambda: psi_cdg(mats[:n], q), lambda: verify_cocycle(f, mats, q),
+                     lambda: verify_equivariance(f, ident, mats[:n], q),
+                     lambda: verify_measure_valued(f, 1, q)):
+            with pytest.raises(ValueError, match=msg):
+                call()
+    q = (F(0),) * n
+    for frame in (linalg.identity(n + 1), ident[:-1] or ((),), [row + (0,) for row in ident]):
+        with pytest.raises(ValueError, match=f"^a deformation frame that is not {n} x {n}$"):
+            deformed_cone(ident, q, frame)
+        with pytest.raises(ValueError, match=f"^a deformation frame that is not {n} x {n}$"):
+            deformed_cone_decompose(ident, q, frame)

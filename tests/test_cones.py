@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from shintani import linalg
-from shintani.cones import ConeFunction, OpenCone, deformed_cone_decompose
+from shintani.cones import ConeFunction, OpenCone, deformed_cone, deformed_cone_decompose
 from shintani.errors import DependentInput
 
 from oracles import (
@@ -130,6 +130,10 @@ def test_deformed_decompose_examples():
         (E1,),
         (E1, E2),
     ]
+    # the half-open cone they come from: closed at e_2, the one face omitted
+    assert deformed_cone(gens, (F(-1, 2), F(1, 3))) == (1, [E1, E2], frozenset({E2}))
+    assert deformed_cone([E2, E1], (F(-1, 2), F(1, 3))) == (-1, [E2, E1], frozenset({E2}))
+    assert deformed_cone([E1, E1], (F(-1, 2), F(1, 3))) is None
     k2 = deformed_cone_decompose(gens, (F(1, 2), F(1, 3)))
     assert len(k2.terms) == 4  # all four faces, including the origin
     k3 = deformed_cone_decompose(gens, (F(-1, 2), F(-1, 3)))

@@ -20,6 +20,7 @@ from shintani.solomon_hu import (
     _width,
     act_pm,
     pair_cone_function,
+    pair_half_open,
     pair_open_cone,
     pm_eq,
     pm_is_integer_constant,
@@ -350,7 +351,7 @@ def test_integer_coefficients():
 
 def test_pairing_memo():
     rng = random.Random(77)
-    checked = 0
+    checked = half_open_checked = 0
     for n, M in ((2, 4), (3, 2), (3, 4)):
         table = {r: rng.randint(-2, 2) for r in product(range(M), repeat=n)}
         f = TestFunction(n, 3, M, table)
@@ -371,8 +372,19 @@ def test_pairing_memo():
             mine = pair_open_cone(OpenCone(tuple(gens)), other)
             fresh_other = pair_open_cone(OpenCone(tuple(gens)), TestFunction(n, 3, M, other.values))
             assert mine is not first and pm_to_json(mine) == pm_to_json(fresh_other)
+            # the memo key is (generator set, closed subset): the open cone is
+            # the empty subset, and a half-open cone on the same set is its own entry
+            prims = frozenset(map(linalg.primitive_vector, gens))
+            assert pair_half_open(prims, frozenset(), f) is first
+            if rank:
+                closed = frozenset(rng.sample(sorted(prims), rng.randint(1, rank)))
+                half = pair_half_open(prims, closed, f)
+                assert half is not first
+                again = (frozenset(sorted(prims, reverse=True)), frozenset(sorted(closed)))
+                assert again[0] is not prims and pair_half_open(*again, f) is half
+                half_open_checked += 1
             checked += 1
-    assert checked >= 20
+    assert checked >= 20 and half_open_checked >= 15
 
 
 def test_act_pm():
@@ -474,7 +486,7 @@ def test_pairing_kernel_matches_a_box_scan():
     # The numerator is f over a bounding-box scan of the cell, and the bound
     # is the one the tuple enumeration of the lifts gives
     rng = random.Random(61)
-    levels, seen = (1, 2, 3, 4, 5, 7, 8, 9), set()
+    levels, seen, closed_ranks = (1, 2, 3, 4, 5, 7, 8, 9), set(), set()
     for M in levels:
         for n in range(1, 5):
             table = {r: rng.choice((-2, -1, 1, 3)) for r in product(range(M), repeat=n)
@@ -491,18 +503,31 @@ def test_pairing_kernel_matches_a_box_scan():
                         break
                 else:
                     continue  # no cell of this rank small enough for the scan
-                pm = pair_open_cone(OpenCone(tuple(gens)), f)
-                want = {v: c for v in brute_cell_points(periods, n) if (c := value_at(f, v))}
-                assert dict(pm.num.terms) == want
-                assert pm.den == (tuple(periods) if want else ())
-                if want:
-                    base, steps = _cell(periods, n)
-                    lifts = oracles.cell_lifts(steps, n)
-                    assert pm.num.bound == max(map(abs, chain(*base))) + max(map(abs, chain(*lifts)))
-                    assert pm.num.W == _width(pm.num.bound)
+                # the open cone, and the cone closed at a random subset of its generators
+                prims = sorted(linalg.primitive_vector(g) for g in gens)
+                closed = [i for i in range(r) if rng.random() < 0.5]
+                for pm, shut in ((pair_open_cone(OpenCone(tuple(gens)), f), []),
+                                 (pair_half_open(frozenset(prims),
+                                                 frozenset(prims[i] for i in closed), f), closed)):
+                    want = {v: c for v in brute_cell_points(periods, n, shut)
+                            if (c := value_at(f, v))}
+                    assert dict(pm.num.terms) == want
+                    assert pm.den == (tuple(periods) if want else ())
+                    if want:
+                        base, steps = _cell(periods, n, shut)
+                        lifts = oracles.cell_lifts(steps, n)
+                        assert pm.num.bound == (max(map(abs, chain(*base)))
+                                                + max(map(abs, chain(*lifts))))
+                        assert pm.num.W == _width(pm.num.bound)
                 seen.add((M, n, r))
+                closed_ranks.add((n, r, len(closed)))
     assert {(n, r) for _M, n, r in seen} == {(n, r) for n in range(1, 5) for r in range(n + 1)}
     assert all({(n, r) for m, n, r in seen if m == M} >= {(4, 0), (4, 1), (4, 2)} for M in levels)
+    # at n = 4 every rank 1..4 ran with a nonempty closed subset; full and
+    # proper subsets of two or more generators both ran
+    assert {r for n, r, c in closed_ranks if n == 4 and c} == {1, 2, 3, 4}
+    assert any(c == r > 1 for _n, r, c in closed_ranks)
+    assert any(0 < c < r for _n, r, c in closed_ranks)
 
 
 def test_a_dense_step_function_pairs_in_little_memory():
