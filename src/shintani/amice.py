@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import linalg
-from .cones import OpenCone
 from .errors import NonUnitDenominator, NotAMeasure
 from .linalg import IntVec
 from .solomon_hu import PseudoMeasure
@@ -42,10 +41,10 @@ def extend_denominator_basis(a: PseudoMeasure, n: int) -> list[IntVec]:
     return dens + list(linalg.hermite(dens)[2][len(dens):])
 
 
-def is_measure_vh(c: OpenCone, f: TestFunction) -> bool:
-    """Exact measure criterion: the vanishing hypothesis must hold for
-    every extremal ray of the cone."""
-    return all(check_vh(f, g) for g in c.generators)
+def is_measure_vh(gens: Iterable[Sequence], f: TestFunction) -> bool:
+    """Exact measure criterion for the cone on the generators gens: the
+    vanishing hypothesis must hold on each generator's ray, its extremal rays."""
+    return all(check_vh(f, g) for g in gens)
 
 
 def is_measure_amice(a: PseudoMeasure, p: int) -> bool:

@@ -173,7 +173,7 @@ def cmd_moments(args) -> tuple[dict, int]:
         if len(k.terms) != 1 or k.terms[0][0] != 1:
             raise SchemaError("moments need a single open cone with coefficient 1")
         cone = k.terms[0][1]
-        if not amice.is_measure_vh(cone, f):
+        if not amice.is_measure_vh(cone.generators, f):
             raise NotAMeasure("vanishing hypothesis fails on an extremal ray")
         pm = solomon_hu.pair_open_cone(cone, f)
         p, n = f.p, f.n

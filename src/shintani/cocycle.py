@@ -9,14 +9,15 @@ as one half-open cell (solomon_hu.pair_half_open) and check, exactly:
   * the homogeneous cocycle identity (the alternating sum over an
     (n+1)-tuple reduces to an integer multiple of delta_0),
   * equivariance under stabilizing congruence elements,
-  * that every open face of the cocycle value (psi_cdg) passes the measure
-    criteria when the vanishing hypothesis holds for e_1.
+  * that the paired cocycle value (psi_cdg) passes both measure criteria
+    when the vanishing hypothesis holds for e_1.
 
 Every operation takes an explicit rational q, never a function of q, and
 deforms along q_eps = q + eps p_1 + ... + eps^n p_n, so every q, q = 0
 included, gets an exact verdict. psi_cdg(matrices, q),
 verify_cocycle(f, matrices, q) and verify_equivariance(f, g, matrices, q)
-each check their integer matrices once and read q through Fraction.
+each check their integer matrices once and read q through Fraction, and
+verify_measure_valued(f, samples, q) checks q's length before any trial.
 """
 
 from __future__ import annotations
@@ -27,14 +28,13 @@ from typing import Sequence
 
 from . import linalg
 from .amice import is_measure_amice, is_measure_vh
-from .cones import ConeFunction, DeformationVector, deformed_cone, deformed_cone_decompose
+from .cones import DeformationVector, DeformedCone, deformed_cone
 from .errors import NotStabilizer
 from .linalg import IntVec
 from .solomon_hu import (
     PseudoMeasure,
     act_pm,
     pair_half_open,
-    pair_open_cone,
     pm_eq,
     pm_is_integer_constant,
     pm_sum,
@@ -52,16 +52,14 @@ def _columns(matrices: Sequence, q: Sequence) -> tuple[list[IntVec], Deformation
     return [tuple(row[0] for row in m) for m in mats], tuple(Fraction(x) for x in q)
 
 
-def psi_cdg(matrices: Sequence, q: Sequence) -> ConeFunction:
-    """deformed_cone_decompose on the first columns of the n invertible
-    integer matrices, deformed along q (rationals, or anything Fraction
-    reads).
+def psi_cdg(matrices: Sequence, q: Sequence) -> DeformedCone | None:
+    """cones.deformed_cone on the first columns of the n invertible integer
+    matrices, deformed along q (rationals, or anything Fraction reads).
 
-    Returns the zero cone function when the first columns are dependent
-    (in particular on tuples from the mirabolic subgroup in dimension
-    at least 2, where all the columns equal e_1).
-    """
-    return deformed_cone_decompose(*_columns(matrices, q))
+    None when the first columns are dependent (in particular on mirabolic
+    tuples in dimension at least 2, where all the columns equal e_1); no
+    matrices raise ValueError."""
+    return deformed_cone(*_columns(matrices, q))
 
 
 def _paired(f: TestFunction, gens: Sequence, q: Sequence, frame=None) -> tuple[int, PseudoMeasure]:
@@ -139,24 +137,25 @@ def verify_measure_valued(f: TestFunction, samples: int, q: Sequence, seed: int 
     """Sample congruence tuples and check that every paired cocycle value
     is a measure.
 
-    Per trial, each cone of the cocycle value must pass the exact
-    vanishing-hypothesis criterion, and the series-side criterion must
-    agree on the paired single-cone pseudo-measures. The e_1 hypothesis is
+    Per trial, the vanishing hypothesis must hold on every ray of the
+    cocycle value's primitive columns prims, and the series-side criterion
+    must accept the half-open cone paired with f. The e_1 hypothesis is
     the caller's to check: a function that fails it runs to its failing
-    verdict. The cones are faces of the cone on the primitive input
-    columns, so their support needs no check. Every trial is deformed
-    along q with the identity frame.
+    verdict. Every trial is deformed along q with the identity frame; a q
+    not of length f.n raises ValueError, also when samples is 0.
     """
+    if len(q) != f.n:
+        raise ValueError(f"a deformation vector of length {len(q)} for generators of length {f.n}")
+    q = tuple(Fraction(x) for x in q)
     for trial in range(samples):
         mats = tuple(
             random_congruence_element(f.n, f.M, seed * 1009 + trial * 31 + j)
             for j in range(f.n)
         )
-        for _coeff, cone in psi_cdg(mats, q).terms:
-            if not is_measure_vh(cone, f):
-                return False
-            pm = pair_open_cone(cone, f)
-            if pm.num and not is_measure_amice(pm, f.p):
+        if (cone := psi_cdg(mats, q)) is not None:
+            _sign, prims, closed = cone
+            if not (is_measure_vh(prims, f)
+                    and is_measure_amice(pair_half_open(frozenset(prims), closed, f), f.p)):
                 return False
     return True
 

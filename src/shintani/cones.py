@@ -1,9 +1,9 @@
-"""Rational open simplicial cones and formal integer combinations of them.
+"""Rational open simplicial cones and formal integer sums of them.
 
-An open cone C(v_1,...,v_r) is the set of strictly positive rational
-combinations of r linearly independent generators; r = 0 denotes the origin
-cone {0}, whose indicator is the delta at 0. Cone functions are finite
-integer combinations of cone indicators, with the sign-twisted GL action
+An open cone C(v_1,...,v_r) is the set of sums a_1 v_1 + ... + a_r v_r, all
+a_i > 0 rational, of r linearly independent generators; r = 0 denotes the
+origin cone {0}, whose indicator is the delta at 0. Cone functions are
+finite integer sums of cone indicators, with the sign-twisted GL action
 
     (g . k)(v) = sign(det g) * k(g^{-1} v).
 
@@ -14,7 +14,8 @@ A deformed cone nudges a full-dimensional cone by an auxiliary direction:
 it is half-open, closed at the generators the direction points into
 (deformed_cone), and weighted by the sign of the generators' determinant it
 is the cocycle's value on a column tuple, zero when the columns are
-dependent; deformed_cone_decompose expands it into open faces. The direction
+dependent. It is paired as one half-open cell, never expanded into open
+faces, so the library builds an OpenCone only from CLI input. The direction
 is q_eps = q + eps p_1 + eps^2 p_2 + ... + eps^n p_n for a rational q, an
 invertible integer frame P = [p_1 ... p_n] (the identity by default) and an
 infinitesimal eps > 0: no nonzero rational linear form vanishes on q_eps,
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from . import linalg
@@ -35,6 +35,7 @@ from .errors import DependentInput
 from .linalg import IntVec
 
 DeformationVector = tuple[Fraction, ...]
+DeformedCone = tuple[int, list[IntVec], frozenset[IntVec]]  # (sign, prims, closed)
 
 
 @dataclass(frozen=True)
@@ -79,12 +80,12 @@ class ConeFunction:
 
 def deformed_cone(
     gens: Sequence[Sequence], q: Sequence, frame: Sequence[Sequence[int]] | None = None
-) -> tuple[int, list[IntVec], frozenset[IntVec]] | None:
+) -> DeformedCone | None:
     """The cocycle's value on n generators as (sign, prims, closed), None on
     dependent ones: sign(det) times the q_eps-deformed cone on the primitive
     generators prims, closed at those in `closed` and open at the others,
-    for the frame P (the identity when None). A q or a frame not of the
-    generators' length n raises ValueError.
+    for the frame P (the identity when None). No generators, or a q or a
+    frame not of the generators' length n, raise ValueError.
 
     w + delta*q_eps lies in the open cone for all small delta > 0 iff each
     coordinate a_i of w in the generator basis is positive, or zero with
@@ -94,6 +95,8 @@ def deformed_cone(
     the integer multiple s q of q; adj * P is nonsingular, so it exists,
     and the frame is read only when adj * (s q) has a zero entry.
     """
+    if not gens:
+        raise ValueError("a deformed cone needs at least one generator")
     n = len(gens[0])
     if any(len(g) != n for g in gens):
         raise ValueError("generators of mixed dimensions")
@@ -117,18 +120,3 @@ def deformed_cone(
     sign = 1 if d > 0 else -1
     return sign, prims, frozenset(s for s, x in zip(prims, b) if sign * x > 0)
 
-
-def deformed_cone_decompose(
-    gens: Sequence[Sequence], q: Sequence, frame: Sequence[Sequence[int]] | None = None
-) -> ConeFunction:
-    """deformed_cone as a sum of open faces, zero on dependent generators:
-    a face C(v_i : i in S) is included, with coefficient sign(det), exactly
-    when every omitted generator is closed."""
-    if (cone := deformed_cone(gens, q, frame)) is None:
-        return ConeFunction(())
-    sign, prims, closed = cone
-    positive = [i for i, s in enumerate(prims) if s in closed]
-    required = tuple(i for i, s in enumerate(prims) if s not in closed)
-    return ConeFunction(tuple((sign, OpenCone(tuple(prims[i] for i in sorted(required + extra))))
-                              for k in range(len(positive) + 1)
-                              for extra in combinations(positive, k)))

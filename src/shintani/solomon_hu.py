@@ -287,6 +287,8 @@ def _pair_cell(prims: frozenset[IntVec], closed: frozenset, f: TestFunction) -> 
     no other digit and reaches 2^(R-1) iff d >= M, so t - M(((t + K) & H) >>
     (R-1)) is t reduced mod M digit-wise. The lifts are int sums, axis by axis."""
     n, M = f.n, f.M
+    if wrong := {len(s) for s in prims} - {n}:  # else their residues match none of f's
+        raise ValueError(f"generators of length {min(wrong)} cannot pair in dimension {n}")
     periods = [tuple(M * x for x in s) for s in sorted(prims)]
     base, steps = _cell(periods, n, [i for i, s in enumerate(sorted(prims)) if s in closed])
     edges = zip(*([(g - 1) * x for x in s] for s, g in steps))  # the lifts' box, by coordinate

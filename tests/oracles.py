@@ -12,9 +12,10 @@ reference for the pairing's lift bound. The helpers at the end were library code
 tests called: evaluation and the action of SL_n(Z) on step functions by
 full walks over (Z/M)^n, the additive group of cone functions, wedges,
 cone membership and evaluation, the sign-twisted action on cone functions,
-the deformed-cone limit rule, the ring operations of the group algebra,
-the paired cocycle value, small pseudo-measure and slice constructors, and
-the slice identity with its truncated q-expansion. They evaluate through
+the deformed-cone limit rule, the expansion of a deformed cone into open
+faces with the per-face measure check on them, the ring operations of the
+group algebra, the paired cocycle value, small pseudo-measure and slice
+constructors, and the slice identity with its truncated q-expansion. They evaluate through
 the oracles' Fraction solve and call the library only for the objects they
 check.
 """
@@ -28,7 +29,7 @@ from math import ceil, comb, factorial, gcd, lcm, prod
 from typing import Sequence
 
 from shintani import linalg
-from shintani.amice import _coordinates, _poles_vanish
+from shintani.amice import _coordinates, _poles_vanish, is_measure_amice, is_measure_vh
 from shintani.cocycle import psi_cdg
 from shintani.cones import ConeFunction, OpenCone
 from shintani.errors import (
@@ -46,7 +47,7 @@ from shintani.solomon_hu import (
     pair_open_cone,
     pm_zero,
 )
-from shintani.testfunctions import TestFunction
+from shintani.testfunctions import TestFunction, random_congruence_element
 
 
 def det_cofactor(m) -> Fraction:
@@ -545,9 +546,42 @@ def frame_point(gens, q, frame) -> tuple[Fraction, ...]:
                  for i in range(n))
 
 
+def open_faces(cone) -> ConeFunction:
+    """A deformed cone (sign, prims, closed), as cones.deformed_cone and
+    cocycle.psi_cdg return it, expanded into open faces; None gives the
+    zero cone function. A face C(v_i : i in S) has the coefficient sign
+    exactly when every omitted generator is closed: the faces are
+    C(open + T) for the subsets T of closed, the largest one on all prims."""
+    if cone is None:
+        return ConeFunction(())
+    sign, prims, closed = cone
+    positive = [i for i, s in enumerate(prims) if s in closed]
+    required = tuple(i for i, s in enumerate(prims) if s not in closed)
+    return ConeFunction(tuple((sign, OpenCone(tuple(prims[i] for i in sorted(required + extra))))
+                              for k in range(len(positive) + 1)
+                              for extra in combinations(positive, k)))
+
+
 def phi(f, matrices, q) -> PseudoMeasure:
-    """The cocycle value psi_cdg(matrices, q) paired with the step function f."""
-    return pair_cone_function(psi_cdg(matrices, q), f)
+    """The cocycle value psi_cdg(matrices, q) paired with the step function f,
+    face by face."""
+    return pair_cone_function(open_faces(psi_cdg(matrices, q)), f)
+
+
+def measure_valued_by_faces(f: TestFunction, samples: int, q, seed: int = 0) -> bool:
+    """cocycle.verify_measure_valued face by face, on the same seeded tuples:
+    every open face of each cocycle value must pass the vanishing
+    hypothesis on its rays, and its own pairing the series-side criterion."""
+    for trial in range(samples):
+        mats = tuple(random_congruence_element(f.n, f.M, seed * 1009 + trial * 31 + j)
+                     for j in range(f.n))
+        for _coeff, cone in open_faces(psi_cdg(mats, q)).terms:
+            if not is_measure_vh(cone.generators, f):
+                return False
+            pm = pair_open_cone(cone, f)
+            if pm.num and not is_measure_amice(pm, f.p):
+                return False
+    return True
 
 
 # -- pseudo-measures and slices ---------------------------------------------

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from shintani import linalg
-from shintani.cones import ConeFunction, OpenCone, deformed_cone, deformed_cone_decompose
+from shintani.cones import ConeFunction, OpenCone, deformed_cone
 from shintani.errors import DependentInput
 
 from oracles import (
@@ -18,6 +18,7 @@ from oracles import (
     eval_cone_function,
     inverse,
     rank_by_minors,
+    open_faces,
     wedge_decompose,
 )
 
@@ -125,7 +126,7 @@ def test_deformed_eval_examples():
 
 def test_deformed_decompose_examples():
     gens = [E1, E2]
-    k1 = deformed_cone_decompose(gens, (F(-1, 2), F(1, 3)))
+    k1 = open_faces(deformed_cone(gens, (F(-1, 2), F(1, 3))))
     assert sorted(cone.generators for _c, cone in k1.terms) == [
         (E1,),
         (E1, E2),
@@ -134,29 +135,32 @@ def test_deformed_decompose_examples():
     assert deformed_cone(gens, (F(-1, 2), F(1, 3))) == (1, [E1, E2], frozenset({E2}))
     assert deformed_cone([E2, E1], (F(-1, 2), F(1, 3))) == (-1, [E2, E1], frozenset({E2}))
     assert deformed_cone([E1, E1], (F(-1, 2), F(1, 3))) is None
-    k2 = deformed_cone_decompose(gens, (F(1, 2), F(1, 3)))
+    k2 = open_faces(deformed_cone(gens, (F(1, 2), F(1, 3))))
     assert len(k2.terms) == 4  # all four faces, including the origin
-    k3 = deformed_cone_decompose(gens, (F(-1, 2), F(-1, 3)))
+    k3 = open_faces(deformed_cone(gens, (F(-1, 2), F(-1, 3))))
     assert [cone.generators for _c, cone in k3.terms] == [(E1, E2)]
     # q on a face hyperplane: the frame breaks the tie. With the identity
     # frame, (0, 1) + eps e_1 has both coordinates positive, so all four
     # faces; with the frame columns (-1, 0), (0, 1), only the faces that
     # contain e_1; q = 0 reads the frame alone
-    k4 = deformed_cone_decompose(gens, (F(0), F(1)))
+    k4 = open_faces(deformed_cone(gens, (F(0), F(1))))
     assert sorted(cone.generators for _c, cone in k4.terms) == sorted(
         cone.generators for _c, cone in k2.terms)
     flip = ((-1, 0), (0, 1))
-    k5 = deformed_cone_decompose(gens, (F(0), F(1)), flip)
+    k5 = open_faces(deformed_cone(gens, (F(0), F(1)), flip))
     assert sorted(cone.generators for _c, cone in k5.terms) == [(E1,), (E1, E2)]
-    k6 = deformed_cone_decompose(gens, (0, 0), flip)
+    k6 = open_faces(deformed_cone(gens, (0, 0), flip))
     assert sorted(cone.generators for _c, cone in k6.terms) == [(E1,), (E1, E2)]
-    assert deformed_cone_decompose(gens, (0, 0)).terms == k4.terms
+    assert open_faces(deformed_cone(gens, (0, 0))).terms == k4.terms
     # a frame that does not break the tie is refused, not guessed
     with pytest.raises(DependentInput, match="frame is singular"):
-        deformed_cone_decompose(gens, (0, 0), ((1, 0), (0, 0)))
+        deformed_cone(gens, (0, 0), ((1, 0), (0, 0)))
     # a deformed cone is full-dimensional: n - 1 generators are refused
     with pytest.raises(DependentInput, match="^deformed cones require n generators$"):
-        deformed_cone_decompose([E1], (F(-1, 2), F(1, 3)))
+        deformed_cone([E1], (F(-1, 2), F(1, 3)))
+    # and no generator at all is a documented ValueError, not an IndexError
+    with pytest.raises(ValueError, match="^a deformed cone needs at least one generator$"):
+        deformed_cone([], ())
 
 
 def test_deformed_decompose_matches_eval_pointwise():
@@ -169,14 +173,14 @@ def test_deformed_decompose_matches_eval_pointwise():
         if d == 0:
             continue
         q = tuple(F(rng.randint(-20, 20) * 2 + 1, rng.choice((7, 11, 13))) for _ in range(n))
-        k = deformed_cone_decompose(gens, q)
+        k = open_faces(deformed_cone(gens, q))
         for _ in range(10):
             w = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n))
             try:
                 expected = deformed_cone_eval(gens, q, w)
             except NonGenericDeformation:
                 continue
-            # the decomposer is the cocycle's value: sign(det) times the cone
+            # the faces sum to the cocycle's value: sign(det) times the cone
             assert eval_cone_function(k, w) == (1 if d > 0 else -1) * expected
         # support: every face uses a subset of the input rays, stored as
         # primitive generators
@@ -187,11 +191,12 @@ def test_deformed_decompose_matches_eval_pointwise():
 
 def test_deformed_decompose_is_the_signed_cocycle_value():
     q = (F(-1, 2), F(1, 3))
-    # dependent generators give the zero cone function, not a refusal
-    assert deformed_cone_decompose([E1, E1], q) == ConeFunction(())
-    assert deformed_cone_decompose([(1, 2), (-2, -4)], q) == ConeFunction(())
+    # dependent generators give None, the zero cocycle value, not a refusal
+    assert deformed_cone([E1, E1], q) is None
+    assert deformed_cone([(1, 2), (-2, -4)], q) is None
+    assert open_faces(None) == ConeFunction(())
     rank2 = [(1, 0, 1), (0, 1, 1), (1, 1, 2)]
-    assert deformed_cone_decompose(rank2, (F(1, 7), F(2, 7), F(-3, 7))) == ConeFunction(())
+    assert deformed_cone(rank2, (F(1, 7), F(2, 7), F(-3, 7))) is None
     # swapping two generators negates every coefficient and keeps the faces
     rng = random.Random(12)
     swaps = 0
@@ -205,10 +210,10 @@ def test_deformed_decompose_is_the_signed_cocycle_value():
         i, j = rng.sample(range(n), 2)
         swapped = list(gens)
         swapped[i], swapped[j] = gens[j], gens[i]
-        faces = {frozenset(c.generators): x for x, c in deformed_cone_decompose(gens, q).terms}
+        faces = {frozenset(c.generators): x for x, c in open_faces(deformed_cone(gens, q)).terms}
         assert set(faces.values()) == {1 if d > 0 else -1}
         assert {frozenset(c.generators): -x
-                for x, c in deformed_cone_decompose(swapped, q).terms} == faces
+                for x, c in open_faces(deformed_cone(swapped, q)).terms} == faces
         swaps += 1
 
 

@@ -349,6 +349,24 @@ def test_integer_coefficients():
     assert all(type(c) is int for c in (half * d(1).scale(4) - d(2)).terms.values())
 
 
+def test_a_cone_of_the_wrong_dimension_is_refused():
+    # residues of a cone in Z^3 never match the keys of a step function on
+    # (Z/M)^2: the pairing refuses it, naming both lengths, instead of
+    # returning zero, and refuses it again on the next call (nothing is memoised)
+    f = TestFunction(2, 3, 4, {(1, 0): 1, (3, 0): -1})
+    msg = "^generators of length 3 cannot pair in dimension 2$"
+    for _ in range(2):
+        with pytest.raises(ValueError, match=msg):
+            pair_open_cone(OpenCone(((1, 0, 0), (0, 1, 0))), f)
+        with pytest.raises(ValueError, match=msg):
+            pair_half_open(frozenset({(1, 0, 0)}), frozenset({(1, 0, 0)}), f)
+    with pytest.raises(ValueError, match="^generators of length 1 cannot pair in dimension 2$"):
+        pair_half_open(frozenset({(1, 0), (1,)}), frozenset(), f)
+    assert not f.pairings
+    # the rank-0 cone has no generator, so it pairs in every dimension
+    assert pair_open_cone(OpenCone(()), f).num.terms == {}
+
+
 def test_pairing_memo():
     rng = random.Random(77)
     checked = half_open_checked = 0
