@@ -9,7 +9,12 @@ Commands (selected with --command):
             p-adic expansion to --precision digits; poles are decided
             exactly before any moment is computed
   cocycle   run the cocycle / equivariance / measure-valuedness trials and
-            emit a verification report
+            emit a verification report; a failed trial's "offending" holds
+            the alternating sum's "denominator", its numerator's term count
+            "terms" and WITNESS_TERMS lowest "numerator" terms, and its n + 1
+            "cones" (signed "coefficient", primitive "generators", "closed"
+            generator indices; null on dependent columns), whose half-open
+            pairings times the coefficients sum back to it
 
 All randomness flows from --seed; reports are byte-identical across runs
 with the same configuration. `main` may be called many times in one
@@ -52,6 +57,7 @@ EXIT_SCHEMA = 2
 EXIT_TRIAL_FAILED = 6
 
 MOMENT_BUDGET = 2000  # most moment orders plus Bernoulli steps in one table
+WITNESS_TERMS = 8  # numerator terms a failed cocycle trial prints, the lowest ones
 PRINT_BITS = 14284  # 2^14284 < 10^4300, CPython's default limit on int-to-str digits
 _parser = None  # build_parser(), made by the first main call and reused by the rest
 
@@ -240,7 +246,8 @@ def cmd_cocycle(args) -> tuple[dict, int]:
         mats = cocycle.sample_congruence_tuple(f.n, f.M, f.n + 1, trial_seed)
         g = testfunctions.random_congruence_element(f.n, f.M, trial_seed ^ 0x5EED)
         q = cocycle.sample_deformation(f.n, rng)
-        ok_cocycle = cocycle.verify_cocycle(f, mats, q, corrupt_sign=args.corrupt_sign)
+        total, cones = cocycle._alternating_sum(f, mats, q, args.corrupt_sign)
+        ok_cocycle = solomon_hu.pm_is_integer_constant(total) is not None
         ok_equiv = cocycle.verify_equivariance(f, g, mats[: f.n], q)
         record = {
             "index": t,
@@ -251,8 +258,10 @@ def cmd_cocycle(args) -> tuple[dict, int]:
             "equivariance": ok_equiv,
         }
         if not (ok_cocycle and ok_equiv):
-            bad = cocycle._alternating_sum(f, mats, q, args.corrupt_sign)
-            record["offending"] = solomon_hu.pm_to_json(bad)
+            record["offending"] = {  # the witness: the sum's head and the cones that rebuild it
+                **solomon_hu.pm_to_json(total, WITNESS_TERMS), "terms": len(total.num.packed),
+                "cones": [c and {"coefficient": c[0], "generators": [list(s) for s in c[1]],
+                                 "closed": sorted(map(c[1].index, c[2]))} for c in cones]}
             all_pass = False
         trials.append(record)
     e1 = tuple(1 if i == 0 else 0 for i in range(f.n))

@@ -16,8 +16,10 @@ Every operation takes an explicit rational q, never a function of q, and
 deforms along q_eps = q + eps p_1 + ... + eps^n p_n, so every q, q = 0
 included, gets an exact verdict. psi_cdg(matrices, q),
 verify_cocycle(f, matrices, q) and verify_equivariance(f, g, matrices, q)
-each check their integer matrices once and read q through Fraction, and
-verify_measure_valued(f, samples, q) checks q's length before any trial.
+each check once, before any pairing, that their integer matrices are
+invertible and n x n (n = f.n, or the number of matrices in psi_cdg), and
+read q through Fraction, and verify_measure_valued(f, samples, q) checks
+q's length before any trial.
 """
 
 from __future__ import annotations
@@ -43,10 +45,12 @@ from .solomon_hu import (
 from .testfunctions import TestFunction, random_congruence_element, stabilizes
 
 
-def _columns(matrices: Sequence, q: Sequence) -> tuple[list[IntVec], DeformationVector]:
+def _columns(matrices: Sequence, q: Sequence, n: int) -> tuple[list[IntVec], DeformationVector]:
     """The first columns of the matrices, and q as Fractions; a matrix that
-    is not integral or not invertible raises ValueError."""
+    is not an invertible n x n integer matrix raises ValueError."""
     mats = [linalg.int_mat(m) for m in matrices]
+    if bad := [list(map(len, m)) for m in mats if {len(m), *map(len, m)} != {n}]:
+        raise ValueError(f"a matrix with rows of lengths {bad[0]} is not {n} x {n}")
     if any(linalg.det(m) == 0 for m in mats):
         raise ValueError("cocycle arguments must be invertible")
     return [tuple(row[0] for row in m) for m in mats], tuple(Fraction(x) for x in q)
@@ -59,29 +63,30 @@ def psi_cdg(matrices: Sequence, q: Sequence) -> DeformedCone | None:
     None when the first columns are dependent (in particular on mirabolic
     tuples in dimension at least 2, where all the columns equal e_1); no
     matrices raise ValueError."""
-    return deformed_cone(*_columns(matrices, q))
+    return deformed_cone(*_columns(matrices, q, len(matrices)))
 
 
-def _paired(f: TestFunction, gens: Sequence, q: Sequence, frame=None) -> tuple[int, PseudoMeasure]:
-    """(sign, pairing) of cones.deformed_cone with f, zero on dependent gens."""
-    if (cone := deformed_cone(gens, q, frame)) is None:
-        return 1, pm_zero()
-    sign, prims, closed = cone
-    return sign, pair_half_open(frozenset(prims), closed, f)
+def _paired(f: TestFunction, gens: Sequence, q: Sequence, frame=None) -> PseudoMeasure:
+    """cones.deformed_cone paired with f, unsigned, and zero on dependent gens."""
+    cone = deformed_cone(gens, q, frame)
+    return pm_zero() if cone is None else pair_half_open(frozenset(cone[1]), cone[2], f)
 
 
 def _alternating_sum(
     f: TestFunction, matrices: Sequence, q: Sequence, corrupt_sign: bool = False
-) -> PseudoMeasure:
-    # each matrix is checked once; the n-subsets then pair on columns
-    cols, q = _columns(matrices, q)
-    terms = []
-    for i in range(len(cols)):  # corrupt_sign flips the first term
-        sign, pm = _paired(f, cols[:i] + cols[i + 1:], q)
-        terms.append(((-1) ** i * sign * (-1 if corrupt_sign and i == 0 else 1), pm))
+) -> tuple[PseudoMeasure, list[DeformedCone | None]]:
+    """The alternating sum over the n + 1 matrices and its n + 1 signed deformed
+    cones (coefficient, prims, closed), None on dependent columns, a failed CLI
+    trial's witness: the sum of coefficient * pair_half_open(frozenset(prims), closed, f)."""
+    cols, q = _columns(matrices, q, f.n)  # each matrix is checked once
+    cones = []
+    for i in range(len(cols)):  # (-1)^i sign(det), and corrupt_sign flips the first
+        c = deformed_cone(cols[:i] + cols[i + 1:], q)
+        cones.append(c and ((-1) ** i * c[0] * (-1 if corrupt_sign and i == 0 else 1), *c[1:]))
     # the total's denominator is the union of the nonzero terms' denominators,
     # so a term that pairs to zero adds no factor to it
-    return pm_sum(terms)
+    return pm_sum([(c, pair_half_open(frozenset(prims), closed, f))
+                   for c, prims, closed in filter(None, cones)]), cones
 
 
 def verify_cocycle(
@@ -96,7 +101,7 @@ def verify_cocycle(
     delta_0; `corrupt_sign` flips one term as a negative control. Every
     term is deformed along q with the identity frame.
     """
-    total = _alternating_sum(f, matrices, q, corrupt_sign)
+    total, _cones = _alternating_sum(f, matrices, q, corrupt_sign)
     return pm_is_integer_constant(total) is not None
 
 
@@ -120,16 +125,16 @@ def verify_equivariance(
     identity frame. g^{-1} q_eps = g^{-1} q + eps g^{-1} e_1 + ... has the
     frame g^{-1} = adj(g), as det g = 1; the identity frame there would
     fail at some q on a face hyperplane."""
-    cols, q = _columns(matrices, q)
+    cols, q = _columns(matrices, q, f.n)
     if not stabilizes(f, g):
         raise NotStabilizer("g does not stabilize the step function")
     # det g = 1 (stabilizes checked it): the first columns of the g a_i are the
     # g-images of those of the a_i, and both sides carry the sign of det(cols)
     gm = linalg.int_mat(g)
-    _sign, left = _paired(f, [linalg.mat_vec(gm, c) for c in cols], q)
+    left = _paired(f, [linalg.mat_vec(gm, c) for c in cols], q)
     # g^-1 = adj(g), since d = det g = 1
     adj, _d = linalg.adjugate(gm)
-    _sign, right = _paired(f, cols, linalg.mat_vec(adj, q), adj)
+    right = _paired(f, cols, linalg.mat_vec(adj, q), adj)
     return pm_eq(left, act_pm(gm, right))
 
 

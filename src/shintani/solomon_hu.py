@@ -316,9 +316,10 @@ def pair_cone_function(k: ConeFunction, f: TestFunction) -> PseudoMeasure:
     return pm_sum([(coeff, pair_open_cone(cone, f)) for coeff, cone in k.terms])
 
 
-def pm_to_json(a: PseudoMeasure) -> dict:
-    terms = sorted(zip(a.num.packed, a.num.terms.items()))  # the keys sort as the vectors do
-    return {"numerator": [{"vector": list(v), "coeff": str(c)} for _k, (v, c) in terms],
+def pm_to_json(a: PseudoMeasure, limit: int | None = None) -> dict:
+    ks, num = sorted(a.num.packed)[:limit], a.num  # the `limit` lowest: keys sort as vectors do
+    vs = zip(*_unpack_columns(ks, num.n, num.W)) if num.n else [()] * len(ks)  # printed keys only
+    return {"numerator": [{"vector": list(v), "coeff": str(num.packed[k])} for k, v in zip(ks, vs)],
             "denominator": [list(u) for u in a.den]}
 
 

@@ -14,11 +14,11 @@ import pytest
 from shintani import cli, linalg
 from shintani.amice import is_measure_amice
 from shintani.cli import MOMENT_BUDGET, PRINT_BITS, _moment_orders, build_parser, main
-from shintani.cocycle import psi_cdg, sample_deformation, verify_cocycle
-from shintani.solomon_hu import pm_eq, pm_from_json
+from shintani.cocycle import _alternating_sum, psi_cdg, sample_deformation, verify_cocycle
+from shintani.solomon_hu import pair_half_open, pm_eq, pm_from_json, pm_sum, pm_to_json
 from shintani.testfunctions import from_json
 
-from oracles import _solve_coords, hurwitz_zeta_neg, open_faces
+from oracles import _solve_coords, hurwitz_zeta_neg, open_faces, phi
 
 
 def run(capsys, *args):
@@ -744,9 +744,10 @@ GOLDEN = {
                    ["--command", "cocycle", "--trials", "3", "--seed", "7"]),
     "cocycle_n3": ({"test_function": _table(3, 2, _F3)},
                    ["--command", "cocycle", "--trials", "3", "--seed", "5"]),
-    # the one pinned report that prints a cocycle sum: its "offending"
-    # numerator has 32 terms in n = 3, so it pins the order of the vectors
-    # and of their coordinates
+    # the one pinned report that prints a cocycle witness: its "offending"
+    # prints the 8 lowest of the sum's 32 numerator terms in n = 3 and the 4
+    # deformed cones, so it pins the order of the vectors and of their
+    # coordinates, and the witness format
     "cocycle_n3_corrupt": ({"test_function": _table(3, 2, _F3)},
                            ["--command", "cocycle", "--trials", "1", "--seed", "7", "--corrupt-sign"]),
 }
@@ -755,11 +756,12 @@ GOLDEN = {
 # "bound" key is dropped from cocycle configs before hashing, and the
 # retired "precision" and "degree" keys, which no cocycle check reads, are
 # restored at the values those reports echoed. The two moments reports were
-# re-recorded when moments became exact: see SERIES_MOMENTS
+# re-recorded when moments became exact: see SERIES_MOMENTS; cocycle_n3_corrupt
+# was re-recorded when "offending" became a bounded witness of the sum
 GOLDEN_SHA256 = {
     "cocycle_n2": "e2ff825631f8f0839eb3278fb5d86e5610ccafa603c2a0311f0b0f863044e8ed",
     "cocycle_n3": "fbf8ecfb29ad7b0c0bf27f3b2e0b2f4ff564ee7fd40e240e301bead3e3a3bc69",
-    "cocycle_n3_corrupt": "c4df6bd129aed6d66a70038bbf391e66616385867c4b22e1bd176b63a572d515",
+    "cocycle_n3_corrupt": "ea1f77c56683973ea2338957fe9ab8d1be6dc796c24a686ec34b63d194c01320",
     "moments_cone": "1c58a8a188a8760fbfc7362e3473e84badbf6a80e8604e83a23a21fb22fe8109",
     "moments_pseudo_measure": "27c4e85b916ec0b8b006fec173f20688ee2de980b628f014d30b40cff16cd1ec",
     "pair_cone_function": "3b23a09b41ded43407308d2340711bddba2cac75175f1e271310d86df1f29a10",
@@ -780,6 +782,76 @@ def test_reports_match_golden_hashes(tmp_path, capsys, name):
         report["config"].update(precision=20, degree=12)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[name]
+
+
+# seeded --corrupt-sign runs at n = 2, 3 and 4, each with the sha256 of the
+# report it printed when a failed trial's "offending" was the whole sum
+_TF4 = {"n": 4, "p": 3, "M": 2, "terms": [{"residue": [x, *r], "weight": 1 if x else -1}
+                                          for x in (0, 1) for r in product((0, 1), repeat=3)]}
+WITNESS_RUNS = {
+    2: (TF_BALANCED_2D, ["--trials", "4", "--seed", "7"],
+        "1886e98eb0325a1978564510e9fd22ad24ffa01b0a1d342714ffadeec684f3c9"),
+    3: (_table(3, 2, _F3), ["--trials", "3", "--seed", "7"],
+        "9de3e54da3468e66de4c1c00d8d0dfc48e83b10332ec408c63fe4e4d4a0dcb8c"),
+    4: (_TF4, ["--trials", "8", "--seed", "1"],
+        "c8f320f511b4432d136528e6eb7e079ddd920a314ceeb1de8d5036288765aeb6"),
+}
+
+
+def _rebuild(cones, f):
+    """The alternating sum from a witness's cones, each paired as one half-open cell."""
+    terms = []
+    for cone in filter(None, cones):
+        prims = [tuple(s) for s in cone["generators"]]
+        closed = frozenset(prims[i] for i in cone["closed"])
+        terms.append((cone["coefficient"], pair_half_open(frozenset(prims), closed, f)))
+    return pm_sum(terms)
+
+
+@pytest.mark.parametrize("n", sorted(WITNESS_RUNS))
+def test_a_failed_trial_prints_a_witness_that_rebuilds_its_sum(tmp_path, capsys, monkeypatch, n):
+    tf, argv, old_sha256 = WITNESS_RUNS[n]
+    calls = []
+    monkeypatch.setattr("shintani.cocycle._alternating_sum",
+                        lambda *args: calls.append(args) or _alternating_sum(*args))
+    code, out = run(capsys, "--command", "cocycle", "--corrupt-sign", *argv,
+                    "--input", write(tmp_path, "f.json", {"test_function": tf}))
+    assert code == cli.EXIT_TRIAL_FAILED
+    report = json.loads(out)
+    # each trial builds its sum once, a failed one included
+    assert len(calls) == len(report["trials"])
+    f, failed = from_json(tf), 0
+    for trial in report["trials"]:
+        if "offending" not in trial:
+            continue
+        failed += 1
+        witness = trial["offending"]
+        mats, q = trial["matrices"], [Fraction(x) for x in trial["q"]]
+        # the whole sum, face by face, with the first term flipped
+        full = pm_sum([((-1) ** i * (-1 if i == 0 else 1), phi(f, mats[:i] + mats[i + 1:], q))
+                       for i in range(n + 1)])
+        want = pm_to_json(full)
+        assert sorted(witness) == ["cones", "denominator", "numerator", "terms"]
+        assert witness["denominator"] == want["denominator"]
+        assert witness["terms"] == len(want["numerator"]) > cli.WITNESS_TERMS
+        assert witness["numerator"] == want["numerator"][:cli.WITNESS_TERMS]
+        assert len(witness["cones"]) == n + 1
+        rebuilt = _rebuild(witness["cones"], f)
+        assert pm_to_json(rebuilt) == want
+        # negative control: flipping a cone that pairs to nonzero breaks the rebuild
+        flips = 0
+        for i, cone in enumerate(witness["cones"]):
+            if cone and _rebuild([cone], f).num:
+                flipped = list(witness["cones"])
+                flipped[i] = {**cone, "coefficient": -cone["coefficient"]}
+                assert not pm_eq(_rebuild(flipped, f), full)
+                flips += 1
+        assert flips
+        trial["offending"] = want
+    assert failed
+    # outside "offending" the report is the one the whole sum was printed in
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == old_sha256
 
 
 # the moments the two golden moments reports printed when they were read off

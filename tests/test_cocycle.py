@@ -444,7 +444,7 @@ def test_half_open_pairing_matches_the_face_sum(n):
                     for corrupt in (False, True):
                         want = pm_sum([((-1) ** i * (-1 if corrupt and i == 0 else 1),
                                         phi(f, mats[:i] + mats[i + 1:], q)) for i in range(n + 1)])
-                        total = _alternating_sum(f, mats, q, corrupt)
+                        total, _cones = _alternating_sum(f, mats, q, corrupt)
                         assert pm_to_json(total) == pm_to_json(want)
                     right = act_pm(g, _face_sum(f, cols[:n], linalg.mat_vec(adj, q), adj))
                     left = phi(f, [linalg.mat_mul(g, m) for m in mats[:n]], q)
@@ -457,15 +457,28 @@ def test_half_open_pairing_matches_the_face_sum(n):
 
 def test_matrices_of_the_wrong_dimension_are_refused():
     # four 3 x 3 congruence matrices and a q of length 3 against a step
-    # function on (Z/4)^2: a term with independent columns is a cone in Z^3,
-    # which is refused rather than paired to zero, a zero that let the
-    # identity hold
+    # function on (Z/4)^2 are refused naming the sizes before anything is
+    # paired: at seed 15 a term has independent columns, a cone in Z^3; at
+    # seed 11 every term's columns are dependent, so nothing would be
+    # paired and a zero sum would let the identity hold
     f = balanced_f(2, 3, 4)
-    mats = sample_congruence_tuple(3, 4, 4, 15)
-    cols = [tuple(row[0] for row in m) for m in mats]
-    assert any(linalg.det(cols[:i] + cols[i + 1:]) for i in range(4))
-    with pytest.raises(ValueError, match="^generators of length 3 cannot pair in dimension 2$"):
-        verify_cocycle(f, mats, (F(1, 7), F(2, 7), F(3, 7)))
+    q = (F(1, 7), F(2, 7), F(3, 7))
+    msg = r"^a matrix with rows of lengths \[3, 3, 3\] is not 2 x 2$"
+    for seed, paired in ((15, True), (11, False)):
+        mats = sample_congruence_tuple(3, 4, 4, seed)
+        cols = [tuple(row[0] for row in m) for m in mats]
+        assert any(linalg.det(cols[:i] + cols[i + 1:]) for i in range(4)) == paired
+        for call in (lambda: verify_cocycle(f, mats, q),
+                     lambda: verify_equivariance(f, linalg.identity(3), mats[:3], q),
+                     lambda: verify_equivariance(f, linalg.identity(2), mats[:2], q[:2])):
+            with pytest.raises(ValueError, match=msg):
+                call()
+    # a matrix of the wrong size among the right ones, and a ragged one
+    mats = (I2, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ROT)
+    with pytest.raises(ValueError, match=msg):
+        verify_cocycle(f, mats, Q_GOOD)
+    with pytest.raises(ValueError, match=r"^a matrix with rows of lengths \[2, 1\] is not 2 x 2$"):
+        psi_cdg((I2, ((1, 0), (1,))), Q_GOOD)
     # no matrices at all is a documented ValueError, not an IndexError
     with pytest.raises(ValueError, match="^a deformed cone needs at least one generator$"):
         psi_cdg([], ())
