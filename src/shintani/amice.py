@@ -23,7 +23,7 @@ from math import comb, gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import NonUnitDenominator, NotAMeasure
+from .errors import DependentInput, NonUnitDenominator, NotAMeasure
 from .linalg import IntVec
 from .solomon_hu import PseudoMeasure
 from .testfunctions import TestFunction, _fibres_vanish, _is_prime, check_vh
@@ -33,12 +33,15 @@ def extend_denominator_basis(a: PseudoMeasure, n: int) -> list[IntVec]:
     """Basis of Q^n starting with the denominator vectors of a, completed
     by a complement of the saturation of their span: the trailing rows of
     u_inv in hermite(dens), whose leading rows saturate the span."""
-    dens = list(dict.fromkeys(a.den))
+    dens, named = list(dict.fromkeys(a.den)), [list(u) for u in a.den]
     if len(dens) != len(a.den):
-        raise NonUnitDenominator("repeated denominator factors are not aligned")
+        raise NonUnitDenominator(f"repeated denominator factors are not aligned: {named}")
     if not dens:
         return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    return dens + list(linalg.hermite(dens)[2][len(dens):])
+    try:
+        return dens + list(linalg.hermite(dens)[2][len(dens):])
+    except DependentInput as exc:
+        raise DependentInput(f"denominator vectors {named} are linearly dependent") from exc
 
 
 def is_measure_vh(gens: Iterable[Sequence], f: TestFunction) -> bool:

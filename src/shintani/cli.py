@@ -3,13 +3,15 @@
 Commands (selected with --command):
 
   pair      pair a cone (or cone function) with a step function, emit the
-            pseudo-measure
+            pseudo-measure; cone_function terms on one cone (the same primitive
+            generators in the same order) are summed, and zero sums dropped
   vh        vanishing-hypothesis verdict per ray
   moments   power moments of a paired measure: the exact rational, and its
             p-adic expansion to --precision digits; poles are decided
             exactly before any moment is computed
   cocycle   run the cocycle / equivariance / measure-valuedness trials and
-            emit a verification report; a failed trial's "offending" holds
+            emit a verification report; a trial whose cocycle identity
+            fails holds cocycle.verify_cocycle's witness as "offending":
             the alternating sum's "denominator", its numerator's term count
             "terms" and WITNESS_TERMS lowest "numerator" terms, and its n + 1
             "cones" (signed "coefficient", primitive "generators", "closed"
@@ -20,17 +22,19 @@ All randomness flows from --seed; reports are byte-identical across runs
 with the same configuration. `main` may be called many times in one
 process: it builds its argument parser on the first call and reuses it.
 Exit codes: 0 ok, 2 malformed input (JSON that cannot be read or is nested
-too deeply, a field the schema calls an array given as anything else, or a
-key the command does not read, both cone and cone_function included), a bad
-flag value (an --out path that cannot be written included; one that names a
-directory or whose directory does not exist is refused before the command
-runs; --n below 1 on a raw pseudo-measure; --trials below 0, while 0 is a
-vacuous pass), a prime p (in the step function or --p) not below 2^64, where
-primality is decided exactly, a step function of dimension above
-testfunctions.MAX_DIMENSION, a pairing cell over the point budget, a zero
-ray, or a p^precision or moment past PRINT_BITS bits (too long to print), 3
-dependent input vectors, 4 not a measure (2, 3 and 4 are the exit_code of
-the error's class), 6 a verification trial failed.
+too deeply, a field the schema calls an array given as anything else, a key
+the command does not read, both cone and cone_function included, a missing
+key it needs, neither cone nor cone_function or a ray object's v, or
+repeated denominator factors), a bad flag value (an --out path that cannot
+be written included; one that names a directory or whose directory does
+not exist is refused before the command runs; --n below 1 on a raw
+pseudo-measure; --trials below 0, while 0 is a vacuous pass), a prime p (in
+the step function or --p) not below 2^64, where primality is decided
+exactly, a step function of dimension above testfunctions.MAX_DIMENSION, a
+pairing cell over the point budget, a zero ray, or a p^precision or moment
+past PRINT_BITS bits (too long to print), 3 dependent input vectors, 4 not
+a measure (2, 3 and 4 are the exit_code of the error's class), 6 a
+verification trial failed.
 
 Rationals are serialized as decimal strings ("3/4"); p-adic scalars as
 "p^v*u" with valuation v and unit u, or "0".
@@ -49,7 +53,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from . import amice, cocycle, solomon_hu, testfunctions
-from .cones import ConeFunction, OpenCone
+from .cones import OpenCone
 from .errors import NotAMeasure, SchemaError, ShintaniError
 
 EXIT_OK = 0
@@ -119,21 +123,25 @@ def _parse_vector(raw, what: str, n: int) -> tuple:
     return v
 
 
-def _parse_cone_function(data: dict, n: int) -> ConeFunction:
-    """The input's cone_function, a cone read as the one term with coefficient 1."""
+def _parse_cone_function(data: dict, n: int) -> dict[OpenCone, int]:
+    """The input's cone_function as {cone: coefficient}, a cone as {cone: 1}: equal
+    cones sum their coefficients, and a zero sum is dropped."""
     if "cone" in data and "cone_function" in data:
         raise SchemaError("input: both 'cone' and 'cone_function' (give one of them)")
+    if "cone" not in data and "cone_function" not in data:
+        raise SchemaError("input: neither 'cone' nor 'cone_function' (give one of them)")
     try:
         if "cone" in data:
             testfunctions._only_keys(data["cone"], ("generators",), "cone")
-        terms = []
+        k: dict[OpenCone, int] = {}
         for term in testfunctions._as_list(
                 [data["cone"]] if "cone" in data else data["cone_function"], "cone_function"):
             testfunctions._only_keys(term, ("generators", "coefficient"), "cone_function term")
             gens = testfunctions._as_list(term["generators"], "generators")
             gens = [_parse_vector(g, "generator", n) for g in gens]
-            terms.append((testfunctions._as_int(term.get("coefficient", 1)), OpenCone(tuple(gens))))
-        return ConeFunction(tuple(terms))
+            coeff, cone = testfunctions._as_int(term.get("coefficient", 1)), OpenCone(tuple(gens))
+            k[cone] = k.get(cone, 0) + coeff
+        return {cone: c for cone, c in k.items() if c}
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad cone JSON: {exc}") from exc
 
@@ -160,6 +168,8 @@ def cmd_vh(args) -> tuple[dict, int]:
     for entry in testfunctions._as_list(data.get("rays", []), "rays"):
         named = isinstance(entry, dict)
         testfunctions._only_keys(entry, ("v", "name"), "ray")
+        if named and "v" not in entry:
+            raise SchemaError("ray: missing key 'v'")
         ray = _parse_vector(entry["v"] if named else entry, "ray", f.n)
         key = str(named and entry.get("name") or ",".join(str(x) for x in ray))
         if not any(ray):
@@ -176,9 +186,9 @@ def cmd_moments(args) -> tuple[dict, int]:
         testfunctions._only_keys(data, ("test_function", "cone", "cone_function"), "input")
         f = testfunctions.from_json(data["test_function"])
         k = _parse_cone_function(data, f.n)
-        if len(k.terms) != 1 or k.terms[0][0] != 1:
+        if list(k.values()) != [1]:
             raise SchemaError("moments need a single open cone with coefficient 1")
-        cone = k.terms[0][1]
+        (cone,) = k
         if not amice.is_measure_vh(cone.generators, f):
             raise NotAMeasure("vanishing hypothesis fails on an extremal ray")
         pm = solomon_hu.pair_open_cone(cone, f)
@@ -246,23 +256,23 @@ def cmd_cocycle(args) -> tuple[dict, int]:
         mats = cocycle.sample_congruence_tuple(f.n, f.M, f.n + 1, trial_seed)
         g = testfunctions.random_congruence_element(f.n, f.M, trial_seed ^ 0x5EED)
         q = cocycle.sample_deformation(f.n, rng)
-        total, cones = cocycle._alternating_sum(f, mats, q, args.corrupt_sign)
-        ok_cocycle = solomon_hu.pm_is_integer_constant(total) is not None
+        witness = cocycle.verify_cocycle(f, mats, q, args.corrupt_sign)
         ok_equiv = cocycle.verify_equivariance(f, g, mats[: f.n], q)
         record = {
             "index": t,
             "seed": trial_seed,
             "matrices": [[list(row) for row in m] for m in mats],
             "q": [str(x) for x in q],
-            "cocycle": ok_cocycle,
+            "cocycle": witness is None,
             "equivariance": ok_equiv,
         }
-        if not (ok_cocycle and ok_equiv):
-            record["offending"] = {  # the witness: the sum's head and the cones that rebuild it
+        if witness is not None:  # the sum's head and the cones that rebuild it
+            total, cones = witness
+            record["offending"] = {
                 **solomon_hu.pm_to_json(total, WITNESS_TERMS), "terms": len(total.num.packed),
                 "cones": [c and {"coefficient": c[0], "generators": [list(s) for s in c[1]],
                                  "closed": sorted(map(c[1].index, c[2]))} for c in cones]}
-            all_pass = False
+        all_pass &= witness is None and ok_equiv
         trials.append(record)
     e1 = tuple(1 if i == 0 else 0 for i in range(f.n))
     vh_e1 = testfunctions.check_vh(f, e1)

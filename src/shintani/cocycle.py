@@ -94,15 +94,16 @@ def verify_cocycle(
     matrices: Sequence,
     q: Sequence,
     corrupt_sign: bool = False,
-) -> bool:
-    """Check the homogeneous cocycle identity for one (n+1)-tuple at q.
+) -> tuple[PseudoMeasure, list[DeformedCone | None]] | None:
+    """Check the homogeneous cocycle identity for one (n+1)-tuple at q:
+    None when it holds, else the witness (total, cones) of _alternating_sum.
 
     The alternating sum of the paired values must be an integer multiple of
     delta_0; `corrupt_sign` flips one term as a negative control. Every
     term is deformed along q with the identity frame.
     """
-    total, _cones = _alternating_sum(f, matrices, q, corrupt_sign)
-    return pm_is_integer_constant(total) is not None
+    witness = _alternating_sum(f, matrices, q, corrupt_sign)
+    return None if pm_is_integer_constant(witness[0]) is not None else witness
 
 
 def sample_deformation(n: int, rng: random.Random) -> DeformationVector:

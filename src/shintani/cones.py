@@ -3,12 +3,14 @@
 An open cone C(v_1,...,v_r) is the set of sums a_1 v_1 + ... + a_r v_r, all
 a_i > 0 rational, of r linearly independent generators; r = 0 denotes the
 origin cone {0}, whose indicator is the delta at 0. Cone functions are
-finite integer sums of cone indicators, with the sign-twisted GL action
+finite integer sums of cone indicators, held as plain {OpenCone:
+coefficient} dicts, with the sign-twisted GL action
 
     (g . k)(v) = sign(det g) * k(g^{-1} v).
 
 A cone is unchanged by a positive rescaling of a generator, so a cone
-stores primitive integer generators.
+stores primitive integer generators, in the order given: two orders of one
+cone are two dict keys.
 
 A deformed cone nudges a full-dimensional cone by an auxiliary direction:
 it is half-open, closed at the generators the direction points into
@@ -57,25 +59,6 @@ class OpenCone:
             except DependentInput as exc:
                 raise DependentInput("cone generators are linearly dependent") from exc
         object.__setattr__(self, "generators", tuple(gens))
-
-
-@dataclass(frozen=True)
-class ConeFunction:
-    """Finite integer combination of open-cone indicators.
-
-    Terms with equal generator tuples are merged and zero coefficients
-    dropped, but no geometric canonicalization is attempted: two cone
-    functions can be pointwise equal without comparing equal.
-    """
-
-    terms: tuple[tuple[int, OpenCone], ...]
-
-    def __post_init__(self):
-        merged: dict[OpenCone, int] = {}
-        for coeff, cone in self.terms:
-            merged[cone] = merged.get(cone, 0) + coeff
-        cleaned = tuple((c, cone) for cone, c in merged.items() if c != 0)
-        object.__setattr__(self, "terms", cleaned)
 
 
 def deformed_cone(

@@ -44,7 +44,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
-from .cones import ConeFunction, OpenCone
+from .cones import OpenCone
 from .errors import CellTooLarge, DependentInput, NotUnimodular, SchemaError
 from .linalg import IntVec
 from .testfunctions import TestFunction, _as_int, _as_list, _only_keys
@@ -312,8 +312,9 @@ def _pair_cell(prims: frozenset[IntVec], closed: frozenset, f: TestFunction) -> 
     return PseudoMeasure(GroupAlgebraElement._of(terms, n, W, bound), tuple(periods))
 
 
-def pair_cone_function(k: ConeFunction, f: TestFunction) -> PseudoMeasure:
-    return pm_sum([(coeff, pair_open_cone(cone, f)) for coeff, cone in k.terms])
+def pair_cone_function(k: Mapping[OpenCone, int], f: TestFunction) -> PseudoMeasure:
+    """The cone function {cone: coefficient} paired with f, cone by cone."""
+    return pm_sum([(coeff, pair_open_cone(cone, f)) for cone, coeff in k.items()])
 
 
 def pm_to_json(a: PseudoMeasure, limit: int | None = None) -> dict:

@@ -10,7 +10,7 @@ reference for that key, enumerate_fundamental_domain lists the library's
 pairing cell in order, and cell_lifts lists the cell's lifts as tuples, the
 reference for the pairing's lift bound. The helpers at the end were library code that only the
 tests called: evaluation and the action of SL_n(Z) on step functions by
-full walks over (Z/M)^n, the additive group of cone functions, wedges,
+full walks over (Z/M)^n, the sum and difference of cone functions, wedges,
 cone membership and evaluation, the sign-twisted action on cone functions,
 the deformed-cone limit rule, the expansion of a deformed cone into open
 faces with the per-face measure check on them, the ring operations of the
@@ -31,7 +31,7 @@ from typing import Sequence
 from shintani import linalg
 from shintani.amice import _coordinates, _poles_vanish, is_measure_amice, is_measure_vh
 from shintani.cocycle import psi_cdg
-from shintani.cones import ConeFunction, OpenCone
+from shintani.cones import OpenCone
 from shintani.errors import (
     DependentInput,
     NotAMeasure,
@@ -423,21 +423,17 @@ def act(f, g) -> TestFunction:
 # -- cone functions ---------------------------------------------------------
 
 
-class CF(ConeFunction):
-    """ConeFunction with its additive group operations."""
+def cf_add(a: dict[OpenCone, int], b: dict[OpenCone, int]) -> dict[OpenCone, int]:
+    """The sum of two cone functions {cone: coefficient}: equal cones sum
+    their coefficients, and a zero sum is dropped."""
+    out = dict(a)
+    for cone, c in b.items():
+        out[cone] = out.get(cone, 0) + c
+    return {cone: c for cone, c in out.items() if c}
 
-    @staticmethod
-    def of(cone: OpenCone, coeff: int = 1) -> "CF":
-        return CF(((coeff, cone),))
 
-    def __add__(self, other: ConeFunction) -> "CF":
-        return CF(self.terms + other.terms)
-
-    def __neg__(self) -> "CF":
-        return CF(tuple((-c, cone) for c, cone in self.terms))
-
-    def __sub__(self, other: ConeFunction) -> "CF":
-        return self + (-CF(other.terms))
+def cf_sub(a: dict[OpenCone, int], b: dict[OpenCone, int]) -> dict[OpenCone, int]:
+    return cf_add(a, {cone: -c for cone, c in b.items()})
 
 
 @dataclass(frozen=True)
@@ -454,18 +450,16 @@ class Wedge:
         object.__setattr__(self, "generators", OpenCone(tuple(gens)).generators)
 
 
-def wedge_decompose(w: Wedge) -> ConeFunction:
+def wedge_decompose(w: Wedge) -> dict[OpenCone, int]:
     """Indicator of a wedge as a sum of three open cones, split by the sign
     of the coordinate along the doubled first generator."""
     gens = w.generators
     v1 = gens[0]
-    return ConeFunction(
-        (
-            (1, OpenCone(gens)),
-            (1, OpenCone((tuple(-x for x in v1),) + gens[1:])),
-            (1, OpenCone(gens[1:])),
-        )
-    )
+    return {
+        OpenCone(gens): 1,
+        OpenCone((tuple(-x for x in v1),) + gens[1:]): 1,
+        OpenCone(gens[1:]): 1,
+    }
 
 
 def cone_contains(c: OpenCone, w) -> bool:
@@ -477,23 +471,23 @@ def cone_contains(c: OpenCone, w) -> bool:
     return coords is not None and all(a > 0 for a in coords)
 
 
-def eval_cone_function(k: ConeFunction, w) -> int:
-    return sum(c for c, cone in k.terms if cone_contains(cone, w))
+def eval_cone_function(k: dict[OpenCone, int], w) -> int:
+    return sum(c for cone, c in k.items() if cone_contains(cone, w))
 
 
-def act_on_cone_function(g, k: ConeFunction) -> ConeFunction:
+def act_on_cone_function(g, k: dict[OpenCone, int]) -> dict[OpenCone, int]:
     """Sign-twisted pushforward: generators map through g, coefficients pick
     up sign(det g). Satisfies (g.k)(v) = sign(det g) * k(g^{-1} v)."""
     d = det_cofactor(g)
     if d == 0:
         raise DependentInput("group action by a singular matrix")
     sign = 1 if d > 0 else -1
-    terms = []
-    for coeff, cone in k.terms:
+    out: dict[OpenCone, int] = {}
+    for cone, coeff in k.items():
         new_gens = tuple(tuple(sum(a * x for a, x in zip(row, v)) for row in g)
                          for v in cone.generators)
-        terms.append((sign * coeff, OpenCone(new_gens)))
-    return ConeFunction(tuple(terms))
+        out = cf_add(out, {OpenCone(new_gens): sign * coeff})
+    return out
 
 
 class NonGenericDeformation(ShintaniError):
@@ -546,20 +540,19 @@ def frame_point(gens, q, frame) -> tuple[Fraction, ...]:
                  for i in range(n))
 
 
-def open_faces(cone) -> ConeFunction:
+def open_faces(cone) -> dict[OpenCone, int]:
     """A deformed cone (sign, prims, closed), as cones.deformed_cone and
     cocycle.psi_cdg return it, expanded into open faces; None gives the
     zero cone function. A face C(v_i : i in S) has the coefficient sign
     exactly when every omitted generator is closed: the faces are
     C(open + T) for the subsets T of closed, the largest one on all prims."""
     if cone is None:
-        return ConeFunction(())
+        return {}
     sign, prims, closed = cone
     positive = [i for i, s in enumerate(prims) if s in closed]
     required = tuple(i for i, s in enumerate(prims) if s not in closed)
-    return ConeFunction(tuple((sign, OpenCone(tuple(prims[i] for i in sorted(required + extra))))
-                              for k in range(len(positive) + 1)
-                              for extra in combinations(positive, k)))
+    return {OpenCone(tuple(prims[i] for i in sorted(required + extra))): sign
+            for k in range(len(positive) + 1) for extra in combinations(positive, k)}
 
 
 def phi(f, matrices, q) -> PseudoMeasure:
@@ -575,7 +568,7 @@ def measure_valued_by_faces(f: TestFunction, samples: int, q, seed: int = 0) -> 
     for trial in range(samples):
         mats = tuple(random_congruence_element(f.n, f.M, seed * 1009 + trial * 31 + j)
                      for j in range(f.n))
-        for _coeff, cone in open_faces(psi_cdg(mats, q)).terms:
+        for cone in open_faces(psi_cdg(mats, q)):
             if not is_measure_vh(cone.generators, f):
                 return False
             pm = pair_open_cone(cone, f)

@@ -133,6 +133,41 @@ def test_pair_is_unchanged_by_the_order_of_the_cones(tmp_path, capsys):
     assert json.loads(outs.pop()) == {"numerator": [], "denominator": [[-2, 0], [2, 0], [22, 18]]}
 
 
+# the cone_function merge rule on f = -[(0, 1)] + 2 [(1, 1)] mod 2: terms on
+# one cone, the same primitive generators in the same order, sum their
+# coefficients and a zero sum is dropped, while two orders of one cone stay
+# two terms. Each case: its terms, the report's numerator term count and
+# denominator, and the sha256 of the report, recorded before cone functions
+# became plain {cone: coefficient} dicts
+_TF_MERGE = {"n": 2, "p": 3, "M": 2, "terms": [{"residue": [0, 1], "weight": -1},
+                                               {"residue": [1, 1], "weight": 2}]}
+MERGE_RULE = {
+    "two-orders": ([(1, [["1", "0"], ["1", "2"]]), (-1, [["1", "2"], ["1", "0"]])], 0,
+                   [[2, 0], [2, 4]],
+                   "505207d2d2e0ac2c63d9f4312b63ca2d433f73aea6db6486d4efe3313487cc9d"),
+    "same-tuple": ([(1, [["1", "0"], ["1", "2"]]), (-1, [["2", "0"], ["1/2", "1"]])], 0, [],
+                   "4f30081da50876d8288006afab149d22753de48ed8a496b4434c8e76b676a2e9"),
+    "merged": ([(2, [["1", "0"], ["1", "2"]]), (1, [["1", "0"], ["1", "2"]])], 4,
+               [[2, 0], [2, 4]],
+               "bb04ba51e1df2aae9da88043501a782fc628e5566001f15a62ec506b3b3159b8"),
+    "zero-term": ([(0, [["1", "0"], ["1", "2"]]), (1, [["1", "1"]])], 1, [[2, 2]],
+                  "15a3873b6441d25abc6de47621d21f27903cd26d07b1e20bd3b021bc39b2f9b7"),
+    "empty": ([], 0, [], "4f30081da50876d8288006afab149d22753de48ed8a496b4434c8e76b676a2e9"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MERGE_RULE))
+def test_cone_function_terms_merge_on_equal_cones(tmp_path, capsys, name):
+    terms, count, den, sha256 = MERGE_RULE[name]
+    payload = {"test_function": _TF_MERGE,
+               "cone_function": [{"coefficient": c, "generators": g} for c, g in terms]}
+    code, out = run(capsys, "--command", "pair", "--input", write(tmp_path, "in.json", payload))
+    assert code == 0
+    report = json.loads(out)
+    assert (len(report["numerator"]), report["denominator"]) == (count, den)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 BIG = 10**30
 
 
@@ -307,7 +342,15 @@ def test_array_fields_refuse_strings_and_objects(tmp_path, capsys, command, buil
         {"coefficient": 1, "generators": [["1"]]}, {"coefficient": 1, "generators": [["-1"]]}]},
      "moments need a single open cone with coefficient 1"),
     ("vh", None, "--input is required for this command"),
-], ids=["dimension", "residue", "moments-cone-function", "no-input"])
+    ("pair", {"test_function": TF_ONE},
+     "input: neither 'cone' nor 'cone_function' (give one of them)"),
+    ("moments", {"test_function": TF_DIFF},
+     "input: neither 'cone' nor 'cone_function' (give one of them)"),
+    ("vh", {"test_function": TF_DIFF, "rays": [{"name": "e1"}]}, "ray: missing key 'v'"),
+    ("moments", {"numerator": [{"vector": [0, 0], "coeff": "1"}], "denominator": [[1, 0], [1, 0]]},
+     "repeated denominator factors are not aligned: [[1, 0], [1, 0]]"),
+], ids=["dimension", "residue", "moments-cone-function", "no-input", "pair-no-cone",
+        "moments-no-cone", "ray-without-v", "repeated-denominator"])
 def test_step_function_and_input_refusals_name_the_problem(tmp_path, capsys, command, payload,
                                                            message):
     # a dimension above the bound is refused before any matrix is drawn, and
@@ -611,14 +654,14 @@ def test_cocycle_reports_the_verified_q(tmp_path, capsys):
     assert not trial["cocycle"] and trial["equivariance"]
     f = from_json(tf)
     mats = tuple(trial["matrices"])
-    assert verify_cocycle(f, mats, q)
+    assert verify_cocycle(f, mats, q) is None
     # q lies on a face hyperplane of at least one nonzero term
     on_face = 0
     for i in range(4):
         cols = [tuple(row[0] for row in m) for j, m in enumerate(mats) if j != i]
         if linalg.det(cols) and 0 in _solve_coords(cols, q):
             on_face += 1
-            assert open_faces(psi_cdg([m for j, m in enumerate(mats) if j != i], q)).terms
+            assert open_faces(psi_cdg([m for j, m in enumerate(mats) if j != i], q))
     assert on_face
     plain = tmp_path / "p.json"
     assert main(["--command", "cocycle", "--input", path, "--trials", "1",
@@ -632,6 +675,9 @@ def test_moments_rejects_more_denominator_vectors_than_the_dimension(tmp_path, c
         "denominator": [[1, 0], [0, 1], [1, 1]],
     })
     assert main(["--command", "moments", "--input", path, "--p", "3"]) == 3
+    # the refusal names the denominator, sorted as the pseudo-measure stores it
+    assert capsys.readouterr() == (
+        "", "error: denominator vectors [[0, 1], [1, 0], [1, 1]] are linearly dependent\n")
 
 
 def test_moments_rejects_a_pole_beyond_the_series_degree(tmp_path, capsys):
@@ -811,15 +857,18 @@ def _rebuild(cones, f):
 @pytest.mark.parametrize("n", sorted(WITNESS_RUNS))
 def test_a_failed_trial_prints_a_witness_that_rebuilds_its_sum(tmp_path, capsys, monkeypatch, n):
     tf, argv, old_sha256 = WITNESS_RUNS[n]
-    calls = []
+    calls, sums = [], []
+    monkeypatch.setattr("shintani.cocycle.verify_cocycle",
+                        lambda *args: calls.append(args) or verify_cocycle(*args))
     monkeypatch.setattr("shintani.cocycle._alternating_sum",
-                        lambda *args: calls.append(args) or _alternating_sum(*args))
+                        lambda *args: sums.append(args) or _alternating_sum(*args))
     code, out = run(capsys, "--command", "cocycle", "--corrupt-sign", *argv,
                     "--input", write(tmp_path, "f.json", {"test_function": tf}))
     assert code == cli.EXIT_TRIAL_FAILED
     report = json.loads(out)
-    # each trial builds its sum once, a failed one included
-    assert len(calls) == len(report["trials"])
+    # each trial is decided by one verify_cocycle call, which builds its sum
+    # once, a failed trial included
+    assert len(calls) == len(sums) == len(report["trials"])
     f, failed = from_json(tf), 0
     for trial in report["trials"]:
         if "offending" not in trial:
@@ -852,6 +901,19 @@ def test_a_failed_trial_prints_a_witness_that_rebuilds_its_sum(tmp_path, capsys,
     # outside "offending" the report is the one the whole sum was printed in
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == old_sha256
+
+
+def test_a_trial_where_only_equivariance_fails_prints_no_witness(tmp_path, capsys, monkeypatch):
+    # the cocycle identity holds, so there is no sum to show: the trial and
+    # the run fail (exit 6), and no trial prints "offending"
+    monkeypatch.setattr("shintani.cocycle.verify_equivariance", lambda *args: False)
+    code, out = run(capsys, "--command", "cocycle", "--trials", "3", "--seed", "7",
+                    "--input", write(tmp_path, "f.json", {"test_function": TF_BALANCED_2D}))
+    assert code == cli.EXIT_TRIAL_FAILED
+    report = json.loads(out)
+    assert report["all_pass"] is False
+    assert [(t["cocycle"], t["equivariance"]) for t in report["trials"]] == [(True, False)] * 3
+    assert not any("offending" in t for t in report["trials"])
 
 
 # the moments the two golden moments reports printed when they were read off
