@@ -10,10 +10,11 @@ exactly, on sums of numerator coefficients, and the test must agree with
 the vanishing-hypothesis test on slices on single-class inputs.
 
 The moments of a measure are rational (Shintani's zeta values at negative
-integers), and moment_table reads them exactly off the Laplace transform
-int e^{s.c} dmu: a finite sum of exponentials over a product of factors
-1 - e^{s_i}, i.e. integer power sums of the numerator times integers L B_k,
-over a denominator known in advance: one exact division per moment.
+integers), and moment_table reads those of every order up to a total
+exactly off the Laplace transform int e^{s.c} dmu: a finite sum of
+exponentials over a product of factors 1 - e^{s_i}, i.e. integer power sums
+of the numerator times integers L B_k, over a denominator known in advance:
+one exact division per moment.
 """
 
 from __future__ import annotations
@@ -98,10 +99,11 @@ def _bernoulli(k: int) -> tuple[int, list[int]]:
     return out[0], out
 
 
-def moment_table(a: PseudoMeasure, p: int, orders: Sequence[Sequence[int]]) -> list[Fraction]:
-    """The exact moment int x^kk dmu, in the standard coordinates of the
-    ambient lattice, for each order kk; NotAMeasure unless a is a measure
-    at p.
+def moment_table(a: PseudoMeasure, p: int, n: int, top: int) -> list[tuple[IntVec, Fraction]]:
+    """The exact moments int x^kk dmu, in the standard coordinates of Z^n,
+    as (kk, value) for every order kk of total at most top, sorted by
+    (total, kk); NotAMeasure unless a is a measure at p, decided even when
+    top < 0, and ValueError when a has a vector and n is not a.dim.
 
     In the basis b of extend_denominator_basis, r = len(a.den), the basis
     coordinates of a numerator point v are y_v / d with y_v = adj v and
@@ -113,22 +115,26 @@ def moment_table(a: PseudoMeasure, p: int, orders: Sequence[Sequence[int]]) -> l
     s_i = 0 once the measure test has passed; and the last factor is
     sum_k B_k s^k / k! in each s_i. The basis moment int c^gamma dmu is
     gamma! [s^gamma] F. With alpha = gamma - kappa + 1_r, |gamma| = K, L of
-    _bernoulli and q = lcm(1..max K + 1) it is (-1)^r S(gamma) / (d^(K+r)
+    _bernoulli and q = lcm(1..top + 1) it is (-1)^r S(gamma) / (d^(K+r)
     (L q)^r) for the integer S(gamma) = sum_kappa P_alpha prod_{i<r}
     c(gamma_i, kappa_i), c(g, k) = C(g+1, k) q/(g+1) d^k L B_k, summed one
     axis at a time. x = sum_i c_i b_i expands x^kk into basis monomials,
-    x^kk = x^(kk - e_j) x_j, so each order is one Fraction: an integer over
-    cden d^(K+r) (L q)^r, where cden clears the coefficients.
+    x^kk = x^(kk - e_j) x_j for the last axis j of kk, an order of total
+    K - 1, so only the expansions of two totals are kept, and each order is
+    one Fraction: an integer over cden d^(K+r) (L q)^r, where cden clears
+    the coefficients.
     """
-    if not a.num:
-        return [Fraction(0)] * len(orders)
-    basis, d, terms = _coordinates(a)
-    if not _poles_vanish(a, p, d, terms):
-        raise NotAMeasure("series-side divisibility test fails")
-    n, r = len(basis), len(a.den)
+    if (a.num or a.den) and n != a.dim:
+        raise ValueError(f"moment orders in n = {n} dimensions for a pseudo-measure in {a.dim}")
+    if a.num:
+        basis, d, terms = _coordinates(a)
+        if not _poles_vanish(a, p, d, terms):
+            raise NotAMeasure("series-side divisibility test fails")
+        r = len(a.den)
+    else:  # every moment is 0, and in the standard basis each x^kk is one monomial
+        basis, d, terms, r = linalg.identity(n), 1, [], 0
     cden = lcm(*(c.denominator for _, c in terms))
     terms = [(ys, c.numerator * (cden // c.denominator)) for ys, c in terms]
-    top = max((sum(kk) for kk in orders), default=0)
     big, bern = _bernoulli(top)
     q = lcm(*range(1, top + 2))
     coef = [[comb(g + 1, k) * (q // (g + 1)) * d**k * b for k, b in enumerate(bern[:g + 1])]
@@ -146,24 +152,20 @@ def moment_table(a: PseudoMeasure, p: int, orders: Sequence[Sequence[int]]) -> l
                                  for k, c in enumerate(coef[g]) if c)
         return sums[j][t]
 
-    polys = {(0,) * n: {(0,) * n: 1}}  # x^kk in basis monomials, by kk
-    table, layer = [], 1
-    for kk in orders:
-        if sum(kk) > layer:  # for orders by total, keep x^kk for the totals 0, K - 1, K
-            layer = sum(kk)
-            polys = {g: x for g, x in polys.items() if sum(g) + 1 >= layer or not any(g)}
-        chain, key = [], tuple(kk)  # x^kk = x^(kk - e_j) x_j for the last axis j of kk
-        while key not in polys:
-            j = max(i for i, k in enumerate(key) if k)
-            chain.append((key, j))
-            key = key[:j] + (key[j] - 1,) + key[j + 1:]
-        for key, j in reversed(chain):
-            polys[key] = step = {}
-            for gamma, w in polys[key[:j] + (key[j] - 1,) + key[j + 1:]].items():
-                for i, b in enumerate(basis):
-                    if b[j]:
-                        g = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1:]
-                        step[g] = step.get(g, 0) + w * b[j]
-        num = sum(w * summed(r, g) for g, w in polys[tuple(kk)].items() if w)
-        table.append(Fraction((-1) ** r * num, cden * d ** (sum(kk) + r) * (big * q) ** r))
-    return table
+    rows, polys = [], {(0,) * n: {(0,) * n: 1}}  # x^kk in basis monomials, for kk of one total
+    for total in range(top + 1):
+        if total:
+            prev, polys = polys, {}
+            for o, x in prev.items():  # o = kk - e_j, whose last axis is at most j
+                for j in range(max((i for i, k in enumerate(o) if k), default=0), n):
+                    polys[o[:j] + (o[j] + 1,) + o[j + 1:]] = step = {}
+                    for gamma, w in x.items():
+                        for i, b in enumerate(basis):
+                            if b[j]:
+                                g = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1:]
+                                step[g] = step.get(g, 0) + w * b[j]
+            polys = dict(sorted(polys.items()))
+        for kk, x in polys.items():
+            num = sum(w * summed(r, g) for g, w in x.items() if w)
+            rows.append((kk, Fraction((-1) ** r * num, cden * d ** (total + r) * (big * q) ** r)))
+    return rows

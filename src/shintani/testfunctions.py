@@ -176,12 +176,19 @@ def _as_list(x, what: str) -> list:
     return x
 
 
-def _only_keys(x, keys: tuple, what: str) -> None:
-    """SchemaError naming the first key of the JSON object x outside `keys`:
-    a key that nothing reads is a misspelling or a value that would be lost."""
-    extra = [k for k in x if k not in keys] if isinstance(x, dict) else []
+def _only_keys(x, keys: tuple, what: str, optional: tuple = ()) -> None:
+    """SchemaError naming the first key of the JSON object x outside `keys`
+    and `optional` (a key that nothing reads is a misspelling or a value that
+    would be lost), else the first of the required `keys` that x lacks."""
+    if not isinstance(x, dict):
+        return
+    reads = keys + optional
+    extra = [k for k in x if k not in reads]
     if extra:
-        raise SchemaError(f"{what}: unknown key {extra[0]!r} (it reads {', '.join(keys)})")
+        raise SchemaError(f"{what}: unknown key {extra[0]!r} (it reads {', '.join(reads)})")
+    missing = [k for k in keys if k not in x]
+    if missing:
+        raise SchemaError(f"{what}: missing key {missing[0]!r}")
 
 
 def from_json(data: dict) -> TestFunction:
@@ -189,7 +196,7 @@ def from_json(data: dict) -> TestFunction:
     try:
         n, p, M = (_as_int(data[key]) for key in ("n", "p", "M"))
         table: dict[IntVec, int] = {}
-        for term in _as_list(data.get("terms", []), "terms"):
+        for term in _as_list(data["terms"], "terms"):
             _only_keys(term, ("residue", "weight"), "term")
             residue = tuple(_as_int(x) for x in _as_list(term["residue"], "residue"))
             table[residue] = table.get(residue, 0) + _as_int(term["weight"])

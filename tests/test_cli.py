@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 from shintani import cli, linalg
-from shintani.amice import is_measure_amice
-from shintani.cli import MOMENT_BUDGET, PRINT_BITS, _moment_orders, build_parser, main
+from shintani.amice import is_measure_amice, moment_table
+from shintani.cli import MOMENT_BUDGET, PRINT_BITS, build_parser, main
 from shintani.cocycle import _alternating_sum, psi_cdg, sample_deformation, verify_cocycle
-from shintani.solomon_hu import pair_half_open, pm_eq, pm_from_json, pm_sum, pm_to_json
+from shintani.solomon_hu import pair_half_open, pm_eq, pm_from_json, pm_sum, pm_to_json, pm_zero
 from shintani.testfunctions import from_json
 
 from oracles import _solve_coords, hurwitz_zeta_neg, open_faces, phi
@@ -349,8 +349,19 @@ def test_array_fields_refuse_strings_and_objects(tmp_path, capsys, command, buil
     ("vh", {"test_function": TF_DIFF, "rays": [{"name": "e1"}]}, "ray: missing key 'v'"),
     ("moments", {"numerator": [{"vector": [0, 0], "coeff": "1"}], "denominator": [[1, 0], [1, 0]]},
      "repeated denominator factors are not aligned: [[1, 0], [1, 0]]"),
+    ("pair", {"cone": {"generators": [["1"]]}}, "input: missing key 'test_function'"),
+    ("pair", {"test_function": TF_ONE, "cone_function": [{"coefficient": 1}]},
+     "cone_function term: missing key 'generators'"),
+    ("moments", {"numerator": [{"vector": [1], "coeff": "1"}]},
+     "pseudo-measure: missing key 'denominator'"),
+    ("vh", {"test_function": {**TF_ONE, "terms": [{"residue": [1]}]}, "rays": [["1"]]},
+     "term: missing key 'weight'"),
+    ("vh", {"test_function": {"n": 1, "p": 3, "M": 4}, "rays": [["1"]]},
+     "test_function: missing key 'terms'"),
 ], ids=["dimension", "residue", "moments-cone-function", "no-input", "pair-no-cone",
-        "moments-no-cone", "ray-without-v", "repeated-denominator"])
+        "moments-no-cone", "ray-without-v", "repeated-denominator", "no-test-function",
+        "term-without-generators", "pseudo-measure-without-denominator", "term-without-weight",
+        "step-function-without-terms"])
 def test_step_function_and_input_refusals_name_the_problem(tmp_path, capsys, command, payload,
                                                            message):
     # a dimension above the bound is refused before any matrix is drawn, and
@@ -1057,7 +1068,7 @@ def test_moment_orders_are_the_orders_of_bounded_total():
         for top in range(-1, 5):
             want = sorted((e for e in product(range(top + 1), repeat=n) if sum(e) <= top),
                           key=lambda e: (sum(e), e))
-            assert _moment_orders(n, top) == want
+            assert moment_table(pm_zero(), 3, n, top) == [(e, 0) for e in want]
 
 
 def test_moments_refuse_a_table_over_the_budget(tmp_path, capsys):
