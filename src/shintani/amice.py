@@ -14,13 +14,15 @@ integers), and moment_table reads those of every order up to a total
 exactly off the Laplace transform int e^{s.c} dmu: a finite sum of
 exponentials over a product of factors 1 - e^{s_i}, i.e. integer power sums
 of the numerator times integers L B_k, over a denominator known in advance:
-one exact division per moment.
+one exact division per moment. The power sums are built column by column,
+depth first on a stack of at most n per-term lists per total.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -69,21 +71,21 @@ def is_measure_amice(a: PseudoMeasure, p: int) -> bool:
 
 
 def _coordinates(a: PseudoMeasure) -> tuple:
-    """(basis, d, [(adj v, c)]) over the terms c delta_v of a's numerator in
-    packed order, for a's own basis: adj v / d are v's basis coordinates."""
+    """(basis, d, cols, cs) for a's own basis: cols[i] lists the i-th
+    coordinate of adj v and cs the coefficient c over the terms c delta_v of
+    a's numerator in packed order, so adj v / d are v's basis coordinates."""
     basis = extend_denominator_basis(a, a.dim)
     adj, d = linalg.adjugate(linalg.transpose(basis))
-    return basis, d, list(zip(zip(*a.num.columns(adj)), a.num.packed.values()))
+    return basis, d, a.num.columns(adj), list(a.num.packed.values())
 
 
-def _poles_vanish(a: PseudoMeasure, p: int, d: int, terms: list) -> bool:
-    """The fibre test of is_measure_amice on the (y, c) pairs of _coordinates.
+def _poles_vanish(a: PseudoMeasure, p: int, d: int, cols: list, cs: list) -> bool:
+    """The fibre test of is_measure_amice on the columns of _coordinates.
     With p^k the p-part of d, v and v' share a class of Z^n / (B Z^n + p^k Z^n),
     B the basis, exactly when y = y' mod p^k: adj B z = d z, and for d = p^k m,
     m(v - v') lies in B Z^n with m a unit mod p^k. So the fibre key of pole i
-    is y with y_i taken mod p^k: the y's coordinate lists zipped, list i reduced."""
-    pk, (ys, cs) = gcd(d, p ** d.bit_length()), zip(*terms)
-    cols = list(zip(*ys))
+    is y with y_i taken mod p^k: the columns zipped, column i reduced."""
+    pk = gcd(d, p ** d.bit_length())
     return all(_fibres_vanish(zip(zip(*cols[:i], [x % pk for x in cols[i]], *cols[i + 1:]), cs))
                for i in range(len(a.den)))
 
@@ -110,7 +112,12 @@ def moment_table(a: PseudoMeasure, p: int, n: int, top: int) -> list[tuple[IntVe
     d = det b, and the Laplace transform of the measure is
         F(s) = (-1)^r N(s) / prod_{i<r} s_i * prod_{i<r} s_i / (e^{s_i} - 1)
     with N(s) = sum_v c_v e^{s.y_v/d}. N's coefficient at alpha is the
-    integer power sum P_alpha = sum_v c_v y_v^alpha over d^|alpha| alpha!;
+    integer power sum P_alpha = sum_v c_v y_v^alpha over d^|alpha| alpha!,
+    read for every alpha = 1_r + beta with |beta| <= top off the columns of
+    the y_v: the per-term list c_v y_v^alpha is that of alpha - e_j times
+    column j, for the last axis j of beta, one product per term per key,
+    walked depth first on an explicit stack, so at most n lists per total
+    are alive and no Python frame is spent per order;
     dividing by the s_i shifts the exponent, since N vanishes on every
     s_i = 0 once the measure test has passed; and the last factor is
     sum_k B_k s^k / k! in each s_i. The basis moment int c^gamma dmu is
@@ -127,29 +134,36 @@ def moment_table(a: PseudoMeasure, p: int, n: int, top: int) -> list[tuple[IntVe
     if (a.num or a.den) and n != a.dim:
         raise ValueError(f"moment orders in n = {n} dimensions for a pseudo-measure in {a.dim}")
     if a.num:
-        basis, d, terms = _coordinates(a)
-        if not _poles_vanish(a, p, d, terms):
+        basis, d, cols, cs = _coordinates(a)
+        if not _poles_vanish(a, p, d, cols, cs):
             raise NotAMeasure("series-side divisibility test fails")
         r = len(a.den)
     else:  # every moment is 0, and in the standard basis each x^kk is one monomial
-        basis, d, terms, r = linalg.identity(n), 1, [], 0
-    cden = lcm(*(c.denominator for _, c in terms))
-    terms = [(ys, c.numerator * (cden // c.denominator)) for ys, c in terms]
+        basis, d, cols, cs, r = linalg.identity(n), 1, [[]] * n, [], 0
+    cden = lcm(*(c.denominator for c in cs))
     big, bern = _bernoulli(top)
     q = lcm(*range(1, top + 2))
     coef = [[comb(g + 1, k) * (q // (g + 1)) * d**k * b for k, b in enumerate(bern[:g + 1])]
             for g in range(top + 1)]  # c(g, k)
-    # sums[j][t]: P_t summed over kappa_i on the axes i < j, where t_i = gamma_i
+    # sums[j][t]: P_t summed over kappa_i on the axes i < j, where t_i = gamma_i;
+    # sums[0] holds P_t for every t = 1_r + beta, |beta| <= top, walked depth first
     sums: list[dict[tuple[int, ...], int]] = [{} for _ in range(r + 1)]
+    xs = [c.numerator * (cden // c.denominator) for c in cs]
+    for col in cols[:r]:
+        xs = list(map(mul, xs, col))
+    stack = [((1,) * r + (0,) * (n - r), 0, xs)]  # (t, last axis of beta, [c y^t] per term)
+    while stack:
+        t, last, xs = stack.pop()
+        sums[0][t] = sum(xs)
+        if sum(t) < top + r:  # a child's list is its parent's times one column
+            stack.extend((t[:j] + (t[j] + 1,) + t[j + 1:], j, list(map(mul, xs, cols[j])))
+                         for j in range(last, n))
 
     def summed(j: int, t: tuple[int, ...]) -> int:
         if t not in sums[j]:
-            if j == 0:
-                sums[0][t] = sum(c * prod(y**e for y, e in zip(ys, t)) for ys, c in terms)
-            else:
-                g, head, tail = t[j - 1], t[:j - 1], t[j:]
-                sums[j][t] = sum(c * summed(j - 1, head + (g - k + 1,) + tail)
-                                 for k, c in enumerate(coef[g]) if c)
+            g, head, tail = t[j - 1], t[:j - 1], t[j:]
+            sums[j][t] = sum(c * summed(j - 1, head + (g - k + 1,) + tail)
+                             for k, c in enumerate(coef[g]) if c)
         return sums[j][t]
 
     rows, polys = [], {(0,) * n: {(0,) * n: 1}}  # x^kk in basis monomials, for kk of one total

@@ -49,7 +49,7 @@ def int_mat(rows: Iterable[Iterable]) -> IntMat:
 
 
 def identity(n: int) -> IntMat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
@@ -148,8 +148,8 @@ def hermite(rows: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat, int]
     if not 0 < r <= m:
         raise DependentInput("vectors are linearly dependent")
     cols = [list(c) for c in zip(*rows)]  # column j of rows
-    ut = [list(e) for e in identity(m)]  # column j of u
-    ui = [list(e) for e in identity(m)]  # row j of u_inv
+    ut = [[0] * j + [1] + [0] * (m - 1 - j) for j in range(m)]  # column j of u
+    ui = [[0] * j + [1] + [0] * (m - 1 - j) for j in range(m)]  # row j of u_inv
     sign = 1
     for i in range(r):
         for j in range(i + 1, m):
@@ -169,4 +169,4 @@ def hermite(rows: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat, int]
                 t[i] = [-x for x in t[i]]
             sign = -sign
     h = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
-    return h, transpose(ut), tuple(map(tuple, ui)), sign
+    return h, tuple(zip(*ut)), tuple(map(tuple, ui)), sign

@@ -4,7 +4,8 @@ The oracles are deliberately naive (cofactor expansion, box scans, a
 Fraction solve, textbook recurrences) and share no code with the library
 paths they check; fraction_moment_table, the Fraction moment table the
 integer one replaced, shares the library's measure test and coordinates
-and checks only the arithmetic. coset_lattice and coset_rep, the Hermite
+and checks only the arithmetic; line_moment, the transform restricted to
+a line, shares nothing with the table. coset_lattice and coset_rep, the Hermite
 classes the measure test used before it keyed them by coordinates, are the
 reference for that key, enumerate_fundamental_domain lists the library's
 pairing cell in order, and cell_lifts lists the cell's lifts as tuples, the
@@ -297,9 +298,10 @@ def fraction_moment_table(a: PseudoMeasure, p: int, orders: Sequence[Sequence[in
     """
     if not a.num:
         return [Fraction(0)] * len(orders)
-    basis, d, terms = _coordinates(a)
-    if not _poles_vanish(a, p, d, terms):
+    basis, d, cols, cs = _coordinates(a)
+    if not _poles_vanish(a, p, d, cols, cs):
         raise NotAMeasure("series-side divisibility test fails")
+    terms = list(zip(zip(*cols), cs))
     n, r = len(basis), len(a.den)
     bernoulli = bernoulli_numbers(max((sum(kk) for kk in orders), default=0))
     shifted: dict[tuple[int, ...], Fraction] = {}  # [s^beta] N(s) / prod_{i<r} s_i
@@ -335,6 +337,36 @@ def fraction_moment_table(a: PseudoMeasure, p: int, orders: Sequence[Sequence[in
                 poly = step
         table.append(sum((w * basis_moment(g) for g, w in poly.items() if w), Fraction(0)))
     return table
+
+
+def line_moment(a: PseudoMeasure, lam: Sequence[int], K: int) -> Fraction:
+    """K! [t^K] F(t lam), where F(s) = N(e^s) / prod_u (1 - e^(s.u)) is the
+    Laplace transform of the measure a: the sum over |k| = K of
+    K!/k! lam^k int x^k da. It reads a's terms and denominator vectors only,
+    through exp series and one power-series division in t in exact
+    rationals: no basis, coordinates, Bernoulli numbers or pole test. Each
+    lam.u must be nonzero, so the denominator has order r = len(a.den) at
+    t = 0, and the numerator must vanish to order r there, as it does for a
+    measure, whose F is analytic at 0."""
+    r = len(a.den)
+    top = K + r
+    num = [Fraction(0)] * (top + 1)  # N(e^(t lam)) = sum_v c_v e^(t lam.v)
+    for v, c in a.num.terms.items():
+        w = sum(x * y for x, y in zip(lam, v))
+        num = [s + c * Fraction(w**j, factorial(j)) for j, s in enumerate(num)]
+    den = [Fraction(1)] + [Fraction(0)] * top
+    for u in a.den:  # times 1 - e^(t lam.u) = -sum_{j >= 1} (lam.u)^j t^j / j!
+        w = sum(x * y for x, y in zip(lam, u))
+        if not w:
+            raise ValueError(f"lam = {list(lam)} is orthogonal to the denominator vector {list(u)}")
+        factor = [Fraction(0)] + [Fraction(-(w**j), factorial(j)) for j in range(1, top + 1)]
+        den = [sum(den[i] * factor[k - i] for i in range(k + 1)) for k in range(top + 1)]
+    if any(num[:r]):
+        raise ValueError("the transform has a pole at 0 along lam")
+    quot: list[Fraction] = []  # num / den, both divided by t^r
+    for k in range(K + 1):
+        quot.append((num[r + k] - sum(den[r + i] * quot[k - i] for i in range(1, k + 1))) / den[r])
+    return factorial(K) * quot[K]
 
 
 def hermite_box(h) -> list[tuple[int, ...]]:

@@ -458,7 +458,8 @@ def test_act_pm_and_coordinates_match_per_vector_images():
         moved = act_pm(g, a)
         assert list(moved.num.terms.items()) == [(linalg.mat_vec(g, v), c) for v, c in spec.items()]
         assert moved.num.columns() == [list(col) for col in zip(*moved.num.terms)]
-        basis, _d, terms = _coordinates(a)
+        basis, _d, cols, cs = _coordinates(a)
+        terms = list(zip(zip(*cols), cs))
         adj = linalg.adjugate(linalg.transpose(basis))[0]
         assert terms == [(linalg.mat_vec(adj, v), c) for v, c in spec.items()]
     assert (cases[-1][1].num.W, act_pm(cases[-1][0], cases[-1][1]).num.W) == (64, 128)
