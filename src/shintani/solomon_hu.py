@@ -22,14 +22,14 @@ take the exponents column by column: adding 2^(W-1) to every digit puts it in
 (_unpack_columns); matrices act on the coordinate lists, and as packing is
 linear, the key of g v is sum_i v_i times the key of column i of g (act_pm).
 
-Pairing a cone with a step function of level M scales the generators
-positively to primitive vectors, multiplies by M to obtain periods, and sums
-the function over the half-open fundamental cell of those periods, which is
-the cell of the primitive vectors lifted by their multiples below M; the
-periods become the denominator factors. A cell coordinate lies in (0, 1] on
-an open generator and in [0, 1) on a closed one, so a deformed cone pairs
-as one cell. Residues mod M are packed as well,
-and a sum of two is reduced by one carry-free digit-wise step (_pair_cell).
+Pairing a cone with a step function of level M scales the generators positively
+to primitive vectors, multiplies by M to obtain periods, and sums the function
+over the half-open fundamental cell of those periods, which is the cell of the
+primitive vectors lifted by their multiples below M; the periods become the
+denominator factors. A cell coordinate lies in (0, 1] on an open generator and
+in [0, 1) on a closed one, so a deformed cone pairs as one cell. Base points
+are built column by column, residues mod M packed, a sum of two reduced by one
+carry-free step, and f read once per base point and lift residue (_pair_cell).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, prod
-from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -78,7 +77,7 @@ def _weighted_sum(weights: Iterable[int], cols: Iterable[list[int]], count: int)
     """sum_i w_i cols[i], entry by entry, for lists of count entries."""
     out = [0] * count
     for w, col in zip(weights, cols):
-        if w:
+        if w and any(col):  # a zero column adds nothing, as a zero weight does
             out = [s + w * x for s, x in zip(out, col)]
     return out
 
@@ -223,19 +222,20 @@ def act_pm(g: Sequence[Sequence[int]], a: PseudoMeasure) -> PseudoMeasure:
 
 
 def _cell(ws: Sequence[Sequence[int]], n: int, closed: Sequence[int] = ()
-          ) -> tuple[list[IntVec], list[tuple[IntVec, int]]]:
-    """Base points and steps (s_i, g_i) of the cell { sum x_i w_i : x_i in
-    [0, 1) for i in closed, else (0, 1] } by one Hermite pass for every rank
-    r: its points are the sums of a base point and a lift sum k_i s_i, 0 <= k_i < g_i.
+          ) -> tuple[list[list[int]], list[tuple[IntVec, int]]]:
+    """Base points, as n coordinate columns, and steps (s_i, g_i) of the cell
+    { sum x_i w_i : x_i in [0, 1) for i in closed, else (0, 1] } by one Hermite pass
+    for every rank r: its points are a base point plus a lift sum k_i s_i, k_i < g_i.
 
     With w_i = g_i s_i, s_i primitive, and s * u = [h | 0], the first r rows
     b_j of u_inv are a basis of the saturated span and s_i = sum_j h_ij b_j.
     The box 0 <= y_j < h_jj holds one point y.b of each class modulo the
     s_i, at cell coordinates x = adj(h)^T y / d with d = prod h_jj, and
-    (adj(h)^T y - e_i) // d generators, e_i = 0 on closed i and 1 on the
-    others (floor(x_i), ceil(x_i) - 1), move it into the cell of the s_i:
-    that is a base point. The cell has d * prod g_i points, a count checked
-    against CELL_POINT_BUDGET (CellTooLarge) before any point is made.
+    k = (adj(h)^T y - e) // d generators, e_i = 0 on closed i and 1 on the
+    others (floor(x_i), ceil(x_i) - 1), move it into the cell of the s_i: the
+    base point is y.b - sum k_i s_i. k and the base are weighted sums of whole
+    columns, the box's in `product` order. The cell has d * prod g_i points,
+    a count checked against CELL_POINT_BUDGET (CellTooLarge) before any point is made.
     """
     ws = [linalg.int_vec(w) for w in ws]
     gs = [gcd(*w) for w in ws]
@@ -245,17 +245,15 @@ def _cell(ws: Sequence[Sequence[int]], n: int, closed: Sequence[int] = ()
         h, _u, u_inv, _sign = linalg.hermite(s) if r else ((), (), linalg.identity(n), 1)
     except DependentInput as exc:
         raise DependentInput("cell generators are linearly dependent") from exc
-    count = (d := prod(h[j][j] for j in range(r))) * prod(gs)
+    count = (d := prod(sides := [h[j][j] for j in range(r)])) * prod(gs)
     if count > CELL_POINT_BUDGET:
         raise CellTooLarge(f"the cell of the generators {[list(w) for w in ws]} has "
                            f"{count} integer points, more than {CELL_POINT_BUDGET}")
-    xt, ht = list(zip(*linalg._triangular_adjugate(h, d))), list(zip(*h))  # adj(h)^T, h^T
-    basis = [row[:r] for row in linalg.transpose(u_inv)]  # coordinate t of each b_j
-    base, es = [], [int(i not in closed) for i in range(r)]
-    for y in product(*(range(h[j][j]) for j in range(r))):
-        k = [(sum(map(mul, y, row)) - e) // d for row, e in zip(xt, es)]
-        z = [a - sum(map(mul, row, k)) for a, row in zip(y, ht)]
-        base.append(tuple(sum(map(mul, z, b)) for b in basis))
+    ys = [list(c) for c in zip(*product(*map(range, sides)))]  # the box, column by column
+    ks = [[(x - int(i not in closed)) // d for x in _weighted_sum(row, ys, d)]
+          for i, row in enumerate(zip(*linalg._triangular_adjugate(h, d)))]  # adj(h)^T
+    base = [_weighted_sum((*row[:r], *(-v[t] for v in s)), ys + ks, d)
+            for t, row in enumerate(linalg.transpose(u_inv))]
     return base, list(zip(s, gs))
 
 
@@ -285,7 +283,8 @@ def _pair_cell(prims: frozenset[IntVec], closed: frozenset, f: TestFunction) -> 
     sum t of two reduced keys is at most 2M - 2 < 2^(R-1). K and H hold
     2^(R-1) - M and 2^(R-1) in each digit: d + 2^(R-1) - M < 2^R carries into
     no other digit and reaches 2^(R-1) iff d >= M, so t - M(((t + K) & H) >>
-    (R-1)) is t reduced mod M digit-wise. The lifts are int sums, axis by axis."""
+    (R-1)) is t reduced mod M digit-wise. The lifts are int sums, axis by axis. f is read
+    once per base point and lift residue; those are distinct when d = det h is prime to M."""
     n, M = f.n, f.M
     if wrong := {len(s) for s in prims} - {n}:  # else their residues match none of f's
         raise ValueError(f"generators of length {min(wrong)} cannot pair in dimension {n}")
@@ -299,14 +298,23 @@ def _pair_cell(prims: frozenset[IntVec], closed: frozenset, f: TestFunction) -> 
     K, top = H - M * ones, R - 1
     lifts = [(0, 0)]
     for s, g in steps:  # one axis at a time
-        ks = [(_pack([k * x for x in s], W), _pack([k * x % M for x in s], R)) for k in range(g)]
+        se = _pack(s, W) if g > 1 else 0  # s itself need not fit W when g = 1
+        ks = [(k * se, _pack([k * x % M for x in s], R)) for k in range(g)]
         lifts = [(le + ke, (t := lr + kr) - M * (((t + K) & H) >> top))
                  for le, lr in lifts for ke, kr in ks]
     if not (values := f.residues):  # f's support residues at R-bit digits, packed once per f
         values.update((_pack(rho, R), c) for rho, c in f.values.items())
-    ys = [(_pack(y, W), _pack([x % M for x in y], R)) for y in base]
-    terms = {py + pl: c for py, ry in ys for pl, rl in lifts
-             if (c := values.get((t := ry + rl) - M * (((t + K) & H) >> top)))}
+    ys = zip(_pack_columns(base, W, d := len(base[0])),
+             _pack_columns([[x % M for x in col] for col in base], R, d))
+    if gcd(d, M) == 1:  # sum k_i s_i = (h^T k).b with det h = d: no two lifts share a residue
+        terms = {py + pl: c for py, ry in ys for pl, rl in lifts
+                 if (c := values.get((t := ry + rl) - M * (((t + K) & H) >> top)))}
+    else:
+        groups: dict[int, list[int]] = {}  # lift keys by residue key
+        for le, lr in lifts:
+            groups.setdefault(lr, []).append(le)
+        terms = {py + pl: c for py, ry in ys for rl, pls in groups.items()
+                 if (c := values.get((t := ry + rl) - M * (((t + K) & H) >> top))) for pl in pls}
     if not terms:
         return pm_zero()
     return PseudoMeasure(GroupAlgebraElement._of(terms, n, W, bound), tuple(periods))

@@ -111,6 +111,8 @@ def stabilizes(f: TestFunction, g: Sequence[Sequence[int]]) -> bool:
     support is read.
     """
     gm = linalg.int_mat(g)
+    if {len(gm), *map(len, gm)} != {f.n}:  # else mat_vec would drop coordinates
+        raise ValueError(f"rows of lengths {[*map(len, gm)]} cannot act in dimension {f.n}")
     if linalg.det(gm) != 1:
         raise NotUnimodular("action requires determinant 1")
     M = f.M
@@ -133,6 +135,8 @@ def check_vh(f: TestFunction, v: Sequence) -> bool:
     support residues are grouped by their minors, and for n = 1 there are
     none, so the test is the total sum.
     """
+    if len(v) != f.n:  # else the minors would skip coordinates of w or index past them
+        raise ValueError(f"a ray of length {len(v)} cannot be checked in dimension {f.n}")
     M = f.M
     s = linalg.primitive_vector(v)
     pairs = [(i, j) for j in range(len(s)) for i in range(j)]

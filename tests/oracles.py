@@ -413,10 +413,11 @@ def cell_lifts(steps, n: int) -> list[tuple[int, ...]]:
 
 def enumerate_fundamental_domain(ws, n: int) -> list[tuple[int, ...]]:
     """Sorted integer points of the half-open cell of the ws, the sums of
-    one base point and one lift of solomon_hu._cell."""
+    one base point and one lift of solomon_hu._cell (whose base points
+    are coordinate columns)."""
     base, steps = _cell(ws, n)
     lifts = cell_lifts(steps, n)
-    return sorted(tuple(a + b for a, b in zip(y, v)) for y in base for v in lifts)
+    return sorted(tuple(a + b for a, b in zip(y, v)) for y in zip(*base) for v in lifts)
 
 
 def inverse(m) -> list[list[Fraction]]:

@@ -567,6 +567,40 @@ def test_a_dense_step_function_pairs_in_little_memory():
     assert peak < 8 * 2**20
 
 
+class _CountingDict(dict):
+    """A residue table that counts its reads."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def test_a_cell_reads_f_once_per_base_point_and_lift_residue():
+    # the first columns of Gamma(4) elements are e_1 mod 4, so the 4^3 lifts
+    # of their cell fall into 4 residue classes: its 16 base points need 64
+    # reads of f, where a read per cell point makes 1024. A cell whose index 7
+    # is prime to 4 has one lift per class, and a read per point.
+    n, M = 3, 4
+    rng = random.Random(30)
+    table = {r: rng.choice((-2, -1, 0, 1, 2)) for r in product(range(M), repeat=n)}
+    for prims, reads in ((((1, 0, 0), (1, 4, 0), (1, 0, 4)), 16 * 4),
+                         (((1, 2, 0), (0, 1, 3), (1, 0, 1)), 7 * 64)):
+        classes = {tuple(sum(k * s[t] for k, s in zip(ks, prims)) % M for t in range(n))
+                   for ks in product(range(M), repeat=n)}
+        assert reads == abs(linalg.det(prims)) * len(classes)
+        periods = sorted(tuple(M * x for x in s) for s in prims)
+        for shut in ([], [1]):
+            f = TestFunction(n, 3, M, table)
+            object.__setattr__(f, "residues", _CountingDict())
+            closed = frozenset(tuple(x // M for x in periods[i]) for i in shut)
+            pm = pair_half_open(frozenset(prims), closed, f)
+            assert f.residues.gets == reads
+            want = {v: c for v in brute_cell_points(periods, n, shut) if (c := value_at(f, v))}
+            assert want and dict(pm.num.terms) == want
+
+
 def test_pair_open_cone_examples():
     cone = OpenCone(((F(1),),))
     const = TestFunction(1, 3, 1, {(0,): 1})

@@ -5,6 +5,8 @@ from itertools import product
 import pytest
 
 from shintani import linalg
+from shintani.amice import is_measure_vh
+from shintani.cocycle import sample_congruence_tuple, verify_equivariance
 from shintani.errors import DependentInput, NotUnimodular, SchemaError
 from shintani.testfunctions import (
     MAX_DIMENSION,
@@ -92,6 +94,21 @@ def test_stabilizes():
     assert act(f, rot).values == {(0, 1): 1}
 
 
+def test_stabilizes_refuses_a_matrix_of_another_size():
+    # a 2 x 2 g on an n = 3 function once read two coordinates of each
+    # residue and said False, so verify_equivariance raised NotStabilizer
+    f = TestFunction(3, 3, 4, {(1, 0, 0): 1, (3, 0, 0): -1})
+    assert stabilizes(f, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for g, rows in (([[1, 0], [0, 1]], "2, 2"), (linalg.identity(4), "4, 4, 4, 4"),
+                    ([[1, 0, 0], [0, 1, 0]], "3, 3"), ([[1, 0, 0], [0, 1], [0, 0, 1]], "3, 2, 3"),
+                    ([], "")):
+        with pytest.raises(ValueError, match=rf"lengths \[{rows}\] cannot act in dimension 3"):
+            stabilizes(f, g)
+    mats = sample_congruence_tuple(3, 4, 3, 1)
+    with pytest.raises(ValueError, match=r"rows of lengths \[2, 2\] cannot act in dimension 3"):
+        verify_equivariance(f, [[1, 0], [0, 1]], mats, (F(1, 7), F(2, 7), F(3, 7)))
+
+
 def test_stabilizes_matches_the_full_pullback():
     # g is a congruence element, which fixes every f, or a random element
     # of SL_n(Z); f is random, or a sum of indicator functions of orbits of
@@ -161,6 +178,19 @@ def test_check_vh_examples():
     assert not check_vh(f2, (0, 1))
     # positive rescaling of the ray does not change the verdict
     assert check_vh(f2, (F(1, 2), F(0)))
+
+
+def test_check_vh_refuses_a_ray_of_another_length():
+    # the n = 3 function of the cocycle benchmark: (1, 0) once read only the
+    # first two coordinates and passed, and (1, 0, 0, 0) indexed past them
+    f = TestFunction(3, 3, 4, {(x, a, b): 1 if x == 1 else -1
+                               for x in (1, 3) for a in range(4) for b in range(4)})
+    assert check_vh(f, (1, 0, 0)) and not check_vh(f, (0, 1, 0))
+    for v in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError, match=f"length {len(v)} cannot be checked in dimension 3"):
+            check_vh(f, v)
+        with pytest.raises(ValueError, match=f"length {len(v)} cannot be checked in dimension 3"):
+            is_measure_vh([(1, 0, 0), v], f)
 
 
 def test_levels_past_the_old_walk_budget_get_exact_verdicts():
