@@ -77,7 +77,7 @@ def _weighted_sum(weights: Iterable[int], cols: Iterable[list[int]], count: int)
     """sum_i w_i cols[i], entry by entry, for lists of count entries."""
     out = [0] * count
     for w, col in zip(weights, cols):
-        if w and any(col):  # a zero column adds nothing, as a zero weight does
+        if w:
             out = [s + w * x for s, x in zip(out, col)]
     return out
 
@@ -227,15 +227,14 @@ def _cell(ws: Sequence[Sequence[int]], n: int, closed: Sequence[int] = ()
     { sum x_i w_i : x_i in [0, 1) for i in closed, else (0, 1] } by one Hermite pass
     for every rank r: its points are a base point plus a lift sum k_i s_i, k_i < g_i.
 
-    With w_i = g_i s_i, s_i primitive, and s * u = [h | 0], the first r rows
-    b_j of u_inv are a basis of the saturated span and s_i = sum_j h_ij b_j.
-    The box 0 <= y_j < h_jj holds one point y.b of each class modulo the
-    s_i, at cell coordinates x = adj(h)^T y / d with d = prod h_jj, and
-    k = (adj(h)^T y - e) // d generators, e_i = 0 on closed i and 1 on the
-    others (floor(x_i), ceil(x_i) - 1), move it into the cell of the s_i: the
-    base point is y.b - sum k_i s_i. k and the base are weighted sums of whole
-    columns, the box's in `product` order. The cell has d * prod g_i points,
-    a count checked against CELL_POINT_BUDGET (CellTooLarge) before any point is made.
+    With w_i = g_i s_i, s_i primitive, and s * u = [h | 0], the first r rows b_j of
+    u_inv are a basis of the saturated span and s_i = sum_j h_ij b_j. The box
+    0 <= y_j < h_jj holds one point y.b of each class modulo the s_i, at cell
+    coordinates x = adj(h)^T y / d with d = prod h_jj, and k = (adj(h)^T y - e) // d
+    generators, e_i = 0 on closed i and 1 on the others (floor(x_i), ceil(x_i) - 1),
+    move it into the cell of the s_i: the base point is y.b - sum k_i s_i. k and the
+    base are weighted sums of whole columns, the box's in `product` order. The cell
+    has d * prod g_i points, checked against CELL_POINT_BUDGET (CellTooLarge) first.
     """
     ws = [linalg.int_vec(w) for w in ws]
     gs = [gcd(*w) for w in ws]
@@ -250,8 +249,8 @@ def _cell(ws: Sequence[Sequence[int]], n: int, closed: Sequence[int] = ()
         raise CellTooLarge(f"the cell of the generators {[list(w) for w in ws]} has "
                            f"{count} integer points, more than {CELL_POINT_BUDGET}")
     ys = [list(c) for c in zip(*product(*map(range, sides)))]  # the box, column by column
-    ks = [[(x - int(i not in closed)) // d for x in _weighted_sum(row, ys, d)]
-          for i, row in enumerate(zip(*linalg._triangular_adjugate(h, d)))]  # adj(h)^T
+    ks = [[(x - e) // d for x in _weighted_sum(row, ys, d)] for e, row in zip(
+        [int(i not in closed) for i in range(r)], zip(*linalg._triangular_adjugate(h, d)))]
     base = [_weighted_sum((*row[:r], *(-v[t] for v in s)), ys + ks, d)
             for t, row in enumerate(linalg.transpose(u_inv))]
     return base, list(zip(s, gs))
@@ -278,13 +277,12 @@ def pair_half_open(prims: frozenset[IntVec], closed: frozenset, f: TestFunction)
 
 
 def _pair_cell(prims: frozenset[IntVec], closed: frozenset, f: TestFunction) -> PseudoMeasure:
-    """pair_half_open's cell sum over (exponent key, residue key) pairs. A
-    residue digit is R = (2M).bit_length() + 1 bits wide, so a digit d of a
-    sum t of two reduced keys is at most 2M - 2 < 2^(R-1). K and H hold
-    2^(R-1) - M and 2^(R-1) in each digit: d + 2^(R-1) - M < 2^R carries into
-    no other digit and reaches 2^(R-1) iff d >= M, so t - M(((t + K) & H) >>
-    (R-1)) is t reduced mod M digit-wise. The lifts are int sums, axis by axis. f is read
-    once per base point and lift residue; those are distinct when d = det h is prime to M."""
+    """pair_half_open's cell sum over (exponent key, residue key) pairs. A residue digit is
+    R = (2M).bit_length() + 1 bits wide, so a digit d of a sum t of two reduced keys is at most
+    2M - 2 < 2^(R-1). With K and H holding 2^(R-1) - M and 2^(R-1) in each digit, d + 2^(R-1) - M
+    < 2^R carries into no other digit and reaches 2^(R-1) iff d >= M: t - M(((t + K) & H) >> (R-1))
+    is t reduced mod M digit-wise. Lifts are int sums, axis by axis. f is read once per base point
+    and lift residue class; when d = det h is prime to M a class is one lift, read ungrouped."""
     n, M = f.n, f.M
     if wrong := {len(s) for s in prims} - {n}:  # else their residues match none of f's
         raise ValueError(f"generators of length {min(wrong)} cannot pair in dimension {n}")
@@ -311,7 +309,9 @@ def _pair_cell(prims: frozenset[IntVec], closed: frozenset, f: TestFunction) -> 
                  if (c := values.get((t := ry + rl) - M * (((t + K) & H) >> top)))}
     else:
         groups: dict[int, list[int]] = {}  # lift keys by residue key
-        for le, lr in lifts:
+        lifts.reverse()  # popped in order: a lift is freed once it is grouped
+        while lifts:
+            le, lr = lifts.pop()
             groups.setdefault(lr, []).append(le)
         terms = {py + pl: c for py, ry in ys for rl, pls in groups.items()
                  if (c := values.get((t := ry + rl) - M * (((t + K) & H) >> top))) for pl in pls}
