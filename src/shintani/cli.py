@@ -111,9 +111,11 @@ def _unwritable(path: str) -> str | None:
 
 
 def _parse_vector(raw, what: str, n: int) -> tuple:
-    """A rational vector of the step function's dimension n."""
+    """A rational vector of the step function's dimension n: a JSON int or an integer string
+    is read as an int, and only a non-integral entry becomes a Fraction, read from str(x)."""
     try:
-        v = tuple(Fraction(str(x)) for x in testfunctions._as_list(raw, what))
+        v = tuple(testfunctions._as_rational(x if type(x) is int else str(x))
+                  for x in testfunctions._as_list(raw, what))
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad vector {raw!r}") from exc
     if len(v) != n:

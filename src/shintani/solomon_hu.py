@@ -46,7 +46,7 @@ from . import linalg
 from .cones import OpenCone
 from .errors import CellTooLarge, DependentInput, NotUnimodular, SchemaError
 from .linalg import IntVec
-from .testfunctions import TestFunction, _as_int, _as_list, _only_keys
+from .testfunctions import TestFunction, _as_int, _as_list, _as_rational, _only_keys
 
 # most integer points a pairing cell may have
 CELL_POINT_BUDGET = 10**6
@@ -97,9 +97,10 @@ class GroupAlgebraElement:
     def __init__(self, terms: Mapping[IntVec, Fraction] | None = None):
         cleaned: dict[IntVec, int | Fraction] = {}
         for v, c in (terms or {}).items():
-            c = Fraction(c)
+            if type(c) is not int and (c := Fraction(c)).denominator == 1:
+                c = c.numerator
             if c != 0:
-                cleaned[tuple(int(x) for x in v)] = c.numerator if c.denominator == 1 else c
+                cleaned[tuple(map(int, v))] = c
         self.bound = max((abs(x) for v in cleaned for x in v), default=0)
         self.n, self.W = len(next(iter(cleaned), ())), _width(self.bound)
         self.packed = {_pack(v, self.W): c for v, c in cleaned.items()}
@@ -262,9 +263,9 @@ def pair_open_cone(c: OpenCone, f: TestFunction) -> PseudoMeasure:
 
 
 def pair_half_open(prims: frozenset[IntVec], closed: frozenset, f: TestFunction) -> PseudoMeasure:
-    """Pair f with the cone on the independent primitive vectors prims,
-    closed at those in `closed` and open at the others, memoised on f under
-    (prims, closed) (`TestFunction.pairings`): the integer coefficients
+    """Pair f with the cone on the independent primitive vectors prims, closed at those
+    in `closed` (ValueError names one not in prims) and open at the others, memoised
+    on f under (prims, closed) (`TestFunction.pairings`): the integer coefficients
 
         sum_{v in cell} f(v) delta_v / prod_{s in prims} (1 - delta_{M s})
 
@@ -286,6 +287,8 @@ def _pair_cell(prims: frozenset[IntVec], closed: frozenset, f: TestFunction) -> 
     n, M = f.n, f.M
     if wrong := {len(s) for s in prims} - {n}:  # else their residues match none of f's
         raise ValueError(f"generators of length {min(wrong)} cannot pair in dimension {n}")
+    if stray := closed - prims:  # else the cell would be the open one, memoised under this key
+        raise ValueError(f"closed vector {list(min(stray))} is not among the generators")
     periods = [tuple(M * x for x in s) for s in sorted(prims)]
     base, steps = _cell(periods, n, [i for i, s in enumerate(sorted(prims)) if s in closed])
     edges = zip(*([(g - 1) * x for x in s] for s, g in steps))  # the lifts' box, by coordinate
@@ -333,17 +336,19 @@ def pm_to_json(a: PseudoMeasure, limit: int | None = None) -> dict:
 
 
 def pm_from_json(data: dict) -> PseudoMeasure:
+    """pm_to_json's format: a coeff that is a JSON int or an integer string is read as an int, only
+    a non-integral one ("3/4") becomes a Fraction, and a bool or a float is refused by name."""
     _only_keys(data, ("numerator", "denominator"), "pseudo-measure")
     try:
-        num: dict[IntVec, Fraction] = {}
+        num: dict[IntVec, int | Fraction] = {}
         for term in _as_list(data["numerator"], "numerator"):
             _only_keys(term, ("vector", "coeff"), "numerator term")
-            v = tuple(_as_int(x) for x in _as_list(term["vector"], "vector"))
+            v = tuple(map(_as_int, _as_list(term["vector"], "vector")))
             c = term["coeff"]
             if type(c) is not int and type(c) is not str:  # a bool or a float
                 raise ValueError(f"coefficient {c!r} is not an integer or a rational string")
-            num[v] = num.get(v, Fraction(0)) + Fraction(c)
-        den = tuple(sorted(tuple(_as_int(x) for x in _as_list(u, "denominator"))
+            num[v] = num.get(v, 0) + _as_rational(c)
+        den = tuple(sorted(tuple(map(_as_int, _as_list(u, "denominator")))
                            for u in _as_list(data["denominator"], "denominator")))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad pseudo-measure JSON: {exc}") from exc

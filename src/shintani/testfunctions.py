@@ -167,10 +167,23 @@ def random_congruence_element(n: int, M: int, seed: int) -> IntMat:
 
 
 def _as_int(x) -> int:
-    """A JSON integer or integer string; ValueError for a bool or a float."""
+    """A JSON int as it is, or an integer string as an int; ValueError for a bool or a float."""
+    if type(x) is int:
+        return x
     if isinstance(x, bool) or not isinstance(x, (int, str)):
         raise ValueError(f"expected an integer, got {x!r}")
     return int(x)
+
+
+def _as_rational(x: int | str) -> int | Fraction:
+    """A JSON int, or a string that int() reads, as an int; any other string as
+    Fraction(x), so that only a non-integral value ("3/4") becomes a Fraction."""
+    if type(x) is str:
+        try:
+            return int(x)
+        except ValueError:
+            return Fraction(x)
+    return x
 
 
 def _as_list(x, what: str) -> list:
@@ -184,7 +197,7 @@ def _only_keys(x, keys: tuple, what: str, optional: tuple = ()) -> None:
     """SchemaError naming the first key of the JSON object x outside `keys`
     and `optional` (a key that nothing reads is a misspelling or a value that
     would be lost), else the first of the required `keys` that x lacks."""
-    if not isinstance(x, dict):
+    if not isinstance(x, dict) or x.keys() == set(keys):  # at once on exactly `keys`
         return
     reads = keys + optional
     extra = [k for k in x if k not in reads]
@@ -202,7 +215,7 @@ def from_json(data: dict) -> TestFunction:
         table: dict[IntVec, int] = {}
         for term in _as_list(data["terms"], "terms"):
             _only_keys(term, ("residue", "weight"), "term")
-            residue = tuple(_as_int(x) for x in _as_list(term["residue"], "residue"))
+            residue = tuple(map(_as_int, _as_list(term["residue"], "residue")))
             table[residue] = table.get(residue, 0) + _as_int(term["weight"])
         return TestFunction(n, p, M, table)
     except (KeyError, TypeError, ValueError) as exc:

@@ -18,7 +18,10 @@ faces with the per-face measure check on them, the ring operations of the
 group algebra, the paired cocycle value, small pseudo-measure and slice
 constructors, and the slice identity with its truncated q-expansion. They evaluate through
 the oracles' Fraction solve and call the library only for the objects they
-check.
+check. The reference readers at the very end are the JSON readers as they were
+before they read integers as ints (every vector entry and coefficient through
+Fraction), kept with the helpers they called, so that the new readers can be
+compared with them value for value and message for message.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from shintani.errors import (
     DependentInput,
     NotAMeasure,
     NotUnimodular,
+    SchemaError,
     ShintaniError,
 )
 from shintani.linalg import IntVec
@@ -48,7 +52,7 @@ from shintani.solomon_hu import (
     pair_open_cone,
     pm_zero,
 )
-from shintani.testfunctions import TestFunction, random_congruence_element
+from shintani.testfunctions import TestFunction, _as_list, random_congruence_element
 
 
 def det_cofactor(m) -> Fraction:
@@ -946,3 +950,79 @@ def _face_points(face_periods, bound: Fraction, n: int) -> list[tuple[int, ...]]
             w = tuple(sum(y[k] * sat[k][j] for k in range(r)) for j in range(n))
             out.append(w)
     return sorted(out)
+
+
+# -- reference JSON readers ---------------------------------------------------
+
+
+def _as_int(x) -> int:
+    """A JSON integer or integer string; ValueError for a bool or a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, str)):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
+def _only_keys(x, keys: tuple, what: str, optional: tuple = ()) -> None:
+    """SchemaError naming the first key of the JSON object x outside `keys`
+    and `optional` (a key that nothing reads is a misspelling or a value that
+    would be lost), else the first of the required `keys` that x lacks."""
+    if not isinstance(x, dict):
+        return
+    reads = keys + optional
+    extra = [k for k in x if k not in reads]
+    if extra:
+        raise SchemaError(f"{what}: unknown key {extra[0]!r} (it reads {', '.join(reads)})")
+    missing = [k for k in keys if k not in x]
+    if missing:
+        raise SchemaError(f"{what}: missing key {missing[0]!r}")
+
+
+def reference_from_json(data: dict) -> TestFunction:
+    _only_keys(data, ("n", "p", "M", "terms"), "test_function")
+    try:
+        n, p, M = (_as_int(data[key]) for key in ("n", "p", "M"))
+        table: dict[IntVec, int] = {}
+        for term in _as_list(data["terms"], "terms"):
+            _only_keys(term, ("residue", "weight"), "term")
+            residue = tuple(_as_int(x) for x in _as_list(term["residue"], "residue"))
+            table[residue] = table.get(residue, 0) + _as_int(term["weight"])
+        return TestFunction(n, p, M, table)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"bad test-function JSON: {exc}") from exc
+
+
+def reference_parse_vector(raw, what: str, n: int) -> tuple:
+    """A rational vector of the step function's dimension n."""
+    try:
+        v = tuple(Fraction(str(x)) for x in _as_list(raw, what))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad vector {raw!r}") from exc
+    if len(v) != n:
+        raise SchemaError(f"{what} {raw!r} has {len(v)} coordinates, "
+                          f"but the step function has n = {n}")
+    return v
+
+
+def reference_pm_from_json(data: dict) -> PseudoMeasure:
+    _only_keys(data, ("numerator", "denominator"), "pseudo-measure")
+    try:
+        num: dict[IntVec, Fraction] = {}
+        for term in _as_list(data["numerator"], "numerator"):
+            _only_keys(term, ("vector", "coeff"), "numerator term")
+            v = tuple(_as_int(x) for x in _as_list(term["vector"], "vector"))
+            c = term["coeff"]
+            if type(c) is not int and type(c) is not str:  # a bool or a float
+                raise ValueError(f"coefficient {c!r} is not an integer or a rational string")
+            num[v] = num.get(v, Fraction(0)) + Fraction(c)
+        den = tuple(sorted(tuple(_as_int(x) for x in _as_list(u, "denominator"))
+                           for u in _as_list(data["denominator"], "denominator")))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"bad pseudo-measure JSON: {exc}") from exc
+    lengths = {len(v) for v in num} | {len(u) for u in den}
+    if len(lengths) > 1:
+        raise SchemaError("bad pseudo-measure JSON: vectors of different lengths")
+    if 0 in lengths:
+        raise SchemaError("bad pseudo-measure JSON: a vector has no coordinates")
+    if not all(any(u) for u in den):
+        raise SchemaError("bad pseudo-measure JSON: a denominator vector is zero")
+    return PseudoMeasure(GroupAlgebraElement(num), den)

@@ -1,0 +1,107 @@
+"""End-to-end smokes of the command line, each run as `python -m shintani.cli`
+in a fresh process: a printed p-adic expansion, a dense cell's term count and
+peak memory, a failed cocycle trial's bounded witness, and the exact report of
+a congruence cell. Inputs, expected values, bounds and timeouts are those the
+CI workflow used when it ran these checks itself.
+"""
+
+import hashlib
+import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _cli(tmp_path, payload, *argv, timeout=None):
+    """(exit code, stdout) of `python -m shintani.cli` on the payload as --input."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "shintani.cli", *argv, "--input", str(path)],
+                          capture_output=True, text=True, timeout=timeout,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    return proc.returncode, proc.stdout
+
+
+def padic_string(tmp_path):
+    # a measure whose denominator lattice has index divisible by p = 3: its
+    # third moment is -111955/8, a value that 20 p-adic digits cannot pin
+    # down; the row's expansion at p = 3, from the printer in cli.py
+    pm = {"numerator": [{"vector": [-8], "coeff": "3"}, {"vector": [5], "coeff": "2"},
+                        {"vector": [7], "coeff": "2"}, {"vector": [11], "coeff": "-1"},
+                        {"vector": [13], "coeff": "-5"}, {"vector": [14], "coeff": "-1"}],
+          "denominator": [[-12]]}
+    code, out = _cli(tmp_path, pm, "--command", "moments", "--p", "3")
+    assert code == 0
+    assert '"rational": "-111955/8"' in out
+    assert '"padic": "3^0*1307530156"' in out
+
+
+def dense_cell(tmp_path):
+    # a dense step function pairs in one pass over its cell: every residue
+    # of (Z/2)^12 weighted on the unit cone is a 4096-point cell and 4096
+    # numerator terms, read through a table of the 4096 support residues (a
+    # table of |support| * 2^n keys took 13 s and 1.5 GB on this input)
+    n = 12
+    payload = {"test_function": {"n": n, "p": 3, "M": 2, "terms": [
+        {"residue": list(r), "weight": 1 + sum(r) % 3}
+        for r in itertools.product((0, 1), repeat=n)]},
+        "cone": {"generators": [[str(int(i == j)) for j in range(n)] for i in range(n)]}}
+    code, out = _cli(tmp_path, payload, "--command", "pair", timeout=20)
+    assert code == 0
+    assert len(json.loads(out)["numerator"]) == 4096
+    # and in little memory: the peak RSS of a process that runs it through
+    # cli.main stays under 200 MB (ru_maxrss is per process, so its own)
+    probe = ("import resource, sys; from shintani import cli; code = cli.main(['--command', "
+             "'pair', '--input', sys.argv[1], '--out', sys.argv[2]]); mb = resource.getrusage("
+             "resource.RUSAGE_SELF).ru_maxrss / 1024; print(code, mb, 'MB'); "
+             "sys.exit(code != 0 or mb >= 200)")
+    report = tmp_path / "dense_cli.json"
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "in.json"), str(report)],
+                          capture_output=True, text=True, timeout=20,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert report.read_text(encoding="utf-8") == out
+
+
+def cocycle_witness_n4(tmp_path):
+    # a failed trial prints a bounded witness of its sum: the term count and
+    # a few lowest terms (the whole sum made the report 36,795 bytes); under
+    # --corrupt-sign the n = 4, M = 2 run exits 6 with a nonzero offending sum
+    payload = {"test_function": {"n": 4, "p": 3, "M": 2, "terms": [
+        {"residue": [x, *r], "weight": 1 if x else -1}
+        for x in (0, 1) for r in itertools.product((0, 1), repeat=3)]}}
+    code, out = _cli(tmp_path, payload, "--command", "cocycle", "--trials", "8", "--seed", "1",
+                     "--corrupt-sign")
+    assert code == 6
+    terms = [t["offending"]["terms"] for t in json.loads(out)["trials"] if "offending" in t]
+    assert any(terms)
+    assert len(out.encode()) < 24000
+
+
+def congruence_cell(tmp_path):
+    # a cell of first columns of Gamma(4) elements, all e_1 mod 4: its 4^3
+    # lifts fall into 4 residue classes, and f is read once per base point
+    # and class; the report's sha256 was recorded before the lifts were
+    # grouped (160 base points, 10,240 cell points, 5120 numerator terms)
+    payload = {"test_function": {"n": 3, "p": 3, "M": 4, "terms": [
+        {"residue": [x, a, b], "weight": 1 + (a + 2 * b) % 3 if x == 1 else -1}
+        for x in (1, 3) for a in range(4) for b in range(4)]},
+        "cone": {"generators": [["1", "4", "0"], ["1", "-4", "16"], ["1", "-4", "-4"]]}}
+    code, out = _cli(tmp_path, payload, "--command", "pair", timeout=30)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "400738a38271c0bba002e6d008c270a3677ec61fbc65065ca07dedfbedbe4e30")
+
+
+SMOKES = {f.__name__: f for f in (padic_string, dense_cell, cocycle_witness_n4, congruence_cell)}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKES))
+def test_smoke(tmp_path, name):
+    SMOKES[name](tmp_path)

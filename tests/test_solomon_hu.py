@@ -367,6 +367,23 @@ def test_a_cone_of_the_wrong_dimension_is_refused():
     assert pair_open_cone(OpenCone(()), f).num.terms == {}
 
 
+@pytest.mark.parametrize("closed", [{(5, 5)}, {(1, 0), (5, 5)}, {(0, 1), (5, 5), (7, 7)}])
+def test_a_closed_vector_outside_the_generators_is_refused(closed):
+    # a closed vector that is not a generator used to be ignored: the open
+    # cone's pairing came back and was memoised under the bad key. Now it is
+    # refused, naming the (least) stray vector, on every call, and nothing is memoised
+    f = TestFunction(2, 3, 4, {(1, 0): 1, (3, 1): -1, (2, 3): 2})
+    prims = frozenset({(1, 0), (0, 1)})
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^closed vector \[5, 5\] is not among the generators$"):
+            pair_half_open(prims, frozenset(closed), f)
+    assert not f.pairings
+    # the open cone and a closed generator still pair, each under its own key
+    assert pair_half_open(prims, frozenset(), f).num
+    assert pair_half_open(prims, frozenset({(1, 0)}), f).num
+    assert set(f.pairings) == {(prims, frozenset()), (prims, frozenset({(1, 0)}))}
+
+
 def test_pairing_memo():
     rng = random.Random(77)
     checked = half_open_checked = 0
