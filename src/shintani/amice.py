@@ -20,10 +20,10 @@ depth first on a stack of at most n per-term lists per total.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import DependentInput, NonUnitDenominator, NotAMeasure

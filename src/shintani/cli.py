@@ -21,11 +21,13 @@ Commands (selected with --command):
 All randomness flows from --seed; reports are byte-identical across runs
 with the same configuration. `main` may be called many times in one
 process: it builds its argument parser on the first call and reuses it.
-Exit codes: 0 ok, 2 malformed input (JSON that cannot be read or is nested
-too deeply, a field the schema calls an array given as anything else, a key
-the command does not read, a missing key it needs (a step function's terms
-and a ray object's v included), both or neither of cone and cone_function,
-or repeated denominator factors), a bad flag value (an --out path that cannot
+Exit codes: 0 ok, 2 malformed input (JSON that cannot be read, is nested
+too deeply or holds an integer literal past CPython's 4300-digit limit, a
+field the schema calls an array given as anything else, a key the command
+does not read, a missing key it needs (a step function's terms and a ray
+object's v included), both or neither of cone and cone_function, two rays
+with one report key (name, or coordinates when unnamed), or repeated
+denominator factors), a bad flag value (an --out path that cannot
 be written included; one that names a directory or whose directory does
 not exist is refused before the command runs; --n below 1 on a raw
 pseudo-measure; --trials below 0, while 0 is a vacuous pass), a prime p (in
@@ -93,7 +95,9 @@ def _load_input(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: JSON too deep
+    # ValueError: json.JSONDecodeError, UnicodeDecodeError, or an int literal past the
+    # int-to-str digit limit; RecursionError: JSON too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise SchemaError(f"cannot read input JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError("top-level JSON value must be an object")
@@ -171,6 +175,8 @@ def cmd_vh(args) -> tuple[dict, int]:
         key = str(named and entry.get("name") or ",".join(str(x) for x in ray))
         if not any(ray):
             raise SchemaError(f"ray {key!r} is the zero vector")
+        if key in out:  # else the later verdict would hide the earlier one
+            raise SchemaError(f"ray key {key!r} is repeated")
         out[key] = testfunctions.check_vh(f, ray)
     return out, EXIT_OK
 

@@ -25,8 +25,8 @@ q's length before any trial.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import linalg
 from .amice import is_measure_amice, is_measure_vh

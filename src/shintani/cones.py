@@ -28,37 +28,43 @@ simplicity"). A q off every face hyperplane never reads the frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from . import linalg
-from .errors import DependentInput
+from .errors import DependentInput, _ReadOnly
 from .linalg import IntVec
 
 DeformationVector = tuple[Fraction, ...]
 DeformedCone = tuple[int, list[IntVec], frozenset[IntVec]]  # (sign, prims, closed)
 
 
-@dataclass(frozen=True)
-class OpenCone:
+class OpenCone(_ReadOnly):
     """Open simplicial cone given by its tuple of generators, each stored as
-    the primitive integer vector on its ray."""
+    the primitive integer vector on its ray. Read-only; equal generators make
+    equal cones."""
 
-    generators: tuple[IntVec, ...]
+    __slots__ = ("generators",)
 
-    def __post_init__(self):
-        gens = self.generators
-        if gens:
-            n = len(gens[0])
-            if any(len(g) != n for g in gens):
+    def __init__(self, generators: tuple[IntVec, ...]):
+        if generators:
+            n = len(generators[0])
+            if any(len(g) != n for g in generators):
                 raise ValueError("generators of mixed dimensions")
             try:
-                gens = tuple(linalg.primitive_vector(g) for g in gens)
-                linalg.hermite(gens)
+                generators = tuple(linalg.primitive_vector(g) for g in generators)
+                linalg.hermite(generators)
             except DependentInput as exc:
                 raise DependentInput("cone generators are linearly dependent") from exc
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "generators", tuple(generators))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.generators == other.generators
+
+    def __hash__(self):
+        return hash((self.generators,))
 
 
 def deformed_cone(

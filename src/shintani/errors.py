@@ -1,4 +1,19 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and the base of the read-only value classes."""
+
+
+class _ReadOnly:
+    """Base of the value classes, whose fields are slots set once, in __init__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state):  # copy and pickle hand over (None, {slot: value})
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
 
 
 class ShintaniError(Exception):

@@ -21,10 +21,10 @@ primitive vector is unchanged by a positive rescaling.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Iterable, Sequence
 
 from .errors import DependentInput
 

@@ -35,16 +35,15 @@ carry-free step, and f read once per base point and lift residue (_pair_cell).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, prod
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .cones import OpenCone
-from .errors import CellTooLarge, DependentInput, NotUnimodular, SchemaError
+from .errors import CellTooLarge, DependentInput, NotUnimodular, SchemaError, _ReadOnly
 from .linalg import IntVec
 from .testfunctions import TestFunction, _as_int, _as_list, _as_rational, _only_keys
 
@@ -142,13 +141,16 @@ def denominator_product(den: Sequence[IntVec], W: int) -> dict:
     return {k: c for k, c in out.items() if c}  # the shifts cancel some terms
 
 
-@dataclass(frozen=True, eq=False)
-class PseudoMeasure:
+class PseudoMeasure(_ReadOnly):
     """Unreduced fraction numerator / prod (1 - delta_u), with the nonzero
-    vectors u sorted. Equality is pm_eq, a zero difference."""
+    vectors u sorted. Read-only; equality is pm_eq, a zero difference, and
+    == compares identity."""
 
-    num: GroupAlgebraElement
-    den: tuple[IntVec, ...]
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: GroupAlgebraElement, den: tuple[IntVec, ...]):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @property
     def dim(self) -> int:

@@ -23,13 +23,12 @@ exactly this reduction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Hashable, Iterable, Mapping, Sequence
 
 from . import linalg
-from .errors import NotUnimodular, SchemaError
+from .errors import NotUnimodular, SchemaError, _ReadOnly
 from .linalg import IntMat, IntVec
 
 
@@ -56,43 +55,42 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(_ReadOnly):
     """Integer-valued step function of level M on Z^n, away from the prime p
-    (M coprime to p), stored as a residue table on (Z/M)^n."""
+    (M coprime to p), stored as a residue table on (Z/M)^n. Read-only and
+    unhashable; equal (n, p, M, values) make equal step functions."""
 
     __test__ = False  # domain name, not a pytest case
+    # pairings: solomon_hu.pair_half_open results by (primitive generator set, closed
+    # subset), the empty subset for an open cone, and residues: its packed support
+    # residues, both for one command (the CLI parses f once per command) and outside
+    # equality; packing those per cell took 110.5k _pack calls, not 71.8k, over the first
+    # 600 pair_sweep ops at seed 1, and about 10% more cumulative _pair_cell time under cProfile
+    __slots__ = ("n", "p", "M", "values", "pairings", "residues")
 
-    n: int
-    p: int
-    M: int
-    values: Mapping[IntVec, int] = field(default_factory=dict)
-    # solomon_hu.pair_half_open results by (primitive generator set, closed subset), the
-    # empty subset for an open cone, and its packed support residues, both for one command
-    # (the CLI parses f once per command); packing those per cell took 110.5k _pack calls,
-    # not 71.8k, over the first 600 pair_sweep ops at seed 1, and about 10% more cumulative
-    # _pair_cell time under cProfile
-    pairings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    residues: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, p: int, M: int, values: Mapping[IntVec, int] | None = None):
+        if n < 1:
             raise ValueError("dimension must be >= 1")
-        if self.n > MAX_DIMENSION:
-            raise ValueError(f"dimension n = {self.n} is above MAX_DIMENSION = {MAX_DIMENSION}")
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.M < 1 or gcd(self.M, self.p) != 1:
+        if n > MAX_DIMENSION:
+            raise ValueError(f"dimension n = {n} is above MAX_DIMENSION = {MAX_DIMENSION}")
+        if not _is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if M < 1 or gcd(M, p) != 1:
             raise ValueError("level must be positive and coprime to p")
         table: dict[IntVec, int] = {}
-        for residue, weight in self.values.items():
-            if len(residue) != self.n:
+        for residue, weight in (values or {}).items():
+            if len(residue) != n:
                 raise ValueError("residue of wrong dimension")
-            key = tuple(int(x) % self.M for x in residue)
+            key = tuple(int(x) % M for x in residue)
             table[key] = table.get(key, 0) + int(weight)
-        object.__setattr__(
-            self, "values", {k: v for k, v in sorted(table.items()) if v != 0}
-        )
+        values = {k: v for k, v in sorted(table.items()) if v != 0}
+        for name, value in zip(self.__slots__, (n, p, M, values, {}, {})):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.p, self.M, self.values) == (other.n, other.p, other.M, other.values)
 
 
 def _fibres_vanish(keyed: Iterable[tuple[Hashable, int | Fraction]]) -> bool:

@@ -385,6 +385,23 @@ def test_too_deeply_nested_input_is_malformed(tmp_path, capsys):
     assert captured.err.startswith("error: cannot read input JSON: maximum recursion depth")
 
 
+@pytest.mark.parametrize("raw", [
+    b'{"numerator": [{"vector": [1], "coeff": ' + b"7" * 5000 + b'}], "denominator": [[1]]}',
+    b'{"numerator": [{"vector": [1], "coeff": "\xe9"}], "denominator": [[1]]}',
+], ids=["digit-limit", "not-utf-8"])
+def test_input_that_json_load_refuses_is_unreadable_json(tmp_path, capsys, raw):
+    # json.load raises a plain ValueError, not a JSONDecodeError, on an int
+    # literal of more than 4300 digits (CPython's int-to-str limit), and a
+    # UnicodeDecodeError on bytes that are not UTF-8: exit 2 as input that
+    # cannot be read, not as "malformed input: ValueError(...)"
+    path = tmp_path / "in.json"
+    path.write_bytes(raw)
+    assert main(["--command", "moments", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read input JSON: ")
+
+
 def test_an_unwritable_out_path_is_a_bad_flag_value(tmp_path, capsys):
     path = write(tmp_path, "in.json", {"test_function": TF_DIFF, "rays": [["1"]]})
     out = tmp_path / "missing" / "report.json"
@@ -579,6 +596,25 @@ def test_a_zero_ray_is_refused_naming_it(tmp_path, capsys, ray, key):
     assert captured.err == f"error: ray {key!r} is the zero vector\n"
     path = write(tmp_path, "in2.json", {"test_function": TF_BALANCED_2D, "rays": [["0", "1"]]})
     assert run(capsys, "--command", "vh", "--input", path)[0] == 0
+
+
+@pytest.mark.parametrize("rays, key", [
+    ([{"name": "a", "v": ["1", "0"]}, {"name": "a", "v": ["0", "1"]}, ["1", "0"], ["2", "0"],
+      {"v": ["1", "0"]}], "a"),
+    ([["1", "0"], ["2", "0"], {"v": ["1", 0]}], "1,0"),
+    ([{"name": "1,0", "v": ["0", "1"]}, ["1", "0"]], "1,0"),
+], ids=["named", "unnamed", "name-and-coordinates"])
+def test_two_rays_with_one_report_key_are_refused_naming_it(tmp_path, capsys, rays, key):
+    # the report maps each key to one verdict, so a repeated key would print
+    # only the later verdict: exit 2 naming the key, then no report
+    path = write(tmp_path, "in.json", {"test_function": TF_BALANCED_2D, "rays": rays})
+    assert main(["--command", "vh", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: ray key {key!r} is repeated\n")
+    path = write(tmp_path, "in2.json", {"test_function": TF_BALANCED_2D, "rays": [
+        {"name": "a", "v": ["1", "0"]}, {"name": "b", "v": ["0", "1"]}, ["1", "0"], ["2", "0"]]})
+    code, out = run(capsys, "--command", "vh", "--input", path)
+    assert code == 0 and json.loads(out) == {"a": True, "b": False, "1,0": True, "2,0": True}
 
 
 def test_moments_command(tmp_path, capsys):

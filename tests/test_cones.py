@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -46,6 +48,21 @@ def test_cone_rejects_dependent_generators():
             OpenCone(gens)
     with pytest.raises(ValueError, match="^generators of mixed dimensions$"):
         OpenCone(((1, 0), (0, 1, 0)))
+
+
+def test_a_cone_is_a_read_only_dict_key():
+    # cone functions are {OpenCone: coefficient} dicts: a cone compares and
+    # hashes by its primitive generators, and cannot be changed once built
+    cone = OpenCone(((2, 0), (0, 3)))
+    assert cone == OpenCone(((1, 0), (0, 1))) != OpenCone(((0, 1), (1, 0)))
+    assert hash(cone) == hash((((1, 0), (0, 1)),))
+    assert {cone: 1}[OpenCone(((1, 0), (0, 5)))] == 1
+    for attempt in (lambda: setattr(cone, "generators", ((1, 1),)),
+                    lambda: delattr(cone, "generators"), lambda: setattr(cone, "other", 1)):
+        with pytest.raises(AttributeError):
+            attempt()
+    assert cone.generators == ((1, 0), (0, 1))
+    assert copy.copy(cone) == copy.deepcopy(cone) == pickle.loads(pickle.dumps(cone)) == cone
 
 
 def test_cone_stores_primitive_generators():

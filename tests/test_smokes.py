@@ -2,7 +2,8 @@
 in a fresh process: a printed p-adic expansion, a dense cell's term count and
 peak memory, a failed cocycle trial's bounded witness, and the exact report of
 a congruence cell. Inputs, expected values, bounds and timeouts are those the
-CI workflow used when it ran these checks itself.
+CI workflow used when it ran these checks itself. A last check imports the CLI
+in a clean interpreter and names the modules it must not load.
 """
 
 import hashlib
@@ -105,3 +106,15 @@ SMOKES = {f.__name__: f for f in (padic_string, dense_cell, cocycle_witness_n4, 
 @pytest.mark.parametrize("name", sorted(SMOKES))
 def test_smoke(tmp_path, name):
     SMOKES[name](tmp_path)
+
+
+def test_the_cli_import_loads_no_dataclasses_or_typing():
+    # every command is one process that pays for its import first: dataclasses,
+    # with inspect, ast, dis and tokenize, was over half of importing
+    # shintani.cli; -I -S keeps site hooks from loading any of them first
+    heavy = ("ast", "dataclasses", "dis", "inspect", "tokenize", "typing")
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import shintani.cli; "
+             "print(sorted(set(sys.argv[2:]) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", probe, SRC, *heavy],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -317,6 +319,21 @@ def test_a_huge_ray_pairs_at_a_wider_digit():
     const = TestFunction(2, 3, 1, {(0, 0): 2})
     one = pair_open_cone(OpenCone(((1, big), (-1, 1 - big))), const)
     assert one.num.W == 64 and dict(one.num.terms) == {(0, 1): 2}
+
+
+def test_a_pseudo_measure_is_read_only_and_equal_only_to_itself():
+    # == is identity; equality of values is pm_eq
+    a, b = PM(d(1), ((1,),)), PM(d(1), ((1,),))
+    assert a == a and a != b and pm_eq(a, b)
+    assert len({a, b}) == 2
+    for name in ("num", "den"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, b.num)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a.den == ((1,),) and pm_eq(a, b)
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin is not a and pm_eq(twin, a)
 
 
 def test_pm_is_integer_constant():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import product
@@ -67,6 +69,25 @@ def test_is_prime_is_exact_below_2_to_the_64():
             _is_prime(p)
     with pytest.raises(ValueError, match=f"p = {10**30 + 57}"):
         TestFunction(1, 10**30 + 57, 4)
+
+
+def test_a_step_function_is_read_only_unhashable_and_equal_on_its_table():
+    # equality reads (n, p, M, values) and never the pairing caches; values is a
+    # dict, so a step function has no hash
+    f, g = TestFunction(2, 3, 4, {(1, 5): 2}), TestFunction(2, 3, 4, {(1, 1): 1, (5, 1): 1})
+    f.pairings["seen"], f.residues["seen"] = 1, 2
+    assert f == g and not g.pairings and not g.residues
+    assert f != TestFunction(2, 3, 4, {(1, 1): 1}) and f != TestFunction(2, 5, 4, {(1, 1): 2})
+    with pytest.raises(TypeError):
+        hash(f)
+    for name in ("n", "p", "M", "values", "pairings", "residues"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, {})
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert (f.n, f.p, f.M, f.values, f.pairings) == (2, 3, 4, {(1, 1): 2}, {"seen": 1})
+    for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert twin == f and twin.pairings == {"seen": 1}
 
 
 def test_table_normalization():
