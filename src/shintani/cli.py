@@ -25,8 +25,9 @@ Exit codes: 0 ok, 2 malformed input (JSON that cannot be read, is nested
 too deeply or holds an integer literal past CPython's 4300-digit limit, a
 field the schema calls an array given as anything else, a key the command
 does not read, a missing key it needs (a step function's terms and a ray
-object's v included), both or neither of cone and cone_function, two rays
-with one report key (name, or coordinates when unnamed), or repeated
+object's v included), both or neither of cone and cone_function, a ray name
+that is not a non-empty string, two rays with one report key (name, or
+coordinates when unnamed), or repeated
 denominator factors), a bad flag value (an --out path that cannot
 be written included; one that names a directory or whose directory does
 not exist is refused before the command runs; --n below 1 on a raw
@@ -172,7 +173,11 @@ def cmd_vh(args) -> tuple[dict, int]:
         named = isinstance(entry, dict)
         testfunctions._only_keys(entry, ("v",), "ray", ("name",))
         ray = _parse_vector(entry["v"] if named else entry, "ray", f.n)
-        key = str(named and entry.get("name") or ",".join(str(x) for x in ray))
+        if named and "name" in entry:
+            if type(key := entry["name"]) is not str or not key:
+                raise SchemaError(f"ray name {json.dumps(key)} is not a non-empty string")
+        else:
+            key = ",".join(str(x) for x in ray)
         if not any(ray):
             raise SchemaError(f"ray {key!r} is the zero vector")
         if key in out:  # else the later verdict would hide the earlier one

@@ -57,10 +57,8 @@ def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
+    cols = list(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def transpose(m: Sequence[Sequence]) -> tuple:
@@ -155,10 +153,10 @@ def hermite(rows: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat, int]
         for j in range(i + 1, m):
             # Euclid on columns i and j until row i has a zero in column j
             while cols[j][i]:
-                q = cols[i][i] // cols[j][i]
-                cols[i] = [x - q * y for x, y in zip(cols[i], cols[j])]
-                ut[i] = [x - q * y for x, y in zip(ut[i], ut[j])]
-                ui[j] = [x + q * y for x, y in zip(ui[j], ui[i])]
+                if q := cols[i][i] // cols[j][i]:  # q = 0 leaves all three as they are
+                    cols[i] = [x - q * y for x, y in zip(cols[i], cols[j])]
+                    ut[i] = [x - q * y for x, y in zip(ut[i], ut[j])]
+                    ui[j] = [x + q * y for x, y in zip(ui[j], ui[i])]
                 for t in (cols, ut, ui):
                     t[i], t[j] = t[j], t[i]
                 sign = -sign
@@ -168,5 +166,5 @@ def hermite(rows: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat, int]
             for t in (cols, ut, ui):
                 t[i] = [-x for x in t[i]]
             sign = -sign
-    h = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
+    h = tuple(zip(*cols[:r]))  # the columns of rows have r entries
     return h, tuple(zip(*ut)), tuple(map(tuple, ui)), sign

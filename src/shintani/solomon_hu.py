@@ -14,9 +14,11 @@ integral domain, so no canonical form is ever computed.
 
 Exponents are packed (Kronecker substitution): v is the int sum_i v_i
 2^(W(n-1-i)) with |v_i| < 2^(W-1), so a shift is one int addition and the
-ints sort as the tuples do. W is the least multiple of 64 above the bound
+ints sort as the tuples do. W is the least multiple of 16 above the bound
 each element carries: for a cell the base-point plus the lift bound, for a
-sum the largest summand bound plus its denominator's max-norms. Bulk readers
+sum the largest summand bound plus its denominator's max-norms. The 16-bit
+step keeps the keys of small exponents short, so they hash and add fast, and
+is coarse enough that the summands of one sum rarely need repacking. Bulk readers
 take the exponents column by column: adding 2^(W-1) to every digit puts it in
 [0, 2^W) with no borrow, so coordinate i of every key is a shift and a mask
 (_unpack_columns); matrices act on the coordinate lists, and as packing is
@@ -51,8 +53,10 @@ from .testfunctions import TestFunction, _as_int, _as_list, _as_rational, _only_
 CELL_POINT_BUDGET = 10**6
 
 
-def _width(bound: int) -> int:  # the least multiple W of 64 with bound < 2^(W-1)
-    return 64 * (bound.bit_length() // 64 + 1)
+def _width(bound: int) -> int:  # the least multiple W of 16 with bound < 2^(W-1)
+    # 16-bit steps: keys of small exponents stay short (48 bits at n = 3, not 192) and
+    # hash and add faster; at 8, pm_sum repacks summands whose bounds straddle a step
+    return 16 * (bound.bit_length() // 16 + 1)
 
 
 def _pack(v: Iterable[int], W: int) -> int:
@@ -180,13 +184,18 @@ def pm_sum(terms: Iterable[tuple[int | Fraction, PseudoMeasure]]) -> PseudoMeasu
     bound = max((x.bound for _c, x, _d in live), default=0) + sum(max(map(abs, u)) for u in union)
     n, W = max((x.n for _c, x, _d in live), default=0), _width(bound)
     out: dict[int, int | Fraction] = {}
+    get = out.get
     for c, x, den in live:  # shift-subtract once by the factors x lacks
         lacks = denominator_product(list((most - den).elements()), W)
         num = x._at(W).items()
         for w, cw in lacks.items():
             cw *= c
-            for v, cv in num:
-                out[k] = out.get(k := v + w, 0) + cw * cv
+            if w:
+                for v, cv in num:
+                    out[k] = get(k := v + w, 0) + cw * cv
+            else:  # the unshifted pass
+                for v, cv in num:
+                    out[v] = get(v, 0) + cw * cv
     # the sums cancel terms and add Fractions up to integers
     out = {k: c if type(c) is int or c.denominator != 1 else c.numerator
            for k, c in out.items() if c}
@@ -195,7 +204,12 @@ def pm_sum(terms: Iterable[tuple[int | Fraction, PseudoMeasure]]) -> PseudoMeasu
 
 def pm_eq(a: PseudoMeasure, b: PseudoMeasure) -> bool:
     """Equality in the localization: a - b has a zero numerator, which is
-    sound since the denominators are nonzero in an integral domain."""
+    sound since the denominators are nonzero in an integral domain. On equal
+    denominators (sorted tuples, so equal multisets) that is equal numerators,
+    compared as packed dicts at their common width."""
+    if a.den == b.den:
+        W = max(a.num.W, b.num.W)
+        return a.num._at(W) == b.num._at(W)
     return not pm_sum(((1, a), (-1, b))).num
 
 

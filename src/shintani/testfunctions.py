@@ -58,7 +58,9 @@ def _is_prime(p: int) -> bool:
 class TestFunction(_ReadOnly):
     """Integer-valued step function of level M on Z^n, away from the prime p
     (M coprime to p), stored as a residue table on (Z/M)^n. Read-only and
-    unhashable; equal (n, p, M, values) make equal step functions."""
+    unhashable; equal (n, p, M, values) make equal step functions. A weight
+    or residue coordinate x with int(x) != x (1/2, 2.7, "3") is refused with
+    a ValueError naming it."""
 
     __test__ = False  # domain name, not a pytest case
     # pairings: solomon_hu.pair_half_open results by (primitive generator set, closed
@@ -81,8 +83,14 @@ class TestFunction(_ReadOnly):
         for residue, weight in (values or {}).items():
             if len(residue) != n:
                 raise ValueError("residue of wrong dimension")
-            key = tuple(int(x) % M for x in residue)
-            table[key] = table.get(key, 0) + int(weight)
+            if (ints := tuple(map(int, residue))) != residue:  # at once on a tuple of ints
+                for x, i in zip(residue, ints):
+                    if i != x:
+                        raise ValueError(f"residue coordinate {x!r} is not an integer")
+            if (w := int(weight)) != weight:
+                raise ValueError(f"weight {weight!r} is not an integer")
+            key = tuple([x % M for x in ints])
+            table[key] = table.get(key, 0) + w
         values = {k: v for k, v in sorted(table.items()) if v != 0}
         for name, value in zip(self.__slots__, (n, p, M, values, {}, {})):
             object.__setattr__(self, name, value)
@@ -114,6 +122,8 @@ def stabilizes(f: TestFunction, g: Sequence[Sequence[int]]) -> bool:
     if linalg.det(gm) != 1:
         raise NotUnimodular("action requires determinant 1")
     M = f.M
+    if all((x - (i == j)) % M == 0 for i, row in enumerate(gm) for j, x in enumerate(row)):
+        return True  # g = I mod M fixes every residue
     return all(f.values.get(tuple(x % M for x in linalg.mat_vec(gm, w))) == c
                for w, c in f.values.items())
 

@@ -21,7 +21,10 @@ the oracles' Fraction solve and call the library only for the objects they
 check. The reference readers at the very end are the JSON readers as they were
 before they read integers as ints (every vector entry and coefficient through
 Fraction), kept with the helpers they called, so that the new readers can be
-compared with them value for value and message for message.
+compared with them value for value and message for message. The reference
+kernels after them are linalg.hermite and linalg.mat_mul, solomon_hu.pm_eq and
+testfunctions.stabilizes as they were before their leaner forms, kept verbatim
+so that each new kernel can be compared with its old one.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from shintani.solomon_hu import (
     _cell,
     pair_cone_function,
     pair_open_cone,
+    pm_sum,
     pm_zero,
 )
 from shintani.testfunctions import TestFunction, _as_list, random_congruence_element
@@ -1026,3 +1030,70 @@ def reference_pm_from_json(data: dict) -> PseudoMeasure:
     if not all(any(u) for u in den):
         raise SchemaError("bad pseudo-measure JSON: a denominator vector is zero")
     return PseudoMeasure(GroupAlgebraElement(num), den)
+
+
+# -- reference kernels ---------------------------------------------------------
+
+
+def outcome(fn, *args) -> tuple:
+    """("value", fn(*args)), or ("raised", the exception's type, its message)."""
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def reference_mat_mul(a, b) -> tuple:
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
+        for i in range(len(a))
+    )
+
+
+def reference_hermite(rows):
+    """linalg.hermite with the three list rebuilds on every Euclid step."""
+    m = len(rows[0]) if rows else 0
+    r = len(rows)
+    if not 0 < r <= m:
+        raise DependentInput("vectors are linearly dependent")
+    cols = [list(c) for c in zip(*rows)]  # column j of rows
+    ut = [[0] * j + [1] + [0] * (m - 1 - j) for j in range(m)]  # column j of u
+    ui = [[0] * j + [1] + [0] * (m - 1 - j) for j in range(m)]  # row j of u_inv
+    sign = 1
+    for i in range(r):
+        for j in range(i + 1, m):
+            # Euclid on columns i and j until row i has a zero in column j
+            while cols[j][i]:
+                q = cols[i][i] // cols[j][i]
+                cols[i] = [x - q * y for x, y in zip(cols[i], cols[j])]
+                ut[i] = [x - q * y for x, y in zip(ut[i], ut[j])]
+                ui[j] = [x + q * y for x, y in zip(ui[j], ui[i])]
+                for t in (cols, ut, ui):
+                    t[i], t[j] = t[j], t[i]
+                sign = -sign
+        if cols[i][i] == 0:
+            raise DependentInput("vectors are linearly dependent")
+        if cols[i][i] < 0:
+            for t in (cols, ut, ui):
+                t[i] = [-x for x in t[i]]
+            sign = -sign
+    h = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
+    return h, tuple(zip(*ut)), tuple(map(tuple, ui)), sign
+
+
+def reference_pm_eq(a: PseudoMeasure, b: PseudoMeasure) -> bool:
+    """Equality in the localization: a - b has a zero numerator, which is
+    sound since the denominators are nonzero in an integral domain."""
+    return not pm_sum(((1, a), (-1, b))).num
+
+
+def reference_stabilizes(f: TestFunction, g) -> bool:
+    """stabilizes by the residue loop alone, for every g of det 1."""
+    gm = linalg.int_mat(g)
+    if {len(gm), *map(len, gm)} != {f.n}:  # else mat_vec would drop coordinates
+        raise ValueError(f"rows of lengths {[*map(len, gm)]} cannot act in dimension {f.n}")
+    if linalg.det(gm) != 1:
+        raise NotUnimodular("action requires determinant 1")
+    M = f.M
+    return all(f.values.get(tuple(x % M for x in linalg.mat_vec(gm, w))) == c
+               for w, c in f.values.items())

@@ -617,6 +617,21 @@ def test_two_rays_with_one_report_key_are_refused_naming_it(tmp_path, capsys, ra
     assert code == 0 and json.loads(out) == {"a": True, "b": False, "1,0": True, "2,0": True}
 
 
+@pytest.mark.parametrize("name, printed", [
+    (["x"], '["x"]'), (0, "0"), ("", '""'), (None, "null"),
+], ids=["list", "zero", "empty", "null"])
+def test_a_ray_name_that_is_not_a_non_empty_string_is_refused_naming_it(
+        tmp_path, capsys, name, printed):
+    # ["x"] once reported under the key "['x']", and 0, "" and null under the
+    # ray's coordinates, with exit 0
+    path = write(tmp_path, "in.json", {"test_function": TF_BALANCED_2D,
+                                       "rays": [{"name": name, "v": ["1", "0"]}]})
+    assert main(["--command", "vh", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ray name {printed} is not a non-empty string\n"
+
+
 def test_moments_command(tmp_path, capsys):
     path = write(tmp_path, "in.json", {
         "test_function": TF_DIFF, "cone": {"generators": [["1"]]},

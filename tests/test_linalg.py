@@ -15,7 +15,10 @@ from oracles import (
     det_cofactor,
     enumerate_fundamental_domain,
     hermite_box,
+    outcome,
     rank_by_minors,
+    reference_hermite,
+    reference_mat_mul,
 )
 
 
@@ -302,3 +305,28 @@ def test_enumerate_fundamental_domain_against_box_scan():
                         if box <= 400 and rank_by_minors(ws) == r:
                             break
                     assert enumerate_fundamental_domain(ws, n) == brute_cell_points(ws, n)
+
+
+def test_hermite_and_mat_mul_match_their_references():
+    # the lean kernels against the old ones, result for result and refusal for
+    # refusal: 1-6 rows of length 1-6, dependent rows, r < m and r > m included
+    rng = random.Random(58)
+    kinds = {"square": 0, "r < m": 0, "dependent": 0, "r > m": 0}
+    for t in range(600):
+        r, m = rng.randint(1, 6), rng.randint(1, 6)
+        rank = rng.randint(0, min(r, m) - 1) if t % 3 == 0 else min(r, m)
+        scale = rng.choice((3, 3, 50))
+        rows = [[rng.randint(-scale, scale) for _ in range(m)] for _ in range(rank)]
+        while len(rows) < r:  # a combination of the rows so far, or a zero row
+            rows.insert(rng.randint(0, len(rows)), [sum(rng.randint(-2, 2) * row[j] for row in rows)
+                                                    for j in range(m)])
+        want = outcome(reference_hermite, rows)
+        assert outcome(linalg.hermite, rows) == want, rows
+        kinds["r > m" if r > m else "dependent" if want[0] == "raised"
+              else "square" if r == m else "r < m"] += 1
+        cols = rng.randint(1, 6)
+        b = [[rng.choice((rng.randint(-9, 9), F(rng.randint(-9, 9), 4))) for _ in range(cols)]
+             for _ in range(m)]
+        assert linalg.mat_mul(rows, b) == reference_mat_mul(rows, b), (rows, b)
+    assert min(kinds.values()) >= 60, kinds
+    assert outcome(linalg.hermite, []) == outcome(reference_hermite, [])

@@ -164,7 +164,7 @@ def test_the_readers_match_their_fraction_references():
     ("tf", ({"n": 1, "p": 3, "M": 4, "terms": [{"residue": ["1_0"], "weight": 1}]},),
      (1, 3, 4, [((2,), 1)])),
     ("pm", ({"numerator": [{"vector": [1], "coeff": "1_0"}], "denominator": []},),
-     ((), 1, 64, 1, [(1, "int", 10)])),
+     ((), 1, 16, 1, [(1, "int", 10)])),
     ("vector", (["1_0", 2], "ray", 2), ((10, 2), ["10", "2"])),
 ])
 def test_an_underscore_string_is_read_as_int(kind, args, value):

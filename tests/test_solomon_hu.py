@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 from itertools import chain, permutations, product
 from math import prod
@@ -227,15 +228,16 @@ def test_packed_keys_sort_as_tuples_and_round_trip():
 
 
 def test_pack_refuses_a_digit_past_its_width():
-    # the negative control of the bound check: 2^(W-1) does not fit W bits
-    for W in (64, 128):
+    # the negative control of the bound check: 2^(W-1) does not fit W bits,
+    # and widths step by 16 bits
+    for W in (16, 64, 128):
         half = 1 << (W - 1)
         for x in (half, -half):
             with pytest.raises(OverflowError):
                 _pack((0, x), W)
-        assert _width(half - 1) == W and _width(half) == W + 64
+        assert _width(half - 1) == W and _width(half) == W + 16
     wide = GroupAlgebraElement({(1, 1 << 63): 2, (0, -3): 1})
-    assert (wide.W, wide.bound) == (128, 1 << 63)
+    assert (wide.W, wide.bound) == (80, 1 << 63)
     assert dict(wide.terms) == {(1, 1 << 63): 2, (0, -3): 1}
     with pytest.raises(TypeError):
         wide.terms[(0, 0)] = 1  # the tuple view is read-only
@@ -282,12 +284,12 @@ def test_results_are_built_clean():
 
 
 def test_pm_sum_across_widths_matches_the_fold():
-    # summands at W = 64 and W = 128 meet in one sum: each is re-packed to
+    # summands at W = 16 and W = 80 meet in one sum: each is re-packed to
     # the sum's width, and the result has the pairwise fold's value over
     # the union denominator
     rng = random.Random(2031)
     big = 1 << 70
-    widths = set()
+    widths, mixed = set(), 0
     for _ in range(150):
         n = rng.randint(1, 3)
         pool = _pool(rng, n) + [tuple(rng.choice((-big, big)) for _ in range(n))]
@@ -298,12 +300,61 @@ def test_pm_sum_across_widths_matches_the_fold():
                 a = PM(a.num * GA.delta([rng.choice((-big, big)) for _ in range(n)]), a.den)
             pms.append(a)
             widths.add(a.num.W)
+        mixed += len({a.num.W for a in pms if a.num}) > 1
         terms = [(rng.choice((1, -1, 2, F(1, 2))), x) for x in pms]
         _assert_sum(terms)
         x, y = pms[0], pms[-1]
         for a, b in ((x, y), (x, _same_value(rng, x, pool))):
             assert pm_eq(a, b) == oracles.pm_eq_cross(a, b)
-    assert widths == {64, 128}
+    assert widths == {16, 80} and mixed > 50
+
+
+def _at_width(a: PM, W: int) -> PM:
+    """a with its numerator packed at a width W >= a.num.W."""
+    x = a.num
+    return PM(GroupAlgebraElement._of(x._at(W), x.n, W, x.bound), a.den)
+
+
+def _pm_eq_mismatches(kernel, pairs) -> list:
+    return [(x, y) for x, y in pairs if kernel(x, y) != oracles.reference_pm_eq(x, y)]
+
+
+def test_pm_eq_matches_its_reference():
+    # on equal denominators pm_eq compares the numerators at their common
+    # width, and on unequal ones it takes the difference: both agree with the
+    # difference test, at mixed widths, with Fractions and empty numerators
+    rng = random.Random(2043)
+    pairs = []
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        pool = _pool(rng, n)
+        a = _random_pm(rng, n, pool)
+        if a.num and rng.random() < 0.4:  # exponents past 2^20 or 2^70
+            shift = [rng.choice((-1, 1)) << rng.choice((20, 70)) for _ in range(n)]
+            a = PM(a.num * d(*shift), a.den)
+        empty = PM(GA.zero(), a.den or (pool[0],))
+        pairs += [(a, _same_value(rng, a, pool)), (a, b := _random_pm(rng, n, pool)),
+                  (a, PM(b.num, a.den)), (a, PM(a.num, b.den)),
+                  (_same_value(rng, a, pool), _same_value(rng, a, pool)),
+                  (empty, PM(GA.zero(), empty.den)), (pm_zero(), empty)]
+        if a.num:
+            v = rng.choice(list(a.num.terms))
+            wide = _at_width(a, a.num.W + 16 * rng.randint(1, 4))
+            pairs += [(a, wide), (wide, a), (wide, PM(GA.lift(a.num) + GA.delta(v, F(1, 2)), a.den)),
+                      (a, PM(GA.zero(), a.den)), (pm_zero(), a)]
+    assert _pm_eq_mismatches(pm_eq, pairs) == []
+    seen = Counter((x.den == y.den, oracles.reference_pm_eq(x, y)) for x, y in pairs)
+    assert min(seen[k] for k in product((True, False), repeat=2)) >= 100, seen
+    mixed = [(x, y) for x, y in pairs if x.den == y.den and x.num.W != y.num.W]
+    fractions = [(x, y) for x, y in pairs if any(type(c) is F for c in x.num.packed.values())]
+    assert len(mixed) >= 200 and len(fractions) >= 100
+    # negative controls: a dict comparison at each own width misses the wide
+    # copies, and one on denominators of equal length, not equal ones, is caught
+    naive = lambda x, y: x.num.packed == y.num.packed if x.den == y.den else pm_eq(x, y)
+    assert len(_pm_eq_mismatches(naive, mixed)) >= 100
+    lengths = lambda x, y: (pm_eq(PM(x.num, ()), PM(y.num, ())) if len(x.den) == len(y.den)
+                            else pm_eq(x, y))
+    assert len(_pm_eq_mismatches(lengths, pairs)) >= 100
 
 
 def test_a_huge_ray_pairs_at_a_wider_digit():
@@ -311,14 +362,14 @@ def test_a_huge_ray_pairs_at_a_wider_digit():
     f = TestFunction(2, 3, 4, {(1, j): 1 for j in range(4)}
                      | {(3, j): -1 for j in range(4)})
     a = pair_open_cone(OpenCone(((F(1), F(big)),)), f)
-    assert a.num.W == 128 and a.den == ((4, 4 * big),)
+    assert a.num.W == 112 and a.den == ((4, 4 * big),)  # 10^30 < 2^100
     assert [t["vector"] for t in pm_to_json(a)["numerator"]] == [[1, big], [3, 3 * big]]
     assert pm_eq(act_pm([[1, 0], [-big, 1]], a), PM(d(1, 0) - d(3, 0), ((4, 0),)))
     # at level 1 the unimodular cell of (1, big) and (-1, 1 - big) is the one
     # point (0, 1): its digits stay narrow, and no generator is packed at them
     const = TestFunction(2, 3, 1, {(0, 0): 2})
     one = pair_open_cone(OpenCone(((1, big), (-1, 1 - big))), const)
-    assert one.num.W == 64 and dict(one.num.terms) == {(0, 1): 2}
+    assert one.num.W == 16 and dict(one.num.terms) == {(0, 1): 2}
 
 
 def test_a_pseudo_measure_is_read_only_and_equal_only_to_itself():
@@ -484,7 +535,7 @@ def test_act_pm_and_coordinates_match_per_vector_images():
             den = tuple(sorted(tuple(row) for row in rows[:rng.randint(0, n)]))
             g = random_congruence_element(n, rng.choice((1, 2, 4)), rng.randrange(10**6))
             cases.append((g, PM(GroupAlgebraElement(spec), den), spec))
-    # a bound near 2^62 at W = 64 whose image under a row norm of 3 needs W = 128
+    # a bound near 2^62 at W = 64 whose image under a row norm of 3 needs W = 80
     big = {(1 << 62, 1 << 62): 1, (-(1 << 62), 7): -1, (0, 1): 2}
     cases.append(([[1, 2], [0, 1]], PM(GroupAlgebraElement(big), ((0, 1),)), big))
     for g, a, spec in cases:
@@ -496,8 +547,8 @@ def test_act_pm_and_coordinates_match_per_vector_images():
         terms = list(zip(zip(*cols), cs))
         adj = linalg.adjugate(linalg.transpose(basis))[0]
         assert terms == [(linalg.mat_vec(adj, v), c) for v, c in spec.items()]
-    assert (cases[-1][1].num.W, act_pm(cases[-1][0], cases[-1][1]).num.W) == (64, 128)
-    assert sum(a.num.W == 128 or act_pm(g, a).num.W == 128 for g, a, _spec in cases) > 10
+    assert (cases[-1][1].num.W, act_pm(cases[-1][0], cases[-1][1]).num.W) == (64, 80)
+    assert sum(act_pm(g, a).num.W > a.num.W for g, a, _spec in cases) > 10
 
 
 def test_enumerate_fundamental_domain_examples():

@@ -25,7 +25,9 @@ from oracles import (
     act,
     haar,
     line_slice,
+    outcome,
     rational_slice_haar,
+    reference_stabilizes,
     to_json,
     value_at,
     vh_by_slices,
@@ -95,6 +97,23 @@ def test_table_normalization():
     assert f.values == {(3,): 1}  # 5 = 1 mod 4 cancels
     assert value_at(f, (7,)) == 1
     assert value_at(f, (-1,)) == 1
+    # integral values of other types are read as their ints
+    f = TestFunction(2, 3, 4, {(F(6, 2), 1.0): F(4, 2), (7, 5): 3.0, (0, 0): True})
+    assert f.values == {(0, 0): 1, (3, 1): 5} and all(type(w) is int for w in f.values.values())
+
+
+@pytest.mark.parametrize("values, message", [
+    ({(1,): F(1, 2), (2,): 2.7}, r"weight Fraction\(1, 2\) is not an integer"),
+    ({(2,): 2.7}, "weight 2.7 is not an integer"),
+    ({(F(3, 2),): 1}, r"residue coordinate Fraction\(3, 2\) is not an integer"),
+    ({(0, 1.5): 1}, "residue coordinate 1.5 is not an integer"),
+    ({("3",): 1}, "residue coordinate '3' is not an integer"),
+], ids=["fraction-weight", "float-weight", "fraction-residue", "float-residue", "string-residue"])
+def test_a_non_integral_weight_or_residue_is_refused_naming_it(values, message):
+    # int() once truncated these: {(1,): 1/2, (2,): 2.7} became {(2,): 2}
+    n = len(next(iter(values)))
+    with pytest.raises(ValueError, match=message):
+        TestFunction(n, 3, 4, values)
 
 
 def test_act_examples():
@@ -167,6 +186,72 @@ def test_stabilizes_matches_the_full_pullback():
     assert min(verdicts.values()) > 20, verdicts
     with pytest.raises(NotUnimodular):
         stabilizes(TestFunction(2, 3, 4, {(1, 0): 1}), [[0, 1], [1, 0]])
+
+
+def _stabilizer_cases(seed: int) -> list[tuple[TestFunction, tuple, str]]:
+    """(f, g, kind) with g in Gamma(M), in Gamma(M') for a proper divisor M' of M,
+    a random element of SL_n(Z), of det -1, 0 or 2 (also one = I mod M), or of the
+    wrong size; f random, or a sum of indicators of orbits of g mod M."""
+    rng = random.Random(seed)
+    cases = []
+    for n, M in product((1, 2, 3, 4), (1, 2, 3, 4, 6)):
+        for trial in range(14):
+            kind = ("gamma", "divisor", "sl", "sl", "sl", "det", "size")[trial % 7]
+            if kind == "gamma":
+                g = random_congruence_element(n, M, rng.randrange(10**6))
+            elif kind == "divisor":
+                g = random_congruence_element(n, rng.choice([d for d in (1, 2, 3) if M % d == 0]),
+                                              rng.randrange(10**6))
+            elif kind == "det":  # diag(-1, 1, ...) is I mod 2
+                g = [[x * c for x in row] for row, c in zip(linalg.identity(n), (rng.choice(
+                    (-1, 0, 2)), *[1] * (n - 1)))]
+            elif kind == "size":
+                g = linalg.identity(rng.choice([k for k in (1, 2, 3, 4, 5) if k != n]))
+            else:
+                g = linalg.identity(n)
+                for _ in range(rng.randint(1, 4) if n > 1 else 0):
+                    i, j = rng.sample(range(n), 2)
+                    elem = [list(row) for row in linalg.identity(n)]
+                    elem[i][j] = rng.randint(-3, 3)
+                    g = linalg.int_mat(linalg.mat_mul(g, elem))
+            seeds = {tuple(rng.randrange(M) for _ in range(n)): rng.choice((-2, -1, 1, 2))
+                     for _ in range(rng.randint(1, 3))}
+            table = {}
+            for r, c in seeds.items():
+                x = r
+                while True:  # r alone, or its orbit under g mod M
+                    table[x] = table.get(x, 0) + c
+                    if trial % 2 or kind in ("det", "size"):
+                        break
+                    x = tuple(a % M for a in linalg.mat_vec(g, x))
+                    if x == r:
+                        break
+            cases.append((TestFunction(n, 5, M, table), tuple(map(tuple, g)), kind))
+    return cases
+
+
+def _stabilizes_mismatches(kernel, cases) -> list:
+    return [(f.n, f.M, g) for f, g, _kind in cases
+            if outcome(kernel, f, g) != outcome(reference_stabilizes, f, g)]
+
+
+def test_stabilizes_matches_its_residue_loop_reference():
+    # stabilizes answers g = I mod M without the residue loop, and every
+    # other g by it: its verdicts and refusals are the reference's
+    cases = _stabilizer_cases(1309)
+    assert _stabilizes_mismatches(stabilizes, cases) == []
+    seen = {}
+    for f, g, kind in cases:
+        key = (kind, outcome(reference_stabilizes, f, g)[1])  # the verdict, or the refusal's type
+        seen[key] = seen.get(key, 0) + 1
+    # Gamma(M) fixes every f; the other kinds give both verdicts; det and size are refused
+    assert seen[("gamma", True)] == 40 and ("gamma", False) not in seen, seen
+    assert all(seen.get((kind, v), 0) >= 5 for kind in ("divisor", "sl") for v in (True, False)), seen
+    assert seen[("det", NotUnimodular)] == 40 and seen[("size", ValueError)] == 40, seen
+    assert any(f.M == 2 and g[0][0] == -1 for f, g, kind in cases if kind == "det")
+    # negative control: a stabilizes that says True for every g of det 1 is caught
+    lax = lambda f, g: reference_stabilizes(f, g) or True
+    assert len(_stabilizes_mismatches(lax, cases)) >= 20
 
 
 def test_line_slice_examples():
