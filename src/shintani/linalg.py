@@ -12,8 +12,9 @@ face signs off one elimination. The rows of u_inv are a basis of
 Z^n whose first r rows saturate the span of the r input rows, and the
 cosets of Z^n modulo a lattice are a box read off the Hermite diagonal,
 so no job needs an inverse: one Hermite pass gives a pairing cell its
-basis, its box of base points and its lifts (`solomon_hu._cell`), the only
-code that reduces points by a Hermite form. The measure test reads its
+basis and its box of base points (`solomon_hu._cell`, the only code that
+reduces points by a Hermite form), or, when its diagonal is all ones, tells
+it that the cell has one base point and no box. The measure test reads its
 classes off adjugate coordinates instead (`amice._poles_vanish`).
 A rational vector is scaled to integers first (`clear_denominators`): its
 primitive vector is unchanged by a positive rescaling.
@@ -138,33 +139,32 @@ def hermite(rows: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat, int]
     the columns of rows, and row i of rows is sum_j h_ij * u_inv_j. Only
     integer column operations run; each is mirrored on u and, inverted, on
     the rows of u_inv, so no inverse is ever computed, and sign flips with
-    each column swap and negation. Raises DependentInput when the rows are
-    dependent or r > m.
+    each column swap and negation. Column j of rows and column j of u are
+    held as one list, so a column operation rebuilds one list for both and
+    one for u_inv. Raises DependentInput when the rows are dependent or
+    r > m.
     """
     m = len(rows[0]) if rows else 0
     r = len(rows)
     if not 0 < r <= m:
         raise DependentInput("vectors are linearly dependent")
-    cols = [list(c) for c in zip(*rows)]  # column j of rows
-    ut = [[0] * j + [1] + [0] * (m - 1 - j) for j in range(m)]  # column j of u
+    # column j of rows (r entries), then column j of u (m entries)
+    cu = [[*c, *(0,) * j, 1, *(0,) * (m - 1 - j)] for j, c in enumerate(zip(*rows))]
     ui = [[0] * j + [1] + [0] * (m - 1 - j) for j in range(m)]  # row j of u_inv
     sign = 1
     for i in range(r):
         for j in range(i + 1, m):
             # Euclid on columns i and j until row i has a zero in column j
-            while cols[j][i]:
-                if q := cols[i][i] // cols[j][i]:  # q = 0 leaves all three as they are
-                    cols[i] = [x - q * y for x, y in zip(cols[i], cols[j])]
-                    ut[i] = [x - q * y for x, y in zip(ut[i], ut[j])]
+            while cu[j][i]:
+                if q := cu[i][i] // cu[j][i]:  # q = 0 leaves both as they are
+                    cu[i] = [x - q * y for x, y in zip(cu[i], cu[j])]
                     ui[j] = [x + q * y for x, y in zip(ui[j], ui[i])]
-                for t in (cols, ut, ui):
-                    t[i], t[j] = t[j], t[i]
+                cu[i], cu[j], ui[i], ui[j] = cu[j], cu[i], ui[j], ui[i]
                 sign = -sign
-        if cols[i][i] == 0:
+        if cu[i][i] == 0:
             raise DependentInput("vectors are linearly dependent")
-        if cols[i][i] < 0:
-            for t in (cols, ut, ui):
-                t[i] = [-x for x in t[i]]
+        if cu[i][i] < 0:
+            cu[i], ui[i] = [-x for x in cu[i]], [-x for x in ui[i]]
             sign = -sign
-    h = tuple(zip(*cols[:r]))  # the columns of rows have r entries
-    return h, tuple(zip(*ut)), tuple(map(tuple, ui)), sign
+    h = tuple(zip(*(c[:r] for c in cu[:r])))  # the columns of rows have r entries
+    return h, tuple(zip(*(c[r:] for c in cu))), tuple(map(tuple, ui)), sign

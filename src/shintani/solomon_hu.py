@@ -25,13 +25,15 @@ take the exponents column by column: adding 2^(W-1) to every digit puts it in
 linear, the key of g v is sum_i v_i times the key of column i of g (act_pm).
 
 Pairing a cone with a step function of level M scales the generators positively
-to primitive vectors, multiplies by M to obtain periods, and sums the function
-over the half-open fundamental cell of those periods, which is the cell of the
-primitive vectors lifted by their multiples below M; the periods become the
-denominator factors. A cell coordinate lies in (0, 1] on an open generator and
-in [0, 1) on a closed one, so a deformed cone pairs as one cell. Base points
-are built column by column, residues mod M packed, a sum of two reduced by one
-carry-free step, and f read once per base point and lift residue (_pair_cell).
+to primitive vectors s, and sums the function over the half-open fundamental
+cell of the periods M s, which is the cell of the s (_cell, on the steps (s, M))
+lifted by their multiples below M; the periods become the denominator factors.
+A cell coordinate lies in (0, 1] on an open generator and in [0, 1) on a closed
+one, so a deformed cone pairs as one cell. Base points are built column by
+column, and a unimodular cell has one, the sum of its open s, with no box.
+Residues mod M are packed, a sum of two reduced by one carry-free step, so the
+residue of each lift is the previous one's plus a step's; f is read once per
+base point and lift residue (_pair_cell).
 """
 
 from __future__ import annotations
@@ -175,30 +177,37 @@ def pm_sum(terms: Iterable[tuple[int | Fraction, PseudoMeasure]]) -> PseudoMeasu
     nonzero summands' denominators, and each nonzero numerator is shifted
     once by the factors its summand lacks, so the printed sum does not
     depend on the order of the terms. With no nonzero summand it is pm_zero().
+    Nonzero summands of two dimensions raise ValueError naming both.
     """
     live = [(c, a.num, Counter(a.den)) for c, a in terms if c and a.num]
+    n = live[0][1].n if live else 0
     most: Counter[IntVec] = Counter()
-    for _c, _x, den in live:
+    for _c, x, den in live:
+        if x.n != n:  # else a shorter exponent packs as if padded with leading zeros
+            raise ValueError(f"cannot add pseudo-measures of dimensions {n} and {x.n}")
         most |= den
     union = tuple(sorted(most.elements()))
     bound = max((x.bound for _c, x, _d in live), default=0) + sum(max(map(abs, u)) for u in union)
-    n, W = max((x.n for _c, x, _d in live), default=0), _width(bound)
+    W = _width(bound)
     out: dict[int, int | Fraction] = {}
     get = out.get
     for c, x, den in live:  # shift-subtract once by the factors x lacks
         lacks = denominator_product(list((most - den).elements()), W)
-        num = x._at(W).items()
+        num = x._at(W)
         for w, cw in lacks.items():
             cw *= c
             if w:
-                for v, cv in num:
+                for v, cv in num.items():
                     out[k] = get(k := v + w, 0) + cw * cv
+            elif cw == 1 and not out:  # the first pass into an empty sum
+                out.update(num)
             else:  # the unshifted pass
-                for v, cv in num:
+                for v, cv in num.items():
                     out[v] = get(v, 0) + cw * cv
-    # the sums cancel terms and add Fractions up to integers
+    # the sums cancel terms and add Fractions up to integers; a sum that cancels
+    # to zero, as every wedge does, needs no pass over its terms
     out = {k: c if type(c) is int or c.denominator != 1 else c.numerator
-           for k, c in out.items() if c}
+           for k, c in out.items() if c} if any(out.values()) else {}
     return PseudoMeasure(GroupAlgebraElement._of(out, n, W, bound), union)
 
 
@@ -206,7 +215,10 @@ def pm_eq(a: PseudoMeasure, b: PseudoMeasure) -> bool:
     """Equality in the localization: a - b has a zero numerator, which is
     sound since the denominators are nonzero in an integral domain. On equal
     denominators (sorted tuples, so equal multisets) that is equal numerators,
-    compared as packed dicts at their common width."""
+    compared as packed dicts at their common width. Nonzero numerators of two
+    dimensions raise ValueError naming both."""
+    if a.num.n != b.num.n and a.num.packed and b.num.packed:
+        raise ValueError(f"cannot compare pseudo-measures of dimensions {a.num.n} and {b.num.n}")
     if a.den == b.den:
         W = max(a.num.W, b.num.W)
         return a.num._at(W) == b.num._at(W)
@@ -238,39 +250,39 @@ def act_pm(g: Sequence[Sequence[int]], a: PseudoMeasure) -> PseudoMeasure:
     return PseudoMeasure(num, tuple(sorted(linalg.mat_vec(gm, u) for u in a.den)))
 
 
-def _cell(ws: Sequence[Sequence[int]], n: int, closed: Sequence[int] = ()
-          ) -> tuple[list[list[int]], list[tuple[IntVec, int]]]:
-    """Base points, as n coordinate columns, and steps (s_i, g_i) of the cell
-    { sum x_i w_i : x_i in [0, 1) for i in closed, else (0, 1] } by one Hermite pass
-    for every rank r: its points are a base point plus a lift sum k_i s_i, k_i < g_i.
+def _cell(steps: Sequence[tuple[IntVec, int]], n: int, closed: Sequence[int] = ()
+          ) -> list[list[int]]:
+    """Base points, as n coordinate columns, of the cell
+    { sum x_i g_i s_i : x_i in [0, 1) for i in closed, else (0, 1] } of the steps (s_i, g_i),
+    s_i primitive and g_i >= 1, by one Hermite pass for every rank r: its points are a base
+    point plus a lift sum k_i s_i, k_i < g_i.
 
-    With w_i = g_i s_i, s_i primitive, and s * u = [h | 0], the first r rows b_j of
-    u_inv are a basis of the saturated span and s_i = sum_j h_ij b_j. The box
-    0 <= y_j < h_jj holds one point y.b of each class modulo the s_i, at cell
-    coordinates x = adj(h)^T y / d with d = prod h_jj, and k = (adj(h)^T y - e) // d
-    generators, e_i = 0 on closed i and 1 on the others (floor(x_i), ceil(x_i) - 1),
-    move it into the cell of the s_i: the base point is y.b - sum k_i s_i. k and the
-    base are weighted sums of whole columns, the box's in `product` order. The cell
-    has d * prod g_i points, checked against CELL_POINT_BUDGET (CellTooLarge) first.
+    With s * u = [h | 0], the first r rows b_j of u_inv are a basis of the saturated span and
+    s_i = sum_j h_ij b_j. The box 0 <= y_j < h_jj holds one point y.b of each class modulo the
+    s_i, at cell coordinates x = adj(h)^T y / d with d = prod h_jj, and k = (adj(h)^T y - e) // d
+    generators, e_i = 0 on closed i and 1 on the others (floor(x_i), ceil(x_i) - 1), move it
+    into the cell of the s_i: the base point is y.b - sum k_i s_i. k and the base are weighted
+    sums of whole columns, the box's in `product` order. A unimodular cell (d = 1, rank 0
+    included) has the one base point y = 0, k = -e: the sum of its open s_i, with no box. The
+    cell has d * prod g_i points, checked against CELL_POINT_BUDGET (CellTooLarge) first.
     """
-    ws = [linalg.int_vec(w) for w in ws]
-    gs = [gcd(*w) for w in ws]
-    s = [tuple(a // (g or 1) for a in w) for w, g in zip(ws, gs)]  # hermite refuses a zero w
+    s = [v for v, _g in steps]
     r = len(s)
     try:
-        h, _u, u_inv, _sign = linalg.hermite(s) if r else ((), (), linalg.identity(n), 1)
+        h, _u, u_inv, _sign = linalg.hermite(s) if r else ((), (), (), 1)
     except DependentInput as exc:
         raise DependentInput("cell generators are linearly dependent") from exc
-    count = (d := prod(sides := [h[j][j] for j in range(r)])) * prod(gs)
+    count = (d := prod(sides := [h[j][j] for j in range(r)])) * prod(g for _v, g in steps)
     if count > CELL_POINT_BUDGET:
-        raise CellTooLarge(f"the cell of the generators {[list(w) for w in ws]} has "
-                           f"{count} integer points, more than {CELL_POINT_BUDGET}")
+        raise CellTooLarge(f"the cell of the generators {[[g * x for x in v] for v, g in steps]} "
+                           f"has {count} integer points, more than {CELL_POINT_BUDGET}")
+    if d == 1:
+        return [[sum(c)] for c in zip((0,) * n, *(v for i, v in enumerate(s) if i not in closed))]
     ys = [list(c) for c in zip(*product(*map(range, sides)))]  # the box, column by column
     ks = [[(x - e) // d for x in _weighted_sum(row, ys, d)] for e, row in zip(
         [int(i not in closed) for i in range(r)], zip(*linalg._triangular_adjugate(h, d)))]
-    base = [_weighted_sum((*row[:r], *(-v[t] for v in s)), ys + ks, d)
+    return [_weighted_sum((*row[:r], *(-v[t] for v in s)), ys + ks, d)
             for t, row in enumerate(linalg.transpose(u_inv))]
-    return base, list(zip(s, gs))
 
 
 def pair_open_cone(c: OpenCone, f: TestFunction) -> PseudoMeasure:
@@ -298,45 +310,51 @@ def _pair_cell(prims: frozenset[IntVec], closed: frozenset, f: TestFunction) -> 
     R = (2M).bit_length() + 1 bits wide, so a digit d of a sum t of two reduced keys is at most
     2M - 2 < 2^(R-1). With K and H holding 2^(R-1) - M and 2^(R-1) in each digit, d + 2^(R-1) - M
     < 2^R carries into no other digit and reaches 2^(R-1) iff d >= M: t - M(((t + K) & H) >> (R-1))
-    is t reduced mod M digit-wise. Lifts are int sums, axis by axis. f is read once per base point
-    and lift residue class; when d = det h is prime to M a class is one lift, read ungrouped."""
+    is t reduced mod M digit-wise. The lifts are two flat lists, of exponent keys and of residue
+    keys, built axis by axis: the residue of k s is that of (k - 1) s plus that of s, reduced.
+    f is read once per base point and lift residue class; when d = det h is prime to M a class
+    is one lift, read ungrouped."""
     n, M = f.n, f.M
     if wrong := {len(s) for s in prims} - {n}:  # else their residues match none of f's
         raise ValueError(f"generators of length {min(wrong)} cannot pair in dimension {n}")
     if stray := closed - prims:  # else the cell would be the open one, memoised under this key
         raise ValueError(f"closed vector {list(min(stray))} is not among the generators")
-    periods = [tuple(M * x for x in s) for s in sorted(prims)]
-    base, steps = _cell(periods, n, [i for i, s in enumerate(sorted(prims)) if s in closed])
-    edges = zip(*([(g - 1) * x for x in s] for s, g in steps))  # the lifts' box, by coordinate
+    ordered = sorted(prims)
+    base = _cell([(s, M) for s in ordered], n, [i for i, s in enumerate(ordered) if s in closed])
+    edges = zip(*([(M - 1) * x for x in s] for s in ordered))  # the lifts' box, by coordinate
     bound = max(map(abs, chain(*base))) + max(
         (max(sum(x for x in e if x > 0), -sum(x for x in e if x < 0)) for e in edges), default=0)
     W, R = _width(bound), (2 * M).bit_length() + 1
     H = (1 << R - 1) * (ones := sum(1 << R * i for i in range(n)))  # _pack refuses 2^(R-1)
     K, top = H - M * ones, R - 1
-    lifts = [(0, 0)]
-    for s, g in steps:  # one axis at a time
-        se = _pack(s, W) if g > 1 else 0  # s itself need not fit W when g = 1
-        ks = [(k * se, _pack([k * x % M for x in s], R)) for k in range(g)]
-        lifts = [(le + ke, (t := lr + kr) - M * (((t + K) & H) >> top))
-                 for le, lr in lifts for ke, kr in ks]
+    keys, res = [0], [0]  # the lifts' exponent and residue keys
+    if M > 1:  # at M = 1 every step has g = 1: no lift, and s itself need not fit W
+        for s in ordered:  # one axis at a time
+            se, sr = _pack(s, W), _pack([x % M for x in s], R)
+            ke, kr = [0], [0]  # k s for k < M
+            for _k in range(M - 1):
+                ke.append(ke[-1] + se)
+                kr.append((t := kr[-1] + sr) - M * (((t + K) & H) >> top))
+            keys = [le + e for le in keys for e in ke]
+            res = [(t := lr + r) - M * (((t + K) & H) >> top) for lr in res for r in kr]
     if not (values := f.residues):  # f's support residues at R-bit digits, packed once per f
-        values.update((_pack(rho, R), c) for rho, c in f.values.items())
+        values.update(zip(_pack_columns(list(zip(*f.values)), R, len(f.values)), f.values.values()))
     ys = zip(_pack_columns(base, W, d := len(base[0])),
              _pack_columns([[x % M for x in col] for col in base], R, d))
     if gcd(d, M) == 1:  # sum k_i s_i = (h^T k).b with det h = d: no two lifts share a residue
-        terms = {py + pl: c for py, ry in ys for pl, rl in lifts
+        terms = {py + pl: c for py, ry in ys for pl, rl in zip(keys, res)
                  if (c := values.get((t := ry + rl) - M * (((t + K) & H) >> top)))}
     else:
         groups: dict[int, list[int]] = {}  # lift keys by residue key
-        lifts.reverse()  # popped in order: a lift is freed once it is grouped
-        while lifts:
-            le, lr = lifts.pop()
+        for le, lr in zip(keys, res):
             groups.setdefault(lr, []).append(le)
+        del keys, res  # freed before the terms are built
         terms = {py + pl: c for py, ry in ys for rl, pls in groups.items()
                  if (c := values.get((t := ry + rl) - M * (((t + K) & H) >> top))) for pl in pls}
     if not terms:
         return pm_zero()
-    return PseudoMeasure(GroupAlgebraElement._of(terms, n, W, bound), tuple(periods))
+    return PseudoMeasure(GroupAlgebraElement._of(terms, n, W, bound),
+                         tuple(tuple(M * x for x in s) for s in ordered))
 
 
 def pair_cone_function(k: Mapping[OpenCone, int], f: TestFunction) -> PseudoMeasure:

@@ -22,24 +22,27 @@ check. The reference readers at the very end are the JSON readers as they were
 before they read integers as ints (every vector entry and coefficient through
 Fraction), kept with the helpers they called, so that the new readers can be
 compared with them value for value and message for message. The reference
-kernels after them are linalg.hermite and linalg.mat_mul, solomon_hu.pm_eq and
-testfunctions.stabilizes as they were before their leaner forms, kept verbatim
-so that each new kernel can be compared with its old one.
+kernels after them are linalg.hermite and linalg.mat_mul, solomon_hu.pm_eq,
+testfunctions.stabilizes, and solomon_hu's pairing cell (_cell and _pair_cell)
+and pm_sum as they were before their leaner forms, kept verbatim so that each
+new kernel can be compared with its old one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import ceil, comb, factorial, gcd, lcm, prod
 from typing import Sequence
 
-from shintani import linalg
+from shintani import linalg, solomon_hu
 from shintani.amice import _coordinates, _poles_vanish, is_measure_amice, is_measure_vh
 from shintani.cocycle import psi_cdg
 from shintani.cones import OpenCone
 from shintani.errors import (
+    CellTooLarge,
     DependentInput,
     NotAMeasure,
     NotUnimodular,
@@ -48,9 +51,14 @@ from shintani.errors import (
 )
 from shintani.linalg import IntVec
 from shintani.solomon_hu import (
+    CELL_POINT_BUDGET,
     GroupAlgebraElement,
     PseudoMeasure,
     _cell,
+    _pack,
+    _pack_columns,
+    _weighted_sum,
+    _width,
     pair_cone_function,
     pair_open_cone,
     pm_sum,
@@ -411,19 +419,26 @@ def coset_rep(h, v) -> tuple[int, ...]:
 
 
 def cell_lifts(steps, n: int) -> list[tuple[int, ...]]:
-    """The lifts sum k_i s_i, 0 <= k_i < g_i, of the steps (s_i, g_i) that
-    solomon_hu._cell returns, as tuples, one axis at a time."""
+    """The lifts sum k_i s_i, 0 <= k_i < g_i, of the steps (s_i, g_i) of a
+    cell of solomon_hu._cell, as tuples, one axis at a time."""
     lifts = [(0,) * n]
     for s, g in steps:
         lifts = [tuple(a + k * b for a, b in zip(v, s)) for v in lifts for k in range(g)]
     return lifts
 
 
-def enumerate_fundamental_domain(ws, n: int) -> list[tuple[int, ...]]:
-    """Sorted integer points of the half-open cell of the ws, the sums of
-    one base point and one lift of solomon_hu._cell (whose base points
-    are coordinate columns)."""
-    base, steps = _cell(ws, n)
+def cell_steps(ws) -> list[tuple[tuple[int, ...], int]]:
+    """The steps (s_i, g_i) of the ws, w_i = g_i s_i with s_i primitive."""
+    gs = [gcd(*w) for w in ws]
+    return [(tuple(x // (g or 1) for x in w), g) for w, g in zip(ws, gs)]  # hermite refuses w = 0
+
+
+def enumerate_fundamental_domain(ws, n: int, closed=()) -> list[tuple[int, ...]]:
+    """Sorted integer points of the half-open cell of the ws, closed at the
+    indices in closed, the sums of one base point of solomon_hu._cell (whose
+    base points are coordinate columns) and one lift of its steps."""
+    steps = cell_steps(ws)
+    base = _cell(steps, n, closed)
     lifts = cell_lifts(steps, n)
     return sorted(tuple(a + b for a, b in zip(y, v)) for y in zip(*base) for v in lifts)
 
@@ -1097,3 +1112,125 @@ def reference_stabilizes(f: TestFunction, g) -> bool:
     M = f.M
     return all(f.values.get(tuple(x % M for x in linalg.mat_vec(gm, w))) == c
                for w, c in f.values.items())
+
+
+# -- the pairing cell and the pseudo-measure sum before their leaner forms ----
+# solomon_hu._cell, _pair_cell and pm_sum as they were before _cell took
+# primitive steps, a unimodular cell skipped its box, the lifts became two
+# flat lists and a zero sum skipped its normalising pass; kept verbatim, but for
+# the module prefix on solomon_hu.denominator_product, whose name the group-algebra
+# oracle above takes.
+
+
+def reference_cell(ws: Sequence[Sequence[int]], n: int, closed: Sequence[int] = ()
+          ) -> tuple[list[list[int]], list[tuple[IntVec, int]]]:
+    """Base points, as n coordinate columns, and steps (s_i, g_i) of the cell
+    { sum x_i w_i : x_i in [0, 1) for i in closed, else (0, 1] } by one Hermite pass
+    for every rank r: its points are a base point plus a lift sum k_i s_i, k_i < g_i.
+
+    With w_i = g_i s_i, s_i primitive, and s * u = [h | 0], the first r rows b_j of
+    u_inv are a basis of the saturated span and s_i = sum_j h_ij b_j. The box
+    0 <= y_j < h_jj holds one point y.b of each class modulo the s_i, at cell
+    coordinates x = adj(h)^T y / d with d = prod h_jj, and k = (adj(h)^T y - e) // d
+    generators, e_i = 0 on closed i and 1 on the others (floor(x_i), ceil(x_i) - 1),
+    move it into the cell of the s_i: the base point is y.b - sum k_i s_i. k and the
+    base are weighted sums of whole columns, the box's in `product` order. The cell
+    has d * prod g_i points, checked against CELL_POINT_BUDGET (CellTooLarge) first.
+    """
+    ws = [linalg.int_vec(w) for w in ws]
+    gs = [gcd(*w) for w in ws]
+    s = [tuple(a // (g or 1) for a in w) for w, g in zip(ws, gs)]  # hermite refuses a zero w
+    r = len(s)
+    try:
+        h, _u, u_inv, _sign = linalg.hermite(s) if r else ((), (), linalg.identity(n), 1)
+    except DependentInput as exc:
+        raise DependentInput("cell generators are linearly dependent") from exc
+    count = (d := prod(sides := [h[j][j] for j in range(r)])) * prod(gs)
+    if count > CELL_POINT_BUDGET:
+        raise CellTooLarge(f"the cell of the generators {[list(w) for w in ws]} has "
+                           f"{count} integer points, more than {CELL_POINT_BUDGET}")
+    ys = [list(c) for c in zip(*product(*map(range, sides)))]  # the box, column by column
+    ks = [[(x - e) // d for x in _weighted_sum(row, ys, d)] for e, row in zip(
+        [int(i not in closed) for i in range(r)], zip(*linalg._triangular_adjugate(h, d)))]
+    base = [_weighted_sum((*row[:r], *(-v[t] for v in s)), ys + ks, d)
+            for t, row in enumerate(linalg.transpose(u_inv))]
+    return base, list(zip(s, gs))
+
+
+def reference_pair_cell(prims: frozenset[IntVec], closed: frozenset, f: TestFunction) -> PseudoMeasure:
+    """pair_half_open's cell sum over (exponent key, residue key) pairs. A residue digit is
+    R = (2M).bit_length() + 1 bits wide, so a digit d of a sum t of two reduced keys is at most
+    2M - 2 < 2^(R-1). With K and H holding 2^(R-1) - M and 2^(R-1) in each digit, d + 2^(R-1) - M
+    < 2^R carries into no other digit and reaches 2^(R-1) iff d >= M: t - M(((t + K) & H) >> (R-1))
+    is t reduced mod M digit-wise. Lifts are int sums, axis by axis. f is read once per base point
+    and lift residue class; when d = det h is prime to M a class is one lift, read ungrouped."""
+    n, M = f.n, f.M
+    if wrong := {len(s) for s in prims} - {n}:  # else their residues match none of f's
+        raise ValueError(f"generators of length {min(wrong)} cannot pair in dimension {n}")
+    if stray := closed - prims:  # else the cell would be the open one, memoised under this key
+        raise ValueError(f"closed vector {list(min(stray))} is not among the generators")
+    periods = [tuple(M * x for x in s) for s in sorted(prims)]
+    base, steps = reference_cell(periods, n, [i for i, s in enumerate(sorted(prims)) if s in closed])
+    edges = zip(*([(g - 1) * x for x in s] for s, g in steps))  # the lifts' box, by coordinate
+    bound = max(map(abs, chain(*base))) + max(
+        (max(sum(x for x in e if x > 0), -sum(x for x in e if x < 0)) for e in edges), default=0)
+    W, R = _width(bound), (2 * M).bit_length() + 1
+    H = (1 << R - 1) * (ones := sum(1 << R * i for i in range(n)))  # _pack refuses 2^(R-1)
+    K, top = H - M * ones, R - 1
+    lifts = [(0, 0)]
+    for s, g in steps:  # one axis at a time
+        se = _pack(s, W) if g > 1 else 0  # s itself need not fit W when g = 1
+        ks = [(k * se, _pack([k * x % M for x in s], R)) for k in range(g)]
+        lifts = [(le + ke, (t := lr + kr) - M * (((t + K) & H) >> top))
+                 for le, lr in lifts for ke, kr in ks]
+    if not (values := f.residues):  # f's support residues at R-bit digits, packed once per f
+        values.update((_pack(rho, R), c) for rho, c in f.values.items())
+    ys = zip(_pack_columns(base, W, d := len(base[0])),
+             _pack_columns([[x % M for x in col] for col in base], R, d))
+    if gcd(d, M) == 1:  # sum k_i s_i = (h^T k).b with det h = d: no two lifts share a residue
+        terms = {py + pl: c for py, ry in ys for pl, rl in lifts
+                 if (c := values.get((t := ry + rl) - M * (((t + K) & H) >> top)))}
+    else:
+        groups: dict[int, list[int]] = {}  # lift keys by residue key
+        lifts.reverse()  # popped in order: a lift is freed once it is grouped
+        while lifts:
+            le, lr = lifts.pop()
+            groups.setdefault(lr, []).append(le)
+        terms = {py + pl: c for py, ry in ys for rl, pls in groups.items()
+                 if (c := values.get((t := ry + rl) - M * (((t + K) & H) >> top))) for pl in pls}
+    if not terms:
+        return pm_zero()
+    return PseudoMeasure(GroupAlgebraElement._of(terms, n, W, bound), tuple(periods))
+
+
+def reference_pm_sum(terms: Iterable[tuple[int | Fraction, PseudoMeasure]]) -> PseudoMeasure:
+    """Sum of c * a over the pairs (c, a), in one pass. The denominator is
+    the sorted union, with the largest multiplicity of each factor, of the
+    nonzero summands' denominators, and each nonzero numerator is shifted
+    once by the factors its summand lacks, so the printed sum does not
+    depend on the order of the terms. With no nonzero summand it is pm_zero().
+    """
+    live = [(c, a.num, Counter(a.den)) for c, a in terms if c and a.num]
+    most: Counter[IntVec] = Counter()
+    for _c, _x, den in live:
+        most |= den
+    union = tuple(sorted(most.elements()))
+    bound = max((x.bound for _c, x, _d in live), default=0) + sum(max(map(abs, u)) for u in union)
+    n, W = max((x.n for _c, x, _d in live), default=0), _width(bound)
+    out: dict[int, int | Fraction] = {}
+    get = out.get
+    for c, x, den in live:  # shift-subtract once by the factors x lacks
+        lacks = solomon_hu.denominator_product(list((most - den).elements()), W)
+        num = x._at(W).items()
+        for w, cw in lacks.items():
+            cw *= c
+            if w:
+                for v, cv in num:
+                    out[k] = get(k := v + w, 0) + cw * cv
+            else:  # the unshifted pass
+                for v, cv in num:
+                    out[v] = get(v, 0) + cw * cv
+    # the sums cancel terms and add Fractions up to integers
+    out = {k: c if type(c) is int or c.denominator != 1 else c.numerator
+           for k, c in out.items() if c}
+    return PseudoMeasure(GroupAlgebraElement._of(out, n, W, bound), union)

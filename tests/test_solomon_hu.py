@@ -5,7 +5,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 from itertools import chain, permutations, product
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -357,6 +357,53 @@ def test_pm_eq_matches_its_reference():
     assert len(_pm_eq_mismatches(lengths, pairs)) >= 100
 
 
+def test_pm_sum_matches_its_reference():
+    # pm_sum against the one before its first pass into an empty sum became an
+    # update and a zero sum skipped the normalising pass: the same coefficients,
+    # with their types, in the same order, and the same dimension, width, bound
+    # and denominator, on sums with Fraction coefficients, sums that cancel to
+    # zero, zero summands and first weights other than 1
+    rng = random.Random(3407)
+    coeffs = (1, -1, 2, -3, 0, F(1), F(1, 2), F(-3, 4))
+    seen = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        pool = _pool(rng, n)
+        pms = [_random_pm(rng, n, pool) for _ in range(rng.randint(1, 5))]
+        a = pms[0]
+        lists = _summand_lists(rng, pool, pms) + [
+            [(rng.choice(coeffs), x) for x in pms] + [(-c, x) for c, x in
+                                                       [(rng.choice(coeffs), x) for x in pms]],
+            [(rng.choice((-1, 2, F(1, 2), F(1))), a), (1, _same_value(rng, a, pool))]]
+        for terms in lists:
+            got = _packed_result(pm_sum(terms))
+            assert got == _packed_result(oracles.reference_pm_sum(terms)), terms
+            live = [c for c, x in terms if c and x.num]
+            seen["zero" if not got[0] else "nonzero"] += 1
+            seen["first weight 1" if live and live[0] == 1 else "first weight not 1"] += 1
+            seen["fraction"] += any(type(c) is F for _k, _t, c in got[0])
+    assert min(seen.values()) >= 300, seen
+
+
+def test_summands_of_two_dimensions_are_refused_naming_both():
+    # a shorter exponent would pack as if padded with leading zeros: (1, 2)
+    # and (0, 1, 2) compared equal, and a 2-D summand over (1, 0) summed with
+    # a 3-D one printed a 3-D numerator over a 2-D denominator
+    two, three = PM(GA({(1, 2): 1}), ()), PM(GA({(0, 1, 2): 1}), ())
+    with pytest.raises(ValueError, match="dimensions 2 and 3"):
+        pm_eq(two, three)
+    with pytest.raises(ValueError, match="dimensions 3 and 2"):
+        pm_eq(three, PM(GA({(1, 2): 1}), ((1, 0),)))
+    for terms in ([(1, PM(GA({(1, 2): 1}), ((1, 0),))), (1, three)],
+                  [(1, three), (F(1, 2), PM(GA({(1, 2): 1}), ((1, 0),)))]):
+        with pytest.raises(ValueError, match="dimensions (2 and 3|3 and 2)"):
+            pm_sum(terms)
+    # a zero summand has no dimension: it is accepted beside any other
+    zeros = [(1, pm_zero()), (0, two), (1, PM(GA.zero(), ((1, 0),)))]
+    assert pm_to_json(pm_sum([(1, three)] + zeros)) == pm_to_json(three)
+    assert pm_eq(three, pm_zero()) is False and pm_eq(PM(GA.zero(), ((1, 0),)), pm_zero())
+
+
 def test_a_huge_ray_pairs_at_a_wider_digit():
     big = 10**30
     f = TestFunction(2, 3, 4, {(1, j): 1 for j in range(4)}
@@ -618,7 +665,8 @@ def test_pairing_kernel_matches_a_box_scan():
                     assert dict(pm.num.terms) == want
                     assert pm.den == (tuple(periods) if want else ())
                     if want:
-                        base, steps = _cell(periods, n, shut)
+                        steps = oracles.cell_steps(periods)
+                        base = _cell(steps, n, shut)
                         lifts = oracles.cell_lifts(steps, n)
                         assert pm.num.bound == (max(map(abs, chain(*base)))
                                                 + max(map(abs, chain(*lifts))))
@@ -684,6 +732,104 @@ def test_a_cell_reads_f_once_per_base_point_and_lift_residue():
             assert f.residues.gets == reads
             want = {v: c for v in brute_cell_points(periods, n, shut) if (c := value_at(f, v))}
             assert want and dict(pm.num.terms) == want
+
+
+def _packed_result(a: PM) -> tuple:
+    """What a kernel's result holds: coefficients with their types, in packed
+    order, the dimension, width, bound and denominator."""
+    x = a.num
+    return [(k, type(c), c) for k, c in x.packed.items()], x.n, x.W, x.bound, a.den
+
+
+def _unimodular_rows(rng, n: int) -> list[tuple[int, ...]]:
+    """The rows of a random matrix in GL_n(Z): row operations, a permutation
+    and sign flips applied to the identity."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, 3) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return [tuple(rng.choice((-1, 1)) * x for x in row) for row in rows]
+
+
+def test_pair_cell_matches_its_reference():
+    # the pairing kernel against the one before primitive steps, the box-free
+    # unimodular cell, the flat lifts and the column-packed residues: the same
+    # packed numerator, width, bound and denominator, and the same residue
+    # table, over ranks 0-4, open and half-open cells, M in {1, 2, 3, 4, 6},
+    # unimodular and larger cells, with d prime to M and not
+    rng = random.Random(3401)
+    seen = Counter()
+    for M in (1, 2, 3, 4, 6):
+        for n in range(1, 5):
+            f = TestFunction(n, 5, M, {r: rng.choice((-2, -1, 1, 3)) for r in
+                                       product(range(M), repeat=n) if rng.random() < 0.6})
+            for r in range(n + 1):
+                for draw in range(8):
+                    if draw % 2:  # unimodular: rows of a matrix in GL_n(Z)
+                        prims = _unimodular_rows(rng, n)[:r]
+                    else:
+                        prims = [linalg.primitive_vector(v) for v in (
+                            [rng.randint(-2, 2) for _ in range(n)] for _ in range(r)) if any(v)]
+                    if len(set(prims)) < r or (r and rank_by_minors(prims) < r):
+                        continue
+                    h = linalg.hermite(prims)[0] if r else ()
+                    d = prod(h[j][j] for j in range(r))
+                    if d * M ** r > 20000:
+                        continue
+                    closed = frozenset(s for s in prims if rng.random() < 0.5)
+                    results = []
+                    for kernel in (solomon_hu._pair_cell, oracles.reference_pair_cell):
+                        f.residues.clear()
+                        pm = kernel(frozenset(prims), closed, f)
+                        results.append((_packed_result(pm), dict(f.residues)))
+                    assert results[0] == results[1], (prims, closed, M)
+                    seen["d = 1" if d == 1 else "gcd(d, M) = 1" if gcd(d, M) == 1
+                         else "gcd(d, M) > 1"] += 1
+                    seen[f"rank {r}"] += 1
+                    seen["half-open" if closed else "open"] += 1
+                    seen["zero" if not results[0][0][0] else "nonzero"] += 1
+    assert min(seen[f"rank {r}"] for r in range(5)) >= 20, seen
+    assert min(seen[k] for k in ("d = 1", "gcd(d, M) = 1", "gcd(d, M) > 1")) >= 20, seen
+    assert min(seen[k] for k in ("open", "half-open", "zero", "nonzero")) >= 20, seen
+
+
+def test_a_unimodular_cell_walks_no_box(monkeypatch):
+    # a cell of index d = 1 has one base point, the sum of its open generators:
+    # it walks no box and builds no triangular adjugate, for every rank 0-4,
+    # open and half-open, and its points and pairings are the box scan's
+    def refuse(*_args):
+        raise AssertionError("a unimodular cell walked a box")
+
+    monkeypatch.setattr(solomon_hu, "product", refuse)
+    monkeypatch.setattr(linalg, "_triangular_adjugate", refuse)
+    rng = random.Random(3403)
+    seen = set()
+    for n in range(1, 5):
+        for r in range(n + 1):
+            for _ in range(6):
+                while True:
+                    prims = _unimodular_rows(rng, n)[:r]
+                    gs = [rng.randint(1, 2) for _ in prims]
+                    ws = [tuple(g * x for x in s) for g, s in zip(gs, prims)]
+                    if prod(1 + sum(abs(w[j]) for w in ws) for j in range(n)) <= 3000:
+                        break
+                closed = [i for i in range(r) if rng.random() < 0.5]
+                assert oracles.enumerate_fundamental_domain(ws, n, closed) == \
+                    brute_cell_points(ws, n, closed), (ws, closed)
+                M = rng.choice((1, 2))
+                f = TestFunction(n, 3, M, {v: rng.choice((-1, 1, 2))
+                                           for v in product(range(M), repeat=n)})
+                periods = [tuple(M * x for x in s) for s in sorted(prims)]
+                shut = frozenset(prims[i] for i in closed)
+                pm = pair_half_open(frozenset(prims), shut, f)
+                want = {v: c for v in brute_cell_points(
+                    periods, n, [i for i, s in enumerate(sorted(prims)) if s in shut])
+                    if (c := value_at(f, v))}
+                assert dict(pm.num.terms) == want, (prims, shut, M)
+                seen.add((r, bool(closed)))
+    assert seen >= {(r, c) for r in range(1, 5) for c in (False, True)} | {(0, False)}
 
 
 def test_pair_open_cone_examples():
