@@ -23,7 +23,7 @@ invertible integer frame P = [p_1 ... p_n] (the identity by default) and an
 infinitesimal eps > 0: no nonzero rational linear form vanishes on q_eps,
 so it stands in exactly for an irrational vector and every q gets a verdict
 (symbolic perturbation, Edelsbrunner and Muecke's "simulation of
-simplicity"). A q off every face hyperplane never reads the frame.
+simplicity"). A q off every face hyperplane reads neither frame nor adjugate.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class OpenCone(_ReadOnly):
                 raise ValueError("generators of mixed dimensions")
             try:
                 generators = tuple(linalg.primitive_vector(g) for g in generators)
-                linalg.hermite(generators)
+                linalg._column_euclid(generators, False, False)  # the columns alone
             except DependentInput as exc:
                 raise DependentInput("cone generators are linearly dependent") from exc
         object.__setattr__(self, "generators", tuple(generators))
@@ -79,10 +79,12 @@ def deformed_cone(
     w + delta*q_eps lies in the open cone for all small delta > 0 iff each
     coordinate a_i of w in the generator basis is positive, or zero with
     b_i > 0 for b = coords of q_eps: generator i is closed iff b_i > 0.
-    With (adj, d) = linalg.adjugate of prims, one Hermite pass, b_i has the
-    sign of d times the first nonzero entry of row i of adj * [s q | P] for
-    the integer multiple s q of q; adj * P is nonsingular, so it exists,
-    and the frame is read only when adj * (s q) has a zero entry.
+    With d = det m and adj its adjugate, m the matrix with columns prims,
+    b_i has the sign of d times the first nonzero entry of row i of
+    adj * [s q | P] for the integer multiple s q of q; adj * P is
+    nonsingular, so it exists. m * u = h (no u_inv) and forward
+    substitution give adj * (s q) = u * d h^-1 (s q); adj itself, and the
+    frame, are read only when it has a zero entry.
     """
     if not gens:
         raise ValueError("a deformed cone needs at least one generator")
@@ -97,11 +99,13 @@ def deformed_cone(
         raise DependentInput("deformed cones require n generators")
     try:
         prims = [linalg.primitive_vector(g) for g in gens]
-        adj, d = linalg.adjugate(linalg.transpose(prims))
+        cu, _ui, d = linalg._column_euclid(linalg.transpose(prims), True, False)
     except DependentInput:
         return None
-    b = linalg.mat_vec(adj, linalg.clear_denominators(q)[0])
+    h, u = tuple(zip(*(c[:n] for c in cu))), tuple(zip(*(c[n:] for c in cu)))  # m * u = h
+    b = linalg.mat_vec(u, linalg._triangular_solve(h, d, linalg.clear_denominators(q)[0]))
     if 0 in b:  # q lies on a face hyperplane: the frame breaks the tie
+        adj = linalg.mat_mul(u, linalg._triangular_adjugate(h, d))
         tie = adj if frame is None else linalg.mat_mul(adj, frame)
         b = [x or next((y for y in row if y), 0) for x, row in zip(b, tie)]
         if 0 in b:

@@ -3,12 +3,12 @@
 Vectors are tuples of ints and matrices are tuples of row tuples.
 Everything is immutable and pure; no floating point anywhere. Dimensions
 are desk scale (n <= 6), so one plain kernel is the right tool: the integer
-column Hermite form (`hermite`), m * u = [h | 0] with u unimodular. The
-determinant is the product of the Hermite diagonal times det u, and the
-classical adjugate is u times det u times the adjugate of the triangular
-h, which forward substitution gives with exact divisions: one pass gives
-both (`adjugate`), so a deformed cone reads dependence, orientation and
-face signs off one elimination. The rows of u_inv are a basis of
+column Hermite form, m * u = [h | 0] with u unimodular, by one column Euclid
+loop (`_column_euclid`) that builds u and u_inv only for callers that read
+them. det m = det u * prod h_ii needs the columns alone (`det`); the
+classical adjugate is u * d h^-1, which forward substitution gives with
+exact divisions (`adjugate`: u, no u_inv), and a deformed cone substitutes
+its vector alone. The rows of u_inv (`hermite`) are a basis of
 Z^n whose first r rows saturate the span of the r input rows, and the
 cosets of Z^n modulo a lattice are a box read off the Hermite diagonal,
 so no job needs an inverse: one Hermite pass gives a pairing cell its
@@ -87,17 +87,16 @@ def primitive_vector(v: Sequence) -> IntVec:
 
 def det(m: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix, 0 when it is singular:
-    m * u = h gives det = det(u) * prod h_ii."""
+    m * u = h gives det = det(u) * prod h_ii, from the columns of m alone."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
-        return 1  # hermite takes at least one row
+        return 1  # the column Euclid takes at least one row
     try:
-        h, _u, _u_inv, sign = hermite(m)
+        return _column_euclid(m, False, False)[2]
     except DependentInput:
         return 0
-    return sign * prod(h[i][i] for i in range(n))
 
 
 def adjugate(m: Sequence[Sequence[int]]) -> tuple[IntMat, int]:
@@ -106,13 +105,22 @@ def adjugate(m: Sequence[Sequence[int]]) -> tuple[IntMat, int]:
     m^-1 v = adj v / d stays in integer arithmetic. Raises DependentInput
     when m is singular.
 
-    With m * u = h, adj = u * x for x = d * h^-1 and d = det(u) * prod h_ii.
+    With m * u = h, built with u but not u_inv, adj = u * x for x = d * h^-1.
     """
-    if any(len(row) != len(m) for row in m):
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("adjugate of a non-square matrix")
-    h, u, _u_inv, sign = hermite(m)
-    d = sign * prod(h[i][i] for i in range(len(h)))
+    cu, _ui, d = _column_euclid(m, True, False)
+    h, u = tuple(zip(*(c[:n] for c in cu))), tuple(zip(*(c[n:] for c in cu)))
     return mat_mul(u, _triangular_adjugate(h, d)), d
+
+
+def _triangular_solve(h: IntMat, d: int, v: Sequence[int]) -> list[int]:
+    """z = d * h^-1 v for an integer v: x * v for x of `_triangular_adjugate`."""
+    z = []
+    for row, x in zip(h, v):  # row meets the z found so far
+        z.append((d * x - sum(map(mul, row, z))) // row[len(z)])
+    return z
 
 
 def _triangular_adjugate(h: IntMat, d: int) -> list[list[int]]:
@@ -136,21 +144,30 @@ def hermite(rows: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat, int]
     triangular with a positive diagonal (entries left of the diagonal are
     not reduced), u is unimodular with det u = sign, and u_inv is its
     integer inverse. So the columns of h span the lattice in Z^r spanned by
-    the columns of rows, and row i of rows is sum_j h_ij * u_inv_j. Only
-    integer column operations run; each is mirrored on u and, inverted, on
-    the rows of u_inv, so no inverse is ever computed, and sign flips with
-    each column swap and negation. Column j of rows and column j of u are
-    held as one list, so a column operation rebuilds one list for both and
-    one for u_inv. Raises DependentInput when the rows are dependent or
-    r > m.
+    the columns of rows, and row i of rows is sum_j h_ij * u_inv_j. It is
+    `_column_euclid` with both u and u_inv built. Raises DependentInput
+    when the rows are dependent or r > m.
     """
+    cu, ui, d = _column_euclid(rows, True, True)
+    r = len(rows)
+    h = tuple(zip(*(c[:r] for c in cu[:r])))  # the columns of rows have r entries
+    return h, tuple(zip(*(c[r:] for c in cu))), tuple(map(tuple, ui)), 1 if d > 0 else -1
+
+
+def _column_euclid(rows: Sequence[Sequence[int]], with_u: bool, with_u_inv: bool) -> tuple:
+    """The one elimination kernel: rows * u = [h | 0] by integer column
+    operations, for r independent rows of length m >= r. Returns (cols, ui,
+    d): cols[j] is column j of [h | 0], then of u if with_u (one list for
+    both); ui[j] is row j of u_inv if with_u_inv (each operation mirrored on
+    it, inverted), else empty; d = det(u) prod h_ii. Raises DependentInput
+    when the rows are dependent or r > m."""
     m = len(rows[0]) if rows else 0
     r = len(rows)
     if not 0 < r <= m:
         raise DependentInput("vectors are linearly dependent")
-    # column j of rows (r entries), then column j of u (m entries)
-    cu = [[*c, *(0,) * j, 1, *(0,) * (m - 1 - j)] for j, c in enumerate(zip(*rows))]
-    ui = [[0] * j + [1] + [0] * (m - 1 - j) for j in range(m)]  # row j of u_inv
+    cu = [[*c, *(0,) * j, 1, *(0,) * (m - 1 - j)] if with_u else list(c)
+          for j, c in enumerate(zip(*rows))]
+    ui = [[0] * j + [1] + [0] * (m - 1 - j) for j in range(m)] if with_u_inv else [[]] * m
     sign = 1
     for i in range(r):
         for j in range(i + 1, m):
@@ -158,7 +175,8 @@ def hermite(rows: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat, int]
             while cu[j][i]:
                 if q := cu[i][i] // cu[j][i]:  # q = 0 leaves both as they are
                     cu[i] = [x - q * y for x, y in zip(cu[i], cu[j])]
-                    ui[j] = [x + q * y for x, y in zip(ui[j], ui[i])]
+                    if with_u_inv:
+                        ui[j] = [x + q * y for x, y in zip(ui[j], ui[i])]
                 cu[i], cu[j], ui[i], ui[j] = cu[j], cu[i], ui[j], ui[i]
                 sign = -sign
         if cu[i][i] == 0:
@@ -166,5 +184,4 @@ def hermite(rows: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat, int]
         if cu[i][i] < 0:
             cu[i], ui[i] = [-x for x in cu[i]], [-x for x in ui[i]]
             sign = -sign
-    h = tuple(zip(*(c[:r] for c in cu[:r])))  # the columns of rows have r entries
-    return h, tuple(zip(*(c[r:] for c in cu))), tuple(map(tuple, ui)), sign
+    return cu, ui, sign * prod(map(list.__getitem__, cu, range(r)))

@@ -5,8 +5,10 @@ Fraction solve, textbook recurrences) and share no code with the library
 paths they check; fraction_moment_table, the Fraction moment table the
 integer one replaced, shares the library's measure test and coordinates
 and checks only the arithmetic; line_moment, the transform restricted to
-a line, shares nothing with the table. coset_lattice and coset_rep, the Hermite
-classes the measure test used before it keyed them by coordinates, are the
+a line, shares nothing with the table, nor does quadratic_zeta_neg, the
+zeta values of a real quadratic field from generalized Bernoulli numbers.
+coset_lattice and coset_rep, the Hermite classes the measure test used
+before it keyed them by coordinates, are the
 reference for that key, enumerate_fundamental_domain lists the library's
 pairing cell in order, and cell_lifts lists the cell's lifts as tuples, the
 reference for the pairing's lift bound. The helpers at the end were library code that only the
@@ -22,7 +24,8 @@ check. The reference readers at the very end are the JSON readers as they were
 before they read integers as ints (every vector entry and coefficient through
 Fraction), kept with the helpers they called, so that the new readers can be
 compared with them value for value and message for message. The reference
-kernels after them are linalg.hermite and linalg.mat_mul, solomon_hu.pm_eq,
+kernels after them are linalg.hermite, det, adjugate and mat_mul,
+cones.deformed_cone, solomon_hu.pm_eq,
 testfunctions.stabilizes, and solomon_hu's pairing cell (_cell and _pair_cell)
 and pm_sum as they were before their leaner forms, kept verbatim so that each
 new kernel can be compared with its old one.
@@ -103,6 +106,34 @@ def bernoulli_polynomial(k: int, x) -> Fraction:
 def hurwitz_zeta_neg(k: int, x) -> Fraction:
     """zeta(-k, x) = -B_{k+1}(x) / (k+1) for integer k >= 0."""
     return -bernoulli_polynomial(k + 1, x) / (k + 1)
+
+
+def kronecker(D: int, a: int) -> int:
+    """The Kronecker symbol (D/a) for a discriminant D > 0 and an integer
+    a >= 1, multiplicatively over the primes of a: Euler's criterion at an
+    odd prime, and at 2 the rule (D/2) = 0, 1 or -1 as D = 0, +-1 or +-3
+    mod 8."""
+    out, q = 1, 2
+    while a > 1:
+        while a % q == 0:
+            a //= q
+            if q == 2:
+                out *= 0 if D % 2 == 0 else 1 if D % 8 in (1, 7) else -1
+            else:
+                e = pow(D, (q - 1) // 2, q)
+                out *= 0 if e == 0 else 1 if e == 1 else -1
+        q += 1
+    return out
+
+
+def quadratic_zeta_neg(D: int, k: int) -> Fraction:
+    """zeta_K(1 - k) for the real quadratic field K of discriminant D and an
+    even k >= 2: zeta(1 - k) L(1 - k, chi_D), with zeta(1 - k) = -B_k / k,
+    L(1 - k, chi) = -B_{k,chi} / k and the generalized Bernoulli number
+    B_{k,chi} = D^(k-1) sum_{a=1}^{D} chi(a) B_k(a / D)."""
+    b_chi = D ** (k - 1) * sum(kronecker(D, a) * bernoulli_polynomial(k, Fraction(a, D))
+                               for a in range(1, D + 1))
+    return (-bernoulli_numbers(k)[k] / k) * (-b_chi / k)
 
 
 def brute_cell_points(ws, n: int, closed=()) -> list[tuple[int, ...]]:
@@ -1094,6 +1125,59 @@ def reference_hermite(rows):
             sign = -sign
     h = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
     return h, tuple(zip(*ut)), tuple(map(tuple, ui)), sign
+
+
+def reference_det(m) -> int:
+    """linalg.det as it was when it read det off a full hermite pass, on
+    reference_hermite, so that it shares no elimination with the library."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    if n == 0:
+        return 1  # hermite takes at least one row
+    try:
+        h, _u, _u_inv, sign = reference_hermite(m)
+    except DependentInput:
+        return 0
+    return sign * prod(h[i][i] for i in range(n))
+
+
+def reference_adjugate(m) -> tuple:
+    """linalg.adjugate as it was when it built u_inv too, on reference_hermite."""
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("adjugate of a non-square matrix")
+    h, u, _u_inv, sign = reference_hermite(m)
+    d = sign * prod(h[i][i] for i in range(len(h)))
+    return linalg.mat_mul(u, linalg._triangular_adjugate(h, d)), d
+
+
+def reference_deformed_cone(gens, q, frame=None):
+    """cones.deformed_cone as it was when it built the whole adjugate for
+    every q (reference_adjugate)."""
+    if not gens:
+        raise ValueError("a deformed cone needs at least one generator")
+    n = len(gens[0])
+    if any(len(g) != n for g in gens):
+        raise ValueError("generators of mixed dimensions")
+    if len(q) != n:
+        raise ValueError(f"a deformation vector of length {len(q)} for generators of length {n}")
+    if frame is not None and (len(frame) != n or any(len(row) != n for row in frame)):
+        raise ValueError(f"a deformation frame that is not {n} x {n}")
+    if len(gens) != n:
+        raise DependentInput("deformed cones require n generators")
+    try:
+        prims = [linalg.primitive_vector(g) for g in gens]
+        adj, d = reference_adjugate(linalg.transpose(prims))
+    except DependentInput:
+        return None
+    b = linalg.mat_vec(adj, linalg.clear_denominators(q)[0])
+    if 0 in b:  # q lies on a face hyperplane: the frame breaks the tie
+        tie = adj if frame is None else linalg.mat_mul(adj, frame)
+        b = [x or next((y for y in row if y), 0) for x, row in zip(b, tie)]
+        if 0 in b:
+            raise DependentInput("the deformation frame is singular")
+    sign = 1 if d > 0 else -1
+    return sign, prims, frozenset(s for s, x in zip(prims, b) if sign * x > 0)
 
 
 def reference_pm_eq(a: PseudoMeasure, b: PseudoMeasure) -> bool:

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
@@ -18,10 +19,14 @@ from oracles import (
     cf_sub,
     cone_contains,
     deformed_cone_eval,
+    det_cofactor,
     eval_cone_function,
     inverse,
     rank_by_minors,
     open_faces,
+    outcome,
+    reference_adjugate,
+    reference_deformed_cone,
     wedge_decompose,
 )
 
@@ -230,6 +235,106 @@ def test_deformed_decompose_is_the_signed_cocycle_value():
         assert {frozenset(c.generators): -x
                 for c, x in open_faces(deformed_cone(swapped, q)).items()} == faces
         swaps += 1
+
+
+def _unimodular(rng, n):
+    """A seeded integer matrix of determinant 1: elementary column operations on I."""
+    g = [list(row) for row in linalg.identity(n)]
+    for _ in range(3 * (n > 1)):
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        for row in g:
+            row[j] += c * row[i]
+    return g
+
+
+def _on_a_face(rng, gens, i):
+    """A rational q in the span of every generator but the i-th: b_i = 0."""
+    cs = [F(rng.randint(-5, 5), rng.randint(1, 3)) * (j != i) for j in range(len(gens))]
+    return tuple(sum(c * x for c, x in zip(cs, row)) for row in zip(*gens))
+
+
+def _generic(rng, n):
+    return tuple(F(rng.randint(-30, 30) * 2 + 1, rng.choice((7, 11, 13))) for _ in range(n))
+
+
+def test_deformed_cone_matches_its_reference():
+    # deformed_cone finds adj (s q) by forward substitution and builds the
+    # whole adjugate only on a tie; against the kernel that built it for every
+    # q, result for result and refusal for refusal: n = 1-4, generators of
+    # both orientations and dependent ones (a zero generator or a combination),
+    # q off and on face hyperplanes and q = 0, with no frame, the identity
+    # frame, adj(g) for a unimodular g, and singular frames
+    rng = random.Random(3506)
+    seen = Counter()
+    for t in range(720):
+        n = 1 + t % 4
+        gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if t % 6 == 0:
+            gens[rng.randrange(n)] = [0] * n
+        elif t % 6 == 1:
+            gens[-1] = [sum(rng.randint(-2, 2) * g[k] for g in gens[:-1]) for k in range(n)]
+        q = (_generic(rng, n), _on_a_face(rng, gens, rng.randrange(n)), (0,) * n)[t // 4 % 3]
+        frame = (None, linalg.identity(n), linalg.adjugate(_unimodular(rng, n))[0],
+                 [[0] * n for _ in range(n)],
+                 [[x * c for x in row] for c, row in zip([0, *range(1, n)], _unimodular(rng, n))]
+                 )[t // 12 % 5]
+        want = outcome(reference_deformed_cone, gens, q, frame)
+        assert outcome(deformed_cone, gens, q, frame) == want, (gens, q, frame)
+        if want == ("value", None):
+            seen["dependent"] += 1
+            continue
+        adj, d = reference_adjugate(linalg.transpose(gens))
+        tie = 0 in linalg.mat_vec(adj, q)
+        seen["tie" if tie else "off every face"] += 1
+        seen["refused" if want[0] == "raised" else "det > 0" if d > 0 else "det < 0"] += 1
+    assert min(seen.values()) >= 40, seen
+    assert outcome(deformed_cone, [[1, 0], [0, 1]], (0, 0), [[1, 2], [0, 0]]) == (
+        "raised", DependentInput, "the deformation frame is singular")
+
+
+def test_det_and_open_cones_need_no_hermite_pass(monkeypatch):
+    # det and OpenCone's independence check reduce the columns alone: they
+    # answer, and refuse what they refused, without linalg.hermite
+    def refuse(*_args):
+        raise AssertionError("a full Hermite pass ran")
+
+    monkeypatch.setattr(linalg, "hermite", refuse)
+    rng = random.Random(3507)
+    for n in range(1, 5):
+        for _ in range(20):
+            m = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            assert linalg.det(m) == det_cofactor(m), m
+    with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
+        linalg.det([[1, 0, 2], [0, 1, 3]])
+    assert OpenCone(((2, 0), (1, 1))).generators == ((1, 0), (1, 1))
+    for gens in (((1, 2), (-2, -4)), ((0, 0),), ((1, 0), (0, 1), (1, 1))):
+        with pytest.raises(DependentInput, match="^cone generators are linearly dependent$"):
+            OpenCone(gens)
+
+
+def test_deformed_cone_builds_the_adjugate_only_on_a_tie(monkeypatch):
+    # off every face hyperplane the cone is read off u and one forward
+    # substitution; a q on a face hyperplane still builds the adjugate, so it
+    # reaches the patched kernel
+    def refuse(*_args):
+        raise AssertionError("the whole adjugate was built")
+
+    rng = random.Random(3508)
+    cases = []
+    while len(cases) < 40:
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n)]
+        off, on = _generic(rng, n), _on_a_face(rng, gens, rng.randrange(n))
+        if linalg.det(gens) == 0:
+            continue
+        if 0 not in linalg.mat_vec(reference_adjugate(linalg.transpose(gens))[0], off):
+            cases.append((gens, off, on, reference_deformed_cone(gens, off)))
+    monkeypatch.setattr(linalg, "_triangular_adjugate", refuse)
+    for gens, off, on, want in cases:
+        assert deformed_cone(gens, off) == want
+        with pytest.raises(AssertionError, match="^the whole adjugate was built$"):
+            deformed_cone(gens, on)
 
 
 def test_wedge_examples():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import prod
 
@@ -17,6 +18,8 @@ from oracles import (
     hermite_box,
     outcome,
     rank_by_minors,
+    reference_adjugate,
+    reference_det,
     reference_hermite,
     reference_mat_mul,
 )
@@ -330,3 +333,29 @@ def test_hermite_and_mat_mul_match_their_references():
         assert linalg.mat_mul(rows, b) == reference_mat_mul(rows, b), (rows, b)
     assert min(kinds.values()) >= 60, kinds
     assert outcome(linalg.hermite, []) == outcome(reference_hermite, [])
+
+
+def test_det_and_adjugate_match_their_references():
+    # det reduces the columns alone and adjugate builds u but not u_inv; both
+    # against the kernels that read a full hermite pass, result for result and
+    # refusal for refusal: n = 1-4, determinants of both signs, and singular
+    # matrices, a zero column or a combination of the other columns
+    rng = random.Random(3505)
+    seen = Counter()
+    for t in range(480):
+        n = 1 + t % 4
+        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if t % 3 == 0:
+            j = rng.randrange(n)
+            zero = t % 2 == 0
+            for row in m:
+                row[j] = 0 if zero else sum(rng.randint(-2, 2) * row[k] for k in range(n) if k != j)
+            seen["zero column" if zero else "combination"] += 1
+        want = reference_det(m)
+        assert linalg.det(m) == want, m
+        assert outcome(linalg.adjugate, m) == outcome(reference_adjugate, m), m
+        seen["singular" if want == 0 else "positive" if want > 0 else "negative"] += 1
+    assert min(seen.values()) >= 60, seen
+    for m in ([], [[1, 0, 2], [0, 1, 3]], [[1, 2], [3, 4], [5, 6]]):
+        assert outcome(linalg.det, m) == outcome(reference_det, m)
+        assert outcome(linalg.adjugate, m) == outcome(reference_adjugate, m)

@@ -1,9 +1,11 @@
 """End-to-end smokes of the command line, each run as `python -m shintani.cli`
 in a fresh process: a printed p-adic expansion, a dense cell's term count and
-peak memory, a failed cocycle trial's bounded witness, and the exact report of
-a congruence cell. Inputs, expected values, bounds and timeouts are those the
-CI workflow used when it ran these checks itself. A last check imports the CLI
-in a clean interpreter and names the modules it must not load.
+peak memory, a failed cocycle trial's bounded witness, and the exact reports of
+a congruence cell and of cocycle trials whose deformation vector lies on a
+face hyperplane. The first four take their inputs, expected values, bounds and
+timeouts from the CI workflow, which ran these checks itself; the last runs the
+workflow's n = 3, M = 4 cocycle input. A last check imports the CLI in a clean
+interpreter and names the modules it must not load.
 """
 
 import hashlib
@@ -100,7 +102,25 @@ def congruence_cell(tmp_path):
         "400738a38271c0bba002e6d008c270a3677ec61fbc65065ca07dedfbedbe4e30")
 
 
-SMOKES = {f.__name__: f for f in (padic_string, dense_cell, cocycle_witness_n4, congruence_cell)}
+def cocycle_tie_path(tmp_path):
+    # a deformation vector on a face hyperplane: at seed 9705 the first q
+    # drawn, (-1, -27/13, -25/13), lies on one, so two deformed cones of this
+    # n = 3, M = 4 run break the tie with the frame, the one path that builds
+    # a whole adjugate; the report's sha256 was recorded before deformed cones
+    # found adj (s q) by forward substitution
+    payload = {"test_function": {"n": 3, "p": 3, "M": 4, "terms": [
+        {"residue": [x, a, b], "weight": 1 if x == 1 else -1}
+        for x in (1, 3) for a in range(4) for b in range(4)]}}
+    code, out = _cli(tmp_path, payload, "--command", "cocycle", "--trials", "4", "--seed", "9705",
+                     timeout=30)
+    assert code == 0
+    assert json.loads(out)["trials"][0]["q"] == ["-1", "-27/13", "-25/13"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1567ad31fda4b4c09ed159ee13ee02aa7b1864acf48be8174969ae814604b876")
+
+
+SMOKES = {f.__name__: f for f in (padic_string, dense_cell, cocycle_witness_n4, congruence_cell,
+                                  cocycle_tie_path)}
 
 
 @pytest.mark.parametrize("name", sorted(SMOKES))
