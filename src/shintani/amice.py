@@ -40,9 +40,9 @@ def extend_denominator_basis(a: PseudoMeasure, n: int) -> list[IntVec]:
     if len(dens) != len(a.den):
         raise NonUnitDenominator(f"repeated denominator factors are not aligned: {named}")
     if not dens:
-        return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+        return list(linalg.identity(n))
     try:
-        return dens + list(linalg.hermite(dens)[2][len(dens):])
+        return dens + list(linalg.hermite(dens, with_u_inv=True)[2][len(dens):])
     except DependentInput as exc:
         raise DependentInput(f"denominator vectors {named} are linearly dependent") from exc
 

@@ -53,7 +53,7 @@ class OpenCone(_ReadOnly):
                 raise ValueError("generators of mixed dimensions")
             try:
                 generators = tuple(linalg.primitive_vector(g) for g in generators)
-                linalg._column_euclid(generators, False, False)  # the columns alone
+                linalg.hermite(generators)  # d alone: neither h nor u is built
             except DependentInput as exc:
                 raise DependentInput("cone generators are linearly dependent") from exc
         object.__setattr__(self, "generators", tuple(generators))
@@ -82,7 +82,7 @@ def deformed_cone(
     With d = det m and adj its adjugate, m the matrix with columns prims,
     b_i has the sign of d times the first nonzero entry of row i of
     adj * [s q | P] for the integer multiple s q of q; adj * P is
-    nonsingular, so it exists. m * u = h (no u_inv) and forward
+    nonsingular, so it exists. m * u = h (u built, u_inv not) and forward
     substitution give adj * (s q) = u * d h^-1 (s q); adj itself, and the
     frame, are read only when it has a zero entry.
     """
@@ -99,13 +99,12 @@ def deformed_cone(
         raise DependentInput("deformed cones require n generators")
     try:
         prims = [linalg.primitive_vector(g) for g in gens]
-        cu, _ui, d = linalg._column_euclid(linalg.transpose(prims), True, False)
+        h, u, _ui, d = linalg.hermite(m := linalg.transpose(prims), with_u=True)
     except DependentInput:
         return None
-    h, u = tuple(zip(*(c[:n] for c in cu))), tuple(zip(*(c[n:] for c in cu)))  # m * u = h
-    b = linalg.mat_vec(u, linalg._triangular_solve(h, d, linalg.clear_denominators(q)[0]))
+    b = linalg.mat_vec(u, linalg.triangular_solve(h, d, linalg.clear_denominators(q)))
     if 0 in b:  # q lies on a face hyperplane: the frame breaks the tie
-        adj = linalg.mat_mul(u, linalg._triangular_adjugate(h, d))
+        adj = linalg.adjugate(m)[0]
         tie = adj if frame is None else linalg.mat_mul(adj, frame)
         b = [x or next((y for y in row if y), 0) for x, row in zip(b, tie)]
         if 0 in b:

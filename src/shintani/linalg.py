@@ -2,22 +2,23 @@
 
 Vectors are tuples of ints and matrices are tuples of row tuples.
 Everything is immutable and pure; no floating point anywhere. Dimensions
-are desk scale (n <= 6), so one plain kernel is the right tool: the integer
-column Hermite form, m * u = [h | 0] with u unimodular, by one column Euclid
-loop (`_column_euclid`) that builds u and u_inv only for callers that read
-them. det m = det u * prod h_ii needs the columns alone (`det`); the
-classical adjugate is u * d h^-1, which forward substitution gives with
-exact divisions (`adjugate`: u, no u_inv), and a deformed cone substitutes
-its vector alone. The rows of u_inv (`hermite`) are a basis of
-Z^n whose first r rows saturate the span of the r input rows, and the
-cosets of Z^n modulo a lattice are a box read off the Hermite diagonal,
-so no job needs an inverse: one Hermite pass gives a pairing cell its
-basis and its box of base points (`solomon_hu._cell`, the only code that
-reduces points by a Hermite form), or, when its diagonal is all ones, tells
-it that the cell has one base point and no box. The measure test reads its
-classes off adjugate coordinates instead (`amice._poles_vanish`).
-A rational vector is scaled to integers first (`clear_denominators`): its
-primitive vector is unchanged by a positive rescaling.
+are desk scale (n <= 6), so one plain kernel is the right tool: `hermite`,
+the integer column Hermite form m * u = [h | 0] with u unimodular, by one
+column Euclid loop that builds u and u_inv only for callers that read them.
+det m = det u * prod h_ii needs neither, nor h (`det`). The only other
+kernel is forward substitution, d * h^-1 v with exact divisions
+(`triangular_solve`): the classical adjugate is u * d h^-1, column by
+column (`adjugate`: u, no u_inv), and a deformed cone substitutes its
+vector alone. The rows of u_inv are a basis of Z^n whose first r rows
+saturate the span of the r input rows, and the cosets of Z^n modulo a
+lattice are a box read off the Hermite diagonal, so no job needs an
+inverse: one Hermite pass gives a pairing cell its basis and its box of
+base points (`solomon_hu._cell`, the only code that reduces points by a
+Hermite form), or, when its diagonal is all ones, tells it that the cell
+has one base point and no box. The measure test reads its classes off
+adjugate coordinates instead (`amice._poles_vanish`). A rational vector
+is scaled to integers first (`clear_denominators`): its primitive vector
+is unchanged by a positive rescaling.
 """
 
 from __future__ import annotations
@@ -66,19 +67,19 @@ def transpose(m: Sequence[Sequence]) -> tuple:
     return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
 
 
-def clear_denominators(v: Sequence) -> tuple[IntVec, int]:
-    """(w, s) with w = s * v integral, for the least positive integer s."""
+def clear_denominators(v: Sequence) -> IntVec:
+    """s * v for the least positive integer s that makes it integral."""
     if all(type(x) is int for x in v):
-        return tuple(v), 1
+        return tuple(v)
     fracs = [Fraction(x) for x in v]
     s = lcm(*(f.denominator for f in fracs))
-    return tuple(f.numerator * (s // f.denominator) for f in fracs), s
+    return tuple(f.numerator * (s // f.denominator) for f in fracs)
 
 
 def primitive_vector(v: Sequence) -> IntVec:
     """Scale a nonzero rational vector by a positive rational to the
     primitive integer vector on the same ray."""
-    ints, _s = clear_denominators(v)
+    ints = clear_denominators(v)
     g = gcd(*ints)
     if g == 0:
         raise DependentInput("cannot normalize the zero vector")
@@ -87,14 +88,14 @@ def primitive_vector(v: Sequence) -> IntVec:
 
 def det(m: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix, 0 when it is singular:
-    m * u = h gives det = det(u) * prod h_ii, from the columns of m alone."""
+    d = det(u) * prod h_ii of `hermite`, which builds neither h nor u."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
-        return 1  # the column Euclid takes at least one row
+        return 1  # hermite takes at least one row
     try:
-        return _column_euclid(m, False, False)[2]
+        return hermite(m)[3]
     except DependentInput:
         return 0
 
@@ -103,70 +104,43 @@ def adjugate(m: Sequence[Sequence[int]]) -> tuple[IntMat, int]:
     """(adj, d) for a nonsingular integer matrix: d = det m and the
     classical adjugate adj = d * m^-1, so adj * m = m * adj = d * I and
     m^-1 v = adj v / d stays in integer arithmetic. Raises DependentInput
-    when m is singular.
-
-    With m * u = h, built with u but not u_inv, adj = u * x for x = d * h^-1.
-    """
+    when m is singular. With m * u = h (u built, u_inv not), column j of adj
+    is u * (d h^-1 e_j), by `triangular_solve`."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("adjugate of a non-square matrix")
-    cu, _ui, d = _column_euclid(m, True, False)
-    h, u = tuple(zip(*(c[:n] for c in cu))), tuple(zip(*(c[n:] for c in cu)))
-    return mat_mul(u, _triangular_adjugate(h, d)), d
+    h, u, _ui, d = hermite(m, with_u=True)
+    xs = [triangular_solve(h, d, e) for e in identity(n)]  # the columns of d h^-1
+    return tuple(tuple(sum(map(mul, row, x)) for x in xs) for row in u), d
 
 
-def _triangular_solve(h: IntMat, d: int, v: Sequence[int]) -> list[int]:
-    """z = d * h^-1 v for an integer v: x * v for x of `_triangular_adjugate`."""
+def triangular_solve(h: IntMat, d: int, v: Sequence[int]) -> list[int]:
+    """z = d * h^-1 v for a lower-triangular h with a positive diagonal, an
+    integer v and a d that prod h_ii divides, by forward substitution: z is
+    integral, so each division is exact."""
     z = []
     for row, x in zip(h, v):  # row meets the z found so far
         z.append((d * x - sum(map(mul, row, z))) // row[len(z)])
     return z
 
 
-def _triangular_adjugate(h: IntMat, d: int) -> list[list[int]]:
-    """x = d * h^-1 for a lower-triangular h with a positive diagonal and
-    d = +-prod h_ii, by forward substitution; x is integral, so each
-    division is exact."""
-    n = len(h)
-    x = [[0] * n for _ in range(n)]
-    for j in range(n):
-        for i in range(j, n):
-            s = d if i == j else -sum(h[i][k] * x[k][j] for k in range(j, i))
-            x[i][j] = s // h[i][i]
-    return x
-
-
-def hermite(rows: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat, int]:
-    """Column Hermite form of an integer matrix with r independent rows of
-    length m >= r.
-
-    Returns (h, u, u_inv, sign) with rows * u = [h | 0]: h is r x r, lower
-    triangular with a positive diagonal (entries left of the diagonal are
-    not reduced), u is unimodular with det u = sign, and u_inv is its
-    integer inverse. So the columns of h span the lattice in Z^r spanned by
-    the columns of rows, and row i of rows is sum_j h_ij * u_inv_j. It is
-    `_column_euclid` with both u and u_inv built. Raises DependentInput
-    when the rows are dependent or r > m.
-    """
-    cu, ui, d = _column_euclid(rows, True, True)
-    r = len(rows)
-    h = tuple(zip(*(c[:r] for c in cu[:r])))  # the columns of rows have r entries
-    return h, tuple(zip(*(c[r:] for c in cu))), tuple(map(tuple, ui)), 1 if d > 0 else -1
-
-
-def _column_euclid(rows: Sequence[Sequence[int]], with_u: bool, with_u_inv: bool) -> tuple:
-    """The one elimination kernel: rows * u = [h | 0] by integer column
-    operations, for r independent rows of length m >= r. Returns (cols, ui,
-    d): cols[j] is column j of [h | 0], then of u if with_u (one list for
-    both); ui[j] is row j of u_inv if with_u_inv (each operation mirrored on
-    it, inverted), else empty; d = det(u) prod h_ii. Raises DependentInput
+def hermite(rows: Sequence[Sequence[int]], with_u: bool = False, with_u_inv: bool = False
+            ) -> tuple[IntMat, IntMat, IntMat, int]:
+    """The one elimination kernel: rows * u = [h | 0] by column Euclid steps,
+    for r independent integer rows of length m >= r. Returns (h, u, u_inv, d):
+    h is r x r, as rows, lower triangular with a positive diagonal (entries
+    left of it are not reduced), so its columns span the lattice of the
+    columns of rows; u is unimodular and u_inv its inverse, so row i of rows
+    is sum_j h_ij u_inv_j; d = det(u) * prod h_ii, det(rows) when r = m. u is
+    built only with_u and u_inv only with_u_inv, else (), and h only with
+    either, since d alone answers det and independence. Raises DependentInput
     when the rows are dependent or r > m."""
     m = len(rows[0]) if rows else 0
     r = len(rows)
     if not 0 < r <= m:
         raise DependentInput("vectors are linearly dependent")
     cu = [[*c, *(0,) * j, 1, *(0,) * (m - 1 - j)] if with_u else list(c)
-          for j, c in enumerate(zip(*rows))]
+          for j, c in enumerate(zip(*rows))]  # column j of [h | 0], then of u
     ui = [[0] * j + [1] + [0] * (m - 1 - j) for j in range(m)] if with_u_inv else [[]] * m
     sign = 1
     for i in range(r):
@@ -184,4 +158,9 @@ def _column_euclid(rows: Sequence[Sequence[int]], with_u: bool, with_u_inv: bool
         if cu[i][i] < 0:
             cu[i], ui[i] = [-x for x in cu[i]], [-x for x in ui[i]]
             sign = -sign
-    return cu, ui, sign * prod(map(list.__getitem__, cu, range(r)))
+    d = sign * prod(map(list.__getitem__, cu, range(r)))
+    if not (with_u or with_u_inv):
+        return (), (), (), d
+    h = tuple(zip(*(c[:r] for c in cu[:r])))
+    u = tuple(zip(*(c[r:] for c in cu))) if with_u else ()
+    return h, u, tuple(map(tuple, ui)) if with_u_inv else (), d

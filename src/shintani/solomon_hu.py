@@ -257,19 +257,20 @@ def _cell(steps: Sequence[tuple[IntVec, int]], n: int, closed: Sequence[int] = (
     s_i primitive and g_i >= 1, by one Hermite pass for every rank r: its points are a base
     point plus a lift sum k_i s_i, k_i < g_i.
 
-    With s * u = [h | 0], the first r rows b_j of u_inv are a basis of the saturated span and
-    s_i = sum_j h_ij b_j. The box 0 <= y_j < h_jj holds one point y.b of each class modulo the
-    s_i, at cell coordinates x = adj(h)^T y / d with d = prod h_jj, and k = (adj(h)^T y - e) // d
-    generators, e_i = 0 on closed i and 1 on the others (floor(x_i), ceil(x_i) - 1), move it
-    into the cell of the s_i: the base point is y.b - sum k_i s_i. k and the base are weighted
-    sums of whole columns, the box's in `product` order. A unimodular cell (d = 1, rank 0
-    included) has the one base point y = 0, k = -e: the sum of its open s_i, with no box. The
-    cell has d * prod g_i points, checked against CELL_POINT_BUDGET (CellTooLarge) first.
+    With s * u = [h | 0] (u_inv built, u not), the first r rows b_j of u_inv are a basis of the
+    saturated span and s_i = sum_j h_ij b_j. The box 0 <= y_j < h_jj holds one point y.b of each
+    class modulo the s_i, at cell coordinates x = adj(h)^T y / d with d = prod h_jj and adj(h) =
+    d * h^-1 by columns (`linalg.triangular_solve`), and k = (adj(h)^T y - e) // d generators,
+    e_i = 0 on closed i and 1 on the others (floor(x_i), ceil(x_i) - 1), move it into the cell of
+    the s_i: the base point is y.b - sum k_i s_i. k and the base are weighted sums of whole
+    columns, the box's in `product` order. A unimodular cell (d = 1, rank 0 included) has the one
+    base point y = 0, k = -e: the sum of its open s_i, with no box. The cell has d * prod g_i
+    points, checked against CELL_POINT_BUDGET (CellTooLarge) first.
     """
     s = [v for v, _g in steps]
     r = len(s)
     try:
-        h, _u, u_inv, _sign = linalg.hermite(s) if r else ((), (), (), 1)
+        h, _u, u_inv, _d = linalg.hermite(s, with_u_inv=True) if r else ((), (), (), 1)
     except DependentInput as exc:
         raise DependentInput("cell generators are linearly dependent") from exc
     count = (d := prod(sides := [h[j][j] for j in range(r)])) * prod(g for _v, g in steps)
@@ -279,8 +280,8 @@ def _cell(steps: Sequence[tuple[IntVec, int]], n: int, closed: Sequence[int] = (
     if d == 1:
         return [[sum(c)] for c in zip((0,) * n, *(v for i, v in enumerate(s) if i not in closed))]
     ys = [list(c) for c in zip(*product(*map(range, sides)))]  # the box, column by column
-    ks = [[(x - e) // d for x in _weighted_sum(row, ys, d)] for e, row in zip(
-        [int(i not in closed) for i in range(r)], zip(*linalg._triangular_adjugate(h, d)))]
+    ks = [[(x - e) // d for x in _weighted_sum(linalg.triangular_solve(h, d, unit), ys, d)]
+          for e, unit in zip([int(i not in closed) for i in range(r)], linalg.identity(r))]
     return [_weighted_sum((*row[:r], *(-v[t] for v in s)), ys + ks, d)
             for t, row in enumerate(linalg.transpose(u_inv))]
 

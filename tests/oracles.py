@@ -5,8 +5,10 @@ Fraction solve, textbook recurrences) and share no code with the library
 paths they check; fraction_moment_table, the Fraction moment table the
 integer one replaced, shares the library's measure test and coordinates
 and checks only the arithmetic; line_moment, the transform restricted to
-a line, shares nothing with the table, nor does quadratic_zeta_neg, the
-zeta values of a real quadratic field from generalized Bernoulli numbers.
+a line, shares nothing with the table, nor do quadratic_zeta_neg and
+dirichlet_l_neg, the zeta values of a real quadratic field and the L-values
+of a quadratic character from generalized Bernoulli numbers. hermite is
+linalg.hermite with u and u_inv both built, the whole pass the tests read.
 coset_lattice and coset_rep, the Hermite classes the measure test used
 before it keyed them by coordinates, are the
 reference for that key, enumerate_fundamental_domain lists the library's
@@ -24,7 +26,8 @@ check. The reference readers at the very end are the JSON readers as they were
 before they read integers as ints (every vector entry and coefficient through
 Fraction), kept with the helpers they called, so that the new readers can be
 compared with them value for value and message for message. The reference
-kernels after them are linalg.hermite, det, adjugate and mat_mul,
+kernels after them are linalg.hermite, det, adjugate (with the triangular
+adjugate it was built on) and mat_mul,
 cones.deformed_cone, solomon_hu.pm_eq,
 testfunctions.stabilizes, and solomon_hu's pairing cell (_cell and _pair_cell)
 and pm_sum as they were before their leaner forms, kept verbatim so that each
@@ -109,10 +112,10 @@ def hurwitz_zeta_neg(k: int, x) -> Fraction:
 
 
 def kronecker(D: int, a: int) -> int:
-    """The Kronecker symbol (D/a) for a discriminant D > 0 and an integer
-    a >= 1, multiplicatively over the primes of a: Euler's criterion at an
-    odd prime, and at 2 the rule (D/2) = 0, 1 or -1 as D = 0, +-1 or +-3
-    mod 8."""
+    """The Kronecker symbol (D/a) for a discriminant D of either sign and an
+    integer a >= 1, multiplicatively over the primes of a: Euler's criterion
+    at an odd prime, and at 2 the rule (D/2) = 0, 1 or -1 as D = 0, +-1 or
+    +-3 mod 8."""
     out, q = 1, 2
     while a > 1:
         while a % q == 0:
@@ -126,14 +129,20 @@ def kronecker(D: int, a: int) -> int:
     return out
 
 
+def dirichlet_l_neg(D: int, m: int) -> Fraction:
+    """L(-m, chi_D) for the quadratic character chi_D = (D/.) of a fundamental
+    discriminant D of either sign and an m >= 0: -B_{k,chi} / k for k = m + 1
+    and the generalized Bernoulli number at the conductor c = |D|,
+    B_{k,chi} = c^(k-1) sum_{a=1}^{c} chi(a) B_k(a / c)."""
+    c, k = abs(D), m + 1
+    return -c ** (k - 1) * sum(kronecker(D, a) * bernoulli_polynomial(k, Fraction(a, c))
+                               for a in range(1, c + 1)) / k
+
+
 def quadratic_zeta_neg(D: int, k: int) -> Fraction:
     """zeta_K(1 - k) for the real quadratic field K of discriminant D and an
-    even k >= 2: zeta(1 - k) L(1 - k, chi_D), with zeta(1 - k) = -B_k / k,
-    L(1 - k, chi) = -B_{k,chi} / k and the generalized Bernoulli number
-    B_{k,chi} = D^(k-1) sum_{a=1}^{D} chi(a) B_k(a / D)."""
-    b_chi = D ** (k - 1) * sum(kronecker(D, a) * bernoulli_polynomial(k, Fraction(a, D))
-                               for a in range(1, D + 1))
-    return (-bernoulli_numbers(k)[k] / k) * (-b_chi / k)
+    even k >= 2: zeta(1 - k) L(1 - k, chi_D), with zeta(1 - k) = -B_k / k."""
+    return (-bernoulli_numbers(k)[k] / k) * dirichlet_l_neg(D, k - 1)
 
 
 def brute_cell_points(ws, n: int, closed=()) -> list[tuple[int, ...]]:
@@ -416,6 +425,13 @@ def line_moment(a: PseudoMeasure, lam: Sequence[int], K: int) -> Fraction:
     return factorial(K) * quot[K]
 
 
+def hermite(rows) -> tuple:
+    """(h, u, u_inv, sign) of linalg.hermite with both u and u_inv built,
+    sign = det u: the whole Hermite pass that the tests read."""
+    h, u, u_inv, d = linalg.hermite(rows, with_u=True, with_u_inv=True)
+    return h, u, u_inv, 1 if d > 0 else -1
+
+
 def hermite_box(h) -> list[tuple[int, ...]]:
     """The box 0 <= x_i < h_ii of a lower-triangular Hermite basis h, one
     vector per coset of its column lattice."""
@@ -429,12 +445,12 @@ def coset_lattice(cols, p: int) -> tuple:
     Z_p^n. The columns of the returned lower-triangular h span it; its
     classes are the box hermite_box(h), and coset_rep(h, v) is the box
     vector in the class of v."""
-    h = linalg.hermite(cols)[0]  # DependentInput when singular
+    h = hermite(cols)[0]  # DependentInput when singular
     n = len(h)
     d = prod(h[i][i] for i in range(n))
     pk = gcd(d, p ** d.bit_length())
-    return linalg.hermite([row + tuple(pk * x for x in e)
-                           for row, e in zip(h, linalg.identity(n))])[0]
+    return hermite([row + tuple(pk * x for x in e)
+                    for row, e in zip(h, linalg.identity(n))])[0]
 
 
 def coset_rep(h, v) -> tuple[int, ...]:
@@ -902,7 +918,7 @@ def _line_projection(direction) -> tuple:
     orthogonal to s, and taken as rows they are n-1 rows of the unimodular
     u^T: they map Z^n onto Z^{n-1} with kernel exactly the line.
     """
-    u = linalg.hermite([linalg.primitive_vector(direction)])[1]
+    u = hermite([linalg.primitive_vector(direction)])[1]
     return linalg.transpose(u)[1:]
 
 
@@ -980,7 +996,7 @@ def _face_points(face_periods, bound: Fraction, n: int) -> list[tuple[int, ...]]
     """Integer points w = sum t_j u_j with t_j > 0 and sum t_j <= bound."""
     # face_periods = coords * sat, with sat the leading rows of u_inv: a
     # basis of the saturation of the span
-    coords, _u, u_inv, _sign = linalg.hermite(face_periods)
+    coords, _u, u_inv, _sign = hermite(face_periods)
     r = len(face_periods)
     sat = u_inv[:r]
     # box for y = C t with t in (0, bound]^r, in saturation coordinates
@@ -1142,13 +1158,26 @@ def reference_det(m) -> int:
     return sign * prod(h[i][i] for i in range(n))
 
 
+def triangular_adjugate(h, d: int) -> list[list[int]]:
+    """x = d * h^-1 for a lower-triangular h with a positive diagonal and
+    d = +-prod h_ii, by forward substitution; x is integral, so each
+    division is exact."""
+    n = len(h)
+    x = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j, n):
+            s = d if i == j else -sum(h[i][k] * x[k][j] for k in range(j, i))
+            x[i][j] = s // h[i][i]
+    return x
+
+
 def reference_adjugate(m) -> tuple:
     """linalg.adjugate as it was when it built u_inv too, on reference_hermite."""
     if any(len(row) != len(m) for row in m):
         raise ValueError("adjugate of a non-square matrix")
     h, u, _u_inv, sign = reference_hermite(m)
     d = sign * prod(h[i][i] for i in range(len(h)))
-    return linalg.mat_mul(u, linalg._triangular_adjugate(h, d)), d
+    return linalg.mat_mul(u, triangular_adjugate(h, d)), d
 
 
 def reference_deformed_cone(gens, q, frame=None):
@@ -1170,7 +1199,7 @@ def reference_deformed_cone(gens, q, frame=None):
         adj, d = reference_adjugate(linalg.transpose(prims))
     except DependentInput:
         return None
-    b = linalg.mat_vec(adj, linalg.clear_denominators(q)[0])
+    b = linalg.mat_vec(adj, linalg.clear_denominators(q))
     if 0 in b:  # q lies on a face hyperplane: the frame breaks the tie
         tie = adj if frame is None else linalg.mat_mul(adj, frame)
         b = [x or next((y for y in row if y), 0) for x, row in zip(b, tie)]
@@ -1203,7 +1232,8 @@ def reference_stabilizes(f: TestFunction, g) -> bool:
 # primitive steps, a unimodular cell skipped its box, the lifts became two
 # flat lists and a zero sum skipped its normalising pass; kept verbatim, but for
 # the module prefix on solomon_hu.denominator_product, whose name the group-algebra
-# oracle above takes.
+# oracle above takes, and for the whole Hermite pass and the triangular adjugate,
+# which are hermite and triangular_adjugate above since linalg folded them.
 
 
 def reference_cell(ws: Sequence[Sequence[int]], n: int, closed: Sequence[int] = ()
@@ -1226,7 +1256,7 @@ def reference_cell(ws: Sequence[Sequence[int]], n: int, closed: Sequence[int] = 
     s = [tuple(a // (g or 1) for a in w) for w, g in zip(ws, gs)]  # hermite refuses a zero w
     r = len(s)
     try:
-        h, _u, u_inv, _sign = linalg.hermite(s) if r else ((), (), linalg.identity(n), 1)
+        h, _u, u_inv, _sign = hermite(s) if r else ((), (), linalg.identity(n), 1)
     except DependentInput as exc:
         raise DependentInput("cell generators are linearly dependent") from exc
     count = (d := prod(sides := [h[j][j] for j in range(r)])) * prod(gs)
@@ -1235,7 +1265,7 @@ def reference_cell(ws: Sequence[Sequence[int]], n: int, closed: Sequence[int] = 
                            f"{count} integer points, more than {CELL_POINT_BUDGET}")
     ys = [list(c) for c in zip(*product(*map(range, sides)))]  # the box, column by column
     ks = [[(x - e) // d for x in _weighted_sum(row, ys, d)] for e, row in zip(
-        [int(i not in closed) for i in range(r)], zip(*linalg._triangular_adjugate(h, d)))]
+        [int(i not in closed) for i in range(r)], zip(*triangular_adjugate(h, d)))]
     base = [_weighted_sum((*row[:r], *(-v[t] for v in s)), ys + ks, d)
             for t, row in enumerate(linalg.transpose(u_inv))]
     return base, list(zip(s, gs))

@@ -294,12 +294,17 @@ def test_deformed_cone_matches_its_reference():
 
 
 def test_det_and_open_cones_need_no_hermite_pass(monkeypatch):
-    # det and OpenCone's independence check reduce the columns alone: they
-    # answer, and refuse what they refused, without linalg.hermite
-    def refuse(*_args):
-        raise AssertionError("a full Hermite pass ran")
+    # det and OpenCone's independence check read d alone: they answer, and
+    # refuse what they refused, with linalg.hermite building neither u nor u_inv
+    kernel, calls = linalg.hermite, []
 
-    monkeypatch.setattr(linalg, "hermite", refuse)
+    def spy(rows, with_u=False, with_u_inv=False):
+        if with_u or with_u_inv:
+            raise AssertionError("a full Hermite pass ran")
+        calls.append(len(rows))
+        return kernel(rows)
+
+    monkeypatch.setattr(linalg, "hermite", spy)
     rng = random.Random(3507)
     for n in range(1, 5):
         for _ in range(20):
@@ -311,12 +316,13 @@ def test_det_and_open_cones_need_no_hermite_pass(monkeypatch):
     for gens in (((1, 2), (-2, -4)), ((0, 0),), ((1, 0), (0, 1), (1, 1))):
         with pytest.raises(DependentInput, match="^cone generators are linearly dependent$"):
             OpenCone(gens)
+    assert len(calls) == 80 + 3  # the 80 determinants and the cones with nonzero generators
 
 
 def test_deformed_cone_builds_the_adjugate_only_on_a_tie(monkeypatch):
     # off every face hyperplane the cone is read off u and one forward
     # substitution; a q on a face hyperplane still builds the adjugate, so it
-    # reaches the patched kernel
+    # reaches the patched linalg.adjugate
     def refuse(*_args):
         raise AssertionError("the whole adjugate was built")
 
@@ -330,7 +336,7 @@ def test_deformed_cone_builds_the_adjugate_only_on_a_tie(monkeypatch):
             continue
         if 0 not in linalg.mat_vec(reference_adjugate(linalg.transpose(gens))[0], off):
             cases.append((gens, off, on, reference_deformed_cone(gens, off)))
-    monkeypatch.setattr(linalg, "_triangular_adjugate", refuse)
+    monkeypatch.setattr(linalg, "adjugate", refuse)
     for gens, off, on, want in cases:
         assert deformed_cone(gens, off) == want
         with pytest.raises(AssertionError, match="^the whole adjugate was built$"):

@@ -1,7 +1,10 @@
+import ast
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,7 @@ from oracles import (
     coset_rep,
     det_cofactor,
     enumerate_fundamental_domain,
+    hermite,
     hermite_box,
     outcome,
     rank_by_minors,
@@ -54,7 +58,7 @@ def saturate_span(vs):
     """Integer basis of span_Q(vs) n Z^n: the leading rows of u_inv from
     hermite(vs), after checking that h gives the coordinates of vs in
     them."""
-    h, _u, u_inv, _sign = linalg.hermite(vs)
+    h, _u, u_inv, _sign = hermite(vs)
     sat = list(u_inv[:len(vs)])
     assert [tuple(sum(c * s[i] for c, s in zip(row, sat)) for i in range(len(vs[0])))
             for row in h] == [tuple(v) for v in vs]
@@ -87,7 +91,7 @@ def test_saturate_span_is_saturated():
             assert all(c.denominator == 1 for c in coords)
         # and the saturation together with its complement, the trailing
         # rows of u_inv, is unimodular
-        comp = list(linalg.hermite(vs)[2][r:])
+        comp = list(hermite(vs)[2][r:])
         assert abs(linalg.det(sat + comp)) == 1
         done += 1
 
@@ -135,17 +139,17 @@ def test_det_and_rank_against_oracles():
     singular = negative = rational = 0
     for _rng, m in kernel_cases(51, 120):
         rational += any(F(x).denominator != 1 for row in m for x in row)
-        m = [list(linalg.clear_denominators(row)[0]) for row in m]
+        m = [list(linalg.clear_denominators(row)) for row in m]
         assert linalg.det(m) == det_cofactor(m)
         singular += linalg.det(m) == 0
         negative += linalg.det(m) < 0
     for _rng, m in kernel_cases(52, 120, square=False):
-        rows = [linalg.clear_denominators(row)[0] for row in m]
+        rows = [linalg.clear_denominators(row) for row in m]
         if rank_by_minors(rows) < len(rows):
             with pytest.raises(DependentInput):
                 linalg.hermite(rows)
         else:
-            assert len(linalg.hermite(rows)[0]) == len(rows)
+            assert len(hermite(rows)[0]) == len(rows)
     assert singular >= 20 and negative >= 20 and rational >= 20
     for rows in ([[0, 0], [0, 0]], []):
         with pytest.raises(DependentInput):
@@ -158,7 +162,7 @@ def test_adjugate_against_cofactors():
     # signed cofactor of m at (j, i), and d is the signed determinant
     checked = 0
     for _rng, m in kernel_cases(54, 120):
-        m = [list(linalg.clear_denominators(row)[0]) for row in m]
+        m = [list(linalg.clear_denominators(row)) for row in m]
         n = len(m)
         det = det_cofactor(m)
         if det == 0:
@@ -232,7 +236,7 @@ def test_cosets_count_and_key():
                 coset_lattice(cols, 2)
             continue
         for p in (None, 2, 3):
-            h = linalg.hermite(cols)[0] if p is None else coset_lattice(cols, p)
+            h = hermite(cols)[0] if p is None else coset_lattice(cols, p)
             reps = hermite_box(h)
 
             def key(v):
@@ -268,7 +272,7 @@ def test_hermite_identities():
                 linalg.hermite(rows)
             dependent += 1
             continue
-        h, u, u_inv, sign = linalg.hermite(rows)
+        h, u, u_inv, sign = hermite(rows)
         assert all(type(x) is int for mat in (h, u, u_inv) for row in mat for x in row)
         assert sign == det_cofactor(u)
         # rows * u = [h | 0]
@@ -312,7 +316,9 @@ def test_enumerate_fundamental_domain_against_box_scan():
 
 def test_hermite_and_mat_mul_match_their_references():
     # the lean kernels against the old ones, result for result and refusal for
-    # refusal: 1-6 rows of length 1-6, dependent rows, r < m and r > m included
+    # refusal: 1-6 rows of length 1-6, dependent rows, r < m and r > m included;
+    # each pair of flags builds its parts of the whole pass and d, h only with u
+    # or u_inv, and refuses what the whole pass refuses
     rng = random.Random(58)
     kinds = {"square": 0, "r < m": 0, "dependent": 0, "r > m": 0}
     for t in range(600):
@@ -324,7 +330,15 @@ def test_hermite_and_mat_mul_match_their_references():
             rows.insert(rng.randint(0, len(rows)), [sum(rng.randint(-2, 2) * row[j] for row in rows)
                                                     for j in range(m)])
         want = outcome(reference_hermite, rows)
-        assert outcome(linalg.hermite, rows) == want, rows
+        assert outcome(hermite, rows) == want, rows
+        for with_u, with_u_inv in product((False, True), repeat=2):
+            part = want
+            if want[0] == "value":
+                h, u, u_inv, sign = want[1]
+                d = sign * prod(h[i][i] for i in range(r))
+                part = ("value", (h if with_u or with_u_inv else (), u if with_u else (),
+                                  u_inv if with_u_inv else (), d))
+            assert outcome(linalg.hermite, rows, with_u, with_u_inv) == part, (rows, with_u)
         kinds["r > m" if r > m else "dependent" if want[0] == "raised"
               else "square" if r == m else "r < m"] += 1
         cols = rng.randint(1, 6)
@@ -332,7 +346,7 @@ def test_hermite_and_mat_mul_match_their_references():
              for _ in range(m)]
         assert linalg.mat_mul(rows, b) == reference_mat_mul(rows, b), (rows, b)
     assert min(kinds.values()) >= 60, kinds
-    assert outcome(linalg.hermite, []) == outcome(reference_hermite, [])
+    assert outcome(hermite, []) == outcome(linalg.hermite, []) == outcome(reference_hermite, [])
 
 
 def test_det_and_adjugate_match_their_references():
@@ -359,3 +373,20 @@ def test_det_and_adjugate_match_their_references():
     for m in ([], [[1, 0, 2], [0, 1, 3]], [[1, 2], [3, 4], [5, 6]]):
         assert outcome(linalg.det, m) == outcome(reference_det, m)
         assert outcome(linalg.adjugate, m) == outcome(reference_adjugate, m)
+
+
+def test_no_module_reaches_into_linalg_privates():
+    # the kernel's format stays behind linalg: no other module of the package
+    # reads a linalg._<name> attribute or imports a private name from linalg
+    sites = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id == "linalg"):
+                sites.append(f"{path.name}:{node.lineno} linalg.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                sites += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                          if a.name.startswith("_")]
+    assert not sites, sites

@@ -774,7 +774,7 @@ def test_pair_cell_matches_its_reference():
                             [rng.randint(-2, 2) for _ in range(n)] for _ in range(r)) if any(v)]
                     if len(set(prims)) < r or (r and rank_by_minors(prims) < r):
                         continue
-                    h = linalg.hermite(prims)[0] if r else ()
+                    h = oracles.hermite(prims)[0] if r else ()
                     d = prod(h[j][j] for j in range(r))
                     if d * M ** r > 20000:
                         continue
@@ -797,13 +797,13 @@ def test_pair_cell_matches_its_reference():
 
 def test_a_unimodular_cell_walks_no_box(monkeypatch):
     # a cell of index d = 1 has one base point, the sum of its open generators:
-    # it walks no box and builds no triangular adjugate, for every rank 0-4,
+    # it walks no box and runs no forward substitution, for every rank 0-4,
     # open and half-open, and its points and pairings are the box scan's
     def refuse(*_args):
         raise AssertionError("a unimodular cell walked a box")
 
     monkeypatch.setattr(solomon_hu, "product", refuse)
-    monkeypatch.setattr(linalg, "_triangular_adjugate", refuse)
+    monkeypatch.setattr(linalg, "triangular_solve", refuse)
     rng = random.Random(3403)
     seen = set()
     for n in range(1, 5):
