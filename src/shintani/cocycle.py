@@ -8,7 +8,7 @@ as one half-open cell (solomon_hu.pair_half_open) and check, exactly:
 
   * the homogeneous cocycle identity (the alternating sum over an
     (n+1)-tuple reduces to an integer multiple of delta_0),
-  * equivariance under stabilizing congruence elements,
+  * equivariance under stabilizing elements of GL_n(Z),
   * that the paired cocycle value (psi_cdg) passes both measure criteria
     when the vanishing hypothesis holds for e_1.
 
@@ -124,18 +124,18 @@ def verify_equivariance(
     for a stabilizing g and the invertible integer matrices a_i of
     `matrices`, where phi pairs psi_cdg with f and q_eps has the
     identity frame. g^{-1} q_eps = g^{-1} q + eps g^{-1} e_1 + ... has the
-    frame g^{-1} = adj(g), as det g = 1; the identity frame there would
-    fail at some q on a face hyperplane."""
+    frame g^{-1} = d adj(g), as det g = d = 1 or -1; the identity frame
+    there would fail at some q on a face hyperplane."""
     cols, q = _columns(matrices, q, f.n)
     if not stabilizes(f, g):
         raise NotStabilizer("g does not stabilize the step function")
-    # det g = 1 (stabilizes checked it): the first columns of the g a_i are the
-    # g-images of those of the a_i, and both sides carry the sign of det(cols)
+    # det g = +-1 (stabilizes checked it): the first columns of the g a_i are the
+    # g-images of those of the a_i, and both sides carry the sign of det g det(cols)
     gm = linalg.int_mat(g)
     left = _paired(f, [linalg.mat_vec(gm, c) for c in cols], q)
-    # g^-1 = adj(g), since d = det g = 1
-    adj, _d = linalg.adjugate(gm)
-    right = _paired(f, cols, linalg.mat_vec(adj, q), adj)
+    adj, d = linalg.adjugate(gm)
+    g_inv = [[d * x for x in row] for row in adj]  # adj / d = d adj, since d = +-1
+    right = _paired(f, cols, linalg.mat_vec(g_inv, q), g_inv)
     return pm_eq(left, act_pm(gm, right))
 
 

@@ -23,7 +23,7 @@ invertible integer frame P = [p_1 ... p_n] (the identity by default) and an
 infinitesimal eps > 0: no nonzero rational linear form vanishes on q_eps,
 so it stands in exactly for an irrational vector and every q gets a verdict
 (symbolic perturbation, Edelsbrunner and Muecke's "simulation of
-simplicity"). A q off every face hyperplane reads neither frame nor adjugate.
+simplicity"). A q off every face hyperplane reads no frame.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def deformed_cone(
     b_i has the sign of d times the first nonzero entry of row i of
     adj * [s q | P] for the integer multiple s q of q; adj * P is
     nonsingular, so it exists. m * u = h (u built, u_inv not) and forward
-    substitution give adj * (s q) = u * d h^-1 (s q); adj itself, and the
-    frame, are read only when it has a zero entry.
+    substitution give adj * v = u * d h^-1 v, for v = s q and, only when
+    that has a zero entry, for the columns of P: adj itself is never built.
     """
     if not gens:
         raise ValueError("a deformed cone needs at least one generator")
@@ -99,14 +99,14 @@ def deformed_cone(
         raise DependentInput("deformed cones require n generators")
     try:
         prims = [linalg.primitive_vector(g) for g in gens]
-        h, u, _ui, d = linalg.hermite(m := linalg.transpose(prims), with_u=True)
+        h, u, _ui, d = linalg.hermite(linalg.transpose(prims), with_u=True)
     except DependentInput:
         return None
     b = linalg.mat_vec(u, linalg.triangular_solve(h, d, linalg.clear_denominators(q)))
     if 0 in b:  # q lies on a face hyperplane: the frame breaks the tie
-        adj = linalg.adjugate(m)[0]
-        tie = adj if frame is None else linalg.mat_mul(adj, frame)
-        b = [x or next((y for y in row if y), 0) for x, row in zip(b, tie)]
+        cols = [linalg.mat_vec(u, linalg.triangular_solve(h, d, p))  # adj * p for P's columns p
+                for p in (linalg.identity(n) if frame is None else linalg.transpose(frame))]
+        b = [x or next((y for y in row if y), 0) for x, row in zip(b, zip(*cols))]
         if 0 in b:
             raise DependentInput("the deformation frame is singular")
     sign = 1 if d > 0 else -1

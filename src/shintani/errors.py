@@ -35,7 +35,7 @@ class CellTooLarge(ShintaniError):
 
 
 class NotUnimodular(ShintaniError):
-    """Integer matrix is not in SL_n(Z) where the action requires it."""
+    """Integer matrix is not in GL_n(Z) (det 1 or -1) where the action requires it."""
 
 
 class NotStabilizer(ShintaniError):

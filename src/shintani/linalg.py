@@ -8,17 +8,17 @@ column Euclid loop that builds u and u_inv only for callers that read them.
 det m = det u * prod h_ii needs neither, nor h (`det`). The only other
 kernel is forward substitution, d * h^-1 v with exact divisions
 (`triangular_solve`): the classical adjugate is u * d h^-1, column by
-column (`adjugate`: u, no u_inv), and a deformed cone substitutes its
-vector alone. The rows of u_inv are a basis of Z^n whose first r rows
-saturate the span of the r input rows, and the cosets of Z^n modulo a
-lattice are a box read off the Hermite diagonal, so no job needs an
-inverse: one Hermite pass gives a pairing cell its basis and its box of
-base points (`solomon_hu._cell`, the only code that reduces points by a
-Hermite form), or, when its diagonal is all ones, tells it that the cell
-has one base point and no box. The measure test reads its classes off
-adjugate coordinates instead (`amice._poles_vanish`). A rational vector
-is scaled to integers first (`clear_denominators`): its primitive vector
-is unchanged by a positive rescaling.
+column (`adjugate`: u, no u_inv), and a deformed cone solves for its
+vector, and for its frame on a tie. The rows of u_inv are a basis of Z^n
+whose first r rows saturate the span of the r input rows, and the cosets
+of Z^n modulo a lattice are a box read off the Hermite diagonal, so no
+job needs an inverse: one Hermite pass gives a pairing cell its basis and
+its box of base points (`solomon_hu._cell`, the only code that reduces
+points by a Hermite form), or, when its diagonal is all ones, tells it
+that the cell has one base point and no box. The measure test reads its
+classes off adjugate coordinates instead (`amice._poles_vanish`). A
+rational vector is scaled to integers first (`clear_denominators`): its
+primitive vector is unchanged by a positive rescaling.
 """
 
 from __future__ import annotations
@@ -56,11 +56,6 @@ def identity(n: int) -> IntMat:
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
     return tuple(sum(map(mul, row, v)) for row in m)
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
-    cols = list(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def transpose(m: Sequence[Sequence]) -> tuple:

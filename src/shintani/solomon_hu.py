@@ -237,10 +237,10 @@ def pm_is_integer_constant(a: PseudoMeasure) -> int | None:
 
 
 def act_pm(g: Sequence[Sequence[int]], a: PseudoMeasure) -> PseudoMeasure:
-    """Push a pseudo-measure forward along g in SL_n(Z): delta_v -> delta_{gv}."""
+    """Push a pseudo-measure forward along g in GL_n(Z): delta_v -> delta_{gv}."""
     gm = linalg.int_mat(g)
-    if linalg.det(gm) != 1:
-        raise NotUnimodular("pseudo-measure action requires determinant 1")
+    if abs(linalg.det(gm)) != 1:
+        raise NotUnimodular("pseudo-measure action requires determinant 1 or -1")
     if (a.num or a.den) and len(gm) != a.dim:  # else zip and mat_vec would drop coordinates
         raise ValueError(f"a {len(gm)}x{len(gm)} matrix cannot act in dimension {a.dim}")
     old, bound = a.num, max(sum(map(abs, row)) for row in gm) * a.num.bound  # g's row norm

@@ -110,7 +110,7 @@ def _fibres_vanish(keyed: Iterable[tuple[Hashable, int | Fraction]]) -> bool:
 
 
 def stabilizes(f: TestFunction, g: Sequence[Sequence[int]]) -> bool:
-    """Whether f(g w) = f(w) for every w, for g in SL_n(Z).
+    """Whether f(g w) = f(w) for every w, for g in GL_n(Z) (det g = 1 or -1).
 
     g is a bijection mod M, so once f(g w) = f(w) on the support of f, g
     maps the support onto itself and nothing else into it: only the
@@ -119,8 +119,8 @@ def stabilizes(f: TestFunction, g: Sequence[Sequence[int]]) -> bool:
     gm = linalg.int_mat(g)
     if {len(gm), *map(len, gm)} != {f.n}:  # else mat_vec would drop coordinates
         raise ValueError(f"rows of lengths {[*map(len, gm)]} cannot act in dimension {f.n}")
-    if linalg.det(gm) != 1:
-        raise NotUnimodular("action requires determinant 1")
+    if abs(linalg.det(gm)) != 1:
+        raise NotUnimodular("action requires determinant 1 or -1")
     M = f.M
     if all((x - (i == j)) % M == 0 for i, row in enumerate(gm) for j, x in enumerate(row)):
         return True  # g = I mod M fixes every residue

@@ -27,7 +27,8 @@ before they read integers as ints (every vector entry and coefficient through
 Fraction), kept with the helpers they called, so that the new readers can be
 compared with them value for value and message for message. The reference
 kernels after them are linalg.hermite, det, adjugate (with the triangular
-adjugate it was built on) and mat_mul,
+adjugate it was built on) and mat_mul (the tests' only matrix product,
+since linalg.mat_mul left the library),
 cones.deformed_cone, solomon_hu.pm_eq,
 testfunctions.stabilizes, and solomon_hu's pairing cell (_cell and _pair_cell)
 and pm_sum as they were before their leaner forms, kept verbatim so that each
@@ -143,6 +144,21 @@ def quadratic_zeta_neg(D: int, k: int) -> Fraction:
     """zeta_K(1 - k) for the real quadratic field K of discriminant D and an
     even k >= 2: zeta(1 - k) L(1 - k, chi_D), with zeta(1 - k) = -B_k / k."""
     return (-bernoulli_numbers(k)[k] / k) * dirichlet_l_neg(D, k - 1)
+
+
+def cyclic_cubic_zeta_neg(c: int, k: int) -> Fraction:
+    """zeta_K(1 - k) for the cyclic cubic field K of prime conductor c = 1 mod 3
+    and an even k >= 2: zeta(1 - k) L(1 - k, chi) L(1 - k, chi-bar) for the two
+    cubic characters of conductor c, chi(a) = w^j for a = g^j, g the least
+    primitive root mod c and w a primitive cube root of 1. L(1 - k, chi) =
+    -B_{k,chi} / k = x + y w with x, y rational (w^2 = -1 - w), and chi-bar
+    gives its conjugate, so the product is the norm x^2 - xy + y^2."""
+    g = next(g for g in range(2, c) if len({pow(g, j, c) for j in range(c - 1)}) == c - 1)
+    x = y = Fraction(0)
+    for j in range(c - 1):  # B_{k,chi} = c^(k-1) sum_a chi(a) B_k(a / c), chi(c) = 0
+        t = -c ** (k - 1) * bernoulli_polynomial(k, Fraction(pow(g, j, c), c)) / k
+        x, y = (x + t, y) if j % 3 == 0 else (x, y + t) if j % 3 == 1 else (x - t, y - t)
+    return (-bernoulli_numbers(k)[k] / k) * (x * x - x * y + y * y)
 
 
 def brute_cell_points(ws, n: int, closed=()) -> list[tuple[int, ...]]:
@@ -510,11 +526,11 @@ def value_at(f, v) -> int:
 
 
 def act(f, g) -> TestFunction:
-    """Right action (f|g)(v) = f(g v) for g in SL_n(Z): the pullback read
+    """Right action (f|g)(v) = f(g v) for g in GL_n(Z): the pullback read
     off every residue of (Z/M)^n, the reference for
     testfunctions.stabilizes."""
-    if det_cofactor(g) != 1:
-        raise NotUnimodular("action requires determinant 1")
+    if abs(det_cofactor(g)) != 1:
+        raise NotUnimodular("action requires determinant 1 or -1")
     table = {}
     for x in product(range(f.M), repeat=f.n):
         val = value_at(f, [sum(a * b for a, b in zip(row, x)) for row in g])
@@ -1177,7 +1193,7 @@ def reference_adjugate(m) -> tuple:
         raise ValueError("adjugate of a non-square matrix")
     h, u, _u_inv, sign = reference_hermite(m)
     d = sign * prod(h[i][i] for i in range(len(h)))
-    return linalg.mat_mul(u, triangular_adjugate(h, d)), d
+    return reference_mat_mul(u, triangular_adjugate(h, d)), d
 
 
 def reference_deformed_cone(gens, q, frame=None):
@@ -1201,7 +1217,7 @@ def reference_deformed_cone(gens, q, frame=None):
         return None
     b = linalg.mat_vec(adj, linalg.clear_denominators(q))
     if 0 in b:  # q lies on a face hyperplane: the frame breaks the tie
-        tie = adj if frame is None else linalg.mat_mul(adj, frame)
+        tie = adj if frame is None else reference_mat_mul(adj, frame)
         b = [x or next((y for y in row if y), 0) for x, row in zip(b, tie)]
         if 0 in b:
             raise DependentInput("the deformation frame is singular")
@@ -1216,12 +1232,12 @@ def reference_pm_eq(a: PseudoMeasure, b: PseudoMeasure) -> bool:
 
 
 def reference_stabilizes(f: TestFunction, g) -> bool:
-    """stabilizes by the residue loop alone, for every g of det 1."""
+    """stabilizes by the residue loop alone, for every g of det 1 or -1."""
     gm = linalg.int_mat(g)
     if {len(gm), *map(len, gm)} != {f.n}:  # else mat_vec would drop coordinates
         raise ValueError(f"rows of lengths {[*map(len, gm)]} cannot act in dimension {f.n}")
-    if linalg.det(gm) != 1:
-        raise NotUnimodular("action requires determinant 1")
+    if abs(linalg.det(gm)) != 1:
+        raise NotUnimodular("action requires determinant 1 or -1")
     M = f.M
     return all(f.values.get(tuple(x % M for x in linalg.mat_vec(gm, w))) == c
                for w, c in f.values.items())

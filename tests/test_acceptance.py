@@ -47,6 +47,7 @@ from oracles import (
     open_faces,
     phi,
     pm_constant,
+    reference_mat_mul,
     slice_identity_check,
     wedge_decompose,
 )
@@ -214,7 +215,7 @@ def test_criterion_5_cocycle_identity():
         assert verify_cocycle(f3, mats, q) is None, (t, mats)
     # negative control: a corrupted sign must break the identity
     rot = ((0, -1), (1, 0))
-    ts = linalg.int_mat(linalg.mat_mul(((1, 1), (0, 1)), rot))
+    ts = linalg.int_mat(reference_mat_mul(((1, 1), (0, 1)), rot))
     ident = ((1, 0), (0, 1))
     assert verify_cocycle(f2, (ident, rot, ts), (F(-1, 2), F(1, 3)),
                           corrupt_sign=True) is not None

@@ -204,12 +204,14 @@ QUADRANT = {"cone": {"generators": [["1", "0"], ["0", "1"]]}}
 @pytest.mark.parametrize("command, payload, code, stdout, stderr", [
     ("vh", {"test_function": TF_BIG_UNBALANCED, "rays": [["1", "0"]]}, 0,
      '{\n  "1,0": false\n}\n', ""),
+    ("vh", {"test_function": TF_BIG_BALANCED, "rays": [["1", "0"], ["0", "1"], ["1", "1"]]}, 0,
+     '{\n  "0,1": true,\n  "1,0": true,\n  "1,1": false\n}\n', ""),
     ("moments", {"test_function": TF_BIG_UNBALANCED, **QUADRANT}, 4,
      "", "error: vanishing hypothesis fails on an extremal ray\n"),
     ("moments", {"test_function": TF_BIG_BALANCED, **QUADRANT}, 2,
      "", f"error: the cell of the generators [[0, {BIG}], [{BIG}, 0]] has {BIG**2} "
          f"integer points, more than 1000000\n"),
-], ids=["vh", "moments-unbalanced", "moments-balanced"])
+], ids=["vh", "vh-balanced", "moments-unbalanced", "moments-balanced"])
 def test_a_huge_level_is_decided_from_the_support(tmp_path, command, payload, code, stdout,
                                                   stderr):
     # the vanishing hypothesis reads only the support of f, so M = 10**30
@@ -219,7 +221,7 @@ def test_a_huge_level_is_decided_from_the_support(tmp_path, command, payload, co
     path = write(tmp_path, "in.json", payload)
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-m", "shintani.cli", "--command", command,
-                           "--input", path], capture_output=True, text=True, timeout=20, env=env)
+                           "--input", path], capture_output=True, text=True, timeout=10, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, stderr)
 
 
@@ -695,6 +697,42 @@ def test_cocycle_vacuous_and_corrupted(tmp_path, capsys):
     capsys.readouterr()
     assert main(["--command", "cocycle", "--input", path, "--trials", "-3"]) == 2
     assert capsys.readouterr() == ("", "error: --trials must be at least 0, got -3\n")
+
+
+def test_four_dimensional_deformed_cones_pass_and_are_measures(tmp_path, capsys):
+    # each deformed cone pairs as one half-open cell, here 4-dimensional ones
+    # at n = 4, M = 2: 8 trials pass, and f smoothed along e_1 makes every
+    # paired cocycle value a measure
+    tf = {"n": 4, "p": 3, "M": 2, "terms": [{"residue": [x, *r], "weight": 1 if x else -1}
+                                            for x in (0, 1) for r in product((0, 1), repeat=3)]}
+    code, out = run(capsys, "--command", "cocycle", "--trials", "8", "--seed", "1",
+                    "--input", write(tmp_path, "f.json", {"test_function": tf}))
+    report = json.loads(out)
+    assert (code, report["all_pass"], report["measure_valued"]) == (0, True, True)
+
+
+def test_a_function_that_fails_vh_along_e1_fails_the_measure_check_but_not_the_run(
+        tmp_path, capsys):
+    # a single residue fails vh along e_1, so the measure check fails too; the
+    # hypothesis of the measure check does not hold, so all_pass stays true
+    tf = {"n": 3, "p": 3, "M": 4, "terms": [{"residue": [1, 0, 0], "weight": 1}]}
+    code, out = run(capsys, "--command", "cocycle", "--trials", "4", "--seed", "1",
+                    "--input", write(tmp_path, "f.json", {"test_function": tf}))
+    report = json.loads(out)
+    assert code == 0
+    assert [report["vh_e1"], report["measure_valued"], report["all_pass"]] == [False, False, True]
+
+
+def test_a_failed_measure_check_under_vh_fails_the_run(tmp_path, capsys, monkeypatch):
+    # vh holds along e_1, so a paired cocycle value that is not a measure
+    # fails the run (exit 6) although every trial passes
+    monkeypatch.setattr("shintani.cocycle.verify_measure_valued", lambda *args, **kw: False)
+    code, out = run(capsys, "--command", "cocycle", "--trials", "2", "--seed", "7",
+                    "--input", write(tmp_path, "f.json", {"test_function": TF_BALANCED_2D}))
+    report = json.loads(out)
+    assert code == cli.EXIT_TRIAL_FAILED
+    assert [report["vh_e1"], report["measure_valued"], report["all_pass"]] == [True, False, False]
+    assert all(t["cocycle"] and t["equivariance"] for t in report["trials"])
 
 
 def test_cocycle_reports_the_verified_q(tmp_path, capsys):

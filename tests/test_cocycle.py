@@ -39,6 +39,7 @@ from oracles import (
     open_faces,
     phi,
     pm_neg,
+    reference_mat_mul,
 )
 
 I2 = ((1, 0), (0, 1))
@@ -170,7 +171,7 @@ def test_verify_cocycle_explicit():
     f = balanced_f(2, 3, 4)
     same = (I2, I2, I2)
     assert verify_cocycle(f, same, Q_GOOD) is None
-    ts = linalg.int_mat(linalg.mat_mul(((1, 1), (0, 1)), ROT))
+    ts = linalg.int_mat(reference_mat_mul(((1, 1), (0, 1)), ROT))
     assert verify_cocycle(f, (I2, ROT, ts), Q_GOOD) is None
     assert verify_cocycle(f, (I2, ROT, ts), Q_GOOD, corrupt_sign=True) is not None
 
@@ -198,7 +199,7 @@ def test_harnesses_verify_at_the_given_q():
     # a vector on a face hyperplane gets an exact verdict at that vector:
     # the infinitesimal frame breaks the tie, and nothing is re-sampled
     f = balanced_f(2, 3, 4)
-    ts = linalg.int_mat(linalg.mat_mul(((1, 1), (0, 1)), ROT))
+    ts = linalg.int_mat(reference_mat_mul(((1, 1), (0, 1)), ROT))
     for on_face in ((F(1), F(0)), (F(0), F(0)), (F(0), F(-2, 7))):
         assert verify_cocycle(f, (I2, ROT, ts), on_face) is None, on_face
         assert verify_cocycle(f, (I2, ROT, ts), on_face, corrupt_sign=True) is not None, on_face
@@ -386,7 +387,7 @@ def test_equivariance_carries_the_frame_at_degenerate_q():
             f = _random_f(rng, n, M)
             g = random_congruence_element(n, M, 9000 + 31 * n + M + t)
             adj, _d = linalg.adjugate(g)
-            gmats = tuple(linalg.mat_mul(g, m) for m in mats)
+            gmats = tuple(reference_mat_mul(g, m) for m in mats)
             for q in _degenerate_qs(mats, n)[:2]:
                 assert verify_equivariance(f, g, mats, q), (n, M, t, q)
                 left = phi(f, gmats, q)
@@ -447,7 +448,7 @@ def test_half_open_pairing_matches_the_face_sum(n):
                         total, _cones = _alternating_sum(f, mats, q, corrupt)
                         assert pm_to_json(total) == pm_to_json(want)
                     right = act_pm(g, _face_sum(f, cols[:n], linalg.mat_vec(adj, q), adj))
-                    left = phi(f, [linalg.mat_mul(g, m) for m in mats[:n]], q)
+                    left = phi(f, [reference_mat_mul(g, m) for m in mats[:n]], q)
                     assert verify_equivariance(f, g, mats[:n], q) == pm_eq(left, right)
                     cases += 1
     assert cases == 4 * 3 * 3 * 2

@@ -27,6 +27,7 @@ from oracles import (
     outcome,
     reference_adjugate,
     reference_deformed_cone,
+    reference_mat_mul,
     wedge_decompose,
 )
 
@@ -128,7 +129,7 @@ def test_act_eval_contract_and_composition():
             assert eval_cone_function(gk, w) == sign * eval_cone_function(
                 k, linalg.mat_vec(g_inv, w)
             )
-        gh = linalg.mat_mul(g, h)
+        gh = reference_mat_mul(g, h)
         lhs = act_on_cone_function(gh, k)
         rhs = act_on_cone_function(g, act_on_cone_function(h, k))
         for _ in range(5):
@@ -181,6 +182,9 @@ def test_deformed_decompose_examples():
     # and no generator at all is a documented ValueError, not an IndexError
     with pytest.raises(ValueError, match="^a deformed cone needs at least one generator$"):
         deformed_cone([], ())
+    # generators of two lengths are refused, before the deformation vector is read
+    with pytest.raises(ValueError, match="^generators of mixed dimensions$"):
+        deformed_cone([(1, 0), (0, 1, 0)], (1, 1))
 
 
 def test_deformed_decompose_matches_eval_pointwise():
@@ -259,10 +263,10 @@ def _generic(rng, n):
 
 
 def test_deformed_cone_matches_its_reference():
-    # deformed_cone finds adj (s q) by forward substitution and builds the
-    # whole adjugate only on a tie; against the kernel that built it for every
-    # q, result for result and refusal for refusal: n = 1-4, generators of
-    # both orientations and dependent ones (a zero generator or a combination),
+    # deformed_cone finds adj (s q) by forward substitution, and adj P the
+    # same way only on a tie; against the kernel that built adj for every q,
+    # result for result and refusal for refusal: n = 1-4, generators of both
+    # orientations and dependent ones (a zero generator or a combination),
     # q off and on face hyperplanes and q = 0, with no frame, the identity
     # frame, adj(g) for a unimodular g, and singular frames
     rng = random.Random(3506)
@@ -319,10 +323,11 @@ def test_det_and_open_cones_need_no_hermite_pass(monkeypatch):
     assert len(calls) == 80 + 3  # the 80 determinants and the cones with nonzero generators
 
 
-def test_deformed_cone_builds_the_adjugate_only_on_a_tie(monkeypatch):
+def test_deformed_cone_runs_one_hermite_pass_and_builds_no_adjugate(monkeypatch):
     # off every face hyperplane the cone is read off u and one forward
-    # substitution; a q on a face hyperplane still builds the adjugate, so it
-    # reaches the patched linalg.adjugate
+    # substitution, and on a tie off the same u and the substitutions of the
+    # frame's columns: either way linalg.hermite runs once and linalg.adjugate
+    # never, with no frame and with adj(g) for a unimodular g
     def refuse(*_args):
         raise AssertionError("the whole adjugate was built")
 
@@ -332,15 +337,24 @@ def test_deformed_cone_builds_the_adjugate_only_on_a_tie(monkeypatch):
         n = rng.randint(1, 4)
         gens = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n)]
         off, on = _generic(rng, n), _on_a_face(rng, gens, rng.randrange(n))
+        frame = (None, reference_adjugate(_unimodular(rng, n))[0])[len(cases) % 2]
         if linalg.det(gens) == 0:
             continue
         if 0 not in linalg.mat_vec(reference_adjugate(linalg.transpose(gens))[0], off):
-            cases.append((gens, off, on, reference_deformed_cone(gens, off)))
+            cases.append((gens, off, on, frame))
+    kernel, calls = linalg.hermite, []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
     monkeypatch.setattr(linalg, "adjugate", refuse)
-    for gens, off, on, want in cases:
-        assert deformed_cone(gens, off) == want
-        with pytest.raises(AssertionError, match="^the whole adjugate was built$"):
-            deformed_cone(gens, on)
+    monkeypatch.setattr(linalg, "hermite", spy)
+    for gens, off, on, frame in cases:
+        for q in (off, on):
+            calls.clear()
+            assert deformed_cone(gens, q, frame) == reference_deformed_cone(gens, q, frame)
+            assert len(calls) == 1, (gens, q)
 
 
 def test_wedge_examples():

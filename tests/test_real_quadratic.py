@@ -9,16 +9,22 @@ the paired cocycle value psi_cdg([I, rho(eps)], q) is a signed Shintani
 domain for the units: its N(x)^m moment is (1 - ell^(1+m)) zeta_K(-m),
 which quadratic_zeta_neg computes from generalized Bernoulli numbers.
 rho(eps) multiplies l into itself, so it stabilizes f, although it lies in
-no Gamma(M) that the CLI samples. The domain psi_cdg([I, rho(eps)^2], q)
+no Gamma(M) that the CLI samples; a unit of norm -1 has det -1 and acts
+with the sign of its determinant. The domain psi_cdg([I, rho(eps)^2], q)
 covers the units twice, and twisting f by a quadratic character chi
 through the norm gives L-values: L_K(s, chi o N) = L(s, chi) L(s, chi chi_D).
+The cubic field Q(zeta_7)^+ (n = 3) closes the file: there a signed sum of
+two cocycle values is a domain for the totally positive units, and its
+moments are the zeta values that cyclic_cubic_zeta_neg computes.
 """
 
 import random
 from fractions import Fraction as F
 from itertools import product
 
-from shintani import amice, linalg
+import pytest
+
+from shintani import amice, cocycle, linalg
 from shintani.amice import is_measure_vh, moment_table
 from shintani.cocycle import (
     psi_cdg,
@@ -26,10 +32,17 @@ from shintani.cocycle import (
     verify_cocycle,
     verify_equivariance,
 )
-from shintani.solomon_hu import pair_half_open
+from shintani.errors import DependentInput
+from shintani.solomon_hu import pair_half_open, pm_sum
 from shintani.testfunctions import TestFunction, stabilizes
 
-from oracles import dirichlet_l_neg, kronecker, quadratic_zeta_neg
+from oracles import (
+    cyclic_cubic_zeta_neg,
+    dirichlet_l_neg,
+    kronecker,
+    quadratic_zeta_neg,
+    reference_mat_mul,
+)
 
 I2 = ((1, 0), (0, 1))
 # name: (discriminant, norm form (a^2, ab, b^2), rho(eps) as rows, ell, r)
@@ -47,21 +60,26 @@ def smoothed(ell, r):
 
 
 def norm_power(form, m):
-    """N(a, b)^m as {(i, j): coefficient of a^i b^j}."""
-    poly = {(0, 0): 1}
+    """N^m as {exponents: coefficient} for the norm form N of degree n given as
+    {exponents: coefficient}, or for n = 2 as the coefficients of (a^2, ab, b^2)."""
+    if not isinstance(form, dict):
+        form = dict(zip(((2, 0), (1, 1), (0, 2)), form))
+    poly = {(0,) * len(next(iter(form))): 1}
     for _ in range(m):
         step = {}
-        for (i, j), c in poly.items():
-            for (di, dj), w in zip(((2, 0), (1, 1), (0, 2)), form):
-                step[i + di, j + dj] = step.get((i + di, j + dj), 0) + c * w
+        for e, c in poly.items():
+            for de, w in form.items():
+                key = tuple(map(sum, zip(e, de)))
+                step[key] = step.get(key, 0) + c * w
         poly = step
     return poly
 
 
 def domain_moments(f, p, form, mats, q, ms):
     """[the N^m moment at p of sign * the paired cocycle value psi_cdg(mats, q)], m in ms."""
+    n = len(mats)
     sign, prims, closed = psi_cdg(mats, q)
-    table = dict(moment_table(pair_half_open(frozenset(prims), closed, f), p, 2, 2 * max(ms)))
+    table = dict(moment_table(pair_half_open(frozenset(prims), closed, f), p, n, n * max(ms)))
     return [sign * sum(c * table[o] for o, c in norm_power(form, m).items()) for m in ms]
 
 
@@ -111,11 +129,40 @@ def test_the_unit_group_stabilizes_its_smoothed_function():
     # three on face hyperplanes, q = 0 among them
     _D, _form, rho, ell, r = FIELDS["Q(sqrt 5)"]
     f, rng = smoothed(ell, r), random.Random("units:Q(sqrt 5)")
-    tuple3 = [I2, rho, linalg.mat_mul(rho, rho)]
+    tuple3 = [I2, rho, reference_mat_mul(rho, rho)]
     for q in [sample_deformation(2, rng) for _ in range(6)] + [(0, 0), (1, 1), (1, 0)]:
         assert verify_cocycle(f, tuple3, q) is None, q
         assert verify_cocycle(f, tuple3, q, corrupt_sign=True) is not None, q
         assert verify_equivariance(f, rho, [I2, rho], q), q
+
+
+def norm_minus_one_cases():
+    """(f, g, mats, q) in Q(sqrt 2) at ell = 7, for g = rho(eps) and rho(eps)^3 of
+    eps = 1 + sqrt 2, of norm -1 and so of det -1: three tuples, six seeded q, and
+    q = 0 and the first columns of the g a_i, which lie on face hyperplanes."""
+    rho = ((1, 2), (1, 1))  # columns eps = (1, 1) and eps sqrt 2 = (2, 1)
+    rho2 = reference_mat_mul(rho, rho)
+    rng = random.Random("det -1:Q(sqrt 2)")
+    qs = [sample_deformation(2, rng) for _ in range(6)]
+    f = smoothed(7, 3)
+    return [(f, g, mats, q) for g in (rho, reference_mat_mul(rho2, rho))
+            for mats in ([I2, rho], [rho, rho2], [I2, reference_mat_mul(rho2, rho)])
+            for q in qs + [(0, 0)] + [linalg.mat_vec(g, [row[0] for row in m]) for m in mats]]
+
+
+def test_a_unit_of_norm_minus_one_acts_with_its_frame(monkeypatch):
+    # equivariance under g of det -1 holds in 54 of 54 cases, with g^-1 = -adj(g)
+    # as the vector's map and the frame; with the identity frame in its place the
+    # check fails in 14 of them, each at a q on a face hyperplane
+    cases = norm_minus_one_cases()
+    for f, g, mats, q in cases:
+        assert linalg.det(g) == -1 and stabilizes(f, g)
+        assert verify_equivariance(f, g, mats, q), (g, mats, q)
+    paired = cocycle._paired
+    monkeypatch.setattr(cocycle, "_paired", lambda f, gens, q, frame=None: paired(f, gens, q))
+    failed = [q for f, g, mats, q in cases if not verify_equivariance(f, g, mats, q)]
+    assert len(cases) == 54 and len(failed) == 14
+    assert all(type(x) is int for q in failed for x in q)  # none of the seeded, rational q
 
 
 def doubled_domains(count):
@@ -126,7 +173,7 @@ def doubled_domains(count):
         f, rng = smoothed(ell, r), random.Random(f"square:{name}")
         for q in [sample_deformation(2, rng) for _ in range(count)]:
             out.append((name, *(domain_moments(f, 3, form, [I2, mats], q, (1, 3, 5, 7, 9))
-                                 for mats in (rho, linalg.mat_mul(rho, rho)))))
+                                 for mats in (rho, reference_mat_mul(rho, rho)))))
     return out
 
 
@@ -221,3 +268,76 @@ def test_a_twist_that_is_not_unit_invariant_gives_wrong_l_values():
             assert not stabilizes(f, FIELDS[name][2]), (name, c)
             assert is_measure_vh(prims, f), (name, c)
             assert got != want, (name, c)
+
+
+# K = Q(zeta_7)^+ = Q(theta), theta = 2 cos(2 pi / 7), theta^3 + theta^2 - 2 theta - 1 = 0,
+# with the basis (1, theta, theta^2): rho(theta) has the columns (0, 1, 0), (0, 0, 1) and
+# (1, 2, -1); eps_1 = theta^2 and eps_2 = (1 + theta)^2 are totally positive units, and
+# l = (13, theta - 7) is a prime of degree 1
+THETA = ((0, 0, 1), (1, 0, 2), (0, 1, -1))
+CUBIC_NORM = {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1, (2, 1, 0): -1, (2, 0, 1): 5,
+              (1, 0, 2): 6, (1, 2, 0): -2, (0, 2, 1): -1, (1, 1, 1): -1, (0, 1, 2): -2}
+I3 = linalg.identity(3)
+
+
+def cubic_domain(q, ms):
+    """For the smoothed f = 1 - 13 [x in l] at p = 5: the two signed cones
+    psi_cdg(I, rho(eps_1), rho(eps_1 eps_2)) and psi_cdg(I, rho(eps_2), rho(eps_2 eps_1))
+    at q, and [the N^m moment of the first minus that of the second], m in ms, by
+    summing the two cones' moment tables."""
+    ell, r = 13, 7
+    f = TestFunction(3, 5, ell, {(a, b, c): 1 - ell if (a + r * b + r * r * c) % ell == 0 else 1
+                                 for a, b, c in product(range(ell), repeat=3)})
+    rho1 = reference_mat_mul(THETA, THETA)
+    one_plus = tuple(tuple(x + y for x, y in zip(u, v)) for u, v in zip(I3, THETA))
+    rho2 = reference_mat_mul(one_plus, one_plus)
+    rho12 = reference_mat_mul(rho1, rho2)
+    first = domain_moments(f, 5, CUBIC_NORM, [I3, rho1, rho12], q, ms)
+    second = domain_moments(f, 5, CUBIC_NORM, [I3, rho2, rho12], q, ms)
+    cones = [psi_cdg(mats, q) for mats in ([I3, rho1, rho12], [I3, rho2, rho12])]
+    return f, cones, [a - b for a, b in zip(first, second)]
+
+
+def test_the_cubic_oracle_and_norm_form():
+    # zeta_K(-1) = -1/21 and zeta_K(-3) = 79/210 for the field of conductor 7;
+    # CUBIC_NORM is det rho(a + b theta + c theta^2) on a grid
+    assert [cyclic_cubic_zeta_neg(7, k) for k in (2, 4)] == [F(-1, 21), F(79, 210)]
+    theta2 = reference_mat_mul(THETA, THETA)
+    for a, b, c in product(range(-2, 3), repeat=3):
+        m = [[a * x + b * y + c * z for x, y, z in zip(*rows)] for rows in zip(I3, THETA, theta2)]
+        assert linalg.det(m) == sum(w * a ** i * b ** j * c ** k
+                                    for (i, j, k), w in CUBIC_NORM.items()), (a, b, c)
+
+
+def test_the_cubic_signed_domain_gives_zeta_values():
+    # the N^m moment of [eps_1 | eps_2] - [eps_2 | eps_1] is -(1 - 13^(1+m)) zeta_K(-m):
+    # -8 for m = 1 at 4 seeded q, and 10744 for m = 3 at the first 2 (a table of
+    # order 9 per cone); the sign - is the orientation of that signed fundamental
+    # domain (Colmez; Diaz y Diaz and Friedman). The two cones' periods are
+    # dependent, so the sum of their pseudo-measures has no single moment table:
+    # the per-cone tables are summed
+    rng = random.Random("zeta:Q(zeta_7)^+")
+    want = [-(1 - 13 ** (1 + m)) * cyclic_cubic_zeta_neg(7, m + 1) for m in (1, 3)]
+    assert want == [-8, 10744]
+    for i, q in enumerate(sample_deformation(3, rng) for _ in range(4)):
+        f, cones, got = cubic_domain(q, (1, 3) if i < 2 else (1,))
+        assert got == want[:len(got)], (q, got)
+    total = pm_sum([(sign, pair_half_open(frozenset(prims), closed, f))
+                    for sign, prims, closed in cones])
+    with pytest.raises(DependentInput, match="are linearly dependent$"):
+        moment_table(total, 5, 3, 3)
+
+
+def test_a_wrong_bernoulli_sign_breaks_the_cubic_zeta_values(monkeypatch):
+    # negative control: with L B_1's sign flipped in the moment table, m = 1
+    # and m = 3 both miss (at the first seeded q)
+    bernoulli = amice._bernoulli
+
+    def flipped(k):
+        big, out = bernoulli(k)
+        return big, [out[0], -out[1], *out[2:]]
+
+    monkeypatch.setattr(amice, "_bernoulli", flipped)
+    q = sample_deformation(3, random.Random("zeta:Q(zeta_7)^+"))
+    got = cubic_domain(q, (1, 3))[2]
+    assert got[0] != -8 and got[1] != 10744, got

@@ -1,11 +1,13 @@
 """End-to-end smokes of the command line, each run as `python -m shintani.cli`
 in a fresh process: a printed p-adic expansion, a dense cell's term count and
-peak memory, a failed cocycle trial's bounded witness, and the exact reports of
-a congruence cell and of cocycle trials whose deformation vector lies on a
-face hyperplane. The first four take their inputs, expected values, bounds and
-timeouts from the CI workflow, which ran these checks itself; the last runs the
-workflow's n = 3, M = 4 cocycle input. A last check imports the CLI in a clean
-interpreter and names the modules it must not load.
+peak memory, the largest n = 3 moment table the budget accepts, a 10^4-term
+moment table's time and peak memory, a failed cocycle trial's bounded witness,
+and the exact reports of a congruence cell and of cocycle trials whose
+deformation vector lies on a face hyperplane. Each keeps the input, expected
+value, bound and timeout of the CI check it replaced; the tier-1 suite is the
+only place CLI behaviour is checked, and CI runs the installed console script
+only to compare it with the module entry point. A last check imports the CLI
+in a clean interpreter and names the modules it must not load.
 """
 
 import hashlib
@@ -72,6 +74,48 @@ def dense_cell(tmp_path):
     assert report.read_text(encoding="utf-8") == out
 
 
+def moments_n3_top_order(tmp_path):
+    # the largest n = 3 table the moment budget accepts (--max-order 19), on a
+    # cone whose basis is not diagonal, in integer arithmetic: all C(22, 3)
+    # orders of total at most 19; the report's sha256 was recorded before the
+    # check moved out of the CI workflow
+    payload = {"test_function": {"n": 3, "p": 3, "M": 2, "terms": [
+        {"residue": [x, a, b], "weight": 4 if x else -4}
+        for x in (0, 1) for a in (0, 1) for b in (0, 1)]},
+        "cone": {"generators": [["-1", "2", "-2"], ["-2", "2", "-2"], ["-1", "0", "1"]]}}
+    code, out = _cli(tmp_path, payload, "--command", "moments", "--max-order", "19", timeout=60)
+    assert code == 0
+    assert len(json.loads(out)["moments"]) == 1540
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e6cd6ec914bed6d80b55009c378b5855b54847f03e10576030d1e76ea9ec6c93")
+
+
+def moments_alternating_10k_terms(tmp_path):
+    # a 10^4-term table: the unit cone paired with f(x) = g(x_1) g(x_2), g
+    # alternating +-1 mod M = 100, at --max-order 20, whose power sums are
+    # built one column product per term per key (per-key products of powers
+    # took 3 s); keeping every list of them reached 182 MB
+    M = 100
+    payload = {"test_function": {"n": 2, "p": 3, "M": M, "terms": [
+        {"residue": [a, b], "weight": (-1) ** (a + b)} for a in range(M) for b in range(M)]},
+        "cone": {"generators": [["1", "0"], ["0", "1"]]}}
+    code, out = _cli(tmp_path, payload, "--command", "moments", "--max-order", "20", timeout=30)
+    assert code == 0
+    assert len(json.loads(out)["moments"]) == 231
+    # the peak RSS of a process that runs it through cli.main stays under
+    # 100 MB, and its --out file is the report printed to stdout
+    probe = ("import resource, sys; from shintani import cli; code = cli.main(['--command', "
+             "'moments', '--input', sys.argv[1], '--max-order', '20', '--out', sys.argv[2]]); "
+             "mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024; "
+             "print(code, mb, 'MB'); sys.exit(code != 0 or mb >= 100)")
+    report = tmp_path / "alt_cli.json"
+    proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "in.json"), str(report)],
+                          capture_output=True, text=True, timeout=30,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert report.read_text(encoding="utf-8") == out
+
+
 def cocycle_witness_n4(tmp_path):
     # a failed trial prints a bounded witness of its sum: the term count and
     # a few lowest terms (the whole sum made the report 36,795 bytes); under
@@ -119,8 +163,9 @@ def cocycle_tie_path(tmp_path):
         "1567ad31fda4b4c09ed159ee13ee02aa7b1864acf48be8174969ae814604b876")
 
 
-SMOKES = {f.__name__: f for f in (padic_string, dense_cell, cocycle_witness_n4, congruence_cell,
-                                  cocycle_tie_path)}
+SMOKES = {f.__name__: f for f in (padic_string, dense_cell, moments_n3_top_order,
+                                  moments_alternating_10k_terms, cocycle_witness_n4,
+                                  congruence_cell, cocycle_tie_path)}
 
 
 @pytest.mark.parametrize("name", sorted(SMOKES))

@@ -12,7 +12,7 @@ import pytest
 from shintani import linalg, solomon_hu
 from shintani.amice import _coordinates
 from shintani.cones import OpenCone
-from shintani.errors import NotUnimodular, SchemaError
+from shintani.errors import DependentInput, NotUnimodular, SchemaError
 from shintani.solomon_hu import (
     GroupAlgebraElement,
     PseudoMeasure as PM,
@@ -482,6 +482,18 @@ def test_a_cone_of_the_wrong_dimension_is_refused():
     assert pair_open_cone(OpenCone(()), f).num.terms == {}
 
 
+@pytest.mark.parametrize("prims", [{(1, 0), (0, 1), (1, 1)}, {(1, 0, 0), (0, 1, 0), (1, 1, 0)}],
+                         ids=["more-than-n", "in-a-plane"])
+def test_dependent_cell_generators_are_refused(prims):
+    # the cell's Hermite pass finds the dependence and the pairing names it,
+    # on every call, with nothing memoised
+    f = TestFunction(len(min(prims)), 3, 4, {(1,) * len(min(prims)): 1})
+    for _ in range(2):
+        with pytest.raises(DependentInput, match="^cell generators are linearly dependent$"):
+            pair_half_open(frozenset(prims), frozenset(), f)
+    assert not f.pairings
+
+
 @pytest.mark.parametrize("closed", [{(5, 5)}, {(1, 0), (5, 5)}, {(0, 1), (5, 5), (7, 7)}])
 def test_a_closed_vector_outside_the_generators_is_refused(closed):
     # a closed vector that is not a generator used to be ignored: the open
@@ -547,8 +559,12 @@ def test_act_pm():
     assert moved.den == ((1, 1),)
     g_inv = linalg.int_mat(inverse(g))
     assert pm_eq(act_pm(g_inv, moved), a)
-    for bad in ([[0, 1], [1, 0]], [[2, 0], [0, 1]]):  # det -1 and det 2
-        with pytest.raises(NotUnimodular, match="^pseudo-measure action requires determinant 1$"):
+    swapped = act_pm([[0, 1], [1, 0]], a)  # det -1 acts too
+    assert (swapped.num, swapped.den) == (d(0, 1), ((1, 0),))
+    assert pm_eq(act_pm([[0, 1], [1, 0]], swapped), a)
+    for bad in ([[2, 0], [0, 1]], [[1, 1], [1, 1]]):  # det 2 and det 0
+        with pytest.raises(NotUnimodular,
+                           match="^pseudo-measure action requires determinant 1 or -1$"):
             act_pm(bad, a)
     # g must have the pseudo-measure's size, which a numerator or a
     # denominator fixes; the zero pseudo-measure with no denominator has none

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction as F
 from itertools import product
 
@@ -27,6 +28,7 @@ from oracles import (
     line_slice,
     outcome,
     rational_slice_haar,
+    reference_mat_mul,
     reference_stabilizes,
     to_json,
     value_at,
@@ -122,8 +124,9 @@ def test_act_examples():
     assert act(f, ident).values == f.values
     g = [[1, 2], [2, 5]]  # congruent to I mod 2, det 1
     assert act(f, g).values == f.values
+    assert act(TestFunction(1, 3, 4, {(1,): 1}), [[-1]]).values == {(3,): 1}  # det -1
     with pytest.raises(NotUnimodular):
-        act(TestFunction(1, 3, 4, {(1,): 1}), [[-1]])
+        act(TestFunction(1, 3, 4, {(1,): 1}), [[2]])
 
 
 def test_stabilizes():
@@ -151,10 +154,10 @@ def test_stabilizes_refuses_a_matrix_of_another_size():
 
 def test_stabilizes_matches_the_full_pullback():
     # g is a congruence element, which fixes every f, or a random element
-    # of SL_n(Z); f is random, or a sum of indicator functions of orbits of
-    # g mod M, which g fixes
+    # of GL_n(Z), of det 1 or -1; f is random, or a sum of indicator functions
+    # of orbits of g mod M, which g fixes
     rng = random.Random(1307)
-    verdicts = {True: 0, False: 0}
+    verdicts = Counter()
     for n, M in product((2, 3), (2, 3, 4, 5)):
         for trial in range(12):
             if trial % 3 == 0:
@@ -165,7 +168,9 @@ def test_stabilizes_matches_the_full_pullback():
                     i, j = rng.sample(range(n), 2)
                     elem = [list(row) for row in linalg.identity(n)]
                     elem[i][j] = rng.randint(-3, 3)
-                    g = linalg.int_mat(linalg.mat_mul(g, elem))
+                    g = linalg.int_mat(reference_mat_mul(g, elem))
+                if trial % 3 == 2:  # times the reflection diag(-1, 1, ..., 1)
+                    g = tuple((-row[0], *row[1:]) for row in g)
             seeds = {tuple(rng.randrange(M) for _ in range(n)): rng.choice((-2, -1, 1, 2))
                      for _ in range(rng.randint(1, 3))}
             table = {}
@@ -182,10 +187,14 @@ def test_stabilizes_matches_the_full_pullback():
             f = TestFunction(n, 7, M, table)
             expected = act(f, g).values == f.values
             assert stabilizes(f, g) == expected, (n, M, g, table)
-            verdicts[expected] += 1
-    assert min(verdicts.values()) > 20, verdicts
-    with pytest.raises(NotUnimodular):
-        stabilizes(TestFunction(2, 3, 4, {(1, 0): 1}), [[0, 1], [1, 0]])
+            verdicts[expected, linalg.det(g)] += 1
+    assert min(verdicts.values()) > 10 and len(verdicts) == 4, verdicts
+    # the swap, of det -1, moves (1, 0) to (0, 1) and fixes their sum; det 2 is refused
+    f = TestFunction(2, 3, 4, {(1, 0): 1})
+    assert not stabilizes(f, [[0, 1], [1, 0]])
+    assert stabilizes(TestFunction(2, 3, 4, {(1, 0): 1, (0, 1): 1}), [[0, 1], [1, 0]])
+    with pytest.raises(NotUnimodular, match="^action requires determinant 1 or -1$"):
+        stabilizes(f, [[2, 0], [0, 1]])
 
 
 def _stabilizer_cases(seed: int) -> list[tuple[TestFunction, tuple, str]]:
@@ -213,7 +222,7 @@ def _stabilizer_cases(seed: int) -> list[tuple[TestFunction, tuple, str]]:
                     i, j = rng.sample(range(n), 2)
                     elem = [list(row) for row in linalg.identity(n)]
                     elem[i][j] = rng.randint(-3, 3)
-                    g = linalg.int_mat(linalg.mat_mul(g, elem))
+                    g = linalg.int_mat(reference_mat_mul(g, elem))
             seeds = {tuple(rng.randrange(M) for _ in range(n)): rng.choice((-2, -1, 1, 2))
                      for _ in range(rng.randint(1, 3))}
             table = {}
@@ -244,12 +253,14 @@ def test_stabilizes_matches_its_residue_loop_reference():
     for f, g, kind in cases:
         key = (kind, outcome(reference_stabilizes, f, g)[1])  # the verdict, or the refusal's type
         seen[key] = seen.get(key, 0) + 1
-    # Gamma(M) fixes every f; the other kinds give both verdicts; det and size are refused
+    # Gamma(M) fixes every f; the other kinds give both verdicts; the 11 of det -1
+    # get verdicts, the 29 of det 0 or 2 and the wrong sizes are refused
     assert seen[("gamma", True)] == 40 and ("gamma", False) not in seen, seen
     assert all(seen.get((kind, v), 0) >= 5 for kind in ("divisor", "sl") for v in (True, False)), seen
-    assert seen[("det", NotUnimodular)] == 40 and seen[("size", ValueError)] == 40, seen
+    assert (seen[("det", True)], seen[("det", False)]) == (5, 6), seen
+    assert seen[("det", NotUnimodular)] == 29 and seen[("size", ValueError)] == 40, seen
     assert any(f.M == 2 and g[0][0] == -1 for f, g, kind in cases if kind == "det")
-    # negative control: a stabilizes that says True for every g of det 1 is caught
+    # negative control: a stabilizes that says True for every g of det 1 or -1 is caught
     lax = lambda f, g: reference_stabilizes(f, g) or True
     assert len(_stabilizes_mismatches(lax, cases)) >= 20
 
@@ -426,7 +437,7 @@ def test_act_is_right_action_and_preserves_mean():
             assert linalg.det(m) == 1
             assert all((m[i][j] - (i == j)) % f.M == 0 for i in range(2) for j in range(2))
         lhs = act(act(f, g), h)
-        rhs = act(f, linalg.int_mat(linalg.mat_mul(g, h)))
+        rhs = act(f, linalg.int_mat(reference_mat_mul(g, h)))
         assert lhs.values == rhs.values
         assert sum(act(f, g).values.values()) == total
 
