@@ -15,7 +15,8 @@ exactly off the Laplace transform int e^{s.c} dmu: a finite sum of
 exponentials over a product of factors 1 - e^{s_i}, i.e. integer power sums
 of the numerator times integers L B_k, over a denominator known in advance:
 one exact division per moment. The power sums are built column by column,
-depth first on a stack of at most n per-term lists per total.
+depth first on a stack of at most n per-term lists per total, and summed
+against the Bernoulli terms level by level, one denominator axis at a time.
 """
 
 from __future__ import annotations
@@ -35,13 +36,16 @@ from .testfunctions import TestFunction, _fibres_vanish, _is_prime, check_vh
 def extend_denominator_basis(a: PseudoMeasure, n: int) -> list[IntVec]:
     """Basis of Q^n starting with the denominator vectors of a, completed
     by a complement of the saturation of their span: the trailing rows of
-    u_inv in hermite(dens), whose leading rows saturate the span."""
+    u_inv in hermite(dens), whose leading rows saturate the span. n
+    independent vectors, which det alone tells, are their own basis."""
     dens, named = list(dict.fromkeys(a.den)), [list(u) for u in a.den]
     if len(dens) != len(a.den):
         raise NonUnitDenominator(f"repeated denominator factors are not aligned: {named}")
     if not dens:
         return list(linalg.identity(n))
     try:
+        if len(dens) == n and linalg.det(dens):
+            return dens
         return dens + list(linalg.hermite(dens, with_u_inv=True)[2][len(dens):])
     except DependentInput as exc:
         raise DependentInput(f"denominator vectors {named} are linearly dependent") from exc
@@ -124,12 +128,14 @@ def moment_table(a: PseudoMeasure, p: int, n: int, top: int) -> list[tuple[IntVe
     gamma! [s^gamma] F. With alpha = gamma - kappa + 1_r, |gamma| = K, L of
     _bernoulli and q = lcm(1..top + 1) it is (-1)^r S(gamma) / (d^(K+r)
     (L q)^r) for the integer S(gamma) = sum_kappa P_alpha prod_{i<r}
-    c(gamma_i, kappa_i), c(g, k) = C(g+1, k) q/(g+1) d^k L B_k, summed one
-    axis at a time. x = sum_i c_i b_i expands x^kk into basis monomials,
+    c(gamma_i, kappa_i), c(g, k) = C(g+1, k) q/(g+1) d^k L B_k, summed away
+    one axis i < r at a time: each level is built from the one before and
+    replaces it. x = sum_i c_i b_i expands x^kk into basis monomials,
     x^kk = x^(kk - e_j) x_j for the last axis j of kk, an order of total
     K - 1, so only the expansions of two totals are kept, and each order is
     one Fraction: an integer over cden d^(K+r) (L q)^r, where cden clears
-    the coefficients.
+    the coefficients. Orders, power-sum indices and monomials are packed
+    ints, axis j the digit at W (n - 1 - j), so they sort as the tuples do.
     """
     if (a.num or a.den) and n != a.dim:
         raise ValueError(f"moment orders in n = {n} dimensions for a pseudo-measure in {a.dim}")
@@ -143,43 +149,39 @@ def moment_table(a: PseudoMeasure, p: int, n: int, top: int) -> list[tuple[IntVe
     cden = lcm(*(c.denominator for c in cs))
     big, bern = _bernoulli(top)
     q = lcm(*range(1, top + 2))
-    coef = [[comb(g + 1, k) * (q // (g + 1)) * d**k * b for k, b in enumerate(bern[:g + 1])]
-            for g in range(top + 1)]  # c(g, k)
-    # sums[j][t]: P_t summed over kappa_i on the axes i < j, where t_i = gamma_i;
-    # sums[0] holds P_t for every t = 1_r + beta, |beta| <= top, walked depth first
-    sums: list[dict[tuple[int, ...], int]] = [{} for _ in range(r + 1)]
+    coef = [[(k, comb(g + 1, k) * (q // (g + 1)) * d**k * b)
+             for k, b in enumerate(bern[:g + 1]) if b] for g in range(top + 1)]  # nonzero c(g, k)
+    W = (top + 2).bit_length() + 1  # a digit holds top + 1, the largest alpha_i
+    mask, unit = (1 << W) - 1, [1 << W * (n - 1 - j) for j in range(n)]
     xs = [c.numerator * (cden // c.denominator) for c in cs]
     for col in cols[:r]:
         xs = list(map(mul, xs, col))
-    stack = [((1,) * r + (0,) * (n - r), 0, xs)]  # (t, last axis of beta, [c y^t] per term)
+    # sums[t] = P_t for every t = 1_r + beta, |beta| <= top, walked depth first
+    sums, stack = {}, [(sum(unit[:r]), 0, top, xs)]  # (t, last axis of beta, top - |beta|, [c y^t])
     while stack:
-        t, last, xs = stack.pop()
-        sums[0][t] = sum(xs)
-        if sum(t) < top + r:  # a child's list is its parent's times one column
-            stack.extend((t[:j] + (t[j] + 1,) + t[j + 1:], j, list(map(mul, xs, cols[j])))
+        t, last, left, xs = stack.pop()
+        sums[t] = sum(xs)
+        if left > 0:  # a child's list is its parent's times one column
+            stack.extend((t + unit[j], j, left - 1, list(map(mul, xs, cols[j])))
                          for j in range(last, n))
-
-    def summed(j: int, t: tuple[int, ...]) -> int:
-        if t not in sums[j]:
-            g, head, tail = t[j - 1], t[:j - 1], t[j:]
-            sums[j][t] = sum(c * summed(j - 1, head + (g - k + 1,) + tail)
-                             for k, c in enumerate(coef[g]) if c)
-        return sums[j][t]
-
-    rows, polys = [], {(0,) * n: {(0,) * n: 1}}  # x^kk in basis monomials, for kk of one total
+    for j in range(r):  # axis j goes from alpha_j = g + 1 to gamma_j = g, summed over kappa_j
+        u, at = unit[j], W * (n - 1 - j)
+        sums = {t - u: sum(c * sums[t - k * u] for k, c in coef[g])
+                for t in sums if 0 <= (g := (t >> at & mask) - 1) <= top}
+    nonzero = [[(unit[i], b[j]) for i, b in enumerate(basis) if b[j]] for j in range(n)]
+    rows, polys = [], {0: {0: 1}}  # x^kk in basis monomials, for kk of one total
     for total in range(top + 1):
         if total:
             prev, polys = polys, {}
-            for o, x in prev.items():  # o = kk - e_j, whose last axis is at most j
-                for j in range(max((i for i, k in enumerate(o) if k), default=0), n):
-                    polys[o[:j] + (o[j] + 1,) + o[j + 1:]] = step = {}
+            for o, x in prev.items():  # o = kk - e_j, whose last axis (lowest digit) is at most j
+                for j in range(n - 1 - ((o & -o).bit_length() - 1) // W if o else 0, n):
+                    polys[o + unit[j]] = step = {}
                     for gamma, w in x.items():
-                        for i, b in enumerate(basis):
-                            if b[j]:
-                                g = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1:]
-                                step[g] = step.get(g, 0) + w * b[j]
+                        for e, b in nonzero[j]:
+                            step[g] = step.get(g := gamma + e, 0) + w * b
             polys = dict(sorted(polys.items()))
         for kk, x in polys.items():
-            num = sum(w * summed(r, g) for g, w in x.items() if w)
-            rows.append((kk, Fraction((-1) ** r * num, cden * d ** (total + r) * (big * q) ** r)))
+            num = sum(w * sums[g] for g, w in x.items() if w)
+            rows.append((tuple(kk >> W * (n - 1 - i) & mask for i in range(n)),
+                         Fraction((-1) ** r * num, cden * d ** (total + r) * (big * q) ** r)))
     return rows

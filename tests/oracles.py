@@ -4,8 +4,10 @@ The oracles are deliberately naive (cofactor expansion, box scans, a
 Fraction solve, textbook recurrences) and share no code with the library
 paths they check; fraction_moment_table, the Fraction moment table the
 integer one replaced, shares the library's measure test and coordinates
-and checks only the arithmetic; line_moment, the transform restricted to
-a line, shares nothing with the table, nor do quadratic_zeta_neg and
+and checks only the arithmetic; ball_values restricts a measure to the
+balls c + p^k Z_p^n and reads each ball's value off bernoulli_moments;
+line_moment, the transform restricted to a line, shares nothing with the
+table, nor do quadratic_zeta_neg and
 dirichlet_l_neg, the zeta values of a real quadratic field and the L-values
 of a quadratic character from generalized Bernoulli numbers. hermite is
 linalg.hermite with u and u_inv both built, the whole pass the tests read.
@@ -30,9 +32,10 @@ kernels after them are linalg.hermite, det, adjugate (with the triangular
 adjugate it was built on) and mat_mul (the tests' only matrix product,
 since linalg.mat_mul left the library),
 cones.deformed_cone, solomon_hu.pm_eq,
-testfunctions.stabilizes, and solomon_hu's pairing cell (_cell and _pair_cell)
-and pm_sum as they were before their leaner forms, kept verbatim so that each
-new kernel can be compared with its old one.
+testfunctions.stabilizes, solomon_hu's pairing cell (_cell and _pair_cell),
+pm_sum and amice.moment_table (its tuple-keyed integer form) as they were
+before their leaner forms, kept verbatim so that each new kernel can be
+compared with its old one.
 """
 
 from __future__ import annotations
@@ -42,10 +45,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 from math import ceil, comb, factorial, gcd, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from shintani import linalg, solomon_hu
-from shintani.amice import _coordinates, _poles_vanish, is_measure_amice, is_measure_vh
+from shintani.amice import _bernoulli, _coordinates, _poles_vanish, is_measure_amice, is_measure_vh
 from shintani.cocycle import psi_cdg
 from shintani.cones import OpenCone
 from shintani.errors import (
@@ -348,6 +352,30 @@ def bernoulli_moments(num, den, orders) -> list[Fraction]:
                 total += w * basis_moment([choice.count(i) for i in range(n)])
         out.append(total)
     return out
+
+
+def ball_values(a: PseudoMeasure, p: int, k: int) -> dict[tuple[int, ...], Fraction]:
+    """mu(c + p^k Z_p^n) for every c in [0, p^k)^n, of the measure a, by
+    restriction: 1/(1 - delta_u) = sum_{j < p^k} delta_{ju} / (1 - delta_{p^k u}),
+    so a is its numerator times prod_u sum_j delta_{ju} over the vectors
+    p^k u, whose Diracs keep every term in its class mod p^k. The terms of
+    class c over them are a restricted to c + p^k Z_p^n, and the ball's value
+    is that restriction's order-0 moment (bernoulli_moments)."""
+    q, n = p**k, a.dim
+    num = dict(a.num.terms)
+    for u in a.den:
+        spread: dict[tuple[int, ...], int | Fraction] = {}
+        for v, c in num.items():
+            for j in range(q):
+                w = tuple(x + j * y for x, y in zip(v, u))
+                spread[w] = spread.get(w, 0) + c
+        num = spread
+    den = [tuple(q * x for x in u) for u in a.den]
+    classes: dict[tuple[int, ...], dict] = {c: {} for c in product(range(q), repeat=n)}
+    for v, c in num.items():
+        classes[tuple(x % q for x in v)][v] = c
+    return {c: bernoulli_moments(terms, den, [(0,) * n])[0] if terms else Fraction(0)
+            for c, terms in classes.items()}
 
 
 def fraction_moment_table(a: PseudoMeasure, p: int, orders: Sequence[Sequence[int]]) -> list[Fraction]:
@@ -1364,3 +1392,63 @@ def reference_pm_sum(terms: Iterable[tuple[int | Fraction, PseudoMeasure]]) -> P
     out = {k: c if type(c) is int or c.denominator != 1 else c.numerator
            for k, c in out.items() if c}
     return PseudoMeasure(GroupAlgebraElement._of(out, n, W, bound), union)
+
+
+def reference_moment_table(a: PseudoMeasure, p: int, n: int, top: int) -> list[tuple[IntVec, Fraction]]:
+    """amice.moment_table as it was before its orders were packed ints: every
+    order, power-sum index and basis monomial a tuple, the per-axis partial
+    sums a recursive memo `summed` whose every level lives for the whole call,
+    and the x^kk expansion a scan of the whole basis per monomial. The same
+    rows, the same refusals and their messages."""
+    if (a.num or a.den) and n != a.dim:
+        raise ValueError(f"moment orders in n = {n} dimensions for a pseudo-measure in {a.dim}")
+    if a.num:
+        basis, d, cols, cs = _coordinates(a)
+        if not _poles_vanish(a, p, d, cols, cs):
+            raise NotAMeasure("series-side divisibility test fails")
+        r = len(a.den)
+    else:  # every moment is 0, and in the standard basis each x^kk is one monomial
+        basis, d, cols, cs, r = linalg.identity(n), 1, [[]] * n, [], 0
+    cden = lcm(*(c.denominator for c in cs))
+    big, bern = _bernoulli(top)
+    q = lcm(*range(1, top + 2))
+    coef = [[comb(g + 1, k) * (q // (g + 1)) * d**k * b for k, b in enumerate(bern[:g + 1])]
+            for g in range(top + 1)]  # c(g, k)
+    # sums[j][t]: P_t summed over kappa_i on the axes i < j, where t_i = gamma_i;
+    # sums[0] holds P_t for every t = 1_r + beta, |beta| <= top, walked depth first
+    sums: list[dict[tuple[int, ...], int]] = [{} for _ in range(r + 1)]
+    xs = [c.numerator * (cden // c.denominator) for c in cs]
+    for col in cols[:r]:
+        xs = list(map(mul, xs, col))
+    stack = [((1,) * r + (0,) * (n - r), 0, xs)]  # (t, last axis of beta, [c y^t] per term)
+    while stack:
+        t, last, xs = stack.pop()
+        sums[0][t] = sum(xs)
+        if sum(t) < top + r:  # a child's list is its parent's times one column
+            stack.extend((t[:j] + (t[j] + 1,) + t[j + 1:], j, list(map(mul, xs, cols[j])))
+                         for j in range(last, n))
+
+    def summed(j: int, t: tuple[int, ...]) -> int:
+        if t not in sums[j]:
+            g, head, tail = t[j - 1], t[:j - 1], t[j:]
+            sums[j][t] = sum(c * summed(j - 1, head + (g - k + 1,) + tail)
+                             for k, c in enumerate(coef[g]) if c)
+        return sums[j][t]
+
+    rows, polys = [], {(0,) * n: {(0,) * n: 1}}  # x^kk in basis monomials, for kk of one total
+    for total in range(top + 1):
+        if total:
+            prev, polys = polys, {}
+            for o, x in prev.items():  # o = kk - e_j, whose last axis is at most j
+                for j in range(max((i for i, k in enumerate(o) if k), default=0), n):
+                    polys[o[:j] + (o[j] + 1,) + o[j + 1:]] = step = {}
+                    for gamma, w in x.items():
+                        for i, b in enumerate(basis):
+                            if b[j]:
+                                g = gamma[:i] + (gamma[i] + 1,) + gamma[i + 1:]
+                                step[g] = step.get(g, 0) + w * b[j]
+            polys = dict(sorted(polys.items()))
+        for kk, x in polys.items():
+            num = sum(w * summed(r, g) for g, w in x.items() if w)
+            rows.append((kk, Fraction((-1) ** r * num, cden * d ** (total + r) * (big * q) ** r)))
+    return rows

@@ -9,7 +9,7 @@ from operator import mul
 
 import pytest
 
-from shintani import linalg
+from shintani import amice, linalg
 from shintani.amice import (
     _bernoulli,
     _coordinates,
@@ -25,16 +25,20 @@ from shintani.testfunctions import TestFunction
 
 from oracles import (
     GA,
+    ball_values,
     bernoulli_moments,
     bernoulli_numbers,
     coset_lattice,
     coset_rep,
     denominator_product,
     fraction_moment_table,
+    hermite,
     hermite_box,
     hurwitz_zeta_neg,
     line_moment,
+    outcome,
     rank_by_minors,
+    reference_moment_table,
 )
 
 
@@ -86,6 +90,21 @@ def test_moment_table_walks_its_power_sums_without_a_frame_per_order():
     assert [kk for kk, _ in rows] == [(k,) for k in range(201)]
 
 
+def _traced_peak(fn, *args) -> int:
+    """The bytes fn(*args) allocates at its peak, above what was live before."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def test_moment_table_keeps_few_lists_of_power_sums():
     # the depth-first walk keeps at most n lists of per-term power sums per
     # total: on 400 numerator terms at top 20 its peak was 0.16 MiB, where
@@ -94,19 +113,22 @@ def test_moment_table_keeps_few_lists_of_power_sums():
     M = 20
     f = TestFunction(2, 3, M, {(a, b): (-1) ** (a + b) for a in range(M) for b in range(M)})
     pm = pair_open_cone(OpenCone(((1, 0), (0, 1))), f)
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        moment_table(pm, 3, 2, 20)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
+    peak = _traced_peak(moment_table, pm, 3, 2, 20)
     assert len(pm.num.packed) == M * M
     assert peak < 2**19, peak
+
+
+def test_moment_table_keeps_two_levels_of_partial_sums():
+    # the largest n = 3 table the CLI's budget accepts, on the input of the
+    # moments_n3_top_order smoke: with each level of partial sums replacing
+    # the one before and packed orders, its peak was 7.3 MiB against the
+    # tuple table's 10.0 MiB, which kept every level of a recursive memo
+    f = TestFunction(3, 3, 2, {(x, a, b): 4 if x else -4
+                               for x in (0, 1) for a in (0, 1) for b in (0, 1)})
+    pm = pair_open_cone(OpenCone(((-1, 2, -2), (-2, 2, -2), (-1, 0, 1))), f)
+    peak = _traced_peak(moment_table, pm, 3, 3, 19)
+    reference = _traced_peak(reference_moment_table, pm, 3, 3, 19)
+    assert peak < 0.85 * reference, (peak, reference)
 
 
 def sorted_cosets(basis, p):
@@ -272,11 +294,29 @@ def test_power_moments_match_hurwitz_values():
         assert moment(pm, p, (k,)) == expected
 
 
-def test_extend_denominator_basis():
-    pm = PM(GA.delta((1, 1)), ((2, 2),))
-    basis = extend_denominator_basis(pm, 2)
-    assert basis[0] == (2, 2)
-    assert abs(linalg.det(basis)) > 0
+def test_extend_denominator_basis(monkeypatch):
+    # fewer than n vectors are completed by the trailing rows of u_inv; n
+    # independent ones are their own basis after one Hermite pass for d
+    # alone, which builds no u_inv; dependent ones are refused by name
+    low, full = PM(GA.delta((1, 1)), ((2, 2),)), PM(GA.delta((1, 1)), ((1, 2), (3, -1)))
+    complement = hermite([(2, 2)])[2][1:]
+    kernel, flags = linalg.hermite, []
+
+    def spy(rows, with_u=False, with_u_inv=False):
+        flags.append((with_u, with_u_inv))
+        return kernel(rows, with_u, with_u_inv)
+
+    monkeypatch.setattr(linalg, "hermite", spy)
+    basis = extend_denominator_basis(low, 2)
+    assert flags == [(False, True)]
+    assert basis == [(2, 2), *complement] and abs(linalg.det(basis)) == 2
+    flags.clear()
+    assert extend_denominator_basis(full, 2) == [(1, 2), (3, -1)]
+    assert flags == [(False, False)]
+    for den in ([(1, 2), (2, 4)], [(0, 1, 1), (1, 0, 1), (1, 1, 2)], [(0, 1), (1, 0), (1, 1)]):
+        with pytest.raises(DependentInput) as refused:
+            extend_denominator_basis(PM(GA.delta((0,) * len(den[0])), tuple(den)), len(den[0]))
+        assert str(refused.value) == f"denominator vectors {list(map(list, den))} are linearly dependent"
 
 
 def test_power_moments_of_dirac_combinations():
@@ -529,6 +569,87 @@ def test_moment_table_matches_the_fraction_oracle():
         kinds[kind] = kinds.get(kind, 0) + 1
     assert all(kinds.get(k, 0) >= 10 for k in
                ("full", "lower", "unreduced", "p-split", "rational", "rejected")), kinds
+
+
+def test_moment_table_matches_its_reference():
+    # the packed-order table against the tuple table it replaced, kept
+    # verbatim in the oracles: the same rows, exactly, and the same refusal
+    # with the same message, on the seeded measures (Fraction coefficients
+    # among them), on n = 4 measures of every rank and at totals below,
+    # around and past the seeded ones, top < 0 included
+    rng = random.Random(71)
+    cases = [(pm, p, n) for _kind, n, p, pm, _top in _seeded_measures(59)]
+    for p in (3, 5):
+        for rank in range(1, 5):
+            cases += [(_vh_pairing(rng, 4, rank, 2, p), p, 4), (_p_split_measure(rng, 4, p, rank), p, 4)]
+        cases.append((_unreduced_measure(rng, 4, p), p, 4))
+    cases += [(PM(GA.delta((1, 0)), ((1, 2), (2, 4))), 3, 2),  # dependent, r = n
+              (PM(GA.delta((1, 0, 0)), ((1, 0, 1), (2, 0, 2))), 3, 3),  # dependent, r < n
+              (PM(GA.delta((1, 0)), ((0, 1), (1, 0), (1, 1))), 3, 2),  # r > n
+              (PM(GA.delta((1,)) - GA.delta((3,)), ((4,),)), 3, 2)]  # n is not a.dim
+    seen = {"rank < n": 0, "n = 4": 0, NotAMeasure: 0, DependentInput: 0, ValueError: 0}
+    for pm, p, n in cases:
+        for top in (-1, 0, 1, 3, 8):
+            got = outcome(moment_table, pm, p, n, top)
+            assert got == outcome(reference_moment_table, pm, p, n, top), (pm, p, n, top)
+            if got[0] == "raised":
+                seen[got[1]] += 1
+            elif top == 8:
+                seen["rank < n"] += len(pm.den) < n
+                seen["n = 4"] += n == 4
+    assert all(count >= 2 for count in seen.values()), seen
+
+
+def _ball_failures(balls, table, p, k):
+    """The checks of ball values mu(c + p^k Z_p^n) against a moment table that
+    fail: "sum" unless they add up to the order-0 moment, "integral" unless
+    every one is p-integral, and each order kk whose Riemann sum
+    sum_c c^kk mu(c + p^k Z_p^n) is not its moment mod p^k."""
+    failed = [] if sum(balls.values()) == table[0][1] else ["sum"]
+    if not _p_integral(balls.values(), p):
+        failed.append("integral")
+    for kk, m in table:
+        gap = F(sum(prod(map(pow, c, kk)) * v for c, v in balls.items() if v) - m)
+        if gap.numerator % p**k or gap.denominator % p == 0:
+            failed.append(kk)
+    return failed
+
+
+def test_ball_values_tie_the_moments_to_the_measure(monkeypatch):
+    # a Z_p-valued measure is read off its balls: their values add up to the
+    # order-0 moment, are p-integral, and x^kk = c^kk mod p^k on c + p^k Z_p^n,
+    # so the Riemann sums give every moment mod p^k; on the seeded measures
+    # with integral numerators at n <= 2, at k = 1 and, where the numerator
+    # spread over the balls has at most 300 terms, at k = 2
+    cases = []
+    for _kind, n, p, pm, _top in _seeded_measures(59):
+        if n > 2 or any(isinstance(c, F) for c in pm.num.terms.values()):
+            continue
+        try:
+            table = moment_table(pm, p, n, 3)
+        except NotAMeasure:
+            continue
+        for k in (1, 2):
+            if k == 1 or len(pm.num.packed) * p ** (k * len(pm.den)) <= 300:
+                cases.append((pm, p, n, k, ball_values(pm, p, k), table))
+    assert len(cases) >= 70, len(cases)
+    for pm, p, n, k, balls, table in cases:
+        assert _ball_failures(balls, table, p, k) == [], (pm, p, k)
+        # negative control: one ball value off by 1 fails the sum
+        c = next(iter(balls))
+        assert "sum" in _ball_failures({**balls, c: balls[c] + 1}, table, p, k)
+    # negative control: with L B_1's sign flipped the tables miss the
+    # Riemann sums, at order 1 and past it
+    bernoulli = amice._bernoulli
+
+    def flipped(top):
+        big, out = bernoulli(top)
+        return big, [-b if j == 1 else b for j, b in enumerate(out)]
+
+    monkeypatch.setattr(amice, "_bernoulli", flipped)
+    missed = sum(bool(_ball_failures(balls, moment_table(pm, p, n, 3), p, k))
+                 for pm, p, n, k, balls, _table in cases)
+    assert missed >= len(cases) // 3, (missed, len(cases))
 
 
 def test_moment_table_matches_restriction_to_lines():

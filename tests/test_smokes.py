@@ -83,7 +83,7 @@ def moments_n3_top_order(tmp_path):
         {"residue": [x, a, b], "weight": 4 if x else -4}
         for x in (0, 1) for a in (0, 1) for b in (0, 1)]},
         "cone": {"generators": [["-1", "2", "-2"], ["-2", "2", "-2"], ["-1", "0", "1"]]}}
-    code, out = _cli(tmp_path, payload, "--command", "moments", "--max-order", "19", timeout=60)
+    code, out = _cli(tmp_path, payload, "--command", "moments", "--max-order", "19", timeout=20)
     assert code == 0
     assert len(json.loads(out)["moments"]) == 1540
     assert hashlib.sha256(out.encode()).hexdigest() == (
