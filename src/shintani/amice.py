@@ -36,17 +36,14 @@ from .testfunctions import TestFunction, _fibres_vanish, _is_prime, check_vh
 def extend_denominator_basis(a: PseudoMeasure, n: int) -> list[IntVec]:
     """Basis of Q^n starting with the denominator vectors of a, completed
     by a complement of the saturation of their span: the trailing rows of
-    u_inv in hermite(dens), whose leading rows saturate the span. n
-    independent vectors, which det alone tells, are their own basis."""
+    u_inv in hermite(dens), whose leading rows saturate the span."""
     dens, named = list(dict.fromkeys(a.den)), [list(u) for u in a.den]
     if len(dens) != len(a.den):
         raise NonUnitDenominator(f"repeated denominator factors are not aligned: {named}")
     if not dens:
         return list(linalg.identity(n))
     try:
-        if len(dens) == n and linalg.det(dens):
-            return dens
-        return dens + list(linalg.hermite(dens, with_u_inv=True)[2][len(dens):])
+        return dens + list(linalg.hermite(dens, with_u_inv=len(dens) < n)[2][len(dens):])
     except DependentInput as exc:
         raise DependentInput(f"denominator vectors {named} are linearly dependent") from exc
 
@@ -178,7 +175,8 @@ def moment_table(a: PseudoMeasure, p: int, n: int, top: int) -> list[tuple[IntVe
                     polys[o + unit[j]] = step = {}
                     for gamma, w in x.items():
                         for e, b in nonzero[j]:
-                            step[g] = step.get(g := gamma + e, 0) + w * b
+                            g = gamma + e
+                            step[g] = step.get(g, 0) + w * b
             polys = dict(sorted(polys.items()))
         for kk, x in polys.items():
             num = sum(w * sums[g] for g, w in x.items() if w)

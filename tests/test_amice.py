@@ -119,15 +119,16 @@ def test_moment_table_keeps_few_lists_of_power_sums():
 
 
 def test_moment_table_keeps_two_levels_of_partial_sums():
-    # the largest n = 3 table the CLI's budget accepts, on the input of the
-    # moments_n3_top_order smoke: with each level of partial sums replacing
-    # the one before and packed orders, its peak was 7.3 MiB against the
-    # tuple table's 10.0 MiB, which kept every level of a recursive memo
+    # the input of the moments_n3_top_order smoke, at top 12 rather than its
+    # 19 so that the traced tables stay cheap: with each level of partial
+    # sums replacing the one before and packed orders, its peak was 1.2 MiB
+    # against the tuple table's 1.8 MiB, which kept every level of a
+    # recursive memo (7.3 against 10.0 MiB at top 19)
     f = TestFunction(3, 3, 2, {(x, a, b): 4 if x else -4
                                for x in (0, 1) for a in (0, 1) for b in (0, 1)})
     pm = pair_open_cone(OpenCone(((-1, 2, -2), (-2, 2, -2), (-1, 0, 1))), f)
-    peak = _traced_peak(moment_table, pm, 3, 3, 19)
-    reference = _traced_peak(reference_moment_table, pm, 3, 3, 19)
+    peak = _traced_peak(moment_table, pm, 3, 3, 12)
+    reference = _traced_peak(reference_moment_table, pm, 3, 3, 12)
     assert peak < 0.85 * reference, (peak, reference)
 
 
