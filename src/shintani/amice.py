@@ -34,18 +34,20 @@ from .testfunctions import TestFunction, _fibres_vanish, _is_prime, check_vh
 
 
 def extend_denominator_basis(a: PseudoMeasure, n: int) -> list[IntVec]:
-    """Basis of Q^n starting with the denominator vectors of a, completed
-    by a complement of the saturation of their span: the trailing rows of
-    u_inv in hermite(dens), whose leading rows saturate the span."""
+    """Basis of Q^n starting with the denominator vectors of a, completed by
+    the trailing rows of u^-1 = det(u) adj(u) for dens * u = [h | 0], whose
+    leading rows saturate their span; a full-rank dens builds no u."""
     dens, named = list(dict.fromkeys(a.den)), [list(u) for u in a.den]
     if len(dens) != len(a.den):
         raise NonUnitDenominator(f"repeated denominator factors are not aligned: {named}")
     if not dens:
         return list(linalg.identity(n))
     try:
-        return dens + list(linalg.hermite(dens, with_u_inv=len(dens) < n)[2][len(dens):])
+        u = linalg.hermite(dens, with_u=len(dens) < n)[1]
     except DependentInput as exc:
         raise DependentInput(f"denominator vectors {named} are linearly dependent") from exc
+    adj, sign = linalg.adjugate(u) if u else ((), 1)  # det u = sign = +-1
+    return dens + [tuple(sign * x for x in row) for row in adj[len(dens):]]
 
 
 def is_measure_vh(gens: Iterable[Sequence], f: TestFunction) -> bool:

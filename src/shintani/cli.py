@@ -33,11 +33,11 @@ be written included; one that names a directory or whose directory does
 not exist is refused before the command runs; --n below 1 on a raw
 pseudo-measure; --trials below 0, while 0 is a vacuous pass), a prime p (in
 the step function or --p) not below 2^64, where primality is decided
-exactly, a step function of dimension above testfunctions.MAX_DIMENSION, a
-pairing cell over the point budget, a zero ray, or a p^precision or moment
-past PRINT_BITS bits (too long to print), 3 dependent input vectors, 4 not
-a measure (2, 3 and 4 are the exit_code of the error's class), 6 a
-verification trial failed.
+exactly, a step function or raw pseudo-measure of dimension above
+testfunctions.MAX_DIMENSION, a pairing cell over the point budget, a zero
+ray, or a p^precision or moment past PRINT_BITS bits (too long to print), 3
+dependent input vectors, 4 not a measure (2, 3 and 4 are the exit_code of
+the error's class), 6 a verification trial failed.
 
 Rationals are serialized as decimal strings ("3/4"); p-adic scalars as
 "p^v*u" with valuation v and unit u, or "0".

@@ -53,7 +53,7 @@ class OpenCone(_ReadOnly):
                 raise ValueError("generators of mixed dimensions")
             try:
                 generators = tuple(linalg.primitive_vector(g) for g in generators)
-                linalg.hermite(generators)  # d alone: neither h nor u is built
+                linalg.hermite(generators)  # independence alone: no u is built
             except DependentInput as exc:
                 raise DependentInput("cone generators are linearly dependent") from exc
         object.__setattr__(self, "generators", tuple(generators))
@@ -82,7 +82,7 @@ def deformed_cone(
     With d = det m and adj its adjugate, m the matrix with columns prims,
     b_i has the sign of d times the first nonzero entry of row i of
     adj * [s q | P] for the integer multiple s q of q; adj * P is
-    nonsingular, so it exists. m * u = h (u built, u_inv not) and forward
+    nonsingular, so it exists. m * u = h (u built) and forward
     substitution give adj * v = u * d h^-1 v, for v = s q and, only when
     that has a zero entry, for the columns of P: adj itself is never built.
     """
@@ -99,7 +99,7 @@ def deformed_cone(
         raise DependentInput("deformed cones require n generators")
     try:
         prims = [linalg.primitive_vector(g) for g in gens]
-        h, u, _ui, d = linalg.hermite(linalg.transpose(prims), with_u=True)
+        h, u, d = linalg.hermite(linalg.transpose(prims), with_u=True)
     except DependentInput:
         return None
     b = linalg.mat_vec(u, linalg.triangular_solve(h, d, linalg.clear_denominators(q)))

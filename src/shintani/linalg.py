@@ -4,19 +4,16 @@ Vectors are tuples of ints and matrices are tuples of row tuples.
 Everything is immutable and pure; no floating point anywhere. Dimensions
 are desk scale (n <= 6), so one plain kernel is the right tool: `hermite`,
 the integer column Hermite form m * u = [h | 0] with u unimodular, by one
-column Euclid loop that builds u and u_inv only for callers that read them.
-det m = det u * prod h_ii needs neither, nor h (`det`). The only other
-kernel is forward substitution, d * h^-1 v with exact divisions
-(`triangular_solve`): the classical adjugate is u * d h^-1, column by
-column (`adjugate`: u, no u_inv), and a deformed cone solves for its
-vector, and for its frame on a tie. The rows of u_inv are a basis of Z^n
-whose first r rows saturate the span of the r input rows, and the cosets
-of Z^n modulo a lattice are a box read off the Hermite diagonal, so no
-job needs an inverse: one Hermite pass gives a pairing cell its basis and
-its box of base points (`solomon_hu._cell`, the only code that reduces
-points by a Hermite form), or, when its diagonal is all ones, tells it
-that the cell has one base point and no box. The measure test reads its
-classes off adjugate coordinates instead (`amice._poles_vanish`). A
+column Euclid loop that builds u only for callers that read it; det m =
+det u * prod h_ii needs no u (`det`). The only other kernel is forward
+substitution, d * h^-1 v with exact divisions (`triangular_solve`): the
+classical adjugate is u * d h^-1, column by column (`adjugate`), a
+deformed cone solves for its vector, and for its frame on a tie, and a
+pairing cell for its basis: the first r rows b of u^-1 saturate the span
+of the r rows of m = h b, so b = h^-1 m, solved with d = 1
+(`solomon_hu._cell`). The cosets of Z^n modulo a lattice are a box read
+off the Hermite diagonal, so no job needs an inverse; the trailing rows
+of u^-1 = det(u) adj(u) complete a denominator basis (`amice`). A
 rational vector is scaled to integers first (`clear_denominators`): its
 primitive vector is unchanged by a positive rescaling.
 """
@@ -83,14 +80,14 @@ def primitive_vector(v: Sequence) -> IntVec:
 
 def det(m: Sequence[Sequence[int]]) -> int:
     """Exact determinant of an integer matrix, 0 when it is singular:
-    d = det(u) * prod h_ii of `hermite`, which builds neither h nor u."""
+    d = det(u) * prod h_ii of `hermite`, which builds no u."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1  # hermite takes at least one row
     try:
-        return hermite(m)[3]
+        return hermite(m)[2]
     except DependentInput:
         return 0
 
@@ -99,44 +96,41 @@ def adjugate(m: Sequence[Sequence[int]]) -> tuple[IntMat, int]:
     """(adj, d) for a nonsingular integer matrix: d = det m and the
     classical adjugate adj = d * m^-1, so adj * m = m * adj = d * I and
     m^-1 v = adj v / d stays in integer arithmetic. Raises DependentInput
-    when m is singular. With m * u = h (u built, u_inv not), column j of adj
+    when m is singular. With m * u = h (u built), column j of adj
     is u * (d h^-1 e_j), by `triangular_solve`."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("adjugate of a non-square matrix")
-    h, u, _ui, d = hermite(m, with_u=True)
+    h, u, d = hermite(m, with_u=True)
     xs = [triangular_solve(h, d, e) for e in identity(n)]  # the columns of d h^-1
     return tuple(tuple(sum(map(mul, row, x)) for x in xs) for row in u), d
 
 
 def triangular_solve(h: IntMat, d: int, v: Sequence[int]) -> list[int]:
-    """z = d * h^-1 v for a lower-triangular h with a positive diagonal, an
-    integer v and a d that prod h_ii divides, by forward substitution: z is
-    integral, so each division is exact."""
+    """z = d * h^-1 v for a lower-triangular h with a positive diagonal and
+    an integer v, by forward substitution; each division is exact whenever
+    z is integral: for every v when prod h_ii divides d, and with d = 1 when
+    v lies in the lattice of h's columns."""
     z = []
     for row, x in zip(h, v):  # row meets the z found so far
         z.append((d * x - sum(map(mul, row, z))) // row[len(z)])
     return z
 
 
-def hermite(rows: Sequence[Sequence[int]], with_u: bool = False, with_u_inv: bool = False
-            ) -> tuple[IntMat, IntMat, IntMat, int]:
+def hermite(rows: Sequence[Sequence[int]], with_u: bool = False) -> tuple[IntMat, IntMat, int]:
     """The one elimination kernel: rows * u = [h | 0] by column Euclid steps,
-    for r independent integer rows of length m >= r. Returns (h, u, u_inv, d):
-    h is r x r, as rows, lower triangular with a positive diagonal (entries
-    left of it are not reduced), so its columns span the lattice of the
-    columns of rows; u is unimodular and u_inv its inverse, so row i of rows
-    is sum_j h_ij u_inv_j; d = det(u) * prod h_ii, det(rows) when r = m. u is
-    built only with_u and u_inv only with_u_inv, else (), and h only with
-    either, since d alone answers det and independence. Raises DependentInput
-    when the rows are dependent or r > m."""
+    for r independent integer rows of length m >= r. Returns (h, u, d): h is
+    r x r, as rows, lower triangular with a positive diagonal (entries left of
+    it are not reduced), so its columns span the lattice of the columns of
+    rows; u is unimodular, built only with_u, else (); d = det(u) * prod h_ii,
+    det(rows) when r = m. Raises DependentInput when the rows are dependent
+    or r > m."""
     m = len(rows[0]) if rows else 0
     r = len(rows)
     if not 0 < r <= m:
         raise DependentInput("vectors are linearly dependent")
     cu = [[*c, *(0,) * j, 1, *(0,) * (m - 1 - j)] if with_u else list(c)
           for j, c in enumerate(zip(*rows))]  # column j of [h | 0], then of u
-    ui = [[0] * j + [1] + [0] * (m - 1 - j) for j in range(m)] if with_u_inv else [[]] * m
     sign = 1
     for i in range(r):
         for j in range(i + 1, m):
@@ -144,18 +138,13 @@ def hermite(rows: Sequence[Sequence[int]], with_u: bool = False, with_u_inv: boo
             while cu[j][i]:
                 if q := cu[i][i] // cu[j][i]:  # q = 0 leaves both as they are
                     cu[i] = [x - q * y for x, y in zip(cu[i], cu[j])]
-                    if with_u_inv:
-                        ui[j] = [x + q * y for x, y in zip(ui[j], ui[i])]
-                cu[i], cu[j], ui[i], ui[j] = cu[j], cu[i], ui[j], ui[i]
+                cu[i], cu[j] = cu[j], cu[i]
                 sign = -sign
         if cu[i][i] == 0:
             raise DependentInput("vectors are linearly dependent")
         if cu[i][i] < 0:
-            cu[i], ui[i] = [-x for x in cu[i]], [-x for x in ui[i]]
+            cu[i] = [-x for x in cu[i]]
             sign = -sign
     d = sign * prod(map(list.__getitem__, cu, range(r)))
-    if not (with_u or with_u_inv):
-        return (), (), (), d
     h = tuple(zip(*(c[:r] for c in cu[:r])))
-    u = tuple(zip(*(c[r:] for c in cu))) if with_u else ()
-    return h, u, tuple(map(tuple, ui)) if with_u_inv else (), d
+    return h, tuple(zip(*(c[r:] for c in cu))) if with_u else (), d

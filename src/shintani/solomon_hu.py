@@ -49,7 +49,7 @@ from . import linalg
 from .cones import OpenCone
 from .errors import CellTooLarge, DependentInput, NotUnimodular, SchemaError, _ReadOnly
 from .linalg import IntVec
-from .testfunctions import TestFunction, _as_int, _as_list, _as_rational, _only_keys
+from .testfunctions import MAX_DIMENSION, TestFunction, _as_int, _as_list, _as_rational, _only_keys
 
 # most integer points a pairing cell may have
 CELL_POINT_BUDGET = 10**6
@@ -257,20 +257,20 @@ def _cell(steps: Sequence[tuple[IntVec, int]], n: int, closed: Sequence[int] = (
     s_i primitive and g_i >= 1, by one Hermite pass for every rank r: its points are a base
     point plus a lift sum k_i s_i, k_i < g_i.
 
-    With s * u = [h | 0] (u_inv built, u not), the first r rows b_j of u_inv are a basis of the
-    saturated span and s_i = sum_j h_ij b_j. The box 0 <= y_j < h_jj holds one point y.b of each
-    class modulo the s_i, at cell coordinates x = adj(h)^T y / d with d = prod h_jj and adj(h) =
-    d * h^-1 by columns (`linalg.triangular_solve`), and k = (adj(h)^T y - e) // d generators,
-    e_i = 0 on closed i and 1 on the others (floor(x_i), ceil(x_i) - 1), move it into the cell of
-    the s_i: the base point is y.b - sum k_i s_i. k and the base are weighted sums of whole
-    columns, the box's in `product` order. A unimodular cell (d = 1, rank 0 included) has the one
-    base point y = 0, k = -e: the sum of its open s_i, with no box. The cell has d * prod g_i
-    points, checked against CELL_POINT_BUDGET (CellTooLarge) first.
+    With s * u = [h | 0], the first r rows b_j of u^-1 are a basis of the saturated span and
+    s = h b: column t of b is h^-1 (s_i[t])_i, an exact solve with d = 1 (`triangular_solve`).
+    The box 0 <= y_j < h_jj holds one point y.b of each class modulo the s_i, at cell
+    coordinates x = adj(h)^T y / d, d = prod h_jj and adj(h) = d * h^-1 by columns, and
+    k = (adj(h)^T y - e) // d generators, e_i = 0 on closed i and 1 on the others (floor(x_i),
+    ceil(x_i) - 1), move it into the cell of the s_i: the base point is y.b - sum k_i s_i. k and
+    the base are weighted sums of whole columns, the box's in `product` order. A unimodular cell
+    (d = 1, rank 0 included) has the one base point y = 0, k = -e: the sum of its open s_i, with
+    no box. The cell's d * prod g_i points are checked against CELL_POINT_BUDGET (CellTooLarge).
     """
     s = [v for v, _g in steps]
     r = len(s)
     try:
-        h, _u, u_inv, _d = linalg.hermite(s, with_u_inv=True) if r else ((), (), (), 1)
+        h = linalg.hermite(s)[0] if r else ()
     except DependentInput as exc:
         raise DependentInput("cell generators are linearly dependent") from exc
     count = (d := prod(sides := [h[j][j] for j in range(r)])) * prod(g for _v, g in steps)
@@ -282,8 +282,8 @@ def _cell(steps: Sequence[tuple[IntVec, int]], n: int, closed: Sequence[int] = (
     ys = [list(c) for c in zip(*product(*map(range, sides)))]  # the box, column by column
     ks = [[(x - e) // d for x in _weighted_sum(linalg.triangular_solve(h, d, unit), ys, d)]
           for e, unit in zip([int(i not in closed) for i in range(r)], linalg.identity(r))]
-    return [_weighted_sum((*row[:r], *(-v[t] for v in s)), ys + ks, d)
-            for t, row in enumerate(linalg.transpose(u_inv))]
+    return [_weighted_sum((*linalg.triangular_solve(h, 1, col), *(-x for x in col)), ys + ks, d)
+            for col in zip(*s)]
 
 
 def pair_open_cone(c: OpenCone, f: TestFunction) -> PseudoMeasure:
@@ -392,6 +392,8 @@ def pm_from_json(data: dict) -> PseudoMeasure:
         raise SchemaError("bad pseudo-measure JSON: vectors of different lengths")
     if 0 in lengths:
         raise SchemaError("bad pseudo-measure JSON: a vector has no coordinates")
+    if (n := max(lengths, default=0)) > MAX_DIMENSION:  # else elimination could run for minutes
+        raise SchemaError(f"bad pseudo-measure JSON: dimension n = {n} is above {MAX_DIMENSION = }")
     if not all(any(u) for u in den):
         raise SchemaError("bad pseudo-measure JSON: a denominator vector is zero")
     return PseudoMeasure(GroupAlgebraElement(num), den)

@@ -4,14 +4,12 @@ The oracles are deliberately naive (cofactor expansion, box scans, a
 Fraction solve, textbook recurrences) and share no code with the library
 paths they check; fraction_moment_table, the Fraction moment table the
 integer one replaced, shares the library's measure test and coordinates
-and checks only the arithmetic; ball_values restricts a measure to the
-balls c + p^k Z_p^n and reads each ball's value off bernoulli_moments;
-line_moment, the transform restricted to a line, shares nothing with the
-table, nor do quadratic_zeta_neg and
-dirichlet_l_neg, the zeta values of a real quadratic field and the L-values
-of a quadratic character from generalized Bernoulli numbers. hermite is
-linalg.hermite with u and u_inv both built, the whole pass the tests read.
-coset_lattice and coset_rep, the Hermite classes the measure test used
+and checks only the arithmetic; restrictions restricts a measure to the
+balls c + p^k Z_p^n, and ball_values reads each ball's value off
+bernoulli_moments; line_moment, the transform restricted to a line, shares
+nothing with the table, nor do quadratic_zeta_neg and dirichlet_l_neg,
+the zeta values of a real quadratic field and the L-values of a quadratic
+character from generalized Bernoulli numbers. coset_lattice and coset_rep, the Hermite classes the measure test used
 before it keyed them by coordinates, are the
 reference for that key, enumerate_fundamental_domain lists the library's
 pairing cell in order, and cell_lifts lists the cell's lifts as tuples, the
@@ -28,8 +26,9 @@ check. The reference readers at the very end are the JSON readers as they were
 before they read integers as ints (every vector entry and coefficient through
 Fraction), kept with the helpers they called, so that the new readers can be
 compared with them value for value and message for message. The reference
-kernels after them are linalg.hermite, det, adjugate (with the triangular
-adjugate it was built on) and mat_mul (the tests' only matrix product,
+kernels after them are linalg.hermite (reference_hermite, the whole pass
+with u and u_inv both built, the only u_inv the tests read), det, adjugate
+(with the triangular adjugate it was built on) and mat_mul (the tests' only matrix product,
 since linalg.mat_mul left the library),
 cones.deformed_cone, solomon_hu.pm_eq,
 testfunctions.stabilizes, solomon_hu's pairing cell (_cell and _pair_cell),
@@ -354,13 +353,13 @@ def bernoulli_moments(num, den, orders) -> list[Fraction]:
     return out
 
 
-def ball_values(a: PseudoMeasure, p: int, k: int) -> dict[tuple[int, ...], Fraction]:
-    """mu(c + p^k Z_p^n) for every c in [0, p^k)^n, of the measure a, by
-    restriction: 1/(1 - delta_u) = sum_{j < p^k} delta_{ju} / (1 - delta_{p^k u}),
-    so a is its numerator times prod_u sum_j delta_{ju} over the vectors
-    p^k u, whose Diracs keep every term in its class mod p^k. The terms of
-    class c over them are a restricted to c + p^k Z_p^n, and the ball's value
-    is that restriction's order-0 moment (bernoulli_moments)."""
+def restrictions(a: PseudoMeasure, p: int, k: int) -> tuple[dict, tuple]:
+    """(classes, den): a restricted to the ball c + p^k Z_p^n is the pseudo-measure
+    classes[c] / prod_{u in den} (1 - delta_u), for every c in [0, p^k)^n.
+    1/(1 - delta_u) = sum_{j < p^k} delta_{ju} / (1 - delta_{p^k u}), so a is
+    its numerator times prod_u sum_j delta_{ju} over the vectors p^k u, whose
+    Diracs keep every term in its class mod p^k: classes[c] holds the terms of
+    class c, and den the p^k u, sorted as a's are."""
     q, n = p**k, a.dim
     num = dict(a.num.terms)
     for u in a.den:
@@ -370,11 +369,17 @@ def ball_values(a: PseudoMeasure, p: int, k: int) -> dict[tuple[int, ...], Fract
                 w = tuple(x + j * y for x, y in zip(v, u))
                 spread[w] = spread.get(w, 0) + c
         num = spread
-    den = [tuple(q * x for x in u) for u in a.den]
     classes: dict[tuple[int, ...], dict] = {c: {} for c in product(range(q), repeat=n)}
     for v, c in num.items():
         classes[tuple(x % q for x in v)][v] = c
-    return {c: bernoulli_moments(terms, den, [(0,) * n])[0] if terms else Fraction(0)
+    return classes, tuple(tuple(q * x for x in u) for u in a.den)
+
+
+def ball_values(a: PseudoMeasure, p: int, k: int) -> dict[tuple[int, ...], Fraction]:
+    """mu(c + p^k Z_p^n) for every c in [0, p^k)^n, of the measure a: the
+    order-0 moment (bernoulli_moments) of its restriction to the ball."""
+    classes, den = restrictions(a, p, k)
+    return {c: bernoulli_moments(terms, den, [(0,) * a.dim])[0] if terms else Fraction(0)
             for c, terms in classes.items()}
 
 
@@ -469,13 +474,6 @@ def line_moment(a: PseudoMeasure, lam: Sequence[int], K: int) -> Fraction:
     return factorial(K) * quot[K]
 
 
-def hermite(rows) -> tuple:
-    """(h, u, u_inv, sign) of linalg.hermite with both u and u_inv built,
-    sign = det u: the whole Hermite pass that the tests read."""
-    h, u, u_inv, d = linalg.hermite(rows, with_u=True, with_u_inv=True)
-    return h, u, u_inv, 1 if d > 0 else -1
-
-
 def hermite_box(h) -> list[tuple[int, ...]]:
     """The box 0 <= x_i < h_ii of a lower-triangular Hermite basis h, one
     vector per coset of its column lattice."""
@@ -489,12 +487,12 @@ def coset_lattice(cols, p: int) -> tuple:
     Z_p^n. The columns of the returned lower-triangular h span it; its
     classes are the box hermite_box(h), and coset_rep(h, v) is the box
     vector in the class of v."""
-    h = hermite(cols)[0]  # DependentInput when singular
+    h = reference_hermite(cols)[0]  # DependentInput when singular
     n = len(h)
     d = prod(h[i][i] for i in range(n))
     pk = gcd(d, p ** d.bit_length())
-    return hermite([row + tuple(pk * x for x in e)
-                    for row, e in zip(h, linalg.identity(n))])[0]
+    return reference_hermite([row + tuple(pk * x for x in e)
+                              for row, e in zip(h, linalg.identity(n))])[0]
 
 
 def coset_rep(h, v) -> tuple[int, ...]:
@@ -957,12 +955,12 @@ def truncated_q_expansion(a: PseudoMeasure, bound, weights) -> GA:
 def _line_projection(direction) -> tuple:
     """Integer projection Z^n -> Z^{n-1} with kernel exactly Q*direction.
 
-    With s the primitive vector on the line, hermite([s]) gives s * u =
+    With s the primitive vector on the line, reference_hermite([s]) gives s * u =
     (1, 0, ..., 0) for a unimodular u. The columns 1..n-1 of u are
     orthogonal to s, and taken as rows they are n-1 rows of the unimodular
     u^T: they map Z^n onto Z^{n-1} with kernel exactly the line.
     """
-    u = hermite([linalg.primitive_vector(direction)])[1]
+    u = reference_hermite([linalg.primitive_vector(direction)])[1]
     return linalg.transpose(u)[1:]
 
 
@@ -1040,7 +1038,7 @@ def _face_points(face_periods, bound: Fraction, n: int) -> list[tuple[int, ...]]
     """Integer points w = sum t_j u_j with t_j > 0 and sum t_j <= bound."""
     # face_periods = coords * sat, with sat the leading rows of u_inv: a
     # basis of the saturation of the span
-    coords, _u, u_inv, _sign = hermite(face_periods)
+    coords, _u, u_inv, _sign = reference_hermite(face_periods)
     r = len(face_periods)
     sat = u_inv[:r]
     # box for y = C t with t in (0, bound]^r, in saturation coordinates
@@ -1157,7 +1155,8 @@ def reference_mat_mul(a, b) -> tuple:
 
 
 def reference_hermite(rows):
-    """linalg.hermite with the three list rebuilds on every Euclid step."""
+    """(h, u, u_inv, sign) of linalg.hermite as it was when it built u_inv
+    too, sign = det u, with the three list rebuilds on every Euclid step."""
     m = len(rows[0]) if rows else 0
     r = len(rows)
     if not 0 < r <= m:
@@ -1277,7 +1276,7 @@ def reference_stabilizes(f: TestFunction, g) -> bool:
 # flat lists and a zero sum skipped its normalising pass; kept verbatim, but for
 # the module prefix on solomon_hu.denominator_product, whose name the group-algebra
 # oracle above takes, and for the whole Hermite pass and the triangular adjugate,
-# which are hermite and triangular_adjugate above since linalg folded them.
+# which are reference_hermite and triangular_adjugate above since linalg folded them.
 
 
 def reference_cell(ws: Sequence[Sequence[int]], n: int, closed: Sequence[int] = ()
@@ -1300,7 +1299,7 @@ def reference_cell(ws: Sequence[Sequence[int]], n: int, closed: Sequence[int] = 
     s = [tuple(a // (g or 1) for a in w) for w, g in zip(ws, gs)]  # hermite refuses a zero w
     r = len(s)
     try:
-        h, _u, u_inv, _sign = hermite(s) if r else ((), (), linalg.identity(n), 1)
+        h, _u, u_inv, _sign = reference_hermite(s) if r else ((), (), linalg.identity(n), 1)
     except DependentInput as exc:
         raise DependentInput("cell generators are linearly dependent") from exc
     count = (d := prod(sides := [h[j][j] for j in range(r)])) * prod(gs)

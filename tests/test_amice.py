@@ -32,12 +32,12 @@ from oracles import (
     coset_rep,
     denominator_product,
     fraction_moment_table,
-    hermite,
     hermite_box,
     hurwitz_zeta_neg,
     line_moment,
     outcome,
     rank_by_minors,
+    reference_hermite,
     reference_moment_table,
 )
 
@@ -296,24 +296,34 @@ def test_power_moments_match_hurwitz_values():
 
 
 def test_extend_denominator_basis(monkeypatch):
-    # fewer than n vectors are completed by the trailing rows of u_inv; n
-    # independent ones are their own basis after one Hermite pass for d
-    # alone, which builds no u_inv; dependent ones are refused by name
+    # fewer than n vectors are completed by the trailing rows of u^-1, read off
+    # the adjugate of u: one Hermite pass that builds u, then the one inside
+    # adjugate(u); n independent ones are their own basis after one Hermite
+    # pass that builds no u; dependent ones are refused by name
     low, full = PM(GA.delta((1, 1)), ((2, 2),)), PM(GA.delta((1, 1)), ((1, 2), (3, -1)))
-    complement = hermite([(2, 2)])[2][1:]
+    complement = reference_hermite([(2, 2)])[2][1:]
+    rng = random.Random(3901)
+    for n in range(1, 5):  # the complement is the old kernel's, the trailing rows of u_inv
+        for r in range(1, n + 1):
+            for _ in range(5):
+                while rank_by_minors(dens := [tuple(rng.randint(-4, 4) for _ in range(n))
+                                              for _ in range(r)]) < r or len(set(dens)) < r:
+                    pass
+                want = dens + list(reference_hermite(dens)[2][r:])
+                assert extend_denominator_basis(PM(GA.delta((0,) * n), tuple(dens)), n) == want
     kernel, flags = linalg.hermite, []
 
-    def spy(rows, with_u=False, with_u_inv=False):
-        flags.append((with_u, with_u_inv))
-        return kernel(rows, with_u, with_u_inv)
+    def spy(rows, with_u=False):
+        flags.append(with_u)
+        return kernel(rows, with_u)
 
     monkeypatch.setattr(linalg, "hermite", spy)
     basis = extend_denominator_basis(low, 2)
-    assert flags == [(False, True)]
+    assert flags == [True, True]
     assert basis == [(2, 2), *complement] and abs(linalg.det(basis)) == 2
     flags.clear()
     assert extend_denominator_basis(full, 2) == [(1, 2), (3, -1)]
-    assert flags == [(False, False)]
+    assert flags == [False]
     for den in ([(1, 2), (2, 4)], [(0, 1, 1), (1, 0, 1), (1, 1, 2)], [(0, 1), (1, 0), (1, 1)]):
         with pytest.raises(DependentInput) as refused:
             extend_denominator_basis(PM(GA.delta((0,) * len(den[0])), tuple(den)), len(den[0]))

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb
@@ -16,7 +17,7 @@ from shintani.amice import is_measure_amice, moment_table
 from shintani.cli import MOMENT_BUDGET, PRINT_BITS, build_parser, main
 from shintani.cocycle import _alternating_sum, psi_cdg, sample_deformation, verify_cocycle
 from shintani.solomon_hu import pair_half_open, pm_eq, pm_from_json, pm_sum, pm_to_json, pm_zero
-from shintani.testfunctions import from_json
+from shintani.testfunctions import MAX_DIMENSION, from_json
 
 from oracles import _solve_coords, hurwitz_zeta_neg, open_faces, phi
 
@@ -778,6 +779,29 @@ def test_moments_rejects_more_denominator_vectors_than_the_dimension(tmp_path, c
     # the refusal names the denominator, sorted as the pseudo-measure stores it
     assert capsys.readouterr() == (
         "", "error: denominator vectors [[0, 1], [1, 0], [1, 1]] are linearly dependent\n")
+
+
+def test_a_raw_pseudo_measure_above_max_dimension_is_refused_at_once(tmp_path, capsys):
+    # the entries of an elimination on a dense n x n denominator, and so its
+    # time, grow steeply with n, so a raw pseudo-measure has the step
+    # function's bound on n: past it, exit 2 naming n and the bound within a
+    # second, before any elimination, on a unit denominator at n = 33 and a
+    # dense one at n = 80; at the bound it is read
+    rng = random.Random(80)
+    for n, den in ((MAX_DIMENSION + 1, [[1] + [0] * MAX_DIMENSION]),
+                   (80, [[rng.randint(-3, 3) for _ in range(80)] for _ in range(80)])):
+        path = write(tmp_path, "in.json", {"numerator": [{"vector": [1] * n, "coeff": "1"}],
+                                           "denominator": den})
+        start = time.perf_counter()
+        assert main(["--command", "moments", "--input", path, "--p", "3", "--max-order", "0"]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr() == ("", f"error: bad pseudo-measure JSON: dimension n = {n} "
+                                           f"is above MAX_DIMENSION = {MAX_DIMENSION}\n")
+    path = write(tmp_path, "top.json", {"numerator": [{"vector": [0] * MAX_DIMENSION,
+                                                       "coeff": "1"}], "denominator": []})
+    code, out = run(capsys, "--command", "moments", "--input", path, "--max-order", "0")
+    assert (code, json.loads(out)["moments"]) == (0, [
+        {"order": [0] * MAX_DIMENSION, "rational": "1", "padic": "3^0*1"}])
 
 
 def test_moments_rejects_a_pole_beyond_the_series_degree(tmp_path, capsys):

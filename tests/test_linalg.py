@@ -18,7 +18,6 @@ from oracles import (
     coset_rep,
     det_cofactor,
     enumerate_fundamental_domain,
-    hermite,
     hermite_box,
     outcome,
     rank_by_minors,
@@ -56,9 +55,9 @@ def test_det_multiplicative():
 
 def saturate_span(vs):
     """Integer basis of span_Q(vs) n Z^n: the leading rows of u_inv from
-    hermite(vs), after checking that h gives the coordinates of vs in
+    reference_hermite(vs), after checking that h gives the coordinates of vs in
     them."""
-    h, _u, u_inv, _sign = hermite(vs)
+    h, _u, u_inv, _sign = reference_hermite(vs)
     sat = list(u_inv[:len(vs)])
     assert [tuple(sum(c * s[i] for c, s in zip(row, sat)) for i in range(len(vs[0])))
             for row in h] == [tuple(v) for v in vs]
@@ -91,7 +90,7 @@ def test_saturate_span_is_saturated():
             assert all(c.denominator == 1 for c in coords)
         # and the saturation together with its complement, the trailing
         # rows of u_inv, is unimodular
-        comp = list(hermite(vs)[2][r:])
+        comp = list(reference_hermite(vs)[2][r:])
         assert abs(linalg.det(sat + comp)) == 1
         done += 1
 
@@ -149,7 +148,7 @@ def test_det_and_rank_against_oracles():
             with pytest.raises(DependentInput):
                 linalg.hermite(rows)
         else:
-            assert len(hermite(rows)[0]) == len(rows)
+            assert len(linalg.hermite(rows)[0]) == len(rows)
     assert singular >= 20 and negative >= 20 and rational >= 20
     for rows in ([[0, 0], [0, 0]], []):
         with pytest.raises(DependentInput):
@@ -236,7 +235,7 @@ def test_cosets_count_and_key():
                 coset_lattice(cols, 2)
             continue
         for p in (None, 2, 3):
-            h = hermite(cols)[0] if p is None else coset_lattice(cols, p)
+            h = reference_hermite(cols)[0] if p is None else coset_lattice(cols, p)
             reps = hermite_box(h)
 
             def key(v):
@@ -272,19 +271,16 @@ def test_hermite_identities():
                 linalg.hermite(rows)
             dependent += 1
             continue
-        h, u, u_inv, sign = hermite(rows)
-        assert all(type(x) is int for mat in (h, u, u_inv) for row in mat for x in row)
-        assert sign == det_cofactor(u)
-        # rows * u = [h | 0]
+        h, u, d = linalg.hermite(rows, with_u=True)
+        assert all(type(x) is int for mat in (h, u) for row in mat for x in row)
+        # rows * u = [h | 0], u unimodular, and d = det(u) * prod h_ii
         assert [list(x) for x in reference_mat_mul(rows, u)] == [list(x) + [0] * (m - r) for x in h]
         assert all(h[i][j] == 0 for i in range(r) for j in range(i + 1, r))
         assert all(h[i][i] > 0 for i in range(r))
-        assert [list(x) for x in reference_mat_mul(u, u_inv)] == [list(e) for e in linalg.identity(m)]
+        assert abs(det_cofactor(u)) == 1
+        assert d == det_cofactor(u) * prod(h[i][i] for i in range(r))
         if r == m:
-            diag = 1
-            for i in range(r):
-                diag *= h[i][i]
-            assert diag == abs(det_cofactor(rows))
+            assert d == det_cofactor(rows)
             square += 1
         else:
             rectangular += 1
@@ -317,8 +313,8 @@ def test_enumerate_fundamental_domain_against_box_scan():
 def test_hermite_matches_its_reference():
     # the lean kernel against the old one, result for result and refusal for
     # refusal: 1-6 rows of length 1-6, dependent rows, r < m and r > m included;
-    # each pair of flags builds its parts of the whole pass and d, h only with u
-    # or u_inv, and refuses what the whole pass refuses
+    # without u and with it, (h, u or (), d) is the old pass's, u_inv dropped,
+    # and it refuses what the whole pass refuses
     rng = random.Random(58)
     kinds = {"square": 0, "r < m": 0, "dependent": 0, "r > m": 0}
     for t in range(600):
@@ -330,19 +326,17 @@ def test_hermite_matches_its_reference():
             rows.insert(rng.randint(0, len(rows)), [sum(rng.randint(-2, 2) * row[j] for row in rows)
                                                     for j in range(m)])
         want = outcome(reference_hermite, rows)
-        assert outcome(hermite, rows) == want, rows
-        for with_u, with_u_inv in product((False, True), repeat=2):
+        for with_u in (False, True):
             part = want
             if want[0] == "value":
-                h, u, u_inv, sign = want[1]
-                d = sign * prod(h[i][i] for i in range(r))
-                part = ("value", (h if with_u or with_u_inv else (), u if with_u else (),
-                                  u_inv if with_u_inv else (), d))
-            assert outcome(linalg.hermite, rows, with_u, with_u_inv) == part, (rows, with_u)
+                h, u, _u_inv, sign = want[1]
+                part = ("value", (h, u if with_u else (), sign * prod(h[i][i] for i in range(r))))
+            assert outcome(linalg.hermite, rows, with_u) == part, (rows, with_u)
         kinds["r > m" if r > m else "dependent" if want[0] == "raised"
               else "square" if r == m else "r < m"] += 1
     assert min(kinds.values()) >= 60, kinds
-    assert outcome(hermite, []) == outcome(linalg.hermite, []) == outcome(reference_hermite, [])
+    for with_u in (False, True):
+        assert outcome(linalg.hermite, [], with_u) == outcome(reference_hermite, [])
 
 
 def test_det_and_adjugate_match_their_references():

@@ -20,7 +20,7 @@ moments are the zeta values that cyclic_cubic_zeta_neg computes.
 
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -33,7 +33,7 @@ from shintani.cocycle import (
     verify_equivariance,
 )
 from shintani.errors import DependentInput
-from shintani.solomon_hu import pair_half_open, pm_sum
+from shintani.solomon_hu import GroupAlgebraElement, PseudoMeasure, pair_half_open, pm_sum
 from shintani.testfunctions import TestFunction, stabilizes
 
 from oracles import (
@@ -42,6 +42,7 @@ from oracles import (
     kronecker,
     quadratic_zeta_neg,
     reference_mat_mul,
+    restrictions,
 )
 
 I2 = ((1, 0), (0, 1))
@@ -197,6 +198,55 @@ def test_a_wrong_bernoulli_sign_breaks_the_doubling(monkeypatch):
     monkeypatch.setattr(amice, "_bernoulli", flipped)
     broken = {name for name, once, twice in doubled_domains(1) if twice != [2 * x for x in once]}
     assert broken == set(FIELDS)
+
+
+KUMMER_KS = (1, 3, 5, 7, 9)
+
+
+def depleted_moments(name):
+    """The 3-depleted N^k moments, k in KUMMER_KS, of sign * the paired cocycle value
+    psi_cdg([I, rho(eps)], q) at one seeded q, by two routes: mu minus its restriction to
+    3 Z_3^2 (the class 0 of oracles.restrictions), and m_k(f) - 3^(2k) m_k(f(3.)), since the
+    cone's points in 3 Z^2 are 3 times its points in Z^2."""
+    _D, form, rho, ell, r = FIELDS[name]
+    f = smoothed(ell, r)
+    f3 = TestFunction(2, 3, ell, {x: f.values[tuple(3 * y % ell for y in x)]
+                                  for x in product(range(ell), repeat=2)})
+    sign, prims, closed = psi_cdg([I2, rho], sample_deformation(2, random.Random(f"kummer:{name}")))
+    pm = pair_half_open(frozenset(prims), closed, f)
+    classes, den = restrictions(pm, 3, 1)
+    tables = [dict(moment_table(a, 3, 2, 2 * max(KUMMER_KS))) for a in (
+        pm, PseudoMeasure(GroupAlgebraElement(classes[(0, 0)]), den),
+        pair_half_open(frozenset(prims), closed, f3))]
+    mu, ball, scaled = ([sign * sum(c * t[o] for o, c in norm_power(form, k).items())
+                         for k in KUMMER_KS] for t in tables)
+    return ([x - y for x, y in zip(mu, ball)],
+            [x - 9**k * y for k, x, y in zip(KUMMER_KS, mu, scaled)])
+
+
+def kummer_failures(ds):
+    """The (k, k', j), j = 1, 2, with k = k' mod 2 * 3^(j-1) whose 3-integral
+    depleted moments in ds, one per k in KUMMER_KS, differ mod 3^j."""
+    return [(k, kk, j) for (k, x), (kk, y) in combinations(zip(KUMMER_KS, ds), 2) for j in (1, 2)
+            if (kk - k) % (2 * 3 ** (j - 1)) == 0 and (x - y).numerator % 3**j]
+
+
+def test_depleted_moments_satisfy_the_kummer_congruences():
+    # 3 is inert in Q(sqrt 5) and Q(sqrt 2), so N(x) is a 3-adic unit off
+    # 3 Z_3^2: the depleted N^k moments, k odd <= 9, are 3-integral and agree
+    # mod 3^j when k = k' mod 2 * 3^(j-1), j = 1, 2 (Cassou-Nogues;
+    # Deligne-Ribet), and the two depletion routes agree, at the Euler-factored
+    # zeta values. Control: any one moment shifted by 1 breaks a congruence
+    # mod 3 (L B_1's flipped sign breaks none: it leaves the measure Z_3-valued)
+    for name in ("Q(sqrt 5)", "Q(sqrt 2)"):
+        D, _form, _rho, ell, _r = FIELDS[name]
+        ds, again = depleted_moments(name)
+        assert ds == again == [(1 - 9**k) * (1 - ell ** (1 + k)) * quadratic_zeta_neg(D, k + 1)
+                               for k in KUMMER_KS], name
+        assert all(x.denominator % 3 for x in ds), (name, ds)
+        assert kummer_failures(ds) == [], (name, ds)
+        for i in range(len(ds)):
+            assert kummer_failures([x + (t == i) for t, x in enumerate(ds)]), (name, i)
 
 
 # (field, discriminant c of the odd character chi_c = (c/.) of conductor |c|, p, the m checked)

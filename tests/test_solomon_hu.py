@@ -47,6 +47,7 @@ from oracles import (
     cf_add,
     enumerate_fundamental_domain,
     inverse,
+    outcome,
     pm_constant,
     pm_mul,
     rank_by_minors,
@@ -769,6 +770,40 @@ def _unimodular_rows(rng, n: int) -> list[tuple[int, ...]]:
     return [tuple(rng.choice((-1, 1)) * x for x in row) for row in rows]
 
 
+def test_cell_matches_its_reference():
+    # the cell that solves h b = s for its basis against the one that read b off
+    # u_inv: the same base points, column for column and in box order, over ranks
+    # 0-4 at n <= 4 with mixed g and random closed subsets, on unimodular cells
+    # (d = 1) and larger ones, and the same refusals, by type and message, of
+    # dependent or zero generators and of a cell over the point budget
+    rng = random.Random(3902)
+    cases = []
+    for n in range(1, 5):
+        for r in range(n + 1):
+            for draw in range(15):
+                if draw % 3 == 0:  # unimodular: rows of a matrix in GL_n(Z)
+                    prims = _unimodular_rows(rng, n)[:r]
+                else:
+                    prims = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(r)]
+                if draw % 3 == 2 and r:  # the last a combination of the others, or zero
+                    prims[-1] = tuple(sum(rng.randint(-2, 2) * v[j] for v in prims[:-1])
+                                      for j in range(n))
+                ws = [tuple(rng.randint(1, 3) * x for x in v) for v in prims]
+                cases.append((ws, n, [i for i in range(r) if rng.random() < 0.5]))
+    cases += [([(1000, 0), (0, 1001)], 2, [0]), ([(1, 0, 0), (1, 2000001, 0)], 3, [])]
+    seen = Counter()
+    for ws, n, closed in cases:
+        want = outcome(lambda *args: oracles.reference_cell(*args)[0], ws, n, closed)
+        assert outcome(_cell, oracles.cell_steps(ws), n, closed) == want, (ws, closed)
+        seen[want[1].__name__ if want[0] == "raised" else "d = 1" if len(want[1][0]) == 1
+             else "d > 1"] += 1
+        seen[f"rank {len(ws)}"] += want[0] == "value"
+        seen["half-open" if closed else "open"] += want[0] == "value"
+    kinds = ("d = 1", "d > 1", "DependentInput", "open", "half-open")
+    assert min(seen[k] for k in kinds) >= 20, seen
+    assert seen["CellTooLarge"] == 2 and min(seen[f"rank {r}"] for r in range(5)) >= 10, seen
+
+
 def test_pair_cell_matches_its_reference():
     # the pairing kernel against the one before primitive steps, the box-free
     # unimodular cell, the flat lifts and the column-packed residues: the same
@@ -790,7 +825,7 @@ def test_pair_cell_matches_its_reference():
                             [rng.randint(-2, 2) for _ in range(n)] for _ in range(r)) if any(v)]
                     if len(set(prims)) < r or (r and rank_by_minors(prims) < r):
                         continue
-                    h = oracles.hermite(prims)[0] if r else ()
+                    h = oracles.reference_hermite(prims)[0] if r else ()
                     d = prod(h[j][j] for j in range(r))
                     if d * M ** r > 20000:
                         continue
