@@ -6,8 +6,9 @@ the transform delta_{b_i} -> 1 + T_i: that divisibility test is the
 series-side measure criterion. When p divides the index of the
 denominator lattice it runs per class of the lattice's p-adic closure, and
 the pseudo-measure is a measure when every class passes. Poles are decided
-exactly, on sums of numerator coefficients, and the test must agree with
-the vanishing-hypothesis test on slices on single-class inputs.
+exactly, on sums of numerator coefficients keyed by fibre representatives
+read off the packed exponents, and the test must agree with the
+vanishing-hypothesis test on slices on single-class inputs.
 
 The moments of a measure are rational (Shintani's zeta values at negative
 integers), and moment_table reads those of every order up to a total
@@ -23,31 +24,33 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd, lcm, prod
 from operator import mul
 
 from . import linalg
 from .errors import DependentInput, NonUnitDenominator, NotAMeasure
 from .linalg import IntVec
-from .solomon_hu import PseudoMeasure
+from .solomon_hu import PseudoMeasure, _pack, _width
 from .testfunctions import TestFunction, _fibres_vanish, _is_prime, check_vh
 
 
-def extend_denominator_basis(a: PseudoMeasure, n: int) -> list[IntVec]:
-    """Basis of Q^n starting with the denominator vectors of a, completed by
-    the trailing rows of u^-1 = det(u) adj(u) for dens * u = [h | 0], whose
-    leading rows saturate their span; a full-rank dens builds no u."""
+def extend_denominator_basis(a: PseudoMeasure, n: int) -> tuple[list[IntVec], int]:
+    """(basis, d): a basis of Q^n starting with the denominator vectors of a,
+    completed by the trailing rows of u^-1 = det(u) adj(u) for dens * u =
+    [h | 0], whose leading rows saturate their span, and d = det(basis) =
+    det(u) prod h_ii, read off the same pass; a full-rank dens builds no u."""
     dens, named = list(dict.fromkeys(a.den)), [list(u) for u in a.den]
     if len(dens) != len(a.den):
         raise NonUnitDenominator(f"repeated denominator factors are not aligned: {named}")
     if not dens:
-        return list(linalg.identity(n))
+        return list(linalg.identity(n)), 1
     try:
-        u = linalg.hermite(dens, with_u=len(dens) < n)[1]
+        _h, u, d = linalg.hermite(dens, with_u=len(dens) < n)
     except DependentInput as exc:
         raise DependentInput(f"denominator vectors {named} are linearly dependent") from exc
     adj, sign = linalg.adjugate(u) if u else ((), 1)  # det u = sign = +-1
-    return dens + [tuple(sign * x for x in row) for row in adj[len(dens):]]
+    return dens + [tuple(sign * x for x in row) for row in adj[len(dens):]], d
 
 
 def is_measure_vh(gens: Iterable[Sequence], f: TestFunction) -> bool:
@@ -65,43 +68,56 @@ def is_measure_amice(a: PseudoMeasure, p: int) -> bool:
     the Diracs obtained by dropping the i-th basis coordinate, and that
     transform is injective, so the test is that every fibre sum of the
     coefficients over (class, basis coordinates other than the i-th) is
-    zero: exact, with no precision or degree. The classes are read off the
-    coordinates y = adj v (`_poles_vanish`), so none is ever listed. On
-    single-class inputs it agrees with the vanishing-hypothesis test by the
-    divisibility criterion.
+    zero: exact, with no precision or degree. Each term is keyed by its
+    fibre's representative (`_poles_vanish`), on the determinant d of the
+    Hermite pass that validates the denominator, so no class is listed and
+    no coordinate is built (nor, at full rank, any adjugate). On single-class
+    inputs it agrees with the vanishing-hypothesis test by the divisibility
+    criterion.
     """
-    return not a.num or _poles_vanish(a, p, *_coordinates(a)[1:])
+    return not a.num or _poles_vanish(a, p, extend_denominator_basis(a, a.dim)[1])
 
 
-def _coordinates(a: PseudoMeasure) -> tuple:
-    """(basis, d, cols, cs) for a's own basis: cols[i] lists the i-th
-    coordinate of adj v and cs the coefficient c over the terms c delta_v of
-    a's numerator in packed order, so adj v / d are v's basis coordinates."""
-    basis = extend_denominator_basis(a, a.dim)
-    adj, d = linalg.adjugate(linalg.transpose(basis))
-    return basis, d, a.num.columns(adj), list(a.num.packed.values())
+def _poles_vanish(a: PseudoMeasure, p: int, d: int) -> bool:
+    """The fibre test of is_measure_amice, with d = det B for a's own basis B.
+    With p^k the p-part of d, v and v' share a class of Z^n / (B Z^n + p^k
+    Z^n) and the basis coordinates other than the i-th exactly when v - v' =
+    t s_i with rho_i | t: here b_i = c_i s_i with s_i primitive, adj s_i =
+    (d / c_i) e_i, and rho_i = p^k / gcd(p^k, d / c_i). So the key of v is
+    the fibre's one point with coordinate m between 0 and rho_i g, g = s_i[m]
+    the entry of largest size: P(v) - floor(v_m / (rho_i g)) rho_i P(s_i),
+    v_m one digit of the packed key P(v) (lift every digit, shift, mask,
+    subtract the lift), at a width that holds 2 bound + rho_i |g|."""
+    pk, n = gcd(d, p ** d.bit_length()), a.num.n
+    poles, top = [], 0
+    for b in a.den:  # b = c s with s primitive, and g = s[m] of largest size
+        c = gcd(*b)
+        g = max(s := [x // c for x in b], key=abs)
+        rho = pk // gcd(pk, d // c)
+        poles.append((rho, s, s.index(g)))
+        top = max(top, rho * abs(g))
+    W = _width(2 * a.num.bound + top)
+    packed, half, mask = a.num._at(W), 1 << W - 1, (1 << W) - 1
+    lift = ((1 << W * n) - 1) // mask * half  # half in every digit
+    for rho, s, m in poles:
+        rg, step, at = rho * s[m], rho * _pack(s, W), W * (n - 1 - m)
+        keyed = [k - (((k + lift) >> at & mask) - half) // rg * step for k in packed]
+        if not _fibres_vanish(zip(keyed, packed.values())):
+            return False
+    return True
 
 
-def _poles_vanish(a: PseudoMeasure, p: int, d: int, cols: list, cs: list) -> bool:
-    """The fibre test of is_measure_amice on the columns of _coordinates.
-    With p^k the p-part of d, v and v' share a class of Z^n / (B Z^n + p^k Z^n),
-    B the basis, exactly when y = y' mod p^k: adj B z = d z, and for d = p^k m,
-    m(v - v') lies in B Z^n with m a unit mod p^k. So the fibre key of pole i
-    is y with y_i taken mod p^k: the columns zipped, column i reduced."""
-    pk = gcd(d, p ** d.bit_length())
-    return all(_fibres_vanish(zip(zip(*cols[:i], [x % pk for x in cols[i]], *cols[i + 1:]), cs))
-               for i in range(len(a.den)))
-
-
-def _bernoulli(k: int) -> tuple[int, list[int]]:
-    """(L, [L B_0, ..., L B_k]): B_1 = -1/2, s/(e^s - 1) = sum B_j s^j / j!,
+@cache
+def _bernoulli(k: int) -> tuple[int, tuple[int, ...]]:
+    """(L, (L B_0, ..., L B_k)): B_1 = -1/2, s/(e^s - 1) = sum B_j s^j / j!,
     and L the lcm of their denominators, by von Staudt-Clausen (D_1 = 2,
     D_j = prod_{(p-1) | j} p for even j) the primes p <= k + 1. The
-    recurrence sum_{j<=m} C(m+1, j) B_j = 0 divides exactly."""
+    recurrence sum_{j<=m} C(m+1, j) B_j = 0 divides exactly. Pure in k, so
+    one row per k is kept, as a tuple that no caller can change."""
     out = [prod(q for q in range(2, k + 2) if _is_prime(q))]  # L B_0 = L
     for m in range(1, k + 1):
         out.append(-sum(comb(m + 1, j) * out[j] for j in range(m)) // (m + 1))
-    return out[0], out
+    return out[0], tuple(out)
 
 
 def moment_table(a: PseudoMeasure, p: int, n: int, top: int) -> list[tuple[IntVec, Fraction]]:
@@ -110,9 +126,10 @@ def moment_table(a: PseudoMeasure, p: int, n: int, top: int) -> list[tuple[IntVe
     (total, kk); NotAMeasure unless a is a measure at p, decided even when
     top < 0, and ValueError when a has a vector and n is not a.dim.
 
-    In the basis b of extend_denominator_basis, r = len(a.den), the basis
-    coordinates of a numerator point v are y_v / d with y_v = adj v and
-    d = det b, and the Laplace transform of the measure is
+    In the basis b of extend_denominator_basis, r = len(a.den), the poles
+    are decided first, on d = det b (_poles_vanish), and only a measure
+    builds the adjugate: the basis coordinates of a numerator point v are
+    y_v / d with y_v = adj v, and the Laplace transform of the measure is
         F(s) = (-1)^r N(s) / prod_{i<r} s_i * prod_{i<r} s_i / (e^{s_i} - 1)
     with N(s) = sum_v c_v e^{s.y_v/d}. N's coefficient at alpha is the
     integer power sum P_alpha = sum_v c_v y_v^alpha over d^|alpha| alpha!,
@@ -139,10 +156,11 @@ def moment_table(a: PseudoMeasure, p: int, n: int, top: int) -> list[tuple[IntVe
     if (a.num or a.den) and n != a.dim:
         raise ValueError(f"moment orders in n = {n} dimensions for a pseudo-measure in {a.dim}")
     if a.num:
-        basis, d, cols, cs = _coordinates(a)
-        if not _poles_vanish(a, p, d, cols, cs):
+        basis, d = extend_denominator_basis(a, n)
+        if not _poles_vanish(a, p, d):  # decided before the adjugate is built
             raise NotAMeasure("series-side divisibility test fails")
-        r = len(a.den)
+        adj, r = linalg.adjugate(linalg.transpose(basis))[0], len(a.den)
+        cols, cs = a.num.columns(adj), list(a.num.packed.values())
     else:  # every moment is 0, and in the standard basis each x^kk is one monomial
         basis, d, cols, cs, r = linalg.identity(n), 1, [[]] * n, [], 0
     cden = lcm(*(c.denominator for c in cs))

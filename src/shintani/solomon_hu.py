@@ -21,8 +21,9 @@ step keeps the keys of small exponents short, so they hash and add fast, and
 is coarse enough that the summands of one sum rarely need repacking. Bulk readers
 take the exponents column by column: adding 2^(W-1) to every digit puts it in
 [0, 2^W) with no borrow, so coordinate i of every key is a shift and a mask
-(_unpack_columns); matrices act on the coordinate lists, and as packing is
-linear, the key of g v is sum_i v_i times the key of column i of g (act_pm).
+(_unpack_columns), and matrices act on the coordinate lists. As packing is
+linear, one digit read off a key moves it: the key of g v is that of v plus
+v_k times the key of column k of g - I, over its nonzero columns (act_pm).
 
 Pairing a cone with a step function of level M scales the generators positively
 to primitive vectors s, and sums the function over the half-open fundamental
@@ -237,16 +238,23 @@ def pm_is_integer_constant(a: PseudoMeasure) -> int | None:
 
 
 def act_pm(g: Sequence[Sequence[int]], a: PseudoMeasure) -> PseudoMeasure:
-    """Push a pseudo-measure forward along g in GL_n(Z): delta_v -> delta_{gv}."""
+    """Push a pseudo-measure forward along g in GL_n(Z): delta_v -> delta_{gv}.
+    As packing is linear, P(g v) = P(v) + sum_k v_k P((g - I) e_k): each key
+    moves by the packed nonzero columns of g - I, v_k read off the key."""
     gm = linalg.int_mat(g)
     if abs(linalg.det(gm)) != 1:
         raise NotUnimodular("pseudo-measure action requires determinant 1 or -1")
     if (a.num or a.den) and len(gm) != a.dim:  # else zip and mat_vec would drop coordinates
         raise ValueError(f"a {len(gm)}x{len(gm)} matrix cannot act in dimension {a.dim}")
     old, bound = a.num, max(sum(map(abs, row)) for row in gm) * a.num.bound  # g's row norm
-    W = _width(bound)  # g is a bijection, so no two images of the terms meet
-    keys = _weighted_sum(_pack_columns(gm, W, len(gm)), old.columns(), len(old.packed))
-    num = GroupAlgebraElement._of(dict(zip(keys, old.packed.values())), old.n, W, bound)
+    n, W = len(gm), _width(bound)  # g is a bijection, so no two images of the terms meet
+    keys, half, mask = list(old._at(W)), 1 << W - 1, (1 << W) - 1
+    lift, moved = ((1 << W * n) - 1) // mask * half, keys  # half in every digit
+    for k in range(n):
+        if step := sum((gm[j][k] - (j == k)) << W * (n - 1 - j) for j in range(n)):
+            at = W * (n - 1 - k)
+            moved = [y + (((x + lift) >> at & mask) - half) * step for y, x in zip(moved, keys)]
+    num = GroupAlgebraElement._of(dict(zip(moved, old.packed.values())), old.n, W, bound)
     return PseudoMeasure(num, tuple(sorted(linalg.mat_vec(gm, u) for u in a.den)))
 
 

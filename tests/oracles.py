@@ -3,7 +3,7 @@
 The oracles are deliberately naive (cofactor expansion, box scans, a
 Fraction solve, textbook recurrences) and share no code with the library
 paths they check; fraction_moment_table, the Fraction moment table the
-integer one replaced, shares the library's measure test and coordinates
+integer one replaced, shares the reference measure test and coordinates
 and checks only the arithmetic; restrictions restricts a measure to the
 balls c + p^k Z_p^n, and ball_values reads each ball's value off
 bernoulli_moments; line_moment, the transform restricted to a line, shares
@@ -32,9 +32,11 @@ with u and u_inv both built, the only u_inv the tests read), det, adjugate
 since linalg.mat_mul left the library),
 cones.deformed_cone, solomon_hu.pm_eq,
 testfunctions.stabilizes, solomon_hu's pairing cell (_cell and _pair_cell),
-pm_sum and amice.moment_table (its tuple-keyed integer form) as they were
-before their leaner forms, kept verbatim so that each new kernel can be
-compared with its old one.
+pm_sum, amice.moment_table (its tuple-keyed integer form), amice's pole
+test on the adjugate's coordinate columns (reference_coordinates and
+reference_poles_vanish) and solomon_hu.act_pm as they were before their
+leaner forms, kept verbatim so that each new kernel can be compared with
+its old one.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from operator import mul
 from typing import Sequence
 
 from shintani import linalg, solomon_hu
-from shintani.amice import _bernoulli, _coordinates, _poles_vanish, is_measure_amice, is_measure_vh
+from shintani.amice import _bernoulli, extend_denominator_basis, is_measure_amice, is_measure_vh
 from shintani.cocycle import psi_cdg
 from shintani.cones import OpenCone
 from shintani.errors import (
@@ -74,7 +76,7 @@ from shintani.solomon_hu import (
     pm_sum,
     pm_zero,
 )
-from shintani.testfunctions import TestFunction, _as_list, random_congruence_element
+from shintani.testfunctions import TestFunction, _as_list, _fibres_vanish, random_congruence_element
 
 
 def det_cofactor(m) -> Fraction:
@@ -403,8 +405,8 @@ def fraction_moment_table(a: PseudoMeasure, p: int, orders: Sequence[Sequence[in
     """
     if not a.num:
         return [Fraction(0)] * len(orders)
-    basis, d, cols, cs = _coordinates(a)
-    if not _poles_vanish(a, p, d, cols, cs):
+    basis, d, cols, cs = reference_coordinates(a)
+    if not reference_poles_vanish(a, p, d, cols, cs):
         raise NotAMeasure("series-side divisibility test fails")
     terms = list(zip(zip(*cols), cs))
     n, r = len(basis), len(a.den)
@@ -1402,8 +1404,8 @@ def reference_moment_table(a: PseudoMeasure, p: int, n: int, top: int) -> list[t
     if (a.num or a.den) and n != a.dim:
         raise ValueError(f"moment orders in n = {n} dimensions for a pseudo-measure in {a.dim}")
     if a.num:
-        basis, d, cols, cs = _coordinates(a)
-        if not _poles_vanish(a, p, d, cols, cs):
+        basis, d, cols, cs = reference_coordinates(a)
+        if not reference_poles_vanish(a, p, d, cols, cs):
             raise NotAMeasure("series-side divisibility test fails")
         r = len(a.den)
     else:  # every moment is 0, and in the standard basis each x^kk is one monomial
@@ -1451,3 +1453,39 @@ def reference_moment_table(a: PseudoMeasure, p: int, n: int, top: int) -> list[t
             num = sum(w * summed(r, g) for g, w in x.items() if w)
             rows.append((kk, Fraction((-1) ** r * num, cden * d ** (total + r) * (big * q) ** r)))
     return rows
+
+
+def reference_coordinates(a: PseudoMeasure) -> tuple:
+    """(basis, d, cols, cs) for a's own basis, amice._coordinates as it was
+    before the pole test read packed keys: cols[i] lists the i-th coordinate
+    of adj v and cs the coefficient c over the terms c delta_v of a's
+    numerator in packed order, so adj v / d are v's basis coordinates."""
+    basis = extend_denominator_basis(a, a.dim)[0]
+    adj, d = linalg.adjugate(linalg.transpose(basis))
+    return basis, d, a.num.columns(adj), list(a.num.packed.values())
+
+
+def reference_poles_vanish(a: PseudoMeasure, p: int, d: int, cols: list, cs: list) -> bool:
+    """amice._poles_vanish as it was, on the columns of reference_coordinates.
+    With p^k the p-part of d, v and v' share a class of Z^n / (B Z^n + p^k Z^n),
+    B the basis, exactly when y = y' mod p^k: adj B z = d z, and for d = p^k m,
+    m(v - v') lies in B Z^n with m a unit mod p^k. So the fibre key of pole i
+    is y with y_i taken mod p^k: the columns zipped, column i reduced."""
+    pk = gcd(d, p ** d.bit_length())
+    return all(_fibres_vanish(zip(zip(*cols[:i], [x % pk for x in cols[i]], *cols[i + 1:]), cs))
+               for i in range(len(a.den)))
+
+
+def reference_act_pm(g, a: PseudoMeasure) -> PseudoMeasure:
+    """solomon_hu.act_pm as it was: every key rebuilt as sum_i v_i times the
+    packed column i of g, over the unpacked coordinate lists."""
+    gm = linalg.int_mat(g)
+    if abs(linalg.det(gm)) != 1:
+        raise NotUnimodular("pseudo-measure action requires determinant 1 or -1")
+    if (a.num or a.den) and len(gm) != a.dim:  # else zip and mat_vec would drop coordinates
+        raise ValueError(f"a {len(gm)}x{len(gm)} matrix cannot act in dimension {a.dim}")
+    old, bound = a.num, max(sum(map(abs, row)) for row in gm) * a.num.bound  # g's row norm
+    W = _width(bound)  # g is a bijection, so no two images of the terms meet
+    keys = _weighted_sum(_pack_columns(gm, W, len(gm)), old.columns(), len(old.packed))
+    num = GroupAlgebraElement._of(dict(zip(keys, old.packed.values())), old.n, W, bound)
+    return PseudoMeasure(num, tuple(sorted(linalg.mat_vec(gm, u) for u in a.den)))

@@ -2,17 +2,18 @@ import random
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
+from functools import cache
 from itertools import combinations, product
 from math import comb, factorial, gcd, lcm, prod
 from operator import mul
 
 import pytest
 
-from shintani import amice, linalg
+from shintani import amice, linalg, solomon_hu
 from shintani.amice import (
     _bernoulli,
-    _coordinates,
     extend_denominator_basis,
     is_measure_amice,
     is_measure_vh,
@@ -37,8 +38,10 @@ from oracles import (
     line_moment,
     outcome,
     rank_by_minors,
+    reference_coordinates,
     reference_hermite,
     reference_moment_table,
+    reference_poles_vanish,
 )
 
 
@@ -184,7 +187,8 @@ def test_coset_reps_counts_match_p_part():
 def test_coordinate_key_matches_the_hermite_cosets():
     # v and v' share a class of Z^n / (B Z^n + p^k Z^n), p^k the p-part of
     # d = |det B|, exactly when adj v = adj v' mod p^k: the key the measure
-    # test reads off _coordinates gives the classes of the Hermite oracle,
+    # test read off the coordinates before it keyed fibres by representatives
+    # (reference_coordinates) gives the classes of the Hermite oracle,
     # also when p does not divide d (one class)
     rng = random.Random(59)
     cases = split = 0
@@ -201,7 +205,7 @@ def test_coordinate_key_matches_the_hermite_cosets():
                 points = rng.sample(points, 200)
             # the coefficient names the point; the basis is the sorted columns
             a = PM(GA({v: k + 1 for k, v in enumerate(points)}), tuple(sorted(cols)))
-            basis, d, ycols, cs = _coordinates(a)
+            basis, d, ycols, cs = reference_coordinates(a)
             terms = list(zip(zip(*ycols), cs))
             adj = linalg.adjugate(linalg.transpose(basis))[0]
             assert d == linalg.det(basis)
@@ -226,6 +230,126 @@ def test_coordinate_key_matches_the_hermite_cosets():
             for v, w in combinations(range(-4, 5), 2):
                 pm = PM(GA({(v,): 1, (w,): -1}), ((b,),))
                 assert is_measure_amice(pm, p) == (coset_rep(h, (v,)) == coset_rep(h, (w,)))
+
+
+@cache
+def _pole_cases(seed, count):
+    """count seeded (pm, p, facts) for the pole test, n <= 4 and r <= n: denominator rows
+    w_i scaled by 1, p, p^2, 2, 3 or 2^40, and a numerator G prod_i (1 - delta_(t_i s_i)),
+    s_i the primitive vector of row i, with t_i in 1, 2, 3, p, p^2, so that pole i
+    vanishes exactly when rho_i | t_i; about one factor in seven is dropped, and one
+    case in ten gains a Dirac. G has Fraction coefficients in one case in three, and
+    in one in four it sits near 2^14, so that the representatives need 32-bit digits.
+    facts names what the case covers."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, p = rng.randint(1, 4), rng.choice((2, 3, 5))
+        r = rng.randint(1, n)
+        den = [tuple(rng.choice((1, p, p * p, 2, 3, 1 << 40)) * x for x in
+                     (tuple(rng.randint(-3, 3) for _ in range(n)))) for _ in range(r)]
+        if rank_by_minors(den) < r or len(set(den)) < r:
+            continue
+        far = rng.random() < 0.25
+        corner = tuple(rng.randint(16000, 16383) * rng.choice((1, -1)) if far else 0 for _ in range(n))
+        fraction = rng.random() < 1 / 3
+        num = GA({tuple(c + rng.randint(-2, 2) for c in corner):
+                  F(rng.choice((-3, -1, 1, 2)), rng.choice((2, 3, 9)) if fraction else 1)
+                  for _ in range(rng.randint(1, 3))})
+        for b in den:
+            if rng.random() < 0.85:
+                s = linalg.primitive_vector(b)
+                num = num * (GA.one(n) - GA.delta(tuple(rng.choice((1, 2, 3, p, p * p)) * x for x in s)))
+        if rng.random() < 0.1:
+            num = num + GA.delta(corner)
+        if num.terms:
+            facts = {f"n={n}", "fraction"} if fraction else {f"n={n}"}
+            facts |= {"far"} if far else set()
+            facts |= {"negative g" for b in den if max(b, key=abs) < 0}
+            out.append((PM(num, tuple(sorted(den))), p, facts))
+    return out
+
+
+def test_the_pole_test_matches_its_reference(monkeypatch):
+    # the fibre keys read off packed exponents (a coset representative per pole)
+    # against the adjugate's coordinate columns with y_i mod p^k, the test they
+    # replaced: the same verdict on 1500 seeded pseudo-measures, both verdicts
+    # common, and p-split, Fraction, negative-g and repacked (32-bit) cases among them
+    widened, at = [], solomon_hu.GroupAlgebraElement._at
+
+    def spy(self, W):
+        widened.append(W > self.W)
+        return at(self, W)
+
+    monkeypatch.setattr(solomon_hu.GroupAlgebraElement, "_at", spy)
+    seen, verdicts, split = Counter(), Counter(), 0
+    for pm, p, facts in _pole_cases(4003, 1500):
+        _basis, d, cols, cs = reference_coordinates(pm)
+        want = reference_poles_vanish(pm, p, d, cols, cs)
+        assert is_measure_amice(pm, p) == want, (pm.num.terms, pm.den, p)
+        verdicts[want] += 1
+        seen.update(facts)
+        split += gcd(d, p ** d.bit_length()) > 1
+    assert min(verdicts.values()) >= 200 and split >= 500, (verdicts, split)
+    assert all(seen[f"n={n}"] >= 100 for n in (1, 2, 3, 4)), seen
+    assert min(seen["fraction"], seen["negative g"], seen["far"]) >= 250, seen
+    assert sum(widened) >= 80, sum(widened)
+
+
+def test_the_pole_test_steps_by_rho():
+    # control: with every rho_i forced to 1 (p = 1 has p-part 1), the keys merge
+    # classes of the p-adic closure, and verdicts flip on the seeded cases
+    flipped = 0
+    for pm, p, _facts in _pole_cases(4003, 1500):
+        d = extend_denominator_basis(pm, pm.dim)[1]
+        flipped += amice._poles_vanish(pm, 1, d) != reference_poles_vanish(
+            pm, p, *reference_coordinates(pm)[1:])
+    assert flipped >= 40, flipped
+
+
+def test_poles_are_decided_before_the_adjugate(monkeypatch):
+    # is_measure_amice on a full-rank denominator runs one Hermite pass that
+    # builds no u and no adjugate; moment_table refuses a non-measure after that
+    # pass alone, and an accepted table runs it and the adjugate's pass with u
+    kernel, adjugate, flags, adjugates = linalg.hermite, linalg.adjugate, [], []
+
+    def spy(rows, with_u=False):
+        flags.append(with_u)
+        return kernel(rows, with_u)
+
+    def spy_adjugate(m):
+        adjugates.append(m)
+        return adjugate(m)
+
+    monkeypatch.setattr(linalg, "hermite", spy)
+    monkeypatch.setattr(linalg, "adjugate", spy_adjugate)
+    den = ((0, 3, 1), (1, 2, 0), (2, 0, 3))
+    good = PM(GA.delta((1, 1, 1)) * denominator_product(den, 3), den)
+    bad = PM(GA.delta((1, 1, 1)), den)
+    for pm, accepted in ((good, True), (bad, False)):
+        flags.clear()
+        assert is_measure_amice(pm, 3) == accepted
+        assert (flags, adjugates) == ([False], [])
+    flags.clear()
+    with pytest.raises(NotAMeasure):
+        moment_table(bad, 3, 3, 2)
+    assert (flags, adjugates) == ([False], [])
+    want = reference_moment_table(good, 3, 3, 2)
+    flags.clear()
+    adjugates.clear()
+    assert moment_table(good, 3, 3, 2) == want
+    assert (flags, len(adjugates)) == ([False, True], 1)
+
+
+def test_bernoulli_rows_are_shared_and_never_changed():
+    # _bernoulli is pure in top, so one row per top is kept, as a tuple: every
+    # table of one top reads the same object, and no table changes it
+    row = _bernoulli(7)
+    assert type(row[1]) is tuple and _bernoulli(7) is row
+    for _kind, n, p, pm, _top in _seeded_measures(59):
+        if is_measure_amice(pm, p):
+            moment_table(pm, p, n, 7)
+    assert _bernoulli(7) is row and row == amice._bernoulli.__wrapped__(7)
 
 
 def test_is_measure_vh_examples():
@@ -310,7 +434,8 @@ def test_extend_denominator_basis(monkeypatch):
                                               for _ in range(r)]) < r or len(set(dens)) < r:
                     pass
                 want = dens + list(reference_hermite(dens)[2][r:])
-                assert extend_denominator_basis(PM(GA.delta((0,) * n), tuple(dens)), n) == want
+                basis, d = extend_denominator_basis(PM(GA.delta((0,) * n), tuple(dens)), n)
+                assert basis == want and d == linalg.det(basis)
     kernel, flags = linalg.hermite, []
 
     def spy(rows, with_u=False):
@@ -318,11 +443,11 @@ def test_extend_denominator_basis(monkeypatch):
         return kernel(rows, with_u)
 
     monkeypatch.setattr(linalg, "hermite", spy)
-    basis = extend_denominator_basis(low, 2)
+    basis, d = extend_denominator_basis(low, 2)
     assert flags == [True, True]
-    assert basis == [(2, 2), *complement] and abs(linalg.det(basis)) == 2
+    assert basis == [(2, 2), *complement] and abs(d) == 2 and d == linalg.det(basis)
     flags.clear()
-    assert extend_denominator_basis(full, 2) == [(1, 2), (3, -1)]
+    assert extend_denominator_basis(full, 2) == ([(1, 2), (3, -1)], -7)
     assert flags == [False]
     for den in ([(1, 2), (2, 4)], [(0, 1, 1), (1, 0, 1), (1, 1, 2)], [(0, 1), (1, 0), (1, 1)]):
         with pytest.raises(DependentInput) as refused:
@@ -523,7 +648,7 @@ def test_moment_table_matches_the_bernoulli_oracle():
                     if not pm.num:
                         continue
                     if kind == "p-split":
-                        basis = extend_denominator_basis(pm, n)
+                        basis = extend_denominator_basis(pm, n)[0]
                         assert len(hermite_box(coset_lattice(linalg.transpose(basis), p))) > 1
                     want = bernoulli_moments(pm.num.terms, pm.den, orders)
                     assert moment_table(pm, p, n, max_order) == list(zip(orders, want)), (kind, pm)

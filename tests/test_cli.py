@@ -804,6 +804,22 @@ def test_a_raw_pseudo_measure_above_max_dimension_is_refused_at_once(tmp_path, c
         {"order": [0] * MAX_DIMENSION, "rational": "1", "padic": "3^0*1"}])
 
 
+def test_a_dense_raw_denominator_is_refused_without_an_adjugate(tmp_path, capsys):
+    # a seeded dense 32 x 32 denominator with one numerator term: the pole test
+    # runs on the index of the Hermite pass that validates the denominator and
+    # builds no adjugate, whose products grew with the elimination's entries,
+    # so the refusal (exit 4) takes well under a second
+    rng = random.Random(1)
+    while linalg.det(den := [[rng.randint(-3, 3) for _ in range(32)] for _ in range(32)]) == 0:
+        pass
+    path = write(tmp_path, "dense.json", {"numerator": [{"vector": [0] * 32, "coeff": "1"}],
+                                          "denominator": den})
+    start = time.perf_counter()
+    assert main(["--command", "moments", "--input", path, "--p", "3", "--max-order", "0"]) == 4
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "error: series-side divisibility test fails\n")
+
+
 def test_moments_rejects_a_pole_beyond_the_series_degree(tmp_path, capsys):
     # sum_t (-1)^t C(13, t) delta_(0,t) over 1 - delta_(1,0) at p = 3: every
     # coefficient of the T_1 = 0 series up to degree 12 cancels, yet the

@@ -224,11 +224,11 @@ def depleted_moments(name):
             [x - 9**k * y for k, x, y in zip(KUMMER_KS, mu, scaled)])
 
 
-def kummer_failures(ds):
-    """The (k, k', j), j = 1, 2, with k = k' mod 2 * 3^(j-1) whose 3-integral
-    depleted moments in ds, one per k in KUMMER_KS, differ mod 3^j."""
-    return [(k, kk, j) for (k, x), (kk, y) in combinations(zip(KUMMER_KS, ds), 2) for j in (1, 2)
-            if (kk - k) % (2 * 3 ** (j - 1)) == 0 and (x - y).numerator % 3**j]
+def kummer_failures(ds, p=3, ks=KUMMER_KS):
+    """The (k, k', j), j = 1, 2, with k = k' mod (p - 1) p^(j-1) whose p-integral
+    depleted moments in ds, one per k in ks, differ mod p^j."""
+    return [(k, kk, j) for (k, x), (kk, y) in combinations(zip(ks, ds), 2) for j in (1, 2)
+            if (kk - k) % ((p - 1) * p ** (j - 1)) == 0 and (x - y).numerator % p**j]
 
 
 def test_depleted_moments_satisfy_the_kummer_congruences():
@@ -281,6 +281,40 @@ def twisted_moments(name, c, p, ms, by_norm=True):
         prims = psi_cdg([I2, rho], q)[1]
         out.append((f, prims, domain_moments(f, p, form, [I2, rho], q, ms), want))
     return out
+
+
+TWISTED_KS = (0, 2, 4, 6, 8)
+
+
+def test_depleted_twisted_moments_satisfy_the_kummer_congruences():
+    # the second family: the twisted measures at p inert in K (3 and 7 in Q(sqrt 5),
+    # 5 in Q(sqrt 2)) are Z_p-valued too, so their depleted N^k moments, k even <= 8,
+    # are p-integral and agree mod p^j when k = k' mod (p - 1) p^(j-1). Two depletion
+    # routes: mu minus its restriction to p Z_p^2, and (1 - p^(2k)) m_k, since
+    # f(p.) = f (chi(p)^2 = 1, and p is a unit mod ell); both equal (1 - p^(2k))
+    # (1 - chi(ell) ell^(1+k)) L(-k, chi) L(-k, chi chi_D). Control: any one moment
+    # with a partner k' shifted by 1 breaks a congruence (at p = 7, k = 4 has none)
+    for name, c, p in (("Q(sqrt 5)", -4, 3), ("Q(sqrt 5)", -3, 7), ("Q(sqrt 2)", -3, 5)):
+        D, form, rho, ell, _r = FIELDS[name]
+        f = twisted(name, c, p)
+        assert all(f.values.get(tuple(p * y % f.M for y in x), 0) == v for x, v in f.values.items())
+        sign, prims, closed = psi_cdg([I2, rho], sample_deformation(2, random.Random(f"kummer:{name}:{c}")))
+        pm = pair_half_open(frozenset(prims), closed, f)
+        classes, den = restrictions(pm, p, 1)
+        mu, ball = ([sign * sum(w * t[o] for o, w in norm_power(form, k).items()) for k in TWISTED_KS]
+                    for t in (dict(moment_table(a, p, 2, 2 * max(TWISTED_KS))) for a in (
+                        pm, PseudoMeasure(GroupAlgebraElement(classes[(0, 0)]), den))))
+        ds = [x - y for x, y in zip(mu, ball)]
+        assert ds == [(1 - p ** (2 * k)) * x for k, x in zip(TWISTED_KS, mu)] == [
+            (1 - p ** (2 * k)) * (1 - kronecker(c, ell) * ell ** (1 + k)) * dirichlet_l_neg(c, k)
+            * dirichlet_l_neg(c * D, k) for k in TWISTED_KS], (name, c)
+        assert all(x.denominator % p for x in ds), (name, c, ds)
+        assert kummer_failures(ds, p, TWISTED_KS) == [], (name, c, ds)
+        partnered = [i for i, k in enumerate(TWISTED_KS)
+                     if any(k != kk and (k - kk) % (p - 1) == 0 for kk in TWISTED_KS)]
+        assert len(partnered) == (4 if p == 7 else 5), (name, partnered)
+        for i in partnered:
+            assert kummer_failures([x + (t == i) for t, x in enumerate(ds)], p, TWISTED_KS), (name, i)
 
 
 def test_the_l_value_oracle_at_negative_discriminants():

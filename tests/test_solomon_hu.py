@@ -10,7 +10,7 @@ from math import gcd, prod
 import pytest
 
 from shintani import linalg, solomon_hu
-from shintani.amice import _coordinates
+from shintani.amice import extend_denominator_basis
 from shintani.cones import OpenCone
 from shintani.errors import DependentInput, NotUnimodular, SchemaError
 from shintani.solomon_hu import (
@@ -51,6 +51,7 @@ from oracles import (
     pm_constant,
     pm_mul,
     rank_by_minors,
+    reference_act_pm,
     slice_identity_check,
     truncated_q_expansion,
     value_at,
@@ -585,7 +586,8 @@ def test_act_pm():
 def test_act_pm_and_coordinates_match_per_vector_images():
     # the column readers against one mat_vec per exponent, in packed order
     # (the order of the terms given): act_pm moves every exponent v to g v,
-    # and _coordinates reads adj v for the adjugate of a's own basis
+    # and columns(adj) reads adj v for the adjugate of a's own basis, as
+    # moment_table does
     rng = random.Random(2039)
     cases = []
     for n in (1, 2, 3, 4):
@@ -607,12 +609,59 @@ def test_act_pm_and_coordinates_match_per_vector_images():
         moved = act_pm(g, a)
         assert list(moved.num.terms.items()) == [(linalg.mat_vec(g, v), c) for v, c in spec.items()]
         assert moved.num.columns() == [list(col) for col in zip(*moved.num.terms)]
-        basis, _d, cols, cs = _coordinates(a)
-        terms = list(zip(zip(*cols), cs))
-        adj = linalg.adjugate(linalg.transpose(basis))[0]
+        adj = linalg.adjugate(linalg.transpose(extend_denominator_basis(a, a.dim)[0]))[0]
+        terms = list(zip(zip(*a.num.columns(adj)), a.num.packed.values()))
         assert terms == [(linalg.mat_vec(adj, v), c) for v, c in spec.items()]
     assert (cases[-1][1].num.W, act_pm(cases[-1][0], cases[-1][1]).num.W) == (64, 80)
     assert sum(act_pm(g, a).num.W > a.num.W for g, a, _spec in cases) > 10
+
+
+def _column_moves(rng, n, k, flip):
+    """g in GL_n(Z) with g - I nonzero in exactly k columns: in block form on the
+    chosen columns K, g is [[D, 0], [B, I]] with D = diag(+-1), so det g = det D.
+    D is -1 on the first column of K when flip, and on all of K when k = n (no B);
+    any other column of K gets a nonzero entry of B."""
+    cols = rng.sample(range(n), k)
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
+    rest = [i for i in range(n) if i not in cols]
+    for t, j in enumerate(cols):
+        if (flip and t == 0) or not rest:
+            g[j][j] = -1
+        for i in rest:
+            g[i][j] = rng.randint(-3, 3)
+        if g[j][j] == 1 and not any(g[i][j] for i in rest):
+            g[rng.choice(rest)][j] = rng.choice((-2, -1, 1, 2))
+    return g
+
+
+def test_act_pm_matches_its_reference():
+    # keys moved by the nonzero columns of g - I against every key rebuilt from
+    # all columns of g, the action it replaced: the same packed dict in the same
+    # order, W, bound and denominator, with g - I nonzero in 0, 1, 2 and n columns,
+    # det -1, products of elementary matrices, Fraction coefficients, and bounds
+    # near a 16-bit step that a row norm widens
+    rng = random.Random(4007)
+    seen = Counter()
+    for n in (1, 2, 3, 4):
+        for trial in range(60):
+            top = rng.choice((3, 40, 16383, 1 << 40))
+            spec = {tuple(rng.randint(-top, top) for _ in range(n)):
+                    rng.choice((1, -2, F(1, 3), F(-5, 2))) for _ in range(rng.randint(0, 25))}
+            den = tuple(sorted({tuple(rng.randint(-3, 3) or 1 for _ in range(n))
+                                for _ in range(rng.randint(0, n))}))
+            k = (0, 1, 2, n, rng.randint(0, n))[trial % 5] if n > 1 else trial % 2
+            g = (_column_moves(rng, n, min(k, n), trial % 3 == 0) if trial % 4
+                 else random_congruence_element(n, rng.choice((1, 2, 4)), rng.randrange(10**6)))
+            a = PM(GroupAlgebraElement(spec), den)
+            got, want = act_pm(g, a), reference_act_pm(g, a)
+            assert list(got.num.packed.items()) == list(want.num.packed.items()), (g, spec)
+            assert (got.num.n, got.num.W, got.num.bound, got.den) == (
+                want.num.n, want.num.W, want.num.bound, want.den)
+            moved = sum(any(g[i][j] != (i == j) for i in range(n)) for j in range(n))
+            seen["n" if moved == n else moved] += 1
+            seen["det -1"] += linalg.det(g) == -1
+            seen["wider"] += got.num.W > a.num.W
+    assert min(seen[k] for k in (0, 1, 2, "n", "det -1", "wider")) >= 20, seen
 
 
 def test_enumerate_fundamental_domain_examples():
